@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Tier-1 gate: formatting, lints, and the root test suite.
+# Tier-1 gate: formatting, lints, and every workspace test suite.
 # Run from the repository root. Fails fast on the first broken step.
 set -eu
 
@@ -9,8 +9,10 @@ cargo fmt --check
 echo "== cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
-echo "== cargo test (tier-1)"
-cargo test -q
+echo "== cargo test --workspace (tier-1 plus every crate's own suites)"
+# A bare `cargo test` at the root tests only the `xvc` facade package; the
+# crate unit tests and crates/*/tests suites run only with --workspace.
+cargo test -q --workspace
 
 echo "== xvc check (examples must be error-free)"
 cargo build --release --quiet --bin xvc
@@ -94,9 +96,10 @@ echo "== figures -- stream smoke (streamed-emission gates, reduced sizes)"
 # and by Session::publish_to, aborting on any byte divergence, on streamed
 # emission >25% slower than materialized at the largest size (both
 # timings share the dominant relational term, so the gate carries its
-# noise), or on a streamed peak-allocation track that grows with document
-# size (it must stay within 2x across the 10x sweep). The greps
-# double-check the written artifact.
+# noise), on a streamed peak-allocation track that grows with document
+# size (it must stay within 2x across the 10x sweep), or on streamed rows
+# scanned growing faster than the database. The greps double-check the
+# written artifact.
 cargo run --release --quiet -p xvc-bench --bin figures -- stream smoke
 if ! grep -q '"emit_streamed_ms"' BENCH_compose.json; then
     echo "ci.sh: stream study missing from BENCH_compose.json" >&2
@@ -108,6 +111,10 @@ if ! grep -q '"emit_materialized_ms"' BENCH_compose.json; then
 fi
 if grep -q '"peak_track_bytes_streamed": 0' BENCH_compose.json; then
     echo "ci.sh: stream study tracked no emission allocations" >&2
+    exit 1
+fi
+if ! grep -q '"rows_scanned_streamed"' BENCH_compose.json; then
+    echo "ci.sh: rows-scanned counters missing from the stream study" >&2
     exit 1
 fi
 

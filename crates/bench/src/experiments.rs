@@ -804,6 +804,13 @@ pub struct StreamBenchRow {
     /// ([`xvc_view::Streamed::peak_emit_bytes`]): bounded by the largest
     /// root-level subtree, flat as the document grows.
     pub peak_track_bytes_streamed: u64,
+    /// Base-table rows one materializing publish scanned
+    /// ([`xvc_rel::EvalStats::rows_scanned`]).
+    pub rows_scanned_materialized: u64,
+    /// Base-table rows one streamed publish scanned. Every root task
+    /// shares one scan per batched table, so this grows linearly in
+    /// `db_rows` — the study's deterministic counter gate.
+    pub rows_scanned_streamed: u64,
 }
 
 /// Sizing for the stream study: a ≥10× document-size sweep at fixed
@@ -890,6 +897,8 @@ pub fn stream_bench(cfg: &ScaleConfig, reps: usize) -> StreamBenchRow {
         emit_streamed_ms,
         peak_track_bytes_materialized,
         peak_track_bytes_streamed: streamed.peak_emit_bytes as u64,
+        rows_scanned_materialized: published.eval.rows_scanned,
+        rows_scanned_streamed: streamed.eval.rows_scanned,
     }
 }
 
@@ -905,7 +914,8 @@ pub fn render_stream_objects(rows: &[StreamBenchRow]) -> Vec<String> {
             format!(
                 "  {{\"workload\": \"{}\", \"db_rows\": {}, \"doc_bytes\": {}, \
                  \"emit_materialized_ms\": {:.3}, \"emit_streamed_ms\": {:.3}, \
-                 \"peak_track_bytes_materialized\": {}, \"peak_track_bytes_streamed\": {}}}",
+                 \"peak_track_bytes_materialized\": {}, \"peak_track_bytes_streamed\": {}, \
+                 \"rows_scanned_materialized\": {}, \"rows_scanned_streamed\": {}}}",
                 r.workload,
                 r.db_rows,
                 r.doc_bytes,
@@ -913,6 +923,8 @@ pub fn render_stream_objects(rows: &[StreamBenchRow]) -> Vec<String> {
                 r.emit_streamed_ms,
                 r.peak_track_bytes_materialized,
                 r.peak_track_bytes_streamed,
+                r.rows_scanned_materialized,
+                r.rows_scanned_streamed,
             )
         })
         .collect()

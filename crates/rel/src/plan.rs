@@ -32,6 +32,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
 
 use crate::ast::{AggFunc, BinOp, ScalarExpr, SelectItem, SelectQuery, TableRef};
 use crate::domain::{Card, CardBound};
@@ -180,8 +181,46 @@ pub struct PreparedPlan {
     /// that owns this plan). When it proves at most one binding per
     /// batch, the shared-pipeline batch strategy is demoted to scalar
     /// execution: scanning the whole table to serve one binding does
-    /// strictly more work than one filtered (or indexed) execution.
+    /// strictly more work than one filtered (or indexed) execution. A
+    /// batch handed a [`SharedScan`] is never demoted — its one scan
+    /// serves every batch that shares the slot.
     binding_bound: Card,
+}
+
+/// A per-caller slot holding one plan's binding-free batch pipeline, so
+/// that many [`PreparedPlan::execute_batch_shared`] calls scan and hash the
+/// base tables once between them instead of once each.
+///
+/// The first batch that reaches the shared pipeline builds it: it runs the
+/// stripped scan/join pipeline, indexes the rows by the deferred binding
+/// keys, and counts that work (`queries`, `rows_scanned`,
+/// `hash_join_builds`, `hash_join_build_rows`, …) in its own statistics.
+/// Every later batch only probes the index. If the pipeline raised an
+/// error, the slot remembers that, and every batch runs per binding, like
+/// an unshared batch whose pipeline failed.
+///
+/// A slot caches rows, so it is valid for one plan over one unchanged
+/// [`Database`]: the caller creates it for a single pass (a publish) and
+/// drops it afterwards. It never belongs in a plan cache, since DML changes
+/// rows without changing the catalog the plans were compiled against.
+#[derive(Debug, Default)]
+pub struct SharedScan {
+    pipeline: OnceLock<Pipeline>,
+}
+
+/// What running a plan's binding-free pipeline produced.
+#[derive(Debug)]
+enum Pipeline {
+    /// The stripped pipeline's rows, indexed by their deferred key values.
+    /// Rows with a NULL key are left out of the index, since NULL never
+    /// equi-joins.
+    Built {
+        rows: Vec<Vec<Value>>,
+        index: HashMap<Vec<Key>, Vec<usize>>,
+    },
+    /// The pipeline raised an error on rows the per-binding filters would
+    /// have dropped first, so batches execute per binding instead.
+    Failed,
 }
 
 // ---------------------------------------------------------------------------
@@ -744,7 +783,10 @@ impl PreparedPlan {
     /// When the bound proves at most one binding, the shared-pipeline
     /// batch strategy is skipped in favour of per-binding execution
     /// (which keeps pushdowns and index access paths keyed on the
-    /// binding's slots); rows and row order are unaffected. Defaults to
+    /// binding's slots); rows and row order are unaffected. The bound is
+    /// ignored by batches that share one pipeline through a
+    /// [`SharedScan`] ([`PreparedPlan::execute_batch_shared`]): there one
+    /// scan serves many single-binding batches. Defaults to
     /// [`Card::Unbounded`], which preserves the heuristic behaviour.
     #[must_use]
     pub fn with_binding_bound(mut self, bound: Card) -> Self {
@@ -844,17 +886,33 @@ impl PreparedPlan {
         envs: &[ParamEnv],
         stats: &mut EvalStats,
     ) -> Result<BatchResult> {
+        self.execute_batch_shared(db, envs, None, stats)
+    }
+
+    /// [`PreparedPlan::execute_batch_stats`] whose binding-free pipeline
+    /// may be shared with other batches of this plan over the same `db`
+    /// through `scan` (see [`SharedScan`]). Rows, row order and errors are
+    /// those of `execute_batch_stats`.
+    ///
+    /// With a slot, the batch that builds the pipeline counts the scan and
+    /// the hash build; every other batch counts only its probes
+    /// (`hash_join_probe_rows`) and per-binding projection work. Summed
+    /// over all batches sharing the slot, the counters do not depend on
+    /// which batch came first. A slot also overrides the demotion of
+    /// [`PreparedPlan::with_binding_bound`], because the one scan is
+    /// shared by every batch. Index-nested-loop plans ignore the slot:
+    /// they probe the index per binding either way.
+    pub fn execute_batch_shared(
+        &self,
+        db: &Database,
+        envs: &[ParamEnv],
+        scan: Option<&SharedScan>,
+        stats: &mut EvalStats,
+    ) -> Result<BatchResult> {
         struct Group {
             first: usize,
             members: Vec<usize>,
             values: Option<Vec<Value>>,
-        }
-        enum Mode {
-            Fast {
-                rows: Vec<Vec<Value>>,
-                index: HashMap<Vec<Key>, Vec<usize>>,
-            },
-            Scalar,
         }
 
         if envs.is_empty() {
@@ -908,77 +966,53 @@ impl PreparedPlan {
         let cell = Cell::new(EvalStats::default());
 
         // 2. Shared pipeline: one binding-free run of the stripped plan,
-        // indexed by the deferred key columns.
-        let mode = match &self.batch {
+        // indexed by the deferred key columns — built here, or once per
+        // `scan` slot and probed by every batch that shares it.
+        let local;
+        let fast = match &self.batch {
             // Index-nested-loop plans skip the shared pipeline: scalar
             // executions below each probe the index per distinct binding.
-            // So do plans whose declared binding bound proves at most one
-            // binding per batch: scanning the whole table to serve a
-            // single binding does strictly more work than one execution
+            // So do unshared plans whose declared binding bound proves at
+            // most one binding per batch: scanning the whole table to serve
+            // a single binding does strictly more work than one execution
             // with the slot pushdowns (and any index path) intact.
             Some(bp)
                 if !self.index_loop
-                    && !self.binding_bound.at_most_one()
+                    && (scan.is_some() || !self.binding_bound.at_most_one())
                     && order.iter().any(|g| g.values.is_some()) =>
             {
-                let attempt = Cell::new(EvalStats::default());
-                let empty = ParamEnv::new();
-                let shared = {
-                    let ctx = ExecCtx {
-                        db,
-                        env: &empty,
-                        slots: &self.slots,
-                        cache: RefCell::new(vec![None; self.slots.len()]),
-                        options: self.options,
-                        stats: &attempt,
-                    };
-                    exec_source_rows(&ctx, &bp.stripped, None)
+                let build = || self.build_pipeline(db, bp, &cell);
+                let pipeline = match scan {
+                    Some(s) => s.pipeline.get_or_init(build),
+                    None => {
+                        local = build();
+                        &local
+                    }
                 };
-                match shared {
-                    Ok(rows) => {
-                        let mut index: HashMap<Vec<Key>, Vec<usize>> = HashMap::new();
-                        'row: for (ri, row) in rows.iter().enumerate() {
-                            let mut key = Vec::with_capacity(bp.keys.len());
-                            for k in &bp.keys {
-                                let v = match &k.row {
-                                    BatchSide::Col(c) => &row[*c],
-                                    BatchSide::Lit(v) => v,
-                                };
-                                if v.is_null() {
-                                    continue 'row; // NULL never equi-joins
-                                }
-                                key.push(batch_key_of(v));
-                            }
-                            index.entry(key).or_default().push(ri);
-                        }
-                        let mut s = attempt.get();
-                        s.hash_join_builds += 1;
-                        s.hash_join_build_rows += rows.len() as u64;
+                match pipeline {
+                    Pipeline::Built { rows, index } => {
+                        let mut s = cell.get();
                         s.hash_join_probe_rows +=
                             order.iter().filter(|g| g.values.is_some()).count() as u64;
-                        attempt.set(s);
-                        let mut c = cell.get();
-                        c.absorb(&attempt.get());
-                        cell.set(c);
-                        Mode::Fast { rows, index }
+                        cell.set(s);
+                        Some((bp, rows, index))
                     }
                     // The stripped pipeline evaluated predicates on rows
                     // the per-binding filters would have dropped first;
                     // re-run scalar per group so the error (if still one)
                     // is the scalar loop's first error.
-                    Err(_) => Mode::Scalar,
+                    Pipeline::Failed => None,
                 }
             }
-            _ => Mode::Scalar,
+            _ => None,
         };
 
         // 3. Per distinct binding, in first-occurrence order (which makes
         // the first failing group the scalar loop's first failing env).
         let mut results: Vec<Relation> = Vec::with_capacity(order.len());
         for group in &order {
-            let rel = match (&mode, &group.values) {
-                (Mode::Fast { rows, index }, Some(values)) => {
-                    let bp = self.batch.as_ref().expect("fast mode implies batch plan");
+            let rel = match (fast, &group.values) {
+                (Some((bp, rows, index)), Some(values)) => {
                     let mut probe = Vec::with_capacity(bp.keys.len());
                     let mut null_probe = false;
                     for k in &bp.keys {
@@ -1058,6 +1092,46 @@ impl PreparedPlan {
         Ok(BatchResult { columns, groups })
     }
 
+    /// Runs `bp`'s stripped pipeline once, binding-free, and indexes its
+    /// rows by the deferred key columns. On success the run and the hash
+    /// build are counted into `stats`; a failed run counts nothing.
+    fn build_pipeline(&self, db: &Database, bp: &BatchPlan, stats: &Cell<EvalStats>) -> Pipeline {
+        let attempt = Cell::new(EvalStats::default());
+        let empty = ParamEnv::new();
+        let ctx = ExecCtx {
+            db,
+            env: &empty,
+            slots: &self.slots,
+            cache: RefCell::new(vec![None; self.slots.len()]),
+            options: self.options,
+            stats: &attempt,
+        };
+        let Ok(rows) = exec_source_rows(&ctx, &bp.stripped, None) else {
+            return Pipeline::Failed;
+        };
+        let mut index: HashMap<Vec<Key>, Vec<usize>> = HashMap::new();
+        'row: for (ri, row) in rows.iter().enumerate() {
+            let mut key = Vec::with_capacity(bp.keys.len());
+            for k in &bp.keys {
+                let v = match &k.row {
+                    BatchSide::Col(c) => &row[*c],
+                    BatchSide::Lit(v) => v,
+                };
+                if v.is_null() {
+                    continue 'row; // NULL never equi-joins
+                }
+                key.push(batch_key_of(v));
+            }
+            index.entry(key).or_default().push(ri);
+        }
+        let mut s = stats.get();
+        s.absorb(&attempt.get());
+        s.hash_join_builds += 1;
+        s.hash_join_build_rows += rows.len() as u64;
+        stats.set(s);
+        Pipeline::Built { rows, index }
+    }
+
     /// Renders the compiled pipeline — slot table, per-item scan fusion
     /// and join strategy, projection, and the batch (set-oriented)
     /// operator — as indented text. This is the plan that *executes*, as
@@ -1088,7 +1162,8 @@ impl PreparedPlan {
                 let _ = writeln!(
                     out,
                     "  batch: per-binding scalar execution — binding bound \
-                     {} justifies skipping the shared pipeline",
+                     {} justifies skipping the shared pipeline (a publish \
+                     with several root tasks scans once and shares it instead)",
                     self.binding_bound
                 );
             }
@@ -2267,6 +2342,93 @@ mod tests {
         assert_eq!(format!("{scalar_err:?}"), format!("{batch_err:?}"));
         // Failed batch absorbs nothing.
         assert_eq!(stats, EvalStats::default());
+    }
+
+    #[test]
+    fn shared_scan_builds_once_across_batches() {
+        let db = hotel_db();
+        let q = parse_query("SELECT hotelname FROM hotel WHERE metro_id=$m.metroid").unwrap();
+        // The bound would demote an unshared single-binding batch to
+        // scalar; a shared slot overrides it.
+        let plan = prepare(&q, &db.catalog())
+            .unwrap()
+            .with_binding_bound(Card::AtMostOne);
+        let envs = [
+            metro_param(1, "chicago"),
+            metro_param(2, "nyc"),
+            metro_param(1, "chicago"),
+            metro_param(99, "nowhere"),
+        ];
+        let (scalar, _) = scalar_loop(&plan, &db, &envs).unwrap();
+        let scan = SharedScan::default();
+        let mut total = EvalStats::default();
+        for (i, env) in envs.iter().enumerate() {
+            let mut stats = EvalStats::default();
+            let batch = plan
+                .execute_batch_shared(&db, std::slice::from_ref(env), Some(&scan), &mut stats)
+                .unwrap();
+            assert_eq!(batch.rows_for(0), &scalar[i].rows[..], "binding {i}");
+            // The first batch scans and builds; the others only probe.
+            let (rows, builds) = if i == 0 { (3, 1) } else { (0, 0) };
+            assert_eq!(stats.rows_scanned, rows, "batch {i}: {stats:?}");
+            assert_eq!(stats.hash_join_builds, builds, "batch {i}: {stats:?}");
+            assert_eq!(stats.hash_join_probe_rows, 1, "batch {i}: {stats:?}");
+            total.absorb(&stats);
+        }
+        assert_eq!(total.queries, 1);
+        assert_eq!(total.param_queries, 4);
+        assert_eq!(total.hash_join_build_rows, 3);
+    }
+
+    #[test]
+    fn shared_scan_remembers_a_failed_pipeline() {
+        let db = hotel_db();
+        // The binding-free pipeline adds 1 to every hotel name and fails;
+        // per binding, the slot equality drops every row first.
+        let q = parse_query(
+            "SELECT hotelname FROM hotel WHERE metro_id=$m.metroid AND hotelname + 1 > 0",
+        )
+        .unwrap();
+        let plan = prepare(&q, &db.catalog()).unwrap();
+        assert!(plan.batchable());
+        let envs = [metro_param(99, "nowhere")];
+        let (_, scalar_stats) = scalar_loop(&plan, &db, &envs).unwrap();
+        let scan = SharedScan::default();
+        for _ in 0..2 {
+            let mut stats = EvalStats::default();
+            let batch = plan
+                .execute_batch_shared(&db, &envs, Some(&scan), &mut stats)
+                .unwrap();
+            assert!(batch.rows_for(0).is_empty());
+            // Each batch runs per binding; the failed attempt counts
+            // nothing, and the slot keeps the failure so it is not retried.
+            assert_eq!(stats, scalar_stats);
+            assert!(matches!(scan.pipeline.get(), Some(Pipeline::Failed)));
+        }
+    }
+
+    #[test]
+    fn shared_scan_leaves_index_nested_loop_alone() {
+        let indexed = indexed_hotel_db();
+        let q = parse_query("SELECT hotelname FROM hotel WHERE metro_id = $m.metroid").unwrap();
+        let plan = prepare(&q, &indexed.catalog()).unwrap();
+        let envs = [metro_param(1, "chicago"), metro_param(2, "nyc")];
+        let scan = SharedScan::default();
+        let mut shared = EvalStats::default();
+        let mut unshared = EvalStats::default();
+        for env in &envs {
+            let env = std::slice::from_ref(env);
+            let a = plan
+                .execute_batch_shared(&indexed, env, Some(&scan), &mut shared)
+                .unwrap();
+            let b = plan
+                .execute_batch_stats(&indexed, env, &mut unshared)
+                .unwrap();
+            assert_eq!(a, b);
+        }
+        assert_eq!(shared, unshared);
+        assert_eq!(shared.index_lookups, 2);
+        assert_eq!(shared.hash_join_builds, 0);
     }
 
     #[test]

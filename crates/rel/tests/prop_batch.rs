@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 use xvc_rel::{
-    parse_query, prepare, ColumnDef, ColumnType, Database, EvalStats, NamedTuple, ParamEnv,
-    PreparedPlan, Relation, Value,
+    parse_query, prepare, Card, ColumnDef, ColumnType, Database, EvalStats, NamedTuple, ParamEnv,
+    PreparedPlan, Relation, SharedScan, Value,
 };
 
 /// Case count: the in-tree default, overridable via `PROPTEST_CASES` for
@@ -224,5 +224,59 @@ proptest! {
         prop_assert_eq!(stats.hash_join_builds, 1);
         prop_assert_eq!(stats.hash_join_build_rows, r_rows);
         prop_assert_eq!(stats.hash_join_probe_rows, distinct.len() as u64);
+    }
+
+    /// Shared scans: cutting the binding list into consecutive batches
+    /// that share one [`SharedScan`] changes no rows and no error — every
+    /// batch agrees with the scalar loop over its own bindings, and the
+    /// first failing batch reports the scalar loop's first error. With or
+    /// without a single-binding bound (which a shared slot overrides), a
+    /// separable plan over `r` alone scans `r` at most once in total.
+    #[test]
+    fn shared_scan_batches_equal_scalar_loop(
+        db in db_strategy(),
+        sql in query_pool(),
+        bindings in binding_strategy(),
+        chunk in 1usize..4,
+        single_binding_bound in any::<bool>(),
+    ) {
+        let q = parse_query(sql).unwrap();
+        let mut plan = prepare(&q, &db.catalog()).unwrap();
+        if single_binding_bound {
+            plan = plan.with_binding_bound(Card::AtMostOne);
+        }
+        let envs = envs_of(&bindings);
+        let scan = SharedScan::default();
+        let mut shared_stats = EvalStats::default();
+        let mut shared_err = None;
+        for batch_envs in envs.chunks(chunk) {
+            let mut stats = EvalStats::default();
+            match plan.execute_batch_shared(&db, batch_envs, Some(&scan), &mut stats) {
+                Ok(batch) => {
+                    let (scalar, _) = scalar_loop(&plan, &db, batch_envs)
+                        .expect("the batch succeeded, so must its scalar loop");
+                    for (i, rel) in scalar.iter().enumerate() {
+                        prop_assert_eq!(batch.rows_for(i), &rel.rows[..], "binding {} of {}", i, sql);
+                    }
+                    shared_stats.absorb(&stats);
+                }
+                Err(e) => {
+                    prop_assert_eq!(stats, EvalStats::default());
+                    shared_err = Some(e);
+                    break;
+                }
+            }
+        }
+        match (scalar_loop(&plan, &db, &envs), shared_err) {
+            (Ok(_), None) => {}
+            (Err(se), Some(be)) => prop_assert_eq!(format!("{se:?}"), format!("{be:?}")),
+            (Ok(_), Some(e)) => prop_assert!(false, "only the shared batches failed for {}: {}", sql, e),
+            (Err(e), None) => prop_assert!(false, "only the scalar loop failed for {}: {}", sql, e),
+        }
+        if plan.batchable() && !sql.contains("FROM r, s") {
+            let r_rows = db.table("r").unwrap().len() as u64;
+            prop_assert!(shared_stats.rows_scanned <= r_rows, "{}: {:?}", sql, shared_stats);
+            prop_assert!(shared_stats.hash_join_builds <= 1, "{}: {:?}", sql, shared_stats);
+        }
     }
 }

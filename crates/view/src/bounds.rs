@@ -19,7 +19,9 @@
 //! [`Engine`](crate::Engine) bakes the per-node batch bound into
 //! each cached plan via [`xvc_rel::PreparedPlan::with_binding_bound`],
 //! which is what lets the engine demote a provably-single-binding batch
-//! to scalar execution instead of paying for the shared pipeline.
+//! to scalar execution instead of paying for the shared pipeline — when
+//! its root-level ancestor produced one task. With several root tasks the
+//! publish shares one scan across them ([`xvc_rel::SharedScan`]) instead.
 
 use xvc_rel::facts::{analyze_query, param_key, query_cardinality, FactSet};
 use xvc_rel::{Card, CardBound, Catalog, ScalarExpr, SelectItem, SelectQuery};

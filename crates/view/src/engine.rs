@@ -188,8 +188,11 @@ impl Engine {
     /// into the cached plans (`true`, the default): a node whose batches
     /// provably carry at most one binding executes scalar, pushdowns and
     /// index paths intact, instead of paying for the shared binding-free
-    /// pipeline. Documents, traces and [`PublishStats`] are identical
-    /// either way.
+    /// pipeline. The demotion applies when the node's root-level ancestor
+    /// produced one root task; with several, every task's batch probes one
+    /// per-publish shared scan instead ([`xvc_rel::SharedScan`]), which
+    /// beats one filtered scan per task. Documents, traces and
+    /// [`PublishStats`] are identical either way.
     pub fn bounded(self, on: bool) -> Self {
         self.reconfig(|c| c.bounded = on)
     }

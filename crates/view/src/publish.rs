@@ -5,8 +5,9 @@
 //! drive: the **plan-cache** types (each node's tag query compiled once
 //! into an [`xvc_rel::PreparedPlan`]), **set-oriented** publishing (a
 //! breadth-first frontier walk running one
-//! [`xvc_rel::PreparedPlan::execute_batch_stats`] per (view node,
-//! frontier) instead of one execution per parent tuple), a bounded
+//! [`xvc_rel::PreparedPlan::execute_batch_shared`] per (view node,
+//! frontier) instead of one execution per parent tuple, with each plan's
+//! binding-free scan shared by all root tasks of a publish), a bounded
 //! per-task **result memo** (repeated parent tuples with equal relevant
 //! binding values reuse the child relation), **parallel** sibling-subtree
 //! evaluation (`std::thread::scope`) that keeps document order and
@@ -20,7 +21,7 @@ use std::sync::Mutex;
 
 use xvc_rel::{
     eval_query_stats, Database, EvalOptions, EvalStats, NamedTuple, ParamEnv, PreparedPlan,
-    Relation, ScalarExpr, SelectItem, SelectQuery,
+    Relation, ScalarExpr, SelectItem, SelectQuery, SharedScan,
 };
 use xvc_xml::{Document, TreeBuilder, XmlSink};
 
@@ -387,6 +388,40 @@ impl Run<'_> {
         Ok((main, tasks))
     }
 
+    /// The shared-scan slots of one publish, cut after the root pass: one
+    /// per prepared plan below a root-level node that produced two or more
+    /// root tasks. All tasks of such a root then probe one binding-free
+    /// scan per plan ([`SharedScan`]) instead of each building its own,
+    /// which makes a breadth publish scan each batched table once rather
+    /// than once per root element. A root with a single task keeps the
+    /// per-task path, including the bound-driven scalar demotion. The
+    /// decomposition, and so every counter, stays independent of the
+    /// thread count.
+    fn shared_scans(&self, tasks: &[Task]) -> HashMap<PlanKey, SharedScan> {
+        let tree = self.tree;
+        let mut tasks_per_root: HashMap<ViewNodeId, usize> = HashMap::new();
+        for task in tasks {
+            *tasks_per_root.entry(task.vid).or_default() += 1;
+        }
+        let mut scans = HashMap::new();
+        for vid in tree.node_ids() {
+            let mut top = vid;
+            while let Some(parent) = tree.parent(top).filter(|&p| !tree.is_root(p)) {
+                top = parent;
+            }
+            if top == vid || tasks_per_root.get(&top).copied().unwrap_or(0) < 2 {
+                continue;
+            }
+            for role in [Role::Tag, Role::Guard] {
+                let key = (vid.index() as u32, role);
+                if let Some(PlanEntry::Ready(_)) = self.plans.get(&key) {
+                    scans.insert(key, SharedScan::default());
+                }
+            }
+        }
+        scans
+    }
+
     /// Evaluates the schema tree against `db`, producing `v(I)` plus
     /// statistics (and a trace when requested).
     fn full(&self, db: &Database, mut stats: PublishStats) -> Result<Published> {
@@ -395,6 +430,7 @@ impl Run<'_> {
             tree: self.tree,
             db,
             plans: self.plans,
+            scans: None,
             use_plans: self.cfg.prepared,
             tracing: self.cfg.tracing,
             batched: self.cfg.batched,
@@ -402,7 +438,14 @@ impl Run<'_> {
         };
         let (main, tasks) = self.root_pass(&shared)?;
 
-        let outs = run_tasks(&shared, &tasks, self.cfg.parallel);
+        let scans = self.shared_scans(&tasks);
+        let task_shared = Shared {
+            scans: Some(&scans),
+            ..shared
+        };
+        let outs = run_tasks(&task_shared, &tasks, self.cfg.parallel);
+        // The merge below reads only task outputs: release the scans first.
+        drop(scans);
 
         // Deterministic merge, in task (= document) order.
         stats.absorb(&main.stats);
@@ -474,6 +517,7 @@ impl Run<'_> {
             tree: self.tree,
             db,
             plans: self.plans,
+            scans: None,
             use_plans: self.cfg.prepared,
             tracing: false,
             batched: true,
@@ -483,7 +527,12 @@ impl Run<'_> {
         stats.absorb(&main.stats);
         let mut eval = main.eval;
 
-        let mut w = BatchWorker::with_store(&shared, Skeleton::default());
+        let scans = self.shared_scans(&tasks);
+        let task_shared = Shared {
+            scans: Some(&scans),
+            ..shared
+        };
+        let mut w = BatchWorker::with_store(&task_shared, Skeleton::default());
         let mut peak = 0usize;
         let env = ParamEnv::new();
         for task in &tasks {
@@ -585,6 +634,7 @@ impl Run<'_> {
             tree,
             db,
             plans: self.plans,
+            scans: None,
             use_plans: self.cfg.prepared,
             tracing: false,
             batched: true,
@@ -690,6 +740,9 @@ struct Shared<'a> {
     tree: &'a SchemaTree,
     db: &'a Database,
     plans: &'a HashMap<PlanKey, PlanEntry>,
+    /// This publish's shared-scan slots ([`Run::shared_scans`]); `None` for
+    /// the root pass and for delta republishes.
+    scans: Option<&'a HashMap<PlanKey, SharedScan>>,
     use_plans: bool,
     tracing: bool,
     batched: bool,
@@ -1406,7 +1459,12 @@ impl<'a, S: WaveStore> BatchWorker<'a, S> {
                 }
                 if !pending.is_empty() {
                     let penvs: Vec<ParamEnv> = pending.iter().map(|&i| envs[i].clone()).collect();
-                    let batch = plan.execute_batch_stats(self.shared.db, &penvs, &mut self.eval)?;
+                    let batch = plan.execute_batch_shared(
+                        self.shared.db,
+                        &penvs,
+                        self.shared.scans.and_then(|s| s.get(&(key_base, role))),
+                        &mut self.eval,
+                    )?;
                     self.stats.batches_executed += 1;
                     self.stats.bindings_per_batch_max =
                         self.stats.bindings_per_batch_max.max(penvs.len());
@@ -2027,11 +2085,11 @@ mod tests {
     fn publish_with_stats_reports_engine_work() {
         let p = publish_one(&view(), &db()).unwrap();
         assert_eq!(p.stats.queries_run, 3);
-        // metroarea scan (2 rows) + two parameterized hotel scans (3 rows
-        // each), both carrying the $m binding.
-        assert_eq!(p.eval.queries, 3);
+        // metroarea scan (2 rows) + one hotel scan (3 rows) shared by both
+        // metro tasks, whose hotel batches each serve one $m binding.
+        assert_eq!(p.eval.queries, 2);
         assert_eq!(p.eval.param_queries, 2);
-        assert_eq!(p.eval.rows_scanned, 2 + 3 + 3);
+        assert_eq!(p.eval.rows_scanned, 2 + 3);
     }
 
     #[test]
@@ -2207,25 +2265,19 @@ mod tests {
         assert_eq!(batched.stats.batches_executed, 0);
     }
 
-    #[test]
-    fn bounded_path_demotes_single_binding_batches_to_scalar() {
-        // Each metro task's hotel batch provably carries one binding (the
-        // task root has one instance), so bound-driven planning executes
-        // it scalar — one run with the slot pushdown intact — instead of
-        // the binding-free shared pipeline, which materializes the
-        // stripped rows and regroups them through a hash build per batch.
-        let tree = view();
-        let db = db();
-        let bounded = Engine::new(&tree)
+    /// The same publish with and without bound-driven planning: documents,
+    /// traces and [`PublishStats`] must agree; returns both engine counters.
+    fn bounded_and_unbounded(tree: &SchemaTree, db: &Database) -> (EvalStats, EvalStats) {
+        let bounded = Engine::new(tree)
             .traced(true)
             .session()
-            .publish(&db)
+            .publish(db)
             .unwrap();
-        let unbounded = Engine::new(&tree)
+        let unbounded = Engine::new(tree)
             .bounded(false)
             .traced(true)
             .session()
-            .publish(&db)
+            .publish(db)
             .unwrap();
         assert_eq!(bounded.document.to_xml(), unbounded.document.to_xml());
         let (bt, ut) = (bounded.trace.unwrap(), unbounded.trace.unwrap());
@@ -2235,12 +2287,40 @@ mod tests {
             assert_eq!(b.env, u.env);
         }
         assert_eq!(bounded.stats, unbounded.stats);
-        // Scans and query counts agree; the shared pipeline's regroup
-        // hash builds (one per batch) are what the bound saves.
-        assert_eq!(bounded.eval.queries, unbounded.eval.queries);
-        assert_eq!(bounded.eval.rows_scanned, unbounded.eval.rows_scanned);
-        assert_eq!(bounded.eval.hash_join_builds, 0, "{:?}", bounded.eval);
-        assert_eq!(unbounded.eval.hash_join_builds, 2, "{:?}", unbounded.eval);
+        (bounded.eval, unbounded.eval)
+    }
+
+    #[test]
+    fn bounded_path_shares_one_scan_across_root_tasks() {
+        // Two metro tasks: each hotel batch provably carries one binding,
+        // but both tasks probe one shared binding-free hotel scan, so the
+        // bound no longer demotes the batch. With or without the bound the
+        // publish scans `hotel` once and builds one hash table.
+        let (bounded, unbounded) = bounded_and_unbounded(&view(), &db());
+        assert_eq!(bounded, unbounded);
+        assert_eq!(bounded.rows_scanned, 2 + 3, "{bounded:?}");
+        assert_eq!(bounded.hash_join_builds, 1, "{bounded:?}");
+    }
+
+    #[test]
+    fn bounded_path_demotes_single_binding_batches_to_scalar() {
+        // One metro task: its hotel batch provably carries one binding, so
+        // bound-driven planning executes it scalar — one run with the slot
+        // pushdown intact — instead of the binding-free shared pipeline,
+        // which materializes the stripped rows and regroups them through a
+        // hash build.
+        let mut tree = view();
+        let metro = tree.find_by_paper_id(1).unwrap();
+        tree.node_mut(metro).unwrap().query = Some(
+            parse_query("SELECT metroid, metroname FROM metroarea WHERE metroid = 1").unwrap(),
+        );
+        let (bounded, unbounded) = bounded_and_unbounded(&tree, &db());
+        // Scans and query counts agree; the shared pipeline's regroup hash
+        // build is what the bound saves.
+        assert_eq!(bounded.queries, unbounded.queries);
+        assert_eq!(bounded.rows_scanned, unbounded.rows_scanned);
+        assert_eq!(bounded.hash_join_builds, 0, "{bounded:?}");
+        assert_eq!(unbounded.hash_join_builds, 1, "{unbounded:?}");
     }
 
     #[test]
@@ -2285,8 +2365,9 @@ mod tests {
         assert_eq!(p.stats.memo_hits, 1, "{:?}", p.stats);
         // The memoized relation still counts as a query run.
         assert_eq!(p.stats.queries_run, 1 + 2 + 3);
-        // ... but skips the engine entirely.
-        assert_eq!(p.eval.queries, 1 + 2 + 2);
+        // ... but skips the engine entirely. Both metro tasks share one
+        // hotel scan and one home scan.
+        assert_eq!(p.eval.queries, 1 + 1 + 1);
         // Document content identical to the interpreter's.
         let i = Engine::new(&t)
             .prepared(false)

@@ -332,7 +332,8 @@ fn read_request(
     reader: &mut BufReader<TcpStream>,
     running: &AtomicBool,
 ) -> io::Result<Option<Request>> {
-    let Some(request_line) = read_head_line(reader, running)? else {
+    let mut head_budget = MAX_HEAD;
+    let Some(request_line) = read_head_line(reader, running, &mut head_budget)? else {
         return Ok(None);
     };
     let mut parts = request_line.split_whitespace();
@@ -342,15 +343,10 @@ fn read_request(
     let (method, target) = (method.to_owned(), target.to_owned());
     let mut content_length = 0usize;
     let mut close = false;
-    let mut head = request_line.len();
     loop {
-        let Some(line) = read_head_line(reader, running)? else {
+        let Some(line) = read_head_line(reader, running, &mut head_budget)? else {
             return Ok(None);
         };
-        head += line.len();
-        if head > MAX_HEAD {
-            return Err(io::Error::other("request head too large"));
-        }
         if line.is_empty() {
             break;
         }
@@ -389,13 +385,26 @@ fn read_request(
 
 /// One CRLF-terminated head line, timeouts retried while `running`.
 /// `Ok(None)`: EOF with nothing buffered, or shutdown.
+///
+/// The line's bytes, line ending included, are charged against `budget`,
+/// the part of [`MAX_HEAD`] still left, and no read goes past it: a line
+/// that does not end within the budget fails with "request head too
+/// large" after buffering at most `budget` bytes, however long the client
+/// keeps sending.
 fn read_head_line(
     reader: &mut BufReader<TcpStream>,
     running: &AtomicBool,
+    budget: &mut usize,
 ) -> io::Result<Option<String>> {
+    let mut limited = reader.take(*budget as u64);
     let mut line = String::new();
     loop {
-        match reader.read_line(&mut line) {
+        let read = limited.read_line(&mut line);
+        *budget = usize::try_from(limited.limit()).unwrap_or(0);
+        match read {
+            Ok(_) if *budget == 0 && !line.ends_with('\n') => {
+                return Err(io::Error::other("request head too large"));
+            }
             Ok(0) => return Ok(None),
             Ok(_) => return Ok(Some(line.trim_end_matches(['\r', '\n']).to_owned())),
             Err(e) if is_timeout(&e) => {

@@ -296,3 +296,48 @@ fn streamed_publish_pretty_matches_reference_serializer() {
     server.shutdown();
     server.join();
 }
+
+#[test]
+fn oversized_head_line_drops_the_connection() {
+    let db = guide_database();
+    let composed = guide_composed(&db);
+    // One worker: if the oversized connection pinned it, /healthz below
+    // could not be answered.
+    let server =
+        Server::start(Engine::new(&composed), db, "127.0.0.1:0", 1).expect("server starts");
+
+    // A request line, then 64 KiB of one header line that never ends. The
+    // server must stop at its head budget and drop the connection rather
+    // than buffer for as long as the client keeps sending.
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut payload = b"GET /doc HTTP/1.1\r\nX-Filler: ".to_vec();
+    payload.resize(payload.len() + 64 * 1024, b'a');
+    // The server may reset the connection before it has read everything.
+    let _ = stream.write_all(&payload);
+    let mut reply = Vec::new();
+    match stream.read_to_end(&mut reply) {
+        Ok(_) => assert!(
+            reply.is_empty(),
+            "expected a dropped connection, got a reply: {}",
+            String::from_utf8_lossy(&reply)
+        ),
+        Err(e) => assert!(
+            matches!(
+                e.kind(),
+                std::io::ErrorKind::ConnectionReset | std::io::ErrorKind::ConnectionAborted
+            ),
+            "expected a dropped connection, got: {e}"
+        ),
+    }
+
+    let mut client = Client::connect(server.addr());
+    let (status, body) = client.request("GET", "/healthz", "");
+    assert_eq!(status, 200);
+    assert_eq!(body, "ok\n");
+
+    server.shutdown();
+    server.join();
+}
