@@ -6,8 +6,8 @@ set -eu
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo test --workspace (tier-1 plus every crate's own suites)"
 # A bare `cargo test` at the root tests only the `xvc` facade package; the

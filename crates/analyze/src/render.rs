@@ -196,7 +196,10 @@ mod tests {
         let w = Diagnostic::new(Code::Xvc001, Stage::Stylesheet, "w");
         let e = Diagnostic::new(Code::Xvc101, Stage::View, "e");
         assert_eq!(render_summary(&[]), "check: no problems found");
-        assert_eq!(render_summary(&[w.clone()]), "check: 1 warning emitted");
+        assert_eq!(
+            render_summary(std::slice::from_ref(&w)),
+            "check: 1 warning emitted"
+        );
         assert_eq!(
             render_summary(&[w, e]),
             "check: 1 error and 1 warning emitted"

@@ -1182,7 +1182,7 @@ mod tests {
         assert!(r.batches_delta < r.batches_full, "{r:?}");
         assert!(r.nodes_respliced > 0, "{r:?}");
         assert!(r.reexecution_fraction() < 1.0, "{r:?}");
-        let json = render_json_array(&render_incr_objects(&[r.clone()]));
+        let json = render_json_array(&render_incr_objects(std::slice::from_ref(&r)));
         assert!(json.contains("\"eval_full_republish_ms\""));
         assert!(json.contains("\"eval_delta_ms\""));
         println!("{r:?}");

@@ -25,6 +25,7 @@ use std::collections::BTreeMap;
 use crate::error::{Error, Result};
 use crate::eval::{eval_query, ParamEnv};
 use crate::parse::parse_query;
+use crate::plan::prepare;
 use crate::table::Database;
 use crate::value::Value;
 
@@ -137,35 +138,65 @@ impl Database {
     }
 
     /// Deletes every row of `table` matching `predicate` (all rows when
-    /// `None`), returning the delta. The predicate is evaluated by running
-    /// `SELECT * FROM table WHERE predicate` through the interpreter;
-    /// every stored row equal to a matched row is removed (equal rows
-    /// satisfy a pure predicate identically, so this is exact DELETE
-    /// semantics).
+    /// `None`), returning the delta. The matched rows are exactly what
+    /// `SELECT * FROM table WHERE predicate` returns — run as a prepared
+    /// plan, which filters while it scans, or through the interpreter when
+    /// the query does not prepare; every stored row equal to a matched row
+    /// is removed (equal rows satisfy a pure predicate identically, so this
+    /// is exact DELETE semantics). Stored rows are matched in one pass
+    /// against the matched rows sorted by a row hash, and the table drops
+    /// them in place, keeping the survivors' order.
     pub fn delete_from(&mut self, table: &str, predicate: Option<&str>) -> Result<Delta> {
-        let matched: Vec<Vec<Value>> = match predicate {
-            None => self.table(table)?.rows().to_vec(),
+        let doomed: Vec<bool> = match predicate {
+            None => vec![true; self.table(table)?.len()],
             Some(pred) => {
                 let q = parse_query(&format!("SELECT * FROM {table} WHERE {pred}"))?;
-                eval_query(self, &q, &ParamEnv::new())?.rows
+                let env = ParamEnv::new();
+                let matched = match prepare(&q, &self.catalog()) {
+                    Ok(plan) => plan.execute(self, &env)?.rows,
+                    Err(_) => eval_query(self, &q, &env)?.rows,
+                };
+                let mut hashed: Vec<(u64, &Vec<Value>)> =
+                    matched.iter().map(|row| (row_hash(row), row)).collect();
+                hashed.sort_unstable_by_key(|&(h, _)| h);
+                self.table(table)?
+                    .scan()
+                    .map(|row| {
+                        let h = row_hash(&row);
+                        let first = hashed.partition_point(|&(x, _)| x < h);
+                        hashed[first..]
+                            .iter()
+                            .take_while(|&&(x, _)| x == h)
+                            .any(|(_, m)| m[..] == row[..])
+                    })
+                    .collect()
             }
         };
-        let mut kept = Vec::new();
-        let mut deleted = Vec::new();
-        for row in self.table(table)?.rows().iter() {
-            if matched.contains(row) {
-                deleted.push(row.clone());
-            } else {
-                kept.push(row.clone());
-            }
-        }
-        if !deleted.is_empty() {
-            self.replace_rows(table, kept)?;
-        }
+        let deleted = if doomed.contains(&true) {
+            self.remove_rows(table, &doomed)?
+        } else {
+            Vec::new()
+        };
         let mut delta = Delta::new();
         delta.record_deletes(table, deleted);
         Ok(delta)
     }
+}
+
+/// A row's hash for DELETE matching: equal rows (`Value`'s `==`) hash
+/// equally, since the only unequal bit patterns `==` identifies are the
+/// two float zeros, which are folded together. A cheap multiplicative mix:
+/// collisions only cost an extra `==`.
+fn row_hash(row: &[Value]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mix = |h: u64, x: u64| (h.rotate_left(5) ^ x).wrapping_mul(K);
+    row.iter().fold(0, |h, v| match v {
+        Value::Null => mix(h, 0),
+        Value::Int(i) => mix(mix(h, 1), *i as u64),
+        Value::Float(f) => mix(mix(h, 2), if *f == 0.0 { 0 } else { f.to_bits() }),
+        Value::Str(s) => s.bytes().fold(mix(h, 3), |h, b| mix(h, u64::from(b))),
+        Value::Bool(b) => mix(mix(h, 4), u64::from(*b)),
+    })
 }
 
 /// Character-level scanner for the DML fragment. The SELECT parser in
@@ -416,6 +447,7 @@ impl<'a> DmlParser<'a> {
 mod tests {
     use super::*;
     use crate::schema::{ColumnDef, ColumnType, TableSchema};
+    use crate::table::Table;
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -491,6 +523,83 @@ mod tests {
         let idx = t.index_for(0).expect("index survives delete");
         assert_eq!(idx.lookup(&Value::Int(2)), &[0]);
         assert!(idx.lookup(&Value::Int(1)).is_empty());
+    }
+
+    /// The pre-in-place DELETE: every stored row equal to a matched row
+    /// goes (an O(N·M) `contains` scan), the survivors are re-inserted
+    /// into a fresh table. Returns `(deleted, surviving table)`.
+    fn reference_delete(db: &Database, pred: &str) -> (Vec<Vec<Value>>, Table) {
+        let q = parse_query(&format!("SELECT * FROM city WHERE {pred}")).unwrap();
+        let matched = eval_query(db, &q, &ParamEnv::new()).unwrap().rows;
+        let t = db.table("city").unwrap();
+        let mut fresh = Table::with_backend(t.schema.clone(), t.backend()).unwrap();
+        let mut deleted = Vec::new();
+        for row in t.rows().iter() {
+            if matched.contains(row) {
+                deleted.push(row.clone());
+            } else {
+                fresh.insert(row.clone()).unwrap();
+            }
+        }
+        (deleted, fresh)
+    }
+
+    #[test]
+    fn in_place_delete_matches_rebuild_on_both_backends() {
+        use crate::schema::IndexKind;
+        use crate::table::Backend;
+        for backend in [Backend::Memory, Backend::paged()] {
+            for pred in [
+                "cityid = 2",
+                "cityname = 'b'",
+                "cityid >= 2 AND cityid < 4",
+                "cityname IS NULL",
+                "cityid > 99",
+            ] {
+                let mut db = db().to_backend(backend).unwrap();
+                db.create_index("city", "cityid", IndexKind::Hash).unwrap();
+                db.create_index("city", "cityname", IndexKind::BTree)
+                    .unwrap();
+                // Duplicate rows, and equal keys spread over the table.
+                db.execute_dml(
+                    "INSERT INTO city VALUES (1, 'a'), (2, 'b'), (2, 'b'), (3, 'c'), \
+                     (2, 'x'), (4, 'b'), (2, 'b'), (5, NULL), (3, 'c')",
+                )
+                .unwrap();
+                let (want_deleted, want) = reference_delete(&db, pred);
+                let delta = db
+                    .execute_dml(&format!("DELETE FROM city WHERE {pred}"))
+                    .unwrap();
+                let got = db.table("city").unwrap();
+                let ctx = format!("{backend:?}, WHERE {pred}");
+                assert_eq!(delta.tables["city"].deleted, want_deleted, "{ctx}");
+                assert!(delta.tables["city"].inserted.is_empty(), "{ctx}");
+                assert_eq!(got.rows(), want.rows(), "{ctx}: surviving rows and order");
+                assert_eq!(got.backend(), backend, "{ctx}");
+                let probes = [
+                    Value::Int(1),
+                    Value::Int(2),
+                    Value::Int(3),
+                    Value::Int(4),
+                    Value::Int(5),
+                    Value::Str("a".into()),
+                    Value::Str("b".into()),
+                    Value::Str("c".into()),
+                    Value::Str("x".into()),
+                    Value::Null,
+                ];
+                for column in [0, 1] {
+                    let (g, w) = (
+                        got.index_for(column).unwrap(),
+                        want.index_for(column).unwrap(),
+                    );
+                    assert_eq!(g.len(), w.len(), "{ctx}: index on column {column}");
+                    for v in &probes {
+                        assert_eq!(g.lookup(v), w.lookup(v), "{ctx}: lookup {v:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -130,6 +130,30 @@ impl SecondaryIndex {
         self.entries += 1;
     }
 
+    /// Applies a row removal: `new_rid[rid]` is a surviving row's id after
+    /// the removal, `None` for a removed row. Surviving ids keep their
+    /// ascending order and keys left without rows disappear, so the index
+    /// equals one rebuilt from the surviving rows.
+    pub(crate) fn renumber(&mut self, new_rid: &[Option<usize>]) {
+        let mut entries = 0;
+        let mut fix = |rids: &mut Vec<usize>| {
+            rids.retain_mut(|rid| match new_rid[*rid] {
+                Some(n) => {
+                    *rid = n;
+                    true
+                }
+                None => false,
+            });
+            entries += rids.len();
+            !rids.is_empty()
+        };
+        match &mut self.map {
+            IndexMap::Hash(m) => m.retain(|_, rids| fix(rids)),
+            IndexMap::BTree(m) => m.retain(|_, rids| fix(rids)),
+        }
+        self.entries = entries;
+    }
+
     /// Row ids whose column equals `v` (insertion order). NULL probes
     /// match nothing. Candidates still need an exact `=` recheck — the
     /// normalized key unifies `3` with `3.0` (correct) but also buckets

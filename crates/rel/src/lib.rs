@@ -94,7 +94,7 @@ pub use facts::{
 pub use index::SecondaryIndex;
 pub use optimize::optimize;
 pub use parse::parse_query;
-pub use plan::{prepare, prepare_with, BatchResult, PreparedPlan, SharedScan};
+pub use plan::{prepare, prepare_with, BatchResult, JoinKey, PreparedPlan, RowKey, SharedScan};
 pub use schema::{Catalog, ColumnDef, ColumnType, IndexDef, IndexKind, TableSchema};
 pub use storage::{BufferPool, FilePageStore, MemPageStore, Page, PageStore, PoolStats, PAGE_SIZE};
 pub use table::{Backend, Database, Table};

@@ -185,6 +185,38 @@ pub struct PreparedPlan {
     /// batch handed a [`SharedScan`] is never demoted — its one scan
     /// serves every batch that shares the slot.
     binding_bound: Card,
+    /// Per base table the plan can narrow a delta by: see
+    /// [`PreparedPlan::row_key`].
+    row_keys: Vec<(String, RowKey)>,
+}
+
+/// A top-level `T.col = $var.attr` conjunct pushed into the plan's only
+/// scan of base table `T` ([`PreparedPlan::row_key`]). Every row the plan
+/// returns for a binding derives from rows of `T` whose `col` equals that
+/// binding's `$var.attr`, since rows failing a pushdown never leave the
+/// scan. So inserting or deleting rows of `T` can change the result only
+/// for bindings whose `$var.attr` matches a changed row's `col`, compared
+/// as [`JoinKey`]s.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowKey {
+    /// Position of `col` in `T`'s schema.
+    pub column: usize,
+    /// The binding side, `(var, attr)`.
+    pub param: (String, String),
+}
+
+/// A non-NULL value under the batch hash join's key normalisation. Values
+/// that are SQL-equal always have equal keys, so matching keys may
+/// over-approximate `=` (NaN, integers past 2^53) but never misses an
+/// equal pair. NULL has no key: it equals nothing.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct JoinKey(Key);
+
+impl JoinKey {
+    /// The key of `v`, or `None` for NULL.
+    pub fn of(v: &Value) -> Option<JoinKey> {
+        (!v.is_null()).then(|| JoinKey(batch_key_of(v)))
+    }
 }
 
 /// A per-caller slot holding one plan's binding-free batch pipeline, so
@@ -272,6 +304,7 @@ pub fn prepare_with(
             .from
             .iter()
             .any(|f| matches!(&f.access, Access::IndexEq { key, .. } if count_slots_expr(key) > 0));
+    let row_keys = row_keys(&root, &compiler.slots);
     Ok(PreparedPlan {
         root,
         slots: compiler.slots,
@@ -280,6 +313,7 @@ pub fn prepare_with(
         index_loop,
         bound: card.total,
         binding_bound: Card::Unbounded,
+        row_keys,
     })
 }
 
@@ -731,6 +765,79 @@ fn count_slots_expr(e: &PExpr) -> usize {
     }
 }
 
+/// The [`RowKey`] of every base table the root block scans exactly once in
+/// the whole plan (no second scan in a self-join, derived table or
+/// `EXISTS`), taken from the first `col = $slot` pushdown on that scan.
+fn row_keys(root: &PlanBlock, slots: &[(String, String)]) -> Vec<(String, RowKey)> {
+    let mut out = Vec::new();
+    for item in &root.from {
+        let PlanSource::Scan(table) = &item.source else {
+            continue;
+        };
+        if count_table_scans(root, table) != 1 {
+            continue;
+        }
+        let key = item
+            .pushdown
+            .iter()
+            .find_map(|c| match slot_equality(c, &item.layout, 0)? {
+                BatchKeySpec {
+                    row: BatchSide::Col(column),
+                    slot,
+                    ..
+                } => Some(RowKey {
+                    column,
+                    param: slots[slot].clone(),
+                }),
+                BatchKeySpec { .. } => None,
+            });
+        if let Some(key) = key {
+            out.push((table.clone(), key));
+        }
+    }
+    out
+}
+
+/// Scans of base table `table` anywhere in `b`: FROM items, derived
+/// tables and `EXISTS` subqueries in every clause.
+fn count_table_scans(b: &PlanBlock, table: &str) -> usize {
+    let in_expr = |e: &PExpr| expr_table_scans(e, table);
+    let mut n = 0;
+    for item in &b.from {
+        n += match &item.source {
+            PlanSource::Scan(t) => usize::from(t == table),
+            PlanSource::Derived(child) => count_table_scans(child, table),
+        };
+        n += item.pushdown.iter().map(in_expr).sum::<usize>();
+        n += item.prefix_filters.iter().map(in_expr).sum::<usize>();
+        n += item
+            .join_keys
+            .iter()
+            .map(|(l, r)| in_expr(l) + in_expr(r))
+            .sum::<usize>();
+    }
+    n += b.residuals.iter().map(in_expr).sum::<usize>();
+    for item in &b.select {
+        if let PlanItem::Expr(e) = item {
+            n += in_expr(e);
+        }
+    }
+    n += b.group_by.iter().map(in_expr).sum::<usize>();
+    n + b.having.as_ref().map_or(0, in_expr)
+}
+
+fn expr_table_scans(e: &PExpr, table: &str) -> usize {
+    match e {
+        PExpr::Exists(b) => count_table_scans(b, table),
+        PExpr::Column { .. } | PExpr::Slot(_) | PExpr::Literal(_) => 0,
+        PExpr::Binary { lhs, rhs, .. } => {
+            expr_table_scans(lhs, table) + expr_table_scans(rhs, table)
+        }
+        PExpr::Not(i) | PExpr::IsNull(i) => expr_table_scans(i, table),
+        PExpr::Aggregate { arg, .. } => arg.as_ref().map_or(0, |a| expr_table_scans(a, table)),
+    }
+}
+
 /// `key_of` with negative zero folded onto positive zero: `sql_cmp` treats
 /// `-0.0` and `0.0` as equal, so the binding hash-join must too. (`Int`
 /// and `Float` already unify — both hash through `f64` bits.)
@@ -775,6 +882,24 @@ impl PreparedPlan {
     /// (see [`PreparedPlan::with_binding_bound`]).
     pub fn binding_bound(&self) -> Card {
         self.binding_bound
+    }
+
+    /// Every `(table, key)` pair [`PreparedPlan::row_key`] answers, in
+    /// FROM order.
+    pub fn row_keys(&self) -> &[(String, RowKey)] {
+        &self.row_keys
+    }
+
+    /// The conjunct that ties this plan's rows of base table `table` to
+    /// its bindings, when a change to `table` can be narrowed by it: the
+    /// plan scans `table` exactly once, in its top-level FROM list, and a
+    /// top-level `table.col = $var.attr` conjunct is pushed into that scan
+    /// (see [`RowKey`]). `None` when the plan does not read `table`, reads
+    /// it more than once, or binds no column of it.
+    pub fn row_key(&self, table: &str) -> Option<&RowKey> {
+        self.row_keys
+            .iter()
+            .find_map(|(t, k)| (t == table).then_some(k))
     }
 
     /// Declares a static bound on how many parameter environments any
@@ -2790,5 +2915,76 @@ mod tests {
         assert_eq!(rel.rows, vec![vec![Value::Str("plaza".into())]]);
         assert_eq!(stats.index_lookups, 1);
         assert_eq!(stats.rows_scanned, 1);
+    }
+
+    #[test]
+    fn row_key_needs_one_scan_and_a_pushed_slot_equality() {
+        let catalog = hotel_db().catalog();
+        let key = |sql: &str, table: &str| {
+            prepare(&parse_query(sql).unwrap(), &catalog)
+                .unwrap()
+                .row_key(table)
+                .cloned()
+        };
+        let metro = |column| {
+            Some(RowKey {
+                column,
+                param: ("m".to_owned(), "metroid".to_owned()),
+            })
+        };
+        // Either operand order; other conjuncts and tables do not matter.
+        assert_eq!(
+            key(
+                "SELECT * FROM hotel WHERE metro_id = $m.metroid AND starrating > 4",
+                "hotel"
+            ),
+            metro(3)
+        );
+        assert_eq!(
+            key(
+                "SELECT hotelname FROM hotel h WHERE $m.metroid = h.metro_id",
+                "hotel"
+            ),
+            metro(3)
+        );
+        let join = "SELECT c_id FROM hotel, confroom \
+                    WHERE chotel_id = hotelid AND metro_id = $m.metroid";
+        assert_eq!(key(join, "hotel"), metro(3));
+        // confroom is tied to the bindings only through the join.
+        assert_eq!(key(join, "confroom"), None);
+        // No key: unread table, literal or non-equality pushdowns only.
+        assert_eq!(
+            key(
+                "SELECT * FROM hotel WHERE metro_id = $m.metroid",
+                "confroom"
+            ),
+            None
+        );
+        assert_eq!(key("SELECT * FROM hotel WHERE metro_id = 1", "hotel"), None);
+        assert_eq!(
+            key("SELECT * FROM hotel WHERE metro_id > $m.metroid", "hotel"),
+            None
+        );
+        // A second read of the table — self-join, EXISTS, derived table —
+        // lets rows of other bindings matter.
+        for sql in [
+            "SELECT a.hotelid FROM hotel a, hotel b \
+             WHERE a.metro_id = $m.metroid AND b.hotelid = a.hotelid",
+            "SELECT * FROM hotel WHERE metro_id = $m.metroid \
+             AND EXISTS (SELECT 1 FROM hotel x WHERE x.starrating > 4)",
+            "SELECT * FROM hotel, (SELECT hotelid AS hid FROM hotel) AS d \
+             WHERE metro_id = $m.metroid AND hid = hotelid",
+        ] {
+            assert_eq!(key(sql, "hotel"), None, "{sql}");
+        }
+    }
+
+    #[test]
+    fn join_keys_unify_what_sql_equality_unifies() {
+        let k = |v: Value| JoinKey::of(&v);
+        assert_eq!(k(Value::Int(3)), k(Value::Float(3.0)));
+        assert_eq!(k(Value::Float(-0.0)), k(Value::Float(0.0)));
+        assert_ne!(k(Value::Int(3)), k(Value::Str("3".into())));
+        assert_eq!(k(Value::Null), None);
     }
 }

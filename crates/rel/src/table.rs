@@ -336,6 +336,55 @@ impl Table {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Removes every row whose `doomed[rid]` is set (one flag per row) and
+    /// returns the removed rows in storage order; the rest keep their
+    /// order. Memory tables drop the rows in place, cloning only the
+    /// removed ones, and fix up just their secondary indexes (dropping the
+    /// removed row ids, shifting the rest down). Paged tables are rebuilt
+    /// on the same backend.
+    pub(crate) fn remove_rows(&mut self, doomed: &[bool]) -> Result<Vec<Vec<Value>>> {
+        debug_assert_eq!(doomed.len(), self.len(), "one flag per row");
+        let mut removed = Vec::new();
+        match &mut self.store {
+            RowStore::Mem(rows) => {
+                let mut kept = 0;
+                let new_rid: Vec<Option<usize>> = doomed
+                    .iter()
+                    .map(|&gone| {
+                        (!gone).then(|| {
+                            kept += 1;
+                            kept - 1
+                        })
+                    })
+                    .collect();
+                let mut rid = 0;
+                rows.retain(|row| {
+                    let keep = !doomed[rid];
+                    rid += 1;
+                    if !keep {
+                        removed.push(row.clone());
+                    }
+                    keep
+                });
+                for idx in &mut self.indexes {
+                    idx.renumber(&new_rid);
+                }
+            }
+            RowStore::Paged(_) => {
+                let mut fresh = Table::with_backend(self.schema.clone(), self.backend())?;
+                for (row, &gone) in self.scan().zip(doomed) {
+                    if gone {
+                        removed.push(row.into_owned());
+                    } else {
+                        fresh.insert(row.into_owned())?;
+                    }
+                }
+                *self = fresh;
+            }
+        }
+        Ok(removed)
+    }
 }
 
 impl Clone for Table {
@@ -548,23 +597,18 @@ impl Database {
         Ok(db)
     }
 
-    /// Replaces the named table's row contents wholesale, rebuilding the
-    /// row store and every secondary index on the same backend. The schema
-    /// is untouched, so the catalog fingerprint — and therefore any plan
-    /// cache keyed on it — stays valid (the DML path depends on this).
-    pub(crate) fn replace_rows(&mut self, table: &str, rows: Vec<Vec<Value>>) -> Result<()> {
-        let t = self
-            .tables
+    /// Removes the rows of `table` whose `doomed[rid]` is set, keeping the
+    /// rest in storage order, and returns the removed rows in their former
+    /// storage order (see [`Table::remove_rows`]). The schema is untouched,
+    /// so the catalog fingerprint — and therefore any plan cache keyed on
+    /// it — stays valid (the DML path depends on this).
+    pub(crate) fn remove_rows(&mut self, table: &str, doomed: &[bool]) -> Result<Vec<Vec<Value>>> {
+        self.tables
             .get_mut(table)
             .ok_or_else(|| Error::UnknownTable {
                 name: table.to_owned(),
-            })?;
-        let mut fresh = Table::with_backend(t.schema.clone(), t.backend())?;
-        for row in rows {
-            fresh.insert(row)?;
-        }
-        *t = fresh;
-        Ok(())
+            })?
+            .remove_rows(doomed)
     }
 
     /// Iterates tables in name order.

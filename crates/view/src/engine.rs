@@ -39,8 +39,8 @@ use xvc_xml::{PrettyXmlWriter, XmlSink, XmlWriter};
 use crate::bounds::{analyze_view_bounds, ViewBounds};
 use crate::error::Result;
 use crate::publish::{
-    guard_probe, run_delta_republish, run_full_publish, run_stream_publish, PlanCache, PlanEntry,
-    PublishConfig, PublishStats, Published, Role,
+    guard_probe, run_delta_republish, run_full_publish, run_segment_publish, run_stream_publish,
+    PlanCache, PlanEntry, PublishConfig, PublishStats, Published, Role, Segmented, SpliceIndex,
 };
 use crate::schema_tree::{SchemaTree, ViewNodeId};
 
@@ -197,8 +197,9 @@ impl Engine {
         self.reconfig(|c| c.bounded = on)
     }
 
-    /// Record the splice index ([`Published::splice`]) on batched
-    /// publishes so results can seed [`Session::republish_delta`].
+    /// Record the per-root-task splice index ([`Published::splice`]) on
+    /// batched publishes so results can seed [`Session::republish_delta`].
+    /// [`Session::publish_segments`] records it whatever this is set to.
     pub fn incremental(self, on: bool) -> Self {
         self.reconfig(|c| c.publish.incremental = on)
     }
@@ -403,7 +404,7 @@ impl Session {
     /// mutations between calls are always observed.
     pub fn publish(&mut self, db: &Database) -> Result<Published> {
         let published = self.publish_inner(db)?;
-        self.record(&published, false);
+        self.record(&published.stats, &published.eval, false);
         Ok(published)
     }
 
@@ -469,7 +470,7 @@ impl Session {
             bytes_written: counter.bytes,
             peak_emit_bytes,
         };
-        self.record_streamed(&streamed);
+        self.record(&streamed.stats, &streamed.eval, false);
         Ok(streamed)
     }
 
@@ -495,22 +496,78 @@ impl Session {
         run_stream_publish(&shared.tree, &cache.plans, cfg, db, stats, sink)
     }
 
-    /// Incrementally republishes after a base-table mutation: maps `delta`
-    /// through the conservative table → view-node dependency map
-    /// ([`crate::TableDeps`]), re-executes only the *top-most* affected
-    /// view nodes — level-at-a-time, one batch per (view node, wave)
-    /// across **all** surviving parent instances at once — and splices the
-    /// fresh subtrees into `prev`'s document in place of the stale ones.
+    /// Publishes `v(I)` as per-root-task segments: the same batched walk
+    /// as [`Session::publish`], with every root task kept as its own
+    /// fragment and serialized segment ([`SpliceIndex`]) and no merged
+    /// document or whole-document serialization. The concatenated
+    /// segments ([`SpliceIndex::xml`]) are byte-equal to
+    /// `publish(db)?.document.to_xml()`, and the result seeds
+    /// [`Session::republish_segments`] whatever the engine's
+    /// configuration (the walk is always batched and untraced).
+    pub fn publish_segments(&mut self, db: &Database) -> Result<Segmented> {
+        let shared = &self.engine.shared;
+        shared.tree.validate()?;
+        let mut stats = PublishStats::default();
+        let cache = self.engine.ensure_plans(db, &mut stats);
+        let segmented =
+            run_segment_publish(&shared.tree, &cache.plans, &shared.cfg.publish, db, stats)?;
+        drop(cache);
+        self.record(&segmented.stats, &segmented.eval, false);
+        Ok(segmented)
+    }
+
+    /// Absorbs `delta` into the per-root-task state `prev` (from
+    /// [`Session::publish_segments`] or an earlier call): maps the changed
+    /// tables through the conservative table → view-node dependency map
+    /// ([`crate::TableDeps`]) and re-executes only the *top-most* affected
+    /// view nodes — under just the parent instances a changed row keys
+    /// into when the node's tag plan ties the changed table to a binding
+    /// attribute ([`xvc_rel::RowKey`]), else under every instance — one
+    /// batch per (view node, wave) across all of them at once. Only the
+    /// root tasks holding a re-run parent are rebuilt and re-serialized;
+    /// every other task entry is shared (`Arc`) with `prev`. An affected
+    /// root-level node replaces just its own run of root tasks.
+    ///
+    /// `db` must be the *post*-delta database. The concatenated segments
+    /// are byte-identical to a full republish against `db` (asserted
+    /// across random workloads by the delta-publish property tests), and
+    /// deltas chain.
+    pub fn republish_segments(
+        &mut self,
+        db: &Database,
+        prev: &SpliceIndex,
+        delta: &Delta,
+    ) -> Result<Segmented> {
+        let shared = &self.engine.shared;
+        shared.tree.validate()?;
+        let mut stats = PublishStats::default();
+        let cache = self.engine.ensure_plans(db, &mut stats);
+        let segmented = run_delta_republish(
+            &shared.tree,
+            &cache.plans,
+            &shared.cfg.publish,
+            db,
+            prev,
+            delta,
+            stats,
+        )?;
+        drop(cache);
+        self.record(&segmented.stats, &segmented.eval, true);
+        Ok(segmented)
+    }
+
+    /// [`Session::republish_segments`] over a [`Published`] result that
+    /// also assembles the merged document, so the result is a drop-in
+    /// replacement for a full republish. `db` must be the *post*-delta
+    /// database.
     ///
     /// `prev` must come from an `incremental` engine (so it carries a
-    /// [`crate::SpliceIndex`]); otherwise, or on the scalar path, the call
-    /// falls back to a full [`Session::publish`] and reports
-    /// `batches_reexecuted == batches_executed`. `db` must be the
-    /// *post*-delta database.
+    /// [`SpliceIndex`]); otherwise, or on the scalar path, the call falls
+    /// back to a full [`Session::publish`] and reports
+    /// `batches_reexecuted == batches_executed`.
     ///
-    /// The result is byte-identical to a full republish against `db`
-    /// (asserted across random workloads by the delta-publish property
-    /// tests) and carries a current splice index, so deltas chain.
+    /// The result is byte-identical to a full republish against `db` and
+    /// carries a current splice index, so deltas chain.
     pub fn republish_delta(
         &mut self,
         db: &Database,
@@ -518,34 +575,32 @@ impl Session {
         delta: &Delta,
     ) -> Result<Published> {
         let batched = self.engine.shared.cfg.publish.batched;
-        let published = if !batched || prev.splice.is_none() {
-            let mut p = self.publish_inner(db)?;
-            p.stats.batches_reexecuted = p.stats.batches_executed;
-            p.stats.delta_rows_in = delta.row_count();
-            p.reexecuted = self.engine.shared.tree.node_ids();
-            p
-        } else {
-            let shared = &self.engine.shared;
-            shared.tree.validate()?;
-            let mut stats = PublishStats::default();
-            let cache = self.engine.ensure_plans(db, &mut stats);
-            run_delta_republish(
-                &shared.tree,
-                &cache.plans,
-                &shared.cfg.publish,
-                db,
-                prev,
-                delta,
-                stats,
-            )?
-        };
-        self.record(&published, true);
-        Ok(published)
+        match &prev.splice {
+            Some(splice) if batched => {
+                let seg = self.republish_segments(db, splice, delta)?;
+                Ok(Published {
+                    document: seg.splice.document(),
+                    stats: seg.stats,
+                    eval: seg.eval,
+                    trace: None,
+                    splice: Some(seg.splice),
+                    reexecuted: seg.reexecuted,
+                })
+            }
+            _ => {
+                let mut p = self.publish_inner(db)?;
+                p.stats.batches_reexecuted = p.stats.batches_executed;
+                p.stats.delta_rows_in = delta.row_count();
+                p.reexecuted = self.engine.shared.tree.node_ids();
+                self.record(&p.stats, &p.eval, true);
+                Ok(p)
+            }
+        }
     }
 
-    fn record(&mut self, published: &Published, delta: bool) {
-        self.stats.absorb(&published.stats);
-        self.eval.absorb(&published.eval);
+    fn record(&mut self, stats: &PublishStats, eval: &EvalStats, delta: bool) {
+        self.stats.absorb(stats);
+        self.eval.absorb(eval);
         self.publishes += 1;
         let mut totals = self
             .engine
@@ -553,28 +608,13 @@ impl Session {
             .totals
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        totals.stats.absorb(&published.stats);
-        totals.eval.absorb(&published.eval);
+        totals.stats.absorb(stats);
+        totals.eval.absorb(eval);
         if delta {
             totals.delta_publishes += 1;
         } else {
             totals.publishes += 1;
         }
-    }
-
-    fn record_streamed(&mut self, streamed: &Streamed) {
-        self.stats.absorb(&streamed.stats);
-        self.eval.absorb(&streamed.eval);
-        self.publishes += 1;
-        let mut totals = self
-            .engine
-            .shared
-            .totals
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        totals.stats.absorb(&streamed.stats);
-        totals.eval.absorb(&streamed.eval);
-        totals.publishes += 1;
     }
 }
 

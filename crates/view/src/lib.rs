@@ -46,6 +46,8 @@ pub use bounds::{analyze_view_bounds, NodeBounds, ViewBounds};
 pub use engine::{Engine, EngineTotals, Session, Streamed};
 pub use error::{Error, Result};
 pub use parse::parse_view;
-pub use publish::{PublishStats, PublishTrace, Published, SpliceEntry, SpliceIndex, TraceEntry};
+pub use publish::{
+    PublishStats, PublishTrace, Published, Segmented, SpliceIndex, SpliceTask, TraceEntry,
+};
 pub use schema_tree::{AttrProjection, SchemaTree, ViewNode, ViewNodeId};
 pub use table_deps::TableDeps;

@@ -14,14 +14,14 @@
 //! thread-count-independent statistics, and the **delta-republish** graft
 //! walk.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use xvc_rel::{
-    eval_query_stats, Database, EvalOptions, EvalStats, NamedTuple, ParamEnv, PreparedPlan,
-    Relation, ScalarExpr, SelectItem, SelectQuery, SharedScan,
+    eval_query_stats, Database, Delta, EvalOptions, EvalStats, JoinKey, NamedTuple, ParamEnv,
+    PreparedPlan, Relation, ScalarExpr, SelectItem, SelectQuery, SharedScan,
 };
 use xvc_xml::{Document, TreeBuilder, XmlSink};
 
@@ -71,12 +71,13 @@ pub struct PublishStats {
     /// parent bindings. Memo-served parents reuse an existing relation
     /// and are **not** counted here.
     pub rows_regrouped: usize,
-    /// Subtree roots spliced into the previous document by
-    /// [`crate::Session::republish_delta`]. Zero on full publishes.
+    /// Subtree roots spliced into the previous document's root tasks by
+    /// a delta republish ([`crate::Session::republish_delta`],
+    /// [`crate::Session::republish_segments`]). Zero on full publishes.
     pub nodes_respliced: usize,
-    /// Batches the delta path re-executed ([`crate::Session::republish_delta`]
-    /// only; equals `batches_executed` when the delta path had to fall
-    /// back to a full republish). Zero on full publishes.
+    /// Batches a delta republish re-executed (equals `batches_executed`
+    /// when [`crate::Session::republish_delta`] had to fall back to a full
+    /// republish). Zero on full publishes.
     pub batches_reexecuted: usize,
     /// Rows in the [`xvc_rel::Delta`] a delta republish consumed. Zero on
     /// full publishes.
@@ -175,25 +176,128 @@ impl PublishTrace {
 }
 
 /// Splice provenance of one published element: which view node produced
-/// it and the parameter environment its *children* were expanded under.
-/// This is exactly what the delta path needs to re-run a child node under
-/// one surviving parent instance.
+/// it and, when that node has children, the parameter environment they
+/// were expanded under. This is exactly what the delta path needs to
+/// re-run a child node under one surviving parent instance.
 #[derive(Debug, Clone)]
-pub struct SpliceEntry {
+pub(crate) struct SpliceEntry {
     /// The schema-tree node that emitted the element.
-    pub view: ViewNodeId,
+    pub(crate) view: ViewNodeId,
     /// The environment the element's children run under (the element's
-    /// own binding variable included).
-    pub child_env: ParamEnv,
+    /// own binding variable included); `None` when the view node has no
+    /// children, since nothing ever runs under a leaf. Shared, so grafting
+    /// a task copies entries without copying environments.
+    pub(crate) child_env: Option<Arc<ParamEnv>>,
 }
 
-/// Per-element splice provenance of a batched publish, keyed by document
-/// node — the structural index [`crate::Session::republish_delta`] patches
-/// through. Recorded only when [`crate::Engine::incremental`] is on.
+/// One root task of a published document: the element subtree of one
+/// root-level instance, kept as its own arena fragment so a delta can
+/// rebuild, re-serialize and swap it without touching any other task.
+#[derive(Debug)]
+pub struct SpliceTask {
+    /// The root-level view node the task instantiates.
+    view: ViewNodeId,
+    /// The task's arena fragment (its root holds the task's element).
+    fragment: Document,
+    /// Splice provenance keyed by fragment-local node ids.
+    entries: HashMap<xvc_xml::NodeId, SpliceEntry>,
+    /// `(slot, key)` for every value a narrowing slot ([`NarrowSlot`])
+    /// takes in the `child_env` of an entry of the slot's parent view
+    /// node: a delta finds the tasks holding a narrowed parent without
+    /// walking their fragments.
+    keys: HashSet<(usize, JoinKey)>,
+    /// The fragment, serialized.
+    xml: String,
+}
+
+impl SpliceTask {
+    fn new(
+        view: ViewNodeId,
+        fragment: Document,
+        entries: HashMap<xvc_xml::NodeId, SpliceEntry>,
+        slots: &[NarrowSlot],
+    ) -> SpliceTask {
+        let mut keys = HashSet::new();
+        for entry in entries.values() {
+            let Some(env) = entry.child_env.as_deref() else {
+                continue;
+            };
+            for (i, (_, (var, attr))) in slots
+                .iter()
+                .enumerate()
+                .filter(|(_, (parent, _))| *parent == entry.view)
+            {
+                if let Some(k) = env.get(var).and_then(|t| t.get(attr)).and_then(JoinKey::of) {
+                    keys.insert((i, k));
+                }
+            }
+        }
+        let xml = fragment.to_xml();
+        SpliceTask {
+            view,
+            fragment,
+            entries,
+            keys,
+            xml,
+        }
+    }
+}
+
+/// The per-root-task state of a batched publish, in document order — what
+/// [`crate::Session::republish_delta`] patches through. A delta rebuilds
+/// only the tasks holding a re-executed parent and shares every other
+/// entry (`Arc`) with the previous index. Recorded by
+/// [`crate::Session::publish_segments`], and by [`crate::Session::publish`]
+/// when [`crate::Engine::incremental`] is on.
 #[derive(Debug, Clone, Default)]
 pub struct SpliceIndex {
-    /// One entry per emitted element.
-    pub entries: HashMap<xvc_xml::NodeId, SpliceEntry>,
+    tasks: Vec<Arc<SpliceTask>>,
+    /// The narrowing slots task keys are recorded for, sorted.
+    slots: Arc<[NarrowSlot]>,
+}
+
+impl SpliceIndex {
+    /// One entry per root task, in document order.
+    pub fn tasks(&self) -> &[Arc<SpliceTask>] {
+        &self.tasks
+    }
+
+    /// The serialized document: every task's segment, concatenated
+    /// (byte-equal to the merged document's `to_xml()`).
+    pub fn xml(&self) -> String {
+        let mut out = String::with_capacity(self.tasks.iter().map(|t| t.xml.len()).sum());
+        for t in &self.tasks {
+            out.push_str(&t.xml);
+        }
+        out
+    }
+
+    /// The merged document: every task fragment imported in order.
+    pub(crate) fn document(&self) -> Document {
+        let mut builder = TreeBuilder::new();
+        for t in &self.tasks {
+            for &kid in t.fragment.children(t.fragment.root()) {
+                builder.import(&t.fragment, kid);
+            }
+        }
+        builder.finish()
+    }
+}
+
+/// What a segment publish produced ([`crate::Session::publish_segments`],
+/// [`crate::Session::republish_segments`]): the per-root-task state and
+/// serialized bytes of `v(I)`, and no merged document.
+#[derive(Debug)]
+pub struct Segmented {
+    /// The per-root-task state, each task carrying its serialized segment.
+    pub splice: SpliceIndex,
+    /// Materialization counters (delta counters on a republish).
+    pub stats: PublishStats,
+    /// Relational-engine work across every evaluation of the run.
+    pub eval: EvalStats,
+    /// View nodes whose guard / tag batches a delta republish re-executed;
+    /// empty on a full segment publish.
+    pub reexecuted: Vec<ViewNodeId>,
 }
 
 /// Everything one publish run produced.
@@ -291,19 +395,32 @@ pub(crate) fn run_full_publish(
     Run { tree, plans, cfg }.full(db, stats)
 }
 
-/// Delta-republish orchestration behind
-/// [`crate::Session::republish_delta`]. Same caller contract as
-/// [`run_full_publish`], plus: `prev` carries a splice index and `cfg` is
-/// batched (the caller handles the full-republish fallback).
+/// Segment-publish orchestration behind
+/// [`crate::Session::publish_segments`]: the batched walk, recording the
+/// per-root-task state and no merged document. Same caller contract as
+/// [`run_full_publish`].
+pub(crate) fn run_segment_publish(
+    tree: &SchemaTree,
+    plans: &HashMap<PlanKey, PlanEntry>,
+    cfg: &PublishConfig,
+    db: &Database,
+    stats: PublishStats,
+) -> Result<Segmented> {
+    Run { tree, plans, cfg }.segments(db, stats)
+}
+
+/// The delta republish behind [`crate::Session::republish_delta`] and
+/// [`crate::Session::republish_segments`]. Same caller contract as
+/// [`run_full_publish`]; `db` is the post-delta database.
 pub(crate) fn run_delta_republish(
     tree: &SchemaTree,
     plans: &HashMap<PlanKey, PlanEntry>,
     cfg: &PublishConfig,
     db: &Database,
-    prev: &Published,
-    delta: &xvc_rel::Delta,
+    prev: &SpliceIndex,
+    delta: &Delta,
     stats: PublishStats,
-) -> Result<Published> {
+) -> Result<Segmented> {
     Run { tree, plans, cfg }.delta(db, prev, delta, stats)
 }
 
@@ -333,18 +450,25 @@ pub(crate) fn run_stream_publish(
 
 impl Run<'_> {
     /// Root pass (always sequential): evaluates root-level guards and tag
-    /// queries, and cuts the document into one task per root element
-    /// instance. The decomposition — and therefore every per-task counter —
-    /// is independent of the thread count *and* of the sink (arena vs
-    /// streaming) the tasks are later drained through. Returns the worker
-    /// that ran the root queries (it carries their stats/eval/trace) and
-    /// the tasks, in document order.
-    fn root_pass<'s>(&self, shared: &'s Shared<'s>) -> Result<(Worker<'s>, Vec<Task>)> {
+    /// queries of the root-level nodes `keep` admits, and cuts the document
+    /// into one task per root element instance. The decomposition — and
+    /// therefore every per-task counter — is independent of the thread
+    /// count *and* of the sink (arena vs streaming) the tasks are later
+    /// drained through. Returns the worker that ran the root queries (it
+    /// carries their stats/eval/trace) and the tasks, in document order.
+    fn root_pass<'s>(
+        &self,
+        shared: &'s Shared<'s>,
+        keep: impl Fn(ViewNodeId) -> bool,
+    ) -> Result<(Worker<'s>, Vec<Task>)> {
         let mut main = Worker::new(shared, HashMap::new());
         let mut tasks: Vec<Task> = Vec::new();
         let mut root_counts: HashMap<String, usize> = HashMap::new();
         let env = ParamEnv::new();
         for &child in self.tree.children(self.tree.root()) {
+            if !keep(child) {
+                continue;
+            }
             let node = self.tree.node(child).expect("non-root id");
             if let Some(guard) = &node.guard {
                 main.stats.queries_run += 1;
@@ -422,8 +546,64 @@ impl Run<'_> {
         scans
     }
 
+    /// Root pass plus every task it cut (sharing scans across root tasks,
+    /// in parallel when configured), merged deterministically in task (=
+    /// document) order: counters, engine work and trace are summed here,
+    /// and each task's fragment and splice provenance is handed to `each`.
+    fn run_merged(
+        &self,
+        shared: &Shared<'_>,
+        keep: impl Fn(ViewNodeId) -> bool,
+        stats: &mut PublishStats,
+        mut each: impl FnMut(&Task, TaskOut),
+    ) -> Result<(EvalStats, Vec<TraceEntry>)> {
+        let (main, tasks) = self.root_pass(shared, keep)?;
+        let scans = self.shared_scans(&tasks);
+        let task_shared = Shared {
+            scans: Some(&scans),
+            ..*shared
+        };
+        let outs = run_tasks(&task_shared, &tasks, self.cfg.parallel);
+        // The merge below reads only task outputs: release the scans first.
+        drop(scans);
+
+        stats.absorb(&main.stats);
+        let mut eval = main.eval;
+        let mut trace = main.trace;
+        for (task, out) in tasks.iter().zip(outs) {
+            let mut out = out.expect("every task slot is filled")?;
+            stats.absorb(&out.stats);
+            eval.absorb(&out.eval);
+            trace.append(&mut out.trace);
+            each(task, out);
+        }
+        Ok((eval, trace))
+    }
+
+    /// The narrowing slots of this tree: for every prepared tag plan of a
+    /// node below the root level, its parent view node and the binding
+    /// side of each of its [`xvc_rel::RowKey`]s, deduplicated and sorted.
+    fn narrow_slots(&self) -> Arc<[NarrowSlot]> {
+        let mut slots = BTreeSet::new();
+        for (&(vid, role), entry) in self.plans {
+            let parent = self
+                .tree
+                .parent(ViewNodeId(vid))
+                .filter(|&p| !self.tree.is_root(p));
+            if let (Role::Tag, PlanEntry::Ready(plan), Some(parent)) = (role, entry, parent) {
+                slots.extend(
+                    plan.row_keys()
+                        .iter()
+                        .map(|(_, k)| (parent, k.param.clone())),
+                );
+            }
+        }
+        slots.into_iter().collect()
+    }
+
     /// Evaluates the schema tree against `db`, producing `v(I)` plus
-    /// statistics (and a trace when requested).
+    /// statistics (and a trace when requested). Incremental batched
+    /// publishes also keep every task's fragment as a [`SpliceIndex`].
     fn full(&self, db: &Database, mut stats: PublishStats) -> Result<Published> {
         let collect_splice = self.cfg.incremental && self.cfg.batched;
         let shared = Shared {
@@ -436,65 +616,67 @@ impl Run<'_> {
             batched: self.cfg.batched,
             collect_splice,
         };
-        let (main, tasks) = self.root_pass(&shared)?;
-
-        let scans = self.shared_scans(&tasks);
-        let task_shared = Shared {
-            scans: Some(&scans),
-            ..shared
-        };
-        let outs = run_tasks(&task_shared, &tasks, self.cfg.parallel);
-        // The merge below reads only task outputs: release the scans first.
-        drop(scans);
-
-        // Deterministic merge, in task (= document) order.
-        stats.absorb(&main.stats);
-        let mut eval = main.eval;
-        let mut trace = main.trace;
+        let slots = self.narrow_slots();
         let mut builder = TreeBuilder::new();
-        let mut splice_parts: Vec<(Document, HashMap<xvc_xml::NodeId, SpliceEntry>)> = Vec::new();
-        for out in outs {
-            let out = out.expect("every task slot is filled")?;
-            let kids: Vec<_> = out.doc.children(out.doc.root()).to_vec();
-            for kid in kids {
-                builder.import(&out.doc, kid);
-            }
-            stats.absorb(&out.stats);
-            eval.absorb(&out.eval);
-            trace.extend(out.trace);
-            if collect_splice {
-                splice_parts.push((out.doc, out.splice));
-            }
-        }
-        let document = builder.finish();
-        let splice = collect_splice.then(|| {
-            // Task fragments were imported root child by root child, in
-            // task order; `import` deep-copies, so zipping the pre-orders
-            // of each fragment subtree with the matching final subtree
-            // remaps every recorded node id.
-            let mut entries = HashMap::new();
-            let mut final_roots = document.children(document.root()).iter().copied();
-            for (doc, part) in &splice_parts {
-                for &kid in doc.children(doc.root()) {
-                    let froot = final_roots.next().expect("merge keeps root children");
-                    for (o, n) in doc
-                        .descendants_or_self(kid)
-                        .zip(document.descendants_or_self(froot))
-                    {
-                        if let Some(e) = part.get(&o) {
-                            entries.insert(n, e.clone());
-                        }
-                    }
+        let mut spliced = Vec::new();
+        let (eval, trace) = self.run_merged(
+            &shared,
+            |_| true,
+            &mut stats,
+            |task, out| {
+                for &kid in out.doc.children(out.doc.root()) {
+                    builder.import(&out.doc, kid);
                 }
-            }
-            SpliceIndex { entries }
-        });
+                if collect_splice {
+                    spliced.push(Arc::new(SpliceTask::new(
+                        task.vid, out.doc, out.splice, &slots,
+                    )));
+                }
+            },
+        )?;
         Ok(Published {
-            document,
+            document: builder.finish(),
             stats,
             eval,
             trace: self.cfg.tracing.then_some(PublishTrace { entries: trace }),
-            splice,
+            splice: collect_splice.then_some(SpliceIndex {
+                tasks: spliced,
+                slots,
+            }),
+            reexecuted: Vec::new(),
+        })
+    }
+
+    /// The batched walk with every task kept as its own fragment and
+    /// serialized segment: [`Run::full`]'s splice index without the merged
+    /// document or a trace.
+    fn segments(&self, db: &Database, mut stats: PublishStats) -> Result<Segmented> {
+        let shared = Shared {
+            tree: self.tree,
+            db,
+            plans: self.plans,
+            scans: None,
+            use_plans: self.cfg.prepared,
+            tracing: false,
+            batched: true,
+            collect_splice: true,
+        };
+        let slots = self.narrow_slots();
+        let mut tasks = Vec::new();
+        let (eval, _) = self.run_merged(
+            &shared,
+            |_| true,
+            &mut stats,
+            |task, out| {
+                tasks.push(Arc::new(SpliceTask::new(
+                    task.vid, out.doc, out.splice, &slots,
+                )));
+            },
+        )?;
+        Ok(Segmented {
+            splice: SpliceIndex { tasks, slots },
+            stats,
+            eval,
             reexecuted: Vec::new(),
         })
     }
@@ -523,7 +705,7 @@ impl Run<'_> {
             batched: true,
             collect_splice: false,
         };
-        let (main, tasks) = self.root_pass(&shared)?;
+        let (main, tasks) = self.root_pass(&shared, |_| true)?;
         stats.absorb(&main.stats);
         let mut eval = main.eval;
 
@@ -565,31 +747,31 @@ impl Run<'_> {
 
     /// Incrementally republishes after a base-table mutation: maps `delta`
     /// through the conservative table → view-node dependency map
-    /// ([`crate::TableDeps`]), re-executes only the *top-most* affected
-    /// view nodes — level-at-a-time, one batch per (view node, wave)
-    /// across **all** surviving parent instances at once — and splices the
-    /// fresh subtrees into `prev`'s document in place of the stale ones.
-    /// See [`crate::Session::republish_delta`] for the full contract.
+    /// ([`crate::TableDeps`]) and re-executes only the *top-most* affected
+    /// view nodes, each under just the parent instances a changed row keys
+    /// into ([`Run::narrowing`]), or under every instance when it cannot be
+    /// narrowed. All re-executions share one frontier — one batch per
+    /// (view node, wave) — and each root task holding a re-run parent is
+    /// rebuilt from its own fragment and re-serialized; every other task
+    /// entry is shared with `prev`. An affected root-level node replaces
+    /// only its own run of root tasks. See
+    /// [`crate::Session::republish_delta`] for the full contract.
     fn delta(
         &self,
         db: &Database,
-        prev: &Published,
-        delta: &xvc_rel::Delta,
+        prev: &SpliceIndex,
+        delta: &Delta,
         mut stats: PublishStats,
-    ) -> Result<Published> {
-        let prev_splice = prev.splice.as_ref().expect("caller checked prev.splice");
+    ) -> Result<Segmented> {
         stats.delta_rows_in = delta.row_count();
-
         let tree = self.tree;
         let deps = crate::table_deps::TableDeps::analyze(tree);
         let affected = deps.affected_by(&delta.tables_changed());
         if affected.is_empty() {
-            return Ok(Published {
-                document: prev.document.clone(),
+            return Ok(Segmented {
+                splice: prev.clone(),
                 stats,
                 eval: EvalStats::default(),
-                trace: None,
-                splice: Some(prev_splice.clone()),
                 reexecuted: Vec::new(),
             });
         }
@@ -597,39 +779,44 @@ impl Run<'_> {
         // Top-most affected nodes: re-executing a node re-executes its
         // whole subtree, so an affected node with an affected proper
         // ancestor is already covered.
-        let mut tops_by_parent: HashMap<usize, Vec<ViewNodeId>> = HashMap::new();
-        let mut root_tops: Vec<ViewNodeId> = Vec::new();
+        let mut tops_by_parent: HashMap<ViewNodeId, Vec<Top>> = HashMap::new();
+        let mut root_tops: BTreeSet<ViewNodeId> = BTreeSet::new();
         for vid in tree.node_ids() {
             if !affected.contains(&vid.index()) {
                 continue;
             }
-            let mut anc = tree.parent(vid);
-            let mut covered = false;
-            while let Some(a) = anc {
-                if tree.is_root(a) {
-                    break;
-                }
-                if affected.contains(&a.index()) {
-                    covered = true;
-                    break;
-                }
-                anc = tree.parent(a);
-            }
-            if covered {
-                continue;
-            }
             let parent = tree.parent(vid).expect("node_ids excludes the root");
             if tree.is_root(parent) {
-                root_tops.push(vid);
-            } else {
-                tops_by_parent.entry(parent.index()).or_default().push(vid);
+                root_tops.insert(vid);
+                continue;
+            }
+            if ancestors(tree, vid).any(|a| affected.contains(&a.index())) {
+                continue;
+            }
+            let narrow = self.narrowing(vid, &affected, &deps, delta);
+            tops_by_parent
+                .entry(parent)
+                .or_default()
+                .push(Top { vid, narrow });
+        }
+
+        // The root tasks holding a parent instance some top must re-run
+        // under: with keys, only tasks whose recorded keys match a changed
+        // row; without, every task of the parent's root-level ancestor.
+        let mut walk: BTreeSet<usize> = BTreeSet::new();
+        for (&parent, tops) in &tops_by_parent {
+            let root = ancestors(tree, parent).last().unwrap_or(parent);
+            for (i, task) in prev.tasks.iter().enumerate() {
+                if task.view == root && tops.iter().any(|t| t.may_hold(parent, prev, task)) {
+                    walk.insert(i);
+                }
             }
         }
 
-        // Re-execute every (surviving parent instance, top node) pair in
-        // one shared frontier: each pair grows under its own holder
-        // element, and the wave loop batches per (view node, wave) across
-        // all holders at once.
+        // Seed every (selected parent instance, top node) pair into one
+        // shared frontier: each pair grows under its own holder element,
+        // and the wave loop batches per (view node, wave) across all
+        // holders at once.
         let shared = Shared {
             tree,
             db,
@@ -642,89 +829,254 @@ impl Run<'_> {
         };
         let mut w = BatchWorker::new(&shared);
         let wroot = w.doc.root();
-        let mut patches: HashMap<xvc_xml::NodeId, Vec<(ViewNodeId, xvc_xml::NodeId)>> =
-            HashMap::new();
+        let mut patches: HashMap<usize, Patches> = HashMap::new();
         let mut frontier: Vec<Pending> = Vec::new();
-        let seed = |w: &mut BatchWorker<'_>,
-                    frontier: &mut Vec<Pending>,
-                    patches: &mut HashMap<xvc_xml::NodeId, Vec<(ViewNodeId, xvc_xml::NodeId)>>,
-                    prev_parent: xvc_xml::NodeId,
-                    vid: ViewNodeId,
-                    env: ParamEnv| {
-            let holder = w.doc.create_element("delta-holder");
-            w.doc.append_child(wroot, holder);
-            patches.entry(prev_parent).or_default().push((vid, holder));
-            frontier.push(Pending {
-                parent: holder,
-                vid,
-                env,
-            });
-        };
-        for &n in &root_tops {
-            seed(
-                &mut w,
-                &mut frontier,
-                &mut patches,
-                prev.document.root(),
-                n,
-                ParamEnv::new(),
-            );
-        }
-        if !tops_by_parent.is_empty() {
-            for pid in prev.document.descendants_or_self(prev.document.root()) {
-                let Some(entry) = prev_splice.entries.get(&pid) else {
+        for &i in &walk {
+            let task = &prev.tasks[i];
+            for pid in task.fragment.descendants(task.fragment.root()) {
+                let Some(entry) = task.entries.get(&pid) else {
                     continue;
                 };
-                let Some(tops) = tops_by_parent.get(&entry.view.index()) else {
+                let (Some(tops), Some(env)) = (tops_by_parent.get(&entry.view), &entry.child_env)
+                else {
                     continue;
                 };
-                for &n in tops {
-                    seed(
-                        &mut w,
-                        &mut frontier,
-                        &mut patches,
-                        pid,
-                        n,
-                        entry.child_env.clone(),
-                    );
+                for top in tops.iter().filter(|t| t.selects(env)) {
+                    let holder = w.doc.create_element("delta-holder");
+                    w.doc.append_child(wroot, holder);
+                    patches
+                        .entry(i)
+                        .or_default()
+                        .entry(pid)
+                        .or_default()
+                        .push((top.vid, holder));
+                    frontier.push(Pending {
+                        parent: holder,
+                        vid: top.vid,
+                        env: ParamEnv::clone(env),
+                    });
                 }
             }
         }
         expand_frontier(&mut w, frontier)?;
 
-        // Splice: rebuild the document (the arena has no detach), copying
-        // unaffected subtrees from `prev` and grafting each holder's fresh
-        // children at the stale group's position.
-        for list in patches.values_mut() {
-            list.sort_by_key(|(vid, _)| vid.index());
+        // Affected root-level nodes: a fresh root pass and task run for
+        // just those nodes, exactly as a full publish cuts them.
+        let mut fresh: HashMap<ViewNodeId, Vec<Arc<SpliceTask>>> = HashMap::new();
+        let mut reexecuted = w.touched.clone();
+        let mut eval = w.eval;
+        if !root_tops.is_empty() {
+            let (root_eval, _) = self.run_merged(
+                &shared,
+                |vid| root_tops.contains(&vid),
+                &mut stats,
+                |task, out| {
+                    reexecuted.extend(&out.touched);
+                    fresh
+                        .entry(task.vid)
+                        .or_default()
+                        .push(Arc::new(SpliceTask::new(
+                            task.vid,
+                            out.doc,
+                            out.splice,
+                            &prev.slots,
+                        )));
+                },
+            )?;
+            eval.absorb(&root_eval);
+            reexecuted.extend(root_tops.iter().map(|v| v.index()));
         }
-        let mut graft = Graft {
-            old: &prev.document,
-            old_splice: &prev_splice.entries,
-            patches: &patches,
-            worker_doc: &w.doc,
-            worker_splice: &w.splice,
-            new_doc: Document::new(),
-            entries: HashMap::new(),
-            respliced: 0,
-        };
-        let new_root = graft.new_doc.root();
-        graft.copy_children(prev.document.root(), new_root);
+
+        // Reassemble the task list in root-level node order: replaced runs
+        // for affected root-level nodes, grafted tasks where a parent was
+        // re-run, and every other entry shared unchanged.
+        let mut tasks = Vec::with_capacity(prev.tasks.len());
+        let mut respliced = 0;
+        let mut next = 0;
+        for &rv in tree.children(tree.root()) {
+            let start = next;
+            while next < prev.tasks.len() && prev.tasks[next].view == rv {
+                next += 1;
+            }
+            if root_tops.contains(&rv) {
+                tasks.extend(fresh.remove(&rv).unwrap_or_default());
+                continue;
+            }
+            for i in start..next {
+                let old = &prev.tasks[i];
+                let Some(patch) = patches.get_mut(&i) else {
+                    tasks.push(Arc::clone(old));
+                    continue;
+                };
+                for list in patch.values_mut() {
+                    list.sort_by_key(|(vid, _)| vid.index());
+                }
+                let mut graft = Graft {
+                    old: &old.fragment,
+                    old_splice: &old.entries,
+                    patches: patch,
+                    worker_doc: &w.doc,
+                    worker_splice: &w.splice,
+                    new_doc: Document::new(),
+                    entries: HashMap::new(),
+                    respliced: 0,
+                };
+                let new_root = graft.new_doc.root();
+                graft.copy_children(old.fragment.root(), new_root);
+                respliced += graft.respliced;
+                tasks.push(Arc::new(SpliceTask::new(
+                    old.view,
+                    graft.new_doc,
+                    graft.entries,
+                    &prev.slots,
+                )));
+            }
+        }
 
         stats.absorb(&w.stats);
-        stats.batches_reexecuted = w.stats.batches_executed;
-        stats.nodes_respliced = graft.respliced;
-        Ok(Published {
-            document: graft.new_doc,
+        stats.batches_reexecuted = stats.batches_executed;
+        stats.nodes_respliced = respliced;
+        Ok(Segmented {
+            splice: SpliceIndex {
+                tasks,
+                slots: Arc::clone(&prev.slots),
+            },
             stats,
-            eval: w.eval,
-            trace: None,
-            splice: Some(SpliceIndex {
-                entries: graft.entries,
-            }),
-            reexecuted: w.touched.iter().map(|&i| ViewNodeId(i as u32)).collect(),
+            eval,
+            reexecuted: reexecuted
+                .into_iter()
+                .map(|i| ViewNodeId(i as u32))
+                .collect(),
         })
     }
+
+    /// The parent instances top affected node `vid` must re-run under.
+    /// `Some(keys)`: only parents whose binding attribute matches a key
+    /// in `keys` (per attribute, the [`JoinKey`]s of the changed rows'
+    /// keyed column); `None`: every parent instance.
+    ///
+    /// Narrowing is sound when every changed table the node reads reaches
+    /// it only through its prepared tag plan's single scan of that table,
+    /// tied to the bindings by a pushed-down `T.col = $v.attr`
+    /// ([`xvc_rel::RowKey`]): rows of `T` under any other key never reach
+    /// the plan's output, so the node's instances under other parents are
+    /// unchanged. It also needs the node's subtree to be otherwise
+    /// unaffected — an affected descendant could change under any parent.
+    /// Key comparison may over-approximate the parent set, never
+    /// under-approximate it.
+    fn narrowing(
+        &self,
+        vid: ViewNodeId,
+        affected: &BTreeSet<usize>,
+        deps: &crate::table_deps::TableDeps,
+        delta: &Delta,
+    ) -> Option<NarrowKeys> {
+        let tree = self.tree;
+        let node = tree.node(vid)?;
+        let Some(PlanEntry::Ready(plan)) = self.plans.get(&(vid.index() as u32, Role::Tag)) else {
+            return None;
+        };
+        if descendants(tree, vid).any(|d| affected.contains(&d.index())) {
+            return None;
+        }
+        let mut guard_tables = BTreeSet::new();
+        if let Some(g) = &node.guard {
+            crate::table_deps::collect_expr_tables(g, &mut guard_tables);
+        }
+        let read = deps.tables_of(vid)?;
+        let mut keys: NarrowKeys = Vec::new();
+        for (table, rows) in &delta.tables {
+            if rows.row_count() == 0 || !read.contains(table) {
+                continue;
+            }
+            if guard_tables.contains(table) {
+                return None;
+            }
+            let key = plan.row_key(table)?;
+            let slot = match keys.iter().position(|(p, _)| *p == key.param) {
+                Some(i) => i,
+                None => {
+                    keys.push((key.param.clone(), HashSet::new()));
+                    keys.len() - 1
+                }
+            };
+            let changed = rows.inserted.iter().chain(&rows.deleted);
+            keys[slot]
+                .1
+                .extend(changed.filter_map(|row| JoinKey::of(row.get(key.column)?)));
+        }
+        Some(keys)
+    }
+}
+
+/// A binding attribute `(var, attr)` the children of a parent view node
+/// can be narrowed by: the binding side of a [`xvc_rel::RowKey`] of one
+/// of their tag plans.
+type NarrowSlot = (ViewNodeId, (String, String));
+
+/// Per narrowing binding attribute `(var, attr)`, the [`JoinKey`]s of the
+/// changed rows' keyed column.
+type NarrowKeys = Vec<((String, String), HashSet<JoinKey>)>;
+
+/// Old fragment parent → `(child view node, holder)` replacements of one
+/// root task's graft.
+type Patches = HashMap<xvc_xml::NodeId, Vec<(ViewNodeId, xvc_xml::NodeId)>>;
+
+/// A top-most affected view node below the root level, with the parent
+/// instances it re-runs under ([`Run::narrowing`]).
+struct Top {
+    vid: ViewNodeId,
+    narrow: Option<NarrowKeys>,
+}
+
+impl Top {
+    /// Whether the parent environment `env` is one this node re-runs
+    /// under.
+    fn selects(&self, env: &ParamEnv) -> bool {
+        let Some(narrow) = &self.narrow else {
+            return true;
+        };
+        narrow.iter().any(|((var, attr), keys)| {
+            env.get(var)
+                .and_then(|t| t.get(attr))
+                .and_then(JoinKey::of)
+                .is_some_and(|k| keys.contains(&k))
+        })
+    }
+
+    /// Whether `task` may hold an instance of `parent` this node re-runs
+    /// under, judged from the task's recorded keys alone (a binding
+    /// attribute `index` records no keys for counts as a possible hit).
+    fn may_hold(&self, parent: ViewNodeId, index: &SpliceIndex, task: &SpliceTask) -> bool {
+        let Some(narrow) = &self.narrow else {
+            return true;
+        };
+        narrow.iter().any(|(param, keys)| {
+            match index
+                .slots
+                .iter()
+                .position(|(p, s)| *p == parent && s == param)
+            {
+                Some(slot) => keys.iter().any(|k| task.keys.contains(&(slot, k.clone()))),
+                None => true,
+            }
+        })
+    }
+}
+
+/// Proper ancestors of `vid`, nearest first, stopping below the root.
+fn ancestors(tree: &SchemaTree, vid: ViewNodeId) -> impl Iterator<Item = ViewNodeId> + '_ {
+    std::iter::successors(tree.parent(vid), |&a| tree.parent(a)).filter(|&a| !tree.is_root(a))
+}
+
+/// Proper descendants of `vid`, depth first.
+fn descendants(tree: &SchemaTree, vid: ViewNodeId) -> impl Iterator<Item = ViewNodeId> + '_ {
+    let mut stack: Vec<ViewNodeId> = tree.children(vid).to_vec();
+    std::iter::from_fn(move || {
+        let next = stack.pop()?;
+        stack.extend(tree.children(next));
+        Some(next)
+    })
 }
 
 /// The `SELECT 1 WHERE guard` probe the publisher evaluates for emission
@@ -767,9 +1119,12 @@ struct TaskOut {
     stats: PublishStats,
     eval: EvalStats,
     trace: Vec<TraceEntry>,
-    /// Splice provenance keyed by *task-local* node ids (remapped to final
-    /// document ids during the merge). Empty unless splice collection is on.
+    /// Splice provenance keyed by the fragment's node ids. Empty unless
+    /// splice collection is on.
     splice: HashMap<xvc_xml::NodeId, SpliceEntry>,
+    /// View nodes whose guard / tag batches the task issued (batched path
+    /// only; node arena indexes).
+    touched: BTreeSet<usize>,
 }
 
 /// Runs every task — inline when `parallel <= 1`, else on a scoped thread
@@ -812,6 +1167,7 @@ fn run_task(shared: &Shared<'_>, task: &Task) -> Result<TaskOut> {
         eval: w.eval,
         trace: w.trace,
         splice: HashMap::new(),
+        touched: BTreeSet::new(),
     })
 }
 
@@ -852,6 +1208,7 @@ fn run_task_batched(shared: &Shared<'_>, task: &Task) -> Result<TaskOut> {
         eval: w.eval,
         trace,
         splice: w.splice,
+        touched: w.touched,
     })
 }
 
@@ -935,9 +1292,9 @@ fn expand_frontier<S: WaveStore>(
     Ok(())
 }
 
-/// Rebuilds the previous document with fresh subtrees grafted in. The
+/// Rebuilds one root task's fragment with fresh subtrees grafted in. The
 /// arena [`Document`] has no node removal, so splicing is a copy walk:
-/// unaffected nodes are copied verbatim from the old document; at a
+/// unaffected nodes are copied verbatim from the old fragment; at a
 /// patched parent, each stale child group (all instances of one view
 /// node) is replaced by the matching holder's children from the delta
 /// worker's document, at the stale group's sibling position.
@@ -946,11 +1303,11 @@ struct Graft<'g> {
     old_splice: &'g HashMap<xvc_xml::NodeId, SpliceEntry>,
     /// Old parent node → `(child view node, holder)` replacements, sorted
     /// by ascending view-node index (sibling groups appear in that order).
-    patches: &'g HashMap<xvc_xml::NodeId, Vec<(ViewNodeId, xvc_xml::NodeId)>>,
+    patches: &'g Patches,
     worker_doc: &'g Document,
     worker_splice: &'g HashMap<xvc_xml::NodeId, SpliceEntry>,
     new_doc: Document,
-    /// Splice index of the rebuilt document, filled during the walk.
+    /// Splice entries of the rebuilt fragment, filled during the walk.
     entries: HashMap<xvc_xml::NodeId, SpliceEntry>,
     respliced: usize,
 }
@@ -1318,7 +1675,7 @@ struct BatchWorker<'a, S: WaveStore = Document> {
     splice: HashMap<S::Id, SpliceEntry>,
     /// View nodes whose guard / tag batches this worker issued (delta-path
     /// soundness bookkeeping; node arena indexes).
-    touched: std::collections::BTreeSet<usize>,
+    touched: BTreeSet<usize>,
 }
 
 impl<'a> BatchWorker<'a, Document> {
@@ -1337,7 +1694,7 @@ impl<'a, S: WaveStore> BatchWorker<'a, S> {
             memo: HashMap::new(),
             prov: HashMap::new(),
             splice: HashMap::new(),
-            touched: std::collections::BTreeSet::new(),
+            touched: BTreeSet::new(),
         }
     }
 
@@ -1383,11 +1740,12 @@ impl<'a, S: WaveStore> BatchWorker<'a, S> {
             child_env.insert(node.bv.clone(), t.clone());
         }
         if self.shared.collect_splice {
+            let has_children = !self.shared.tree.children(vid).is_empty();
             self.splice.insert(
                 el,
                 SpliceEntry {
                     view: vid,
-                    child_env: child_env.clone(),
+                    child_env: has_children.then(|| Arc::new(child_env.clone())),
                 },
             );
         }
@@ -2401,7 +2759,9 @@ mod tests {
         // full run's one metro batch + two per-task hotel batches.
         assert_eq!(after.stats.batches_reexecuted, 1, "{:?}", after.stats);
         assert!(after.stats.batches_reexecuted < full.stats.batches_executed);
-        assert_eq!(after.stats.nodes_respliced, 3); // 3 hotels re-emitted
+        // The new row keys into chicago only: its two 5-star hotels are
+        // re-emitted, nyc's plaza is shared untouched.
+        assert_eq!(after.stats.nodes_respliced, 2);
         assert_eq!(after.stats.delta_rows_in, 1);
         // Only the hotel node re-executed.
         let hotel = tree.find_by_paper_id(3).unwrap();
@@ -2438,6 +2798,95 @@ mod tests {
         let full = Engine::new(&tree).session().publish(&database).unwrap();
         assert_eq!(after.document.to_xml(), full.document.to_xml());
         assert!(after.document.to_xml().contains("boston"));
+    }
+
+    /// Inserts `row` into `hotel` and checks the delta republish of `tree`
+    /// against a full one; returns the delta's stats.
+    fn hotel_insert_matches_full(tree: &SchemaTree, row: &str) -> PublishStats {
+        let mut database = db();
+        let engine = Engine::new(tree).incremental(true);
+        let prev = engine.session().publish(&database).unwrap();
+        let delta = database
+            .execute_dml(&format!("INSERT INTO hotel VALUES ({row})"))
+            .unwrap();
+        let after = engine
+            .session()
+            .republish_delta(&database, &prev, &delta)
+            .unwrap();
+        let full = Engine::new(tree).session().publish(&database).unwrap();
+        assert_eq!(after.document.to_xml(), full.document.to_xml());
+        after.stats
+    }
+
+    #[test]
+    fn delta_does_not_narrow_over_an_affected_descendant() {
+        // hotel keys its rows by metro, but its `peer` child also reads
+        // `hotel`, keyed by star rating: a new 5-star hotel in chicago adds
+        // a peer under nyc's plaza too, so hotel must re-run under every
+        // metro, not only chicago.
+        let mut tree = view();
+        let hotel = tree.find_by_paper_id(3).unwrap();
+        tree.add_child(
+            hotel,
+            ViewNode::new(
+                4,
+                "peer",
+                "p",
+                parse_query("SELECT hotelname FROM hotel WHERE starrating = $h.starrating")
+                    .unwrap(),
+            ),
+        )
+        .unwrap();
+        let stats = hotel_insert_matches_full(&tree, "13, 'langham', 5, 1");
+        // Both metros' hotel groups re-run: palmer, langham and plaza.
+        assert_eq!(stats.nodes_respliced, 3, "{stats:?}");
+    }
+
+    #[test]
+    fn delta_does_not_narrow_a_node_whose_guard_reads_the_table() {
+        // The guard holds for every metro once any hotel id passes 12: the
+        // chicago insert must republish nyc's hotels as well.
+        let mut tree = view();
+        let hotel = tree.find_by_paper_id(3).unwrap();
+        tree.node_mut(hotel).unwrap().guard = Some(ScalarExpr::Exists(Box::new(
+            parse_query("SELECT 1 FROM hotel WHERE hotelid > 12").unwrap(),
+        )));
+        let stats = hotel_insert_matches_full(&tree, "13, 'langham', 5, 1");
+        assert_eq!(stats.nodes_respliced, 3, "{stats:?}");
+    }
+
+    #[test]
+    fn root_level_change_replaces_only_its_own_root_tasks() {
+        // Two root-level nodes: a new metro re-runs the metro root pass,
+        // while the tasks of the hotel list are shared untouched.
+        let mut tree = view();
+        tree.add_root_node(ViewNode::new(
+            5,
+            "listing",
+            "l",
+            parse_query("SELECT hotelid FROM hotel").unwrap(),
+        ))
+        .unwrap();
+        let mut database = db();
+        let engine = Engine::new(&tree).incremental(true);
+        let prev = engine.session().publish(&database).unwrap();
+        let delta = database
+            .execute_dml("INSERT INTO metroarea VALUES (3, 'boston')")
+            .unwrap();
+        let after = engine
+            .session()
+            .republish_delta(&database, &prev, &delta)
+            .unwrap();
+        let full = Engine::new(&tree).session().publish(&database).unwrap();
+        assert_eq!(after.document.to_xml(), full.document.to_xml());
+        let (old, new) = (&prev.splice.unwrap().tasks, &after.splice.unwrap().tasks);
+        // metros 1, 2 then 3 hotels before; metros 1, 2, 3 then 3 hotels.
+        assert_eq!((old.len(), new.len()), (5, 6));
+        let metro = tree.find_by_paper_id(1).unwrap();
+        assert!(new[..3].iter().all(|t| t.view == metro));
+        for (o, n) in old[2..].iter().zip(&new[3..]) {
+            assert!(Arc::ptr_eq(o, n), "a listing task was rebuilt");
+        }
     }
 
     #[test]
@@ -2514,15 +2963,31 @@ mod tests {
             .publish(&database)
             .unwrap();
         let splice = p.splice.expect("incremental publish records splice");
-        assert_eq!(splice.entries.len(), p.stats.elements);
-        // Every entry's view node exists and the root elements carry their
-        // own binding in child_env.
-        let metro = tree.find_by_paper_id(1).unwrap();
-        let roots = p.document.children(p.document.root()).to_vec();
-        for r in roots {
-            let e = &splice.entries[&r];
-            assert_eq!(e.view, metro);
-            assert!(e.child_env.contains_key("m"));
+        // One entry per root task, whose fragment-local entries cover every
+        // element; the segments concatenate to the document.
+        assert_eq!(splice.tasks.len(), 2);
+        let entries: usize = splice.tasks.iter().map(|t| t.entries.len()).sum();
+        assert_eq!(entries, p.stats.elements);
+        assert_eq!(splice.xml(), p.document.to_xml());
+        let (metro, hotel) = (
+            tree.find_by_paper_id(1).unwrap(),
+            tree.find_by_paper_id(3).unwrap(),
+        );
+        for task in &splice.tasks {
+            assert_eq!(task.view, metro);
+            let doc = &task.fragment;
+            assert_eq!(task.xml, doc.to_xml());
+            // The task's root element carries its own binding in child_env;
+            // leaves (hotels) carry no environment at all.
+            for node in doc.descendants(doc.root()) {
+                let e = &task.entries[&node];
+                if e.view == metro {
+                    assert!(e.child_env.as_ref().unwrap().contains_key("m"));
+                } else {
+                    assert_eq!(e.view, hotel);
+                    assert!(e.child_env.is_none());
+                }
+            }
         }
     }
 

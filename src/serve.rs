@@ -15,16 +15,21 @@
 //! |-----------------|---------|----------|
 //! | `GET /doc`      | —       | the currently published document (XML) |
 //! | `GET /publish`  | —       | a fresh `v(I)` against the live database (`?pretty=1` pretty-prints) |
-//! | `POST /dml`     | SQL     | executes `INSERT`/`DELETE`, absorbs the delta via [`Session::republish_delta`](crate::view::Session::republish_delta), returns a JSON summary |
+//! | `POST /dml`     | SQL     | executes `INSERT`/`DELETE`, absorbs the delta via [`Session::republish_segments`](crate::view::Session::republish_segments), returns a JSON summary |
 //! | `POST /ddl`     | SQL     | executes `CREATE TABLE`/`CREATE INDEX`, republishes in full (the catalog fingerprint changed, so the plan cache recompiles), returns JSON |
 //! | `GET /stats`    | —       | engine totals + server counters as JSON |
 //! | `GET /healthz`  | —       | `ok` |
 //! | `POST /shutdown`| —       | acknowledges, then stops accepting and drains workers |
 //!
-//! Writes serialize on the published-document lock, then mutate the
-//! database under its write lock, then republish under its read lock —
-//! readers (`/publish`, `/doc`) never block each other and never observe a
-//! half-applied mutation. Unknown paths get 404, malformed SQL 400.
+//! The served document is kept as per-root-task state
+//! ([`SpliceIndex`]: each task's fragment, splice provenance and
+//! serialized segment) plus the concatenated bytes `/doc` answers with. A
+//! write locks that state (writes serialize on it), mutates the database
+//! under its write lock, republishes under its read lock — rebuilding and
+//! re-serializing only the root tasks the delta reaches — and then swaps
+//! in the new bytes. `/doc` locks only to clone the current `Arc<str>`, so
+//! a reader never waits on a write and never observes a half-applied
+//! mutation. Unknown paths get 404, malformed SQL 400.
 //!
 //! `GET /publish` **streams**: the response is `Transfer-Encoding:
 //! chunked`, produced by [`Session::publish_to`](crate::view::Session::publish_to)
@@ -36,7 +41,8 @@
 //! as truncation (no terminal chunk). Every other response carries
 //! `Content-Length`, so clients can pipeline over one connection; `/doc`
 //! serves a shared `Arc<str>` snapshot of the last published document
-//! without copying it per request.
+//! without copying it per request. The server never builds a merged
+//! output document: `/doc` bytes are the concatenated task segments.
 
 // Curated clippy::pedantic subset shared with `xvc-rel` / `xvc-view` /
 // `xvc-analyze` (kept clean under `-D warnings` in ci.sh).
@@ -61,7 +67,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::rel::Database;
-use crate::view::{Engine, Published};
+use crate::view::{Engine, SpliceIndex};
 
 /// How long a worker blocks on a socket read before re-checking the
 /// shutdown flag. Bounds shutdown latency for idle keep-alive connections.
@@ -77,20 +83,18 @@ const MAX_BODY: usize = 1024 * 1024;
 /// one HTTP/1.1 chunk each time the buffer fills.
 const CHUNK_BUF: usize = 8 * 1024;
 
-/// The last published document, kept so `/doc` is a cache read and so
-/// deltas chain: each `/dml` splices into the previous [`Published`]. The
-/// serialized form is an `Arc<str>` so `/doc` hands the response body out
-/// by reference count instead of cloning the whole document per request.
-struct DocState {
-    published: Published,
-    xml: Arc<str>,
-}
-
 /// Everything the acceptor and the workers share.
 struct State {
     engine: Engine,
     db: RwLock<Database>,
-    doc: RwLock<DocState>,
+    /// Per-root-task state of the served document, so deltas chain: each
+    /// `/dml` republishes from the previous state. Writes serialize on
+    /// this mutex; readers never take it.
+    served: Mutex<SpliceIndex>,
+    /// The served document's bytes, an `Arc<str>` so `/doc` hands the
+    /// response body out by reference count. A write swaps it once its
+    /// republish has finished; `/doc` holds the lock only to clone it.
+    doc: RwLock<Arc<str>>,
     running: AtomicBool,
     addr: SocketAddr,
     threads: usize,
@@ -110,26 +114,25 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:7070`; port `0` picks a free one),
-    /// publishes the initial document from `db` through `engine` — which
-    /// warms the shared plan cache before the first request arrives — and
-    /// spawns `threads` workers (at least one).
-    ///
-    /// The engine is switched to [`Engine::incremental`] so `/dml` can
-    /// splice deltas into the served document.
+    /// publishes the initial document from `db` through `engine` as
+    /// per-root-task segments ([`Session::publish_segments`](crate::view::Session::publish_segments))
+    /// — which warms the shared plan cache before the first request
+    /// arrives — and spawns `threads` workers (at least one).
     pub fn start(engine: Engine, db: Database, addr: &str, threads: usize) -> io::Result<Server> {
-        let engine = engine.incremental(true);
-        let published = engine
+        let served = engine
             .session()
-            .publish(&db)
-            .map_err(|e| io::Error::other(e.to_string()))?;
-        let xml = Arc::<str>::from(published.document.to_xml());
+            .publish_segments(&db)
+            .map_err(|e| io::Error::other(e.to_string()))?
+            .splice;
+        let xml = Arc::<str>::from(served.xml());
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let threads = threads.max(1);
         let state = Arc::new(State {
             engine,
             db: RwLock::new(db),
-            doc: RwLock::new(DocState { published, xml }),
+            served: Mutex::new(served),
+            doc: RwLock::new(xml),
             running: AtomicBool::new(true),
             addr: local,
             threads,
@@ -535,11 +538,11 @@ fn dispatch(state: &Arc<State>, request: &Request) -> Response {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => Response::ok("text/plain; charset=utf-8", "ok\n".to_owned()),
         ("GET", "/doc") => {
-            let doc = state.doc.read().unwrap_or_else(PoisonError::into_inner);
+            let xml = Arc::clone(&state.doc.read().unwrap_or_else(PoisonError::into_inner));
             Response {
                 status: 200,
                 content_type: "application/xml; charset=utf-8",
-                body: Body::Shared(Arc::clone(&doc.xml)),
+                body: Body::Shared(xml),
                 shutdown: false,
             }
         }
@@ -607,14 +610,16 @@ fn stream_publish(
 }
 
 /// `POST /dml`: executes the SQL, maps the delta through the dependency
-/// map and splices the served document in place. Lock order is doc.write →
-/// db.write (mutation) → db.read (republish); every write takes the same
-/// order, so writes serialize and readers interleave safely.
+/// map and rebuilds only the root tasks it reaches
+/// ([`Session::republish_segments`](crate::view::Session::republish_segments)).
+/// Lock order is served → db.write (mutation) → db.read (republish) →
+/// doc.write (the swap); every write takes the same order, so writes
+/// serialize while `/doc` readers keep being served the previous bytes.
 fn handle_dml(state: &Arc<State>, body: &[u8]) -> Response {
     let Ok(sql) = std::str::from_utf8(body) else {
         return Response::error(400, "body is not UTF-8");
     };
-    let mut doc = state.doc.write().unwrap_or_else(PoisonError::into_inner);
+    let mut served = state.served.lock().unwrap_or_else(PoisonError::into_inner);
     let delta = {
         let mut db = state.db.write().unwrap_or_else(PoisonError::into_inner);
         match db.execute_dml(sql) {
@@ -623,10 +628,13 @@ fn handle_dml(state: &Arc<State>, body: &[u8]) -> Response {
         }
     };
     let db = state.db.read().unwrap_or_else(PoisonError::into_inner);
-    let mut session = state.engine.session();
-    match session.republish_delta(&db, &doc.published, &delta) {
-        Ok(published) => {
-            let stats = &published.stats;
+    match state
+        .engine
+        .session()
+        .republish_segments(&db, &served, &delta)
+    {
+        Ok(next) => {
+            let stats = &next.stats;
             let body = format!(
                 "{{\"delta_rows\":{},\"nodes_respliced\":{},\"batches_reexecuted\":{},\"elements\":{}}}\n",
                 delta.row_count(),
@@ -634,12 +642,18 @@ fn handle_dml(state: &Arc<State>, body: &[u8]) -> Response {
                 stats.batches_reexecuted,
                 stats.elements,
             );
-            doc.xml = Arc::<str>::from(published.document.to_xml());
-            doc.published = published;
+            swap_served(state, &mut served, next.splice);
             Response::ok("application/json", body)
         }
         Err(e) => Response::error(500, &format!("republish failed: {e}")),
     }
+}
+
+/// Installs `next` as the served state and swaps its bytes in for `/doc`.
+fn swap_served(state: &State, served: &mut SpliceIndex, next: SpliceIndex) {
+    let xml = Arc::<str>::from(next.xml());
+    *state.doc.write().unwrap_or_else(PoisonError::into_inner) = xml;
+    *served = next;
 }
 
 /// `POST /ddl`: `CREATE TABLE` / `CREATE INDEX` against the live database.
@@ -650,7 +664,7 @@ fn handle_ddl(state: &Arc<State>, body: &[u8]) -> Response {
     let Ok(sql) = std::str::from_utf8(body) else {
         return Response::error(400, "body is not UTF-8");
     };
-    let mut doc = state.doc.write().unwrap_or_else(PoisonError::into_inner);
+    let mut served = state.served.lock().unwrap_or_else(PoisonError::into_inner);
     let applied = {
         let mut db = state.db.write().unwrap_or_else(PoisonError::into_inner);
         match db.execute_ddl(sql) {
@@ -659,10 +673,9 @@ fn handle_ddl(state: &Arc<State>, body: &[u8]) -> Response {
         }
     };
     let db = state.db.read().unwrap_or_else(PoisonError::into_inner);
-    match state.engine.session().publish(&db) {
-        Ok(published) => {
-            doc.xml = Arc::<str>::from(published.document.to_xml());
-            doc.published = published;
+    match state.engine.session().publish_segments(&db) {
+        Ok(next) => {
+            swap_served(state, &mut served, next.splice);
             Response::ok(
                 "application/json",
                 format!("{{\"statements\":{applied}}}\n"),

@@ -267,6 +267,73 @@ fn dml_and_ddl_keep_the_served_document_current() {
 }
 
 #[test]
+fn doc_reads_during_writes_see_only_whole_documents() {
+    const INSERT: &str = "INSERT INTO sight VALUES (99, 1, 'Navy Pier', 0)";
+    const DELETE: &str = "DELETE FROM sight WHERE sid = 99";
+    let db = guide_database();
+    let composed = guide_composed(&db);
+    let publish = |db: &Database| {
+        Engine::new(&composed)
+            .session()
+            .publish(db)
+            .expect("reference publish")
+            .document
+            .to_xml()
+    };
+    let without = publish(&db);
+    let mut toggled = guide_database();
+    toggled.execute_dml(INSERT).expect("reference dml");
+    let with = publish(&toggled);
+    assert_ne!(without, with, "the toggled row must show in the document");
+
+    let server =
+        Server::start(Engine::new(&composed), db, "127.0.0.1:0", 2).expect("server starts");
+    let addr = server.addr();
+    let writing = std::sync::atomic::AtomicBool::new(true);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut client = Client::connect(addr);
+            for _ in 0..40 {
+                for sql in [INSERT, DELETE] {
+                    let (status, body) = client.request("POST", "/dml", sql);
+                    assert_eq!(status, 200, "{sql}: {body}");
+                }
+            }
+            writing.store(false, std::sync::atomic::Ordering::SeqCst);
+        });
+        scope.spawn(|| {
+            let mut client = Client::connect(addr);
+            let mut reads = 0;
+            while writing.load(std::sync::atomic::Ordering::SeqCst) || reads < 20 {
+                let (status, doc) = client.request("GET", "/doc", "");
+                assert_eq!(status, 200);
+                assert!(
+                    doc == without || doc == with,
+                    "/doc served neither legal document: {doc}"
+                );
+                reads += 1;
+            }
+        });
+    });
+
+    // Every toggle ended with its delete: all views agree on the start state.
+    let mut client = Client::connect(addr);
+    let (status, doc) = client.request("GET", "/doc", "");
+    assert_eq!(status, 200);
+    let (status, fresh) = client.request("GET", "/publish", "");
+    assert_eq!(status, 200);
+    assert_eq!(doc, without, "/doc drifted");
+    assert_eq!(fresh, without, "/publish drifted");
+    let (status, stats) = client.request("GET", "/stats", "");
+    assert_eq!(status, 200);
+    assert_eq!(counter(&stats, "delta_publishes"), 80);
+    assert_eq!(counter(&stats, "errors"), 0);
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn streamed_publish_pretty_matches_reference_serializer() {
     let db = guide_database();
     let composed = guide_composed(&db);
