@@ -30,16 +30,17 @@ echo "== xvc check --json (machine-readable gate, exits 1 on error-level codes)"
     examples/files/paper/figure2.sql
 
 echo "== figures -- batch (prepared-plan + set-oriented benchmark gates)"
-# The binary verifies v'(I) = x(v(I)) and batched == scalar documents
-# before timing, aborts on a warm publish that misses the plan cache, and
-# aborts if the batched publisher is slower than tuple-at-a-time on the
-# fan-out workload. The greps double-check the written artifact.
+# The binary verifies v'(I) = x(v(I)) before timing, aborts on a warm
+# publish that misses the plan cache, and aborts unless the depth-5 chain
+# runs the same number of batches at fan-out 2 and 4 (one per level) with
+# a largest batch that grows with the fan-out. The greps double-check the
+# written artifact.
 cargo run --release --quiet -p xvc-bench --bin figures -- batch
 if grep -q '"plan_cache_hit_rate": 0\.000' BENCH_compose.json; then
     echo "ci.sh: plan cache never hit (see BENCH_compose.json)" >&2
     exit 1
 fi
-if ! grep -q '"eval_batched_ms"' BENCH_compose.json; then
+if ! grep -q 'fan-out 4 (batch study)", .*"bindings_per_batch_max"' BENCH_compose.json; then
     echo "ci.sh: batch study missing from BENCH_compose.json" >&2
     exit 1
 fi
@@ -73,7 +74,7 @@ fi
 
 echo "== figures -- incr smoke (delta-publish gates, reduced sizes)"
 # The binary inserts one row through the xvc_rel write path and absorbs
-# the delta via Publisher::republish_delta, aborting if the delta document
+# the delta via Session::republish_delta, aborting if the delta document
 # diverges from a full republish, if the re-executed batch count grows
 # with instance size, or if the delta path re-runs >= 20% of the full
 # batch count at the largest size. The greps double-check the artifact.

@@ -237,21 +237,12 @@ pub struct PruneBenchRow {
     pub eval_plain_ms: f64,
     /// Wall time evaluating the pruned composed view.
     pub eval_prune_ms: f64,
-    /// Wall time evaluating the pruned view through the tuple-at-a-time
-    /// interpreter (`Engine::prepared(false)`).
-    pub eval_interpreted_ms: f64,
     /// Wall time evaluating the pruned view through cached prepared plans
-    /// (the default publisher path, warm cache).
+    /// (warm cache) — one `execute_batch` per (view node, frontier wave).
     pub eval_prepared_ms: f64,
     /// Warm-publish plan-cache hit rate (1.0 when every lookup hits).
     pub plan_cache_hit_rate: f64,
-    /// Wall time for the tuple-at-a-time publisher (`.batched(false)`),
-    /// warm plan cache — one plan execution per parent binding.
-    pub eval_scalar_ms: f64,
-    /// Wall time for the set-oriented publisher (the default), warm plan
-    /// cache — one `execute_batch` per (view node, frontier wave).
-    pub eval_batched_ms: f64,
-    /// Batched plan executions per publish (set-oriented path).
+    /// Batched plan executions per publish.
     pub batches_executed: usize,
     /// Largest binding relation joined in one batch.
     pub bindings_per_batch_max: usize,
@@ -350,25 +341,6 @@ fn prune_compare(
         std::hint::black_box(out);
     });
 
-    // Prepared vs interpreted execution of the same (pruned) view. The
-    // interpreted publisher is warmed and verified like the others, so the
-    // two loops differ only in the execution path.
-    let mut interp_pub = Engine::new(&pruned).prepared(false).session();
-    let interp_doc = interp_pub
-        .publish(db)
-        .expect("publish interpreted")
-        .document;
-    assert!(
-        documents_equal_unordered(&expected, &interp_doc),
-        "interpreted v'(I) != x(v(I)) — benchmark would be meaningless"
-    );
-    let eval_interpreted_ms = best_ms(reps, || {
-        let out = interp_pub
-            .publish(db)
-            .expect("publish interpreted")
-            .document;
-        std::hint::black_box(out);
-    });
     let eval_prepared_ms = best_ms(reps, || {
         let out = pruned_pub.publish(db).expect("publish prepared").document;
         std::hint::black_box(out);
@@ -380,25 +352,6 @@ fn prune_compare(
     let batches_executed = warm.stats.batches_executed;
     let bindings_per_batch_max = warm.stats.bindings_per_batch_max;
 
-    // Set-oriented vs tuple-at-a-time publishing of the same pruned view.
-    // `pruned_pub` is the batched default; the scalar publisher must emit
-    // a byte-identical document or the benchmark would be meaningless.
-    let mut scalar_pub = Engine::new(&pruned).batched(false).session();
-    let scalar_doc = scalar_pub.publish(db).expect("publish scalar").document;
-    assert_eq!(
-        scalar_doc.to_xml(),
-        warm.document.to_xml(),
-        "batched v'(I) != scalar v'(I) — set-oriented publishing diverged"
-    );
-    let eval_scalar_ms = best_ms(reps, || {
-        let out = scalar_pub.publish(db).expect("publish scalar").document;
-        std::hint::black_box(out);
-    });
-    let eval_batched_ms = best_ms(reps, || {
-        let out = pruned_pub.publish(db).expect("publish batched").document;
-        std::hint::black_box(out);
-    });
-
     PruneBenchRow {
         workload: name.to_owned(),
         tvq_nodes_before: before.tvq_nodes,
@@ -408,21 +361,18 @@ fn prune_compare(
         compose_prune_ms,
         eval_plain_ms,
         eval_prune_ms,
-        eval_interpreted_ms,
         eval_prepared_ms,
         plan_cache_hit_rate,
-        eval_scalar_ms,
-        eval_batched_ms,
         batches_executed,
         bindings_per_batch_max,
     }
 }
 
-/// The set-oriented publishing study: a deep fan-out chain where the
-/// tuple-at-a-time publisher runs one tag query per parent binding
-/// (`Σ fanout^k` executions per root subtree) while the batched publisher
-/// runs one per level. The row carries the same field set as the prune
-/// study, so `BENCH_compose.json` stays a single homogeneous array.
+/// The set-oriented publishing study: a deep fan-out chain with
+/// `Σ fanout^k` parent bindings per root subtree, which the publisher runs
+/// as one batch per level whatever the fan-out. The row carries the same
+/// field set as the prune study, so `BENCH_compose.json` stays a single
+/// homogeneous array.
 pub fn batch_bench(depth: usize, fanout: usize, reps: usize) -> PruneBenchRow {
     let view = chain_view(depth);
     let stylesheet = chain_stylesheet(depth);
@@ -953,10 +903,8 @@ pub fn render_prune_objects(rows: &[PruneBenchRow]) -> Vec<String> {
                 "  {{\"workload\": \"{}\", \"tvq_nodes_before\": {}, \"tvq_nodes_after\": {}, \
              \"conjuncts_eliminated\": {}, \"compose_plain_ms\": {:.3}, \
              \"compose_prune_ms\": {:.3}, \"eval_plain_ms\": {:.3}, \"eval_prune_ms\": {:.3}, \
-             \"eval_interpreted_ms\": {:.3}, \"eval_prepared_ms\": {:.3}, \
-             \"plan_cache_hit_rate\": {:.3}, \"eval_scalar_ms\": {:.3}, \
-             \"eval_batched_ms\": {:.3}, \"batches_executed\": {}, \
-             \"bindings_per_batch_max\": {}}}",
+             \"eval_prepared_ms\": {:.3}, \"plan_cache_hit_rate\": {:.3}, \
+             \"batches_executed\": {}, \"bindings_per_batch_max\": {}}}",
                 r.workload,
                 r.tvq_nodes_before,
                 r.tvq_nodes_after,
@@ -965,11 +913,8 @@ pub fn render_prune_objects(rows: &[PruneBenchRow]) -> Vec<String> {
                 r.compose_prune_ms,
                 r.eval_plain_ms,
                 r.eval_prune_ms,
-                r.eval_interpreted_ms,
                 r.eval_prepared_ms,
                 r.plan_cache_hit_rate,
-                r.eval_scalar_ms,
-                r.eval_batched_ms,
                 r.batches_executed,
                 r.bindings_per_batch_max,
             )
@@ -1168,9 +1113,9 @@ mod tests {
         // than one parent binding in a single plan execution.
         assert!(r.batches_executed > 0, "{r:?}");
         assert!(r.bindings_per_batch_max >= 3, "{r:?}");
-        assert!(r.eval_scalar_ms > 0.0 && r.eval_batched_ms > 0.0);
+        assert!(r.eval_prepared_ms > 0.0);
         let json = render_prune_json(&[r]);
-        assert!(json.contains("\"eval_batched_ms\""));
+        assert!(json.contains("\"eval_prepared_ms\""));
         assert!(json.contains("\"bindings_per_batch_max\""));
     }
 

@@ -113,20 +113,11 @@ pub fn check_composition(
     composed: &SchemaTree,
     db: &Database,
 ) -> Result<Option<Divergence>> {
-    // Both sides run through the set-oriented (batched) publisher — the
-    // default production path, so the equivalence check certifies exactly
-    // what serving uses.
-    let vi = Engine::new(view)
-        .batched(true)
-        .session()
-        .publish(db)?
-        .document;
+    // Both sides run through the one publish walk serving uses, so the
+    // equivalence check certifies exactly what is served.
+    let vi = Engine::new(view).session().publish(db)?.document;
     let expected = xvc_xslt::process(stylesheet, &vi)?;
-    let published = Engine::new(composed)
-        .batched(true)
-        .traced(true)
-        .session()
-        .publish(db)?;
+    let published = Engine::new(composed).traced(true).session().publish(db)?;
     let (actual, trace) = (
         published.document,
         published.trace.expect("tracing was enabled"),

@@ -108,6 +108,10 @@ impl Delta {
 impl Database {
     /// Executes one DML statement (`INSERT INTO ...` or `DELETE FROM ...`,
     /// optionally `;`-terminated) and returns the delta of touched rows.
+    ///
+    /// A multi-row `INSERT` is all or nothing: every row is checked
+    /// ([`crate::Table::check_insert`]) before any is stored, so a
+    /// statement that fails leaves the table as it was.
     pub fn execute_dml(&mut self, sql: &str) -> Result<Delta> {
         let mut p = DmlParser::new(sql);
         p.skip_ws();
@@ -117,6 +121,11 @@ impl Database {
             p.expect_keyword("VALUES")?;
             let rows = p.values_list()?;
             p.finish()?;
+            // All or nothing: a statement with one bad row stores none.
+            let t = self.table(&table)?;
+            for row in &rows {
+                t.check_insert(row)?;
+            }
             let mut delta = Delta::new();
             for row in &rows {
                 self.insert(&table, row.clone())?;
@@ -485,6 +494,49 @@ mod tests {
             .execute_dml("INSERT INTO city VALUES ('backwards', 1)")
             .is_err());
         assert!(db.execute_dml("INSERT INTO nope VALUES (1, 'x')").is_err());
+    }
+
+    #[test]
+    fn failed_multi_row_insert_leaves_the_table_unchanged() {
+        use crate::schema::IndexKind;
+        use crate::table::Backend;
+        let oversized = format!("(4, '{}')", "x".repeat(crate::storage::PAGE_SIZE));
+        for backend in [Backend::Memory, Backend::paged()] {
+            let mut db = Database::with_backend(backend);
+            db.create_table(
+                TableSchema::new(
+                    "city",
+                    vec![
+                        ColumnDef::new("cityid", ColumnType::Int).not_null(),
+                        ColumnDef::new("cityname", ColumnType::Str),
+                    ],
+                )
+                .unwrap(),
+            );
+            db.create_index("city", "cityid", IndexKind::Hash).unwrap();
+            db.execute_dml("INSERT INTO city VALUES (1, 'a')").unwrap();
+            // The third row violates NOT NULL on both backends; on the
+            // paged one, a row larger than a page fails the same way.
+            let mut bad = vec!["(2, 'b'), (3, 'c'), (NULL, 'd')".to_owned()];
+            if backend != Backend::Memory {
+                bad.push(format!("(2, 'b'), (3, 'c'), {oversized}"));
+            }
+            for rows in bad {
+                let ctx = format!("{backend:?}: {}", &rows[..30]);
+                assert!(
+                    db.execute_dml(&format!("INSERT INTO city VALUES {rows}"))
+                        .is_err(),
+                    "{ctx}"
+                );
+                let t = db.table("city").unwrap();
+                assert_eq!(
+                    t.rows(),
+                    vec![vec![Value::Int(1), Value::Str("a".into())]],
+                    "{ctx}"
+                );
+                assert_eq!(t.index_for(0).unwrap().len(), 1, "{ctx}");
+            }
+        }
     }
 
     #[test]

@@ -66,6 +66,23 @@ struct PagedRows {
     file_backed: bool,
 }
 
+/// `row` encoded as one page cell, or a storage error when it exceeds a
+/// page's capacity.
+fn page_cell(row: &[Value]) -> Result<Vec<u8>> {
+    let mut cell = Vec::new();
+    encode_row(row, &mut cell);
+    if cell.len() > Page::max_cell() {
+        return Err(Error::Storage {
+            reason: format!(
+                "row of {} bytes exceeds page capacity of {}",
+                cell.len(),
+                Page::max_cell()
+            ),
+        });
+    }
+    Ok(cell)
+}
+
 impl PagedRows {
     fn new(pool_pages: usize, file_backed: bool) -> Result<Self> {
         let store: Box<dyn crate::storage::PageStore> = if file_backed {
@@ -89,17 +106,7 @@ impl PagedRows {
     }
 
     fn insert(&mut self, row: &[Value]) -> Result<()> {
-        let mut cell = Vec::new();
-        encode_row(row, &mut cell);
-        if cell.len() > Page::max_cell() {
-            return Err(Error::Storage {
-                reason: format!(
-                    "row of {} bytes exceeds page capacity of {}",
-                    cell.len(),
-                    Page::max_cell()
-                ),
-            });
-        }
+        let cell = page_cell(row)?;
         let pool = self
             .pool
             .get_mut()
@@ -217,6 +224,17 @@ impl Table {
                 file_backed: p.file_backed,
             },
         }
+    }
+
+    /// Checks that `row` can be stored — the schema's arity, types and
+    /// NOT NULL constraints and, on the paged backend, the page capacity —
+    /// without storing it.
+    pub fn check_insert(&self, row: &[Value]) -> Result<()> {
+        self.schema.check_row(row)?;
+        if let RowStore::Paged(_) = self.store {
+            page_cell(row)?;
+        }
+        Ok(())
     }
 
     /// Appends one row after validating it against the schema.

@@ -34,13 +34,13 @@ use std::io;
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard};
 
 use xvc_rel::{prepare, Catalog, Database, Delta, EvalStats};
-use xvc_xml::{PrettyXmlWriter, XmlSink, XmlWriter};
+use xvc_xml::{PrettyXmlWriter, XmlWriter};
 
 use crate::bounds::{analyze_view_bounds, ViewBounds};
 use crate::error::Result;
 use crate::publish::{
-    guard_probe, run_delta_republish, run_full_publish, run_segment_publish, run_stream_publish,
-    PlanCache, PlanEntry, PublishConfig, PublishStats, Published, Role, Segmented, SpliceIndex,
+    guard_probe, PlanCache, PlanEntry, PublishConfig, PublishStats, Published, Role, Run,
+    Segmented, SpliceIndex,
 };
 use crate::schema_tree::{SchemaTree, ViewNodeId};
 
@@ -79,8 +79,6 @@ impl Default for Config {
             publish: PublishConfig {
                 tracing: false,
                 parallel: 1,
-                prepared: true,
-                batched: true,
                 incremental: false,
             },
             bounded: true,
@@ -118,9 +116,10 @@ impl Clone for Engine {
 
 impl Engine {
     /// An engine for `tree` (cloned into the engine so it owns its whole
-    /// world): untraced, single-threaded, prepared-plan, set-oriented
-    /// (batched) and bound-driven execution enabled — the same defaults
-    /// the old borrow-bound publisher had.
+    /// world): untraced, single-threaded, not incremental, with
+    /// bound-driven planning on. Every publish runs the same set-oriented
+    /// walk over prepared plans; a node whose query fails to prepare is
+    /// interpreted instead.
     pub fn new(tree: &SchemaTree) -> Self {
         Self::from_parts(tree.clone(), Config::default())
     }
@@ -168,22 +167,6 @@ impl Engine {
         self.reconfig(|c| c.publish.parallel = n.max(1))
     }
 
-    /// Use compiled [`xvc_rel::PreparedPlan`]s and the result memo
-    /// (`true`, the default), or force the tuple-at-a-time interpreter
-    /// (`false`; used by benchmarks to measure the prepared path's win).
-    pub fn prepared(self, on: bool) -> Self {
-        self.reconfig(|c| c.publish.prepared = on)
-    }
-
-    /// Publish each subtree with the breadth-first frontier walk — one
-    /// set-oriented batch per (view node, frontier) — (`true`, the
-    /// default) or with the original per-parent recursion (`false`). Both
-    /// paths produce bit-identical documents, traces and stats modulo the
-    /// batch-only counters ([`PublishStats::without_batch_counters`]).
-    pub fn batched(self, on: bool) -> Self {
-        self.reconfig(|c| c.publish.batched = on)
-    }
-
     /// Bake static cardinality bounds ([`crate::analyze_view_bounds`])
     /// into the cached plans (`true`, the default): a node whose batches
     /// provably carry at most one binding executes scalar, pushdowns and
@@ -198,7 +181,7 @@ impl Engine {
     }
 
     /// Record the per-root-task splice index ([`Published::splice`]) on
-    /// batched publishes so results can seed [`Session::republish_delta`].
+    /// full publishes so results can seed [`Session::republish_delta`].
     /// [`Session::publish_segments`] records it whatever this is set to.
     pub fn incremental(self, on: bool) -> Self {
         self.reconfig(|c| c.publish.incremental = on)
@@ -229,6 +212,27 @@ impl Engine {
             .clone()
     }
 
+    /// Validates the tree, ensures the plan cache is current for `db`'s
+    /// catalog, and hands `f` a [`Run`] over the cached plans, with the
+    /// plan-cache counters the lookup accumulated. `f` runs under the
+    /// cache's read lock.
+    fn with_run<T>(
+        &self,
+        db: &Database,
+        f: impl FnOnce(&Run<'_>, PublishStats) -> Result<T>,
+    ) -> Result<T> {
+        let shared = &self.shared;
+        shared.tree.validate()?;
+        let mut stats = PublishStats::default();
+        let cache = self.ensure_plans(db, &mut stats);
+        let run = Run {
+            tree: &shared.tree,
+            plans: &cache.plans,
+            cfg: &shared.cfg.publish,
+        };
+        f(&run, stats)
+    }
+
     /// Validates the shared cache against `db`'s catalog fingerprint,
     /// compiles anything missing, and returns a read guard the publish
     /// runs under (writers — i.e. invalidations — wait until in-flight
@@ -247,9 +251,6 @@ impl Engine {
         stats: &mut PublishStats,
     ) -> RwLockReadGuard<'_, PlanCache> {
         let shared = &self.shared;
-        if !shared.cfg.publish.prepared {
-            return shared.cache.read().unwrap_or_else(PoisonError::into_inner);
-        }
         let fingerprint = db.catalog_fingerprint();
         // One plan per tag query plus one per emission-guard probe.
         let needed: usize = shared
@@ -329,18 +330,18 @@ impl Engine {
 /// caller's `io::Write`.
 #[derive(Debug, Clone)]
 pub struct Streamed {
-    /// Materialization counters; equal to the batched materializing
-    /// path's [`Published::stats`] for the same database (the walk is
-    /// identical, only the element store differs).
+    /// Materialization counters; equal to [`Published::stats`] for the
+    /// same database (the walk is identical, only what happens to each
+    /// finished root task differs).
     pub stats: PublishStats,
     /// Relational-engine work across every tag-query / guard evaluation.
     pub eval: EvalStats,
     /// Serialized bytes written to the sink.
     pub bytes_written: u64,
-    /// High-water mark of the emission buffers (the streaming skeleton's
-    /// retained heap; on the materializing fallback, the arena document's
-    /// [`xvc_xml::Document::heap_estimate`]). This is the number the
-    /// `figures -- stream` study shows staying flat in document size.
+    /// High-water mark of the emission buffers (the retained heap of the
+    /// one skeleton every root task grows in before it is written out).
+    /// This is the number the `figures -- stream` study shows staying flat
+    /// in document size.
     pub peak_emit_bytes: usize,
 }
 
@@ -403,17 +404,9 @@ impl Session {
     /// catalog. The result memo never outlives one call, so database
     /// mutations between calls are always observed.
     pub fn publish(&mut self, db: &Database) -> Result<Published> {
-        let published = self.publish_inner(db)?;
+        let published = self.engine.with_run(db, |run, stats| run.full(db, stats))?;
         self.record(&published.stats, &published.eval, false);
         Ok(published)
-    }
-
-    fn publish_inner(&mut self, db: &Database) -> Result<Published> {
-        let shared = &self.engine.shared;
-        shared.tree.validate()?;
-        let mut stats = PublishStats::default();
-        let cache = self.engine.ensure_plans(db, &mut stats);
-        run_full_publish(&shared.tree, &cache.plans, &shared.cfg.publish, db, stats)
     }
 
     /// Streams `v(I)` as compact serialized XML straight into `out`,
@@ -423,12 +416,9 @@ impl Session {
     /// out as soon as it completes, so peak emission memory is bounded by
     /// the largest root-level subtree instead of the document. The bytes
     /// are identical to `publish(db)?.document.to_xml()` (proptest-gated
-    /// across backends and workload presets).
-    ///
-    /// On an unbatched (`batched(false)`) or traced engine the call falls
-    /// back to materializing internally and serializing through the same
-    /// writer — splicing provenance and traces need the arena document —
-    /// so output bytes never depend on configuration.
+    /// across backends and workload presets), and so are the counters,
+    /// whatever the engine's configuration: a traced engine streams too
+    /// (the trace is not part of the output).
     ///
     /// A sink failure surfaces as [`crate::Error::Io`] after a truncated
     /// write; engine state (plan cache, totals) is unaffected and the
@@ -458,10 +448,12 @@ impl Session {
         };
         let result = if pretty {
             let mut sink = PrettyXmlWriter::new(&mut counter);
-            self.stream_into(db, &mut sink)
+            self.engine
+                .with_run(db, |run, stats| run.stream(db, stats, &mut sink))
         } else {
             let mut sink = XmlWriter::new(&mut counter);
-            self.stream_into(db, &mut sink)
+            self.engine
+                .with_run(db, |run, stats| run.stream(db, stats, &mut sink))
         };
         let (stats, eval, peak_emit_bytes) = result?;
         let streamed = Streamed {
@@ -474,44 +466,18 @@ impl Session {
         Ok(streamed)
     }
 
-    fn stream_into(
-        &mut self,
-        db: &Database,
-        sink: &mut dyn XmlSink,
-    ) -> Result<(PublishStats, EvalStats, usize)> {
-        let shared = &self.engine.shared;
-        let cfg = &shared.cfg.publish;
-        if !cfg.batched || cfg.tracing {
-            // Materializing fallback: the scalar path and traced publishes
-            // build the arena document anyway; serialize it through the
-            // same sink so the bytes cannot differ.
-            let published = self.publish_inner(db)?;
-            published.document.emit(sink)?;
-            let peak = published.document.heap_estimate();
-            return Ok((published.stats, published.eval, peak));
-        }
-        shared.tree.validate()?;
-        let mut stats = PublishStats::default();
-        let cache = self.engine.ensure_plans(db, &mut stats);
-        run_stream_publish(&shared.tree, &cache.plans, cfg, db, stats, sink)
-    }
-
-    /// Publishes `v(I)` as per-root-task segments: the same batched walk
-    /// as [`Session::publish`], with every root task kept as its own
-    /// fragment and serialized segment ([`SpliceIndex`]) and no merged
+    /// Publishes `v(I)` as per-root-task segments: the same walk as
+    /// [`Session::publish`], with every root task kept as its own
+    /// skeleton and serialized segment ([`SpliceIndex`]) and no merged
     /// document or whole-document serialization. The concatenated
     /// segments ([`SpliceIndex::xml`]) are byte-equal to
     /// `publish(db)?.document.to_xml()`, and the result seeds
     /// [`Session::republish_segments`] whatever the engine's
-    /// configuration (the walk is always batched and untraced).
+    /// configuration.
     pub fn publish_segments(&mut self, db: &Database) -> Result<Segmented> {
-        let shared = &self.engine.shared;
-        shared.tree.validate()?;
-        let mut stats = PublishStats::default();
-        let cache = self.engine.ensure_plans(db, &mut stats);
-        let segmented =
-            run_segment_publish(&shared.tree, &cache.plans, &shared.cfg.publish, db, stats)?;
-        drop(cache);
+        let segmented = self
+            .engine
+            .with_run(db, |run, stats| run.segments(db, stats))?;
         self.record(&segmented.stats, &segmented.eval, false);
         Ok(segmented)
     }
@@ -538,20 +504,9 @@ impl Session {
         prev: &SpliceIndex,
         delta: &Delta,
     ) -> Result<Segmented> {
-        let shared = &self.engine.shared;
-        shared.tree.validate()?;
-        let mut stats = PublishStats::default();
-        let cache = self.engine.ensure_plans(db, &mut stats);
-        let segmented = run_delta_republish(
-            &shared.tree,
-            &cache.plans,
-            &shared.cfg.publish,
-            db,
-            prev,
-            delta,
-            stats,
-        )?;
-        drop(cache);
+        let segmented = self
+            .engine
+            .with_run(db, |run, stats| run.delta(db, prev, delta, stats))?;
         self.record(&segmented.stats, &segmented.eval, true);
         Ok(segmented)
     }
@@ -562,8 +517,8 @@ impl Session {
     /// database.
     ///
     /// `prev` must come from an `incremental` engine (so it carries a
-    /// [`SpliceIndex`]); otherwise, or on the scalar path, the call falls
-    /// back to a full [`Session::publish`] and reports
+    /// [`SpliceIndex`]); otherwise the call falls back to a full
+    /// [`Session::publish`] and reports
     /// `batches_reexecuted == batches_executed`.
     ///
     /// The result is byte-identical to a full republish against `db` and
@@ -574,9 +529,8 @@ impl Session {
         prev: &Published,
         delta: &Delta,
     ) -> Result<Published> {
-        let batched = self.engine.shared.cfg.publish.batched;
         match &prev.splice {
-            Some(splice) if batched => {
+            Some(splice) => {
                 let seg = self.republish_segments(db, splice, delta)?;
                 Ok(Published {
                     document: seg.splice.document(),
@@ -587,8 +541,8 @@ impl Session {
                     reexecuted: seg.reexecuted,
                 })
             }
-            _ => {
-                let mut p = self.publish_inner(db)?;
+            None => {
+                let mut p = self.engine.with_run(db, |run, stats| run.full(db, stats))?;
                 p.stats.batches_reexecuted = p.stats.batches_executed;
                 p.stats.delta_rows_in = delta.row_count();
                 p.reexecuted = self.engine.shared.tree.node_ids();

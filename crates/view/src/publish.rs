@@ -3,18 +3,22 @@
 //! The public entry point is [`crate::Engine`] / [`crate::Session`] (see
 //! the `engine` module); this module holds the execution machinery those
 //! drive: the **plan-cache** types (each node's tag query compiled once
-//! into an [`xvc_rel::PreparedPlan`]), **set-oriented** publishing (a
+//! into an [`xvc_rel::PreparedPlan`]) and the one publish walk — a
 //! breadth-first frontier walk running one
 //! [`xvc_rel::PreparedPlan::execute_batch_shared`] per (view node,
 //! frontier) instead of one execution per parent tuple, with each plan's
-//! binding-free scan shared by all root tasks of a publish), a bounded
+//! binding-free scan shared by all root tasks of a publish. Every root
+//! task grows in a `Skeleton`, the one element store, which also records
+//! each element's view node and child environment; the entry points differ
+//! only in what they do with a finished skeleton: stream it into a writer,
+//! emit it into a [`TreeBuilder`] for the document, keep it for delta
+//! splicing, or read a trace off it. Around the walk sit a bounded
 //! per-task **result memo** (repeated parent tuples with equal relevant
-//! binding values reuse the child relation), **parallel** sibling-subtree
+//! binding values reuse the child relation), **parallel** root-task
 //! evaluation (`std::thread::scope`) that keeps document order and
-//! thread-count-independent statistics, and the **delta-republish** graft
-//! walk.
+//! thread-count-independent statistics, and the **delta-republish** graft.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -23,7 +27,7 @@ use xvc_rel::{
     eval_query_stats, Database, Delta, EvalOptions, EvalStats, JoinKey, NamedTuple, ParamEnv,
     PreparedPlan, Relation, ScalarExpr, SelectItem, SelectQuery, SharedScan,
 };
-use xvc_xml::{Document, TreeBuilder, XmlSink};
+use xvc_xml::{Document, TreeBuilder, XmlSink, XmlWriter};
 
 use crate::error::Result;
 use crate::schema_tree::{AttrProjection, SchemaTree, ViewNodeId};
@@ -62,7 +66,7 @@ pub struct PublishStats {
     /// Memoizable executions that had to run the engine.
     pub memo_misses: usize,
     /// Set-oriented executions: one per (view node, frontier) with at
-    /// least one non-memoized binding. Zero on the scalar path.
+    /// least one non-memoized binding and a prepared plan.
     pub batches_executed: usize,
     /// Largest number of bindings any single batch carried (merged with
     /// `max`, not `+`, across subtree tasks).
@@ -105,22 +109,6 @@ impl PublishStats {
         self.nodes_respliced += other.nodes_respliced;
         self.batches_reexecuted += other.batches_reexecuted;
         self.delta_rows_in += other.delta_rows_in;
-    }
-
-    /// This run's counters with the batch-only and delta-only ones zeroed —
-    /// what the run would have reported on the scalar path, which is
-    /// identical on every other field (the equality the batched-vs-scalar
-    /// tests assert).
-    pub fn without_batch_counters(&self) -> PublishStats {
-        PublishStats {
-            batches_executed: 0,
-            bindings_per_batch_max: 0,
-            rows_regrouped: 0,
-            nodes_respliced: 0,
-            batches_reexecuted: 0,
-            delta_rows_in: 0,
-            ..*self
-        }
     }
 
     /// Fraction of plan lookups served by the cache:
@@ -175,75 +163,51 @@ impl PublishTrace {
     }
 }
 
-/// Splice provenance of one published element: which view node produced
-/// it and, when that node has children, the parameter environment they
-/// were expanded under. This is exactly what the delta path needs to
-/// re-run a child node under one surviving parent instance.
-#[derive(Debug, Clone)]
-pub(crate) struct SpliceEntry {
-    /// The schema-tree node that emitted the element.
-    pub(crate) view: ViewNodeId,
-    /// The environment the element's children run under (the element's
-    /// own binding variable included); `None` when the view node has no
-    /// children, since nothing ever runs under a leaf. Shared, so grafting
-    /// a task copies entries without copying environments.
-    pub(crate) child_env: Option<Arc<ParamEnv>>,
-}
-
 /// One root task of a published document: the element subtree of one
-/// root-level instance, kept as its own arena fragment so a delta can
-/// rebuild, re-serialize and swap it without touching any other task.
+/// root-level instance, kept as its own skeleton so a delta can rebuild,
+/// re-serialize and swap it without touching any other task.
 #[derive(Debug)]
 pub struct SpliceTask {
     /// The root-level view node the task instantiates.
     view: ViewNodeId,
-    /// The task's arena fragment (its root holds the task's element).
-    fragment: Document,
-    /// Splice provenance keyed by fragment-local node ids.
-    entries: HashMap<xvc_xml::NodeId, SpliceEntry>,
+    /// The task's elements with their splice provenance (its synthetic
+    /// root holds the task's element).
+    skel: Skeleton,
     /// `(slot, key)` for every value a narrowing slot ([`NarrowSlot`])
-    /// takes in the `child_env` of an entry of the slot's parent view
-    /// node: a delta finds the tasks holding a narrowed parent without
-    /// walking their fragments.
+    /// takes in the child environment of an element of the slot's parent
+    /// view node: a delta finds the tasks holding a narrowed parent
+    /// without walking their skeletons.
     keys: HashSet<(usize, JoinKey)>,
-    /// The fragment, serialized.
+    /// The skeleton, serialized.
     xml: String,
 }
 
 impl SpliceTask {
-    fn new(
-        view: ViewNodeId,
-        fragment: Document,
-        entries: HashMap<xvc_xml::NodeId, SpliceEntry>,
-        slots: &[NarrowSlot],
-    ) -> SpliceTask {
+    fn new(view: ViewNodeId, skel: Skeleton, slots: &[NarrowSlot]) -> SpliceTask {
         let mut keys = HashSet::new();
-        for entry in entries.values() {
-            let Some(env) = entry.child_env.as_deref() else {
+        for id in skel.elements() {
+            let Some(env) = skel.child_env(id) else {
                 continue;
             };
-            for (i, (_, (var, attr))) in slots
-                .iter()
-                .enumerate()
-                .filter(|(_, (parent, _))| *parent == entry.view)
+            let parent = skel.view(id);
+            for (i, (_, (var, attr))) in slots.iter().enumerate().filter(|(_, (p, _))| *p == parent)
             {
                 if let Some(k) = env.get(var).and_then(|t| t.get(attr)).and_then(JoinKey::of) {
                     keys.insert((i, k));
                 }
             }
         }
-        let xml = fragment.to_xml();
+        let xml = skel.to_xml();
         SpliceTask {
             view,
-            fragment,
-            entries,
+            skel,
             keys,
             xml,
         }
     }
 }
 
-/// The per-root-task state of a batched publish, in document order — what
+/// The per-root-task state of a publish, in document order — what
 /// [`crate::Session::republish_delta`] patches through. A delta rebuilds
 /// only the tasks holding a re-executed parent and shares every other
 /// entry (`Arc`) with the previous index. Recorded by
@@ -272,13 +236,13 @@ impl SpliceIndex {
         out
     }
 
-    /// The merged document: every task fragment imported in order.
+    /// The merged document: every task skeleton emitted in order.
     pub(crate) fn document(&self) -> Document {
         let mut builder = TreeBuilder::new();
         for t in &self.tasks {
-            for &kid in t.fragment.children(t.fragment.root()) {
-                builder.import(&t.fragment, kid);
-            }
+            t.skel
+                .emit(&mut builder)
+                .expect("building a document cannot fail");
         }
         builder.finish()
     }
@@ -313,8 +277,8 @@ pub struct Published {
     /// Per-element provenance; `Some` only when tracing was requested via
     /// [`crate::Engine::traced`].
     pub trace: Option<PublishTrace>,
-    /// Splice provenance; `Some` only on batched publishes with
-    /// [`crate::Engine::incremental`] on (delta republishes keep it current).
+    /// Splice provenance; `Some` only with [`crate::Engine::incremental`]
+    /// on (delta republishes keep it current).
     pub splice: Option<SpliceIndex>,
     /// View nodes whose guard / tag batches a delta republish actually
     /// re-executed — the measured set the soundness tests compare against
@@ -367,85 +331,18 @@ const MEMO_CAP: usize = 256;
 pub(crate) struct PublishConfig {
     pub(crate) tracing: bool,
     pub(crate) parallel: usize,
-    pub(crate) prepared: bool,
-    pub(crate) batched: bool,
     pub(crate) incremental: bool,
 }
 
 /// One publish execution: a validated schema tree plus the plan set the
-/// engine ensured for the target catalog. [`crate::Session`] constructs
-/// one per call through the wrappers below.
-struct Run<'a> {
-    tree: &'a SchemaTree,
-    plans: &'a HashMap<PlanKey, PlanEntry>,
-    cfg: &'a PublishConfig,
-}
-
-/// Full-publish orchestration behind [`crate::Session::publish`]. The
-/// caller has already validated `tree` and ensured `plans` is current for
-/// `db`'s catalog; `stats` carries the plan-cache counters it accumulated
-/// doing so.
-pub(crate) fn run_full_publish(
-    tree: &SchemaTree,
-    plans: &HashMap<PlanKey, PlanEntry>,
-    cfg: &PublishConfig,
-    db: &Database,
-    stats: PublishStats,
-) -> Result<Published> {
-    Run { tree, plans, cfg }.full(db, stats)
-}
-
-/// Segment-publish orchestration behind
-/// [`crate::Session::publish_segments`]: the batched walk, recording the
-/// per-root-task state and no merged document. Same caller contract as
-/// [`run_full_publish`].
-pub(crate) fn run_segment_publish(
-    tree: &SchemaTree,
-    plans: &HashMap<PlanKey, PlanEntry>,
-    cfg: &PublishConfig,
-    db: &Database,
-    stats: PublishStats,
-) -> Result<Segmented> {
-    Run { tree, plans, cfg }.segments(db, stats)
-}
-
-/// The delta republish behind [`crate::Session::republish_delta`] and
-/// [`crate::Session::republish_segments`]. Same caller contract as
-/// [`run_full_publish`]; `db` is the post-delta database.
-pub(crate) fn run_delta_republish(
-    tree: &SchemaTree,
-    plans: &HashMap<PlanKey, PlanEntry>,
-    cfg: &PublishConfig,
-    db: &Database,
-    prev: &SpliceIndex,
-    delta: &Delta,
-    stats: PublishStats,
-) -> Result<Segmented> {
-    Run { tree, plans, cfg }.delta(db, prev, delta, stats)
-}
-
-/// Streaming-publish orchestration behind [`crate::Session::publish_to`]:
-/// the batched frontier walk with the arena sink swapped for the reusable
-/// per-task [`Skeleton`], drained into `sink` task by task — serialized
-/// XML is the only output; no document is ever materialized. Returns
-/// `(stats, eval, peak_emit_bytes)` where the peak is the high-water mark
-/// of the skeleton's buffers across tasks (the emission path's whole
-/// retained footprint, bounded by the largest root-level subtree rather
-/// than the document).
-///
-/// Caller contract: same as [`run_full_publish`], plus `cfg` is batched
-/// and untraced (the caller handles the materializing fallback). Tasks run
-/// sequentially — bytes leave in document order, so there is nothing to
-/// parallelize ahead of the writer.
-pub(crate) fn run_stream_publish(
-    tree: &SchemaTree,
-    plans: &HashMap<PlanKey, PlanEntry>,
-    cfg: &PublishConfig,
-    db: &Database,
-    stats: PublishStats,
-    sink: &mut dyn XmlSink,
-) -> Result<(PublishStats, EvalStats, usize)> {
-    Run { tree, plans, cfg }.stream(db, stats, sink)
+/// engine ensured for the target catalog. [`crate::Session`] builds one
+/// per call; each entry point's caller has already validated `tree` and
+/// ensured `plans` is current for the database's catalog, and passes in
+/// the plan-cache counters it accumulated doing so.
+pub(crate) struct Run<'a> {
+    pub(crate) tree: &'a SchemaTree,
+    pub(crate) plans: &'a HashMap<PlanKey, PlanEntry>,
+    pub(crate) cfg: &'a PublishConfig,
 }
 
 impl Run<'_> {
@@ -453,48 +350,46 @@ impl Run<'_> {
     /// queries of the root-level nodes `keep` admits, and cuts the document
     /// into one task per root element instance. The decomposition — and
     /// therefore every per-task counter — is independent of the thread
-    /// count *and* of the sink (arena vs streaming) the tasks are later
-    /// drained through. Returns the worker that ran the root queries (it
-    /// carries their stats/eval/trace) and the tasks, in document order.
-    fn root_pass<'s>(
+    /// count and of what is done with the finished tasks. Returns the root
+    /// queries' counters and engine work, and the tasks in document order.
+    fn root_pass(
         &self,
-        shared: &'s Shared<'s>,
+        shared: &Shared<'_>,
         keep: impl Fn(ViewNodeId) -> bool,
-    ) -> Result<(Worker<'s>, Vec<Task>)> {
-        let mut main = Worker::new(shared, HashMap::new());
+    ) -> Result<(PublishStats, EvalStats, Vec<Task>)> {
+        let mut stats = PublishStats::default();
+        let mut eval = EvalStats::default();
         let mut tasks: Vec<Task> = Vec::new();
-        let mut root_counts: HashMap<String, usize> = HashMap::new();
-        let env = ParamEnv::new();
+        let mut root_counts: HashMap<&str, usize> = HashMap::new();
         for &child in self.tree.children(self.tree.root()) {
             if !keep(child) {
                 continue;
             }
             let node = self.tree.node(child).expect("non-root id");
             if let Some(guard) = &node.guard {
-                main.stats.queries_run += 1;
+                stats.queries_run += 1;
                 let probe = guard_probe(guard);
-                if main
-                    .run_tag_query(child, Role::Guard, &probe, &env)?
+                if shared
+                    .run_root_query(child, Role::Guard, &probe, &mut stats, &mut eval)?
                     .is_empty()
                 {
                     continue;
                 }
             }
-            let mut seed = |tag: &str| {
-                let n = root_counts.entry(tag.to_owned()).or_insert(0);
+            let mut seed = || {
+                let n = root_counts.entry(node.tag.as_str()).or_insert(0);
                 *n += 1;
                 *n - 1
             };
             match &node.query {
                 Some(q) if node.context_tuple_of.is_none() => {
-                    let rel = main.run_tag_query(child, Role::Tag, q, &env)?;
-                    main.stats.queries_run += 1;
-                    main.stats.tuples_fetched += rel.len();
+                    let rel = shared.run_root_query(child, Role::Tag, q, &mut stats, &mut eval)?;
+                    stats.queries_run += 1;
+                    stats.tuples_fetched += rel.len();
                     for i in 0..rel.len() {
                         tasks.push(Task {
                             vid: child,
-                            tag: node.tag.clone(),
-                            index: seed(&node.tag),
+                            index: seed(),
                             tuple: Some(rel.tuple(i)),
                         });
                     }
@@ -502,14 +397,13 @@ impl Run<'_> {
                 _ => {
                     tasks.push(Task {
                         vid: child,
-                        tag: node.tag.clone(),
-                        index: seed(&node.tag),
+                        index: seed(),
                         tuple: None,
                     });
                 }
             }
         }
-        Ok((main, tasks))
+        Ok((stats, eval, tasks))
     }
 
     /// The shared-scan slots of one publish, cut after the root pass: one
@@ -546,38 +440,94 @@ impl Run<'_> {
         scans
     }
 
-    /// Root pass plus every task it cut (sharing scans across root tasks,
-    /// in parallel when configured), merged deterministically in task (=
-    /// document) order: counters, engine work and trace are summed here,
-    /// and each task's fragment and splice provenance is handed to `each`.
-    fn run_merged(
+    /// The task driver behind every entry point: the root pass, then every
+    /// root task it cut (sharing scans across root tasks), each grown in a
+    /// skeleton that is handed to `each` in task (= document) order. `each`
+    /// may take the skeleton or leave it to be cleared and reused. With
+    /// `parallel <= 1` every task is handed over before the next one runs,
+    /// so one skeleton serves the whole publish; otherwise tasks run on a
+    /// scoped thread pool and are handed over once all have finished.
+    /// Counters are summed into `stats`; returns the engine work and the
+    /// view nodes whose guard / tag batches the tasks issued.
+    fn drive(
         &self,
-        shared: &Shared<'_>,
+        db: &Database,
         keep: impl Fn(ViewNodeId) -> bool,
+        parallel: usize,
         stats: &mut PublishStats,
-        mut each: impl FnMut(&Task, TaskOut),
-    ) -> Result<(EvalStats, Vec<TraceEntry>)> {
-        let (main, tasks) = self.root_pass(shared, keep)?;
-        let scans = self.shared_scans(&tasks);
-        let task_shared = Shared {
-            scans: Some(&scans),
-            ..*shared
+        mut each: impl FnMut(&Task, &mut Skeleton) -> Result<()>,
+    ) -> Result<(EvalStats, BTreeSet<usize>)> {
+        let shared = Shared {
+            tree: self.tree,
+            db,
+            plans: self.plans,
+            scans: None,
         };
-        let outs = run_tasks(&task_shared, &tasks, self.cfg.parallel);
-        // The merge below reads only task outputs: release the scans first.
-        drop(scans);
+        let (root_stats, mut eval, tasks) = self.root_pass(&shared, keep)?;
+        stats.absorb(&root_stats);
+        let scans = self.shared_scans(&tasks);
+        let shared = Shared {
+            scans: Some(&scans),
+            ..shared
+        };
 
-        stats.absorb(&main.stats);
-        let mut eval = main.eval;
-        let mut trace = main.trace;
-        for (task, out) in tasks.iter().zip(outs) {
-            let mut out = out.expect("every task slot is filled")?;
-            stats.absorb(&out.stats);
-            eval.absorb(&out.eval);
-            trace.append(&mut out.trace);
-            each(task, out);
+        let n = parallel.clamp(1, tasks.len().max(1));
+        // `finished` holds the skeletons of tasks that ran on the pool; a
+        // sequential run hands each one over as it completes instead.
+        let (workers, finished) = if n == 1 {
+            let mut w = BatchWorker::new(&shared);
+            for task in &tasks {
+                w.run_task(task)?;
+                each(task, &mut w.skel)?;
+            }
+            (vec![w], Vec::new())
+        } else {
+            let slots: Vec<Mutex<Option<Result<Skeleton>>>> =
+                tasks.iter().map(|_| Mutex::new(None)).collect();
+            let next = AtomicUsize::new(0);
+            let workers = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..n)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let mut w = BatchWorker::new(&shared);
+                            loop {
+                                let i = next.fetch_add(1, Ordering::Relaxed);
+                                let Some(task) = tasks.get(i) else { break w };
+                                let out = w.run_task(task).map(|()| std::mem::take(&mut w.skel));
+                                *slots[i].lock().expect("a task slot is never poisoned") =
+                                    Some(out);
+                            }
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("publish task thread panicked"))
+                    .collect()
+            });
+            let finished: Vec<Result<Skeleton>> = slots
+                .into_iter()
+                .map(|m| {
+                    m.into_inner()
+                        .expect("a task slot is never poisoned")
+                        .expect("every task slot is filled")
+                })
+                .collect();
+            (workers, finished)
+        };
+        let mut touched = BTreeSet::new();
+        for w in workers {
+            stats.absorb(&w.stats);
+            eval.absorb(&w.eval);
+            touched.extend(w.touched);
         }
-        Ok((eval, trace))
+        // The hand-over below reads only finished skeletons: release the
+        // scans first.
+        drop(scans);
+        for (task, skel) in tasks.iter().zip(finished) {
+            each(task, &mut skel?)?;
+        }
+        Ok((eval, touched))
     }
 
     /// The narrowing slots of this tree: for every prepared tag plan of a
@@ -602,44 +552,38 @@ impl Run<'_> {
     }
 
     /// Evaluates the schema tree against `db`, producing `v(I)` plus
-    /// statistics (and a trace when requested). Incremental batched
-    /// publishes also keep every task's fragment as a [`SpliceIndex`].
-    fn full(&self, db: &Database, mut stats: PublishStats) -> Result<Published> {
-        let collect_splice = self.cfg.incremental && self.cfg.batched;
-        let shared = Shared {
-            tree: self.tree,
-            db,
-            plans: self.plans,
-            scans: None,
-            use_plans: self.cfg.prepared,
-            tracing: self.cfg.tracing,
-            batched: self.cfg.batched,
-            collect_splice,
-        };
+    /// statistics: every task skeleton is emitted into one
+    /// [`TreeBuilder`], read for the trace when tracing, and kept as a
+    /// [`SpliceIndex`] entry when incremental.
+    pub(crate) fn full(&self, db: &Database, mut stats: PublishStats) -> Result<Published> {
+        let cfg = self.cfg;
         let slots = self.narrow_slots();
         let mut builder = TreeBuilder::new();
+        let mut trace = Vec::new();
         let mut spliced = Vec::new();
-        let (eval, trace) = self.run_merged(
-            &shared,
+        let (eval, _) = self.drive(
+            db,
             |_| true,
+            cfg.parallel,
             &mut stats,
-            |task, out| {
-                for &kid in out.doc.children(out.doc.root()) {
-                    builder.import(&out.doc, kid);
+            |task, skel| {
+                skel.emit(&mut builder)?;
+                if cfg.tracing {
+                    skel.trace(task, &mut trace);
                 }
-                if collect_splice {
-                    spliced.push(Arc::new(SpliceTask::new(
-                        task.vid, out.doc, out.splice, &slots,
-                    )));
+                if cfg.incremental {
+                    let skel = std::mem::take(skel);
+                    spliced.push(Arc::new(SpliceTask::new(task.vid, skel, &slots)));
                 }
+                Ok(())
             },
         )?;
         Ok(Published {
             document: builder.finish(),
             stats,
             eval,
-            trace: self.cfg.tracing.then_some(PublishTrace { entries: trace }),
-            splice: collect_splice.then_some(SpliceIndex {
+            trace: cfg.tracing.then_some(PublishTrace { entries: trace }),
+            splice: cfg.incremental.then_some(SpliceIndex {
                 tasks: spliced,
                 slots,
             }),
@@ -647,30 +591,20 @@ impl Run<'_> {
         })
     }
 
-    /// The batched walk with every task kept as its own fragment and
-    /// serialized segment: [`Run::full`]'s splice index without the merged
-    /// document or a trace.
-    fn segments(&self, db: &Database, mut stats: PublishStats) -> Result<Segmented> {
-        let shared = Shared {
-            tree: self.tree,
-            db,
-            plans: self.plans,
-            scans: None,
-            use_plans: self.cfg.prepared,
-            tracing: false,
-            batched: true,
-            collect_splice: true,
-        };
+    /// Every task skeleton kept as its own [`SpliceIndex`] entry and
+    /// serialized segment, with no merged document or trace.
+    pub(crate) fn segments(&self, db: &Database, mut stats: PublishStats) -> Result<Segmented> {
         let slots = self.narrow_slots();
         let mut tasks = Vec::new();
-        let (eval, _) = self.run_merged(
-            &shared,
+        let (eval, _) = self.drive(
+            db,
             |_| true,
+            self.cfg.parallel,
             &mut stats,
-            |task, out| {
-                tasks.push(Arc::new(SpliceTask::new(
-                    task.vid, out.doc, out.splice, &slots,
-                )));
+            |task, skel| {
+                let skel = std::mem::take(skel);
+                tasks.push(Arc::new(SpliceTask::new(task.vid, skel, &slots)));
+                Ok(())
             },
         )?;
         Ok(Segmented {
@@ -681,67 +615,32 @@ impl Run<'_> {
         })
     }
 
-    /// Streams `v(I)` into `sink` with no output DOM: the same root pass
-    /// and breadth-first wave machinery as [`Run::full`], but each task's
-    /// elements land in the reusable [`Skeleton`] instead of an arena
-    /// document and are serialized out (document-order DFS) as soon as the
-    /// task's waves are exhausted. Byte output equals
-    /// `full(..).document.to_xml()` through the same [`XmlSink`]; stats
-    /// and eval counters equal the batched materializing path's (the memo
-    /// stays task-scoped, the decomposition is identical).
-    fn stream(
+    /// Streams `v(I)` into `sink` with no output document: tasks run
+    /// sequentially on one reused skeleton, each serialized out before the
+    /// next one runs — bytes leave in document order, so there is nothing
+    /// to parallelize ahead of the writer. Byte output equals
+    /// `full(..).document.to_xml()` through the same [`XmlSink`], and so do
+    /// the counters. Returns `(stats, eval, peak_emit_bytes)`, the peak
+    /// being the skeleton's high-water mark across tasks (the emission
+    /// path's whole retained footprint, bounded by the largest root-level
+    /// subtree rather than the document).
+    pub(crate) fn stream(
         &self,
         db: &Database,
         mut stats: PublishStats,
         sink: &mut dyn XmlSink,
     ) -> Result<(PublishStats, EvalStats, usize)> {
-        let shared = Shared {
-            tree: self.tree,
-            db,
-            plans: self.plans,
-            scans: None,
-            use_plans: self.cfg.prepared,
-            tracing: false,
-            batched: true,
-            collect_splice: false,
-        };
-        let (main, tasks) = self.root_pass(&shared, |_| true)?;
-        stats.absorb(&main.stats);
-        let mut eval = main.eval;
-
-        let scans = self.shared_scans(&tasks);
-        let task_shared = Shared {
-            scans: Some(&scans),
-            ..shared
-        };
-        let mut w = BatchWorker::with_store(&task_shared, Skeleton::default());
         let mut peak = 0usize;
-        let env = ParamEnv::new();
-        for task in &tasks {
-            // Per-task state resets exactly as a fresh `BatchWorker` would:
-            // the memo is task-scoped (statistics parity with
-            // `run_task_batched`), the skeleton's buffers are drained but
-            // keep their capacity and interned names.
-            w.doc.begin_task();
-            w.memo.clear();
-            let root = w.doc.root();
-            let (el, child_env) = w.emit_node_instance(root, task.vid, &env, task.tuple.as_ref());
-            let frontier: Vec<Pending<SkelId>> = self
-                .tree
-                .children(task.vid)
-                .iter()
-                .map(|&vid| Pending {
-                    parent: el,
-                    vid,
-                    env: child_env.clone(),
-                })
-                .collect();
-            expand_frontier(&mut w, frontier)?;
-            peak = peak.max(w.doc.heap_bytes());
-            w.doc.emit(sink)?;
-        }
-        stats.absorb(&w.stats);
-        eval.absorb(&w.eval);
+        let (eval, _) = self.drive(
+            db,
+            |_| true,
+            1,
+            &mut stats,
+            |_, skel| {
+                peak = peak.max(skel.heap_bytes());
+                Ok(skel.emit(&mut *sink)?)
+            },
+        )?;
         Ok((stats, eval, peak))
     }
 
@@ -752,11 +651,11 @@ impl Run<'_> {
     /// into ([`Run::narrowing`]), or under every instance when it cannot be
     /// narrowed. All re-executions share one frontier — one batch per
     /// (view node, wave) — and each root task holding a re-run parent is
-    /// rebuilt from its own fragment and re-serialized; every other task
+    /// rebuilt from its own skeleton and re-serialized; every other task
     /// entry is shared with `prev`. An affected root-level node replaces
     /// only its own run of root tasks. See
     /// [`crate::Session::republish_delta`] for the full contract.
-    fn delta(
+    pub(crate) fn delta(
         &self,
         db: &Database,
         prev: &SpliceIndex,
@@ -814,36 +713,29 @@ impl Run<'_> {
         }
 
         // Seed every (selected parent instance, top node) pair into one
-        // shared frontier: each pair grows under its own holder element,
-        // and the wave loop batches per (view node, wave) across all
-        // holders at once.
+        // shared frontier: each pair grows under its own holder node, and
+        // the wave loop batches per (view node, wave) across all holders
+        // at once.
         let shared = Shared {
             tree,
             db,
             plans: self.plans,
             scans: None,
-            use_plans: self.cfg.prepared,
-            tracing: false,
-            batched: true,
-            collect_splice: true,
         };
         let mut w = BatchWorker::new(&shared);
-        let wroot = w.doc.root();
+        w.skel.begin_task();
         let mut patches: HashMap<usize, Patches> = HashMap::new();
         let mut frontier: Vec<Pending> = Vec::new();
         for &i in &walk {
-            let task = &prev.tasks[i];
-            for pid in task.fragment.descendants(task.fragment.root()) {
-                let Some(entry) = task.entries.get(&pid) else {
-                    continue;
-                };
-                let (Some(tops), Some(env)) = (tops_by_parent.get(&entry.view), &entry.child_env)
+            let skel = &prev.tasks[i].skel;
+            for pid in skel.elements() {
+                let (Some(tops), Some(env)) =
+                    (tops_by_parent.get(&skel.view(pid)), skel.child_env(pid))
                 else {
                     continue;
                 };
                 for top in tops.iter().filter(|t| t.selects(env)) {
-                    let holder = w.doc.create_element("delta-holder");
-                    w.doc.append_child(wroot, holder);
+                    let holder = w.skel.holder();
                     patches
                         .entry(i)
                         .or_default()
@@ -853,37 +745,35 @@ impl Run<'_> {
                     frontier.push(Pending {
                         parent: holder,
                         vid: top.vid,
-                        env: ParamEnv::clone(env),
+                        env: Arc::clone(env),
                     });
                 }
             }
         }
-        expand_frontier(&mut w, frontier)?;
+        w.expand(frontier)?;
 
         // Affected root-level nodes: a fresh root pass and task run for
         // just those nodes, exactly as a full publish cuts them.
         let mut fresh: HashMap<ViewNodeId, Vec<Arc<SpliceTask>>> = HashMap::new();
-        let mut reexecuted = w.touched.clone();
+        let mut reexecuted = std::mem::take(&mut w.touched);
         let mut eval = w.eval;
         if !root_tops.is_empty() {
-            let (root_eval, _) = self.run_merged(
-                &shared,
+            let (root_eval, touched) = self.drive(
+                db,
                 |vid| root_tops.contains(&vid),
+                self.cfg.parallel,
                 &mut stats,
-                |task, out| {
-                    reexecuted.extend(&out.touched);
+                |task, skel| {
+                    let skel = std::mem::take(skel);
                     fresh
                         .entry(task.vid)
                         .or_default()
-                        .push(Arc::new(SpliceTask::new(
-                            task.vid,
-                            out.doc,
-                            out.splice,
-                            &prev.slots,
-                        )));
+                        .push(Arc::new(SpliceTask::new(task.vid, skel, &prev.slots)));
+                    Ok(())
                 },
             )?;
             eval.absorb(&root_eval);
+            reexecuted.extend(touched);
             reexecuted.extend(root_tops.iter().map(|v| v.index()));
         }
 
@@ -911,25 +801,9 @@ impl Run<'_> {
                 for list in patch.values_mut() {
                     list.sort_by_key(|(vid, _)| vid.index());
                 }
-                let mut graft = Graft {
-                    old: &old.fragment,
-                    old_splice: &old.entries,
-                    patches: patch,
-                    worker_doc: &w.doc,
-                    worker_splice: &w.splice,
-                    new_doc: Document::new(),
-                    entries: HashMap::new(),
-                    respliced: 0,
-                };
-                let new_root = graft.new_doc.root();
-                graft.copy_children(old.fragment.root(), new_root);
-                respliced += graft.respliced;
-                tasks.push(Arc::new(SpliceTask::new(
-                    old.view,
-                    graft.new_doc,
-                    graft.entries,
-                    &prev.slots,
-                )));
+                let (skel, n) = Graft::run(&old.skel, patch, &w.skel);
+                respliced += n;
+                tasks.push(Arc::new(SpliceTask::new(old.view, skel, &prev.slots)));
             }
         }
 
@@ -1018,9 +892,9 @@ type NarrowSlot = (ViewNodeId, (String, String));
 /// changed rows' keyed column.
 type NarrowKeys = Vec<((String, String), HashSet<JoinKey>)>;
 
-/// Old fragment parent → `(child view node, holder)` replacements of one
+/// Old skeleton parent → `(child view node, holder)` replacements of one
 /// root task's graft.
-type Patches = HashMap<xvc_xml::NodeId, Vec<(ViewNodeId, xvc_xml::NodeId)>>;
+type Patches = HashMap<SkelId, Vec<(ViewNodeId, SkelId)>>;
 
 /// A top-most affected view node below the root level, with the parent
 /// instances it re-runs under ([`Run::narrowing`]).
@@ -1095,377 +969,392 @@ struct Shared<'a> {
     /// This publish's shared-scan slots ([`Run::shared_scans`]); `None` for
     /// the root pass and for delta republishes.
     scans: Option<&'a HashMap<PlanKey, SharedScan>>,
-    use_plans: bool,
-    tracing: bool,
-    batched: bool,
-    collect_splice: bool,
+}
+
+impl Shared<'_> {
+    /// Runs one root-level tag query or guard probe. Root-level queries
+    /// run once each under no bindings, so they execute scalar: through
+    /// the node's prepared plan — counted as the memo miss a bindable
+    /// execution is — or through the interpreter when the plan failed to
+    /// prepare.
+    fn run_root_query(
+        &self,
+        vid: ViewNodeId,
+        role: Role,
+        q: &SelectQuery,
+        stats: &mut PublishStats,
+        eval: &mut EvalStats,
+    ) -> Result<Relation> {
+        let env = ParamEnv::new();
+        match self.plans.get(&(vid.index() as u32, role)) {
+            Some(PlanEntry::Ready(plan)) => {
+                if memo_key(plan.slots(), &env).is_some() {
+                    stats.memo_misses += 1;
+                }
+                Ok(plan.execute_stats(self.db, &env, eval)?)
+            }
+            _ => Ok(eval_query_stats(
+                self.db,
+                q,
+                &env,
+                EvalOptions::default(),
+                eval,
+            )?),
+        }
+    }
 }
 
 /// One root-level element instance to publish: a query-node tuple, or a
 /// literal / context-copy element.
 struct Task {
     vid: ViewNodeId,
-    tag: String,
-    /// 0-based occurrence index of `tag` among root-level siblings, for
-    /// indexed trace paths.
+    /// 0-based occurrence index of the node's tag among root-level
+    /// siblings, for indexed trace paths.
     index: usize,
     tuple: Option<NamedTuple>,
 }
 
-/// What one task produced: a document fragment (the element subtree) plus
-/// its private counters and trace entries.
-struct TaskOut {
-    doc: Document,
+/// One frontier slot: a view node still to expand under `parent` with the
+/// bindings accumulated on the path down to it (shared with the parent
+/// element's recorded child environment).
+struct Pending {
+    parent: SkelId,
+    vid: ViewNodeId,
+    env: Arc<ParamEnv>,
+}
+
+/// Per-task state of the breadth-first walk: the skeleton the task grows
+/// in, its counters, and the result memo (task-scoped, so statistics
+/// cannot depend on how tasks are spread over threads).
+struct BatchWorker<'a> {
+    shared: &'a Shared<'a>,
+    skel: Skeleton,
     stats: PublishStats,
     eval: EvalStats,
-    trace: Vec<TraceEntry>,
-    /// Splice provenance keyed by the fragment's node ids. Empty unless
-    /// splice collection is on.
-    splice: HashMap<xvc_xml::NodeId, SpliceEntry>,
-    /// View nodes whose guard / tag batches the task issued (batched path
-    /// only; node arena indexes).
+    /// `(node, role, rendered binding values)` → relation.
+    memo: HashMap<(u32, Role, String), Relation>,
+    /// View nodes whose guard / tag batches this worker issued (delta-path
+    /// soundness bookkeeping; node arena indexes).
     touched: BTreeSet<usize>,
 }
 
-/// Runs every task — inline when `parallel <= 1`, else on a scoped thread
-/// pool — returning results in task order.
-fn run_tasks(shared: &Shared<'_>, tasks: &[Task], parallel: usize) -> Vec<Option<Result<TaskOut>>> {
-    let n = parallel.clamp(1, tasks.len().max(1));
-    if n <= 1 {
-        return tasks.iter().map(|t| Some(run_task(shared, t))).collect();
-    }
-    let slots: Vec<Mutex<Option<Result<TaskOut>>>> =
-        tasks.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..n {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(task) = tasks.get(i) else { break };
-                let out = run_task(shared, task);
-                *slots[i].lock().expect("task slot") = Some(out);
-            });
+impl<'a> BatchWorker<'a> {
+    fn new(shared: &'a Shared<'a>) -> Self {
+        BatchWorker {
+            shared,
+            skel: Skeleton::default(),
+            stats: PublishStats::default(),
+            eval: EvalStats::default(),
+            memo: HashMap::new(),
+            touched: BTreeSet::new(),
         }
-    });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("task slot"))
-        .collect()
-}
-
-fn run_task(shared: &Shared<'_>, task: &Task) -> Result<TaskOut> {
-    if shared.batched {
-        return run_task_batched(shared, task);
     }
-    let mut seed = HashMap::new();
-    seed.insert(task.tag.clone(), task.index);
-    let mut w = Worker::new(shared, seed);
-    w.emit_instance(task.vid, &ParamEnv::new(), task.tuple.as_ref())?;
-    Ok(TaskOut {
-        doc: w.builder.finish(),
-        stats: w.stats,
-        eval: w.eval,
-        trace: w.trace,
-        splice: HashMap::new(),
-        touched: BTreeSet::new(),
-    })
-}
 
-/// Publishes one subtree task breadth-first: the frontier holds every
-/// `(parent element, view node, bindings)` still to expand at the current
-/// depth, and each (view node, frontier) pair runs **one** set-oriented
-/// tag-query / guard execution for all its parents at once, with the rows
-/// regrouped back to their parent elements afterwards. Document order is
-/// preserved because a parent's pending view nodes are expanded in schema
-/// order (ascending node id) and each batch returns per-binding rows in
-/// the scalar path's row order.
-fn run_task_batched(shared: &Shared<'_>, task: &Task) -> Result<TaskOut> {
-    let tree = shared.tree;
-    let mut w = BatchWorker::new(shared);
-    let env = ParamEnv::new();
-    let root = w.doc.root();
-    let (el, child_env) = w.emit_node_instance(root, task.vid, &env, task.tuple.as_ref());
+    /// Publishes one root task into the cleared skeleton, with a fresh
+    /// memo.
+    fn run_task(&mut self, task: &Task) -> Result<()> {
+        self.skel.begin_task();
+        self.memo.clear();
+        let mut frontier = Vec::new();
+        let root = self.skel.root();
+        let env = Arc::new(ParamEnv::new());
+        self.emit_node_instance(root, task.vid, &env, task.tuple.as_ref(), &mut frontier);
+        self.expand(frontier)
+    }
 
-    let frontier: Vec<Pending> = tree
-        .children(task.vid)
-        .iter()
-        .map(|&vid| Pending {
-            parent: el,
-            vid,
-            env: child_env.clone(),
-        })
-        .collect();
-    expand_frontier(&mut w, frontier)?;
-
-    let trace = if shared.tracing {
-        w.build_trace(task)
-    } else {
-        Vec::new()
-    };
-    Ok(TaskOut {
-        doc: w.doc,
-        stats: w.stats,
-        eval: w.eval,
-        trace,
-        splice: w.splice,
-        touched: w.touched,
-    })
-}
-
-/// The level-at-a-time engine of the batched path: expands `frontier`
-/// breadth-first to exhaustion inside `w`'s store. Factored out of
-/// [`run_task_batched`] so [`crate::Session::republish_delta`] can seed it with
-/// an arbitrary set of `(parent, view node, bindings)` slots instead of a
-/// single task root, and generic over the [`WaveStore`] so the streaming
-/// sink ([`Run::stream`]) runs the identical walk.
-fn expand_frontier<S: WaveStore>(
-    w: &mut BatchWorker<'_, S>,
-    mut frontier: Vec<Pending<S::Id>>,
-) -> Result<()> {
-    let tree = w.shared.tree;
-    while !frontier.is_empty() {
-        let mut next: Vec<Pending<S::Id>> = Vec::new();
-        // Group the level by view node, in schema (ascending id) order:
-        // every parent sees its children appended in schema order, and
-        // each group becomes at most one guard batch + one tag batch.
-        let mut groups: std::collections::BTreeMap<usize, Vec<usize>> =
-            std::collections::BTreeMap::new();
-        for (i, p) in frontier.iter().enumerate() {
-            groups.entry(p.vid.index()).or_default().push(i);
-        }
-        for (_, mut live) in groups {
-            let vid = frontier[live[0]].vid;
-            let node = tree.node(vid).expect("frontier holds non-root ids");
-
-            if let Some(guard) = &node.guard {
-                w.touched.insert(vid.index());
-                let probe = guard_probe(guard);
-                let envs: Vec<ParamEnv> = live.iter().map(|&i| frontier[i].env.clone()).collect();
-                w.stats.queries_run += envs.len();
-                let rels = w.run_batch(vid, Role::Guard, &probe, &envs)?;
-                live = live
-                    .iter()
-                    .zip(&rels)
-                    .filter(|(_, r)| !r.is_empty())
-                    .map(|(&i, _)| i)
-                    .collect();
+    /// The level-at-a-time engine: expands `frontier` breadth-first to
+    /// exhaustion. The frontier holds every `(parent element, view node,
+    /// bindings)` still to expand at the current depth, and each (view
+    /// node, frontier) pair runs **one** set-oriented tag-query / guard
+    /// execution for all its parents at once, with the rows regrouped back
+    /// to their parent elements afterwards. Document order is preserved
+    /// because a parent's pending view nodes are expanded in schema order
+    /// (ascending node id) and each batch returns per-binding rows in the
+    /// order one execution per binding would.
+    /// [`crate::Session::republish_delta`] seeds it with an arbitrary set
+    /// of slots instead of a single task root.
+    fn expand(&mut self, mut frontier: Vec<Pending>) -> Result<()> {
+        let tree = self.shared.tree;
+        while !frontier.is_empty() {
+            let mut next: Vec<Pending> = Vec::new();
+            // Group the level by view node, in schema (ascending id) order:
+            // every parent sees its children appended in schema order, and
+            // each group becomes at most one guard batch + one tag batch.
+            let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+            for (i, p) in frontier.iter().enumerate() {
+                groups.entry(p.vid.index()).or_default().push(i);
             }
+            for (_, mut live) in groups {
+                let vid = frontier[live[0]].vid;
+                let node = tree.node(vid).expect("frontier holds non-root ids");
 
-            if node.context_tuple_of.is_some() || node.query.is_none() {
-                for &i in &live {
+                if let Some(guard) = &node.guard {
+                    self.touched.insert(vid.index());
+                    let probe = guard_probe(guard);
+                    let envs: Vec<&ParamEnv> = live.iter().map(|&i| &*frontier[i].env).collect();
+                    self.stats.queries_run += envs.len();
+                    let rels = self.run_batch(vid, Role::Guard, &probe, &envs)?;
+                    live = live
+                        .iter()
+                        .zip(&rels)
+                        .filter(|(_, r)| !r.is_empty())
+                        .map(|(&i, _)| i)
+                        .collect();
+                }
+
+                if node.context_tuple_of.is_some() || node.query.is_none() {
+                    for &i in &live {
+                        let p = &frontier[i];
+                        self.emit_node_instance(p.parent, vid, &p.env, None, &mut next);
+                    }
+                    continue;
+                }
+
+                self.touched.insert(vid.index());
+                let query = node.query.as_ref().expect("query node");
+                let envs: Vec<&ParamEnv> = live.iter().map(|&i| &*frontier[i].env).collect();
+                let rels = self.run_batch(vid, Role::Tag, query, &envs)?;
+                for (&i, rel) in live.iter().zip(&rels) {
                     let p = &frontier[i];
-                    let (el, child_env) = w.emit_node_instance(p.parent, vid, &p.env, None);
-                    for &c in tree.children(vid) {
-                        next.push(Pending {
-                            parent: el,
-                            vid: c,
-                            env: child_env.clone(),
-                        });
+                    self.stats.queries_run += 1;
+                    self.stats.tuples_fetched += rel.len();
+                    for t in 0..rel.len() {
+                        let tuple = rel.tuple(t);
+                        self.emit_node_instance(p.parent, vid, &p.env, Some(&tuple), &mut next);
                     }
                 }
-                continue;
             }
+            frontier = next;
+        }
+        Ok(())
+    }
 
-            w.touched.insert(vid.index());
-            let query = node.query.as_ref().expect("query node");
-            let envs: Vec<ParamEnv> = live.iter().map(|&i| frontier[i].env.clone()).collect();
-            let rels = w.run_batch(vid, Role::Tag, query, &envs)?;
-            for (&i, rel) in live.iter().zip(&rels) {
-                let p = &frontier[i];
-                w.stats.queries_run += 1;
-                w.stats.tuples_fetched += rel.len();
-                for t in 0..rel.len() {
-                    let tuple = rel.tuple(t);
-                    let (el, child_env) = w.emit_node_instance(p.parent, vid, &p.env, Some(&tuple));
-                    for &c in tree.children(vid) {
-                        next.push(Pending {
-                            parent: el,
-                            vid: c,
-                            env: child_env.clone(),
-                        });
+    /// Creates one element instance under `parent` — tag, static and
+    /// projected tuple attributes, counters, provenance — and queues a
+    /// frontier slot per child view node in `next`. The children run under
+    /// the element's child environment: `env` plus the element's own
+    /// binding (the query tuple, or the copied context tuple).
+    fn emit_node_instance(
+        &mut self,
+        parent: SkelId,
+        vid: ViewNodeId,
+        env: &Arc<ParamEnv>,
+        tuple: Option<&NamedTuple>,
+        next: &mut Vec<Pending>,
+    ) {
+        let tree = self.shared.tree;
+        let node = tree.node(vid).expect("non-root id");
+        let children = tree.children(vid);
+        // The tuple the element projects attributes from, and whether its
+        // binding variable binds that tuple for the children.
+        let (bound, binds) = match &node.context_tuple_of {
+            Some(var) => (env.get(var), !node.bv.is_empty()),
+            None => (tuple, true),
+        };
+        let child_env = (!children.is_empty()).then(|| match bound {
+            Some(t) if binds => {
+                let mut child_env = ParamEnv::clone(env);
+                child_env.insert(node.bv.clone(), t.clone());
+                Arc::new(child_env)
+            }
+            _ => Arc::clone(env),
+        });
+        let el = self.skel.create_element(&node.tag, vid, child_env.clone());
+        self.skel.append_child(parent, el);
+        self.stats.elements += 1;
+        for (k, v) in &node.static_attrs {
+            self.skel.set_attr(el, k, v);
+            self.stats.attributes += 1;
+        }
+        if let Some(t) = bound {
+            for (k, v) in project_attrs(&node.attrs, &t.columns, &t.values) {
+                self.skel.set_attr(el, k, &v);
+                self.stats.attributes += 1;
+            }
+        }
+        if let Some(env) = child_env {
+            next.extend(children.iter().map(|&c| Pending {
+                parent: el,
+                vid: c,
+                env: Arc::clone(&env),
+            }));
+        }
+    }
+
+    /// Executes a node's tag query (or guard probe) for every environment
+    /// at once: one relation per environment, in order. The memo behaves
+    /// exactly as if the environments were executed one by one (hits,
+    /// misses, cap-bounded inserts): every binding's memo key is resolved
+    /// first and only the environments that would have reached the engine
+    /// are batched. A node whose plan failed to prepare is interpreted per
+    /// environment instead, with no batch counters.
+    fn run_batch(
+        &mut self,
+        vid: ViewNodeId,
+        role: Role,
+        q: &SelectQuery,
+        envs: &[&ParamEnv],
+    ) -> Result<Vec<Relation>> {
+        if envs.is_empty() {
+            return Ok(Vec::new());
+        }
+        let key_base = vid.index() as u32;
+        let Some(PlanEntry::Ready(plan)) = self.shared.plans.get(&(key_base, role)) else {
+            let mut rels = Vec::with_capacity(envs.len());
+            for env in envs {
+                rels.push(eval_query_stats(
+                    self.shared.db,
+                    q,
+                    env,
+                    EvalOptions::default(),
+                    &mut self.eval,
+                )?);
+            }
+            return Ok(rels);
+        };
+        let mut out: Vec<Option<Relation>> = vec![None; envs.len()];
+        // env index → slot in `pending` whose result it shares.
+        let mut share: Vec<usize> = vec![usize::MAX; envs.len()];
+        let mut pending: Vec<usize> = Vec::new();
+        // memo key → (pending slot of its first execution, whether that
+        // execution will be inserted into the memo).
+        let mut in_flight: HashMap<String, (usize, bool)> = HashMap::new();
+        let mut planned_inserts = 0usize;
+        for (i, env) in envs.iter().enumerate() {
+            match memo_key(plan.slots(), env) {
+                Some(key) => {
+                    if let Some(hit) = self.memo.get(&(key_base, role, key.clone())) {
+                        self.stats.memo_hits += 1;
+                        out[i] = Some(hit.clone());
+                    } else if let Some(&(slot, will_insert)) = in_flight.get(&key) {
+                        // One-by-one execution would find the first
+                        // execution's insert (hit) — or, past the cap, miss
+                        // and re-execute; the engine work is shared either
+                        // way, only the counter differs.
+                        if will_insert {
+                            self.stats.memo_hits += 1;
+                        } else {
+                            self.stats.memo_misses += 1;
+                        }
+                        share[i] = slot;
+                    } else {
+                        self.stats.memo_misses += 1;
+                        let will_insert = self.memo.len() + planned_inserts < MEMO_CAP;
+                        if will_insert {
+                            planned_inserts += 1;
+                        }
+                        in_flight.insert(key, (pending.len(), will_insert));
+                        share[i] = pending.len();
+                        pending.push(i);
                     }
+                }
+                // Unresolvable slots bypass the memo (the execution itself
+                // reports the unbound parameter, if the plan reaches it).
+                None => {
+                    share[i] = pending.len();
+                    pending.push(i);
                 }
             }
         }
-        frontier = next;
+        if !pending.is_empty() {
+            let penvs: Vec<ParamEnv> = pending.iter().map(|&i| envs[i].clone()).collect();
+            let batch = plan.execute_batch_shared(
+                self.shared.db,
+                &penvs,
+                self.shared.scans.and_then(|s| s.get(&(key_base, role))),
+                &mut self.eval,
+            )?;
+            self.stats.batches_executed += 1;
+            self.stats.bindings_per_batch_max = self.stats.bindings_per_batch_max.max(penvs.len());
+            self.stats.rows_regrouped += batch.total_rows();
+            let rels = batch.into_relations();
+            for (key, (slot, will_insert)) in in_flight {
+                if will_insert {
+                    self.memo.insert((key_base, role, key), rels[slot].clone());
+                }
+            }
+            for (i, slot) in out.iter_mut().zip(&share) {
+                if i.is_none() {
+                    *i = Some(rels[*slot].clone());
+                }
+            }
+        }
+        Ok(out
+            .into_iter()
+            .map(|r| r.expect("every env is memo-served or batched"))
+            .collect())
     }
-    Ok(())
 }
 
-/// Rebuilds one root task's fragment with fresh subtrees grafted in. The
-/// arena [`Document`] has no node removal, so splicing is a copy walk:
-/// unaffected nodes are copied verbatim from the old fragment; at a
-/// patched parent, each stale child group (all instances of one view
-/// node) is replaced by the matching holder's children from the delta
-/// worker's document, at the stale group's sibling position.
+/// Rebuilds one root task's skeleton with fresh subtrees grafted in: a
+/// positional merge that copies the old skeleton in document order and,
+/// at each patched parent, replaces every stale child group (all
+/// instances of one view node) with the matching holder's children from
+/// the delta walk's skeleton, at the stale group's sibling position.
 struct Graft<'g> {
-    old: &'g Document,
-    old_splice: &'g HashMap<xvc_xml::NodeId, SpliceEntry>,
-    /// Old parent node → `(child view node, holder)` replacements, sorted
-    /// by ascending view-node index (sibling groups appear in that order).
+    old: &'g Skeleton,
+    /// Old parent → `(child view node, holder)` replacements, sorted by
+    /// ascending view-node index (sibling groups appear in that order).
     patches: &'g Patches,
-    worker_doc: &'g Document,
-    worker_splice: &'g HashMap<xvc_xml::NodeId, SpliceEntry>,
-    new_doc: Document,
-    /// Splice entries of the rebuilt fragment, filled during the walk.
-    entries: HashMap<xvc_xml::NodeId, SpliceEntry>,
+    fresh: &'g Skeleton,
+    new: Skeleton,
     respliced: usize,
 }
 
 impl Graft<'_> {
+    /// The grafted skeleton and the number of subtree roots spliced in.
+    fn run(old: &Skeleton, patches: &Patches, fresh: &Skeleton) -> (Skeleton, usize) {
+        let mut graft = Graft {
+            old,
+            patches,
+            fresh,
+            new: Skeleton::default(),
+            respliced: 0,
+        };
+        graft.new.begin_task();
+        graft.copy_children(old.root(), graft.new.root());
+        (graft.new, graft.respliced)
+    }
+
     /// Copies `old_parent`'s children under `new_parent`, applying this
-    /// parent's patch list (if any) as a positional merge: a fresh group
-    /// replaces the first stale instance of its view node in place; a
-    /// group with no stale instances is inserted before the first sibling
-    /// of a higher view-node index (sibling groups are emitted in
-    /// ascending index order, so this is the position a full republish
-    /// would produce).
-    fn copy_children(&mut self, old_parent: xvc_xml::NodeId, new_parent: xvc_xml::NodeId) {
-        let patch = self.patches.get(&old_parent).map_or(&[][..], Vec::as_slice);
-        let replaced: std::collections::HashSet<usize> =
-            patch.iter().map(|(vid, _)| vid.index()).collect();
+    /// parent's patch list (if any): a fresh group replaces the first
+    /// stale instance of its view node in place; a group with no stale
+    /// instances is inserted before the first sibling of a higher
+    /// view-node index (sibling groups are emitted in ascending index
+    /// order, so this is the position a full republish would produce).
+    fn copy_children(&mut self, old_parent: SkelId, new_parent: SkelId) {
+        let (old, patches) = (self.old, self.patches);
+        let patch = patches.get(&old_parent).map_or(&[][..], Vec::as_slice);
         let mut pi = 0;
-        for &c in self.old.children(old_parent) {
-            let cv = self.old_splice.get(&c).map(|e| e.view.index());
-            if let Some(cv) = cv {
-                while pi < patch.len() && patch[pi].0.index() <= cv {
-                    self.graft_holder(patch[pi].1, new_parent);
-                    pi += 1;
-                }
-                if replaced.contains(&cv) {
-                    continue;
-                }
+        for c in old.children(old_parent) {
+            let cv = old.view(c).index();
+            while pi < patch.len() && patch[pi].0.index() <= cv {
+                self.graft_holder(patch[pi].1, new_parent);
+                pi += 1;
             }
-            self.copy_old_subtree(c, new_parent);
+            if patch.iter().any(|(vid, _)| vid.index() == cv) {
+                continue;
+            }
+            let nc = self.new.copy_node(old, c, new_parent);
+            self.copy_children(c, nc);
         }
-        while pi < patch.len() {
-            self.graft_holder(patch[pi].1, new_parent);
-            pi += 1;
+        for &(_, holder) in &patch[pi..] {
+            self.graft_holder(holder, new_parent);
         }
     }
 
-    /// Appends every child of a delta-worker holder under `new_parent`.
-    fn graft_holder(&mut self, holder: xvc_xml::NodeId, new_parent: xvc_xml::NodeId) {
-        for &c in self.worker_doc.children(holder) {
+    /// Appends a deep copy of every child of a delta-walk holder under
+    /// `new_parent`.
+    fn graft_holder(&mut self, holder: SkelId, new_parent: SkelId) {
+        let fresh = self.fresh;
+        for c in fresh.children(holder) {
             self.respliced += 1;
-            copy_subtree(
-                self.worker_doc,
-                self.worker_splice,
-                c,
-                &mut self.new_doc,
-                new_parent,
-                &mut self.entries,
-            );
+            self.new.copy_subtree(fresh, c, new_parent);
         }
     }
-
-    /// Copies one old subtree, descending with patch awareness (a patched
-    /// parent can sit arbitrarily deep below an unaffected ancestor).
-    fn copy_old_subtree(&mut self, old_id: xvc_xml::NodeId, new_parent: xvc_xml::NodeId) {
-        let new_id = copy_node(
-            self.old,
-            self.old_splice,
-            old_id,
-            &mut self.new_doc,
-            new_parent,
-            &mut self.entries,
-        );
-        self.copy_children(old_id, new_id);
-    }
 }
 
-/// Copies a single node (element or text) without its children, carrying
-/// its splice entry over; returns the new id.
-fn copy_node(
-    src: &Document,
-    src_splice: &HashMap<xvc_xml::NodeId, SpliceEntry>,
-    src_id: xvc_xml::NodeId,
-    dst: &mut Document,
-    dst_parent: xvc_xml::NodeId,
-    dst_splice: &mut HashMap<xvc_xml::NodeId, SpliceEntry>,
-) -> xvc_xml::NodeId {
-    let new_id = match src.kind(src_id) {
-        xvc_xml::NodeKind::Element { name, attrs } => {
-            let (name, attrs) = (name.clone(), attrs.clone());
-            let el = dst.create_element(name);
-            for (k, v) in attrs {
-                dst.set_attr(el, k, v).expect("created as element");
-            }
-            el
-        }
-        xvc_xml::NodeKind::Text(t) => {
-            let t = t.clone();
-            dst.create_text(t)
-        }
-        xvc_xml::NodeKind::Root => unreachable!("roots are never copied"),
-    };
-    dst.append_child(dst_parent, new_id);
-    if let Some(e) = src_splice.get(&src_id) {
-        dst_splice.insert(new_id, e.clone());
-    }
-    new_id
-}
-
-/// Copies a whole subtree (used for grafting fresh delta subtrees).
-fn copy_subtree(
-    src: &Document,
-    src_splice: &HashMap<xvc_xml::NodeId, SpliceEntry>,
-    src_id: xvc_xml::NodeId,
-    dst: &mut Document,
-    dst_parent: xvc_xml::NodeId,
-    dst_splice: &mut HashMap<xvc_xml::NodeId, SpliceEntry>,
-) {
-    let new_id = copy_node(src, src_splice, src_id, dst, dst_parent, dst_splice);
-    for &c in src.children(src_id) {
-        copy_subtree(src, src_splice, c, dst, new_id, dst_splice);
-    }
-}
-
-/// One frontier slot: a view node still to expand under `parent` with the
-/// bindings accumulated on the path down to it. Generic over the element
-/// handle of the [`WaveStore`] the walk materializes into (arena
-/// [`xvc_xml::NodeId`] by default).
-struct Pending<Id = xvc_xml::NodeId> {
-    parent: Id,
-    vid: ViewNodeId,
-    env: ParamEnv,
-}
-
-/// Where the batched frontier walk materializes elements: the arena
-/// [`Document`] (full publishes, traces, delta splicing) or the reusable
-/// per-task [`Skeleton`] drained by the streaming sink. The store only
-/// sees the three structural operations the wave loop performs; the memo,
-/// batching and statistics machinery is shared by both, so the two
-/// emission back ends cannot drift apart.
-trait WaveStore {
-    /// Copyable element handle (hashable: provenance maps key on it).
-    type Id: Copy + Eq + std::hash::Hash;
-    /// Creates a detached element named `tag`.
-    fn create_element(&mut self, tag: &str) -> Self::Id;
-    /// Appends a freshly created element as `parent`'s last child.
-    fn append_child(&mut self, parent: Self::Id, child: Self::Id);
-    /// Sets an attribute; a duplicate name replaces the existing value
-    /// **in place** (the arena contract, load-bearing for byte parity).
-    fn set_attr(&mut self, el: Self::Id, name: &str, value: &str);
-}
-
-impl WaveStore for Document {
-    type Id = xvc_xml::NodeId;
-
-    fn create_element(&mut self, tag: &str) -> xvc_xml::NodeId {
-        Document::create_element(self, tag)
-    }
-
-    fn append_child(&mut self, parent: xvc_xml::NodeId, child: xvc_xml::NodeId) {
-        Document::append_child(self, parent, child);
-    }
-
-    fn set_attr(&mut self, el: xvc_xml::NodeId, name: &str, value: &str) {
-        Document::set_attr(self, el, name, value).expect("created as element");
-    }
-}
-
-/// Sentinel for "no node" in the skeleton's intrusive child lists.
+/// Sentinel for "no node / no view / no environment" in skeleton links.
 const SKEL_NONE: u32 = u32::MAX;
 
 /// Element handle inside a [`Skeleton`].
@@ -1476,12 +1365,18 @@ struct SkelId(u32);
 struct SkelNode {
     /// Interned tag name.
     tag: u32,
+    /// Index of the view node that emitted the element.
+    view: u32,
+    /// The element's child environment is `envs[env]`; `SKEL_NONE` when
+    /// its view node has no children, since nothing ever runs under a
+    /// leaf.
+    env: u32,
     first_child: u32,
     last_child: u32,
     next_sibling: u32,
     /// This element's attributes are `attrs[attr_start..attr_start + attr_len]`
-    /// (contiguous: the wave loop sets every attribute of an element
-    /// before creating the next one).
+    /// (contiguous: the walk sets every attribute of an element before
+    /// creating the next one).
     attr_start: u32,
     attr_len: u32,
 }
@@ -1495,15 +1390,18 @@ struct SkelAttr {
     val_len: u32,
 }
 
-/// The streaming path's per-task element store: just enough structure to
-/// emit one root-level subtree in document order after its breadth-first
-/// waves complete. Tag and attribute names are interned (a schema tree
-/// has a handful of distinct names, reused across every task); attribute
-/// values share one text buffer; child lists are intrusive `u32` links.
+/// The publish walk's element store: one root-level subtree, grown
+/// breadth-first and read back in document order. Tag and attribute names
+/// are interned (a schema tree has a handful of distinct names, reused
+/// across every task); attribute values share one text buffer; child lists
+/// are intrusive `u32` links. Each element also records the view node
+/// that emitted it and its child environment — the splice provenance a
+/// delta re-runs children under, and the trace provenance (an element's
+/// query ran under its parent's child environment).
 /// [`Skeleton::begin_task`] drains everything but keeps the capacity and
-/// the name table, so steady-state publishing allocates almost nothing
-/// and peak emission memory is bounded by the largest single task, not
-/// the document.
+/// the name table, so steady-state streaming allocates almost nothing and
+/// peak emission memory is bounded by the largest single task, not the
+/// document.
 #[derive(Debug, Default)]
 struct Skeleton {
     /// Interned tag / attribute names (kept across tasks).
@@ -1515,6 +1413,8 @@ struct Skeleton {
     /// bytes until the next `begin_task` — duplicate attribute names are
     /// rare and tasks are short-lived.
     text: String,
+    /// Child environments, shared with the frontier slots they seeded.
+    envs: Vec<Arc<ParamEnv>>,
 }
 
 impl Skeleton {
@@ -1524,14 +1424,8 @@ impl Skeleton {
         self.nodes.clear();
         self.attrs.clear();
         self.text.clear();
-        self.nodes.push(SkelNode {
-            tag: SKEL_NONE,
-            first_child: SKEL_NONE,
-            last_child: SKEL_NONE,
-            next_sibling: SKEL_NONE,
-            attr_start: 0,
-            attr_len: 0,
-        });
+        self.envs.clear();
+        self.push(SKEL_NONE, SKEL_NONE, None);
     }
 
     /// The synthetic task root (emission serializes its children).
@@ -1550,12 +1444,150 @@ impl Skeleton {
         id
     }
 
+    /// Appends a detached node.
+    fn push(&mut self, tag: u32, view: u32, env: Option<Arc<ParamEnv>>) -> SkelId {
+        let env = match env {
+            Some(e) => {
+                self.envs.push(e);
+                u32::try_from(self.envs.len() - 1).expect("task fits u32 environments")
+            }
+            None => SKEL_NONE,
+        };
+        let id = u32::try_from(self.nodes.len()).expect("task fits u32 nodes");
+        self.nodes.push(SkelNode {
+            tag,
+            view,
+            env,
+            first_child: SKEL_NONE,
+            last_child: SKEL_NONE,
+            next_sibling: SKEL_NONE,
+            attr_start: u32::try_from(self.attrs.len()).expect("attrs fit u32"),
+            attr_len: 0,
+        });
+        SkelId(id)
+    }
+
+    /// Creates a detached element named `tag`, emitted by view node `view`
+    /// with child environment `child_env`.
+    fn create_element(
+        &mut self,
+        tag: &str,
+        view: ViewNodeId,
+        child_env: Option<Arc<ParamEnv>>,
+    ) -> SkelId {
+        let tag = self.intern(tag);
+        self.push(tag, view.index() as u32, child_env)
+    }
+
+    /// A nameless attach point under the root for one delta re-run; never
+    /// emitted (only its children are grafted elsewhere).
+    fn holder(&mut self) -> SkelId {
+        let holder = self.push(SKEL_NONE, SKEL_NONE, None);
+        self.append_child(self.root(), holder);
+        holder
+    }
+
+    /// Appends a freshly created node as `parent`'s last child.
+    fn append_child(&mut self, parent: SkelId, child: SkelId) {
+        let p = parent.0 as usize;
+        if self.nodes[p].first_child == SKEL_NONE {
+            self.nodes[p].first_child = child.0;
+        } else {
+            let last = self.nodes[p].last_child as usize;
+            self.nodes[last].next_sibling = child.0;
+        }
+        self.nodes[p].last_child = child.0;
+    }
+
+    /// Sets an attribute; a duplicate name replaces the existing value in
+    /// place (the arena's contract, load-bearing for byte parity with
+    /// [`Document`]).
+    fn set_attr(&mut self, el: SkelId, name: &str, value: &str) {
+        let name = self.intern(name);
+        let val_start = u32::try_from(self.text.len()).expect("values fit u32");
+        self.text.push_str(value);
+        let val_len = u32::try_from(value.len()).expect("value fits u32");
+        let e = el.0 as usize;
+        let (start, len) = (
+            self.nodes[e].attr_start as usize,
+            self.nodes[e].attr_len as usize,
+        );
+        if let Some(a) = self.attrs[start..start + len]
+            .iter_mut()
+            .find(|a| a.name == name)
+        {
+            a.val_start = val_start;
+            a.val_len = val_len;
+            return;
+        }
+        debug_assert_eq!(
+            start + len,
+            self.attrs.len(),
+            "attributes of an element are set before the next element is created"
+        );
+        self.attrs.push(SkelAttr {
+            name,
+            val_start,
+            val_len,
+        });
+        self.nodes[e].attr_len += 1;
+    }
+
+    fn node(&self, id: SkelId) -> SkelNode {
+        self.nodes[id.0 as usize]
+    }
+
+    /// The view node that emitted element `id`.
+    fn view(&self, id: SkelId) -> ViewNodeId {
+        ViewNodeId(self.node(id).view)
+    }
+
+    /// The environment element `id`'s children run under (`None` for a
+    /// leaf view node).
+    fn child_env(&self, id: SkelId) -> Option<&Arc<ParamEnv>> {
+        let env = self.node(id).env;
+        (env != SKEL_NONE).then(|| &self.envs[env as usize])
+    }
+
+    fn attrs_of(&self, n: SkelNode) -> &[SkelAttr] {
+        &self.attrs[n.attr_start as usize..(n.attr_start + n.attr_len) as usize]
+    }
+
+    fn value(&self, a: &SkelAttr) -> &str {
+        &self.text[a.val_start as usize..(a.val_start + a.val_len) as usize]
+    }
+
+    /// The children of `id`, in order.
+    fn children(&self, id: SkelId) -> impl Iterator<Item = SkelId> + '_ {
+        std::iter::successors(
+            Some(self.node(id).first_child).filter(|&c| c != SKEL_NONE),
+            |&c| Some(self.nodes[c as usize].next_sibling).filter(|&s| s != SKEL_NONE),
+        )
+        .map(SkelId)
+    }
+
+    /// Every element below the root, in document order.
+    fn elements(&self) -> impl Iterator<Item = SkelId> + '_ {
+        let mut stack = vec![self.nodes[0].first_child];
+        std::iter::from_fn(move || loop {
+            let id = stack.pop()?;
+            if id == SKEL_NONE {
+                continue;
+            }
+            let n = self.nodes[id as usize];
+            stack.push(n.next_sibling);
+            stack.push(n.first_child);
+            return Some(SkelId(id));
+        })
+    }
+
     /// Heap bytes currently retained by the task buffers (capacities, not
     /// lengths — this is what the process actually holds on to).
     fn heap_bytes(&self) -> usize {
         self.nodes.capacity() * std::mem::size_of::<SkelNode>()
             + self.attrs.capacity() * std::mem::size_of::<SkelAttr>()
             + self.text.capacity()
+            + self.envs.capacity() * std::mem::size_of::<Arc<ParamEnv>>()
             + self.names.iter().map(String::capacity).sum::<usize>()
     }
 
@@ -1569,11 +1601,8 @@ impl Skeleton {
             while cur != SKEL_NONE {
                 let n = self.nodes[cur as usize];
                 sink.start_element(&self.names[n.tag as usize])?;
-                for a in &self.attrs[n.attr_start as usize..(n.attr_start + n.attr_len) as usize] {
-                    sink.attr(
-                        &self.names[a.name as usize],
-                        &self.text[a.val_start as usize..(a.val_start + a.val_len) as usize],
-                    )?;
+                for a in self.attrs_of(n) {
+                    sink.attr(&self.names[a.name as usize], self.value(a))?;
                 }
                 stack.push(cur);
                 cur = n.first_child;
@@ -1591,531 +1620,68 @@ impl Skeleton {
             }
         }
     }
-}
 
-impl WaveStore for Skeleton {
-    type Id = SkelId;
+    /// The task subtree, serialized compactly.
+    fn to_xml(&self) -> String {
+        let mut w = XmlWriter::new(Vec::new());
+        self.emit(&mut w).expect("Vec<u8> writes cannot fail");
+        String::from_utf8(w.into_inner()).expect("serialization preserves UTF-8")
+    }
 
-    fn create_element(&mut self, tag: &str) -> SkelId {
-        let tag = self.intern(tag);
-        let id = u32::try_from(self.nodes.len()).expect("task fits u32 nodes");
-        self.nodes.push(SkelNode {
-            tag,
-            first_child: SKEL_NONE,
-            last_child: SKEL_NONE,
-            next_sibling: SKEL_NONE,
-            attr_start: u32::try_from(self.attrs.len()).expect("attrs fit u32"),
-            attr_len: 0,
+    /// Appends `task`'s trace entries in document order: each element's
+    /// indexed path (same-tag sibling counts per level; the task element
+    /// counts among the root-level siblings), its view node, and the
+    /// environment its query ran under — its parent's child environment,
+    /// or no bindings for the task element.
+    fn trace(&self, task: &Task, out: &mut Vec<TraceEntry>) {
+        let top = self.nodes[0].first_child;
+        let tag = &self.names[self.nodes[top as usize].tag as usize];
+        let path = format!("/{tag}[{}]", task.index + 1);
+        self.trace_from(SkelId(top), path, &ParamEnv::new(), out);
+    }
+
+    fn trace_from(&self, id: SkelId, path: String, env: &ParamEnv, out: &mut Vec<TraceEntry>) {
+        let at = out.len();
+        out.push(TraceEntry {
+            path,
+            view: self.view(id),
+            env: env.clone(),
         });
-        SkelId(id)
-    }
-
-    fn append_child(&mut self, parent: SkelId, child: SkelId) {
-        let p = parent.0 as usize;
-        if self.nodes[p].first_child == SKEL_NONE {
-            self.nodes[p].first_child = child.0;
-        } else {
-            let last = self.nodes[p].last_child as usize;
-            self.nodes[last].next_sibling = child.0;
-        }
-        self.nodes[p].last_child = child.0;
-    }
-
-    fn set_attr(&mut self, el: SkelId, name: &str, value: &str) {
-        let name = self.intern(name);
-        let val_start = u32::try_from(self.text.len()).expect("values fit u32");
-        self.text.push_str(value);
-        let val_len = u32::try_from(value.len()).expect("value fits u32");
-        let e = el.0 as usize;
-        let (start, len) = (
-            self.nodes[e].attr_start as usize,
-            self.nodes[e].attr_len as usize,
-        );
-        if let Some(a) = self.attrs[start..start + len]
-            .iter_mut()
-            .find(|a| a.name == name)
-        {
-            // Mirror the arena: a duplicate name replaces the value at the
-            // original attribute position.
-            a.val_start = val_start;
-            a.val_len = val_len;
-            return;
-        }
-        debug_assert_eq!(
-            start + len,
-            self.attrs.len(),
-            "attributes of an element are set before the next element is created"
-        );
-        self.attrs.push(SkelAttr {
-            name,
-            val_start,
-            val_len,
-        });
-        self.nodes[e].attr_len += 1;
-    }
-}
-
-/// Per-task state of the breadth-first walk. Unlike [`Worker`] it builds
-/// its [`WaveStore`] directly (batched expansion appends to parents
-/// created in earlier waves, which a forward-only builder cannot do):
-/// the arena [`Document`] for full/delta publishes — with the trace
-/// reconstructed afterwards in document order — or the [`Skeleton`] the
-/// streaming sink drains.
-struct BatchWorker<'a, S: WaveStore = Document> {
-    shared: &'a Shared<'a>,
-    doc: S,
-    stats: PublishStats,
-    eval: EvalStats,
-    /// `(node, role, rendered binding values)` → relation, same scope and
-    /// cap as the scalar worker's memo.
-    memo: HashMap<(u32, Role, String), Relation>,
-    /// Element provenance for trace reconstruction (tracing runs only).
-    prov: HashMap<S::Id, (ViewNodeId, ParamEnv)>,
-    /// Splice provenance (splice-collecting runs only).
-    splice: HashMap<S::Id, SpliceEntry>,
-    /// View nodes whose guard / tag batches this worker issued (delta-path
-    /// soundness bookkeeping; node arena indexes).
-    touched: BTreeSet<usize>,
-}
-
-impl<'a> BatchWorker<'a, Document> {
-    fn new(shared: &'a Shared<'a>) -> Self {
-        Self::with_store(shared, Document::new())
-    }
-}
-
-impl<'a, S: WaveStore> BatchWorker<'a, S> {
-    fn with_store(shared: &'a Shared<'a>, doc: S) -> Self {
-        BatchWorker {
-            shared,
-            doc,
-            stats: PublishStats::default(),
-            eval: EvalStats::default(),
-            memo: HashMap::new(),
-            prov: HashMap::new(),
-            splice: HashMap::new(),
-            touched: BTreeSet::new(),
-        }
-    }
-
-    /// Creates one element instance under `parent` — tag, static and
-    /// projected tuple attributes, counters, provenance — and returns it
-    /// with the environment its children run under. The per-node-kind
-    /// logic mirrors [`Worker::emit_instance`] exactly.
-    fn emit_node_instance(
-        &mut self,
-        parent: S::Id,
-        vid: ViewNodeId,
-        env: &ParamEnv,
-        tuple: Option<&NamedTuple>,
-    ) -> (S::Id, ParamEnv) {
-        let node = self.shared.tree.node(vid).expect("non-root id");
-        let el = self.doc.create_element(&node.tag);
-        self.doc.append_child(parent, el);
-        self.stats.elements += 1;
-        if self.shared.tracing {
-            self.prov.insert(el, (vid, env.clone()));
-        }
-        for (k, v) in &node.static_attrs {
-            self.doc.set_attr(el, k, v);
-            self.stats.attributes += 1;
-        }
-        let mut child_env = env.clone();
-        if let Some(var) = &node.context_tuple_of {
-            if let Some(t) = env.get(var) {
-                let t = t.clone();
-                for (k, v) in project_attrs(&node.attrs, &t.columns, &t.values) {
-                    self.doc.set_attr(el, k, &v);
-                    self.stats.attributes += 1;
-                }
-                if !node.bv.is_empty() {
-                    child_env.insert(node.bv.clone(), t);
-                }
-            }
-        } else if let Some(t) = tuple {
-            for (k, v) in project_attrs(&node.attrs, &t.columns, &t.values) {
-                self.doc.set_attr(el, k, &v);
-                self.stats.attributes += 1;
-            }
-            child_env.insert(node.bv.clone(), t.clone());
-        }
-        if self.shared.collect_splice {
-            let has_children = !self.shared.tree.children(vid).is_empty();
-            self.splice.insert(
-                el,
-                SpliceEntry {
-                    view: vid,
-                    child_env: has_children.then(|| Arc::new(child_env.clone())),
-                },
-            );
-        }
-        (el, child_env)
-    }
-
-    /// Set-oriented counterpart of [`Worker::run_tag_query`]: one relation
-    /// per environment, in order. Memo semantics are emulated exactly
-    /// (hits, misses, cap-bounded inserts) by resolving every binding's
-    /// memo key first and batching only the environments the scalar path
-    /// would have sent to the engine.
-    fn run_batch(
-        &mut self,
-        vid: ViewNodeId,
-        role: Role,
-        q: &SelectQuery,
-        envs: &[ParamEnv],
-    ) -> Result<Vec<Relation>> {
-        if envs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let key_base = vid.index() as u32;
-        if self.shared.use_plans {
-            if let Some(PlanEntry::Ready(plan)) = self.shared.plans.get(&(key_base, role)) {
-                let mut out: Vec<Option<Relation>> = vec![None; envs.len()];
-                // env index → slot in `pending` whose result it shares.
-                let mut share: Vec<usize> = vec![usize::MAX; envs.len()];
-                let mut pending: Vec<usize> = Vec::new();
-                // memo key → (pending slot of its first execution, whether
-                // that execution will be inserted into the memo).
-                let mut in_flight: HashMap<String, (usize, bool)> = HashMap::new();
-                let mut planned_inserts = 0usize;
-                for (i, env) in envs.iter().enumerate() {
-                    match memo_key(plan.slots(), env) {
-                        Some(key) => {
-                            if let Some(hit) = self.memo.get(&(key_base, role, key.clone())) {
-                                self.stats.memo_hits += 1;
-                                out[i] = Some(hit.clone());
-                            } else if let Some(&(slot, will_insert)) = in_flight.get(&key) {
-                                // Scalar would find the first execution's
-                                // insert (hit) — or, past the cap, miss and
-                                // re-execute; the engine work is shared
-                                // either way, only the counter differs.
-                                if will_insert {
-                                    self.stats.memo_hits += 1;
-                                } else {
-                                    self.stats.memo_misses += 1;
-                                }
-                                share[i] = slot;
-                            } else {
-                                self.stats.memo_misses += 1;
-                                let will_insert = self.memo.len() + planned_inserts < MEMO_CAP;
-                                if will_insert {
-                                    planned_inserts += 1;
-                                }
-                                in_flight.insert(key, (pending.len(), will_insert));
-                                share[i] = pending.len();
-                                pending.push(i);
-                            }
-                        }
-                        // Unresolvable slots bypass the memo, exactly like
-                        // the scalar path (the execution itself reports the
-                        // unbound parameter, if the plan reaches it).
-                        None => {
-                            share[i] = pending.len();
-                            pending.push(i);
-                        }
-                    }
-                }
-                if !pending.is_empty() {
-                    let penvs: Vec<ParamEnv> = pending.iter().map(|&i| envs[i].clone()).collect();
-                    let batch = plan.execute_batch_shared(
-                        self.shared.db,
-                        &penvs,
-                        self.shared.scans.and_then(|s| s.get(&(key_base, role))),
-                        &mut self.eval,
-                    )?;
-                    self.stats.batches_executed += 1;
-                    self.stats.bindings_per_batch_max =
-                        self.stats.bindings_per_batch_max.max(penvs.len());
-                    self.stats.rows_regrouped += batch.total_rows();
-                    let rels = batch.into_relations();
-                    for (key, (slot, will_insert)) in in_flight {
-                        if will_insert {
-                            self.memo.insert((key_base, role, key), rels[slot].clone());
-                        }
-                    }
-                    for (i, slot) in out.iter_mut().zip(&share) {
-                        if i.is_none() {
-                            *i = Some(rels[*slot].clone());
-                        }
-                    }
-                }
-                return Ok(out
-                    .into_iter()
-                    .map(|r| r.expect("every env is memo-served or batched"))
-                    .collect());
-            }
-        }
-        // Interpreter fallback: per environment, identical to the scalar
-        // path (no batch counters — nothing was batched).
-        let mut rels = Vec::with_capacity(envs.len());
-        for env in envs {
-            rels.push(eval_query_stats(
-                self.shared.db,
-                q,
-                env,
-                EvalOptions::default(),
-                &mut self.eval,
-            )?);
-        }
-        Ok(rels)
-    }
-}
-
-/// Trace reconstruction is arena-only: the streaming sink never traces
-/// (the materializing fallback handles traced publishes).
-impl BatchWorker<'_, Document> {
-    /// Reconstructs the scalar path's pre-order trace from the finished
-    /// fragment: indexed paths from per-level same-tag sibling counts,
-    /// provenance from the map filled at element creation.
-    fn build_trace(&self, task: &Task) -> Vec<TraceEntry> {
-        let mut entries = Vec::new();
-        let mut path: Vec<String> = Vec::new();
-        let mut seed = HashMap::new();
-        seed.insert(task.tag.clone(), task.index);
-        let mut counts: Vec<HashMap<String, usize>> = vec![seed];
-        self.walk_trace(self.doc.root(), &mut path, &mut counts, &mut entries);
-        entries
-    }
-
-    fn walk_trace(
-        &self,
-        node: xvc_xml::NodeId,
-        path: &mut Vec<String>,
-        counts: &mut Vec<HashMap<String, usize>>,
-        entries: &mut Vec<TraceEntry>,
-    ) {
-        for &child in self.doc.children(node) {
-            let Some(tag) = self.doc.name(child) else {
-                continue;
-            };
-            let level = counts.last_mut().expect("counts is never empty");
-            let n = level.entry(tag.to_owned()).or_insert(0);
+        let mut counts: HashMap<u32, usize> = HashMap::new();
+        for c in self.children(id) {
+            let tag = self.node(c).tag;
+            let n = counts.entry(tag).or_insert(0);
             *n += 1;
-            path.push(format!("{tag}[{n}]"));
-            counts.push(HashMap::new());
-            if let Some((vid, env)) = self.prov.get(&child) {
-                entries.push(TraceEntry {
-                    path: format!("/{}", path.join("/")),
-                    view: *vid,
-                    env: env.clone(),
-                });
-            }
-            self.walk_trace(child, path, counts, entries);
-            path.pop();
-            counts.pop();
-        }
-    }
-}
-
-/// Per-task publishing state: its own builder, counters, trace slice and
-/// result memo (memoization is task-scoped so statistics cannot depend on
-/// how tasks are spread over threads).
-struct Worker<'a> {
-    shared: &'a Shared<'a>,
-    builder: TreeBuilder,
-    stats: PublishStats,
-    eval: EvalStats,
-    trace: Vec<TraceEntry>,
-    /// Indexed path segments of currently open elements.
-    path: Vec<String>,
-    /// Per open level: same-tag sibling counts emitted so far (the task's
-    /// base level is the first entry).
-    sibling_counts: Vec<HashMap<String, usize>>,
-    /// `(node, role, rendered binding values)` → relation.
-    memo: HashMap<(u32, Role, String), Relation>,
-}
-
-impl<'a> Worker<'a> {
-    fn new(shared: &'a Shared<'a>, seed_counts: HashMap<String, usize>) -> Self {
-        Worker {
-            shared,
-            builder: TreeBuilder::new(),
-            stats: PublishStats::default(),
-            eval: EvalStats::default(),
-            trace: Vec::new(),
-            path: Vec::new(),
-            sibling_counts: vec![seed_counts],
-            memo: HashMap::new(),
+            let path = format!("{}/{}[{n}]", out[at].path, self.names[tag as usize]);
+            let child_env = self
+                .child_env(id)
+                .expect("an element with children has a child environment");
+            self.trace_from(c, path, child_env, out);
         }
     }
 
-    /// Executes a node's tag query (or guard probe): through its cached
-    /// prepared plan and the result memo when available, else through the
-    /// interpreter.
-    fn run_tag_query(
-        &mut self,
-        vid: ViewNodeId,
-        role: Role,
-        q: &SelectQuery,
-        env: &ParamEnv,
-    ) -> Result<Relation> {
-        if self.shared.use_plans {
-            if let Some(PlanEntry::Ready(plan)) = self.shared.plans.get(&(vid.index() as u32, role))
-            {
-                if let Some(key) = memo_key(plan.slots(), env) {
-                    let mk = (vid.index() as u32, role, key);
-                    if let Some(hit) = self.memo.get(&mk) {
-                        self.stats.memo_hits += 1;
-                        return Ok(hit.clone());
-                    }
-                    let rel = plan.execute_stats(self.shared.db, env, &mut self.eval)?;
-                    self.stats.memo_misses += 1;
-                    if self.memo.len() < MEMO_CAP {
-                        self.memo.insert(mk, rel.clone());
-                    }
-                    return Ok(rel);
-                }
-                return Ok(plan.execute_stats(self.shared.db, env, &mut self.eval)?);
-            }
+    /// Appends a copy of `src`'s element `id` — tag, attributes and
+    /// provenance, no children — under `parent`.
+    fn copy_node(&mut self, src: &Skeleton, id: SkelId, parent: SkelId) -> SkelId {
+        let n = src.node(id);
+        let el = self.create_element(
+            &src.names[n.tag as usize],
+            src.view(id),
+            src.child_env(id).cloned(),
+        );
+        self.append_child(parent, el);
+        for a in src.attrs_of(n) {
+            self.set_attr(el, &src.names[a.name as usize], src.value(a));
         }
-        Ok(eval_query_stats(
-            self.shared.db,
-            q,
-            env,
-            EvalOptions::default(),
-            &mut self.eval,
-        )?)
+        el
     }
 
-    /// Opens an element, maintaining the indexed path and trace.
-    fn open(&mut self, tag: &str, vid: ViewNodeId, env: &ParamEnv) {
-        self.builder.open(tag);
-        self.stats.elements += 1;
-        let level = self
-            .sibling_counts
-            .last_mut()
-            .expect("sibling_counts is never empty");
-        let n = level.entry(tag.to_owned()).or_insert(0);
-        *n += 1;
-        self.path.push(format!("{tag}[{n}]"));
-        self.sibling_counts.push(HashMap::new());
-        if self.shared.tracing {
-            self.trace.push(TraceEntry {
-                path: format!("/{}", self.path.join("/")),
-                view: vid,
-                env: env.clone(),
-            });
+    /// Appends a deep copy of `src`'s subtree at `id` under `parent`.
+    fn copy_subtree(&mut self, src: &Skeleton, id: SkelId, parent: SkelId) {
+        let el = self.copy_node(src, id, parent);
+        for c in src.children(id) {
+            self.copy_subtree(src, c, el);
         }
-    }
-
-    fn close(&mut self) {
-        self.builder.close();
-        self.path.pop();
-        self.sibling_counts.pop();
-    }
-
-    fn emit_attr(&mut self, name: &str, value: String) {
-        self.builder.attr(name, value);
-        self.stats.attributes += 1;
-    }
-
-    fn emit_static_attrs(&mut self, vid: ViewNodeId) {
-        let node = self.shared.tree.node(vid).expect("caller validated vid");
-        for (k, v) in node.static_attrs.clone() {
-            self.emit_attr(&k, v);
-        }
-    }
-
-    /// Emits projected tuple columns as attributes (see [`project_attrs`]).
-    fn emit_tuple_attrs(
-        &mut self,
-        attrs: &AttrProjection,
-        columns: &[String],
-        values: &[xvc_rel::Value],
-    ) {
-        for (c, v) in project_attrs(attrs, columns, values) {
-            self.emit_attr(c, v);
-        }
-    }
-
-    /// Publishes one already-guarded element instance: the entry point of a
-    /// root-level task (guards of root children run in the main pass).
-    fn emit_instance(
-        &mut self,
-        vid: ViewNodeId,
-        env: &ParamEnv,
-        tuple: Option<&NamedTuple>,
-    ) -> Result<()> {
-        let tree = self.shared.tree;
-        let node = tree.node(vid).expect("non-root id");
-
-        if let Some(var) = &node.context_tuple_of {
-            self.open(&node.tag, vid, env);
-            self.emit_static_attrs(vid);
-            let mut child_env = env.clone();
-            if let Some(t) = env.get(var) {
-                let t = t.clone();
-                self.emit_tuple_attrs(&node.attrs.clone(), &t.columns, &t.values);
-                if !node.bv.is_empty() {
-                    child_env.insert(node.bv.clone(), t);
-                }
-            }
-            for &child in tree.children(vid) {
-                self.publish_node(child, &child_env)?;
-            }
-            self.close();
-            return Ok(());
-        }
-
-        match (&node.query, tuple) {
-            (Some(_), Some(t)) => {
-                self.open(&node.tag, vid, env);
-                self.emit_static_attrs(vid);
-                self.emit_tuple_attrs(&node.attrs.clone(), &t.columns, &t.values);
-                if !tree.children(vid).is_empty() {
-                    let mut child_env = env.clone();
-                    child_env.insert(node.bv.clone(), t.clone());
-                    for &child in tree.children(vid) {
-                        self.publish_node(child, &child_env)?;
-                    }
-                }
-                self.close();
-            }
-            (None, _) => {
-                self.open(&node.tag, vid, env);
-                self.emit_static_attrs(vid);
-                for &child in tree.children(vid) {
-                    self.publish_node(child, env)?;
-                }
-                self.close();
-            }
-            (Some(_), None) => unreachable!("query-node tasks always carry a tuple"),
-        }
-        Ok(())
-    }
-
-    /// Full per-node logic (guard, context copy, literal, query) for
-    /// non-root-level descendants.
-    fn publish_node(&mut self, vid: ViewNodeId, env: &ParamEnv) -> Result<()> {
-        let tree = self.shared.tree;
-        let node = tree
-            .node(vid)
-            .expect("publish_node is never called on root");
-
-        // Emission guard: `SELECT 1 WHERE guard` over the current bindings.
-        if let Some(guard) = &node.guard {
-            let probe = guard_probe(guard);
-            self.stats.queries_run += 1;
-            if self
-                .run_tag_query(vid, Role::Guard, &probe, env)?
-                .is_empty()
-            {
-                return Ok(());
-            }
-        }
-
-        if node.context_tuple_of.is_some() || node.query.is_none() {
-            return self.emit_instance(vid, env, None);
-        }
-
-        let query = node.query.as_ref().expect("query node");
-        let rel: Relation = self.run_tag_query(vid, Role::Tag, query, env)?;
-        self.stats.queries_run += 1;
-        self.stats.tuples_fetched += rel.len();
-        for i in 0..rel.len() {
-            self.emit_instance(vid, env, Some(&rel.tuple(i)))?;
-        }
-        Ok(())
     }
 }
 
@@ -2133,9 +1699,7 @@ fn memo_key(slots: &[(String, String)], env: &ParamEnv) -> Option<String> {
 }
 
 /// Projects tuple columns into attribute `(name, value)` pairs: NULLs
-/// omitted, first occurrence wins on duplicate column names. Both the
-/// scalar and the batched worker emit through this, so their attribute
-/// output cannot drift apart.
+/// omitted, first occurrence wins on duplicate column names.
 fn project_attrs<'c>(
     attrs: &AttrProjection,
     columns: &'c [String],
@@ -2546,81 +2110,49 @@ mod tests {
         assert_eq!(warm.document.to_xml(), after.document.to_xml());
     }
 
-    #[test]
-    fn interpreter_and_prepared_paths_agree() {
-        let tree = view();
-        let db = db();
-        // Scalar prepared execution mirrors the interpreter exactly, down
-        // to the engine counters; the batched path shares the document but
-        // reports its own (smaller) engine work, so it is compared
-        // separately in `batched_and_scalar_paths_agree`.
-        let prepared = Engine::new(&tree)
-            .batched(false)
-            .session()
-            .publish(&db)
-            .unwrap();
-        let interpreted = Engine::new(&tree)
-            .prepared(false)
-            .session()
-            .publish(&db)
-            .unwrap();
-        assert_eq!(prepared.document.to_xml(), interpreted.document.to_xml());
-        assert_eq!(prepared.eval, interpreted.eval);
-        assert_eq!(interpreted.stats.plans_prepared, 0);
+    /// `$m` bound to one `metroarea` row, as a hotel's tag query sees it.
+    fn metro_env(id: i64, name: &str) -> ParamEnv {
+        ParamEnv::from([(
+            "m".to_owned(),
+            NamedTuple {
+                columns: vec!["metroid".into(), "metroname".into()],
+                values: vec![Value::Int(id), Value::Str(name.into())],
+            },
+        )])
     }
 
     #[test]
-    fn batched_and_scalar_paths_agree() {
+    fn trace_pins_every_path_view_and_binding() {
         let tree = view();
         let db = db();
-        let scalar = Engine::new(&tree)
-            .batched(false)
-            .traced(true)
-            .session()
-            .publish(&db)
-            .unwrap();
-        let batched = Engine::new(&tree)
-            .traced(true)
-            .session()
-            .publish(&db)
-            .unwrap();
-        assert_eq!(batched.document.to_xml(), scalar.document.to_xml());
-        let (bt, st) = (batched.trace.unwrap(), scalar.trace.unwrap());
-        assert_eq!(bt.entries.len(), st.entries.len());
-        for (b, s) in bt.entries.iter().zip(&st.entries) {
-            assert_eq!(b.path, s.path);
-            assert_eq!(b.view, s.view);
-            assert_eq!(b.env, s.env);
+        let (metro, hotel) = (
+            tree.find_by_paper_id(1).unwrap(),
+            tree.find_by_paper_id(3).unwrap(),
+        );
+        let expected = [
+            ("/metro[1]", metro, ParamEnv::new()),
+            ("/metro[1]/hotel[1]", hotel, metro_env(1, "chicago")),
+            ("/metro[2]", metro, ParamEnv::new()),
+            ("/metro[2]/hotel[1]", hotel, metro_env(2, "nyc")),
+        ];
+        for threads in [1, 4] {
+            let p = Engine::new(&tree)
+                .traced(true)
+                .parallel(threads)
+                .session()
+                .publish(&db)
+                .unwrap();
+            let trace = p.trace.unwrap();
+            assert_eq!(trace.entries.len(), expected.len());
+            for (e, (path, view, env)) in trace.entries.iter().zip(&expected) {
+                assert_eq!(e.path, *path, "parallel({threads})");
+                assert_eq!(e.view, *view, "{path} at parallel({threads})");
+                assert_eq!(e.env, *env, "{path} at parallel({threads})");
+            }
+            // One batch per metro task's hotel level.
+            assert_eq!(p.stats.batches_executed, 2);
+            assert_eq!(p.stats.rows_regrouped, 2);
         }
-        assert_eq!(batched.stats.without_batch_counters(), scalar.stats);
-        assert_eq!(scalar.stats.batches_executed, 0);
-        // One batch per metro task's hotel level.
-        assert_eq!(batched.stats.batches_executed, 2);
-        assert_eq!(batched.stats.rows_regrouped, 2);
-    }
-
-    #[test]
-    fn batched_interpreter_matches_scalar_interpreter_exactly() {
-        // Without prepared plans there is nothing to batch: the frontier
-        // walk degenerates to per-parent interpretation and even the
-        // engine counters must be identical.
-        let tree = view();
-        let db = db();
-        let scalar = Engine::new(&tree)
-            .prepared(false)
-            .batched(false)
-            .session()
-            .publish(&db)
-            .unwrap();
-        let batched = Engine::new(&tree)
-            .prepared(false)
-            .session()
-            .publish(&db)
-            .unwrap();
-        assert_eq!(batched.document.to_xml(), scalar.document.to_xml());
-        assert_eq!(batched.eval, scalar.eval);
-        assert_eq!(batched.stats, scalar.stats);
-        assert_eq!(batched.stats.batches_executed, 0);
     }
 
     /// The same publish with and without bound-driven planning: documents,
@@ -2726,13 +2258,6 @@ mod tests {
         // ... but skips the engine entirely. Both metro tasks share one
         // hotel scan and one home scan.
         assert_eq!(p.eval.queries, 1 + 1 + 1);
-        // Document content identical to the interpreter's.
-        let i = Engine::new(&t)
-            .prepared(false)
-            .session()
-            .publish(&database)
-            .unwrap();
-        assert_eq!(p.document.to_xml(), i.document.to_xml());
     }
 
     #[test]
@@ -2963,11 +2488,11 @@ mod tests {
             .publish(&database)
             .unwrap();
         let splice = p.splice.expect("incremental publish records splice");
-        // One entry per root task, whose fragment-local entries cover every
-        // element; the segments concatenate to the document.
+        // One entry per root task, whose skeletons hold every element with
+        // its provenance; the segments concatenate to the document.
         assert_eq!(splice.tasks.len(), 2);
-        let entries: usize = splice.tasks.iter().map(|t| t.entries.len()).sum();
-        assert_eq!(entries, p.stats.elements);
+        let elements: usize = splice.tasks.iter().map(|t| t.skel.elements().count()).sum();
+        assert_eq!(elements, p.stats.elements);
         assert_eq!(splice.xml(), p.document.to_xml());
         let (metro, hotel) = (
             tree.find_by_paper_id(1).unwrap(),
@@ -2975,17 +2500,16 @@ mod tests {
         );
         for task in &splice.tasks {
             assert_eq!(task.view, metro);
-            let doc = &task.fragment;
-            assert_eq!(task.xml, doc.to_xml());
-            // The task's root element carries its own binding in child_env;
-            // leaves (hotels) carry no environment at all.
-            for node in doc.descendants(doc.root()) {
-                let e = &task.entries[&node];
-                if e.view == metro {
-                    assert!(e.child_env.as_ref().unwrap().contains_key("m"));
+            let skel = &task.skel;
+            assert_eq!(task.xml, skel.to_xml());
+            // The task's root element carries its own binding in its child
+            // environment; leaves (hotels) carry no environment at all.
+            for id in skel.elements() {
+                if skel.view(id) == metro {
+                    assert!(skel.child_env(id).unwrap().contains_key("m"));
                 } else {
-                    assert_eq!(e.view, hotel);
-                    assert!(e.child_env.is_none());
+                    assert_eq!(skel.view(id), hotel);
+                    assert!(skel.child_env(id).is_none());
                 }
             }
         }
@@ -3043,15 +2567,6 @@ mod tests {
             // One hotel batch + one home batch per metro task.
             assert_eq!(p.stats.batches_executed, 4);
             assert_eq!(p.stats.bindings_per_batch_max, 1);
-            // Scalar parity on everything that is not batch-only.
-            let s = Engine::new(&t)
-                .batched(false)
-                .parallel(threads)
-                .session()
-                .publish(&database)
-                .unwrap();
-            assert_eq!(p.stats.without_batch_counters(), s.stats);
-            assert_eq!(p.document.to_xml(), s.document.to_xml());
         }
     }
 }

@@ -1,13 +1,17 @@
 //! Engine/Session integration tests: parallel evaluation is
 //! deterministic, the shared plan cache warms and invalidates correctly
 //! (including under concurrent sessions), the per-publish memo never
-//! leaks stale results across database mutations, the interpreted path
-//! agrees with the prepared path, and mid-flight DDL/DML never yields a
-//! stale or torn document.
+//! leaks stale results across database mutations, traces pin every
+//! element's provenance, streaming matches materializing on every
+//! configuration, and mid-flight DDL/DML never yields a stale or torn
+//! document.
 
 use std::sync::RwLock;
 
-use xvc_rel::{parse_query, ColumnDef, ColumnType, Database, IndexKind, TableSchema, Value};
+use xvc_rel::{
+    parse_query, ColumnDef, ColumnType, Database, IndexKind, NamedTuple, ParamEnv, TableSchema,
+    Value,
+};
 use xvc_view::{Engine, PublishStats, SchemaTree, ViewNode};
 use xvc_xml::documents_equal_unordered;
 
@@ -181,83 +185,53 @@ fn database_mutations_between_publishes_are_observed() {
     assert!(!before.document.to_pretty_xml().contains("ritz"));
 }
 
-#[test]
-fn interpreted_path_matches_prepared_path() {
-    let v = view();
-    let db = db();
-    // Scalar prepared execution: the batched path does deliberately
-    // different (less) engine work and is checked separately below.
-    let prepared = Engine::new(&v)
-        .batched(false)
-        .session()
-        .publish(&db)
-        .unwrap();
-    let interpreted = Engine::new(&v)
-        .prepared(false)
-        .session()
-        .publish(&db)
-        .unwrap();
-
-    assert_eq!(
-        prepared.document.to_pretty_xml(),
-        interpreted.document.to_pretty_xml()
-    );
-    // The prepared executor mirrors the interpreter's counters exactly.
-    assert_eq!(prepared.eval, interpreted.eval);
-    // Only the prepared path touches the plan cache.
-    assert_eq!(interpreted.stats.plans_prepared, 0);
-    assert_eq!(interpreted.stats.plan_cache_hits, 0);
-    assert!(prepared.stats.plans_prepared > 0);
+/// `$m` bound to one `metroarea` row, as a hotel's tag query sees it.
+fn metro_env(id: i64, name: &str) -> ParamEnv {
+    ParamEnv::from([(
+        "m".to_owned(),
+        NamedTuple {
+            columns: vec!["metroid".into(), "metroname".into()],
+            values: vec![Value::Int(id), Value::Str(name.into())],
+        },
+    )])
 }
 
 #[test]
-fn batched_path_is_identical_to_scalar_path() {
+fn batched_trace_pins_every_path_view_and_binding() {
     let v = view();
     let db = db();
+    let (metro, hotel) = (
+        v.find_by_paper_id(1).unwrap(),
+        v.find_by_paper_id(2).unwrap(),
+    );
+    let expected = [
+        ("/metro[1]", metro, ParamEnv::new()),
+        ("/metro[1]/hotel[1]", hotel, metro_env(1, "chicago")),
+        ("/metro[1]/hotel[2]", hotel, metro_env(1, "chicago")),
+        ("/metro[2]", metro, ParamEnv::new()),
+        ("/metro[2]/hotel[1]", hotel, metro_env(2, "nyc")),
+        ("/metro[3]", metro, ParamEnv::new()),
+        ("/metro[3]/hotel[1]", hotel, metro_env(3, "sf")),
+        ("/metro[4]", metro, ParamEnv::new()),
+        ("/metro[4]/hotel[1]", hotel, metro_env(4, "boston")),
+    ];
     for threads in [1, 4] {
-        let scalar = Engine::new(&v)
-            .batched(false)
+        let p = Engine::new(&v)
             .traced(true)
             .parallel(threads)
             .session()
             .publish(&db)
             .unwrap();
-        let batched = Engine::new(&v)
-            .traced(true)
-            .parallel(threads)
-            .session()
-            .publish(&db)
-            .unwrap();
-        // Documents bit-identical, order included.
-        assert_eq!(
-            batched.document.to_pretty_xml(),
-            scalar.document.to_pretty_xml(),
-            "documents diverged at parallel({threads})"
-        );
-        // Traces entry-for-entry identical.
-        let (bt, st) = (batched.trace.unwrap(), scalar.trace.unwrap());
-        assert_eq!(bt.entries.len(), st.entries.len());
-        for (b, s) in bt.entries.iter().zip(st.entries.iter()) {
-            assert_eq!(b.path, s.path, "trace paths at parallel({threads})");
-            assert_eq!(b.view, s.view);
-            assert_eq!(b.env, s.env);
+        let trace = p.trace.unwrap();
+        assert_eq!(trace.entries.len(), expected.len());
+        for (e, (path, view, env)) in trace.entries.iter().zip(&expected) {
+            assert_eq!(e.path, *path, "trace paths at parallel({threads})");
+            assert_eq!(e.view, *view, "{path} at parallel({threads})");
+            assert_eq!(e.env, *env, "{path} at parallel({threads})");
         }
-        // Publish stats identical modulo the batch-only counters, which
-        // must be zero scalarly and non-zero batched (the hotel level of
-        // each metro task runs as a batch).
-        assert_eq!(
-            batched.stats.without_batch_counters(),
-            scalar.stats,
-            "stats diverged at parallel({threads})"
-        );
-        assert_eq!(scalar.stats.batches_executed, 0);
-        assert_eq!(scalar.stats.rows_regrouped, 0);
-        assert!(batched.stats.batches_executed > 0);
-        assert_eq!(batched.stats.rows_regrouped, 5); // one row per hotel
-                                                     // The batched engine work is *less*: every hotel batch scans the
-                                                     // hotel table once instead of once per parent tuple.
-        assert!(batched.eval.queries <= scalar.eval.queries);
-        assert!(batched.eval.rows_scanned <= scalar.eval.rows_scanned);
+        // The hotel level of each metro task runs as a batch.
+        assert!(p.stats.batches_executed > 0);
+        assert_eq!(p.stats.rows_regrouped, 5); // one row per hotel
     }
 }
 
@@ -461,22 +435,26 @@ fn streamed_publish_is_byte_identical_to_materialized() {
 }
 
 #[test]
-fn streamed_publish_matches_on_scalar_and_traced_fallbacks() {
+fn traced_engine_streams_like_an_untraced_one() {
     let db = db();
-    let expected = Engine::new(&view())
+    let mut plain_out = Vec::new();
+    let plain = Engine::new(&view())
         .session()
-        .publish(&db)
-        .unwrap()
-        .document
-        .to_xml();
-    for engine in [
-        Engine::new(&view()).batched(false),
-        Engine::new(&view()).traced(true),
-    ] {
-        let mut out = Vec::new();
-        engine.session().publish_to(&db, &mut out).unwrap();
-        assert_eq!(String::from_utf8(out).unwrap(), expected);
-    }
+        .publish_to(&db, &mut plain_out)
+        .unwrap();
+    let mut traced_out = Vec::new();
+    let traced = Engine::new(&view())
+        .traced(true)
+        .session()
+        .publish_to(&db, &mut traced_out)
+        .unwrap();
+    // The same streamed walk: same bytes, counters and emission peak (no
+    // materialized document behind the traced one).
+    assert_eq!(traced_out, plain_out);
+    assert_eq!(traced.stats, plain.stats);
+    assert_eq!(traced.eval, plain.eval);
+    assert_eq!(traced.peak_emit_bytes, plain.peak_emit_bytes);
+    assert_eq!(traced.bytes_written, plain.bytes_written);
 }
 
 /// An `io::Write` that accepts `left` bytes, then fails every write.

@@ -5,7 +5,10 @@
 //! template output. [`TreeBuilder`] keeps an explicit element stack so those
 //! components never juggle raw [`NodeId`]s.
 
+use std::io;
+
 use crate::arena::{Document, NodeId};
+use crate::writer::XmlSink;
 
 /// A stack-based builder producing a [`Document`].
 ///
@@ -128,6 +131,31 @@ impl TreeBuilder {
     }
 }
 
+/// A builder is an event sink: anything that emits [`XmlSink`] events can
+/// materialize them as a [`Document`] (the publisher builds `v(I)` this
+/// way). Building never fails.
+impl XmlSink for TreeBuilder {
+    fn start_element(&mut self, name: &str) -> io::Result<()> {
+        self.open(name);
+        Ok(())
+    }
+
+    fn attr(&mut self, name: &str, value: &str) -> io::Result<()> {
+        TreeBuilder::attr(self, name, value);
+        Ok(())
+    }
+
+    fn text(&mut self, text: &str) -> io::Result<()> {
+        TreeBuilder::text(self, text);
+        Ok(())
+    }
+
+    fn end_element(&mut self, _name: &str) -> io::Result<()> {
+        self.close();
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,6 +208,14 @@ mod tests {
         b.import(&src, sx);
         b.close();
         assert_eq!(b.finish().to_xml(), "<root><x><y z=\"1\">t</y></x></root>");
+    }
+
+    #[test]
+    fn replaying_events_rebuilds_the_document() {
+        let src = crate::parse("<r><a x=\"1\"><b/><c y=\"2\">t</c></a><d/></r>").unwrap();
+        let mut b = TreeBuilder::new();
+        src.emit(&mut b).unwrap();
+        assert_eq!(b.finish().to_xml(), src.to_xml());
     }
 
     #[test]

@@ -128,6 +128,48 @@ fn unknown_table_surfaces_at_publish_time() {
     .unwrap();
     let err = publish(&v, &sample_database()).unwrap_err();
     assert!(err.to_string().contains("not_a_table"), "{err}");
+
+    // A child whose tag query cannot prepare, under a parent that has
+    // rows: the walk interprets it per parent instance, and every entry
+    // point reports the unknown table.
+    let mut v = SchemaTree::new();
+    let metro = v
+        .add_root_node(ViewNode::new(
+            1,
+            "metro",
+            "m",
+            parse_query("SELECT metroid FROM metroarea").unwrap(),
+        ))
+        .unwrap();
+    v.add_child(
+        metro,
+        ViewNode::new(
+            2,
+            "ghost",
+            "g",
+            parse_query("SELECT * FROM not_a_table WHERE id = $m.metroid").unwrap(),
+        ),
+    )
+    .unwrap();
+    let db = sample_database();
+    assert!(!db.table("metroarea").unwrap().is_empty());
+    let engine = Engine::new(&v);
+    let errors = [
+        engine.session().publish(&db).map(|_| ()).unwrap_err(),
+        engine
+            .session()
+            .publish_to(&db, std::io::sink())
+            .map(|_| ())
+            .unwrap_err(),
+        engine
+            .session()
+            .publish_segments(&db)
+            .map(|_| ())
+            .unwrap_err(),
+    ];
+    for err in errors {
+        assert!(err.to_string().contains("not_a_table"), "{err}");
+    }
 }
 
 #[test]

@@ -267,6 +267,40 @@ fn dml_and_ddl_keep_the_served_document_current() {
 }
 
 #[test]
+fn rejected_multi_row_insert_leaves_no_drift() {
+    let db = guide_database();
+    let composed = guide_composed(&db);
+    let expected = Engine::new(&composed)
+        .session()
+        .publish(&db)
+        .expect("reference publish")
+        .document
+        .to_xml();
+    let server =
+        Server::start(Engine::new(&composed), db, "127.0.0.1:0", 2).expect("server starts");
+    let mut client = Client::connect(server.addr());
+
+    // The third row's NULL violates `sid INT PRIMARY KEY`: the statement
+    // fails whole, so neither free Chicago sight may appear anywhere.
+    let (status, body) = client.request(
+        "POST",
+        "/dml",
+        "INSERT INTO sight VALUES (20, 1, 'Navy Pier', 0), (21, 1, 'Riverwalk', 0), \
+         (NULL, 1, 'Nowhere', 0)",
+    );
+    assert_eq!(status, 400, "a failing statement must be rejected: {body}");
+    let (status, doc) = client.request("GET", "/doc", "");
+    assert_eq!(status, 200);
+    let (status, fresh) = client.request("GET", "/publish", "");
+    assert_eq!(status, 200);
+    assert_eq!(doc, fresh, "/doc drifted from the database");
+    assert_eq!(fresh, expected, "a rejected statement changed the database");
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn doc_reads_during_writes_see_only_whole_documents() {
     const INSERT: &str = "INSERT INTO sight VALUES (99, 1, 'Navy Pier', 0)";
     const DELETE: &str = "DELETE FROM sight WHERE sid = 99";
