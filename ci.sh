@@ -22,6 +22,12 @@ cargo build --release --quiet --bin xvc
     examples/files/paper/figure1.view examples/files/paper/figure4.xsl \
     examples/files/paper/figure2.sql
 
+echo "== perfbench builds against this tree"
+# The benchmark is a standalone package that links the library crates by
+# path; a library API change that breaks it fails here rather than in the
+# benchmark run. --locked keeps perfbench/Cargo.lock as committed.
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml --target-dir target
+
 echo "== xvc check --json (machine-readable gate, exits 1 on error-level codes)"
 ./target/release/xvc check --json \
     examples/files/guide.view examples/files/guide.xsl examples/files/schema.sql

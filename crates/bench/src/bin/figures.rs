@@ -66,10 +66,10 @@ use std::collections::BTreeSet;
 
 use xvc_bench::experiments::{
     batch_bench, c1_chain_sweep, c2_fan_sweep, differential_fuzz, e1_scale_sweep,
-    e3_selectivity_sweep, incr_sweep, prune_bench, render_comparison_table, render_cost_table,
-    render_incr_objects, render_json_array, render_prune_objects, render_scale_objects,
-    render_stream_objects, scale_sweep, stream_sweep, SCALE_FULL, SCALE_SMOKE, STREAM_FULL,
-    STREAM_SMOKE,
+    e3_selectivity_sweep, incr_sweep, micro_benchmarks, prune_bench, render_comparison_table,
+    render_cost_table, render_incr_objects, render_json_array, render_micro_table,
+    render_prune_objects, render_scale_objects, render_stream_objects, scale_sweep, stream_sweep,
+    SCALE_FULL, SCALE_SMOKE, STREAM_FULL, STREAM_SMOKE,
 };
 use xvc_bench::figures::all_figures;
 
@@ -212,6 +212,10 @@ fn main() {
             "{}",
             render_cost_table("C2 — fan stylesheets", "fan", &rows)
         );
+
+        println!("==== E4: paper-fixture compositions and substrate layers (scale 2) ====\n");
+        let rows = micro_benchmarks(2, 20);
+        println!("{}", render_micro_table("E4 — micro-benchmarks", &rows));
     }
 
     let mut json_objects: Vec<String> = Vec::new();

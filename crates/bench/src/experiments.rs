@@ -1,6 +1,7 @@
 //! The evaluation the paper deferred ("We defer experimental evaluation
-//! ... to future research", §1), realized as experiments E1–E3 and the
-//! §4.5 complexity studies C1–C2 (see DESIGN.md / EXPERIMENTS.md).
+//! ... to future research", §1), realized as experiments E1–E3, the §4.5
+//! complexity studies C1–C2 and the E4 micro-benchmarks (see DESIGN.md /
+//! EXPERIMENTS.md).
 //!
 //! Every run first *verifies* `v'(I) = x(v(I))` and only then measures —
 //! a benchmark row for unequal results would be meaningless.
@@ -214,6 +215,136 @@ pub fn c2_fan_sweep(depth: usize, fans: &[usize], reps: usize) -> Vec<ComposeCos
             }
         })
         .collect()
+}
+
+/// One micro-benchmark of [`micro_benchmarks`]: an operation and its best
+/// wall time.
+#[derive(Debug, Clone)]
+pub struct MicroRow {
+    /// `group/operation`, e.g. `compose/figure4` or `xml/parse`.
+    pub name: String,
+    /// Best of the repetitions' wall times.
+    pub best_ms: f64,
+}
+
+/// E4: micro-benchmarks of what no other table times. First the paper's
+/// own compositions: Figures 4, 15 and 17 composed with the Figure 1 view,
+/// and Figure 25 through the recursive composer. Then each substrate layer
+/// on the Figure 1 view's document at workload `scale`: XML parse,
+/// serialize and canonicalize; XPath parse and evaluation; four SQL
+/// queries, run through their prepared plans as publishing runs them; and
+/// the Figure 1 publish itself. Each operation reports its best of `reps`
+/// runs.
+pub fn micro_benchmarks(scale: usize, reps: usize) -> Vec<MicroRow> {
+    use xvc_core::paper_fixtures::{figure2_catalog, FIGURE15_XSLT, FIGURE17_XSLT, FIGURE25_XSLT};
+    use xvc_rel::{parse_query, prepare, ParamEnv};
+    use xvc_xpath::{eval_path, parse_path, VarBindings};
+
+    let mut rows = Vec::new();
+    let mut time = |name: &str, f: &mut dyn FnMut()| {
+        rows.push(MicroRow {
+            name: name.to_owned(),
+            best_ms: best_ms(reps, f),
+        });
+    };
+
+    let view = figure1_view();
+    let catalog = figure2_catalog();
+    for (name, xslt) in [
+        ("compose/figure4", xvc_xslt::parse::FIGURE4_XSLT),
+        ("compose/figure15", FIGURE15_XSLT),
+        ("compose/figure17", FIGURE17_XSLT),
+    ] {
+        let x = xvc_xslt::parse_stylesheet(xslt).expect("fixture");
+        time(name, &mut || {
+            let out = Composer::new(&view, &x, &catalog).run().expect("compose");
+            std::hint::black_box(out);
+        });
+    }
+    let x25 = xvc_xslt::parse_stylesheet(FIGURE25_XSLT).expect("fixture");
+    time("compose/figure25 (recursive)", &mut || {
+        let out = xvc_core::compose_recursive(&view, &x25, &catalog).expect("compose");
+        std::hint::black_box(out);
+    });
+
+    let db = generate(&WorkloadConfig::scale(scale));
+    let doc = Engine::new(&view)
+        .session()
+        .publish(&db)
+        .expect("publish v")
+        .document;
+    // The view publishes one element per metro, and XML text needs a
+    // single document element to parse.
+    let xml = format!("<document>{}</document>", doc.to_xml());
+    time("xml/parse", &mut || {
+        std::hint::black_box(xvc_xml::parse(&xml).expect("parse"));
+    });
+    time("xml/serialize", &mut || {
+        std::hint::black_box(doc.to_xml());
+    });
+    time("xml/canonicalize", &mut || {
+        std::hint::black_box(xvc_xml::canonical_string(&doc, doc.root()));
+    });
+
+    let select = ".[@sum<200]/../hotel_available/../confroom[../confstat[@sum>100]][@capacity>250]";
+    time("xpath/parse figure17 select", &mut || {
+        std::hint::black_box(parse_path(select).expect("path"));
+    });
+    for p in [
+        "metro/hotel/confstat",
+        "metro/hotel/confroom[@capacity>250]",
+    ] {
+        let path = parse_path(p).expect("path");
+        time(&format!("xpath/{p}"), &mut || {
+            let out = eval_path(&doc, doc.root(), &path, &VarBindings::new()).expect("eval");
+            std::hint::black_box(out);
+        });
+    }
+
+    for (name, sql) in [
+        ("scan_filter", "SELECT * FROM hotel WHERE starrating > 4"),
+        (
+            "hash_join_3way",
+            "SELECT metroname, hotelname, capacity FROM metroarea, hotel, confroom \
+             WHERE metro_id = metroid AND chotel_id = hotelid",
+        ),
+        (
+            "group_aggregate",
+            "SELECT chotel_id, SUM(capacity) FROM confroom GROUP BY chotel_id",
+        ),
+        (
+            "correlated_exists",
+            "SELECT hotelname FROM hotel WHERE EXISTS \
+             (SELECT * FROM confroom WHERE chotel_id = hotelid AND capacity > 400)",
+        ),
+    ] {
+        let q = parse_query(sql).expect("sql");
+        let plan = prepare(&q, &db.catalog()).expect("prepare");
+        time(&format!("sql/{name}"), &mut || {
+            std::hint::black_box(plan.execute(&db, &ParamEnv::new()).expect("execute"));
+        });
+    }
+
+    time("publish/figure1", &mut || {
+        let out = Engine::new(&view)
+            .session()
+            .publish(&db)
+            .expect("publish v");
+        std::hint::black_box(out);
+    });
+    rows
+}
+
+/// Renders micro-benchmark rows as an aligned text table.
+pub fn render_micro_table(title: &str, rows: &[MicroRow]) -> String {
+    let mut out = format!("## {title}\n\n");
+    out.push_str(&format!("{:<44} | {:>10}\n", "operation", "best ms"));
+    out.push_str(&"-".repeat(57));
+    out.push('\n');
+    for r in rows {
+        out.push_str(&format!("{:<44} | {:>10.4}\n", r.name, r.best_ms));
+    }
+    out
 }
 
 /// One measured data point of the §4.2.1 predicate-dataflow prune study:

@@ -8,15 +8,16 @@
 //!   scale and selectivity knobs;
 //! * [`synthetic`] — chain and fan view/stylesheet families for the §4.5
 //!   complexity studies (polynomial and exponential regimes);
-//! * [`experiments`] — the E1/E2/E3 naive-vs-composed comparisons and the
-//!   C1/C2 composition-cost sweeps, each verifying `v'(I) = x(v(I))`
-//!   before timing anything;
+//! * [`experiments`] — the E1/E2/E3 naive-vs-composed comparisons, each
+//!   verifying `v'(I) = x(v(I))` before timing anything, the C1/C2
+//!   composition-cost sweeps, and the E4 micro-benchmarks of the
+//!   paper-fixture compositions and the substrate layers;
 //! * [`figures`] — programmatic regeneration of every paper figure;
 //! * [`random_stylesheet`] — a seeded `XSLT_basic` stylesheet fuzzer for
 //!   the equivalence property.
 //!
-//! The `figures` binary prints all artifacts and experiment tables;
-//! Criterion benches live under `benches/`.
+//! The `figures` binary prints all artifacts and experiment tables, and is
+//! the crate's only benchmark harness.
 
 #![warn(missing_docs)]
 

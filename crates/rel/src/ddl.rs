@@ -84,28 +84,60 @@ impl Database {
     /// `xvc serve` DDL endpoint routes through it so a long-running
     /// engine can gain indexes mid-flight. Both statement kinds change
     /// the catalog fingerprint, so cached publish plans recompile on the
-    /// next request. Statements are applied in order up to the first
-    /// error; earlier statements stay applied (no rollback).
+    /// next request. The whole batch is checked before any statement is
+    /// applied, so a rejected batch leaves the database unchanged.
     pub fn execute_ddl(&mut self, sql: &str) -> Result<usize> {
         let statements = parse_statements(sql)?;
+        self.check_ddl(&statements)?;
         let applied = statements.len();
         for stmt in statements {
             match stmt {
-                DdlStatement::CreateTable(schema) => {
-                    if self.table(&schema.name).is_ok() {
-                        return Err(Error::UnexpectedToken {
-                            found: format!("'{}'", schema.name),
-                            expected: "a table name not already in the database",
-                        });
-                    }
-                    self.create_table(schema);
-                }
+                DdlStatement::CreateTable(schema) => self.create_table(schema),
                 DdlStatement::CreateIndex { table, def } => {
                     self.create_index(&table, &def.column, def.kind)?;
                 }
             }
         }
         Ok(applied)
+    }
+
+    /// Rejects a DDL batch that would fail part-way: a table that already
+    /// exists (in the database or earlier in the batch), or an index on an
+    /// unknown table or column or on an already indexed column. Declares
+    /// the batch, in order, on a copy of the catalog, with the errors
+    /// applying it would raise.
+    fn check_ddl(&self, statements: &[DdlStatement]) -> Result<()> {
+        let mut catalog = self.catalog();
+        for stmt in statements {
+            match stmt {
+                DdlStatement::CreateTable(schema) => {
+                    if catalog.contains(&schema.name) {
+                        return Err(Error::UnexpectedToken {
+                            found: format!("'{}'", schema.name),
+                            expected: "a table name not already in the database",
+                        });
+                    }
+                    catalog.add(schema.clone());
+                }
+                DdlStatement::CreateIndex { table, def } => {
+                    let mut schema = catalog.get(table)?.clone();
+                    let column = &def.column;
+                    if schema.column_index(column).is_none() {
+                        return Err(Error::UnknownColumn {
+                            reference: format!("{table}.{column}"),
+                        });
+                    }
+                    if schema.index_on(column).is_some() {
+                        return Err(Error::Storage {
+                            reason: format!("table {table:?} already has an index on {column:?}"),
+                        });
+                    }
+                    schema.indexes.push(def.clone());
+                    catalog.add(schema);
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -406,6 +438,42 @@ mod tests {
         assert_eq!(db.execute_ddl("CREATE TABLE extra (x INT)").unwrap(), 1);
         assert!(db.execute_ddl("CREATE TABLE hotel (x INT)").is_err());
         assert_eq!(db.table("hotel").unwrap().len(), 1);
+    }
+
+    #[test]
+    fn rejected_ddl_batch_changes_nothing() {
+        let mut db =
+            database_from_ddl("CREATE TABLE sight (sid INT, fee INT); CREATE INDEX ON sight (sid)")
+                .unwrap();
+        // The catalog holds every table with its index declarations.
+        let catalog = db.catalog();
+        let before = db.catalog_fingerprint();
+        for bad in [
+            // An index on an unknown table after a valid CREATE TABLE.
+            "CREATE TABLE audit (id INT); CREATE INDEX ON missing (x)",
+            // A valid index before a duplicate table.
+            "CREATE INDEX ON sight (fee); CREATE TABLE sight (id INT)",
+            // A table duplicated within the batch.
+            "CREATE TABLE audit (id INT); CREATE TABLE audit (id INT)",
+            // An unknown column, and a duplicate index within the batch.
+            "CREATE TABLE audit (id INT); CREATE INDEX ON audit (nope)",
+            "CREATE INDEX ON sight (fee); CREATE INDEX ON sight (fee)",
+            // An index the table already has.
+            "CREATE TABLE audit (id INT); CREATE INDEX ON sight (sid)",
+        ] {
+            assert!(db.execute_ddl(bad).is_err(), "{bad}");
+            assert_eq!(db.catalog(), catalog, "{bad}");
+            assert!(db.table("sight").unwrap().index_for(1).is_none(), "{bad}");
+            assert_eq!(db.catalog_fingerprint(), before, "{bad}");
+        }
+        // A valid batch that creates a table and indexes it applies both.
+        assert_eq!(
+            db.execute_ddl("CREATE TABLE audit (id INT); CREATE INDEX ON audit (id)")
+                .unwrap(),
+            2
+        );
+        assert!(db.table("audit").unwrap().index_for(0).is_some());
+        assert_ne!(db.catalog_fingerprint(), before);
     }
 
     #[test]

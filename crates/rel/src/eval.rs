@@ -234,7 +234,7 @@ pub fn eval_query_stats(
 // ---------------------------------------------------------------------------
 
 /// Column layout of a working relation: `(qualifier, name)` per slot.
-/// Shared with the EXPLAIN planner simulation (`crate::explain`).
+/// Shared with the plan compiler (`crate::plan`).
 pub(crate) type Layout = Vec<(String, String)>;
 
 pub(crate) struct Scope<'a> {
@@ -967,7 +967,7 @@ fn equi_pair(c: &ScalarExpr, prev: &WorkRel, next: &WorkRel) -> Option<(ScalarEx
 }
 
 /// Layout-based form of [`equi_pair`], usable without materialized rows —
-/// this is how the EXPLAIN printer re-derives join-strategy decisions.
+/// this is how the plan compiler (`crate::plan`) picks hash-join keys.
 pub(crate) fn equi_pair_layouts(
     c: &ScalarExpr,
     prev: &Layout,

@@ -63,7 +63,6 @@ pub mod dml;
 pub mod domain;
 pub mod error;
 pub mod eval;
-pub mod explain;
 pub mod facts;
 pub mod index;
 pub mod optimize;
@@ -86,7 +85,6 @@ pub use eval::{
     eval_query, eval_query_stats, eval_query_with, output_columns, EvalOptions, EvalStats,
     NamedTuple, ParamEnv, Relation,
 };
-pub use explain::{explain_query, explain_query_with};
 pub use facts::{
     analyze_query, bound_query, drop_redundant_conjuncts, param_key, query_cardinality, ClauseKind,
     FactEntry, FactSet, QueryAnalysis, QueryCardinality,

@@ -8,10 +8,11 @@
 //!
 //! * **predicate classification** — WHERE conjuncts are split and assigned
 //!   to scans (pushdown), hash-join keys, joined-prefix filters or
-//!   residuals using the *same* `pub(crate)` helpers the interpreter and
-//!   the EXPLAIN printer use (`split_and`, `resolvable_within`,
-//!   `equi_pair_layouts`), so plan, EXPLAIN output and interpreted
-//!   execution can never disagree;
+//!   residuals using the *same* `pub(crate)` helpers the interpreter
+//!   uses (`split_and`, `resolvable_within`, `equi_pair_layouts`), so the
+//!   plan and interpreted execution can never disagree, and
+//!   [`PreparedPlan::describe`] — the one plan printer `xvc explain`
+//!   uses — renders the plan that runs;
 //! * **join order and strategy** — fixed at compile time from
 //!   catalog-derived layouts (which always equal the runtime layouts);
 //! * **parameter slots** — every `$var.column` becomes a numbered slot,
@@ -859,9 +860,9 @@ impl PreparedPlan {
     }
 
     /// The `$var.column` parameter slots this plan reads, in
-    /// first-reference order. A result memo keyed on these values (and
-    /// nothing else) is sound: two environments agreeing on every slot
-    /// produce identical results.
+    /// first-reference order. Two environments agreeing on every slot
+    /// produce identical results, which is what lets a batch execute
+    /// duplicate bindings once.
     pub fn slots(&self) -> &[(String, String)] {
         &self.slots
     }
@@ -1049,8 +1050,8 @@ impl PreparedPlan {
 
         // 1. The binding relation: distinct resolved slot tuples in
         // first-occurrence order. Distinctness is on strict value identity
-        // (same rendering the publisher's memo uses), which is sound per
-        // the `slots()` contract.
+        // (the values' debug rendering), which is sound per the `slots()`
+        // contract.
         let mut order: Vec<Group> = Vec::new();
         let mut by_key: HashMap<String, usize> = HashMap::new();
         for (i, env) in envs.iter().enumerate() {
@@ -1258,10 +1259,10 @@ impl PreparedPlan {
     }
 
     /// Renders the compiled pipeline — slot table, per-item scan fusion
-    /// and join strategy, projection, and the batch (set-oriented)
-    /// operator — as indented text. This is the plan that *executes*, as
-    /// opposed to `explain_query`'s static classification; `xvc explain`
-    /// prints both.
+    /// and join strategy, residual filters with their `EXISTS` subplans,
+    /// grouping keys, `HAVING`, projection, and the batch (set-oriented)
+    /// operator — as indented text. This is the plan that *executes*, and
+    /// the only plan `xvc explain` prints.
     pub fn describe(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
@@ -1281,7 +1282,8 @@ impl PreparedPlan {
         if self.binding_bound != Card::Unbounded {
             let _ = writeln!(out, "  binding bound: {} per batch", self.binding_bound);
         }
-        describe_block(&self.root, &self.slots, 1, &mut out);
+        let cache_exists = self.options.cache_uncorrelated_exists;
+        describe_block(&self.root, &self.slots, cache_exists, 1, &mut out);
         match &self.batch {
             Some(_) if !self.index_loop && self.binding_bound.at_most_one() => {
                 let _ = writeln!(
@@ -1445,12 +1447,41 @@ fn fmt_pexpr(e: &PExpr, slots: &[(String, String)]) -> String {
                 Some(a) => fmt_pexpr(a, slots),
                 None => "*".to_owned(),
             };
-            format!("{func:?}({inner})").to_uppercase()
+            let name = format!("{func:?}").to_uppercase();
+            format!("{name}({inner})")
         }
     }
 }
 
-fn describe_block(block: &PlanBlock, slots: &[(String, String)], depth: usize, out: &mut String) {
+/// The `EXISTS` subplans inside `e`, in rendering order.
+fn exists_blocks<'p>(e: &'p PExpr, out: &mut Vec<&'p PlanBlock>) {
+    match e {
+        PExpr::Exists(b) => out.push(b),
+        PExpr::Binary { lhs, rhs, .. } => {
+            exists_blocks(lhs, out);
+            exists_blocks(rhs, out);
+        }
+        PExpr::Not(i) | PExpr::IsNull(i) => exists_blocks(i, out),
+        PExpr::Aggregate { arg: Some(a), .. } => exists_blocks(a, out),
+        PExpr::Aggregate { arg: None, .. }
+        | PExpr::Column { .. }
+        | PExpr::Slot(_)
+        | PExpr::Literal(_) => {}
+    }
+}
+
+/// Renders one compiled block, two spaces of indent per `depth`. A
+/// residual's `EXISTS` subplans follow its line, under the rule
+/// `p_apply_residual` runs them by: the first row evaluates the residual,
+/// and later rows reuse that result when the evaluation read no column of
+/// the row (with `cache_exists`, i.e. `cache_uncorrelated_exists`).
+fn describe_block(
+    block: &PlanBlock,
+    slots: &[(String, String)],
+    cache_exists: bool,
+    depth: usize,
+    out: &mut String,
+) {
     use std::fmt::Write;
     let pad = "  ".repeat(depth);
     for (i, item) in block.from.iter().enumerate() {
@@ -1506,7 +1537,7 @@ fn describe_block(block: &PlanBlock, slots: &[(String, String)], depth: usize, o
             let _ = writeln!(out, "{pad}  prefix filter: {}", ps.join(" AND "));
         }
         if let PlanSource::Derived(child) = &item.source {
-            describe_block(child, slots, depth + 1, out);
+            describe_block(child, slots, cache_exists, depth + 1, out);
         }
     }
     if !block.residuals.is_empty() {
@@ -1516,13 +1547,33 @@ fn describe_block(block: &PlanBlock, slots: &[(String, String)], depth: usize, o
             .map(|p| fmt_pexpr(p, slots))
             .collect();
         let _ = writeln!(out, "{pad}residual: {}", ps.join(" AND "));
+        let mut subplans = Vec::new();
+        for r in &block.residuals {
+            exists_blocks(r, &mut subplans);
+        }
+        let rule = if cache_exists {
+            "runs for the first row; later rows reuse its result unless that \
+             run read a column of the row"
+        } else {
+            "runs per row"
+        };
+        for sub in subplans {
+            let _ = writeln!(out, "{pad}  exists subplan — {rule}:");
+            describe_block(sub, slots, cache_exists, depth + 2, out);
+        }
     }
     let mut proj = format!("{pad}project: {}", block.columns.join(", "));
     if block.aggregating {
-        proj.push_str(&format!(" | group by {}", block.group_by.len()));
+        let keys: Vec<String> = block.group_by.iter().map(|g| fmt_pexpr(g, slots)).collect();
+        proj.push_str(&format!(" | group by {}", keys.len()));
+        if keys.is_empty() {
+            proj.push_str(" (one implicit group)");
+        } else {
+            proj.push_str(&format!(" ({})", keys.join(", ")));
+        }
     }
-    if block.having.is_some() {
-        proj.push_str(" | having");
+    if let Some(h) = &block.having {
+        proj.push_str(&format!(" | having {}", fmt_pexpr(h, slots)));
     }
     if block.distinct {
         proj.push_str(" | distinct");
@@ -2620,6 +2671,187 @@ mod tests {
             "{}",
             slotless.describe()
         );
+    }
+
+    #[test]
+    fn describe_states_every_plan_decision() {
+        // (catalog, options, query, rendered facts, absent phrases)
+        type Case<'a> = (
+            &'a Catalog,
+            EvalOptions,
+            &'a str,
+            &'a [&'a str],
+            &'a [&'a str],
+        );
+        let plain = hotel_db().catalog();
+        let indexed = indexed_hotel_db().catalog();
+        let mut keyed = pk_db();
+        for column in ["starrating", "hotelid"] {
+            keyed
+                .create_index("hotel", column, crate::schema::IndexKind::Hash)
+                .unwrap();
+        }
+        let keyed = keyed.catalog();
+        let default = EvalOptions::default();
+        let no_index = EvalOptions {
+            use_indexes: false,
+            ..default
+        };
+        let no_hash = EvalOptions {
+            hash_joins: false,
+            ..default
+        };
+        let no_cache = EvalOptions {
+            cache_uncorrelated_exists: false,
+            ..default
+        };
+        let cases: &[Case<'_>] = &[
+            // Pushdown into the scan.
+            (
+                &plain,
+                default,
+                "SELECT hotelname FROM hotel WHERE starrating > 4",
+                &[
+                    "from[0]: scan hotel",
+                    "fused pushdown: starrating > 4",
+                    "project: hotelname",
+                ],
+                &["index lookup"],
+            ),
+            // An indexed slot equality is an index lookup...
+            (
+                &indexed,
+                default,
+                "SELECT hotelname FROM hotel WHERE metro_id = $m.metroid",
+                &["from[0]: index lookup hotel on metro_id = $m.metroid"],
+                &["from[0]: scan hotel"],
+            ),
+            // ...but not with indexes off...
+            (
+                &indexed,
+                no_index,
+                "SELECT hotelname FROM hotel WHERE metro_id = $m.metroid",
+                &["from[0]: scan hotel", "fused pushdown: metro_id = $m.metroid"],
+                &["index lookup"],
+            ),
+            // ...nor without an index.
+            (
+                &plain,
+                default,
+                "SELECT hotelname FROM hotel WHERE metro_id = 3",
+                &["fused pushdown: metro_id = 3"],
+                &["index lookup"],
+            ),
+            // A primary-key equality wins over an earlier indexed one.
+            (
+                &keyed,
+                default,
+                "SELECT hotelname FROM hotel WHERE starrating = 5 AND hotelid = 12",
+                &["index lookup hotel on hotelid = 12"],
+                &["index lookup hotel on starrating"],
+            ),
+            // Hash-join keys.
+            (
+                &plain,
+                default,
+                "SELECT hotelname, metroname FROM hotel, metroarea WHERE metro_id = metroid",
+                &["from[1]: scan metroarea | hash join on (metro_id = metroid)"],
+                &["nested-loop"],
+            ),
+            // No equality key: a cross product.
+            (
+                &plain,
+                default,
+                "SELECT hotelname, metroname FROM hotel, metroarea",
+                &["from[1]: scan metroarea | nested-loop (cross) join"],
+                &["hash join"],
+            ),
+            // Hash joins off: a nested loop, the key becomes a filter.
+            (
+                &plain,
+                no_hash,
+                "SELECT hotelname, metroname FROM hotel, metroarea WHERE metro_id = metroid",
+                &[
+                    "from[1]: scan metroarea | nested-loop (cross) join",
+                    "prefix filter: metro_id = metroid",
+                ],
+                &["hash join"],
+            ),
+            // A derived table with its own pushdown, joined and grouped.
+            (
+                &plain,
+                default,
+                "SELECT SUM(capacity), TEMP.hotelid \
+                 FROM confroom, (SELECT * FROM hotel WHERE starrating > 4) AS TEMP \
+                 WHERE chotel_id = TEMP.hotelid GROUP BY TEMP.hotelid",
+                &[
+                    "from[1]: derived subplan | hash join on (chotel_id = TEMP.hotelid)",
+                    "\n    from[0]: scan hotel\n      fused pushdown: starrating > 4",
+                    "| group by 1 (TEMP.hotelid)",
+                ],
+                &["preserved"],
+            ),
+            // A preserved (left-outer) derived table.
+            (
+                &plain,
+                default,
+                "SELECT COUNT(c_id), TEMP.hotelid \
+                 FROM confroom, OUTER (SELECT * FROM hotel) AS TEMP \
+                 WHERE chotel_id = TEMP.hotelid GROUP BY TEMP.hotelid",
+                &["derived subplan | hash join on (chotel_id = TEMP.hotelid) | preserved (left-outer)"],
+                &[],
+            ),
+            // A residual EXISTS shows its compiled subplan and the rule it
+            // runs under; the correlated reference stays a residual there.
+            (
+                &plain,
+                default,
+                "SELECT hotelname FROM hotel \
+                 WHERE EXISTS (SELECT * FROM confroom WHERE chotel_id = hotelid)",
+                &[
+                    "  residual: EXISTS (...)\n    exists subplan — runs for the first row; \
+                     later rows reuse its result unless that run read a column of the row:\n",
+                    "\n      from[0]: scan confroom\n      residual: chotel_id = hotelid\n",
+                ],
+                &["runs per row"],
+            ),
+            (
+                &plain,
+                no_cache,
+                "SELECT hotelname FROM hotel WHERE EXISTS (SELECT * FROM metroarea WHERE metroid = 1)",
+                &[
+                    "exists subplan — runs per row:",
+                    "      from[0]: scan metroarea\n        fused pushdown: metroid = 1",
+                ],
+                &["reuse"],
+            ),
+            // Group-by keys, HAVING and DISTINCT.
+            (
+                &plain,
+                default,
+                "SELECT DISTINCT chotel_id FROM confroom \
+                 GROUP BY chotel_id HAVING SUM(capacity) > 400",
+                &["project: chotel_id | group by 1 (chotel_id) | having SUM(capacity) > 400 | distinct"],
+                &[],
+            ),
+            (
+                &plain,
+                default,
+                "SELECT COUNT(*) FROM confroom",
+                &["| group by 0 (one implicit group)"],
+                &["having"],
+            ),
+        ];
+        for (catalog, options, sql, present, absent) in cases {
+            let q = parse_query(sql).unwrap();
+            let text = prepare_with(&q, catalog, *options).unwrap().describe();
+            for p in *present {
+                assert!(text.contains(p), "{sql}: missing {p:?} in\n{text}");
+            }
+            for a in *absent {
+                assert!(!text.contains(a), "{sql}: unexpected {a:?} in\n{text}");
+            }
+        }
     }
 
     /// `hotel_db` with a hash index on `hotel.metro_id`.

@@ -33,7 +33,8 @@ impl fmt::Display for SelectQuery {
     }
 }
 
-/// Single-line rendering of a scalar expression (EXPLAIN output, labels).
+/// Single-line rendering of a scalar expression (fact-chain displays,
+/// labels).
 pub(crate) fn expr_to_sql_inline(e: &ScalarExpr) -> String {
     render_expr(e, 0)
         .split_whitespace()

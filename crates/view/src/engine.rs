@@ -9,7 +9,7 @@
 //! cache and totals, so a server can hand one engine to N worker threads.
 //!
 //! [`Session`] is the short-lived half: a cheap per-request handle created
-//! by [`Engine::session`] that carries per-publish memo/trace state and a
+//! by [`Engine::session`] that carries per-publish trace state and a
 //! private statistics accumulator. Concurrent sessions publish through the
 //! same warm plan cache without re-compiling — and without double-counting
 //! `plans_prepared` vs `plan_cache_hits`: a plan is compiled (and counted
@@ -401,7 +401,7 @@ impl Session {
     /// Plans cached by any earlier publish through the same engine are
     /// reused when the database's catalog fingerprint is unchanged — an
     /// `O(1)` check instead of rebuilding and comparing the whole
-    /// catalog. The result memo never outlives one call, so database
+    /// catalog. No query result is cached across calls, so database
     /// mutations between calls are always observed.
     pub fn publish(&mut self, db: &Database) -> Result<Published> {
         let published = self.engine.with_run(db, |run, stats| run.full(db, stats))?;

@@ -12,11 +12,12 @@
 //! each element's view node and child environment; the entry points differ
 //! only in what they do with a finished skeleton: stream it into a writer,
 //! emit it into a [`TreeBuilder`] for the document, keep it for delta
-//! splicing, or read a trace off it. Around the walk sit a bounded
-//! per-task **result memo** (repeated parent tuples with equal relevant
-//! binding values reuse the child relation), **parallel** root-task
-//! evaluation (`std::thread::scope`) that keeps document order and
-//! thread-count-independent statistics, and the **delta-republish** graft.
+//! splicing, or read a trace off it. Parent tuples with equal relevant
+//! binding values share one engine execution inside their batch (the
+//! batch groups bindings by slot values). Around the walk sit **parallel**
+//! root-task evaluation (`std::thread::scope`) that keeps document order
+//! and thread-count-independent statistics, and the **delta-republish**
+//! graft.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::io;
@@ -59,21 +60,15 @@ pub struct PublishStats {
     /// The failure is cached, so a given node fails at most once per
     /// catalog; the node falls back to the interpreter.
     pub plan_prepare_failures: usize,
-    /// Tag-query executions served from the parameterized-result memo
-    /// (equal relevant binding values, relation reused without touching
-    /// the engine).
-    pub memo_hits: usize,
-    /// Memoizable executions that had to run the engine.
-    pub memo_misses: usize,
     /// Set-oriented executions: one per (view node, frontier) with at
-    /// least one non-memoized binding and a prepared plan.
+    /// least one binding and a prepared plan.
     pub batches_executed: usize,
-    /// Largest number of bindings any single batch carried (merged with
-    /// `max`, not `+`, across subtree tasks).
+    /// Largest number of bindings any single batch carried, duplicates
+    /// included (merged with `max`, not `+`, across subtree tasks).
     pub bindings_per_batch_max: usize,
     /// Rows returned by batched executions and regrouped back to their
-    /// parent bindings. Memo-served parents reuse an existing relation
-    /// and are **not** counted here.
+    /// parent bindings. Every parent binding counts its rows, including
+    /// a duplicate binding that shared another binding's execution.
     pub rows_regrouped: usize,
     /// Subtree roots spliced into the previous document's root tasks by
     /// a delta republish ([`crate::Session::republish_delta`],
@@ -99,8 +94,6 @@ impl PublishStats {
         self.plans_prepared += other.plans_prepared;
         self.plan_cache_hits += other.plan_cache_hits;
         self.plan_prepare_failures += other.plan_prepare_failures;
-        self.memo_hits += other.memo_hits;
-        self.memo_misses += other.memo_misses;
         self.batches_executed += other.batches_executed;
         self.bindings_per_batch_max = self
             .bindings_per_batch_max
@@ -287,7 +280,7 @@ pub struct Published {
 }
 
 /// Distinguishes a node's tag query from its emission-guard probe in the
-/// plan cache and result memo.
+/// plan cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum Role {
     Tag,
@@ -321,9 +314,6 @@ pub(crate) struct PlanCache {
     pub(crate) complete: bool,
     pub(crate) plans: HashMap<PlanKey, PlanEntry>,
 }
-
-/// Entries per subtree-task result memo; inserts are skipped beyond this.
-const MEMO_CAP: usize = 256;
 
 /// Publish-path toggles, fixed per [`crate::Engine`] (see the builder
 /// methods there for what each flag does).
@@ -370,7 +360,7 @@ impl Run<'_> {
                 stats.queries_run += 1;
                 let probe = guard_probe(guard);
                 if shared
-                    .run_root_query(child, Role::Guard, &probe, &mut stats, &mut eval)?
+                    .run_root_query(child, Role::Guard, &probe, &mut eval)?
                     .is_empty()
                 {
                     continue;
@@ -383,7 +373,7 @@ impl Run<'_> {
             };
             match &node.query {
                 Some(q) if node.context_tuple_of.is_none() => {
-                    let rel = shared.run_root_query(child, Role::Tag, q, &mut stats, &mut eval)?;
+                    let rel = shared.run_root_query(child, Role::Tag, q, &mut eval)?;
                     stats.queries_run += 1;
                     stats.tuples_fetched += rel.len();
                     for i in 0..rel.len() {
@@ -974,25 +964,18 @@ struct Shared<'a> {
 impl Shared<'_> {
     /// Runs one root-level tag query or guard probe. Root-level queries
     /// run once each under no bindings, so they execute scalar: through
-    /// the node's prepared plan — counted as the memo miss a bindable
-    /// execution is — or through the interpreter when the plan failed to
-    /// prepare.
+    /// the node's prepared plan, or through the interpreter when the plan
+    /// failed to prepare.
     fn run_root_query(
         &self,
         vid: ViewNodeId,
         role: Role,
         q: &SelectQuery,
-        stats: &mut PublishStats,
         eval: &mut EvalStats,
     ) -> Result<Relation> {
         let env = ParamEnv::new();
         match self.plans.get(&(vid.index() as u32, role)) {
-            Some(PlanEntry::Ready(plan)) => {
-                if memo_key(plan.slots(), &env).is_some() {
-                    stats.memo_misses += 1;
-                }
-                Ok(plan.execute_stats(self.db, &env, eval)?)
-            }
+            Some(PlanEntry::Ready(plan)) => Ok(plan.execute_stats(self.db, &env, eval)?),
             _ => Ok(eval_query_stats(
                 self.db,
                 q,
@@ -1024,15 +1007,13 @@ struct Pending {
 }
 
 /// Per-task state of the breadth-first walk: the skeleton the task grows
-/// in, its counters, and the result memo (task-scoped, so statistics
-/// cannot depend on how tasks are spread over threads).
+/// in and its counters (task-scoped, so statistics cannot depend on how
+/// tasks are spread over threads).
 struct BatchWorker<'a> {
     shared: &'a Shared<'a>,
     skel: Skeleton,
     stats: PublishStats,
     eval: EvalStats,
-    /// `(node, role, rendered binding values)` → relation.
-    memo: HashMap<(u32, Role, String), Relation>,
     /// View nodes whose guard / tag batches this worker issued (delta-path
     /// soundness bookkeeping; node arena indexes).
     touched: BTreeSet<usize>,
@@ -1045,16 +1026,13 @@ impl<'a> BatchWorker<'a> {
             skel: Skeleton::default(),
             stats: PublishStats::default(),
             eval: EvalStats::default(),
-            memo: HashMap::new(),
             touched: BTreeSet::new(),
         }
     }
 
-    /// Publishes one root task into the cleared skeleton, with a fresh
-    /// memo.
+    /// Publishes one root task into the cleared skeleton.
     fn run_task(&mut self, task: &Task) -> Result<()> {
         self.skel.begin_task();
-        self.memo.clear();
         let mut frontier = Vec::new();
         let root = self.skel.root();
         let env = Arc::new(ParamEnv::new());
@@ -1182,12 +1160,11 @@ impl<'a> BatchWorker<'a> {
     }
 
     /// Executes a node's tag query (or guard probe) for every environment
-    /// at once: one relation per environment, in order. The memo behaves
-    /// exactly as if the environments were executed one by one (hits,
-    /// misses, cap-bounded inserts): every binding's memo key is resolved
-    /// first and only the environments that would have reached the engine
-    /// are batched. A node whose plan failed to prepare is interpreted per
-    /// environment instead, with no batch counters.
+    /// at once: one relation per environment, in order. Every environment
+    /// goes to one set-oriented execution, which runs the engine once per
+    /// distinct binding and replicates the rows to duplicates. A node whose
+    /// plan failed to prepare is interpreted per environment instead, with
+    /// no batch counters.
     fn run_batch(
         &mut self,
         vid: ViewNodeId,
@@ -1198,8 +1175,8 @@ impl<'a> BatchWorker<'a> {
         if envs.is_empty() {
             return Ok(Vec::new());
         }
-        let key_base = vid.index() as u32;
-        let Some(PlanEntry::Ready(plan)) = self.shared.plans.get(&(key_base, role)) else {
+        let key = (vid.index() as u32, role);
+        let Some(PlanEntry::Ready(plan)) = self.shared.plans.get(&key) else {
             let mut rels = Vec::with_capacity(envs.len());
             for env in envs {
                 rels.push(eval_query_stats(
@@ -1212,77 +1189,17 @@ impl<'a> BatchWorker<'a> {
             }
             return Ok(rels);
         };
-        let mut out: Vec<Option<Relation>> = vec![None; envs.len()];
-        // env index → slot in `pending` whose result it shares.
-        let mut share: Vec<usize> = vec![usize::MAX; envs.len()];
-        let mut pending: Vec<usize> = Vec::new();
-        // memo key → (pending slot of its first execution, whether that
-        // execution will be inserted into the memo).
-        let mut in_flight: HashMap<String, (usize, bool)> = HashMap::new();
-        let mut planned_inserts = 0usize;
-        for (i, env) in envs.iter().enumerate() {
-            match memo_key(plan.slots(), env) {
-                Some(key) => {
-                    if let Some(hit) = self.memo.get(&(key_base, role, key.clone())) {
-                        self.stats.memo_hits += 1;
-                        out[i] = Some(hit.clone());
-                    } else if let Some(&(slot, will_insert)) = in_flight.get(&key) {
-                        // One-by-one execution would find the first
-                        // execution's insert (hit) — or, past the cap, miss
-                        // and re-execute; the engine work is shared either
-                        // way, only the counter differs.
-                        if will_insert {
-                            self.stats.memo_hits += 1;
-                        } else {
-                            self.stats.memo_misses += 1;
-                        }
-                        share[i] = slot;
-                    } else {
-                        self.stats.memo_misses += 1;
-                        let will_insert = self.memo.len() + planned_inserts < MEMO_CAP;
-                        if will_insert {
-                            planned_inserts += 1;
-                        }
-                        in_flight.insert(key, (pending.len(), will_insert));
-                        share[i] = pending.len();
-                        pending.push(i);
-                    }
-                }
-                // Unresolvable slots bypass the memo (the execution itself
-                // reports the unbound parameter, if the plan reaches it).
-                None => {
-                    share[i] = pending.len();
-                    pending.push(i);
-                }
-            }
-        }
-        if !pending.is_empty() {
-            let penvs: Vec<ParamEnv> = pending.iter().map(|&i| envs[i].clone()).collect();
-            let batch = plan.execute_batch_shared(
-                self.shared.db,
-                &penvs,
-                self.shared.scans.and_then(|s| s.get(&(key_base, role))),
-                &mut self.eval,
-            )?;
-            self.stats.batches_executed += 1;
-            self.stats.bindings_per_batch_max = self.stats.bindings_per_batch_max.max(penvs.len());
-            self.stats.rows_regrouped += batch.total_rows();
-            let rels = batch.into_relations();
-            for (key, (slot, will_insert)) in in_flight {
-                if will_insert {
-                    self.memo.insert((key_base, role, key), rels[slot].clone());
-                }
-            }
-            for (i, slot) in out.iter_mut().zip(&share) {
-                if i.is_none() {
-                    *i = Some(rels[*slot].clone());
-                }
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|r| r.expect("every env is memo-served or batched"))
-            .collect())
+        let envs: Vec<ParamEnv> = envs.iter().map(|&e| e.clone()).collect();
+        let batch = plan.execute_batch_shared(
+            self.shared.db,
+            &envs,
+            self.shared.scans.and_then(|s| s.get(&key)),
+            &mut self.eval,
+        )?;
+        self.stats.batches_executed += 1;
+        self.stats.bindings_per_batch_max = self.stats.bindings_per_batch_max.max(envs.len());
+        self.stats.rows_regrouped += batch.total_rows();
+        Ok(batch.into_relations())
     }
 }
 
@@ -1683,19 +1600,6 @@ impl Skeleton {
             self.copy_subtree(src, c, el);
         }
     }
-}
-
-/// The memo key for one execution: the rendered values of every binding
-/// slot the plan actually reads. `None` (memo bypass) when a slot cannot be
-/// resolved — the execution then reports the unbound parameter itself.
-fn memo_key(slots: &[(String, String)], env: &ParamEnv) -> Option<String> {
-    let mut key = String::new();
-    for (var, column) in slots {
-        let v = env.get(var)?.get(column)?;
-        key.push_str(&format!("{v:?}"));
-        key.push('\u{1f}');
-    }
-    Some(key)
 }
 
 /// Projects tuple columns into attribute `(name, value)` pairs: NULLs
@@ -2214,53 +2118,6 @@ mod tests {
     }
 
     #[test]
-    fn memo_reuses_equal_bindings() {
-        // metro -> hotel -> home: the `home` plan reads only $h.metro_id,
-        // which is equal for both hotels under metro 1, so the second
-        // sibling is a memo hit inside that subtree task (the memo is
-        // task-scoped, so reuse never crosses root-level siblings).
-        let mut t = SchemaTree::new();
-        let metro = t
-            .add_root_node(ViewNode::new(
-                1,
-                "metro",
-                "m",
-                parse_query("SELECT metroid, metroname FROM metroarea").unwrap(),
-            ))
-            .unwrap();
-        let hotel = t
-            .add_child(
-                metro,
-                ViewNode::new(
-                    2,
-                    "hotel",
-                    "h",
-                    parse_query("SELECT * FROM hotel WHERE metro_id=$m.metroid").unwrap(),
-                ),
-            )
-            .unwrap();
-        t.add_child(
-            hotel,
-            ViewNode::new(
-                3,
-                "home",
-                "x",
-                parse_query("SELECT metroname FROM metroarea WHERE metroid=$h.metro_id").unwrap(),
-            ),
-        )
-        .unwrap();
-        let database = db();
-        let p = publish_one(&t, &database).unwrap();
-        // metro 1 has two hotels with the same metro_id: one hit.
-        assert_eq!(p.stats.memo_hits, 1, "{:?}", p.stats);
-        // The memoized relation still counts as a query run.
-        assert_eq!(p.stats.queries_run, 1 + 2 + 3);
-        // ... but skips the engine entirely. Both metro tasks share one
-        // hotel scan and one home scan.
-        assert_eq!(p.eval.queries, 1 + 1 + 1);
-    }
-
-    #[test]
     fn delta_republish_of_leaf_change_matches_full_republish() {
         let tree = view();
         let mut database = db();
@@ -2516,11 +2373,10 @@ mod tests {
     }
 
     #[test]
-    fn memo_hits_do_not_count_rows_regrouped() {
+    fn equal_bindings_share_one_engine_execution() {
         // metro -> hotel -> home, where `home` reads only $h.metro_id:
-        // under metro 1 the second hotel is a memo hit, so its parent is
-        // served without entering the batch — rows_regrouped must count
-        // the engine-executed bindings' rows only.
+        // both hotels under metro 1 bind the same value, so the batch runs
+        // the engine once for them and replicates the rows to both parents.
         let mut t = SchemaTree::new();
         let metro = t
             .add_root_node(ViewNode::new(
@@ -2558,15 +2414,27 @@ mod tests {
                 .session()
                 .publish(&database)
                 .unwrap();
-            assert_eq!(p.stats.memo_hits, 1, "{:?}", p.stats);
-            // hotel rows: 2 under metro 1 + 1 under metro 2; home rows:
-            // one per *executed* home batch binding (metro 1's second
-            // hotel is memo-served): 1 + 1. Counting memo hits too would
-            // give 6.
-            assert_eq!(p.stats.rows_regrouped, 3 + 2, "{:?}", p.stats);
+            // Engine work: the root metro scan, and one shared hotel scan
+            // and one shared home scan probed by both metro tasks. Each of
+            // the 4 batches serves one distinct binding group: metro 1's
+            // two equal home bindings form one.
+            let e = &p.eval;
+            assert_eq!(e.queries, 1 + 1 + 1, "{e:?}");
+            assert_eq!(e.param_queries, 4, "{e:?}");
+            assert_eq!(e.rows_scanned, 7, "{e:?}");
+            assert_eq!(e.hash_join_builds, 2, "{e:?}");
+            assert_eq!(e.hash_join_build_rows, 5, "{e:?}");
+            assert_eq!(e.hash_join_probe_rows, 4, "{e:?}");
+            // Every parent still counts as a query run: 1 metro + 2 hotel
+            // + 3 home.
+            assert_eq!(p.stats.queries_run, 1 + 2 + 3, "{:?}", p.stats);
             // One hotel batch + one home batch per metro task.
-            assert_eq!(p.stats.batches_executed, 4);
-            assert_eq!(p.stats.bindings_per_batch_max, 1);
+            assert_eq!(p.stats.batches_executed, 4, "{:?}", p.stats);
+            // hotel rows: 2 under metro 1 + 1 under metro 2; home rows:
+            // one per parent binding, the duplicate included: 2 + 1.
+            assert_eq!(p.stats.rows_regrouped, 3 + 3, "{:?}", p.stats);
+            // Metro 1's home batch carries both hotels' (equal) bindings.
+            assert_eq!(p.stats.bindings_per_batch_max, 2, "{:?}", p.stats);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Engine/Session integration tests: parallel evaluation is
 //! deterministic, the shared plan cache warms and invalidates correctly
-//! (including under concurrent sessions), the per-publish memo never
-//! leaks stale results across database mutations, traces pin every
+//! (including under concurrent sessions), no query result outlives a
+//! publish to go stale across database mutations, traces pin every
 //! element's provenance, streaming matches materializing on every
 //! configuration, and mid-flight DDL/DML never yields a stale or torn
 //! document.
@@ -176,9 +176,9 @@ fn database_mutations_between_publishes_are_observed() {
     .unwrap();
     let after = engine.session().publish(&db).unwrap();
 
-    // Same catalog ⇒ plans were reused — but the memo is per-publish, so
-    // the new row must show up (a cross-call memo would hand back the
-    // stale nyc subtree here).
+    // Same catalog ⇒ plans were reused — but no result is cached across
+    // publishes, so the new row must show up (a cross-call result cache
+    // would hand back the stale nyc subtree here).
     assert_eq!(after.stats.plan_cache_hits, 2);
     assert_eq!(after.stats.elements, before.stats.elements + 1);
     assert!(after.document.to_pretty_xml().contains("ritz"));

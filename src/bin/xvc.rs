@@ -20,10 +20,10 @@
 //!   view (`v'(I)`), with `--naive` via materialize-then-transform
 //!   (`x(v(I))`); both paths are verified against each other, and any
 //!   disagreement is reported as a localized divergence diff;
-//! * `explain` prints evaluation plans (join order, join strategy, pushed
-//!   predicates) plus the prepared set-oriented pipeline (scan fusion,
-//!   fused pushdown, batch join keys) — for one `--sql` query, or for
-//!   every composed tag query;
+//! * `explain` prints the prepared plan that executes (join order and
+//!   strategy, fused pushdowns, residual `EXISTS` subplans, grouping, the
+//!   set-oriented batch operator) — for one `--sql` query, or for every
+//!   composed tag query after its cardinality bounds;
 //! * `stats` prints per-stage composition counters (CTG/TVQ sizes, §4.5
 //!   duplication factor, unbind depth) and, with `--data`, the relational
 //!   engine's work executing the composed view;
@@ -423,13 +423,7 @@ fn cmd_explain(opts: &Opts) -> Result<(), CliError> {
     // One ad-hoc query…
     if let Some(sql) = &opts.sql {
         let q = parse_query(sql)?;
-        let plan = explain_query(&q, &catalog)?;
-        println!("{}", plan.trim_end_matches('\n'));
-        println!();
-        println!(
-            "{}",
-            prepare(&q, &catalog)?.describe().trim_end_matches('\n')
-        );
+        print!("{}", prepare(&q, &catalog)?.describe());
         return Ok(());
     }
     // …or every tag query of the composed stylesheet view, with the
@@ -454,10 +448,6 @@ fn cmd_explain(opts: &Opts) -> Result<(), CliError> {
                 "  bounds: fan-out {}, per-document {}",
                 nb.fan_out.card, nb.global
             );
-        }
-        let plan = explain_query(q, &catalog)?;
-        for line in plan.lines() {
-            println!("  {line}");
         }
         let prepared = prepare(q, &catalog)?.with_binding_bound(bounds.batch_bound(vid));
         for line in prepared.describe().lines() {
@@ -495,12 +485,10 @@ fn cmd_stats(opts: &Opts) -> Result<(), CliError> {
             p.elements, p.attributes, p.queries_run, p.tuples_fetched
         );
         println!(
-            "  plan cache: {} prepared, {} hits ({:.0}% warm hit rate), memo {} hits / {} misses",
+            "  plan cache: {} prepared, {} hits ({:.0}% warm hit rate)",
             p.plans_prepared,
             p.plan_cache_hits,
-            p.plan_cache_hit_rate() * 100.0,
-            p.memo_hits,
-            p.memo_misses
+            p.plan_cache_hit_rate() * 100.0
         );
         println!(
             "  batched execution: {} batches, {} max bindings per batch, {} rows regrouped",

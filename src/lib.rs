@@ -109,8 +109,8 @@ pub mod prelude {
         Divergence, DivergenceKind, RecursiveComposition,
     };
     pub use xvc_rel::{
-        explain_query, parse_query, prepare, BatchResult, Catalog, ColumnDef, ColumnType, Database,
-        EvalStats, PreparedPlan, SelectQuery, TableSchema, Value,
+        parse_query, prepare, BatchResult, Catalog, ColumnDef, ColumnType, Database, EvalStats,
+        PreparedPlan, SelectQuery, TableSchema, Value,
     };
     pub use xvc_view::{
         analyze_view_bounds, AttrProjection, Engine, EngineTotals, PublishStats, PublishTrace,

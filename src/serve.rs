@@ -4,7 +4,7 @@
 //! publishes the initial document, and then answers requests from a fixed
 //! pool of worker threads. Every worker publishes through the same
 //! [`Engine`], so prepared plans are compiled once and shared; per-request
-//! state (memo, trace, statistics) lives in a throwaway
+//! state (trace, statistics) lives in a throwaway
 //! [`Session`](crate::view::Session) per request.
 //!
 //! The protocol is a deliberately small HTTP/1.1 subset (no external

@@ -389,10 +389,54 @@ fn explain_sql_prints_a_plan() {
     assert!(ok, "{stderr}");
     assert!(stdout.contains("scan city"), "{stdout}");
     assert!(
-        stdout.contains("hash join sight ON id = city_id"),
+        stdout.contains("scan sight | hash join on (id = city_id)"),
         "{stdout}"
     );
-    assert!(stdout.contains("project [name, sname]"), "{stdout}");
+    assert!(stdout.contains("project: name, sname"), "{stdout}");
+}
+
+#[test]
+fn explain_prints_the_plan_that_runs_on_the_paper_view() {
+    // Figure 1's view x Figure 4's stylesheet over Figure 2's schema: each
+    // composed tag query prints its bounds, then the prepared plan that
+    // executes, and nothing else.
+    let f = Fixture::new("explain_paper");
+    let paper = |file: &str| format!("{}/examples/files/paper/{file}", env!("CARGO_MANIFEST_DIR"));
+    let (ok, stdout, stderr) = f.run(&[
+        "explain",
+        "--view",
+        &paper("figure1.view"),
+        "--xslt",
+        &paper("figure4.xsl"),
+        "--ddl",
+        &paper("figure2.sql"),
+    ]);
+    assert!(ok, "{stderr}");
+    assert_eq!(stdout.matches("prepared plan:").count(), 3, "{stdout}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    for (i, line) in lines.iter().enumerate() {
+        if line.contains("prepared plan:") {
+            assert!(lines[i - 1].trim_start().starts_with("bounds:"), "{stdout}");
+            assert!(lines[i - 2].ends_with("tag query:"), "{stdout}");
+        }
+    }
+    // confroom's EXISTS reads its binding, so the query runs once per
+    // distinct binding; its subplan is printed, not guessed to be cached.
+    let confroom = stdout
+        .split("<confroom> tag query:")
+        .nth(1)
+        .and_then(|rest| rest.split("\n\n").next())
+        .expect("a confroom plan");
+    assert!(confroom.contains("per-distinct-binding"), "{stdout}");
+    assert!(confroom.contains("residual: EXISTS (...)"), "{stdout}");
+    assert!(confroom.contains("exists subplan"), "{stdout}");
+    assert!(confroom.contains("scan availability"), "{stdout}");
+    assert!(
+        !lines
+            .iter()
+            .any(|l| l.contains("uncorrelated — evaluated once")),
+        "{stdout}"
+    );
 }
 
 #[test]

@@ -301,6 +301,37 @@ fn rejected_multi_row_insert_leaves_no_drift() {
 }
 
 #[test]
+fn rejected_ddl_batch_leaves_no_trace() {
+    let db = guide_database();
+    let composed = guide_composed(&db);
+    let server =
+        Server::start(Engine::new(&composed), db, "127.0.0.1:0", 2).expect("server starts");
+    let mut client = Client::connect(server.addr());
+
+    // The second statement names an unknown table, so the whole batch is
+    // rejected and `audit` must not exist afterwards.
+    let (status, body) = client.request(
+        "POST",
+        "/ddl",
+        "CREATE TABLE audit (id INT); CREATE INDEX ON missing (x)",
+    );
+    assert_eq!(status, 400, "a failing batch must be rejected: {body}");
+    let (status, body) = client.request("POST", "/ddl", "CREATE TABLE audit (id INT)");
+    assert_eq!(
+        status, 200,
+        "the rejected batch left `audit` behind: {body}"
+    );
+    let (status, doc) = client.request("GET", "/doc", "");
+    assert_eq!(status, 200);
+    let (status, fresh) = client.request("GET", "/publish", "");
+    assert_eq!(status, 200);
+    assert_eq!(doc, fresh, "/doc drifted from the database");
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn doc_reads_during_writes_see_only_whole_documents() {
     const INSERT: &str = "INSERT INTO sight VALUES (99, 1, 'Navy Pier', 0)";
     const DELETE: &str = "DELETE FROM sight WHERE sid = 99";
