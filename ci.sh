@@ -9,6 +9,10 @@ cargo fmt --check
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc --workspace (rustdoc warnings, broken intra-doc links included, are errors)"
+# The vendored stand-ins are not ours to document.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --exclude proptest --exclude rand
+
 echo "== cargo test --workspace (tier-1 plus every crate's own suites)"
 # A bare `cargo test` at the root tests only the `xvc` facade package; the
 # crate unit tests and crates/*/tests suites run only with --workspace.

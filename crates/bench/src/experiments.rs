@@ -519,7 +519,7 @@ pub fn batch_bench(depth: usize, fanout: usize, reps: usize) -> PruneBenchRow {
 
 /// One data point of the I1 incremental-maintenance study: the same
 /// single-row insert absorbed by a full republish and by
-/// [`Session::republish_delta`] through the static dependency map —
+/// [`xvc_view::Session::republish_delta`] through the static dependency map —
 /// documents verified byte-identical before any timing.
 #[derive(Debug, Clone)]
 pub struct IncrBenchRow {

@@ -151,10 +151,11 @@ impl Database {
     /// `SELECT * FROM table WHERE predicate` returns — run as a prepared
     /// plan, which filters while it scans, or through the interpreter when
     /// the query does not prepare; every stored row equal to a matched row
-    /// is removed (equal rows satisfy a pure predicate identically, so this
-    /// is exact DELETE semantics). Stored rows are matched in one pass
-    /// against the matched rows sorted by a row hash, and the table drops
-    /// them in place, keeping the survivors' order.
+    /// (`Value`'s `==`, except that NaN equals NaN) is removed (equal rows
+    /// satisfy a pure predicate identically, so this is exact DELETE
+    /// semantics). Stored rows are matched in one pass against the matched
+    /// rows sorted by a row hash, and the table drops them in place,
+    /// keeping the survivors' order.
     pub fn delete_from(&mut self, table: &str, predicate: Option<&str>) -> Result<Delta> {
         let doomed: Vec<bool> = match predicate {
             None => vec![true; self.table(table)?.len()],
@@ -176,7 +177,7 @@ impl Database {
                         hashed[first..]
                             .iter()
                             .take_while(|&&(x, _)| x == h)
-                            .any(|(_, m)| m[..] == row[..])
+                            .any(|(_, m)| same_row(m, &row))
                     })
                     .collect()
             }
@@ -192,17 +193,30 @@ impl Database {
     }
 }
 
-/// A row's hash for DELETE matching: equal rows (`Value`'s `==`) hash
-/// equally, since the only unequal bit patterns `==` identifies are the
-/// two float zeros, which are folded together. A cheap multiplicative mix:
-/// collisions only cost an extra `==`.
+/// Whether a stored row is a matched row for DELETE: `Value`'s `==`, under
+/// which the two float zeros are equal, except that NaN matches NaN — a
+/// matched row holding a NaN must find itself in storage.
+fn same_row(a: &[Value], b: &[Value]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| match (x, y) {
+            (Value::Float(p), Value::Float(q)) => p == q || (p.is_nan() && q.is_nan()),
+            _ => x == y,
+        })
+}
+
+/// A row's hash for DELETE matching: rows equal under [`same_row`] hash
+/// equally, since the only unequal bit patterns it identifies are the two
+/// float zeros and the NaNs, each folded into one value. A cheap
+/// multiplicative mix: collisions only cost an extra comparison.
 fn row_hash(row: &[Value]) -> u64 {
     const K: u64 = 0x517c_c1b7_2722_0a95;
     let mix = |h: u64, x: u64| (h.rotate_left(5) ^ x).wrapping_mul(K);
     row.iter().fold(0, |h, v| match v {
         Value::Null => mix(h, 0),
         Value::Int(i) => mix(mix(h, 1), *i as u64),
-        Value::Float(f) => mix(mix(h, 2), if *f == 0.0 { 0 } else { f.to_bits() }),
+        Value::Float(f) if *f == 0.0 => mix(mix(h, 2), 0),
+        Value::Float(f) if f.is_nan() => mix(mix(h, 2), f64::NAN.to_bits()),
+        Value::Float(f) => mix(mix(h, 2), f.to_bits()),
         Value::Str(s) => s.bytes().fold(mix(h, 3), |h, b| mix(h, u64::from(b))),
         Value::Bool(b) => mix(mix(h, 4), u64::from(*b)),
     })
@@ -550,6 +564,22 @@ mod tests {
         assert_eq!(delta.tables["city"].deleted.len(), 2);
         assert_eq!(db.table("city").unwrap().len(), 1);
         assert_eq!(db.table("city").unwrap().rows()[0][0], Value::Int(1));
+    }
+
+    #[test]
+    fn delete_matches_a_row_holding_nan() {
+        let mut db = crate::ddl::database_from_ddl("CREATE TABLE t (id INT, x FLOAT)").unwrap();
+        crate::csv::load_csv(&mut db, "t", "id,x\n1,NaN\n2,1.5\n3,NaN\n").unwrap();
+        let delta = db.execute_dml("DELETE FROM t WHERE id = 1").unwrap();
+        let deleted = &delta.tables["t"].deleted;
+        assert_eq!(deleted.len(), 1, "{deleted:?}");
+        assert_eq!(deleted[0][0], Value::Int(1));
+        assert!(matches!(deleted[0][1], Value::Float(f) if f.is_nan()));
+        let rows = db.table("t").unwrap().rows();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0], vec![Value::Int(2), Value::Float(1.5)]);
+        assert_eq!(rows[1][0], Value::Int(3));
+        assert!(matches!(rows[1][1], Value::Float(f) if f.is_nan()));
     }
 
     #[test]

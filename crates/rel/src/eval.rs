@@ -22,6 +22,7 @@ use std::collections::HashMap;
 
 use crate::ast::{AggFunc, BinOp, ScalarExpr, SelectItem, SelectQuery, TableRef};
 use crate::error::{Error, Result};
+use crate::plan::Bindings;
 use crate::schema::Catalog;
 use crate::table::Database;
 use crate::value::Value;
@@ -58,14 +59,6 @@ pub struct Relation {
 }
 
 impl Relation {
-    /// Extracts row `i` as a [`NamedTuple`].
-    pub fn tuple(&self, i: usize) -> NamedTuple {
-        NamedTuple {
-            columns: self.columns.clone(),
-            values: self.rows[i].clone(),
-        }
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -313,7 +306,7 @@ impl EvalCtx<'_> {
 fn eval_scalar(ctx: &EvalCtx<'_>, e: &ScalarExpr, scope: &Scope<'_>) -> Result<Value> {
     match e {
         ScalarExpr::Column { qualifier, name } => scope.resolve(qualifier.as_deref(), name),
-        ScalarExpr::Param { var, column } => resolve_param(ctx.params, var, column),
+        ScalarExpr::Param { var, column } => ctx.params.value(var, column).cloned(),
         ScalarExpr::Literal(v) => Ok(v.clone()),
         ScalarExpr::Binary { op, lhs, rhs } => {
             let l = eval_scalar(ctx, lhs, scope)?;
@@ -358,19 +351,6 @@ fn eval_scalar(ctx: &EvalCtx<'_>, e: &ScalarExpr, scope: &Scope<'_>) -> Result<V
         }
         ScalarExpr::Aggregate { .. } => Err(Error::MisplacedAggregate),
     }
-}
-
-pub(crate) fn resolve_param(params: &ParamEnv, var: &str, column: &str) -> Result<Value> {
-    let tuple = params.get(var).ok_or_else(|| Error::UnboundParameter {
-        var: var.to_owned(),
-    })?;
-    tuple
-        .get(column)
-        .cloned()
-        .ok_or_else(|| Error::ParameterColumn {
-            var: var.to_owned(),
-            column: column.to_owned(),
-        })
 }
 
 pub(crate) fn eval_binop(op: BinOp, l: &Value, r: &Value) -> Result<Value> {

@@ -32,7 +32,7 @@
 //!   hash-key selection, parameter slots), executable once per binding —
 //!   what the publisher's per-`SchemaTree` plan cache stores;
 //! * [`rewrite`] — the query-surgery helpers `UNBIND`/`NEST` rely on;
-//! * [`optimize`] — the Kim-style unnesting pass the paper points at
+//! * [`mod@optimize`] — the Kim-style unnesting pass the paper points at
 //!   (§4.2.1), applied opt-in after composition;
 //! * [`dml`] — the write path: `INSERT INTO` / `DELETE FROM` statements
 //!   returning per-table [`Delta`]s for incremental republishing;
@@ -92,7 +92,9 @@ pub use facts::{
 pub use index::SecondaryIndex;
 pub use optimize::optimize;
 pub use parse::parse_query;
-pub use plan::{prepare, prepare_with, BatchResult, JoinKey, PreparedPlan, RowKey, SharedScan};
+pub use plan::{
+    prepare, prepare_with, BatchResult, Bindings, JoinKey, PreparedPlan, RowKey, SharedScan,
+};
 pub use schema::{Catalog, ColumnDef, ColumnType, IndexDef, IndexKind, TableSchema};
 pub use storage::{BufferPool, FilePageStore, MemPageStore, Page, PageStore, PoolStats, PAGE_SIZE};
 pub use table::{Backend, Database, Table};

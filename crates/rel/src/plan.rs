@@ -16,8 +16,9 @@
 //! * **join order and strategy** — fixed at compile time from
 //!   catalog-derived layouts (which always equal the runtime layouts);
 //! * **parameter slots** — every `$var.column` becomes a numbered slot,
-//!   resolved lazily against the [`ParamEnv`] at most once per execution
-//!   (the interpreter does a hash lookup per reference per row);
+//!   resolved lazily against the environment ([`Bindings`], such as a
+//!   [`ParamEnv`]) at most once per execution (the interpreter does a hash
+//!   lookup per reference per row);
 //! * **fused scan + pushdown** — base-table rows are filtered while
 //!   scanning, so rows rejected by a pushdown predicate are never cloned
 //!   (the interpreter copies the whole table first, then filters).
@@ -40,13 +41,13 @@ use crate::domain::{Card, CardBound};
 use crate::error::{Error, Result};
 use crate::eval::{
     ambiguity_from_sets, cols_set, contains_exists, equi_pair_layouts, eval_binop, item_names,
-    key_of, output_columns, resolvable_within, resolve_param, split_and, AggAcc, EvalOptions,
-    EvalStats, Key, Layout, ParamEnv, Relation, Scope,
+    key_of, output_columns, resolvable_within, split_and, AggAcc, EvalOptions, EvalStats, Key,
+    Layout, ParamEnv, Relation, Scope,
 };
 use crate::facts::{query_cardinality, FactSet};
 use crate::schema::{Catalog, TableSchema};
 use crate::table::Database;
-use crate::value::Value;
+use crate::value::{Identity, Value};
 
 // ---------------------------------------------------------------------------
 // Plan representation
@@ -220,6 +221,60 @@ impl JoinKey {
     }
 }
 
+/// What `$var.column` parameters resolve against: the tuple each binding
+/// variable is bound to. [`ParamEnv`] implements it; so can a caller's own
+/// environment type, which [`PreparedPlan::execute_batch_shared`] then
+/// reads by reference instead of through a copied `ParamEnv`.
+pub trait Bindings {
+    /// The column names and the values `var` is bound to, if it is bound.
+    fn tuple(&self, var: &str) -> Option<(&[String], &[Value])>;
+
+    /// True when no variable is bound. Executions under a non-empty
+    /// environment are the ones `param_queries` counts.
+    fn is_empty(&self) -> bool;
+
+    /// The value of `$var.column`: the first column of that name in
+    /// `var`'s tuple.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::UnboundParameter`] when `var` is not bound, and
+    /// [`Error::ParameterColumn`] when its tuple has no `column`.
+    fn value(&self, var: &str, column: &str) -> Result<&Value> {
+        let (columns, values) = self.tuple(var).ok_or_else(|| Error::UnboundParameter {
+            var: var.to_owned(),
+        })?;
+        columns
+            .iter()
+            .position(|c| c == column)
+            .map(|i| &values[i])
+            .ok_or_else(|| Error::ParameterColumn {
+                var: var.to_owned(),
+                column: column.to_owned(),
+            })
+    }
+}
+
+impl Bindings for ParamEnv {
+    fn tuple(&self, var: &str) -> Option<(&[String], &[Value])> {
+        self.get(var).map(|t| (&t.columns[..], &t.values[..]))
+    }
+
+    fn is_empty(&self) -> bool {
+        HashMap::is_empty(self)
+    }
+}
+
+impl<B: Bindings + ?Sized> Bindings for &B {
+    fn tuple(&self, var: &str) -> Option<(&[String], &[Value])> {
+        (**self).tuple(var)
+    }
+
+    fn is_empty(&self) -> bool {
+        (**self).is_empty()
+    }
+}
+
 /// A per-caller slot holding one plan's binding-free batch pipeline, so
 /// that many [`PreparedPlan::execute_batch_shared`] calls scan and hash the
 /// base tables once between them instead of once each.
@@ -249,7 +304,7 @@ enum Pipeline {
     /// equi-joins.
     Built {
         rows: Vec<Vec<Value>>,
-        index: HashMap<Vec<Key>, Vec<usize>>,
+        index: HashMap<BatchKey, Vec<usize>>,
     },
     /// The pipeline raised an error on rows the per-binding filters would
     /// have dropped first, so batches execute per binding instead.
@@ -587,6 +642,35 @@ enum BatchSide {
     Col(usize),
     /// A constant.
     Lit(Value),
+}
+
+impl BatchSide {
+    fn value<'r>(&'r self, row: &'r [Value]) -> &'r Value {
+        match self {
+            BatchSide::Col(c) => &row[*c],
+            BatchSide::Lit(v) => v,
+        }
+    }
+}
+
+/// The deferred key values of a pipeline row or of a binding, normalized
+/// by `batch_key_of`. One key column, the common case, needs no vector.
+#[derive(Debug, PartialEq, Eq, Hash)]
+enum BatchKey {
+    One(Key),
+    Many(Vec<Key>),
+}
+
+impl BatchKey {
+    /// The key of `values`, or `None` if one is NULL (NULL never
+    /// equi-joins).
+    fn of<'v>(mut values: impl ExactSizeIterator<Item = &'v Value>) -> Option<BatchKey> {
+        let key = |v: &Value| (!v.is_null()).then(|| batch_key_of(v));
+        if values.len() == 1 {
+            return values.next().and_then(key).map(BatchKey::One);
+        }
+        values.map(key).collect::<Option<_>>().map(BatchKey::Many)
+    }
 }
 
 /// One `row-expr = $var.column` equality lifted out of the shared pipeline
@@ -946,7 +1030,7 @@ impl PreparedPlan {
         Ok(rel)
     }
 
-    fn run(&self, db: &Database, env: &ParamEnv, stats: &Cell<EvalStats>) -> Result<Relation> {
+    fn run(&self, db: &Database, env: &dyn Bindings, stats: &Cell<EvalStats>) -> Result<Relation> {
         let ctx = ExecCtx {
             db,
             env,
@@ -984,10 +1068,11 @@ impl PreparedPlan {
     /// rows are hash-joined against the binding relation on the interned
     /// slot columns (with an exact `=` recheck after the hash match, so
     /// NULL/NaN semantics match the scalar filters). Otherwise the plan
-    /// executes once per *distinct* binding and the result is replicated
-    /// to duplicate bindings. Environments whose slots cannot be resolved
-    /// are executed scalarly one by one, preserving the scalar path's lazy
-    /// unbound-parameter behaviour.
+    /// executes once per *distinct* binding. Either way a duplicate binding
+    /// shares its first occurrence's rows, which the result stores once.
+    /// Environments whose slots cannot be resolved are executed scalarly
+    /// one by one, preserving the scalar path's lazy unbound-parameter
+    /// behaviour.
     ///
     /// `EvalStats` counters are defined **relative to the scalar path** —
     /// they report physical work actually done, which is the point of
@@ -1015,10 +1100,12 @@ impl PreparedPlan {
         self.execute_batch_shared(db, envs, None, stats)
     }
 
-    /// [`PreparedPlan::execute_batch_stats`] whose binding-free pipeline
-    /// may be shared with other batches of this plan over the same `db`
-    /// through `scan` (see [`SharedScan`]). Rows, row order and errors are
-    /// those of `execute_batch_stats`.
+    /// [`PreparedPlan::execute_batch_stats`] over any [`Bindings`], whose
+    /// binding-free pipeline may be shared with other batches of this plan
+    /// over the same `db` through `scan` (see [`SharedScan`]). Rows, row
+    /// order and errors are those of `execute_batch_stats`. Slot values are
+    /// read from `envs` by reference: nothing is copied out of an
+    /// environment but the values a scalar execution resolves.
     ///
     /// With a slot, the batch that builds the pipeline counts the scan and
     /// the hash build; every other batch counts only its probes
@@ -1028,65 +1115,65 @@ impl PreparedPlan {
     /// [`PreparedPlan::with_binding_bound`], because the one scan is
     /// shared by every batch. Index-nested-loop plans ignore the slot:
     /// they probe the index per binding either way.
-    pub fn execute_batch_shared(
+    pub fn execute_batch_shared<B: Bindings>(
         &self,
         db: &Database,
-        envs: &[ParamEnv],
+        envs: &[B],
         scan: Option<&SharedScan>,
         stats: &mut EvalStats,
     ) -> Result<BatchResult> {
-        struct Group {
+        /// One distinct binding: the first environment carrying it and its
+        /// slot values (`None` when a slot does not resolve).
+        struct Group<'v> {
             first: usize,
-            members: Vec<usize>,
-            values: Option<Vec<Value>>,
+            values: Option<&'v [&'v Value]>,
         }
 
-        if envs.is_empty() {
-            return Ok(BatchResult {
-                columns: self.root.columns.clone(),
-                groups: Vec::new(),
-            });
-        }
-
-        // 1. The binding relation: distinct resolved slot tuples in
-        // first-occurrence order. Distinctness is on strict value identity
-        // (the values' debug rendering), which is sound per the `slots()`
-        // contract.
-        let mut order: Vec<Group> = Vec::new();
-        let mut by_key: HashMap<String, usize> = HashMap::new();
-        for (i, env) in envs.iter().enumerate() {
-            let resolved: Result<Vec<Value>> = self
-                .slots
-                .iter()
-                .map(|(v, c)| resolve_param(env, v, c))
-                .collect();
-            match resolved {
-                Ok(values) => {
-                    let mut key = String::new();
-                    for v in &values {
-                        key.push_str(&format!("{v:?}"));
-                        key.push('\u{1f}');
-                    }
-                    if let Some(&g) = by_key.get(&key) {
-                        order[g].members.push(i);
-                    } else {
-                        by_key.insert(key, order.len());
-                        order.push(Group {
-                            first: i,
-                            members: vec![i],
-                            values: Some(values),
-                        });
-                    }
+        // 1. The binding relation: every environment's slot values, read by
+        // reference, grouped into distinct bindings in first-occurrence
+        // order. Distinctness is strict value identity (`Value::identity`),
+        // which is sound per the `slots()` contract.
+        let n = self.slots.len();
+        let mut values: Vec<&Value> = Vec::with_capacity(envs.len() * n);
+        let resolved: Vec<bool> = envs
+            .iter()
+            .map(|env| {
+                let start = values.len();
+                values.extend((self.slots.iter()).map_while(|(var, col)| env.value(var, col).ok()));
+                let ok = values.len() == start + n;
+                if !ok {
+                    values.truncate(start);
                 }
+                ok
+            })
+            .collect();
+        let idents: Vec<Identity<'_>> = values.iter().map(|v| v.identity()).collect();
+        let mut order: Vec<Group<'_>> = Vec::new();
+        let mut group_of = Vec::with_capacity(envs.len());
+        let mut by_key: HashMap<&[Identity<'_>], usize> = HashMap::new();
+        let mut at = 0;
+        for (i, &ok) in resolved.iter().enumerate() {
+            let g = if ok {
+                let (key, slot_values) = (&idents[at..at + n], &values[at..at + n]);
+                at += n;
+                *by_key.entry(key).or_insert_with(|| {
+                    order.push(Group {
+                        first: i,
+                        values: Some(slot_values),
+                    });
+                    order.len() - 1
+                })
+            } else {
                 // Unresolvable bindings stay scalar: slot resolution is
                 // lazy there, so a plan that never reaches the slot still
                 // succeeds, exactly like `execute` on that env.
-                Err(_) => order.push(Group {
+                order.push(Group {
                     first: i,
-                    members: vec![i],
                     values: None,
-                }),
-            }
+                });
+                order.len() - 1
+            };
+            group_of.push(g);
         }
 
         let cell = Cell::new(EvalStats::default());
@@ -1135,56 +1222,40 @@ impl PreparedPlan {
 
         // 3. Per distinct binding, in first-occurrence order (which makes
         // the first failing group the scalar loop's first failing env).
-        let mut results: Vec<Relation> = Vec::with_capacity(order.len());
+        // The stripped plan binds no slot, so one context serves every
+        // group's projection.
+        let empty = ParamEnv::new();
+        let probe_ctx = ExecCtx {
+            db,
+            env: &empty,
+            slots: &self.slots,
+            cache: RefCell::new(vec![None; n]),
+            options: self.options,
+            stats: &cell,
+        };
+        let mut groups = Vec::with_capacity(order.len());
         for group in &order {
-            let rel = match (fast, &group.values) {
+            let rows = match (fast, group.values) {
                 (Some((bp, rows, index)), Some(values)) => {
-                    let mut probe = Vec::with_capacity(bp.keys.len());
-                    let mut null_probe = false;
-                    for k in &bp.keys {
-                        let v = &values[k.slot];
-                        if v.is_null() {
-                            null_probe = true;
-                            break;
-                        }
-                        probe.push(batch_key_of(v));
-                    }
-                    let mut matched: Vec<Vec<Value>> = Vec::new();
-                    if !null_probe {
-                        if let Some(hits) = index.get(&probe) {
-                            'cand: for &ri in hits {
-                                let row = &rows[ri];
-                                for k in &bp.keys {
-                                    let rv = match &k.row {
-                                        BatchSide::Col(c) => row[*c].clone(),
-                                        BatchSide::Lit(v) => v.clone(),
-                                    };
-                                    let sv = values[k.slot].clone();
-                                    let (l, r) = if k.slot_first { (sv, rv) } else { (rv, sv) };
-                                    if !eval_binop(BinOp::Eq, &l, &r)?.is_truthy() {
-                                        continue 'cand;
-                                    }
-                                }
-                                matched.push(row.clone());
+                    let hits = BatchKey::of(bp.keys.iter().map(|k| values[k.slot]))
+                        .and_then(|key| index.get(&key));
+                    let mut matched: Vec<&Vec<Value>> = Vec::new();
+                    'cand: for &ri in hits.into_iter().flatten() {
+                        let row = &rows[ri];
+                        for k in &bp.keys {
+                            let (rv, sv) = (k.row.value(row), values[k.slot]);
+                            let (l, r) = if k.slot_first { (sv, rv) } else { (rv, sv) };
+                            if !eval_binop(BinOp::Eq, l, r)?.is_truthy() {
+                                continue 'cand;
                             }
                         }
+                        matched.push(row);
                     }
-                    let rel = {
-                        let empty = ParamEnv::new();
-                        let ctx = ExecCtx {
-                            db,
-                            env: &empty,
-                            slots: &self.slots,
-                            cache: RefCell::new(vec![None; self.slots.len()]),
-                            options: self.options,
-                            stats: &cell,
-                        };
-                        finish_block(&ctx, &bp.stripped, &matched, None)?
-                    };
+                    let rows = finish_block(&probe_ctx, &bp.stripped, &matched, None)?;
                     let mut s = cell.get();
                     s.param_queries += 1; // slots resolved ⇒ env non-empty
                     cell.set(s);
-                    rel
+                    rows
                 }
                 _ => {
                     let env = &envs[group.first];
@@ -1197,25 +1268,18 @@ impl PreparedPlan {
                     let mut c = cell.get();
                     c.absorb(&s);
                     cell.set(c);
-                    rel
+                    rel.rows
                 }
             };
-            results.push(rel);
+            groups.push(rows);
         }
 
-        // 4. Regroup: every binding receives its group's rows.
-        let columns = results
-            .first()
-            .map(|r| r.columns.clone())
-            .unwrap_or_else(|| self.root.columns.clone());
-        let mut groups: Vec<Vec<Vec<Value>>> = vec![Vec::new(); envs.len()];
-        for (group, rel) in order.iter().zip(results.iter()) {
-            for &m in &group.members {
-                groups[m] = rel.rows.clone();
-            }
-        }
         stats.absorb(&cell.get());
-        Ok(BatchResult { columns, groups })
+        Ok(BatchResult {
+            columns: self.root.columns.clone(),
+            groups,
+            group_of,
+        })
     }
 
     /// Runs `bp`'s stripped pipeline once, binding-free, and indexes its
@@ -1235,20 +1299,11 @@ impl PreparedPlan {
         let Ok(rows) = exec_source_rows(&ctx, &bp.stripped, None) else {
             return Pipeline::Failed;
         };
-        let mut index: HashMap<Vec<Key>, Vec<usize>> = HashMap::new();
-        'row: for (ri, row) in rows.iter().enumerate() {
-            let mut key = Vec::with_capacity(bp.keys.len());
-            for k in &bp.keys {
-                let v = match &k.row {
-                    BatchSide::Col(c) => &row[*c],
-                    BatchSide::Lit(v) => v,
-                };
-                if v.is_null() {
-                    continue 'row; // NULL never equi-joins
-                }
-                key.push(batch_key_of(v));
+        let mut index: HashMap<BatchKey, Vec<usize>> = HashMap::new();
+        for (ri, row) in rows.iter().enumerate() {
+            if let Some(key) = BatchKey::of(bp.keys.iter().map(|k| k.row.value(row))) {
+                index.entry(key).or_default().push(ri);
             }
-            index.entry(key).or_default().push(ri);
         }
         let mut s = stats.get();
         s.absorb(&attempt.get());
@@ -1343,13 +1398,16 @@ impl PreparedPlan {
 
 /// Rows for a whole batch of parameter environments, tagged by the index
 /// of the binding that produced them. Produced by
-/// [`PreparedPlan::execute_batch`].
+/// [`PreparedPlan::execute_batch`]. Bindings with equal slot values share
+/// one group of rows, stored once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchResult {
     columns: Vec<String>,
-    /// `groups[i]` holds the rows binding `i` produced, in the scalar
-    /// path's row order.
+    /// Each distinct binding's rows in the scalar path's row order, the
+    /// bindings in first-occurrence order.
     groups: Vec<Vec<Vec<Value>>>,
+    /// `group_of[i]` is the group binding `i` reads its rows from.
+    group_of: Vec<usize>,
 }
 
 impl BatchResult {
@@ -1360,51 +1418,41 @@ impl BatchResult {
 
     /// Number of bindings the batch was executed for.
     pub fn bindings(&self) -> usize {
-        self.groups.len()
+        self.group_of.len()
     }
 
     /// True when the batch was executed over zero bindings.
     pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
+        self.group_of.is_empty()
     }
 
     /// The rows binding `binding` produced, in scalar row order.
     pub fn rows_for(&self, binding: usize) -> &[Vec<Value>] {
-        &self.groups[binding]
+        &self.groups[self.group_of[binding]]
     }
 
-    /// Total rows across all bindings (duplicate bindings count their
-    /// replicated rows).
+    /// Total rows across all bindings (a duplicate binding counts its
+    /// shared rows again).
     pub fn total_rows(&self) -> usize {
-        self.groups.iter().map(Vec::len).sum()
+        self.group_of.iter().map(|&g| self.groups[g].len()).sum()
     }
 
     /// All rows as `(binding index, row)` pairs, grouped by binding.
     pub fn tagged_rows(&self) -> impl Iterator<Item = (usize, &Vec<Value>)> + '_ {
-        self.groups
-            .iter()
-            .enumerate()
-            .flat_map(|(i, rows)| rows.iter().map(move |r| (i, r)))
+        (0..self.bindings()).flat_map(move |i| self.rows_for(i).iter().map(move |r| (i, r)))
     }
 
     /// One binding's rows as a standalone [`Relation`] (clones).
     pub fn relation_for(&self, binding: usize) -> Relation {
         Relation {
             columns: self.columns.clone(),
-            rows: self.groups[binding].clone(),
+            rows: self.rows_for(binding).to_vec(),
         }
     }
 
     /// Consumes the batch into one [`Relation`] per binding.
     pub fn into_relations(self) -> Vec<Relation> {
-        let columns = self.columns;
-        self.groups
-            .into_iter()
-            .map(|rows| Relation {
-                columns: columns.clone(),
-                rows,
-            })
-            .collect()
+        (0..self.bindings()).map(|i| self.relation_for(i)).collect()
     }
 }
 
@@ -1583,7 +1631,7 @@ fn describe_block(
 
 struct ExecCtx<'a> {
     db: &'a Database,
-    env: &'a ParamEnv,
+    env: &'a dyn Bindings,
     slots: &'a [(String, String)],
     /// Per-execution slot memo. Lazy, so a parameter the evaluation never
     /// reaches (short-circuits, empty inputs) is never resolved — matching
@@ -1605,7 +1653,7 @@ impl ExecCtx<'_> {
             return r.clone();
         }
         let (var, column) = &self.slots[i];
-        let r = resolve_param(self.env, var, column);
+        let r = self.env.value(var, column).cloned();
         self.cache.borrow_mut()[i] = Some(r.clone());
         r
     }
@@ -1667,7 +1715,7 @@ fn p_agg_expr(
     ctx: &ExecCtx<'_>,
     e: &PExpr,
     layout: &Layout,
-    group: &[&Vec<Value>],
+    group: &[&[Value]],
     parent: Option<&Scope<'_>>,
 ) -> Result<Value> {
     match e {
@@ -1743,7 +1791,10 @@ fn exec_block(
     parent: Option<&Scope<'_>>,
 ) -> Result<Relation> {
     let rows = exec_source_rows(ctx, block, parent)?;
-    finish_block(ctx, block, &rows, parent)
+    Ok(Relation {
+        columns: block.columns.clone(),
+        rows: finish_block(ctx, block, &rows, parent)?,
+    })
 }
 
 /// FROM + WHERE: scans (with fused pushdown), joins, prefix filters,
@@ -1882,14 +1933,15 @@ fn exec_source_rows(
 }
 
 /// Projection (plain or grouped), HAVING and DISTINCT over the joined and
-/// filtered source rows.
-fn finish_block(
+/// filtered source rows, owned or borrowed; returns the output rows (the
+/// columns are `block.columns`).
+fn finish_block<R: AsRef<[Value]>>(
     ctx: &ExecCtx<'_>,
     block: &PlanBlock,
-    rows: &[Vec<Value>],
+    rows: &[R],
     parent: Option<&Scope<'_>>,
-) -> Result<Relation> {
-    let mut rel = if block.aggregating {
+) -> Result<Vec<Vec<Value>>> {
+    let mut out = if block.aggregating {
         p_project_grouped(ctx, block, rows, parent)?
     } else {
         p_project_plain(ctx, block, rows, parent)?
@@ -1897,16 +1949,9 @@ fn finish_block(
 
     if block.distinct {
         let mut seen = HashSet::new();
-        let mut kept = Vec::new();
-        for row in rel.rows.drain(..) {
-            let key: Vec<Key> = row.iter().map(key_of).collect();
-            if seen.insert(key) {
-                kept.push(row);
-            }
-        }
-        rel.rows = kept;
+        out.retain(|row| seen.insert(row.iter().map(key_of).collect::<Vec<Key>>()));
     }
-    Ok(rel)
+    Ok(out)
 }
 
 fn p_filter_rows(
@@ -2103,14 +2148,15 @@ fn p_join(
     Ok(rows)
 }
 
-fn p_project_plain(
+fn p_project_plain<R: AsRef<[Value]>>(
     ctx: &ExecCtx<'_>,
     block: &PlanBlock,
-    rows: &[Vec<Value>],
+    rows: &[R],
     parent: Option<&Scope<'_>>,
-) -> Result<Relation> {
+) -> Result<Vec<Vec<Value>>> {
     let mut out_rows = Vec::with_capacity(rows.len());
     for row in rows {
+        let row = row.as_ref();
         let scope = Scope {
             layout: &block.layout,
             row,
@@ -2133,27 +2179,25 @@ fn p_project_plain(
         }
         out_rows.push(out);
     }
-    Ok(Relation {
-        columns: block.columns.clone(),
-        rows: out_rows,
-    })
+    Ok(out_rows)
 }
 
-fn p_project_grouped(
+fn p_project_grouped<R: AsRef<[Value]>>(
     ctx: &ExecCtx<'_>,
     block: &PlanBlock,
-    rows: &[Vec<Value>],
+    rows: &[R],
     parent: Option<&Scope<'_>>,
-) -> Result<Relation> {
+) -> Result<Vec<Vec<Value>>> {
     // Build groups in first-occurrence order.
     let mut group_order: Vec<Vec<Key>> = Vec::new();
-    let mut groups: HashMap<Vec<Key>, Vec<&Vec<Value>>> = HashMap::new();
+    let mut groups: HashMap<Vec<Key>, Vec<&[Value]>> = HashMap::new();
     if block.group_by.is_empty() {
         // Implicit single group, present even over empty input.
-        groups.insert(Vec::new(), rows.iter().collect());
+        groups.insert(Vec::new(), rows.iter().map(AsRef::as_ref).collect());
         group_order.push(Vec::new());
     } else {
         for row in rows {
+            let row = row.as_ref();
             let scope = Scope {
                 layout: &block.layout,
                 row,
@@ -2204,10 +2248,7 @@ fn p_project_grouped(
         }
         out_rows.push(out);
     }
-    Ok(Relation {
-        columns: block.columns.clone(),
-        rows: out_rows,
-    })
+    Ok(out_rows)
 }
 
 #[cfg(test)]
@@ -2502,6 +2543,90 @@ mod tests {
         // Two distinct bindings: two executions, two param_queries.
         assert_eq!(stats.queries, 2);
         assert_eq!(stats.param_queries, 2);
+    }
+
+    /// A batch binding `$v.a` to each of `values` runs `sql` over a
+    /// database of one `table` holding `rows`. Each binding's rows must be
+    /// its scalar execution's; returns the batch's `(param_queries,
+    /// total_rows)`.
+    fn strict_identity_batch(
+        table: TableSchema,
+        rows: Vec<Vec<Value>>,
+        sql: &str,
+        values: &[Value],
+    ) -> (u64, usize) {
+        let mut db = Database::new();
+        let name = table.name.clone();
+        db.create_table(table);
+        for row in rows {
+            db.insert(&name, row).unwrap();
+        }
+        let envs: Vec<ParamEnv> = values
+            .iter()
+            .map(|v| {
+                ParamEnv::from([(
+                    "v".to_owned(),
+                    NamedTuple {
+                        columns: vec!["a".into()],
+                        values: vec![v.clone()],
+                    },
+                )])
+            })
+            .collect();
+        let plan = prepare(&parse_query(sql).unwrap(), &db.catalog()).unwrap();
+        assert!(plan.batchable());
+        let mut stats = EvalStats::default();
+        let batch = plan.execute_batch_stats(&db, &envs, &mut stats).unwrap();
+        assert_eq!(batch.bindings(), envs.len());
+        for (i, env) in envs.iter().enumerate() {
+            let scalar = plan.execute(&db, env).unwrap();
+            assert_eq!(batch.rows_for(i), &scalar.rows[..], "binding {i}: {env:?}");
+        }
+        (stats.param_queries, batch.total_rows())
+    }
+
+    #[test]
+    fn batch_dedup_keeps_strict_identity_and_shares_groups() {
+        // Int(2), Float(2.0) and Str("2") are three bindings, and so are the
+        // two float zeros; each value appears twice, and each duplicate
+        // shares its first occurrence's group.
+        let distinct = [
+            Value::Int(2),
+            Value::Float(2.0),
+            Value::Str("2".into()),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Null,
+        ];
+        let values: Vec<Value> = distinct.iter().chain(&distinct).cloned().collect();
+        let t = TableSchema::new(
+            "t",
+            vec![
+                ColumnDef::new("id", ColumnType::Int),
+                ColumnDef::new("name", ColumnType::Str),
+            ],
+        )
+        .unwrap();
+        let rows = [2, 0, 3]
+            .map(|id| vec![Value::Int(id), Value::Str(format!("n{id}"))])
+            .to_vec();
+        let sql = "SELECT id, name FROM t WHERE id = $v.a";
+        assert_eq!(strict_identity_batch(t, rows, sql, &values), (6, 8));
+
+        // Each zero binding matches both stored zeros.
+        let u = TableSchema::new(
+            "u",
+            vec![
+                ColumnDef::new("k", ColumnType::Float),
+                ColumnDef::new("tag", ColumnType::Str),
+            ],
+        )
+        .unwrap();
+        let rows = [0.0, -0.0, 2.0]
+            .map(|k| vec![Value::Float(k), Value::Str(format!("{k:?}"))])
+            .to_vec();
+        let sql = "SELECT k, tag FROM u WHERE k = $v.a";
+        assert_eq!(strict_identity_batch(u, rows, sql, &values), (6, 12));
     }
 
     #[test]
@@ -2963,7 +3088,7 @@ mod tests {
         assert_eq!(stats.queries, 3);
         assert_eq!(stats.hash_join_builds, 0);
         // Only matching rows were fetched.
-        assert_eq!(stats.rows_scanned, batch.total_rows() as u64 - 2); // dup binding replicated
+        assert_eq!(stats.rows_scanned, batch.total_rows() as u64 - 2); // dup binding shares its rows
     }
 
     #[test]

@@ -79,24 +79,54 @@ impl Value {
         }
     }
 
+    /// Strict identity key: unlike [`Value::group_key`], `Int(2)`,
+    /// `Float(2.0)` and `Str("2")` are three keys, and so are `0.0` and
+    /// `-0.0` (floats compare by bits; every NaN is one key). Values with
+    /// equal identity behave identically everywhere, which is what lets a
+    /// batch serve duplicate bindings with one execution.
+    pub(crate) fn identity(&self) -> Identity<'_> {
+        match self {
+            Value::Null => Identity::Null,
+            Value::Int(i) => Identity::Int(*i),
+            Value::Float(f) if f.is_nan() => Identity::Float(f64::NAN.to_bits()),
+            Value::Float(f) => Identity::Float(f.to_bits()),
+            Value::Str(s) => Identity::Str(s),
+            Value::Bool(b) => Identity::Bool(*b),
+        }
+    }
+
     /// Renders the value the way it appears as an XML attribute: integers
     /// without decimal point, floats with, NULL as empty string (the
     /// publisher omits NULL attributes entirely).
     pub fn render(&self) -> String {
-        match self {
-            Value::Null => String::new(),
-            Value::Int(i) => i.to_string(),
-            Value::Float(f) => {
-                if f.fract() == 0.0 && f.abs() < 1e15 {
-                    format!("{}", *f as i64)
-                } else {
-                    format!("{f}")
-                }
-            }
-            Value::Str(s) => s.clone(),
-            Value::Bool(b) => b.to_string(),
-        }
+        let mut out = String::new();
+        self.render_into(&mut out);
+        out
     }
+
+    /// [`Value::render`], appended to `out`.
+    pub fn render_into(&self, out: &mut String) {
+        use std::fmt::Write;
+        let _ = match self {
+            Value::Null => Ok(()),
+            Value::Int(i) => write!(out, "{i}"),
+            Value::Float(f) if f.fract() == 0.0 && f.abs() < 1e15 => write!(out, "{}", *f as i64),
+            Value::Float(f) => write!(out, "{f}"),
+            Value::Str(s) => out.write_str(s),
+            Value::Bool(b) => write!(out, "{b}"),
+        };
+    }
+}
+
+/// Hashable strict-identity key for a value (see [`Value::identity`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Identity<'a> {
+    Null,
+    Int(i64),
+    /// Bit pattern of the float, NaNs canonicalized.
+    Float(u64),
+    Str(&'a str),
+    Bool(bool),
 }
 
 /// Hashable grouping key for a value (see [`Value::group_key`]).
@@ -213,6 +243,22 @@ mod tests {
         assert_eq!(Value::Float(3.5).render(), "3.5");
         assert_eq!(Value::Str("chicago".into()).render(), "chicago");
         assert_eq!(Value::Null.render(), "");
+        let mut out = String::from("x=");
+        Value::Float(-2.5).render_into(&mut out);
+        assert_eq!(out, "x=-2.5");
+    }
+
+    #[test]
+    fn identity_is_strict() {
+        let two = Value::Str("2".into());
+        assert_ne!(Value::Int(2).identity(), Value::Float(2.0).identity());
+        assert_ne!(Value::Float(2.0).identity(), two.identity());
+        assert_ne!(Value::Float(0.0).identity(), Value::Float(-0.0).identity());
+        assert_eq!(
+            Value::Float(f64::NAN).identity(),
+            Value::Float(-f64::NAN).identity()
+        );
+        assert_eq!(two.identity(), Identity::Str("2"));
     }
 
     #[test]

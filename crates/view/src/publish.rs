@@ -25,8 +25,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use xvc_rel::{
-    eval_query_stats, Database, Delta, EvalOptions, EvalStats, JoinKey, NamedTuple, ParamEnv,
-    PreparedPlan, Relation, ScalarExpr, SelectItem, SelectQuery, SharedScan,
+    eval_query_stats, BatchResult, Bindings, Database, Delta, EvalOptions, EvalStats, JoinKey,
+    NamedTuple, ParamEnv, PreparedPlan, Relation, ScalarExpr, SelectItem, SelectQuery, SharedScan,
+    Value,
 };
 use xvc_xml::{Document, TreeBuilder, XmlSink, XmlWriter};
 
@@ -121,7 +122,8 @@ impl PublishStats {
 ///
 /// This is the attribution layer the divergence reporter uses — given the
 /// XML path of a wrong subtree it recovers the tag query and [`ParamEnv`]
-/// that generated it.
+/// that generated it. The walk itself binds through shared frames; the
+/// owned `ParamEnv` is built for the trace only.
 #[derive(Debug, Clone)]
 pub struct TraceEntry {
     /// Indexed element path, e.g. `/metro[2]/hotel[1]` (indices count
@@ -185,7 +187,7 @@ impl SpliceTask {
             let parent = skel.view(id);
             for (i, (_, (var, attr))) in slots.iter().enumerate().filter(|(_, (p, _))| *p == parent)
             {
-                if let Some(k) = env.get(var).and_then(|t| t.get(attr)).and_then(JoinKey::of) {
+                if let Some(k) = env.value(var, attr).ok().and_then(JoinKey::of) {
                     keys.insert((i, k));
                 }
             }
@@ -376,11 +378,12 @@ impl Run<'_> {
                     let rel = shared.run_root_query(child, Role::Tag, q, &mut eval)?;
                     stats.queries_run += 1;
                     stats.tuples_fetched += rel.len();
-                    for i in 0..rel.len() {
+                    let columns: Arc<[String]> = rel.columns.into();
+                    for row in rel.rows {
                         tasks.push(Task {
                             vid: child,
                             index: seed(),
-                            tuple: Some(rel.tuple(i)),
+                            tuple: Some((Arc::clone(&columns), row)),
                         });
                     }
                 }
@@ -447,12 +450,7 @@ impl Run<'_> {
         stats: &mut PublishStats,
         mut each: impl FnMut(&Task, &mut Skeleton) -> Result<()>,
     ) -> Result<(EvalStats, BTreeSet<usize>)> {
-        let shared = Shared {
-            tree: self.tree,
-            db,
-            plans: self.plans,
-            scans: None,
-        };
+        let shared = Shared::new(self.tree, db, self.plans);
         let (root_stats, mut eval, tasks) = self.root_pass(&shared, keep)?;
         stats.absorb(&root_stats);
         let scans = self.shared_scans(&tasks);
@@ -706,12 +704,7 @@ impl Run<'_> {
         // shared frontier: each pair grows under its own holder node, and
         // the wave loop batches per (view node, wave) across all holders
         // at once.
-        let shared = Shared {
-            tree,
-            db,
-            plans: self.plans,
-            scans: None,
-        };
+        let shared = Shared::new(tree, db, self.plans);
         let mut w = BatchWorker::new(&shared);
         w.skel.begin_task();
         let mut patches: HashMap<usize, Patches> = HashMap::new();
@@ -735,7 +728,7 @@ impl Run<'_> {
                     frontier.push(Pending {
                         parent: holder,
                         vid: top.vid,
-                        env: Arc::clone(env),
+                        env: env.clone(),
                     });
                 }
             }
@@ -896,13 +889,13 @@ struct Top {
 impl Top {
     /// Whether the parent environment `env` is one this node re-runs
     /// under.
-    fn selects(&self, env: &ParamEnv) -> bool {
+    fn selects(&self, env: &Env) -> bool {
         let Some(narrow) = &self.narrow else {
             return true;
         };
         narrow.iter().any(|((var, attr), keys)| {
-            env.get(var)
-                .and_then(|t| t.get(attr))
+            env.value(var, attr)
+                .ok()
                 .and_then(JoinKey::of)
                 .is_some_and(|k| keys.contains(&k))
         })
@@ -959,9 +952,29 @@ struct Shared<'a> {
     /// This publish's shared-scan slots ([`Run::shared_scans`]); `None` for
     /// the root pass and for delta republishes.
     scans: Option<&'a HashMap<PlanKey, SharedScan>>,
+    /// Every view node's binding variable, by arena index, shared by the
+    /// frames that bind it.
+    vars: Vec<Arc<str>>,
 }
 
-impl Shared<'_> {
+impl<'a> Shared<'a> {
+    fn new(tree: &'a SchemaTree, db: &'a Database, plans: &'a HashMap<PlanKey, PlanEntry>) -> Self {
+        let vars = (0..=tree.len() as u32)
+            .map(|i| {
+                tree.node(ViewNodeId(i))
+                    .map_or("", |n| n.bv.as_str())
+                    .into()
+            })
+            .collect();
+        Shared {
+            tree,
+            db,
+            plans,
+            scans: None,
+            vars,
+        }
+    }
+
     /// Runs one root-level tag query or guard probe. Root-level queries
     /// run once each under no bindings, so they execute scalar: through
     /// the node's prepared plan, or through the interpreter when the plan
@@ -994,7 +1007,72 @@ struct Task {
     /// 0-based occurrence index of the node's tag among root-level
     /// siblings, for indexed trace paths.
     index: usize,
-    tuple: Option<NamedTuple>,
+    /// The root query's columns and the row this element binds; `None`
+    /// for a literal / context-copy element.
+    tuple: Option<(Arc<[String]>, Vec<Value>)>,
+}
+
+/// A binding environment: an `Arc`-linked chain of frames, innermost
+/// first, so a child environment costs one frame and shares the rest with
+/// its parent's. An inner frame shadows an outer one binding the same
+/// variable, as `HashMap::insert` would. `Env(None)` binds nothing. Plans
+/// read it through [`Bindings`]; a [`ParamEnv`] is built from it only for
+/// a trace entry and for the interpreter fallback.
+#[derive(Debug, Clone, Default)]
+struct Env(Option<Arc<Frame>>);
+
+/// One binding of an [`Env`]: `$var` bound to one row of a batch.
+#[derive(Debug)]
+struct Frame {
+    var: Arc<str>,
+    /// The batch's column list, shared by every frame it binds.
+    columns: Arc<[String]>,
+    row: Vec<Value>,
+    outer: Env,
+}
+
+impl Env {
+    /// This environment with `var` bound to `row` on top.
+    fn bind(&self, var: &Arc<str>, columns: &Arc<[String]>, row: &[Value]) -> Env {
+        Env(Some(Arc::new(Frame {
+            var: Arc::clone(var),
+            columns: Arc::clone(columns),
+            row: row.to_vec(),
+            outer: self.clone(),
+        })))
+    }
+
+    /// The frames, innermost first.
+    fn frames(&self) -> impl Iterator<Item = &Frame> {
+        std::iter::successors(self.0.as_deref(), |f| f.outer.0.as_deref())
+    }
+
+    /// The frame that binds `var`.
+    fn frame(&self, var: &str) -> Option<&Frame> {
+        self.frames().find(|f| &*f.var == var)
+    }
+
+    /// The same bindings as an owned [`ParamEnv`].
+    fn to_param_env(&self) -> ParamEnv {
+        let mut env = ParamEnv::new();
+        for f in self.frames() {
+            env.entry(f.var.to_string()).or_insert_with(|| NamedTuple {
+                columns: f.columns.to_vec(),
+                values: f.row.clone(),
+            });
+        }
+        env
+    }
+}
+
+impl Bindings for Env {
+    fn tuple(&self, var: &str) -> Option<(&[String], &[Value])> {
+        self.frame(var).map(|f| (&f.columns[..], &f.row[..]))
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_none()
+    }
 }
 
 /// One frontier slot: a view node still to expand under `parent` with the
@@ -1003,7 +1081,31 @@ struct Task {
 struct Pending {
     parent: SkelId,
     vid: ViewNodeId,
-    env: Arc<ParamEnv>,
+    env: Env,
+}
+
+/// One batch's rows per binding: a prepared plan's batch, or one
+/// interpreted relation per binding for a node whose plan failed to
+/// prepare.
+enum BatchRows {
+    Plan(BatchResult),
+    Interpreted(Vec<Relation>),
+}
+
+impl BatchRows {
+    fn columns(&self) -> &[String] {
+        match self {
+            BatchRows::Plan(batch) => batch.columns(),
+            BatchRows::Interpreted(rels) => rels.first().map_or(&[], |r| &r.columns[..]),
+        }
+    }
+
+    fn rows_for(&self, binding: usize) -> &[Vec<Value>] {
+        match self {
+            BatchRows::Plan(batch) => batch.rows_for(binding),
+            BatchRows::Interpreted(rels) => &rels[binding].rows,
+        }
+    }
 }
 
 /// Per-task state of the breadth-first walk: the skeleton the task grows
@@ -1035,8 +1137,11 @@ impl<'a> BatchWorker<'a> {
         self.skel.begin_task();
         let mut frontier = Vec::new();
         let root = self.skel.root();
-        let env = Arc::new(ParamEnv::new());
-        self.emit_node_instance(root, task.vid, &env, task.tuple.as_ref(), &mut frontier);
+        let tuple = task
+            .tuple
+            .as_ref()
+            .map(|(columns, row)| (columns, &row[..]));
+        self.emit_node_instance(root, task.vid, &Env::default(), tuple, &mut frontier);
         self.expand(frontier)
     }
 
@@ -1069,14 +1174,14 @@ impl<'a> BatchWorker<'a> {
                 if let Some(guard) = &node.guard {
                     self.touched.insert(vid.index());
                     let probe = guard_probe(guard);
-                    let envs: Vec<&ParamEnv> = live.iter().map(|&i| &*frontier[i].env).collect();
+                    let envs: Vec<&Env> = live.iter().map(|&i| &frontier[i].env).collect();
                     self.stats.queries_run += envs.len();
-                    let rels = self.run_batch(vid, Role::Guard, &probe, &envs)?;
+                    let rows = self.run_batch(vid, Role::Guard, &probe, &envs)?;
                     live = live
                         .iter()
-                        .zip(&rels)
-                        .filter(|(_, r)| !r.is_empty())
-                        .map(|(&i, _)| i)
+                        .enumerate()
+                        .filter(|&(b, _)| !rows.rows_for(b).is_empty())
+                        .map(|(_, &i)| i)
                         .collect();
                 }
 
@@ -1090,15 +1195,22 @@ impl<'a> BatchWorker<'a> {
 
                 self.touched.insert(vid.index());
                 let query = node.query.as_ref().expect("query node");
-                let envs: Vec<&ParamEnv> = live.iter().map(|&i| &*frontier[i].env).collect();
-                let rels = self.run_batch(vid, Role::Tag, query, &envs)?;
-                for (&i, rel) in live.iter().zip(&rels) {
+                let envs: Vec<&Env> = live.iter().map(|&i| &frontier[i].env).collect();
+                let rows = self.run_batch(vid, Role::Tag, query, &envs)?;
+                let columns: Arc<[String]> = rows.columns().into();
+                for (b, &i) in live.iter().enumerate() {
                     let p = &frontier[i];
+                    let group = rows.rows_for(b);
                     self.stats.queries_run += 1;
-                    self.stats.tuples_fetched += rel.len();
-                    for t in 0..rel.len() {
-                        let tuple = rel.tuple(t);
-                        self.emit_node_instance(p.parent, vid, &p.env, Some(&tuple), &mut next);
+                    self.stats.tuples_fetched += group.len();
+                    for row in group {
+                        self.emit_node_instance(
+                            p.parent,
+                            vid,
+                            &p.env,
+                            Some((&columns, row)),
+                            &mut next,
+                        );
                     }
                 }
             }
@@ -1110,14 +1222,15 @@ impl<'a> BatchWorker<'a> {
     /// Creates one element instance under `parent` — tag, static and
     /// projected tuple attributes, counters, provenance — and queues a
     /// frontier slot per child view node in `next`. The children run under
-    /// the element's child environment: `env` plus the element's own
-    /// binding (the query tuple, or the copied context tuple).
+    /// the element's child environment: `env` plus a frame for the
+    /// element's own binding (the query row `tuple`, or the copied context
+    /// tuple).
     fn emit_node_instance(
         &mut self,
         parent: SkelId,
         vid: ViewNodeId,
-        env: &Arc<ParamEnv>,
-        tuple: Option<&NamedTuple>,
+        env: &Env,
+        tuple: Option<(&Arc<[String]>, &[Value])>,
         next: &mut Vec<Pending>,
     ) {
         let tree = self.shared.tree;
@@ -1126,54 +1239,67 @@ impl<'a> BatchWorker<'a> {
         // The tuple the element projects attributes from, and whether its
         // binding variable binds that tuple for the children.
         let (bound, binds) = match &node.context_tuple_of {
-            Some(var) => (env.get(var), !node.bv.is_empty()),
+            Some(var) => (
+                env.frame(var).map(|f| (&f.columns, &f.row[..])),
+                !node.bv.is_empty(),
+            ),
             None => (tuple, true),
         };
         let child_env = (!children.is_empty()).then(|| match bound {
-            Some(t) if binds => {
-                let mut child_env = ParamEnv::clone(env);
-                child_env.insert(node.bv.clone(), t.clone());
-                Arc::new(child_env)
-            }
-            _ => Arc::clone(env),
+            Some((columns, row)) if binds => env.bind(&self.shared.vars[vid.index()], columns, row),
+            _ => env.clone(),
         });
         let el = self.skel.create_element(&node.tag, vid, child_env.clone());
         self.skel.append_child(parent, el);
         self.stats.elements += 1;
         for (k, v) in &node.static_attrs {
-            self.skel.set_attr(el, k, v);
+            self.skel.set_attr(el, k, |text| text.push_str(v));
             self.stats.attributes += 1;
         }
-        if let Some(t) = bound {
-            for (k, v) in project_attrs(&node.attrs, &t.columns, &t.values) {
-                self.skel.set_attr(el, k, &v);
-                self.stats.attributes += 1;
+        if let Some((columns, row)) = bound {
+            for (i, (c, v)) in columns.iter().zip(row).enumerate() {
+                let wanted = match &node.attrs {
+                    AttrProjection::All => true,
+                    AttrProjection::None => false,
+                    AttrProjection::Columns(cols) => cols.iter().any(|x| x == c),
+                };
+                // NULLs are omitted; the first of duplicate columns wins.
+                let shadowed = || {
+                    columns[..i]
+                        .iter()
+                        .zip(row)
+                        .any(|(d, w)| d == c && !w.is_null())
+                };
+                if wanted && !v.is_null() && !shadowed() {
+                    self.skel.set_attr(el, c, |text| v.render_into(text));
+                    self.stats.attributes += 1;
+                }
             }
         }
         if let Some(env) = child_env {
             next.extend(children.iter().map(|&c| Pending {
                 parent: el,
                 vid: c,
-                env: Arc::clone(&env),
+                env: env.clone(),
             }));
         }
     }
 
     /// Executes a node's tag query (or guard probe) for every environment
-    /// at once: one relation per environment, in order. Every environment
+    /// at once: the rows of each environment, in order. Every environment
     /// goes to one set-oriented execution, which runs the engine once per
-    /// distinct binding and replicates the rows to duplicates. A node whose
-    /// plan failed to prepare is interpreted per environment instead, with
-    /// no batch counters.
+    /// distinct binding; duplicates share that binding's rows, read through
+    /// the batch by reference. A node whose plan failed to prepare is
+    /// interpreted per environment instead, with no batch counters.
     fn run_batch(
         &mut self,
         vid: ViewNodeId,
         role: Role,
         q: &SelectQuery,
-        envs: &[&ParamEnv],
-    ) -> Result<Vec<Relation>> {
+        envs: &[&Env],
+    ) -> Result<BatchRows> {
         if envs.is_empty() {
-            return Ok(Vec::new());
+            return Ok(BatchRows::Interpreted(Vec::new()));
         }
         let key = (vid.index() as u32, role);
         let Some(PlanEntry::Ready(plan)) = self.shared.plans.get(&key) else {
@@ -1182,24 +1308,23 @@ impl<'a> BatchWorker<'a> {
                 rels.push(eval_query_stats(
                     self.shared.db,
                     q,
-                    env,
+                    &env.to_param_env(),
                     EvalOptions::default(),
                     &mut self.eval,
                 )?);
             }
-            return Ok(rels);
+            return Ok(BatchRows::Interpreted(rels));
         };
-        let envs: Vec<ParamEnv> = envs.iter().map(|&e| e.clone()).collect();
         let batch = plan.execute_batch_shared(
             self.shared.db,
-            &envs,
+            envs,
             self.shared.scans.and_then(|s| s.get(&key)),
             &mut self.eval,
         )?;
         self.stats.batches_executed += 1;
         self.stats.bindings_per_batch_max = self.stats.bindings_per_batch_max.max(envs.len());
         self.stats.rows_regrouped += batch.total_rows();
-        Ok(batch.into_relations())
+        Ok(BatchRows::Plan(batch))
     }
 }
 
@@ -1312,9 +1437,11 @@ struct SkelAttr {
 /// are interned (a schema tree has a handful of distinct names, reused
 /// across every task); attribute values share one text buffer; child lists
 /// are intrusive `u32` links. Each element also records the view node
-/// that emitted it and its child environment — the splice provenance a
-/// delta re-runs children under, and the trace provenance (an element's
-/// query ran under its parent's child environment).
+/// that emitted it and its child environment, a pointer-sized handle on a
+/// frame chain ([`Env`]) shared with the element's frontier slots — the
+/// splice provenance a delta re-runs children under, and the trace
+/// provenance (an element's query ran under its parent's child
+/// environment).
 /// [`Skeleton::begin_task`] drains everything but keeps the capacity and
 /// the name table, so steady-state streaming allocates almost nothing and
 /// peak emission memory is bounded by the largest single task, not the
@@ -1331,7 +1458,7 @@ struct Skeleton {
     /// rare and tasks are short-lived.
     text: String,
     /// Child environments, shared with the frontier slots they seeded.
-    envs: Vec<Arc<ParamEnv>>,
+    envs: Vec<Env>,
 }
 
 impl Skeleton {
@@ -1362,7 +1489,7 @@ impl Skeleton {
     }
 
     /// Appends a detached node.
-    fn push(&mut self, tag: u32, view: u32, env: Option<Arc<ParamEnv>>) -> SkelId {
+    fn push(&mut self, tag: u32, view: u32, env: Option<Env>) -> SkelId {
         let env = match env {
             Some(e) => {
                 self.envs.push(e);
@@ -1386,12 +1513,7 @@ impl Skeleton {
 
     /// Creates a detached element named `tag`, emitted by view node `view`
     /// with child environment `child_env`.
-    fn create_element(
-        &mut self,
-        tag: &str,
-        view: ViewNodeId,
-        child_env: Option<Arc<ParamEnv>>,
-    ) -> SkelId {
+    fn create_element(&mut self, tag: &str, view: ViewNodeId, child_env: Option<Env>) -> SkelId {
         let tag = self.intern(tag);
         self.push(tag, view.index() as u32, child_env)
     }
@@ -1416,14 +1538,15 @@ impl Skeleton {
         self.nodes[p].last_child = child.0;
     }
 
-    /// Sets an attribute; a duplicate name replaces the existing value in
-    /// place (the arena's contract, load-bearing for byte parity with
-    /// [`Document`]).
-    fn set_attr(&mut self, el: SkelId, name: &str, value: &str) {
+    /// Sets an attribute to the text `value` appends to the value buffer;
+    /// a duplicate name replaces the existing value in place (the arena's
+    /// contract, load-bearing for byte parity with [`Document`]).
+    fn set_attr(&mut self, el: SkelId, name: &str, value: impl FnOnce(&mut String)) {
         let name = self.intern(name);
-        let val_start = u32::try_from(self.text.len()).expect("values fit u32");
-        self.text.push_str(value);
-        let val_len = u32::try_from(value.len()).expect("value fits u32");
+        let text_len = self.text.len();
+        value(&mut self.text);
+        let val_start = u32::try_from(text_len).expect("values fit u32");
+        let val_len = u32::try_from(self.text.len() - text_len).expect("value fits u32");
         let e = el.0 as usize;
         let (start, len) = (
             self.nodes[e].attr_start as usize,
@@ -1461,7 +1584,7 @@ impl Skeleton {
 
     /// The environment element `id`'s children run under (`None` for a
     /// leaf view node).
-    fn child_env(&self, id: SkelId) -> Option<&Arc<ParamEnv>> {
+    fn child_env(&self, id: SkelId) -> Option<&Env> {
         let env = self.node(id).env;
         (env != SKEL_NONE).then(|| &self.envs[env as usize])
     }
@@ -1504,7 +1627,7 @@ impl Skeleton {
         self.nodes.capacity() * std::mem::size_of::<SkelNode>()
             + self.attrs.capacity() * std::mem::size_of::<SkelAttr>()
             + self.text.capacity()
-            + self.envs.capacity() * std::mem::size_of::<Arc<ParamEnv>>()
+            + self.envs.capacity() * std::mem::size_of::<Env>()
             + self.names.iter().map(String::capacity).sum::<usize>()
     }
 
@@ -1554,24 +1677,25 @@ impl Skeleton {
         let top = self.nodes[0].first_child;
         let tag = &self.names[self.nodes[top as usize].tag as usize];
         let path = format!("/{tag}[{}]", task.index + 1);
-        self.trace_from(SkelId(top), path, &ParamEnv::new(), out);
+        self.trace_from(SkelId(top), path, ParamEnv::new(), out);
     }
 
-    fn trace_from(&self, id: SkelId, path: String, env: &ParamEnv, out: &mut Vec<TraceEntry>) {
+    fn trace_from(&self, id: SkelId, path: String, env: ParamEnv, out: &mut Vec<TraceEntry>) {
         let at = out.len();
         out.push(TraceEntry {
             path,
             view: self.view(id),
-            env: env.clone(),
+            env,
         });
+        let child_env = self.child_env(id).map(Env::to_param_env);
         let mut counts: HashMap<u32, usize> = HashMap::new();
         for c in self.children(id) {
             let tag = self.node(c).tag;
             let n = counts.entry(tag).or_insert(0);
             *n += 1;
             let path = format!("{}/{}[{n}]", out[at].path, self.names[tag as usize]);
-            let child_env = self
-                .child_env(id)
+            let child_env = child_env
+                .clone()
                 .expect("an element with children has a child environment");
             self.trace_from(c, path, child_env, out);
         }
@@ -1588,7 +1712,9 @@ impl Skeleton {
         );
         self.append_child(parent, el);
         for a in src.attrs_of(n) {
-            self.set_attr(el, &src.names[a.name as usize], src.value(a));
+            self.set_attr(el, &src.names[a.name as usize], |text| {
+                text.push_str(src.value(a));
+            });
         }
         el
     }
@@ -1600,29 +1726,6 @@ impl Skeleton {
             self.copy_subtree(src, c, el);
         }
     }
-}
-
-/// Projects tuple columns into attribute `(name, value)` pairs: NULLs
-/// omitted, first occurrence wins on duplicate column names.
-fn project_attrs<'c>(
-    attrs: &AttrProjection,
-    columns: &'c [String],
-    values: &[xvc_rel::Value],
-) -> Vec<(&'c str, String)> {
-    let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    for (c, val) in columns.iter().zip(values) {
-        let wanted = match attrs {
-            AttrProjection::All => true,
-            AttrProjection::None => false,
-            AttrProjection::Columns(cols) => cols.iter().any(|x| x == c),
-        };
-        if !wanted || val.is_null() || !seen.insert(c.as_str()) {
-            continue;
-        }
-        out.push((c.as_str(), val.render()));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -2363,7 +2466,7 @@ mod tests {
             // environment; leaves (hotels) carry no environment at all.
             for id in skel.elements() {
                 if skel.view(id) == metro {
-                    assert!(skel.child_env(id).unwrap().contains_key("m"));
+                    assert!(skel.child_env(id).unwrap().tuple("m").is_some());
                 } else {
                     assert_eq!(skel.view(id), hotel);
                     assert!(skel.child_env(id).is_none());
@@ -2373,10 +2476,31 @@ mod tests {
     }
 
     #[test]
+    fn inner_frame_shadows_outer_binding() {
+        // A view that binds one variable at two depths: the inner frame
+        // wins, as `HashMap::insert` had it, for plans and for traces.
+        let columns: Arc<[String]> = vec!["a".to_owned(), "b".to_owned()].into();
+        let (x, y): (Arc<str>, Arc<str>) = ("x".into(), "y".into());
+        let outer = Env::default()
+            .bind(&x, &columns, &[Value::Int(1), Value::Int(10)])
+            .bind(&y, &columns, &[Value::Int(5), Value::Null]);
+        let env = outer.bind(&x, &columns, &[Value::Int(2), Value::Int(20)]);
+        assert_eq!(env.value("x", "b"), Ok(&Value::Int(20)));
+        assert_eq!(env.value("y", "a"), Ok(&Value::Int(5)));
+        assert_eq!(outer.value("x", "b"), Ok(&Value::Int(10)));
+        assert!(env.value("z", "a").is_err());
+        let owned = env.to_param_env();
+        assert_eq!(owned.len(), 2);
+        assert_eq!(owned["x"].values, vec![Value::Int(2), Value::Int(20)]);
+        assert!(!Bindings::is_empty(&env));
+        assert!(Bindings::is_empty(&Env::default()));
+    }
+
+    #[test]
     fn equal_bindings_share_one_engine_execution() {
         // metro -> hotel -> home, where `home` reads only $h.metro_id:
         // both hotels under metro 1 bind the same value, so the batch runs
-        // the engine once for them and replicates the rows to both parents.
+        // the engine once for them and both parents read the one group.
         let mut t = SchemaTree::new();
         let metro = t
             .add_root_node(ViewNode::new(

@@ -9,10 +9,10 @@
 use std::sync::RwLock;
 
 use xvc_rel::{
-    parse_query, ColumnDef, ColumnType, Database, IndexKind, NamedTuple, ParamEnv, TableSchema,
-    Value,
+    parse_query, BinOp, ColumnDef, ColumnType, Database, IndexKind, NamedTuple, ParamEnv,
+    ScalarExpr, TableSchema, Value,
 };
-use xvc_view::{Engine, PublishStats, SchemaTree, ViewNode};
+use xvc_view::{AttrProjection, Engine, PublishStats, SchemaTree, ViewNode};
 use xvc_xml::documents_equal_unordered;
 
 fn db() -> Database {
@@ -232,6 +232,75 @@ fn batched_trace_pins_every_path_view_and_binding() {
         // The hotel level of each metro task runs as a batch.
         assert!(p.stats.batches_executed > 0);
         assert_eq!(p.stats.rows_regrouped, 5); // one row per hotel
+    }
+}
+
+#[test]
+fn context_copy_rebinding_resolves_through_the_environment() {
+    // metro ($m) -> metro_copy (copies $m, rebinds it as $mc) ->
+    // only_chicago, guarded on $mc: the guard reads the copy's binding,
+    // which shares the metro's tuple.
+    let mut v = SchemaTree::new();
+    let metro = v
+        .add_root_node(ViewNode::new(
+            1,
+            "metro",
+            "m",
+            parse_query("SELECT metroid, metroname FROM metroarea").unwrap(),
+        ))
+        .unwrap();
+    let mut copy = ViewNode::literal(2, "metro_copy");
+    copy.context_tuple_of = Some("m".into());
+    copy.bv = "mc".into();
+    copy.attrs = AttrProjection::All;
+    let copy = v.add_child(metro, copy).unwrap();
+    let mut guarded = ViewNode::literal(3, "only_chicago");
+    guarded.guard = Some(ScalarExpr::binary(
+        BinOp::Eq,
+        ScalarExpr::param("mc", "metroname"),
+        ScalarExpr::str("chicago"),
+    ));
+    v.add_child(copy, guarded).unwrap();
+    let db = db();
+    let metros = [(1, "chicago"), (2, "nyc"), (3, "sf"), (4, "boston")];
+    let expected: String = metros
+        .iter()
+        .map(|&(id, name)| {
+            let attrs = format!("metroid=\"{id}\" metroname=\"{name}\"");
+            let inner = if name == "chicago" {
+                format!("<metro_copy {attrs}><only_chicago/></metro_copy>")
+            } else {
+                format!("<metro_copy {attrs}/>")
+            };
+            format!("<metro {attrs}>{inner}</metro>")
+        })
+        .collect();
+    for threads in [1, 4] {
+        let p = Engine::new(&v)
+            .traced(true)
+            .parallel(threads)
+            .session()
+            .publish(&db)
+            .unwrap();
+        assert_eq!(p.document.to_xml(), expected, "parallel({threads})");
+        // The metro query and one guard probe per copy; 4 + 4 + 1 elements.
+        assert_eq!(p.stats.queries_run, 5, "parallel({threads})");
+        assert_eq!(p.stats.elements, 9, "parallel({threads})");
+        let trace = p.trace.unwrap();
+        let entry = trace
+            .lookup("/metro[1]/metro_copy[1]/only_chicago[1]")
+            .unwrap();
+        let mut vars: Vec<&str> = entry.env.keys().map(String::as_str).collect();
+        vars.sort_unstable();
+        assert_eq!(vars, ["m", "mc"], "parallel({threads})");
+        assert_eq!(entry.env["m"], entry.env["mc"]);
+        assert_eq!(entry.env["m"], metro_env(1, "chicago")["m"]);
+        for (i, &(id, name)) in metros.iter().enumerate() {
+            let entry = trace
+                .lookup(&format!("/metro[{}]/metro_copy[1]", i + 1))
+                .unwrap();
+            assert_eq!(entry.env, metro_env(id, name), "parallel({threads})");
+        }
     }
 }
 
