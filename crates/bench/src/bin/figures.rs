@@ -7,7 +7,7 @@
 //! cargo run -p xvc-bench --bin figures --release -- prune   # BENCH_compose.json only
 //! cargo run -p xvc-bench --bin figures --release -- plans   # same, plan-focused report
 //! cargo run -p xvc-bench --bin figures --release -- batch   # + set-oriented study
-//! cargo run -p xvc-bench --bin figures --release -- scale        # storage/index study
+//! cargo run -p xvc-bench --bin figures --release -- scale        # access-path (index) study
 //! cargo run -p xvc-bench --bin figures --release -- scale smoke  # reduced CI sizes
 //! cargo run -p xvc-bench --bin figures --release -- incr         # delta-publish study
 //! cargo run -p xvc-bench --bin figures --release -- incr smoke   # reduced CI sizes
@@ -34,13 +34,12 @@
 //! fan-outs, or the largest batch not growing with the fan-out, is a hard
 //! failure (both are deterministic counters).
 //!
-//! `scale` runs the storage/access-path study: the selective needle view
-//! published against the same instance in-memory, paged through the buffer
-//! pool, and with secondary indexes (10⁵–10⁶ rows; `smoke` shrinks the
-//! sizes for CI). Documents must be byte-identical across backends, and at
-//! the largest size the index path must beat the full scan — either
-//! failure aborts the run. `BENCH_compose.json` collects whichever studies
-//! ran, one JSON object per row.
+//! `scale` runs the access-path study: the selective needle view published
+//! against the same instance with full scans and with secondary indexes
+//! (10⁵–10⁶ rows; `smoke` shrinks the sizes for CI). The two documents must
+//! be byte-identical, and at the largest size the index path must beat the
+//! full scan — either failure aborts the run. `BENCH_compose.json` collects
+//! whichever studies ran, one JSON object per row.
 //!
 //! `incr` runs the I1 incremental-maintenance study: a single-row insert
 //! through the `xvc_rel` write path, absorbed by a full republish and by
@@ -287,26 +286,24 @@ fn main() {
 
     if scale {
         let configs = if smoke { SCALE_SMOKE } else { SCALE_FULL };
-        println!("\n==== scale: in-memory vs paged vs indexed access paths ====\n");
+        println!("\n==== scale: full scan vs indexed access paths ====\n");
         let srows = scale_sweep(configs, 3);
         for r in &srows {
             println!(
-                "{}: mem {:.3} ms, paged {:.3} ms, indexed {:.3} ms ({:.2}x vs mem), \
-                 paged+indexed {:.3} ms; rows scanned {} -> {}, {} index probes",
+                "{}: scan {:.3} ms, indexed {:.3} ms ({:.2}x vs scan); \
+                 rows scanned {} -> {}, {} index probes",
                 r.workload,
                 r.eval_mem_ms,
-                r.eval_paged_ms,
                 r.eval_indexed_ms,
                 r.eval_mem_ms / r.eval_indexed_ms,
-                r.eval_paged_indexed_ms,
                 r.scan_rows_scanned,
                 r.indexed_rows_scanned,
                 r.index_lookups,
             );
         }
-        // `scale_bench` itself gates on cross-backend document divergence;
+        // `scale_bench` itself gates on index/scan document divergence;
         // here the largest instance must also show the index win the
-        // storage layer exists for.
+        // access path exists for.
         let r = srows.last().expect("scale row");
         assert!(
             r.eval_indexed_ms <= r.eval_mem_ms,

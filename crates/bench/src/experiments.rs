@@ -657,24 +657,19 @@ pub fn render_incr_objects(rows: &[IncrBenchRow]) -> Vec<String> {
         .collect()
 }
 
-/// One data point of the storage/access-path scale study: the same needle
-/// view published against the same instance held in-memory, paged through
-/// the buffer pool, and indexed — documents verified bit-identical before
-/// any timing.
+/// One data point of the access-path scale study: the same needle view
+/// published against the same instance with full scans and with secondary
+/// indexes — documents verified bit-identical before any timing.
 #[derive(Debug, Clone)]
 pub struct ScaleBenchRow {
     /// Human-readable workload name.
     pub workload: String,
     /// Total database rows.
     pub db_rows: usize,
-    /// Warm publish against the in-memory backend, full scans.
+    /// Warm publish, full scans.
     pub eval_mem_ms: f64,
-    /// Warm publish against the paged (buffer-pool) backend, full scans.
-    pub eval_paged_ms: f64,
-    /// Warm publish against the in-memory backend with secondary indexes.
+    /// Warm publish with secondary indexes.
     pub eval_indexed_ms: f64,
-    /// Warm publish against the paged backend with secondary indexes.
-    pub eval_paged_indexed_ms: f64,
     /// Engine rows scanned per publish on the full-scan path.
     pub scan_rows_scanned: u64,
     /// Engine rows scanned per publish on the index path (candidates
@@ -732,13 +727,10 @@ pub const SCALE_SMOKE: &[ScaleConfig] = &[
     },
 ];
 
-/// Runs the needle view against one instance on every backend. The
-/// backends are built and dropped one at a time (peak memory stays at two
-/// instances), and every backend's document is asserted byte-identical to
-/// the in-memory one before its timing loop runs.
+/// Runs the needle view against one instance with full scans and with
+/// secondary indexes. The indexed document is asserted byte-identical to
+/// the full-scan one before its timing loop runs.
 pub fn scale_bench(cfg: &ScaleConfig, reps: usize) -> ScaleBenchRow {
-    use xvc_rel::Backend;
-
     // The needle: one mid-range region, so neither the first nor the last
     // scan position is favored.
     let needle = format!("region-{}", cfg.regions / 2);
@@ -759,28 +751,13 @@ pub fn scale_bench(cfg: &ScaleConfig, reps: usize) -> ScaleBenchRow {
         std::hint::black_box(out);
     });
 
-    let eval_paged_ms = {
-        let paged = base.to_backend(Backend::paged()).expect("paged backend");
-        let mut paged_pub = Engine::new(&view).session();
-        let doc = paged_pub.publish(&paged).expect("publish paged").document;
-        assert_eq!(
-            doc.to_xml(),
-            reference,
-            "paged backend diverged from in-memory — benchmark would be meaningless"
-        );
-        best_ms(reps, || {
-            let out = paged_pub.publish(&paged).expect("publish paged").document;
-            std::hint::black_box(out);
-        })
-    };
-
     let indexed = needle_indexed(&base);
     let mut idx_pub = Engine::new(&view).session();
     let idx_out = idx_pub.publish(&indexed).expect("publish indexed");
     assert_eq!(
         idx_out.document.to_xml(),
         reference,
-        "indexed backend diverged from full scan — benchmark would be meaningless"
+        "indexed access path diverged from full scan — benchmark would be meaningless"
     );
     assert!(
         idx_out.eval.index_lookups > 0,
@@ -794,27 +771,6 @@ pub fn scale_bench(cfg: &ScaleConfig, reps: usize) -> ScaleBenchRow {
         std::hint::black_box(out);
     });
 
-    let eval_paged_indexed_ms = {
-        let paged_idx = indexed.to_backend(Backend::paged()).expect("paged backend");
-        let mut pub_ = Engine::new(&view).session();
-        let doc = pub_
-            .publish(&paged_idx)
-            .expect("publish paged+indexed")
-            .document;
-        assert_eq!(
-            doc.to_xml(),
-            reference,
-            "paged+indexed backend diverged — benchmark would be meaningless"
-        );
-        best_ms(reps, || {
-            let out = pub_
-                .publish(&paged_idx)
-                .expect("publish paged+indexed")
-                .document;
-            std::hint::black_box(out);
-        })
-    };
-
     ScaleBenchRow {
         workload: format!(
             "needle {} rows ({}r x {}c x {}o)",
@@ -822,9 +778,7 @@ pub fn scale_bench(cfg: &ScaleConfig, reps: usize) -> ScaleBenchRow {
         ),
         db_rows,
         eval_mem_ms,
-        eval_paged_ms,
         eval_indexed_ms,
-        eval_paged_indexed_ms,
         scan_rows_scanned,
         indexed_rows_scanned,
         index_lookups,
@@ -843,15 +797,12 @@ pub fn render_scale_objects(rows: &[ScaleBenchRow]) -> Vec<String> {
         .map(|r| {
             format!(
                 "  {{\"workload\": \"{}\", \"db_rows\": {}, \"eval_mem_ms\": {:.3}, \
-                 \"eval_paged_ms\": {:.3}, \"eval_indexed_ms\": {:.3}, \
-                 \"eval_paged_indexed_ms\": {:.3}, \"scan_rows_scanned\": {}, \
+                 \"eval_indexed_ms\": {:.3}, \"scan_rows_scanned\": {}, \
                  \"indexed_rows_scanned\": {}, \"index_lookups\": {}}}",
                 r.workload,
                 r.db_rows,
                 r.eval_mem_ms,
-                r.eval_paged_ms,
                 r.eval_indexed_ms,
-                r.eval_paged_indexed_ms,
                 r.scan_rows_scanned,
                 r.indexed_rows_scanned,
                 r.index_lookups,
@@ -1265,20 +1216,19 @@ mod tests {
     }
 
     #[test]
-    fn scale_bench_verifies_backends_and_counts_index_work() {
+    fn scale_bench_verifies_access_paths_and_counts_index_work() {
         let cfg = ScaleConfig {
             regions: 8,
             customers_per_region: 6,
             orders_per_customer: 4,
         };
-        // scale_bench itself asserts cross-backend document equality.
+        // scale_bench itself asserts index/scan document equality.
         let r = scale_bench(&cfg, 1);
         assert_eq!(r.db_rows, cfg.total_rows());
         assert!(r.index_lookups > 0, "{r:?}");
         assert!(r.indexed_rows_scanned < r.scan_rows_scanned, "{r:?}");
         let json = render_json_array(&render_scale_objects(&[r]));
         assert!(json.contains("\"eval_indexed_ms\""));
-        assert!(json.contains("\"eval_paged_ms\""));
     }
 
     #[test]

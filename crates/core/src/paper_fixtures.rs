@@ -91,7 +91,8 @@ pub fn figure2_catalog() -> Catalog {
 pub fn figure2_database() -> Database {
     let mut db = Database::new();
     for schema in figure2_catalog().iter() {
-        db.create_table(schema.clone());
+        db.create_table(schema.clone())
+            .expect("the Figure 2 catalog declares only valid indexes");
     }
     db
 }

@@ -21,6 +21,10 @@
 //! ([`IndexDef`]) on a previously created table — hash-shaped by default,
 //! `USING BTREE` for the ordered shape. Prepared plans select index access
 //! paths from these declarations.
+//!
+//! [`parse_ddl`], [`database_from_ddl`] and [`Database::execute_ddl`]
+//! accept and reject the same scripts: a table is created once, a column
+//! is indexed at most once, and an index names a declared table and column.
 
 use crate::error::{Error, Result};
 use crate::schema::{Catalog, ColumnDef, ColumnType, IndexDef, IndexKind, TableSchema};
@@ -37,40 +41,21 @@ enum DdlStatement {
 }
 
 /// Parses a script of `CREATE TABLE` / `CREATE INDEX` statements into a
-/// [`Catalog`] (index declarations attach to their table's schema).
+/// [`Catalog`] (index declarations attach to their table's schema). The
+/// statements are declared on an empty catalog under the rules every DDL
+/// entry point shares (see [`Database::execute_ddl`]).
 pub fn parse_ddl(input: &str) -> Result<Catalog> {
     let mut catalog = Catalog::new();
-    for stmt in parse_statements(input)? {
-        match stmt {
-            DdlStatement::CreateTable(schema) => catalog.add(schema),
-            DdlStatement::CreateIndex { table, def } => {
-                let schema = catalog.get(&table)?;
-                if schema.column_index(&def.column).is_none() {
-                    return Err(Error::UnknownColumn {
-                        reference: format!("{table}.{}", def.column),
-                    });
-                }
-                let mut schema = schema.clone();
-                schema.indexes.push(def);
-                catalog.add(schema);
-            }
-        }
-    }
+    declare(&mut catalog, &parse_statements(input)?)?;
     Ok(catalog)
 }
 
 /// Parses a DDL script into an empty [`Database`] (tables created, no
-/// rows, declared indexes built).
+/// rows, declared indexes built): [`Database::execute_ddl`] on a new
+/// database.
 pub fn database_from_ddl(input: &str) -> Result<Database> {
     let mut db = Database::new();
-    for stmt in parse_statements(input)? {
-        match stmt {
-            DdlStatement::CreateTable(schema) => db.create_table(schema),
-            DdlStatement::CreateIndex { table, def } => {
-                db.create_index(&table, &def.column, def.kind)?;
-            }
-        }
-    }
+    db.execute_ddl(input)?;
     Ok(db)
 }
 
@@ -80,19 +65,19 @@ impl Database {
     /// the table's existing rows. Returns the number of statements
     /// applied.
     ///
-    /// This is the runtime counterpart of [`database_from_ddl`] — the
-    /// `xvc serve` DDL endpoint routes through it so a long-running
-    /// engine can gain indexes mid-flight. Both statement kinds change
-    /// the catalog fingerprint, so cached publish plans recompile on the
-    /// next request. The whole batch is checked before any statement is
-    /// applied, so a rejected batch leaves the database unchanged.
+    /// The `xvc serve` DDL endpoint routes through it so a long-running
+    /// engine can gain indexes mid-flight. Both statement kinds change the
+    /// catalog fingerprint, so cached publish plans recompile on the next
+    /// request. The whole batch is declared on a copy of the catalog
+    /// before any statement is applied, so a rejected batch leaves the
+    /// database unchanged.
     pub fn execute_ddl(&mut self, sql: &str) -> Result<usize> {
         let statements = parse_statements(sql)?;
-        self.check_ddl(&statements)?;
+        declare(&mut self.catalog(), &statements)?;
         let applied = statements.len();
         for stmt in statements {
             match stmt {
-                DdlStatement::CreateTable(schema) => self.create_table(schema),
+                DdlStatement::CreateTable(schema) => self.create_table(schema)?,
                 DdlStatement::CreateIndex { table, def } => {
                     self.create_index(&table, &def.column, def.kind)?;
                 }
@@ -100,45 +85,34 @@ impl Database {
         }
         Ok(applied)
     }
+}
 
-    /// Rejects a DDL batch that would fail part-way: a table that already
-    /// exists (in the database or earlier in the batch), or an index on an
-    /// unknown table or column or on an already indexed column. Declares
-    /// the batch, in order, on a copy of the catalog, with the errors
-    /// applying it would raise.
-    fn check_ddl(&self, statements: &[DdlStatement]) -> Result<()> {
-        let mut catalog = self.catalog();
-        for stmt in statements {
-            match stmt {
-                DdlStatement::CreateTable(schema) => {
-                    if catalog.contains(&schema.name) {
-                        return Err(Error::UnexpectedToken {
-                            found: format!("'{}'", schema.name),
-                            expected: "a table name not already in the database",
-                        });
-                    }
-                    catalog.add(schema.clone());
+/// Declares DDL statements, in order, on `catalog`: the one rule set of
+/// [`parse_ddl`], [`database_from_ddl`] and [`Database::execute_ddl`].
+/// Rejects a table that already exists (in the catalog or earlier in the
+/// batch), an index on an unknown table, and whatever
+/// [`TableSchema::declare_index`] rejects — the errors applying the
+/// statements to a database would raise.
+fn declare(catalog: &mut Catalog, statements: &[DdlStatement]) -> Result<()> {
+    for stmt in statements {
+        match stmt {
+            DdlStatement::CreateTable(schema) => {
+                if catalog.contains(&schema.name) {
+                    return Err(Error::UnexpectedToken {
+                        found: format!("'{}'", schema.name),
+                        expected: "a table name not already declared",
+                    });
                 }
-                DdlStatement::CreateIndex { table, def } => {
-                    let mut schema = catalog.get(table)?.clone();
-                    let column = &def.column;
-                    if schema.column_index(column).is_none() {
-                        return Err(Error::UnknownColumn {
-                            reference: format!("{table}.{column}"),
-                        });
-                    }
-                    if schema.index_on(column).is_some() {
-                        return Err(Error::Storage {
-                            reason: format!("table {table:?} already has an index on {column:?}"),
-                        });
-                    }
-                    schema.indexes.push(def.clone());
-                    catalog.add(schema);
-                }
+                catalog.add(schema.clone());
+            }
+            DdlStatement::CreateIndex { table, def } => {
+                let mut schema = catalog.get(table)?.clone();
+                schema.declare_index(def.clone())?;
+                catalog.add(schema);
             }
         }
-        Ok(())
     }
+    Ok(())
 }
 
 fn parse_statements(input: &str) -> Result<Vec<DdlStatement>> {
@@ -474,6 +448,58 @@ mod tests {
         );
         assert!(db.table("audit").unwrap().index_for(0).is_some());
         assert_ne!(db.catalog_fingerprint(), before);
+    }
+
+    #[test]
+    fn every_entry_point_applies_the_same_rules() {
+        let rejected = [
+            (
+                "CREATE TABLE t (a INT); CREATE TABLE t (b TEXT)",
+                Error::UnexpectedToken {
+                    found: "'t'".into(),
+                    expected: "a table name not already declared",
+                },
+            ),
+            (
+                "CREATE TABLE t (a INT); CREATE INDEX i ON t (a); CREATE INDEX j ON t (a)",
+                Error::DuplicateIndex {
+                    table: "t".into(),
+                    column: "a".into(),
+                },
+            ),
+            (
+                "CREATE TABLE t (a INT); CREATE INDEX i ON u (a)",
+                Error::UnknownTable { name: "u".into() },
+            ),
+            (
+                "CREATE TABLE t (a INT); CREATE INDEX i ON t (b)",
+                Error::UnknownColumn {
+                    reference: "t.b".into(),
+                },
+            ),
+        ];
+        for (script, want) in rejected {
+            assert_eq!(parse_ddl(script).err(), Some(want.clone()), "{script}");
+            assert_eq!(
+                database_from_ddl(script).err(),
+                Some(want.clone()),
+                "{script}"
+            );
+            assert_eq!(
+                Database::new().execute_ddl(script).err(),
+                Some(want),
+                "{script}"
+            );
+        }
+        let valid = "CREATE TABLE hotel (hotelid INT PRIMARY KEY, metroid INT NOT NULL);\n\
+                     CREATE INDEX ON hotel (metroid);\n\
+                     CREATE TABLE metroarea (metroid INT, metroname TEXT);\n\
+                     CREATE INDEX ON metroarea (metroid) USING BTREE;\n\
+                     CREATE INDEX ON hotel (hotelid) USING BTREE;";
+        assert_eq!(
+            parse_ddl(valid).unwrap(),
+            database_from_ddl(valid).unwrap().catalog()
+        );
     }
 
     #[test]

@@ -110,8 +110,8 @@ impl Database {
     /// optionally `;`-terminated) and returns the delta of touched rows.
     ///
     /// A multi-row `INSERT` is all or nothing: every row is checked
-    /// ([`crate::Table::check_insert`]) before any is stored, so a
-    /// statement that fails leaves the table as it was.
+    /// against the schema ([`crate::TableSchema::check_row`]) before any is
+    /// stored, so a statement that fails leaves the table as it was.
     pub fn execute_dml(&mut self, sql: &str) -> Result<Delta> {
         let mut p = DmlParser::new(sql);
         p.skip_ws();
@@ -122,9 +122,9 @@ impl Database {
             let rows = p.values_list()?;
             p.finish()?;
             // All or nothing: a statement with one bad row stores none.
-            let t = self.table(&table)?;
+            let schema = &self.table(&table)?.schema;
             for row in &rows {
-                t.check_insert(row)?;
+                schema.check_row(row)?;
             }
             let mut delta = Delta::new();
             for row in &rows {
@@ -170,14 +170,15 @@ impl Database {
                     matched.iter().map(|row| (row_hash(row), row)).collect();
                 hashed.sort_unstable_by_key(|&(h, _)| h);
                 self.table(table)?
-                    .scan()
+                    .rows()
+                    .iter()
                     .map(|row| {
-                        let h = row_hash(&row);
+                        let h = row_hash(row);
                         let first = hashed.partition_point(|&(x, _)| x < h);
                         hashed[first..]
                             .iter()
                             .take_while(|&&(x, _)| x == h)
-                            .any(|(_, m)| same_row(m, &row))
+                            .any(|(_, m)| same_row(m, row))
                     })
                     .collect()
             }
@@ -483,7 +484,8 @@ mod tests {
                 ],
             )
             .unwrap(),
-        );
+        )
+        .unwrap();
         db
     }
 
@@ -513,44 +515,35 @@ mod tests {
     #[test]
     fn failed_multi_row_insert_leaves_the_table_unchanged() {
         use crate::schema::IndexKind;
-        use crate::table::Backend;
-        let oversized = format!("(4, '{}')", "x".repeat(crate::storage::PAGE_SIZE));
-        for backend in [Backend::Memory, Backend::paged()] {
-            let mut db = Database::with_backend(backend);
-            db.create_table(
-                TableSchema::new(
-                    "city",
-                    vec![
-                        ColumnDef::new("cityid", ColumnType::Int).not_null(),
-                        ColumnDef::new("cityname", ColumnType::Str),
-                    ],
-                )
-                .unwrap(),
-            );
-            db.create_index("city", "cityid", IndexKind::Hash).unwrap();
-            db.execute_dml("INSERT INTO city VALUES (1, 'a')").unwrap();
-            // The third row violates NOT NULL on both backends; on the
-            // paged one, a row larger than a page fails the same way.
-            let mut bad = vec!["(2, 'b'), (3, 'c'), (NULL, 'd')".to_owned()];
-            if backend != Backend::Memory {
-                bad.push(format!("(2, 'b'), (3, 'c'), {oversized}"));
-            }
-            for rows in bad {
-                let ctx = format!("{backend:?}: {}", &rows[..30]);
-                assert!(
-                    db.execute_dml(&format!("INSERT INTO city VALUES {rows}"))
-                        .is_err(),
-                    "{ctx}"
-                );
-                let t = db.table("city").unwrap();
-                assert_eq!(
-                    t.rows(),
-                    vec![vec![Value::Int(1), Value::Str("a".into())]],
-                    "{ctx}"
-                );
-                assert_eq!(t.index_for(0).unwrap().len(), 1, "{ctx}");
-            }
-        }
+        let mut db = Database::new();
+        db.create_table(
+            TableSchema::new(
+                "city",
+                vec![
+                    ColumnDef::new("cityid", ColumnType::Int).not_null(),
+                    ColumnDef::new("cityname", ColumnType::Str),
+                ],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        db.create_index("city", "cityid", IndexKind::Hash).unwrap();
+        db.execute_dml("INSERT INTO city VALUES (1, 'a')").unwrap();
+        // The third row violates NOT NULL.
+        let rows = "(2, 'b'), (3, 'c'), (NULL, 'd')";
+        let ctx = rows;
+        assert!(
+            db.execute_dml(&format!("INSERT INTO city VALUES {rows}"))
+                .is_err(),
+            "{ctx}"
+        );
+        let t = db.table("city").unwrap();
+        assert_eq!(
+            t.rows(),
+            vec![vec![Value::Int(1), Value::Str("a".into())]],
+            "{ctx}"
+        );
+        assert_eq!(t.index_for(0).unwrap().len(), 1, "{ctx}");
     }
 
     #[test]
@@ -614,9 +607,9 @@ mod tests {
         let q = parse_query(&format!("SELECT * FROM city WHERE {pred}")).unwrap();
         let matched = eval_query(db, &q, &ParamEnv::new()).unwrap().rows;
         let t = db.table("city").unwrap();
-        let mut fresh = Table::with_backend(t.schema.clone(), t.backend()).unwrap();
+        let mut fresh = Table::new(t.schema.clone()).unwrap();
         let mut deleted = Vec::new();
-        for row in t.rows().iter() {
+        for row in t.rows() {
             if matched.contains(row) {
                 deleted.push(row.clone());
             } else {
@@ -627,58 +620,54 @@ mod tests {
     }
 
     #[test]
-    fn in_place_delete_matches_rebuild_on_both_backends() {
+    fn in_place_delete_matches_rebuild() {
         use crate::schema::IndexKind;
-        use crate::table::Backend;
-        for backend in [Backend::Memory, Backend::paged()] {
-            for pred in [
-                "cityid = 2",
-                "cityname = 'b'",
-                "cityid >= 2 AND cityid < 4",
-                "cityname IS NULL",
-                "cityid > 99",
-            ] {
-                let mut db = db().to_backend(backend).unwrap();
-                db.create_index("city", "cityid", IndexKind::Hash).unwrap();
-                db.create_index("city", "cityname", IndexKind::BTree)
-                    .unwrap();
-                // Duplicate rows, and equal keys spread over the table.
-                db.execute_dml(
-                    "INSERT INTO city VALUES (1, 'a'), (2, 'b'), (2, 'b'), (3, 'c'), \
-                     (2, 'x'), (4, 'b'), (2, 'b'), (5, NULL), (3, 'c')",
-                )
+        for pred in [
+            "cityid = 2",
+            "cityname = 'b'",
+            "cityid >= 2 AND cityid < 4",
+            "cityname IS NULL",
+            "cityid > 99",
+        ] {
+            let mut db = db();
+            db.create_index("city", "cityid", IndexKind::Hash).unwrap();
+            db.create_index("city", "cityname", IndexKind::BTree)
                 .unwrap();
-                let (want_deleted, want) = reference_delete(&db, pred);
-                let delta = db
-                    .execute_dml(&format!("DELETE FROM city WHERE {pred}"))
-                    .unwrap();
-                let got = db.table("city").unwrap();
-                let ctx = format!("{backend:?}, WHERE {pred}");
-                assert_eq!(delta.tables["city"].deleted, want_deleted, "{ctx}");
-                assert!(delta.tables["city"].inserted.is_empty(), "{ctx}");
-                assert_eq!(got.rows(), want.rows(), "{ctx}: surviving rows and order");
-                assert_eq!(got.backend(), backend, "{ctx}");
-                let probes = [
-                    Value::Int(1),
-                    Value::Int(2),
-                    Value::Int(3),
-                    Value::Int(4),
-                    Value::Int(5),
-                    Value::Str("a".into()),
-                    Value::Str("b".into()),
-                    Value::Str("c".into()),
-                    Value::Str("x".into()),
-                    Value::Null,
-                ];
-                for column in [0, 1] {
-                    let (g, w) = (
-                        got.index_for(column).unwrap(),
-                        want.index_for(column).unwrap(),
-                    );
-                    assert_eq!(g.len(), w.len(), "{ctx}: index on column {column}");
-                    for v in &probes {
-                        assert_eq!(g.lookup(v), w.lookup(v), "{ctx}: lookup {v:?}");
-                    }
+            // Duplicate rows, and equal keys spread over the table.
+            db.execute_dml(
+                "INSERT INTO city VALUES (1, 'a'), (2, 'b'), (2, 'b'), (3, 'c'), \
+                 (2, 'x'), (4, 'b'), (2, 'b'), (5, NULL), (3, 'c')",
+            )
+            .unwrap();
+            let (want_deleted, want) = reference_delete(&db, pred);
+            let delta = db
+                .execute_dml(&format!("DELETE FROM city WHERE {pred}"))
+                .unwrap();
+            let got = db.table("city").unwrap();
+            let ctx = format!("WHERE {pred}");
+            assert_eq!(delta.tables["city"].deleted, want_deleted, "{ctx}");
+            assert!(delta.tables["city"].inserted.is_empty(), "{ctx}");
+            assert_eq!(got.rows(), want.rows(), "{ctx}: surviving rows and order");
+            let probes = [
+                Value::Int(1),
+                Value::Int(2),
+                Value::Int(3),
+                Value::Int(4),
+                Value::Int(5),
+                Value::Str("a".into()),
+                Value::Str("b".into()),
+                Value::Str("c".into()),
+                Value::Str("x".into()),
+                Value::Null,
+            ];
+            for column in [0, 1] {
+                let (g, w) = (
+                    got.index_for(column).unwrap(),
+                    want.index_for(column).unwrap(),
+                );
+                assert_eq!(g.len(), w.len(), "{ctx}: index on column {column}");
+                for v in &probes {
+                    assert_eq!(g.lookup(v), w.lookup(v), "{ctx}: lookup {v:?}");
                 }
             }
         }

@@ -77,12 +77,12 @@ pub enum Error {
         /// Human-readable explanation.
         reason: String,
     },
-    /// The paged storage layer failed (I/O error, oversized row, exhausted
-    /// buffer pool, invalid index definition). I/O causes are stringified
-    /// so the error stays `Clone`/`PartialEq` like every other variant.
-    Storage {
-        /// Human-readable explanation.
-        reason: String,
+    /// A second secondary index was declared on an already indexed column.
+    DuplicateIndex {
+        /// The table.
+        table: String,
+        /// The column that already has an index.
+        column: String,
     },
 }
 
@@ -118,7 +118,9 @@ impl fmt::Display for Error {
             }
             Error::Type { reason } => write!(f, "type error: {reason}"),
             Error::SchemaMismatch { reason } => write!(f, "schema mismatch: {reason}"),
-            Error::Storage { reason } => write!(f, "storage error: {reason}"),
+            Error::DuplicateIndex { table, column } => {
+                write!(f, "table {table:?} already has an index on {column:?}")
+            }
         }
     }
 }

@@ -1336,7 +1336,8 @@ mod tests {
                 ],
             )
             .unwrap(),
-        );
+        )
+        .unwrap();
         db.create_table(
             TableSchema::new(
                 "hotel",
@@ -1348,7 +1349,8 @@ mod tests {
                 ],
             )
             .unwrap(),
-        );
+        )
+        .unwrap();
         db.create_table(
             TableSchema::new(
                 "confroom",
@@ -1359,7 +1361,8 @@ mod tests {
                 ],
             )
             .unwrap(),
-        );
+        )
+        .unwrap();
         for (id, name) in [(1, "chicago"), (2, "nyc")] {
             db.insert("metroarea", vec![Value::Int(id), Value::Str(name.into())])
                 .unwrap();
@@ -1635,7 +1638,8 @@ mod tests {
         let mut db = hotel_db();
         db.create_table(
             TableSchema::new("other", vec![ColumnDef::new("hotelid", ColumnType::Int)]).unwrap(),
-        );
+        )
+        .unwrap();
         db.insert("other", vec![Value::Int(10)]).unwrap();
         let q = parse_query("SELECT hotelid FROM hotel, other WHERE starrating > 0").unwrap();
         assert!(matches!(

@@ -10,12 +10,8 @@
 //! first-party:
 //!
 //! * [`value`] — dynamically typed SQL values with NULL semantics;
-//! * [`schema`] / [`table`] — catalogs, table schemas and row storage
-//!   ([`Database`]), with an in-memory backend and a paged one
-//!   ([`table::Backend`]);
-//! * [`storage`] — the paged substrate: slotted pages, pluggable page
-//!   stores (memory or temp file) and a buffer pool with pin/unpin and
-//!   clock eviction;
+//! * [`schema`] / [`table`] — catalogs, table schemas and in-memory row
+//!   storage ([`Database`]);
 //! * [`index`] — hash and B-tree secondary indexes over table columns,
 //!   order-preserving so index access paths publish identical documents;
 //! * [`ast`] — the SQL fragment the algorithm emits: select lists with
@@ -71,7 +67,6 @@ pub mod plan;
 pub mod print;
 pub mod rewrite;
 pub mod schema;
-pub mod storage;
 pub mod table;
 pub mod value;
 
@@ -96,6 +91,5 @@ pub use plan::{
     prepare, prepare_with, BatchResult, Bindings, JoinKey, PreparedPlan, RowKey, SharedScan,
 };
 pub use schema::{Catalog, ColumnDef, ColumnType, IndexDef, IndexKind, TableSchema};
-pub use storage::{BufferPool, FilePageStore, MemPageStore, Page, PageStore, PoolStats, PAGE_SIZE};
-pub use table::{Backend, Database, Table};
+pub use table::{Database, Table};
 pub use value::Value;

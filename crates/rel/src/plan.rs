@@ -1842,11 +1842,11 @@ fn exec_source_rows(
                                 let rids = idx.lookup(&kv);
                                 ctx.bump(|s| s.rows_scanned += rids.len() as u64);
                                 'rid: for &rid in rids {
-                                    let row = table.fetch_row(rid);
+                                    let row = &table.rows()[rid];
                                     for p in &item.pushdown {
                                         let scope = Scope {
                                             layout: &item.layout,
-                                            row: &row,
+                                            row,
                                             parent,
                                             probe: None,
                                         };
@@ -1854,7 +1854,7 @@ fn exec_source_rows(
                                             continue 'rid;
                                         }
                                     }
-                                    out.push(row);
+                                    out.push(row.clone());
                                 }
                             }
                         }
@@ -1863,13 +1863,13 @@ fn exec_source_rows(
                 if !via_index {
                     ctx.bump(|s| s.rows_scanned += table.len() as u64);
                     // Fused scan + pushdown: evaluate the pushed-down
-                    // conjuncts while streaming the stored rows, keeping
+                    // conjuncts on the stored rows in place, copying
                     // survivors only.
-                    'row: for row in table.scan() {
+                    'row: for row in table.rows() {
                         for p in &item.pushdown {
                             let scope = Scope {
                                 layout: &item.layout,
-                                row: row.as_ref(),
+                                row,
                                 parent,
                                 probe: None,
                             };
@@ -1877,7 +1877,7 @@ fn exec_source_rows(
                                 continue 'row;
                             }
                         }
-                        out.push(row.into_owned());
+                        out.push(row.clone());
                     }
                 }
                 out
@@ -2269,7 +2269,8 @@ mod tests {
                 ],
             )
             .unwrap(),
-        );
+        )
+        .unwrap();
         db.create_table(
             TableSchema::new(
                 "hotel",
@@ -2281,7 +2282,8 @@ mod tests {
                 ],
             )
             .unwrap(),
-        );
+        )
+        .unwrap();
         db.create_table(
             TableSchema::new(
                 "confroom",
@@ -2292,7 +2294,8 @@ mod tests {
                 ],
             )
             .unwrap(),
-        );
+        )
+        .unwrap();
         for (id, name) in [(1, "chicago"), (2, "nyc")] {
             db.insert("metroarea", vec![Value::Int(id), Value::Str(name.into())])
                 .unwrap();
@@ -2557,7 +2560,7 @@ mod tests {
     ) -> (u64, usize) {
         let mut db = Database::new();
         let name = table.name.clone();
-        db.create_table(table);
+        db.create_table(table).unwrap();
         for row in rows {
             db.insert(&name, row).unwrap();
         }
@@ -3127,7 +3130,8 @@ mod tests {
                 ],
             )
             .unwrap(),
-        );
+        )
+        .unwrap();
         db.create_table(
             TableSchema::new(
                 "hotel",
@@ -3139,7 +3143,8 @@ mod tests {
                 ],
             )
             .unwrap(),
-        );
+        )
+        .unwrap();
         for (id, name) in [(1, "chicago"), (2, "nyc")] {
             db.insert("metroarea", vec![Value::Int(id), Value::Str(name.into())])
                 .unwrap();

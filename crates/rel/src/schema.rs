@@ -130,6 +130,27 @@ impl TableSchema {
         self.indexes.iter().find(|i| i.column == column)
     }
 
+    /// Declares a secondary index and returns the indexed column's
+    /// position: the rule every index declaration goes through, in DDL and
+    /// on a live table. A column the schema lacks is
+    /// [`Error::UnknownColumn`], an already indexed one
+    /// [`Error::DuplicateIndex`].
+    pub(crate) fn declare_index(&mut self, def: IndexDef) -> Result<usize> {
+        let pos = self
+            .column_index(&def.column)
+            .ok_or_else(|| Error::UnknownColumn {
+                reference: format!("{}.{}", self.name, def.column),
+            })?;
+        if self.index_on(&def.column).is_some() {
+            return Err(Error::DuplicateIndex {
+                table: self.name.clone(),
+                column: def.column,
+            });
+        }
+        self.indexes.push(def);
+        Ok(pos)
+    }
+
     /// Column names in declaration order.
     pub fn column_names(&self) -> Vec<String> {
         self.columns.iter().map(|c| c.name.clone()).collect()

@@ -45,7 +45,8 @@ fn db_strategy() -> impl Strategy<Value = Database> {
                     ],
                 )
                 .unwrap(),
-            );
+            )
+            .unwrap();
             db.create_table(
                 TableSchema::new(
                     "s",
@@ -55,7 +56,8 @@ fn db_strategy() -> impl Strategy<Value = Database> {
                     ],
                 )
                 .unwrap(),
-            );
+            )
+            .unwrap();
             for (a, b, k) in rs {
                 db.insert("r", vec![Value::Int(a), Value::Int(b), Value::Int(k)])
                     .unwrap();

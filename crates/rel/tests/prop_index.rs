@@ -1,12 +1,12 @@
 //! Property tests for secondary-index access paths: on every generated
 //! database and equality query, the index-lookup path must produce exactly
-//! the same rows — in the same order — as the full scan it replaces, on
-//! every backend. The only sanctioned differences are the access-path
-//! counters themselves (`index_lookups` up, `rows_scanned` down).
+//! the same rows — in the same order — as the full scan it replaces. The
+//! only sanctioned differences are the access-path counters themselves
+//! (`index_lookups` up, `rows_scanned` down).
 
 use proptest::prelude::*;
 use xvc_rel::{
-    eval_query_stats, parse_query, prepare_with, Backend, BinOp, ColumnDef, ColumnType, Database,
+    eval_query_stats, parse_query, prepare_with, BinOp, ColumnDef, ColumnType, Database,
     EvalOptions, EvalStats, IndexKind, NamedTuple, ParamEnv, ScalarExpr, SelectItem, SelectQuery,
     TableRef, Value,
 };
@@ -45,7 +45,8 @@ fn db_strategy() -> impl Strategy<Value = Database> {
                     ],
                 )
                 .unwrap(),
-            );
+            )
+            .unwrap();
             db.create_table(
                 xvc_rel::TableSchema::new(
                     "s",
@@ -55,7 +56,8 @@ fn db_strategy() -> impl Strategy<Value = Database> {
                     ],
                 )
                 .unwrap(),
-            );
+            )
+            .unwrap();
             db.create_index("r", "k", IndexKind::Hash).unwrap();
             db.create_index("r", "b", IndexKind::BTree).unwrap();
             db.create_index("s", "k2", IndexKind::Hash).unwrap();
@@ -211,26 +213,6 @@ proptest! {
         env in env_strategy(),
     ) {
         assert_access_path_parity(&db, &q, &env);
-    }
-
-    /// The same equivalence on the paged backends: documents-over-storage
-    /// parity starts here, with the tables themselves agreeing row for row
-    /// under buffer-pool pressure (tiny pools force eviction churn).
-    #[test]
-    fn index_path_equals_scan_path_on_paged_backend(
-        db in db_strategy(),
-        q in query_strategy(),
-        env in env_strategy(),
-        file_backed in any::<bool>(),
-    ) {
-        let backend = if file_backed {
-            Backend::paged_file()
-        } else {
-            Backend::paged()
-        };
-        let paged = db.to_backend(backend).unwrap();
-        prop_assert_eq!(&paged, &db);
-        assert_access_path_parity(&paged, &q, &env);
     }
 
     /// One plan executed over a batch of environments through the

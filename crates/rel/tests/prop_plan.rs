@@ -44,7 +44,8 @@ fn db_strategy() -> impl Strategy<Value = Database> {
                     ],
                 )
                 .unwrap(),
-            );
+            )
+            .unwrap();
             db.create_table(
                 xvc_rel::TableSchema::new(
                     "s",
@@ -54,7 +55,8 @@ fn db_strategy() -> impl Strategy<Value = Database> {
                     ],
                 )
                 .unwrap(),
-            );
+            )
+            .unwrap();
             for (a, b, k) in rs {
                 db.insert("r", vec![Value::Int(a), Value::Int(b), Value::Int(k)])
                     .unwrap();

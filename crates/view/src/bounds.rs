@@ -233,7 +233,8 @@ mod tests {
                 ],
             )
             .unwrap(),
-        );
+        )
+        .unwrap();
         db.create_table(
             TableSchema::new(
                 "hotel",
@@ -244,7 +245,8 @@ mod tests {
                 ],
             )
             .unwrap(),
-        );
+        )
+        .unwrap();
         db.catalog()
     }
 

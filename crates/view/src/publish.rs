@@ -1746,7 +1746,8 @@ mod tests {
                 ],
             )
             .unwrap(),
-        );
+        )
+        .unwrap();
         db.create_table(
             TableSchema::new(
                 "hotel",
@@ -1758,7 +1759,8 @@ mod tests {
                 ],
             )
             .unwrap(),
-        );
+        )
+        .unwrap();
         for (id, name) in [(1, "chicago"), (2, "nyc")] {
             db.insert("metroarea", vec![Value::Int(id), Value::Str(name.into())])
                 .unwrap();
@@ -2378,9 +2380,11 @@ mod tests {
     fn delta_republish_ignores_unread_tables() {
         let tree = view();
         let mut database = db();
-        database.create_table(
-            TableSchema::new("audit", vec![ColumnDef::new("id", ColumnType::Int)]).unwrap(),
-        );
+        database
+            .create_table(
+                TableSchema::new("audit", vec![ColumnDef::new("id", ColumnType::Int)]).unwrap(),
+            )
+            .unwrap();
         let engine = Engine::new(&tree).incremental(true);
         let prev = engine.session().publish(&database).unwrap();
         let delta = database

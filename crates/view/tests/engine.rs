@@ -26,7 +26,8 @@ fn db() -> Database {
             ],
         )
         .unwrap(),
-    );
+    )
+    .unwrap();
     db.create_table(
         TableSchema::new(
             "hotel",
@@ -38,7 +39,8 @@ fn db() -> Database {
             ],
         )
         .unwrap(),
-    );
+    )
+    .unwrap();
     for (id, name) in [(1, "chicago"), (2, "nyc"), (3, "sf"), (4, "boston")] {
         db.insert("metroarea", vec![Value::Int(id), Value::Str(name.into())])
             .unwrap();
@@ -151,7 +153,8 @@ fn catalog_change_invalidates_plan_cache() {
     engine.session().publish(&db).unwrap();
 
     // A new table changes the catalog, so every cached plan is dropped.
-    db.create_table(TableSchema::new("extra", vec![ColumnDef::new("x", ColumnType::Int)]).unwrap());
+    db.create_table(TableSchema::new("extra", vec![ColumnDef::new("x", ColumnType::Int)]).unwrap())
+        .unwrap();
     let after = engine.session().publish(&db).unwrap();
     assert_eq!(after.stats.plans_prepared, 2);
     assert_eq!(after.stats.plan_cache_hits, 0);

@@ -23,7 +23,8 @@ fn build_database() -> Database {
             ],
         )
         .expect("valid schema"),
-    );
+    )
+    .expect("valid table");
     db.create_table(
         TableSchema::new(
             "orders",
@@ -34,7 +35,8 @@ fn build_database() -> Database {
             ],
         )
         .expect("valid schema"),
-    );
+    )
+    .expect("valid table");
     db.create_table(
         TableSchema::new(
             "lineitem",
@@ -47,7 +49,8 @@ fn build_database() -> Database {
             ],
         )
         .expect("valid schema"),
-    );
+    )
+    .expect("valid table");
     let i = Value::Int;
     let s = |x: &str| Value::Str(x.into());
     for (cid, name, tier) in [(1, "acme", "gold"), (2, "initech", "basic")] {

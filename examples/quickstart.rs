@@ -20,7 +20,8 @@ fn main() {
             ],
         )
         .expect("valid schema"),
-    );
+    )
+    .expect("valid table");
     for (id, name, pop) in [
         (1, "chicago", 2_700_000),
         (2, "nyc", 8_300_000),

@@ -32,7 +32,7 @@
 //!         ],
 //!     )
 //!     .unwrap(),
-//! );
+//! ).unwrap();
 //! db.insert("city", vec![Value::Int(1), Value::Str("chicago".into())]).unwrap();
 //! db.insert("city", vec![Value::Int(2), Value::Str("nyc".into())]).unwrap();
 //!

@@ -377,6 +377,41 @@ fn helpful_errors() {
 }
 
 #[test]
+fn check_and_run_reject_the_same_bad_ddl() {
+    // A column indexed twice, and a table declared twice: every DDL loader
+    // rejects both, so `check` cannot pass a schema `run` refuses to load.
+    let f = Fixture::new("bad_ddl");
+    for (file, extra) in [
+        (
+            "twice_indexed.sql",
+            "CREATE INDEX i ON city (id);\nCREATE INDEX j ON city (id);\n",
+        ),
+        (
+            "twice_declared.sql",
+            "CREATE TABLE city (id INT, name TEXT, population INT);\n",
+        ),
+    ] {
+        std::fs::write(f.dir.join(file), format!("{DDL}{extra}")).unwrap();
+        let (code, _, stderr) = f.run_code(&["check", "guide.view", "guide.xsl", file]);
+        assert_eq!(code, Some(1), "check {file}: {stderr}");
+        assert!(stderr.contains(file), "check {file}: {stderr}");
+        let (code, _, stderr) = f.run_code(&[
+            "run",
+            "--view",
+            "guide.view",
+            "--xslt",
+            "guide.xsl",
+            "--ddl",
+            file,
+            "--data",
+            "data",
+        ]);
+        assert_eq!(code, Some(1), "run {file}: {stderr}");
+        assert!(stderr.contains(file), "run {file}: {stderr}");
+    }
+}
+
+#[test]
 fn explain_sql_prints_a_plan() {
     let f = Fixture::new("explain_sql");
     let (ok, stdout, stderr) = f.run(&[

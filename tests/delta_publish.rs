@@ -1,9 +1,8 @@
 //! Delta-publish property tests: `Session::republish_delta` absorbs a
 //! write through the `xvc_rel` DML path and must be indistinguishable —
-//! byte-for-byte — from republishing the whole document, on both the
-//! in-memory and paged storage backends. A soundness property pins the
-//! delta path to the static analysis: every view node the delta run
-//! re-executed must lie inside (the subtree closure of) the
+//! byte-for-byte — from republishing the whole document. A soundness
+//! property pins the delta path to the static analysis: every view node
+//! the delta run re-executed must lie inside (the subtree closure of) the
 //! [`xvc::core::DependencyMap`]'s affected set for the changed tables.
 //!
 //! The acceptance test at the bottom pins the incremental *win*: on the
@@ -106,7 +105,7 @@ fn run_delta(db: &mut Database, seed: u64) -> (Published, Published, Vec<String>
 proptest! {
     #![proptest_config(cases(128))]
 
-    /// Delta publish ≡ full republish, byte-for-byte, in-memory backend.
+    /// Delta publish ≡ full republish, byte-for-byte.
     #[test]
     fn delta_equals_full_republish_memory(seed in 0u64..10_000) {
         let mut db = generate(&WorkloadConfig::scale(1));
@@ -119,22 +118,6 @@ proptest! {
         );
         // Deltas chain: the returned splice index absorbs the next write.
         prop_assert!(incr.splice.is_some(), "seed {}: no splice index", seed);
-    }
-
-    /// The same equivalence against the paged (buffer-pool) backend.
-    #[test]
-    fn delta_equals_full_republish_paged(seed in 0u64..10_000) {
-        let base = generate(&WorkloadConfig::scale(1));
-        let mut db = base
-            .to_backend(xvc_rel::Backend::paged())
-            .expect("paged backend");
-        let (full, incr, _, _) = run_delta(&mut db, seed);
-        prop_assert_eq!(
-            incr.document.to_xml(),
-            full.document.to_xml(),
-            "seed {}: delta republish diverged on the paged backend",
-            seed
-        );
     }
 
     /// Soundness against the static analysis: every view node the delta
@@ -254,19 +237,13 @@ fn check_narrowed_chain(db: &mut Database, seed: u64) -> Result<(), String> {
 proptest! {
     #![proptest_config(cases(64))]
 
-    /// Narrowed deltas ≡ full republish on both backends: writes under
-    /// existing parents, chained, re-executing only inside the map.
+    /// Narrowed deltas ≡ full republish: writes under existing parents,
+    /// chained, re-executing only inside the map.
     #[test]
     fn narrowed_chained_deltas_equal_full_republish(seed in 0u64..10_000) {
-        let base = generate(&WorkloadConfig::scale(1));
-        let mut memory = base.clone();
+        let mut memory = generate(&WorkloadConfig::scale(1));
         let r = check_narrowed_chain(&mut memory, seed);
         prop_assert!(r.is_ok(), "seed {} (memory): {:?}", seed, r);
-        let mut paged = base
-            .to_backend(xvc_rel::Backend::paged())
-            .expect("paged backend");
-        let r = check_narrowed_chain(&mut paged, seed);
-        prop_assert!(r.is_ok(), "seed {} (paged): {:?}", seed, r);
     }
 }
 

@@ -2,14 +2,14 @@
 //! the publisher's measured counters never exceed the statically
 //! predicted bounds (the analysis may overestimate, never undercount),
 //! and the bound-driven execution path produces documents byte-identical
-//! to the heuristic (unbounded) path — across the in-memory, paged, and
-//! indexed storage backends.
+//! to the heuristic (unbounded) path — on the instance as generated and on
+//! an indexed copy of it.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use xvc::core::paper_fixtures::figure1_view;
 use xvc::prelude::*;
-use xvc::rel::{Backend, IndexKind};
+use xvc::rel::IndexKind;
 use xvc_bench::random_stylesheet::{random_stylesheet, StylesheetConfig};
 use xvc_bench::workload::{generate, WorkloadConfig};
 
@@ -109,8 +109,8 @@ proptest! {
     /// ≥192 random workloads per run (64 cases × 3 generator presets):
     /// measured batch sizes and element counts never exceed the static
     /// cardinality bounds, and bound-driven plans are byte-identical to
-    /// the heuristic path — on the in-memory backend, the paged
-    /// (buffer-pool) backend, and an indexed copy of the instance.
+    /// the heuristic path — on the instance as generated and on an indexed
+    /// copy of it.
     #[test]
     fn cardinality_bounds_sound_across_backends(
         cfg in config_strategy(),
@@ -119,7 +119,6 @@ proptest! {
         let mem = generate(&cfg);
         let view = figure1_view();
         let catalog = mem.catalog();
-        let paged = mem.to_backend(Backend::paged()).expect("paged backend");
         // An indexed copy: hash the hot foreign keys the Figure 1 view
         // joins through, so the index access path actually fires.
         let mut indexed = mem.clone();
@@ -138,7 +137,6 @@ proptest! {
                 format!("preset {p} seed {sheet_seed} cfg {cfg:?} backend {backend}")
             };
             assert_bounds_sound(&composed, &mem, &bounds, &ctx("memory"))?;
-            assert_bounds_sound(&composed, &paged, &bounds, &ctx("paged"))?;
             // The indexed catalog declares extra access paths but the
             // same keys, so the bounds carry over unchanged — re-derive
             // them anyway to check analysis stability under IndexDefs.

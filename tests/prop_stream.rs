@@ -1,16 +1,15 @@
 //! Byte-equality of streamed emission: on randomized workloads,
 //! `Session::publish_to` must write exactly the bytes of
 //! `Document::to_xml()` (and `publish_pretty_to` those of
-//! `to_pretty_xml()`) — across generator presets and across the in-memory
-//! and paged storage backends. The streaming path shares the batched
-//! frontier walk but swaps the arena document for a per-task skeleton, so
-//! any drift between the two element stores shows up here as a byte diff.
+//! `to_pretty_xml()`) — across generator presets. The streaming path
+//! shares the batched frontier walk but swaps the arena document for a
+//! per-task skeleton, so any drift between the two element stores shows
+//! up here as a byte diff.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use xvc::core::paper_fixtures::figure1_view;
 use xvc::prelude::*;
-use xvc::rel::Backend;
 use xvc_bench::random_stylesheet::{random_stylesheet, StylesheetConfig};
 use xvc_bench::workload::{generate, WorkloadConfig};
 
@@ -121,8 +120,7 @@ proptest! {
 
     /// ≥192 random workloads per run (64 cases × 3 generator presets):
     /// streamed emission is byte-identical to the materializing
-    /// serializers in both layouts, with identical publish/eval counters,
-    /// on the in-memory and the paged (buffer-pool) backends.
+    /// serializers in both layouts, with identical publish/eval counters.
     #[test]
     fn streamed_emission_is_byte_identical_across_backends(
         cfg in config_strategy(),
@@ -131,7 +129,6 @@ proptest! {
         let mem = generate(&cfg);
         let view = figure1_view();
         let catalog = mem.catalog();
-        let paged = mem.to_backend(Backend::paged()).expect("paged backend");
 
         for (p, preset) in presets().iter().enumerate() {
             let stylesheet = random_stylesheet(&view, &catalog, sheet_seed, *preset);
@@ -143,7 +140,6 @@ proptest! {
                 format!("preset {p} seed {sheet_seed} cfg {cfg:?} backend {backend}")
             };
             assert_stream_identical(&composed, &mem, &ctx("memory"))?;
-            assert_stream_identical(&composed, &paged, &ctx("paged"))?;
         }
     }
 }

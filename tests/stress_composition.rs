@@ -32,7 +32,8 @@ fn twin_tag_view_and_db() -> (SchemaTree, Database) {
             ],
         )
         .unwrap(),
-    );
+    )
+    .unwrap();
     db.create_table(
         TableSchema::new(
             "emp",
@@ -43,7 +44,8 @@ fn twin_tag_view_and_db() -> (SchemaTree, Database) {
             ],
         )
         .unwrap(),
-    );
+    )
+    .unwrap();
     for (id, name) in [(1, "eng"), (2, "ops")] {
         db.insert("dept", vec![Value::Int(id), Value::Str(name.into())])
             .unwrap();
