@@ -49,9 +49,9 @@
 //! re-run under 20% of the full batch count — any failure aborts.
 //!
 //! `fuzz` runs the recursion-heavy and wide-fanout stylesheet generators
-//! differentially: `v'(I)` vs `x(v(I))`, the bound-driven publisher vs
-//! the heuristic path (byte-identical documents required), and measured
-//! batch sizes vs the static cardinality bounds. Any divergence aborts.
+//! differentially: `v'(I)` vs `x(v(I))`, and measured batch sizes vs the
+//! static cardinality bounds. Any divergence aborts, and so does a corpus
+//! that never produced a multi-binding batch.
 //!
 //! `stream` runs the emission study: the same publish delivered by
 //! materialize-then-serialize and by `Session::publish_to`, across a 10×
@@ -373,9 +373,8 @@ fn main() {
 
     if fuzz {
         println!("\n==== fuzz: differential generator gate (v'(I) = x(v(I))) ====\n");
-        // 48 seeds per preset; the function itself aborts on divergence,
-        // on a bounded/heuristic document mismatch, or on a measured
-        // batch exceeding its static cardinality bound.
+        // 48 seeds per preset; the function itself aborts on divergence
+        // or on a measured batch exceeding its static cardinality bound.
         let s = differential_fuzz(48);
         println!(
             "{} workloads checked ({} with a finite static batch bound); \

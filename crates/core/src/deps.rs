@@ -22,9 +22,11 @@
 //! the XVC4xx/5xx justification style.
 //!
 //! Downstream consumers: the XVC601–604 diagnostics of `xvc check`, the
-//! `xvc deps` CLI, and the delta-republish experiments (the publisher's
-//! own runtime path uses the coarser `xvc_view::TableDeps`, which this
-//! analysis refines but must never under-approximate).
+//! `xvc deps` CLI, and the delta-republish experiments. This is the one
+//! walk of a raw view's table references. The publisher's own delta path
+//! reads no view: it asks each node's prepared tag and guard plans which
+//! tables they read (`xvc_rel::PreparedPlan::reads`). This map refines
+//! those reads per column and must never under-approximate them.
 
 use std::collections::{BTreeMap, BTreeSet};
 

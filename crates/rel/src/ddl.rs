@@ -98,9 +98,8 @@ fn declare(catalog: &mut Catalog, statements: &[DdlStatement]) -> Result<()> {
         match stmt {
             DdlStatement::CreateTable(schema) => {
                 if catalog.contains(&schema.name) {
-                    return Err(Error::UnexpectedToken {
-                        found: format!("'{}'", schema.name),
-                        expected: "a table name not already declared",
+                    return Err(Error::DuplicateTable {
+                        name: schema.name.clone(),
                     });
                 }
                 catalog.add(schema.clone());
@@ -455,10 +454,7 @@ mod tests {
         let rejected = [
             (
                 "CREATE TABLE t (a INT); CREATE TABLE t (b TEXT)",
-                Error::UnexpectedToken {
-                    found: "'t'".into(),
-                    expected: "a table name not already declared",
-                },
+                Error::DuplicateTable { name: "t".into() },
             ),
             (
                 "CREATE TABLE t (a INT); CREATE INDEX i ON t (a); CREATE INDEX j ON t (a)",

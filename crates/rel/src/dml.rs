@@ -13,8 +13,8 @@
 //! * `DELETE FROM t [WHERE pred]` — the predicate is the same scalar
 //!   fragment tag queries use; it is parsed by wrapping it in
 //!   `SELECT * FROM t WHERE pred` and reusing [`crate::parse_query`], then
-//!   evaluated by the interpreter, so DELETE semantics are exactly "rows
-//!   the SELECT would return".
+//!   run as a prepared plan ([`crate::prepare`]), so DELETE semantics are
+//!   exactly "rows the SELECT would return".
 //!
 //! Data mutations never change the catalog fingerprint (schemas are
 //! untouched), so the publisher's prepared-plan cache stays warm across a
@@ -23,7 +23,7 @@
 use std::collections::BTreeMap;
 
 use crate::error::{Error, Result};
-use crate::eval::{eval_query, ParamEnv};
+use crate::eval::ParamEnv;
 use crate::parse::parse_query;
 use crate::plan::prepare;
 use crate::table::Database;
@@ -149,8 +149,8 @@ impl Database {
     /// Deletes every row of `table` matching `predicate` (all rows when
     /// `None`), returning the delta. The matched rows are exactly what
     /// `SELECT * FROM table WHERE predicate` returns — run as a prepared
-    /// plan, which filters while it scans, or through the interpreter when
-    /// the query does not prepare; every stored row equal to a matched row
+    /// plan, which filters while it scans (a query that does not prepare
+    /// fails the statement); every stored row equal to a matched row
     /// (`Value`'s `==`, except that NaN equals NaN) is removed (equal rows
     /// satisfy a pure predicate identically, so this is exact DELETE
     /// semantics). Stored rows are matched in one pass against the matched
@@ -161,11 +161,9 @@ impl Database {
             None => vec![true; self.table(table)?.len()],
             Some(pred) => {
                 let q = parse_query(&format!("SELECT * FROM {table} WHERE {pred}"))?;
-                let env = ParamEnv::new();
-                let matched = match prepare(&q, &self.catalog()) {
-                    Ok(plan) => plan.execute(self, &env)?.rows,
-                    Err(_) => eval_query(self, &q, &env)?.rows,
-                };
+                let matched = prepare(&q, &self.catalog())?
+                    .execute(self, &ParamEnv::new())?
+                    .rows;
                 let mut hashed: Vec<(u64, &Vec<Value>)> =
                     matched.iter().map(|row| (row_hash(row), row)).collect();
                 hashed.sort_unstable_by_key(|&(h, _)| h);
@@ -470,6 +468,7 @@ impl<'a> DmlParser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::eval_query;
     use crate::schema::{ColumnDef, ColumnType, TableSchema};
     use crate::table::Table;
 

@@ -77,6 +77,12 @@ pub enum Error {
         /// Human-readable explanation.
         reason: String,
     },
+    /// A table was created under a name the database or DDL script
+    /// already declares.
+    DuplicateTable {
+        /// The table name.
+        name: String,
+    },
     /// A second secondary index was declared on an already indexed column.
     DuplicateIndex {
         /// The table.
@@ -118,6 +124,7 @@ impl fmt::Display for Error {
             }
             Error::Type { reason } => write!(f, "type error: {reason}"),
             Error::SchemaMismatch { reason } => write!(f, "schema mismatch: {reason}"),
+            Error::DuplicateTable { name } => write!(f, "table {name:?} already exists"),
             Error::DuplicateIndex { table, column } => {
                 write!(f, "table {table:?} already has an index on {column:?}")
             }

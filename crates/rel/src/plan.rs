@@ -178,15 +178,6 @@ pub struct PreparedPlan {
     /// prepare time from `PRIMARY KEY` constraints and equality pushdowns
     /// ([`query_cardinality`]), with its justifying fact chain.
     bound: CardBound,
-    /// Caller-supplied bound on the *number of bindings* a batch will
-    /// carry (the publisher's per-parent fan-out bound for the view node
-    /// that owns this plan). When it proves at most one binding per
-    /// batch, the shared-pipeline batch strategy is demoted to scalar
-    /// execution: scanning the whole table to serve one binding does
-    /// strictly more work than one filtered (or indexed) execution. A
-    /// batch handed a [`SharedScan`] is never demoted — its one scan
-    /// serves every batch that shares the slot.
-    binding_bound: Card,
     /// Per base table the plan can narrow a delta by: see
     /// [`PreparedPlan::row_key`].
     row_keys: Vec<(String, RowKey)>,
@@ -368,7 +359,6 @@ pub fn prepare_with(
         batch,
         index_loop,
         bound: card.total,
-        binding_bound: Card::Unbounded,
         row_keys,
     })
 }
@@ -963,12 +953,6 @@ impl PreparedPlan {
         &self.bound
     }
 
-    /// The caller-declared bound on bindings per batch
-    /// (see [`PreparedPlan::with_binding_bound`]).
-    pub fn binding_bound(&self) -> Card {
-        self.binding_bound
-    }
-
     /// Every `(table, key)` pair [`PreparedPlan::row_key`] answers, in
     /// FROM order.
     pub fn row_keys(&self) -> &[(String, RowKey)] {
@@ -987,21 +971,12 @@ impl PreparedPlan {
             .find_map(|(t, k)| (t == table).then_some(k))
     }
 
-    /// Declares a static bound on how many parameter environments any
-    /// [`PreparedPlan::execute_batch`] call will carry — the publisher's
-    /// per-parent fan-out bound for the view node that owns this plan.
-    /// When the bound proves at most one binding, the shared-pipeline
-    /// batch strategy is skipped in favour of per-binding execution
-    /// (which keeps pushdowns and index access paths keyed on the
-    /// binding's slots); rows and row order are unaffected. The bound is
-    /// ignored by batches that share one pipeline through a
-    /// [`SharedScan`] ([`PreparedPlan::execute_batch_shared`]): there one
-    /// scan serves many single-binding batches. Defaults to
-    /// [`Card::Unbounded`], which preserves the heuristic behaviour.
-    #[must_use]
-    pub fn with_binding_bound(mut self, bound: Card) -> Self {
-        self.binding_bound = bound;
-        self
+    /// Whether the plan reads base table `table` anywhere: a FROM item, a
+    /// derived table, or an `EXISTS` subquery in any clause. A change to a
+    /// table no plan of a view node reads cannot change what that node
+    /// publishes.
+    pub fn reads(&self, table: &str) -> bool {
+        count_table_scans(&self.root, table) > 0
     }
 
     /// Executes the plan, producing the same [`Relation`] as
@@ -1063,13 +1038,17 @@ impl PreparedPlan {
     ///
     /// Strategy: the distinct binding tuples (resolved slot values) are
     /// materialized as an in-memory binding relation. When the plan is
-    /// [`batchable`](PreparedPlan::batchable), the already-fused scan
-    /// pipeline runs **once** with the slot equalities removed and its
-    /// rows are hash-joined against the binding relation on the interned
-    /// slot columns (with an exact `=` recheck after the hash match, so
+    /// [`batchable`](PreparedPlan::batchable) and the batch holds two or
+    /// more distinct resolved bindings, the already-fused scan pipeline
+    /// runs **once** with the slot equalities removed and its rows are
+    /// hash-joined against the binding relation on the interned slot
+    /// columns (with an exact `=` recheck after the hash match, so
     /// NULL/NaN semantics match the scalar filters). Otherwise the plan
-    /// executes once per *distinct* binding. Either way a duplicate binding
-    /// shares its first occurrence's rows, which the result stores once.
+    /// executes once per *distinct* binding: for a single binding, one
+    /// execution with the slot pushdowns (and any index path) intact reads
+    /// no more rows than the stripped pipeline and builds no hash table.
+    /// Either way a duplicate binding shares its first occurrence's rows,
+    /// which the result stores once.
     /// Environments whose slots cannot be resolved are executed scalarly
     /// one by one, preserving the scalar path's lazy unbound-parameter
     /// behaviour.
@@ -1111,10 +1090,10 @@ impl PreparedPlan {
     /// the hash build; every other batch counts only its probes
     /// (`hash_join_probe_rows`) and per-binding projection work. Summed
     /// over all batches sharing the slot, the counters do not depend on
-    /// which batch came first. A slot also overrides the demotion of
-    /// [`PreparedPlan::with_binding_bound`], because the one scan is
-    /// shared by every batch. Index-nested-loop plans ignore the slot:
-    /// they probe the index per binding either way.
+    /// which batch came first. A batch handed a slot takes the shared
+    /// pipeline even when it holds a single binding, because the one scan
+    /// serves every batch that shares the slot. Index-nested-loop plans
+    /// ignore the slot: they probe the index per binding either way.
     pub fn execute_batch_shared<B: Bindings>(
         &self,
         db: &Database,
@@ -1182,18 +1161,16 @@ impl PreparedPlan {
         // indexed by the deferred key columns — built here, or once per
         // `scan` slot and probed by every batch that shares it.
         let local;
+        let distinct = order.iter().filter(|g| g.values.is_some()).count();
+        // An unshared batch of at most one distinct binding skips the
+        // pipeline: scanning the whole table to serve it does at least the
+        // work of one execution with the slot pushdowns (and any index
+        // path) intact, plus a hash build.
+        let min_distinct = if scan.is_some() { 1 } else { 2 };
         let fast = match &self.batch {
             // Index-nested-loop plans skip the shared pipeline: scalar
             // executions below each probe the index per distinct binding.
-            // So do unshared plans whose declared binding bound proves at
-            // most one binding per batch: scanning the whole table to serve
-            // a single binding does strictly more work than one execution
-            // with the slot pushdowns (and any index path) intact.
-            Some(bp)
-                if !self.index_loop
-                    && (scan.is_some() || !self.binding_bound.at_most_one())
-                    && order.iter().any(|g| g.values.is_some()) =>
-            {
+            Some(bp) if !self.index_loop && distinct >= min_distinct => {
                 let build = || self.build_pipeline(db, bp, &cell);
                 let pipeline = match scan {
                     Some(s) => s.pipeline.get_or_init(build),
@@ -1205,8 +1182,7 @@ impl PreparedPlan {
                 match pipeline {
                     Pipeline::Built { rows, index } => {
                         let mut s = cell.get();
-                        s.hash_join_probe_rows +=
-                            order.iter().filter(|g| g.values.is_some()).count() as u64;
+                        s.hash_join_probe_rows += distinct as u64;
                         cell.set(s);
                         Some((bp, rows, index))
                     }
@@ -1334,21 +1310,9 @@ impl PreparedPlan {
             let _ = writeln!(out, "  slots: {}", rendered.join(", "));
         }
         let _ = writeln!(out, "  cardinality: {}", self.bound);
-        if self.binding_bound != Card::Unbounded {
-            let _ = writeln!(out, "  binding bound: {} per batch", self.binding_bound);
-        }
         let cache_exists = self.options.cache_uncorrelated_exists;
         describe_block(&self.root, &self.slots, cache_exists, 1, &mut out);
         match &self.batch {
-            Some(_) if !self.index_loop && self.binding_bound.at_most_one() => {
-                let _ = writeln!(
-                    out,
-                    "  batch: per-binding scalar execution — binding bound \
-                     {} justifies skipping the shared pipeline (a publish \
-                     with several root tasks scans once and shares it instead)",
-                    self.binding_bound
-                );
-            }
             Some(bp) => {
                 let keys: Vec<String> = bp
                     .keys
@@ -2448,22 +2412,46 @@ mod tests {
 
     #[test]
     fn invalid_queries_rejected_at_prepare() {
-        let db = hotel_db();
-        let dup = parse_query("SELECT * FROM hotel, hotel").unwrap();
-        assert!(matches!(
-            prepare(&dup, &db.catalog()),
-            Err(Error::DuplicateAlias { .. })
-        ));
-        let agg = parse_query("SELECT * FROM confroom WHERE SUM(capacity) > 1").unwrap();
-        assert!(matches!(
-            prepare(&agg, &db.catalog()),
-            Err(Error::MisplacedAggregate)
-        ));
-        let missing = parse_query("SELECT * FROM nonexistent").unwrap();
-        assert!(matches!(
-            prepare(&missing, &db.catalog()),
-            Err(Error::UnknownTable { .. })
-        ));
+        // The interpreter, the oracle plans are checked against, raises the
+        // same variant — whether the tables the query reads hold rows or
+        // not.
+        let full = hotel_db();
+        let mut empty = hotel_db();
+        for table in ["metroarea", "hotel", "confroom"] {
+            empty.delete_from(table, None).unwrap();
+        }
+        let unknown = |name: &str| Error::UnknownTable { name: name.into() };
+        let ambiguous = Error::AmbiguousColumn {
+            name: "metroid".into(),
+        };
+        let duplicate = Error::DuplicateAlias {
+            alias: "hotel".into(),
+        };
+        for (sql, want) in [
+            ("SELECT * FROM nonexistent", unknown("nonexistent")),
+            ("SELECT * FROM hotel, hotel", duplicate),
+            (
+                "SELECT * FROM confroom WHERE SUM(capacity) > 1",
+                Error::MisplacedAggregate,
+            ),
+            ("SELECT metroid FROM metroarea, metroarea AS m2", ambiguous),
+            ("SELECT z.* FROM hotel", unknown("z")),
+        ] {
+            let q = parse_query(sql).unwrap();
+            assert_eq!(
+                prepare(&q, &full.catalog()).err(),
+                Some(want.clone()),
+                "{sql}"
+            );
+            for db in [&full, &empty] {
+                let got = eval_query(db, &q, &ParamEnv::new()).unwrap_err();
+                assert_eq!(
+                    std::mem::discriminant(&got),
+                    std::mem::discriminant(&want),
+                    "{sql}: {got:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -2652,11 +2640,9 @@ mod tests {
     fn shared_scan_builds_once_across_batches() {
         let db = hotel_db();
         let q = parse_query("SELECT hotelname FROM hotel WHERE metro_id=$m.metroid").unwrap();
-        // The bound would demote an unshared single-binding batch to
-        // scalar; a shared slot overrides it.
-        let plan = prepare(&q, &db.catalog())
-            .unwrap()
-            .with_binding_bound(Card::AtMostOne);
+        // Unshared, each single-binding batch would run scalar; a shared
+        // slot makes every one of them probe one pipeline.
+        let plan = prepare(&q, &db.catalog()).unwrap();
         let envs = [
             metro_param(1, "chicago"),
             metro_param(2, "nyc"),
@@ -3229,28 +3215,24 @@ mod tests {
     }
 
     #[test]
-    fn binding_bound_demotes_batch_to_scalar() {
+    fn one_distinct_binding_runs_scalar() {
         let db = hotel_db();
         let q = parse_query("SELECT hotelname FROM hotel WHERE metro_id=$m.metroid").unwrap();
-        let plan = prepare(&q, &db.catalog())
-            .unwrap()
-            .with_binding_bound(Card::AtMostOne);
+        let plan = prepare(&q, &db.catalog()).unwrap();
         assert!(plan.batchable());
-        assert_eq!(plan.binding_bound(), Card::AtMostOne);
-        let text = plan.describe();
-        assert!(text.contains("binding bound: <= 1 row per batch"), "{text}");
-        assert!(text.contains("per-binding scalar execution"), "{text}");
-
-        let envs = vec![metro_param(2, "nyc")];
-        let (scalar, scalar_stats) = scalar_loop(&plan, &db, &envs).unwrap();
+        // Three environments, one distinct binding: one execution with the
+        // slot pushdown intact, no shared pipeline and no binding hash-join.
+        let envs = vec![metro_param(1, "chicago"); 3];
+        let (scalar, _) = scalar_loop(&plan, &db, &envs).unwrap();
+        let (_, once) = scalar_loop(&plan, &db, &envs[..1]).unwrap();
         let mut stats = EvalStats::default();
         let batch = plan.execute_batch_stats(&db, &envs, &mut stats).unwrap();
-        assert_eq!(batch.rows_for(0), &scalar[0].rows[..]);
-        // No shared pipeline, no binding hash-join: the batch did exactly
-        // the scalar loop's work.
-        assert_eq!(stats, scalar_stats);
-        assert_eq!(stats.hash_join_builds, 0);
+        for (i, rel) in scalar.iter().enumerate() {
+            assert_eq!(batch.rows_for(i), &rel.rows[..], "binding {i}");
+        }
         assert_eq!(stats.queries, 1);
+        assert_eq!(stats.hash_join_builds, 0);
+        assert_eq!(stats, once);
     }
 
     #[test]
@@ -3338,6 +3320,31 @@ mod tests {
              WHERE metro_id = $m.metroid AND hid = hotelid",
         ] {
             assert_eq!(key(sql, "hotel"), None, "{sql}");
+        }
+    }
+
+    #[test]
+    fn reads_sees_every_table_reference() {
+        let catalog = hotel_db().catalog();
+        // A guard probe: `SELECT 1 WHERE guard`, with no FROM item.
+        let mut probe = SelectQuery::new(vec![SelectItem::expr(ScalarExpr::int(1))], vec![]);
+        probe.where_clause = Some(ScalarExpr::Exists(Box::new(
+            parse_query("SELECT * FROM confroom WHERE chotel_id = $h.hotelid").unwrap(),
+        )));
+        for (q, table) in [
+            ("SELECT hotelname FROM hotel", "hotel"),
+            ("SELECT x.c_id FROM (SELECT c_id FROM confroom) AS x", "confroom"),
+            ("SELECT * FROM hotel WHERE EXISTS (SELECT * FROM confroom)", "confroom"),
+            ("SELECT EXISTS (SELECT * FROM confroom) FROM hotel", "confroom"),
+            ("SELECT starrating FROM hotel GROUP BY starrating HAVING EXISTS (SELECT * FROM confroom)", "confroom"),
+        ]
+        .map(|(sql, table)| (parse_query(sql).unwrap(), table))
+        .into_iter()
+        .chain([(probe, "confroom")])
+        {
+            let plan = prepare(&q, &catalog).unwrap();
+            assert!(plan.reads(table), "{q:?} reads {table}");
+            assert!(!plan.reads("metroarea"), "{q:?}");
         }
     }
 

@@ -160,10 +160,14 @@ impl Database {
         Database::default()
     }
 
-    /// Creates a table from a schema (empty), replacing any table of the
-    /// same name. Fails, creating nothing, when the schema declares an index
+    /// Creates a table from a schema (empty). Fails, creating nothing, when
+    /// a table of the same name exists ([`Error::DuplicateTable`], the rule
+    /// every DDL entry point applies) or when the schema declares an index
     /// [`Table::new`] rejects.
     pub fn create_table(&mut self, schema: TableSchema) -> Result<()> {
+        if self.tables.contains_key(&schema.name) {
+            return Err(Error::DuplicateTable { name: schema.name });
+        }
         let table = Table::new(schema)?;
         self.tables.insert(table.schema.name.clone(), table);
         self.refresh_fingerprint();
@@ -378,6 +382,33 @@ mod tests {
         assert_eq!(db.catalog_fingerprint(), fingerprint);
         db.create_table(schema(&["a"])).unwrap();
         assert!(db.table("t").unwrap().index_for(0).is_some());
+    }
+
+    #[test]
+    fn create_table_rejects_an_existing_name() {
+        let mut db = Database::new();
+        db.execute_ddl("CREATE TABLE t (a INT); CREATE INDEX ON t (a)")
+            .unwrap();
+        db.insert("t", vec![Value::Int(7)]).unwrap();
+        let fingerprint = db.catalog_fingerprint();
+        let replacement =
+            TableSchema::new("t", vec![ColumnDef::new("b", ColumnType::Str)]).unwrap();
+        assert_eq!(
+            db.create_table(replacement),
+            Err(Error::DuplicateTable { name: "t".into() })
+        );
+        // The table keeps its rows, its column and its index.
+        let t = db.table("t").unwrap();
+        assert_eq!(t.rows(), &[vec![Value::Int(7)]]);
+        assert_eq!(t.schema.columns[0].name, "a");
+        assert_eq!(t.schema.columns.len(), 1);
+        assert_eq!(t.index_for(0).unwrap().lookup(&Value::Int(7)), &[0]);
+        assert_eq!(db.catalog_fingerprint(), fingerprint);
+        // The DDL path rejects the name with the same error.
+        assert_eq!(
+            db.execute_ddl("CREATE TABLE t (b TEXT)"),
+            Err(Error::DuplicateTable { name: "t".into() })
+        );
     }
 
     #[test]

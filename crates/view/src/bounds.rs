@@ -14,18 +14,17 @@
 //! * **global instances** — instances across the whole document.
 //!
 //! From these fall out the two whole-run bounds the publisher's batched
-//! path can be checked (and steered) against: the largest batch any
-//! (view node, frontier wave) can carry, and the total element count.
-//! [`Engine`](crate::Engine) bakes the per-node batch bound into
-//! each cached plan via [`xvc_rel::PreparedPlan::with_binding_bound`],
-//! which is what lets the engine demote a provably-single-binding batch
-//! to scalar execution instead of paying for the shared pipeline — when
-//! its root-level ancestor produced one task. With several root tasks the
-//! publish shares one scan across them ([`xvc_rel::SharedScan`]) instead.
+//! path is checked against: the largest batch any (view node, frontier
+//! wave) can carry, and the total element count. `xvc explain` prints
+//! them, and the analyzer's cardinality diagnostics and the soundness
+//! tests read them. The publisher itself consults no static bound: each
+//! batch picks its strategy from the bindings it actually holds
+//! ([`xvc_rel::PreparedPlan::execute_batch_shared`]).
 
 use xvc_rel::facts::{analyze_query, param_key, query_cardinality, FactSet};
-use xvc_rel::{Card, CardBound, Catalog, ScalarExpr, SelectItem, SelectQuery};
+use xvc_rel::{Card, CardBound, Catalog};
 
+use crate::publish::guard_probe;
 use crate::schema_tree::{SchemaTree, ViewNodeId};
 
 /// Cardinality bounds for one view node (see module docs).
@@ -88,14 +87,6 @@ fn card_max(a: Card, b: Card) -> Card {
         }
         _ => Card::Unbounded,
     }
-}
-
-/// The guard probe `SELECT 1 WHERE guard`, identical to the shape the
-/// publisher executes, so the fact engine analyzes the same conjuncts.
-fn guard_probe(guard: &ScalarExpr) -> SelectQuery {
-    let mut probe = SelectQuery::new(vec![SelectItem::expr(ScalarExpr::int(1))], vec![]);
-    probe.where_clause = Some(guard.clone());
-    probe
 }
 
 /// Analyzes every node of `tree` against `catalog`, flowing parameter
@@ -184,6 +175,8 @@ fn visit(
     // An emission guard can only suppress the node, never multiply it —
     // but it may narrow the facts for everything below.
     if let Some(g) = &node.guard {
+        // The probe the publisher executes, so the fact engine analyzes
+        // the same conjuncts.
         let a = analyze_query(&guard_probe(g), catalog, env);
         if a.empty {
             fan_out = CardBound::new(Card::Zero, a.empty_chain.clone());
@@ -220,7 +213,7 @@ fn visit(
 mod tests {
     use super::*;
     use crate::schema_tree::ViewNode;
-    use xvc_rel::{parse_query, ColumnDef, ColumnType, Database, TableSchema};
+    use xvc_rel::{parse_query, ColumnDef, ColumnType, Database, ScalarExpr, TableSchema};
 
     fn catalog() -> Catalog {
         let mut db = Database::new();

@@ -36,13 +36,12 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard};
 use xvc_rel::{prepare, Catalog, Database, Delta, EvalStats};
 use xvc_xml::{PrettyXmlWriter, XmlWriter};
 
-use crate::bounds::{analyze_view_bounds, ViewBounds};
 use crate::error::Result;
 use crate::publish::{
-    guard_probe, PlanCache, PlanEntry, PublishConfig, PublishStats, Published, Role, Run,
-    Segmented, SpliceIndex,
+    guard_probe, PlanCache, PlanKey, PublishConfig, PublishStats, Published, Role, Run, Segmented,
+    SpliceIndex,
 };
-use crate::schema_tree::{SchemaTree, ViewNodeId};
+use crate::schema_tree::SchemaTree;
 
 /// Aggregate counters across every publish an [`Engine`] has served, for
 /// all sessions combined. The merge is the same deterministic
@@ -53,10 +52,14 @@ use crate::schema_tree::{SchemaTree, ViewNodeId};
 /// twice.
 #[derive(Debug, Clone, Default)]
 pub struct EngineTotals {
-    /// Full publishes served ([`Session::publish`], including delta
-    /// fallbacks that republished from scratch).
+    /// Full publishes served ([`Session::publish`],
+    /// [`Session::publish_to`], [`Session::publish_pretty_to`],
+    /// [`Session::publish_segments`]).
     pub publishes: usize,
-    /// Delta republishes served ([`Session::republish_delta`]).
+    /// Delta republishes served ([`Session::republish_segments`] and
+    /// [`Session::republish_delta`], including a `republish_delta` whose
+    /// previous result carried no splice index and so republished from
+    /// scratch).
     pub delta_publishes: usize,
     /// Summed materialization counters across all of the above.
     pub stats: PublishStats,
@@ -64,33 +67,11 @@ pub struct EngineTotals {
     pub eval: EvalStats,
 }
 
-/// Engine configuration: the publish-path toggles plus bound-driven
-/// planning. Fixed once sessions exist (reconfiguring builds a fresh
-/// engine with an empty cache).
-#[derive(Debug, Clone)]
-struct Config {
-    publish: PublishConfig,
-    bounded: bool,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            publish: PublishConfig {
-                tracing: false,
-                parallel: 1,
-                incremental: false,
-            },
-            bounded: true,
-        }
-    }
-}
-
 /// The shared core every clone of an [`Engine`] points at.
 #[derive(Debug)]
 struct EngineShared {
     tree: SchemaTree,
-    cfg: Config,
+    cfg: PublishConfig,
     cache: RwLock<PlanCache>,
     totals: Mutex<EngineTotals>,
 }
@@ -116,15 +97,19 @@ impl Clone for Engine {
 
 impl Engine {
     /// An engine for `tree` (cloned into the engine so it owns its whole
-    /// world): untraced, single-threaded, not incremental, with
-    /// bound-driven planning on. Every publish runs the same set-oriented
-    /// walk over prepared plans; a node whose query fails to prepare is
-    /// interpreted instead.
+    /// world): untraced, single-threaded, not incremental. Every publish
+    /// runs the same set-oriented walk over prepared plans; a node whose
+    /// query fails to prepare raises that error when it runs.
     pub fn new(tree: &SchemaTree) -> Self {
-        Self::from_parts(tree.clone(), Config::default())
+        let cfg = PublishConfig {
+            tracing: false,
+            parallel: 1,
+            incremental: false,
+        };
+        Self::from_parts(tree.clone(), cfg)
     }
 
-    fn from_parts(tree: SchemaTree, cfg: Config) -> Self {
+    fn from_parts(tree: SchemaTree, cfg: PublishConfig) -> Self {
         Engine {
             shared: Arc::new(EngineShared {
                 tree,
@@ -137,10 +122,10 @@ impl Engine {
 
     /// Rebuilds the engine with `f` applied to its configuration. On an
     /// unshared engine (the builder chain right after [`Engine::new`])
-    /// this is a move; on a shared one it starts from a fresh cache —
-    /// cached plans may embed configuration (e.g. baked batch bounds), so
-    /// a reconfigured engine never reuses them.
-    fn reconfig(self, f: impl FnOnce(&mut Config)) -> Self {
+    /// this is a move; on a shared one it builds a new engine, with an
+    /// empty plan cache and zero totals, and leaves the clones that share
+    /// the old one as they were.
+    fn reconfig(self, f: impl FnOnce(&mut PublishConfig)) -> Self {
         match Arc::try_unwrap(self.shared) {
             Ok(shared) => {
                 let mut cfg = shared.cfg;
@@ -157,34 +142,21 @@ impl Engine {
 
     /// Record per-element provenance ([`Published::trace`]).
     pub fn traced(self, on: bool) -> Self {
-        self.reconfig(|c| c.publish.tracing = on)
+        self.reconfig(|c| c.tracing = on)
     }
 
     /// Evaluate up to `n` root-level sibling subtrees concurrently within
     /// one publish. `0` and `1` both mean sequential. Document order and
     /// all statistics are independent of `n`.
     pub fn parallel(self, n: usize) -> Self {
-        self.reconfig(|c| c.publish.parallel = n.max(1))
-    }
-
-    /// Bake static cardinality bounds ([`crate::analyze_view_bounds`])
-    /// into the cached plans (`true`, the default): a node whose batches
-    /// provably carry at most one binding executes scalar, pushdowns and
-    /// index paths intact, instead of paying for the shared binding-free
-    /// pipeline. The demotion applies when the node's root-level ancestor
-    /// produced one root task; with several, every task's batch probes one
-    /// per-publish shared scan instead ([`xvc_rel::SharedScan`]), which
-    /// beats one filtered scan per task. Documents, traces and
-    /// [`PublishStats`] are identical either way.
-    pub fn bounded(self, on: bool) -> Self {
-        self.reconfig(|c| c.bounded = on)
+        self.reconfig(|c| c.parallel = n.max(1))
     }
 
     /// Record the per-root-task splice index ([`Published::splice`]) on
     /// full publishes so results can seed [`Session::republish_delta`].
     /// [`Session::publish_segments`] records it whatever this is set to.
     pub fn incremental(self, on: bool) -> Self {
-        self.reconfig(|c| c.publish.incremental = on)
+        self.reconfig(|c| c.incremental = on)
     }
 
     /// The schema tree this engine publishes.
@@ -228,7 +200,7 @@ impl Engine {
         let run = Run {
             tree: &shared.tree,
             plans: &cache.plans,
-            cfg: &shared.cfg.publish,
+            cfg: &shared.cfg,
         };
         f(&run, stats)
     }
@@ -279,36 +251,23 @@ impl Engine {
                     cache.fingerprint = Some(fingerprint);
                 }
                 // Built lazily, only if some node actually needs
-                // compiling; on a cache filled by a racing session
-                // neither the catalog nor the cardinality analysis is
-                // materialized at all.
-                let mut planner: Option<Planner> = None;
+                // compiling; on a cache filled by a racing session the
+                // catalog is not materialized at all.
+                let mut catalog: Option<Catalog> = None;
                 for vid in shared.tree.node_ids() {
                     let node = shared.tree.node(vid).expect("non-root id");
+                    let key = |role| (vid.index() as u32, role);
                     if let Some(q) = &node.query {
-                        ensure_plan(
-                            &mut cache,
-                            &shared.tree,
-                            shared.cfg.bounded,
-                            vid,
-                            Role::Tag,
-                            q,
-                            db,
-                            &mut planner,
-                            stats,
-                        );
+                        ensure_plan(&mut cache, key(Role::Tag), q, db, &mut catalog, stats);
                     }
                     if let Some(g) = &node.guard {
                         let probe = guard_probe(g);
                         ensure_plan(
                             &mut cache,
-                            &shared.tree,
-                            shared.cfg.bounded,
-                            vid,
-                            Role::Guard,
+                            key(Role::Guard),
                             &probe,
                             db,
-                            &mut planner,
+                            &mut catalog,
                             stats,
                         );
                     }
@@ -483,13 +442,14 @@ impl Session {
     }
 
     /// Absorbs `delta` into the per-root-task state `prev` (from
-    /// [`Session::publish_segments`] or an earlier call): maps the changed
-    /// tables through the conservative table → view-node dependency map
-    /// ([`crate::TableDeps`]) and re-executes only the *top-most* affected
-    /// view nodes — under just the parent instances a changed row keys
-    /// into when the node's tag plan ties the changed table to a binding
-    /// attribute ([`xvc_rel::RowKey`]), else under every instance — one
-    /// batch per (view node, wave) across all of them at once. Only the
+    /// [`Session::publish_segments`] or an earlier call): asks each view
+    /// node's cached tag and guard plans whether they read a changed table
+    /// ([`xvc_rel::PreparedPlan::reads`]) and re-executes only the
+    /// *top-most* affected view nodes — under just the parent instances a
+    /// changed row keys into when the node's tag plan ties the changed
+    /// table to a binding attribute ([`xvc_rel::RowKey`]), else under every
+    /// instance — one batch per (view node, wave) across all of them at
+    /// once. Only the
     /// root tasks holding a re-run parent are rebuilt and re-serialized;
     /// every other task entry is shared (`Arc`) with `prev`. An affected
     /// root-level node replaces just its own run of root tasks.
@@ -572,59 +532,30 @@ impl Session {
     }
 }
 
-/// A lazily-filled holder for plan compilation: the (comparatively
-/// expensive) [`Database::catalog`] — and, when bound-driven planning is
-/// on, the whole-tree cardinality analysis — is built at most once per
-/// cache fill, and only when at least one entry is actually vacant.
-struct Planner {
-    catalog: Catalog,
-    bounds: Option<ViewBounds>,
-}
-
-/// Compiles `q` into the cache under `(vid, role)` unless already present.
-/// Compilation failures are not fatal: the node simply falls back to the
-/// interpreter (which will surface any genuine error at execution time,
-/// and only if the node actually runs). The failure is cached too —
-/// otherwise every publish would retry the doomed compilation and report
-/// the retry as a cache miss, deflating
-/// [`PublishStats::plan_cache_hit_rate`].
-#[allow(clippy::too_many_arguments)]
+/// Compiles `q` into the cache under `key` unless already present.
+/// The catalog is built on the first vacant entry of a cache fill. A
+/// compilation failure is not fatal: the entry keeps the error, which the
+/// node raises if it ever runs (a node under no parent instance publishes
+/// nothing and never does). The failure is cached too — otherwise every
+/// publish would retry the doomed compilation and report the retry as a
+/// cache miss, deflating [`PublishStats::plan_cache_hit_rate`].
 fn ensure_plan(
     cache: &mut PlanCache,
-    tree: &SchemaTree,
-    bounded: bool,
-    vid: ViewNodeId,
-    role: Role,
+    key: PlanKey,
     q: &xvc_rel::SelectQuery,
     db: &Database,
-    planner: &mut Option<Planner>,
+    catalog: &mut Option<Catalog>,
     stats: &mut PublishStats,
 ) {
-    let key = (vid.index() as u32, role);
     match cache.plans.entry(key) {
         std::collections::hash_map::Entry::Occupied(_) => stats.plan_cache_hits += 1,
         std::collections::hash_map::Entry::Vacant(e) => {
-            let planner = planner.get_or_insert_with(|| {
-                let catalog = db.catalog();
-                let bounds = bounded.then(|| analyze_view_bounds(tree, &catalog));
-                Planner { catalog, bounds }
-            });
-            match prepare(q, &planner.catalog) {
-                Ok(p) => {
-                    // A tag query's batch carries one binding per parent
-                    // instance in the task; the guard probe of the same
-                    // node batches over the same parents.
-                    let p = match &planner.bounds {
-                        Some(b) => p.with_binding_bound(b.batch_bound(vid)),
-                        None => p,
-                    };
-                    e.insert(PlanEntry::Ready(Box::new(p)));
-                    stats.plans_prepared += 1;
-                }
-                Err(_) => {
-                    e.insert(PlanEntry::Failed);
-                    stats.plan_prepare_failures += 1;
-                }
+            let catalog = catalog.get_or_insert_with(|| db.catalog());
+            let entry = e.insert(prepare(q, catalog).map(Box::new));
+            if entry.is_ok() {
+                stats.plans_prepared += 1;
+            } else {
+                stats.plan_prepare_failures += 1;
             }
         }
     }

@@ -40,7 +40,6 @@ pub mod error;
 pub mod parse;
 pub mod publish;
 pub mod schema_tree;
-pub mod table_deps;
 
 pub use bounds::{analyze_view_bounds, NodeBounds, ViewBounds};
 pub use engine::{Engine, EngineTotals, Session, Streamed};
@@ -50,4 +49,3 @@ pub use publish::{
     PublishStats, PublishTrace, Published, Segmented, SpliceIndex, SpliceTask, TraceEntry,
 };
 pub use schema_tree::{AttrProjection, SchemaTree, ViewNode, ViewNodeId};
-pub use table_deps::TableDeps;

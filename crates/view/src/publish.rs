@@ -25,9 +25,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use xvc_rel::{
-    eval_query_stats, BatchResult, Bindings, Database, Delta, EvalOptions, EvalStats, JoinKey,
-    NamedTuple, ParamEnv, PreparedPlan, Relation, ScalarExpr, SelectItem, SelectQuery, SharedScan,
-    Value,
+    BatchResult, Bindings, Database, Delta, EvalStats, JoinKey, NamedTuple, ParamEnv, PreparedPlan,
+    Relation, ScalarExpr, SelectItem, SelectQuery, SharedScan, Value,
 };
 use xvc_xml::{Document, TreeBuilder, XmlSink, XmlWriter};
 
@@ -59,10 +58,10 @@ pub struct PublishStats {
     pub plan_cache_hits: usize,
     /// Tag queries / guard probes that failed to compile this publish.
     /// The failure is cached, so a given node fails at most once per
-    /// catalog; the node falls back to the interpreter.
+    /// catalog; the node raises the compile error if it ever runs.
     pub plan_prepare_failures: usize,
     /// Set-oriented executions: one per (view node, frontier) with at
-    /// least one binding and a prepared plan.
+    /// least one binding.
     pub batches_executed: usize,
     /// Largest number of bindings any single batch carried, duplicates
     /// included (merged with `max`, not `+`, across subtree tasks).
@@ -292,13 +291,11 @@ pub(crate) enum Role {
 pub(crate) type PlanKey = (u32, Role);
 
 /// Outcome of one compilation attempt, cached either way: a usable plan,
-/// or a remembered failure so the publisher never retries compiling a
-/// query the catalog cannot satisfy (it falls back to the interpreter).
-#[derive(Debug)]
-pub(crate) enum PlanEntry {
-    Ready(Box<PreparedPlan>),
-    Failed,
-}
+/// or the error `prepare` returned, so the publisher never retries
+/// compiling a query the catalog cannot satisfy. The node raises that
+/// error whenever it runs; a node that never runs publishes nothing and
+/// reads nothing.
+pub(crate) type PlanEntry = std::result::Result<Box<PreparedPlan>, xvc_rel::Error>;
 
 /// Compiled plans for one schema tree, valid for one catalog. Owned by
 /// [`crate::Engine`] behind an `RwLock` and shared by every session.
@@ -358,11 +355,10 @@ impl Run<'_> {
                 continue;
             }
             let node = self.tree.node(child).expect("non-root id");
-            if let Some(guard) = &node.guard {
+            if node.guard.is_some() {
                 stats.queries_run += 1;
-                let probe = guard_probe(guard);
                 if shared
-                    .run_root_query(child, Role::Guard, &probe, &mut eval)?
+                    .run_root_query(child, Role::Guard, &mut eval)?
                     .is_empty()
                 {
                     continue;
@@ -374,8 +370,8 @@ impl Run<'_> {
                 *n - 1
             };
             match &node.query {
-                Some(q) if node.context_tuple_of.is_none() => {
-                    let rel = shared.run_root_query(child, Role::Tag, q, &mut eval)?;
+                Some(_) if node.context_tuple_of.is_none() => {
+                    let rel = shared.run_root_query(child, Role::Tag, &mut eval)?;
                     stats.queries_run += 1;
                     stats.tuples_fetched += rel.len();
                     let columns: Arc<[String]> = rel.columns.into();
@@ -405,8 +401,8 @@ impl Run<'_> {
     /// scan per plan ([`SharedScan`]) instead of each building its own,
     /// which makes a breadth publish scan each batched table once rather
     /// than once per root element. A root with a single task keeps the
-    /// per-task path, including the bound-driven scalar demotion. The
-    /// decomposition, and so every counter, stays independent of the
+    /// per-task path, where a batch of one distinct binding runs scalar.
+    /// The decomposition, and so every counter, stays independent of the
     /// thread count.
     fn shared_scans(&self, tasks: &[Task]) -> HashMap<PlanKey, SharedScan> {
         let tree = self.tree;
@@ -425,7 +421,7 @@ impl Run<'_> {
             }
             for role in [Role::Tag, Role::Guard] {
                 let key = (vid.index() as u32, role);
-                if let Some(PlanEntry::Ready(_)) = self.plans.get(&key) {
+                if let Some(Ok(_)) = self.plans.get(&key) {
                     scans.insert(key, SharedScan::default());
                 }
             }
@@ -528,7 +524,7 @@ impl Run<'_> {
                 .tree
                 .parent(ViewNodeId(vid))
                 .filter(|&p| !self.tree.is_root(p));
-            if let (Role::Tag, PlanEntry::Ready(plan), Some(parent)) = (role, entry, parent) {
+            if let (Role::Tag, Ok(plan), Some(parent)) = (role, entry, parent) {
                 slots.extend(
                     plan.row_keys()
                         .iter()
@@ -632,10 +628,10 @@ impl Run<'_> {
         Ok((stats, eval, peak))
     }
 
-    /// Incrementally republishes after a base-table mutation: maps `delta`
-    /// through the conservative table → view-node dependency map
-    /// ([`crate::TableDeps`]) and re-executes only the *top-most* affected
-    /// view nodes, each under just the parent instances a changed row keys
+    /// Incrementally republishes after a base-table mutation: a view node
+    /// is affected when its cached tag or guard plan reads a changed table
+    /// ([`Run::reads`]), and only the *top-most* affected view nodes
+    /// re-execute, each under just the parent instances a changed row keys
     /// into ([`Run::narrowing`]), or under every instance when it cannot be
     /// narrowed. All re-executions share one frontier — one batch per
     /// (view node, wave) — and each root task holding a re-run parent is
@@ -652,8 +648,17 @@ impl Run<'_> {
     ) -> Result<Segmented> {
         stats.delta_rows_in = delta.row_count();
         let tree = self.tree;
-        let deps = crate::table_deps::TableDeps::analyze(tree);
-        let affected = deps.affected_by(&delta.tables_changed());
+        let changed = delta.tables_changed();
+        let affected: BTreeSet<usize> = tree
+            .node_ids()
+            .into_iter()
+            .filter(|&vid| {
+                changed
+                    .iter()
+                    .any(|t| self.reads(vid, Role::Tag, t) || self.reads(vid, Role::Guard, t))
+            })
+            .map(ViewNodeId::index)
+            .collect();
         if affected.is_empty() {
             return Ok(Segmented {
                 splice: prev.clone(),
@@ -680,7 +685,7 @@ impl Run<'_> {
             if ancestors(tree, vid).any(|a| affected.contains(&a.index())) {
                 continue;
             }
-            let narrow = self.narrowing(vid, &affected, &deps, delta);
+            let narrow = self.narrowing(vid, &affected, delta);
             tops_by_parent
                 .entry(parent)
                 .or_default()
@@ -817,37 +822,33 @@ impl Run<'_> {
     /// tied to the bindings by a pushed-down `T.col = $v.attr`
     /// ([`xvc_rel::RowKey`]): rows of `T` under any other key never reach
     /// the plan's output, so the node's instances under other parents are
-    /// unchanged. It also needs the node's subtree to be otherwise
-    /// unaffected — an affected descendant could change under any parent.
-    /// Key comparison may over-approximate the parent set, never
-    /// under-approximate it.
+    /// unchanged. A changed table its guard reads may change the guard's
+    /// verdict under any parent. It also needs the node's subtree to be
+    /// otherwise unaffected — an affected descendant could change under
+    /// any parent. Key comparison may over-approximate the parent set,
+    /// never under-approximate it.
     fn narrowing(
         &self,
         vid: ViewNodeId,
         affected: &BTreeSet<usize>,
-        deps: &crate::table_deps::TableDeps,
         delta: &Delta,
     ) -> Option<NarrowKeys> {
-        let tree = self.tree;
-        let node = tree.node(vid)?;
-        let Some(PlanEntry::Ready(plan)) = self.plans.get(&(vid.index() as u32, Role::Tag)) else {
+        let Some(Ok(plan)) = self.plans.get(&(vid.index() as u32, Role::Tag)) else {
             return None;
         };
-        if descendants(tree, vid).any(|d| affected.contains(&d.index())) {
+        if descendants(self.tree, vid).any(|d| affected.contains(&d.index())) {
             return None;
         }
-        let mut guard_tables = BTreeSet::new();
-        if let Some(g) = &node.guard {
-            crate::table_deps::collect_expr_tables(g, &mut guard_tables);
-        }
-        let read = deps.tables_of(vid)?;
         let mut keys: NarrowKeys = Vec::new();
         for (table, rows) in &delta.tables {
-            if rows.row_count() == 0 || !read.contains(table) {
+            if rows.row_count() == 0 {
                 continue;
             }
-            if guard_tables.contains(table) {
+            if self.reads(vid, Role::Guard, table) {
                 return None;
+            }
+            if !plan.reads(table) {
+                continue;
             }
             let key = plan.row_key(table)?;
             let slot = match keys.iter().position(|(p, _)| *p == key.param) {
@@ -863,6 +864,18 @@ impl Run<'_> {
                 .extend(changed.filter_map(|row| JoinKey::of(row.get(key.column)?)));
         }
         Some(keys)
+    }
+
+    /// Whether `vid`'s cached `role` plan reads base table `table`
+    /// ([`PreparedPlan::reads`]). A node without that plan reads nothing
+    /// through it, and so does one whose plan failed to prepare: running
+    /// it would have raised the error, so it never ran in the previous
+    /// publish, and it runs again only under a re-run ancestor.
+    fn reads(&self, vid: ViewNodeId, role: Role, table: &str) -> bool {
+        matches!(
+            self.plans.get(&(vid.index() as u32, role)),
+            Some(Ok(plan)) if plan.reads(table)
+        )
     }
 }
 
@@ -975,28 +988,24 @@ impl<'a> Shared<'a> {
         }
     }
 
+    /// The cached `role` plan of `vid`, or the error it failed to prepare
+    /// with.
+    fn plan(&self, vid: ViewNodeId, role: Role) -> Result<&'a PreparedPlan> {
+        let entry = self.plans.get(&(vid.index() as u32, role));
+        let entry = entry.expect("the engine caches a plan for every tag query and guard");
+        entry.as_deref().map_err(|e| e.clone().into())
+    }
+
     /// Runs one root-level tag query or guard probe. Root-level queries
-    /// run once each under no bindings, so they execute scalar: through
-    /// the node's prepared plan, or through the interpreter when the plan
-    /// failed to prepare.
+    /// run once each under no bindings, so they execute scalar.
     fn run_root_query(
         &self,
         vid: ViewNodeId,
         role: Role,
-        q: &SelectQuery,
         eval: &mut EvalStats,
     ) -> Result<Relation> {
-        let env = ParamEnv::new();
-        match self.plans.get(&(vid.index() as u32, role)) {
-            Some(PlanEntry::Ready(plan)) => Ok(plan.execute_stats(self.db, &env, eval)?),
-            _ => Ok(eval_query_stats(
-                self.db,
-                q,
-                &env,
-                EvalOptions::default(),
-                eval,
-            )?),
-        }
+        let plan = self.plan(vid, role)?;
+        Ok(plan.execute_stats(self.db, &ParamEnv::new(), eval)?)
     }
 }
 
@@ -1017,7 +1026,7 @@ struct Task {
 /// its parent's. An inner frame shadows an outer one binding the same
 /// variable, as `HashMap::insert` would. `Env(None)` binds nothing. Plans
 /// read it through [`Bindings`]; a [`ParamEnv`] is built from it only for
-/// a trace entry and for the interpreter fallback.
+/// a trace entry.
 #[derive(Debug, Clone, Default)]
 struct Env(Option<Arc<Frame>>);
 
@@ -1084,30 +1093,6 @@ struct Pending {
     env: Env,
 }
 
-/// One batch's rows per binding: a prepared plan's batch, or one
-/// interpreted relation per binding for a node whose plan failed to
-/// prepare.
-enum BatchRows {
-    Plan(BatchResult),
-    Interpreted(Vec<Relation>),
-}
-
-impl BatchRows {
-    fn columns(&self) -> &[String] {
-        match self {
-            BatchRows::Plan(batch) => batch.columns(),
-            BatchRows::Interpreted(rels) => rels.first().map_or(&[], |r| &r.columns[..]),
-        }
-    }
-
-    fn rows_for(&self, binding: usize) -> &[Vec<Value>] {
-        match self {
-            BatchRows::Plan(batch) => batch.rows_for(binding),
-            BatchRows::Interpreted(rels) => &rels[binding].rows,
-        }
-    }
-}
-
 /// Per-task state of the breadth-first walk: the skeleton the task grows
 /// in and its counters (task-scoped, so statistics cannot depend on how
 /// tasks are spread over threads).
@@ -1171,12 +1156,11 @@ impl<'a> BatchWorker<'a> {
                 let vid = frontier[live[0]].vid;
                 let node = tree.node(vid).expect("frontier holds non-root ids");
 
-                if let Some(guard) = &node.guard {
+                if node.guard.is_some() {
                     self.touched.insert(vid.index());
-                    let probe = guard_probe(guard);
                     let envs: Vec<&Env> = live.iter().map(|&i| &frontier[i].env).collect();
                     self.stats.queries_run += envs.len();
-                    let rows = self.run_batch(vid, Role::Guard, &probe, &envs)?;
+                    let rows = self.run_batch(vid, Role::Guard, &envs)?;
                     live = live
                         .iter()
                         .enumerate()
@@ -1194,9 +1178,13 @@ impl<'a> BatchWorker<'a> {
                 }
 
                 self.touched.insert(vid.index());
-                let query = node.query.as_ref().expect("query node");
+                if live.is_empty() {
+                    // The guard admitted no parent: the tag query runs
+                    // for no binding.
+                    continue;
+                }
                 let envs: Vec<&Env> = live.iter().map(|&i| &frontier[i].env).collect();
-                let rows = self.run_batch(vid, Role::Tag, query, &envs)?;
+                let rows = self.run_batch(vid, Role::Tag, &envs)?;
                 let columns: Arc<[String]> = rows.columns().into();
                 for (b, &i) in live.iter().enumerate() {
                     let p = &frontier[i];
@@ -1287,34 +1275,13 @@ impl<'a> BatchWorker<'a> {
 
     /// Executes a node's tag query (or guard probe) for every environment
     /// at once: the rows of each environment, in order. Every environment
-    /// goes to one set-oriented execution, which runs the engine once per
-    /// distinct binding; duplicates share that binding's rows, read through
-    /// the batch by reference. A node whose plan failed to prepare is
-    /// interpreted per environment instead, with no batch counters.
-    fn run_batch(
-        &mut self,
-        vid: ViewNodeId,
-        role: Role,
-        q: &SelectQuery,
-        envs: &[&Env],
-    ) -> Result<BatchRows> {
-        if envs.is_empty() {
-            return Ok(BatchRows::Interpreted(Vec::new()));
-        }
+    /// goes to one set-oriented execution of the node's prepared plan, which
+    /// runs the engine once per distinct binding or once for the whole
+    /// batch; duplicates share that binding's rows, read through the batch
+    /// by reference. A node whose plan failed to prepare raises that error.
+    fn run_batch(&mut self, vid: ViewNodeId, role: Role, envs: &[&Env]) -> Result<BatchResult> {
+        let plan = self.shared.plan(vid, role)?;
         let key = (vid.index() as u32, role);
-        let Some(PlanEntry::Ready(plan)) = self.shared.plans.get(&key) else {
-            let mut rels = Vec::with_capacity(envs.len());
-            for env in envs {
-                rels.push(eval_query_stats(
-                    self.shared.db,
-                    q,
-                    &env.to_param_env(),
-                    EvalOptions::default(),
-                    &mut self.eval,
-                )?);
-            }
-            return Ok(BatchRows::Interpreted(rels));
-        };
         let batch = plan.execute_batch_shared(
             self.shared.db,
             envs,
@@ -1324,7 +1291,7 @@ impl<'a> BatchWorker<'a> {
         self.stats.batches_executed += 1;
         self.stats.bindings_per_batch_max = self.stats.bindings_per_batch_max.max(envs.len());
         self.stats.rows_regrouped += batch.total_rows();
-        Ok(BatchRows::Plan(batch))
+        Ok(batch)
     }
 }
 
@@ -2058,8 +2025,9 @@ mod tests {
         use xvc_rel::BinOp;
         let mut t = view();
         // A root-level node whose tag query cannot compile (unknown
-        // table), gated by a guard that never fires so the interpreter
-        // fallback never runs either — the view still publishes.
+        // table), gated by a guard that never fires, so the node never
+        // runs and never raises the compile error — the view still
+        // publishes.
         let mut bad = ViewNode::new(
             9,
             "phantom",
@@ -2164,62 +2132,108 @@ mod tests {
         }
     }
 
-    /// The same publish with and without bound-driven planning: documents,
-    /// traces and [`PublishStats`] must agree; returns both engine counters.
-    fn bounded_and_unbounded(tree: &SchemaTree, db: &Database) -> (EvalStats, EvalStats) {
-        let bounded = Engine::new(tree)
-            .traced(true)
-            .session()
-            .publish(db)
-            .unwrap();
-        let unbounded = Engine::new(tree)
-            .bounded(false)
-            .traced(true)
-            .session()
-            .publish(db)
-            .unwrap();
-        assert_eq!(bounded.document.to_xml(), unbounded.document.to_xml());
-        let (bt, ut) = (bounded.trace.unwrap(), unbounded.trace.unwrap());
-        assert_eq!(bt.entries.len(), ut.entries.len());
-        for (b, u) in bt.entries.iter().zip(&ut.entries) {
-            assert_eq!(b.path, u.path);
-            assert_eq!(b.env, u.env);
-        }
-        assert_eq!(bounded.stats, unbounded.stats);
-        (bounded.eval, unbounded.eval)
+    #[test]
+    fn root_tasks_share_one_scan() {
+        // Two metro tasks: each hotel batch carries one binding, and both
+        // probe one shared binding-free hotel scan, so the publish scans
+        // `hotel` once and builds one hash table.
+        let e = publish_one(&view(), &db()).unwrap().eval;
+        assert_eq!(e.rows_scanned, 2 + 3, "{e:?}");
+        assert_eq!(e.hash_join_builds, 1, "{e:?}");
     }
 
     #[test]
-    fn bounded_path_shares_one_scan_across_root_tasks() {
-        // Two metro tasks: each hotel batch provably carries one binding,
-        // but both tasks probe one shared binding-free hotel scan, so the
-        // bound no longer demotes the batch. With or without the bound the
-        // publish scans `hotel` once and builds one hash table.
-        let (bounded, unbounded) = bounded_and_unbounded(&view(), &db());
-        assert_eq!(bounded, unbounded);
-        assert_eq!(bounded.rows_scanned, 2 + 3, "{bounded:?}");
-        assert_eq!(bounded.hash_join_builds, 1, "{bounded:?}");
-    }
-
-    #[test]
-    fn bounded_path_demotes_single_binding_batches_to_scalar() {
-        // One metro task: its hotel batch provably carries one binding, so
-        // bound-driven planning executes it scalar — one run with the slot
-        // pushdown intact — instead of the binding-free shared pipeline,
-        // which materializes the stripped rows and regroups them through a
-        // hash build.
+    fn a_single_binding_batch_runs_scalar() {
+        // One metro task: its hotel batch carries one binding, so it runs
+        // once with the slot pushdown intact instead of through the
+        // binding-free pipeline, which would regroup the stripped rows
+        // through a hash build.
         let mut tree = view();
         let metro = tree.find_by_paper_id(1).unwrap();
         tree.node_mut(metro).unwrap().query = Some(
             parse_query("SELECT metroid, metroname FROM metroarea WHERE metroid = 1").unwrap(),
         );
-        let (bounded, unbounded) = bounded_and_unbounded(&tree, &db());
-        // Scans and query counts agree; the shared pipeline's regroup hash
-        // build is what the bound saves.
-        assert_eq!(bounded.queries, unbounded.queries);
-        assert_eq!(bounded.rows_scanned, unbounded.rows_scanned);
-        assert_eq!(bounded.hash_join_builds, 0, "{bounded:?}");
-        assert_eq!(unbounded.hash_join_builds, 1, "{unbounded:?}");
+        let e = publish_one(&tree, &db()).unwrap().eval;
+        assert_eq!(e.queries, 2, "{e:?}");
+        assert_eq!(e.rows_scanned, 2 + 3, "{e:?}");
+        assert_eq!(e.hash_join_builds, 0, "{e:?}");
+    }
+
+    #[test]
+    fn a_failed_plan_fails_its_node_whatever_the_data() {
+        // `prepare` rejects the ghost query's EXISTS over an unknown table.
+        // The node runs under both metros, over an empty `audit`: every
+        // entry point reports the prepare error, rows or no rows.
+        let mut tree = view();
+        let sql = "SELECT id FROM audit WHERE id = $m.metroid AND EXISTS (SELECT * FROM nope)";
+        let ghost = ViewNode::new(7, "ghost", "g", parse_query(sql).unwrap());
+        tree.add_child(tree.find_by_paper_id(1).unwrap(), ghost)
+            .unwrap();
+        let mut database = db();
+        let audit = TableSchema::new("audit", vec![ColumnDef::new("id", ColumnType::Int)]);
+        database.create_table(audit.unwrap()).unwrap();
+        let engine = Engine::new(&tree);
+        let unknown = xvc_rel::Error::UnknownTable {
+            name: "nope".into(),
+        };
+        let want = crate::Error::Rel(unknown).to_string();
+        for err in [
+            engine.session().publish(&database).err(),
+            engine.session().publish_to(&database, io::sink()).err(),
+            engine.session().publish_segments(&database).err(),
+        ] {
+            assert_eq!(err.map(|e| e.to_string()), Some(want.clone()));
+        }
+    }
+
+    #[test]
+    fn delta_reaches_tables_read_through_guards_and_derived_tables() {
+        // hotel reads `hotel` only through a derived table; badge reads
+        // `award` only through its guard's EXISTS.
+        let q = |sql| parse_query(sql).unwrap();
+        let mut tree = SchemaTree::new();
+        let metro = tree
+            .add_root_node(ViewNode::new(
+                1,
+                "metro",
+                "m",
+                q("SELECT metroid FROM metroarea"),
+            ))
+            .unwrap();
+        let hotels = "SELECT d.hotelname FROM (SELECT hotelname, metro_id FROM hotel) AS d \
+                      WHERE d.metro_id = $m.metroid";
+        let hotel = tree
+            .add_child(metro, ViewNode::new(2, "hotel", "h", q(hotels)))
+            .unwrap();
+        let mut badge = ViewNode::literal(3, "badge");
+        badge.guard = Some(ScalarExpr::Exists(Box::new(q(
+            "SELECT * FROM award WHERE award.metro_id = $m.metroid",
+        ))));
+        let badge = tree.add_child(metro, badge).unwrap();
+        let mut database = db();
+        let award = TableSchema::new("award", vec![ColumnDef::new("metro_id", ColumnType::Int)]);
+        database.create_table(award.unwrap()).unwrap();
+        let engine = Engine::new(&tree);
+        let mut prev = engine.session().publish_segments(&database).unwrap().splice;
+        for (insert, node, fresh) in [
+            ("INSERT INTO award VALUES (2)", badge, "<badge/>"),
+            (
+                "INSERT INTO hotel VALUES (13, 'langham', 5, 1)",
+                hotel,
+                "langham",
+            ),
+        ] {
+            let delta = database.execute_dml(insert).unwrap();
+            let after = engine
+                .session()
+                .republish_segments(&database, &prev, &delta)
+                .unwrap();
+            let full = Engine::new(&tree).session().publish(&database).unwrap();
+            assert_eq!(after.splice.xml(), full.document.to_xml(), "{insert}");
+            assert!(after.splice.xml().contains(fresh), "{insert}");
+            assert_eq!(after.reexecuted, vec![node], "{insert}");
+            prev = after.splice;
+        }
     }
 
     #[test]

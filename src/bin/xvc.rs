@@ -45,6 +45,7 @@ use std::process::ExitCode;
 
 use xvc::core::Error as XvcError;
 use xvc::prelude::*;
+use xvc::rel::Card;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -426,9 +427,8 @@ fn cmd_explain(opts: &Opts) -> Result<(), CliError> {
         print!("{}", prepare(&q, &catalog)?.describe());
         return Ok(());
     }
-    // …or every tag query of the composed stylesheet view, with the
-    // static cardinality bounds that drive the batched-vs-scalar and
-    // join-strategy decisions.
+    // …or every tag query of the composed stylesheet view, after the
+    // static cardinality bounds of its view node.
     let view = load_view(require(&opts.view, "--view FILE")?)?;
     let xslt = load_xslt(require(&opts.xslt, "--xslt FILE")?)?;
     let composition = compose_view(&view, &xslt, &catalog, opts)?;
@@ -444,13 +444,18 @@ fn cmd_explain(opts: &Opts) -> Result<(), CliError> {
         }
         println!("<{}> tag query:", node.tag);
         if let Some(nb) = bounds.node(vid) {
+            let batch = bounds.batch_bound(vid);
+            let binding = if batch == Card::Unbounded {
+                String::new()
+            } else {
+                format!("; binding bound: {batch} per batch")
+            };
             println!(
-                "  bounds: fan-out {}, per-document {}",
+                "  bounds: fan-out {}, per-document {}{binding}",
                 nb.fan_out.card, nb.global
             );
         }
-        let prepared = prepare(q, &catalog)?.with_binding_bound(bounds.batch_bound(vid));
-        for line in prepared.describe().lines() {
+        for line in prepare(q, &catalog)?.describe().lines() {
             println!("  {line}");
         }
         printed += 1;

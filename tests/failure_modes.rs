@@ -130,7 +130,7 @@ fn unknown_table_surfaces_at_publish_time() {
     assert!(err.to_string().contains("not_a_table"), "{err}");
 
     // A child whose tag query cannot prepare, under a parent that has
-    // rows: the walk interprets it per parent instance, and every entry
+    // rows: its batch raises the cached prepare error, and every entry
     // point reports the unknown table.
     let mut v = SchemaTree::new();
     let metro = v

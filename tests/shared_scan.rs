@@ -3,8 +3,8 @@
 //! probe one binding-free scan per plan, shared across the publish, so a
 //! publish scans exactly the rows in the database at any region count and
 //! builds one hash table per batched plan. A single-region publish has one
-//! root task and keeps the per-task path, including the bound-driven
-//! scalar demotion of its single-binding customer batch.
+//! root task and keeps the per-task path, where its single-binding
+//! customer batch runs scalar.
 
 use xvc::prelude::*;
 use xvc_bench::synthetic::{all_regions_view, needle_database, needle_view};
