@@ -173,6 +173,41 @@ assert body.strip() == expected.strip(), \
     "chunked /publish decoded differently from the xvc run reference"
 print("chunked /publish byte-identical to the xvc run reference")
 PYEOF
+# Writes through POST /dml: an INSERT shows in /doc, which must equal the
+# decoded /publish; the DELETE that undoes it brings /doc, /publish and the
+# `xvc run` reference back together; a DELETE with a GROUP BY after its
+# predicate is a 400 that leaves /doc as it was.
+python3 - "$SERVE_ADDR" <<'PYEOF'
+import http.client, sys
+host, port = sys.argv[1].rsplit(":", 1)
+def call(method, path, body=None):
+    conn = http.client.HTTPConnection(host, int(port), timeout=30)
+    conn.request(method, path, body=body)
+    resp = conn.getresponse()
+    data = resp.read().decode("utf-8")
+    conn.close()
+    return resp.status, data
+def get(path):
+    status, body = call("GET", path)
+    assert status == 200, f"{path} returned {status}"
+    return body
+with open("artifacts/serve_expected.xml", encoding="utf-8") as f:
+    expected = f.read()
+status, body = call("POST", "/dml", "INSERT INTO sight VALUES (99, 1, 'probe', 0)")
+assert status == 200, f"INSERT returned {status}: {body}"
+doc = get("/doc")
+assert "probe" in doc, "/doc does not show the inserted row"
+assert doc == get("/publish"), "/doc differs from /publish after INSERT"
+status, body = call("POST", "/dml", "DELETE FROM sight WHERE sid = 99")
+assert status == 200, f"DELETE returned {status}: {body}"
+doc = get("/doc")
+assert doc == get("/publish"), "/doc differs from /publish after DELETE"
+assert doc.strip() == expected.strip(), "/doc differs from the xvc run reference after DELETE"
+status, body = call("POST", "/dml", "DELETE FROM sight WHERE sid = 99 GROUP BY sid")
+assert status == 400, f"DELETE ... GROUP BY returned {status}: {body}"
+assert get("/doc") == doc, "a rejected DELETE changed /doc"
+print("/dml INSERT, DELETE and a rejected DELETE keep /doc, /publish and the reference equal")
+PYEOF
 for key in throughput_rps p50_ms p99_ms; do
     if ! grep -q "\"$key\"" BENCH_serve.json; then
         echo "ci.sh: $key missing from BENCH_serve.json" >&2

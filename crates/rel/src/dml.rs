@@ -12,9 +12,11 @@
 //!   `TRUE`/`FALSE`), validated against the table schema on insert;
 //! * `DELETE FROM t [WHERE pred]` — the predicate is the same scalar
 //!   fragment tag queries use; it is parsed by wrapping it in
-//!   `SELECT * FROM t WHERE pred` and reusing [`crate::parse_query`], then
-//!   run as a prepared plan ([`crate::prepare`]), so DELETE semantics are
-//!   exactly "rows the SELECT would return".
+//!   `SELECT * FROM t WHERE pred` and reusing [`crate::parse_query`]
+//!   (`GROUP BY` or `HAVING` after it is rejected), then run as a
+//!   prepared plan ([`crate::prepare`]), so DELETE semantics are exactly
+//!   "rows the SELECT would return". The plan's scan hands over the
+//!   positions of those rows, and the table removes them in place.
 //!
 //! Data mutations never change the catalog fingerprint (schemas are
 //! untouched), so the publisher's prepared-plan cache stays warm across a
@@ -23,7 +25,6 @@
 use std::collections::BTreeMap;
 
 use crate::error::{Error, Result};
-use crate::eval::ParamEnv;
 use crate::parse::parse_query;
 use crate::plan::prepare;
 use crate::table::Database;
@@ -148,39 +149,32 @@ impl Database {
 
     /// Deletes every row of `table` matching `predicate` (all rows when
     /// `None`), returning the delta. The matched rows are exactly what
-    /// `SELECT * FROM table WHERE predicate` returns — run as a prepared
-    /// plan, which filters while it scans (a query that does not prepare
-    /// fails the statement); every stored row equal to a matched row
-    /// (`Value`'s `==`, except that NaN equals NaN) is removed (equal rows
-    /// satisfy a pure predicate identically, so this is exact DELETE
-    /// semantics). Stored rows are matched in one pass against the matched
-    /// rows sorted by a row hash, and the table drops them in place,
-    /// keeping the survivors' order.
+    /// `SELECT * FROM table WHERE predicate` returns: that query runs as a
+    /// prepared plan (a query that does not prepare fails the statement),
+    /// whose scan yields the storage positions of the rows passing its
+    /// filters ([`crate::PreparedPlan`]'s `matched_positions`), and the
+    /// table drops the rows at those positions in place, keeping the
+    /// survivors' order. The predicate must end the statement: text the
+    /// `SELECT` grammar would read as `GROUP BY` or `HAVING` is rejected
+    /// with [`Error::TrailingTokens`] before any row changes.
     pub fn delete_from(&mut self, table: &str, predicate: Option<&str>) -> Result<Delta> {
-        let doomed: Vec<bool> = match predicate {
-            None => vec![true; self.table(table)?.len()],
-            Some(pred) => {
-                let q = parse_query(&format!("SELECT * FROM {table} WHERE {pred}"))?;
-                let matched = prepare(&q, &self.catalog())?
-                    .execute(self, &ParamEnv::new())?
-                    .rows;
-                let mut hashed: Vec<(u64, &Vec<Value>)> =
-                    matched.iter().map(|row| (row_hash(row), row)).collect();
-                hashed.sort_unstable_by_key(|&(h, _)| h);
-                self.table(table)?
-                    .rows()
-                    .iter()
-                    .map(|row| {
-                        let h = row_hash(row);
-                        let first = hashed.partition_point(|&(x, _)| x < h);
-                        hashed[first..]
-                            .iter()
-                            .take_while(|&&(x, _)| x == h)
-                            .any(|(_, m)| same_row(m, row))
-                    })
-                    .collect()
+        let mut doomed = vec![predicate.is_none(); self.table(table)?.len()];
+        if let Some(pred) = predicate {
+            let q = parse_query(&format!("SELECT * FROM {table} WHERE {pred}"))?;
+            if !q.group_by.is_empty() || q.having.is_some() {
+                let clause = if q.group_by.is_empty() {
+                    "HAVING"
+                } else {
+                    "GROUP BY"
+                };
+                return Err(Error::TrailingTokens {
+                    found: clause.to_owned(),
+                });
             }
-        };
+            for rid in prepare(&q, &self.catalog())?.matched_positions(self)? {
+                doomed[rid] = true;
+            }
+        }
         let deleted = if doomed.contains(&true) {
             self.remove_rows(table, &doomed)?
         } else {
@@ -190,35 +184,6 @@ impl Database {
         delta.record_deletes(table, deleted);
         Ok(delta)
     }
-}
-
-/// Whether a stored row is a matched row for DELETE: `Value`'s `==`, under
-/// which the two float zeros are equal, except that NaN matches NaN — a
-/// matched row holding a NaN must find itself in storage.
-fn same_row(a: &[Value], b: &[Value]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| match (x, y) {
-            (Value::Float(p), Value::Float(q)) => p == q || (p.is_nan() && q.is_nan()),
-            _ => x == y,
-        })
-}
-
-/// A row's hash for DELETE matching: rows equal under [`same_row`] hash
-/// equally, since the only unequal bit patterns it identifies are the two
-/// float zeros and the NaNs, each folded into one value. A cheap
-/// multiplicative mix: collisions only cost an extra comparison.
-fn row_hash(row: &[Value]) -> u64 {
-    const K: u64 = 0x517c_c1b7_2722_0a95;
-    let mix = |h: u64, x: u64| (h.rotate_left(5) ^ x).wrapping_mul(K);
-    row.iter().fold(0, |h, v| match v {
-        Value::Null => mix(h, 0),
-        Value::Int(i) => mix(mix(h, 1), *i as u64),
-        Value::Float(f) if *f == 0.0 => mix(mix(h, 2), 0),
-        Value::Float(f) if f.is_nan() => mix(mix(h, 2), f64::NAN.to_bits()),
-        Value::Float(f) => mix(mix(h, 2), f.to_bits()),
-        Value::Str(s) => s.bytes().fold(mix(h, 3), |h, b| mix(h, u64::from(b))),
-        Value::Bool(b) => mix(mix(h, 4), u64::from(*b)),
-    })
 }
 
 /// Character-level scanner for the DML fragment. The SELECT parser in
@@ -468,7 +433,7 @@ impl<'a> DmlParser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::eval_query;
+    use crate::eval::{eval_query, ParamEnv};
     use crate::schema::{ColumnDef, ColumnType, TableSchema};
     use crate::table::Table;
 
@@ -572,6 +537,36 @@ mod tests {
         assert_eq!(rows[0], vec![Value::Int(2), Value::Float(1.5)]);
         assert_eq!(rows[1][0], Value::Int(3));
         assert!(matches!(rows[1][1], Value::Float(f) if f.is_nan()));
+    }
+
+    #[test]
+    fn delete_rejects_clauses_after_its_predicate() {
+        use crate::schema::IndexKind;
+        let mut db = crate::ddl::database_from_ddl("CREATE TABLE t (a INT, b INT)").unwrap();
+        db.create_index("t", "a", IndexKind::Hash).unwrap();
+        db.execute_dml("INSERT INTO t VALUES (1, 1), (1, 2), (2, 3)")
+            .unwrap();
+        let rows = db.table("t").unwrap().rows().to_vec();
+        let fingerprint = db.catalog_fingerprint();
+        for (sql, clause) in [
+            ("DELETE FROM t WHERE a = 1 GROUP BY a", "GROUP BY"),
+            ("DELETE FROM t WHERE a = 1 HAVING COUNT(*) > 5", "HAVING"),
+        ] {
+            assert_eq!(
+                db.execute_dml(sql),
+                Err(Error::TrailingTokens {
+                    found: clause.into()
+                }),
+                "{sql}"
+            );
+            let t = db.table("t").unwrap();
+            assert_eq!(t.rows(), rows, "{sql}");
+            let idx = t.index_for(0).unwrap();
+            assert_eq!(idx.len(), 3, "{sql}");
+            assert_eq!(idx.lookup(&Value::Int(1)), &[0, 1], "{sql}");
+            assert_eq!(idx.lookup(&Value::Int(2)), &[2], "{sql}");
+            assert_eq!(db.catalog_fingerprint(), fingerprint, "{sql}");
+        }
     }
 
     #[test]

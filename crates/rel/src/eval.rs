@@ -280,6 +280,25 @@ impl<'a> Scope<'a> {
             }),
         }
     }
+
+    /// Positional form of [`Scope::resolve`] for a reference the plan
+    /// compiler bound against this chain's layouts: the value at `index`
+    /// of the row `depth` levels up, by reference, tripping that level's
+    /// probe. `None` when that level has no columns: the plan executor's
+    /// empty-group stand-in, which replaces a block's row scope.
+    pub(crate) fn at(&self, depth: usize, index: usize) -> Option<&Value> {
+        let mut level = self;
+        for _ in 0..depth {
+            level = level.parent.expect("a bound column's scope level exists");
+        }
+        if level.layout.is_empty() {
+            return None;
+        }
+        if let Some(p) = level.probe {
+            p.set(true);
+        }
+        Some(&level.row[index])
+    }
 }
 
 // ---------------------------------------------------------------------------

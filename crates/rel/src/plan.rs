@@ -19,9 +19,16 @@
 //!   resolved lazily against the environment ([`Bindings`], such as a
 //!   [`ParamEnv`]) at most once per execution (the interpreter does a hash
 //!   lookup per reference per row);
+//! * **bound columns** — every column reference is bound to the position
+//!   the interpreter's name walk would find: a scope depth (this row, the
+//!   enclosing `EXISTS` row, ...) and an index into that scope's row, so
+//!   evaluation reads `row[index]` instead of searching names per row;
 //! * **fused scan + pushdown** — base-table rows are filtered while
-//!   scanning, so rows rejected by a pushdown predicate are never cloned
-//!   (the interpreter copies the whole table first, then filters).
+//!   scanning, by reference (comparisons, `AND`/`OR`/`NOT` and `IS NULL`
+//!   read the stored values and build no [`Value`]), and the scan yields
+//!   the positions of the rows that pass: a `SELECT` copies those rows
+//!   (the interpreter copies the whole table first, then filters), and
+//!   `DELETE` removes them (`PreparedPlan::matched_positions`).
 //!
 //! [`PreparedPlan::execute`] produces the same [`Relation`] — and
 //! [`PreparedPlan::execute_stats`] the same [`EvalStats`] counters — as
@@ -32,7 +39,8 @@
 //! instead, which is the point: a cached plan fails at publish *setup*,
 //! not on the thousandth tuple.
 
-use std::cell::{Cell, RefCell};
+use std::borrow::Cow;
+use std::cell::{Cell, OnceCell};
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 
@@ -46,7 +54,7 @@ use crate::eval::{
 };
 use crate::facts::{query_cardinality, FactSet};
 use crate::schema::{Catalog, TableSchema};
-use crate::table::Database;
+use crate::table::{Database, Table};
 use crate::value::{Identity, Value};
 
 // ---------------------------------------------------------------------------
@@ -54,15 +62,12 @@ use crate::value::{Identity, Value};
 // ---------------------------------------------------------------------------
 
 /// A compiled scalar expression: parameters interned to slots, EXISTS
-/// subqueries compiled to nested blocks. Column references keep their
-/// written form and resolve through the runtime [`Scope`] chain, which
-/// preserves the interpreter's correlation and ambiguity semantics.
+/// subqueries compiled to nested blocks, column references bound to the
+/// scope position the interpreter's name walk finds (see [`PColumn`]), so
+/// the interpreter's correlation and ambiguity semantics carry over.
 #[derive(Debug, Clone)]
 enum PExpr {
-    Column {
-        qualifier: Option<String>,
-        name: String,
-    },
+    Column(PColumn),
     Slot(usize),
     Literal(Value),
     Binary {
@@ -77,6 +82,54 @@ enum PExpr {
         func: AggFunc,
         arg: Option<Box<PExpr>>,
     },
+}
+
+/// A column reference as written, bound at prepare time against the
+/// layouts of the scope chain it is evaluated under: the site's own layout
+/// (a FROM item, the joined prefix, the block), then each enclosing block
+/// an `EXISTS` or a derived table sees.
+#[derive(Debug, Clone)]
+struct PColumn {
+    qualifier: Option<String>,
+    name: String,
+    /// `(depth, index)`: column `index` of the scope `depth` levels up,
+    /// where `Scope::resolve` finds the reference. `None` when the name
+    /// walk finds no single column (an unqualified name held twice, or
+    /// none at all): evaluation then raises the walk's error, lazily.
+    at: Option<(usize, usize)>,
+}
+
+impl PColumn {
+    fn bind(qualifier: Option<&str>, name: &str, chain: &[&Layout]) -> PColumn {
+        let mut at = None;
+        for (depth, layout) in chain.iter().enumerate() {
+            let mut hits = layout
+                .iter()
+                .enumerate()
+                .filter(|(_, (q, n))| n == name && qualifier.is_none_or(|qq| qq == q));
+            if let Some((index, _)) = hits.next() {
+                // Like the walk: a qualified name takes the level's first
+                // match, an unqualified one must be the level's only one.
+                if qualifier.is_some() || hits.next().is_none() {
+                    at = Some((depth, index));
+                }
+                break;
+            }
+        }
+        PColumn {
+            qualifier: qualifier.map(str::to_owned),
+            name: name.to_owned(),
+            at,
+        }
+    }
+
+    /// The bound value, borrowed from the row in scope: `None` when the
+    /// reference is bound to no single column, or when its level is
+    /// `p_agg_expr`'s empty-group stand-in, which has no row.
+    fn get<'r>(&self, scope: &'r Scope<'r>) -> Option<&'r Value> {
+        let (depth, index) = self.at?;
+        scope.at(depth, index)
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -325,7 +378,7 @@ pub fn prepare_with(
         options,
         slots: Vec::new(),
     };
-    let mut root = compiler.compile_block(q)?;
+    let mut root = compiler.compile_block(q, &[])?;
 
     // Cardinality pass: per-item bounds drive the join strategy (a
     // provably <= 1 row joined prefix probes by filtering instead of
@@ -378,26 +431,28 @@ impl Compiler<'_> {
         self.slots.len() - 1
     }
 
-    fn compile_expr(&mut self, e: &ScalarExpr) -> Result<PExpr> {
+    /// Compiles `e` for evaluation under the scope chain whose layouts are
+    /// `chain`, innermost first: column references bind against it, and
+    /// an `EXISTS` block runs with the whole chain as its enclosing scopes.
+    fn compile_expr(&mut self, e: &ScalarExpr, chain: &[&Layout]) -> Result<PExpr> {
         Ok(match e {
-            ScalarExpr::Column { qualifier, name } => PExpr::Column {
-                qualifier: qualifier.clone(),
-                name: name.clone(),
-            },
+            ScalarExpr::Column { qualifier, name } => {
+                PExpr::Column(PColumn::bind(qualifier.as_deref(), name, chain))
+            }
             ScalarExpr::Param { var, column } => PExpr::Slot(self.slot(var, column)),
             ScalarExpr::Literal(v) => PExpr::Literal(v.clone()),
             ScalarExpr::Binary { op, lhs, rhs } => PExpr::Binary {
                 op: *op,
-                lhs: Box::new(self.compile_expr(lhs)?),
-                rhs: Box::new(self.compile_expr(rhs)?),
+                lhs: Box::new(self.compile_expr(lhs, chain)?),
+                rhs: Box::new(self.compile_expr(rhs, chain)?),
             },
-            ScalarExpr::Not(i) => PExpr::Not(Box::new(self.compile_expr(i)?)),
-            ScalarExpr::IsNull(i) => PExpr::IsNull(Box::new(self.compile_expr(i)?)),
-            ScalarExpr::Exists(q) => PExpr::Exists(Box::new(self.compile_block(q)?)),
+            ScalarExpr::Not(i) => PExpr::Not(Box::new(self.compile_expr(i, chain)?)),
+            ScalarExpr::IsNull(i) => PExpr::IsNull(Box::new(self.compile_expr(i, chain)?)),
+            ScalarExpr::Exists(q) => PExpr::Exists(Box::new(self.compile_block(q, chain)?)),
             ScalarExpr::Aggregate { func, arg } => PExpr::Aggregate {
                 func: *func,
                 arg: match arg {
-                    Some(a) => Some(Box::new(self.compile_expr(a)?)),
+                    Some(a) => Some(Box::new(self.compile_expr(a, chain)?)),
                     None => None,
                 },
             },
@@ -407,8 +462,11 @@ impl Compiler<'_> {
     /// Mirrors `eval::eval_scoped_opt`'s per-evaluation classification,
     /// against catalog-derived layouts (which the runtime layouts always
     /// equal). The check order matches the interpreter so the same invalid
-    /// query surfaces the same class of error.
-    fn compile_block(&mut self, q: &SelectQuery) -> Result<PlanBlock> {
+    /// query surfaces the same class of error. `outer` holds the layouts
+    /// of the scopes the block runs under (its `parent` chain), innermost
+    /// first: empty at the top level, the enclosing row's chain for an
+    /// `EXISTS`, and the enclosing block's own `outer` for a derived table.
+    fn compile_block(&mut self, q: &SelectQuery, outer: &[&Layout]) -> Result<PlanBlock> {
         // Alias uniqueness.
         {
             let mut seen = HashSet::new();
@@ -454,7 +512,7 @@ impl Compiler<'_> {
             let source = match t {
                 TableRef::Named { name, .. } => PlanSource::Scan(name.clone()),
                 TableRef::Derived { query, .. } => {
-                    PlanSource::Derived(Box::new(self.compile_block(query)?))
+                    PlanSource::Derived(Box::new(self.compile_block(query, outer)?))
                 }
             };
 
@@ -464,7 +522,7 @@ impl Compiler<'_> {
                     continue;
                 }
                 if resolvable_within(c, std::slice::from_ref(&alias), &this_cols) {
-                    pushdown.push(self.compile_expr(c)?);
+                    pushdown.push(self.compile_expr(c, &under(&layout, outer))?);
                     applied[i] = true;
                 }
             }
@@ -486,7 +544,10 @@ impl Compiler<'_> {
                         continue;
                     }
                     if let Some((l, r)) = equi_pair_layouts(c, &full, &layout) {
-                        join_keys.push((self.compile_expr(&l)?, self.compile_expr(&r)?));
+                        join_keys.push((
+                            self.compile_expr(&l, &under(&full, outer))?,
+                            self.compile_expr(&r, &under(&layout, outer))?,
+                        ));
                         applied[i] = true;
                     }
                 }
@@ -503,7 +564,7 @@ impl Compiler<'_> {
                     continue;
                 }
                 if resolvable_within(c, &seen_aliases, &full_cols) {
-                    prefix_filters.push(self.compile_expr(c)?);
+                    prefix_filters.push(self.compile_expr(c, &under(&full, outer))?);
                     applied[i] = true;
                 }
             }
@@ -528,6 +589,9 @@ impl Compiler<'_> {
             });
         }
 
+        // Residuals, the select list, GROUP BY and HAVING all evaluate over
+        // the joined block row.
+        let block = under(&full, outer);
         let mut residuals = Vec::new();
         for (i, c) in conjuncts.iter().enumerate() {
             if applied[i] {
@@ -536,7 +600,7 @@ impl Compiler<'_> {
             if c.contains_aggregate() {
                 return Err(Error::MisplacedAggregate);
             }
-            residuals.push(self.compile_expr(c)?);
+            residuals.push(self.compile_expr(c, &block)?);
         }
 
         let mut columns = Vec::new();
@@ -546,18 +610,18 @@ impl Compiler<'_> {
             select.push(match item {
                 SelectItem::Star => PlanItem::Star,
                 SelectItem::QualifiedStar(qual) => PlanItem::QualifiedStar(qual.clone()),
-                SelectItem::Expr { expr, .. } => PlanItem::Expr(self.compile_expr(expr)?),
+                SelectItem::Expr { expr, .. } => PlanItem::Expr(self.compile_expr(expr, &block)?),
             });
         }
         let group_by = q
             .group_by
             .iter()
-            .map(|g| self.compile_expr(g))
+            .map(|g| self.compile_expr(g, &block))
             .collect::<Result<Vec<_>>>()?;
         let having = q
             .having
             .as_ref()
-            .map(|h| self.compile_expr(h))
+            .map(|h| self.compile_expr(h, &block))
             .transpose()?;
 
         Ok(PlanBlock {
@@ -572,6 +636,14 @@ impl Compiler<'_> {
             columns,
         })
     }
+}
+
+/// The scope chain of an expression evaluated over rows of `layout` under
+/// the enclosing scopes `outer`.
+fn under<'l>(layout: &'l Layout, outer: &[&'l Layout]) -> Vec<&'l Layout> {
+    std::iter::once(layout)
+        .chain(outer.iter().copied())
+        .collect()
 }
 
 /// Picks an index access path from the compiled pushdowns: a
@@ -596,7 +668,7 @@ fn select_index_access(schema: &TableSchema, pushdown: &[PExpr]) -> Access {
             continue;
         };
         for (col, key) in [(lhs, rhs), (rhs, lhs)] {
-            let PExpr::Column { name, .. } = col.as_ref() else {
+            let PExpr::Column(PColumn { name, .. }) = col.as_ref() else {
                 continue;
             };
             if schema.index_on(name).is_none()
@@ -699,13 +771,13 @@ fn analyze_batch(root: &PlanBlock, n_slots: usize) -> Option<BatchPlan> {
     for (fi, item) in root.from.iter().enumerate() {
         let offset = item.prev_layout.len();
         for (ci, c) in item.pushdown.iter().enumerate() {
-            if let Some(k) = slot_equality(c, &item.layout, offset) {
+            if let Some(k) = slot_equality(c, offset) {
                 keys.push(k);
                 take.push((fi, true, ci));
             }
         }
         for (ci, c) in item.prefix_filters.iter().enumerate() {
-            if let Some(k) = slot_equality(c, &item.joined_layout, 0) {
+            if let Some(k) = slot_equality(c, 0) {
                 keys.push(k);
                 take.push((fi, false, ci));
             }
@@ -745,7 +817,7 @@ fn analyze_batch(root: &PlanBlock, n_slots: usize) -> Option<BatchPlan> {
     Some(BatchPlan { stripped, keys })
 }
 
-fn slot_equality(c: &PExpr, layout: &Layout, offset: usize) -> Option<BatchKeySpec> {
+fn slot_equality(c: &PExpr, offset: usize) -> Option<BatchKeySpec> {
     let PExpr::Binary {
         op: BinOp::Eq,
         lhs,
@@ -755,12 +827,12 @@ fn slot_equality(c: &PExpr, layout: &Layout, offset: usize) -> Option<BatchKeySp
         return None;
     };
     match (lhs.as_ref(), rhs.as_ref()) {
-        (PExpr::Slot(s), other) => row_side(other, layout, offset).map(|row| BatchKeySpec {
+        (PExpr::Slot(s), other) => row_side(other, offset).map(|row| BatchKeySpec {
             row,
             slot: *s,
             slot_first: true,
         }),
-        (other, PExpr::Slot(s)) => row_side(other, layout, offset).map(|row| BatchKeySpec {
+        (other, PExpr::Slot(s)) => row_side(other, offset).map(|row| BatchKeySpec {
             row,
             slot: *s,
             slot_first: false,
@@ -769,29 +841,18 @@ fn slot_equality(c: &PExpr, layout: &Layout, offset: usize) -> Option<BatchKeySp
     }
 }
 
-/// Statically resolves the non-slot side of a candidate equality. A column
-/// must resolve uniquely in the scope layout the conjunct executes under;
-/// ambiguity (which the scalar path reports at runtime) disables batching
+/// The non-slot side of a candidate equality: a literal, or a column the
+/// conjunct's own scope row holds, at `offset` plus its bound index in the
+/// root block's joined layout. A reference bound to no single column
+/// (ambiguous, which the scalar path reports at runtime) disables batching
 /// so the scalar path stays the one reporting it.
-fn row_side(e: &PExpr, layout: &Layout, offset: usize) -> Option<BatchSide> {
+fn row_side(e: &PExpr, offset: usize) -> Option<BatchSide> {
     match e {
         PExpr::Literal(v) => Some(BatchSide::Lit(v.clone())),
-        PExpr::Column { qualifier, name } => {
-            let mut found = None;
-            for (i, (q, n)) in layout.iter().enumerate() {
-                let qual_ok = match qualifier {
-                    Some(qq) => qq == q,
-                    None => true,
-                };
-                if n == name && qual_ok {
-                    if found.is_some() {
-                        return None;
-                    }
-                    found = Some(i);
-                }
-            }
-            found.map(|i| BatchSide::Col(offset + i))
-        }
+        PExpr::Column(PColumn {
+            at: Some((0, index)),
+            ..
+        }) => Some(BatchSide::Col(offset + index)),
         _ => None,
     }
 }
@@ -832,7 +893,7 @@ fn count_slots_block(b: &PlanBlock) -> usize {
 fn count_slots_expr(e: &PExpr) -> usize {
     match e {
         PExpr::Slot(_) => 1,
-        PExpr::Column { .. } | PExpr::Literal(_) => 0,
+        PExpr::Column(_) | PExpr::Literal(_) => 0,
         PExpr::Binary { lhs, rhs, .. } => count_slots_expr(lhs) + count_slots_expr(rhs),
         PExpr::Not(i) | PExpr::IsNull(i) => count_slots_expr(i),
         PExpr::Exists(b) => count_slots_block(b),
@@ -855,7 +916,7 @@ fn row_keys(root: &PlanBlock, slots: &[(String, String)]) -> Vec<(String, RowKey
         let key = item
             .pushdown
             .iter()
-            .find_map(|c| match slot_equality(c, &item.layout, 0)? {
+            .find_map(|c| match slot_equality(c, 0)? {
                 BatchKeySpec {
                     row: BatchSide::Col(column),
                     slot,
@@ -904,7 +965,7 @@ fn count_table_scans(b: &PlanBlock, table: &str) -> usize {
 fn expr_table_scans(e: &PExpr, table: &str) -> usize {
     match e {
         PExpr::Exists(b) => count_table_scans(b, table),
-        PExpr::Column { .. } | PExpr::Slot(_) | PExpr::Literal(_) => 0,
+        PExpr::Column(_) | PExpr::Slot(_) | PExpr::Literal(_) => 0,
         PExpr::Binary { lhs, rhs, .. } => {
             expr_table_scans(lhs, table) + expr_table_scans(rhs, table)
         }
@@ -1006,15 +1067,42 @@ impl PreparedPlan {
     }
 
     fn run(&self, db: &Database, env: &dyn Bindings, stats: &Cell<EvalStats>) -> Result<Relation> {
-        let ctx = ExecCtx {
-            db,
-            env,
-            slots: &self.slots,
-            cache: RefCell::new(vec![None; self.slots.len()]),
-            options: self.options,
-            stats,
+        exec_block(&ExecCtx::new(db, env, self, stats), &self.root, None)
+    }
+
+    /// The storage positions of the rows of base table `t` that a plan of
+    /// `SELECT * FROM t WHERE pred` returns, in the order
+    /// [`PreparedPlan::execute`] returns them — `DELETE`'s matched rows.
+    /// They come from the scan `execute` runs, and the block's residuals
+    /// then filter the stored rows at those positions exactly as they
+    /// filter `execute`'s copies: same order, same reuse of an
+    /// uncorrelated `EXISTS` result, same first error.
+    ///
+    /// # Panics
+    ///
+    /// If the plan's FROM list is not one base table.
+    pub(crate) fn matched_positions(&self, db: &Database) -> Result<Vec<usize>> {
+        let [item @ PlanFrom {
+            source: PlanSource::Scan(name),
+            ..
+        }] = &self.root.from[..]
+        else {
+            panic!("matched_positions needs a plan over one base table");
         };
-        exec_block(&ctx, &self.root, None)
+        // One FROM item: whatever its prefix could filter, the pushdown
+        // already did.
+        debug_assert!(item.prefix_filters.is_empty());
+        let (env, stats) = (ParamEnv::new(), Cell::new(EvalStats::default()));
+        let ctx = ExecCtx::new(db, &env, self, &stats);
+        let table = db.table(name)?;
+        let stored = table.rows();
+        let mut positions = scan_positions(&ctx, table, item, None)?;
+        for pred in &self.root.residuals {
+            let rows = positions.iter().map(|&i| stored[i].as_slice());
+            let keep = p_residual(&ctx, rows, &self.root.layout, pred, None)?;
+            retain_flagged(&mut positions, &keep);
+        }
+        Ok(positions)
     }
 
     /// Whether [`PreparedPlan::execute_batch`] can use the shared-pipeline
@@ -1201,14 +1289,7 @@ impl PreparedPlan {
         // The stripped plan binds no slot, so one context serves every
         // group's projection.
         let empty = ParamEnv::new();
-        let probe_ctx = ExecCtx {
-            db,
-            env: &empty,
-            slots: &self.slots,
-            cache: RefCell::new(vec![None; n]),
-            options: self.options,
-            stats: &cell,
-        };
+        let probe_ctx = ExecCtx::new(db, &empty, self, &cell);
         let mut groups = Vec::with_capacity(order.len());
         for group in &order {
             let rows = match (fast, group.values) {
@@ -1221,7 +1302,7 @@ impl PreparedPlan {
                         for k in &bp.keys {
                             let (rv, sv) = (k.row.value(row), values[k.slot]);
                             let (l, r) = if k.slot_first { (sv, rv) } else { (rv, sv) };
-                            if !eval_binop(BinOp::Eq, l, r)?.is_truthy() {
+                            if compare(BinOp::Eq, l, r) != Some(true) {
                                 continue 'cand;
                             }
                         }
@@ -1264,14 +1345,7 @@ impl PreparedPlan {
     fn build_pipeline(&self, db: &Database, bp: &BatchPlan, stats: &Cell<EvalStats>) -> Pipeline {
         let attempt = Cell::new(EvalStats::default());
         let empty = ParamEnv::new();
-        let ctx = ExecCtx {
-            db,
-            env: &empty,
-            slots: &self.slots,
-            cache: RefCell::new(vec![None; self.slots.len()]),
-            options: self.options,
-            stats: &attempt,
-        };
+        let ctx = ExecCtx::new(db, &empty, self, &attempt);
         let Ok(rows) = exec_source_rows(&ctx, &bp.stripped, None) else {
             return Pipeline::Failed;
         };
@@ -1432,14 +1506,16 @@ fn fmt_literal(v: &Value) -> String {
 
 fn fmt_pexpr(e: &PExpr, slots: &[(String, String)]) -> String {
     match e {
-        PExpr::Column {
+        PExpr::Column(PColumn {
             qualifier: Some(q),
             name,
-        } => format!("{q}.{name}"),
-        PExpr::Column {
+            ..
+        }) => format!("{q}.{name}"),
+        PExpr::Column(PColumn {
             qualifier: None,
             name,
-        } => name.clone(),
+            ..
+        }) => name.clone(),
         PExpr::Slot(i) => {
             let (v, c) = &slots[*i];
             format!("${v}.{c}")
@@ -1476,7 +1552,7 @@ fn exists_blocks<'p>(e: &'p PExpr, out: &mut Vec<&'p PlanBlock>) {
         PExpr::Not(i) | PExpr::IsNull(i) => exists_blocks(i, out),
         PExpr::Aggregate { arg: Some(a), .. } => exists_blocks(a, out),
         PExpr::Aggregate { arg: None, .. }
-        | PExpr::Column { .. }
+        | PExpr::Column(_)
         | PExpr::Slot(_)
         | PExpr::Literal(_) => {}
     }
@@ -1597,71 +1673,99 @@ struct ExecCtx<'a> {
     db: &'a Database,
     env: &'a dyn Bindings,
     slots: &'a [(String, String)],
-    /// Per-execution slot memo. Lazy, so a parameter the evaluation never
-    /// reaches (short-circuits, empty inputs) is never resolved — matching
-    /// the interpreter's unbound-parameter error behaviour.
-    cache: RefCell<Vec<Option<Result<Value>>>>,
+    /// Per-execution slot memo, holding each value by reference into the
+    /// environment. Lazy, so a parameter the evaluation never reaches
+    /// (short-circuits, empty inputs) is never resolved — matching the
+    /// interpreter's unbound-parameter error behaviour.
+    cache: Vec<OnceCell<Result<&'a Value>>>,
     options: EvalOptions,
     stats: &'a Cell<EvalStats>,
 }
 
-impl ExecCtx<'_> {
+impl<'a> ExecCtx<'a> {
+    fn new(
+        db: &'a Database,
+        env: &'a dyn Bindings,
+        plan: &'a PreparedPlan,
+        stats: &'a Cell<EvalStats>,
+    ) -> Self {
+        ExecCtx {
+            db,
+            env,
+            slots: &plan.slots,
+            cache: plan.slots.iter().map(|_| OnceCell::new()).collect(),
+            options: plan.options,
+            stats,
+        }
+    }
+
     fn bump(&self, f: impl FnOnce(&mut EvalStats)) {
         let mut s = self.stats.get();
         f(&mut s);
         self.stats.set(s);
     }
 
-    fn slot(&self, i: usize) -> Result<Value> {
-        if let Some(r) = &self.cache.borrow()[i] {
-            return r.clone();
-        }
-        let (var, column) = &self.slots[i];
-        let r = self.env.value(var, column).cloned();
-        self.cache.borrow_mut()[i] = Some(r.clone());
-        r
+    fn slot(&self, i: usize) -> Result<&'a Value> {
+        let env = self.env;
+        self.cache[i]
+            .get_or_init(|| {
+                let (var, column) = &self.slots[i];
+                env.value(var, column)
+            })
+            .clone()
+    }
+}
+
+/// `e`'s value by reference when reading it takes no evaluation: a
+/// literal, a resolved slot, or a column bound to a row in scope.
+fn p_stored<'r>(ctx: &'r ExecCtx<'_>, e: &'r PExpr, scope: &'r Scope<'r>) -> Option<&'r Value> {
+    match e {
+        PExpr::Literal(v) => Some(v),
+        PExpr::Slot(i) => ctx.slot(*i).ok(),
+        PExpr::Column(c) => c.get(scope),
+        _ => None,
+    }
+}
+
+/// `e`'s value, borrowed where [`p_stored`] reads it — so nothing is
+/// cloned — and computed otherwise.
+fn p_operand<'r>(
+    ctx: &'r ExecCtx<'_>,
+    e: &'r PExpr,
+    scope: &'r Scope<'r>,
+) -> Result<Cow<'r, Value>> {
+    if let Some(v) = p_stored(ctx, e, scope) {
+        return Ok(Cow::Borrowed(v));
+    }
+    match e {
+        PExpr::Slot(i) => ctx.slot(*i).map(Cow::Borrowed),
+        // The executor's only name walk: a reference bound to no single
+        // column raises the walk's `AmbiguousColumn`/`UnknownColumn`, as
+        // before, and a read landing on the empty-group stand-in passes on
+        // to the enclosing scopes, as the interpreter's does.
+        PExpr::Column(c) => scope
+            .resolve(c.qualifier.as_deref(), &c.name)
+            .map(Cow::Owned),
+        _ => p_eval_scalar(ctx, e, scope).map(Cow::Owned),
     }
 }
 
 fn p_eval_scalar(ctx: &ExecCtx<'_>, e: &PExpr, scope: &Scope<'_>) -> Result<Value> {
     match e {
-        PExpr::Column { qualifier, name } => scope.resolve(qualifier.as_deref(), name),
-        PExpr::Slot(i) => ctx.slot(*i),
-        PExpr::Literal(v) => Ok(v.clone()),
-        PExpr::Binary { op, lhs, rhs } => {
-            let l = p_eval_scalar(ctx, lhs, scope)?;
-            match op {
-                BinOp::And => {
-                    if !l.is_truthy() {
-                        return Ok(Value::Bool(false));
-                    }
-                    let r = p_eval_scalar(ctx, rhs, scope)?;
-                    Ok(Value::Bool(r.is_truthy()))
-                }
-                BinOp::Or => {
-                    if l.is_truthy() {
-                        return Ok(Value::Bool(true));
-                    }
-                    let r = p_eval_scalar(ctx, rhs, scope)?;
-                    Ok(Value::Bool(r.is_truthy()))
-                }
-                _ => {
-                    let r = p_eval_scalar(ctx, rhs, scope)?;
-                    eval_binop(*op, &l, &r)
-                }
-            }
+        PExpr::Column(_) | PExpr::Slot(_) | PExpr::Literal(_) => {
+            p_operand(ctx, e, scope).map(Cow::into_owned)
         }
-        PExpr::Not(inner) => {
-            let v = p_eval_scalar(ctx, inner, scope)?;
-            if v.is_null() {
-                Ok(Value::Null)
-            } else {
-                Ok(Value::Bool(!v.is_truthy()))
-            }
-        }
-        PExpr::IsNull(inner) => {
-            let v = p_eval_scalar(ctx, inner, scope)?;
-            Ok(Value::Bool(v.is_null()))
+        PExpr::Binary {
+            op: op @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div),
+            lhs,
+            rhs,
+        } => eval_binop(
+            *op,
+            &*p_operand(ctx, lhs, scope)?,
+            &*p_operand(ctx, rhs, scope)?,
+        ),
+        PExpr::Binary { .. } | PExpr::Not(_) | PExpr::IsNull(_) => {
+            Ok(p_truth(ctx, e, scope)?.map_or(Value::Null, Value::Bool))
         }
         PExpr::Exists(block) => {
             ctx.bump(|s| s.exists_evals += 1);
@@ -1670,6 +1774,64 @@ fn p_eval_scalar(ctx: &ExecCtx<'_>, e: &PExpr, scope: &Scope<'_>) -> Result<Valu
         }
         PExpr::Aggregate { .. } => Err(Error::MisplacedAggregate),
     }
+}
+
+/// The truth of `p_eval_scalar(e)` without building that value: `None` for
+/// NULL (SQL unknown), else its `is_truthy()`. Comparisons read their
+/// operands by reference; `AND` and `OR` short-circuit on truthiness and
+/// are never NULL; `NOT` keeps NULL; `IS NULL` inspects its operand in
+/// place. Any other form is computed by [`p_eval_scalar`].
+fn p_truth(ctx: &ExecCtx<'_>, e: &PExpr, scope: &Scope<'_>) -> Result<Option<bool>> {
+    Ok(match e {
+        PExpr::Binary {
+            op: BinOp::And,
+            lhs,
+            rhs,
+        } => Some(p_test(ctx, lhs, scope)? && p_test(ctx, rhs, scope)?),
+        PExpr::Binary {
+            op: BinOp::Or,
+            lhs,
+            rhs,
+        } => Some(p_test(ctx, lhs, scope)? || p_test(ctx, rhs, scope)?),
+        PExpr::Binary { op, lhs, rhs } if op.is_comparison() => {
+            match (p_stored(ctx, lhs, scope), p_stored(ctx, rhs, scope)) {
+                (Some(l), Some(r)) => compare(*op, l, r),
+                _ => {
+                    let l = p_operand(ctx, lhs, scope)?;
+                    compare(*op, &l, &*p_operand(ctx, rhs, scope)?)
+                }
+            }
+        }
+        PExpr::Not(inner) => p_truth(ctx, inner, scope)?.map(|b| !b),
+        PExpr::IsNull(inner) => Some(p_operand(ctx, inner, scope)?.is_null()),
+        _ => {
+            let v = p_operand(ctx, e, scope)?;
+            (!v.is_null()).then(|| v.is_truthy())
+        }
+    })
+}
+
+/// Whether `e` holds, as a filter reads it: `p_eval_scalar(e).is_truthy()`,
+/// with NULL filtering out. Every filter of the executor asks this.
+fn p_test(ctx: &ExecCtx<'_>, e: &PExpr, scope: &Scope<'_>) -> Result<bool> {
+    Ok(p_truth(ctx, e, scope)? == Some(true))
+}
+
+/// A comparison of two borrowed values, as `eval_binop` decides it: `None`
+/// (unknown) when either side is NULL or the pair is incomparable. It
+/// reads `sql_cmp` directly: going through `eval_binop` and its `Value`
+/// result made the filter scan of a 5,000-row table ~20% slower.
+fn compare(op: BinOp, l: &Value, r: &Value) -> Option<bool> {
+    let ord = l.sql_cmp(r)?;
+    Some(match op {
+        BinOp::Eq => ord.is_eq(),
+        BinOp::Ne => ord.is_ne(),
+        BinOp::Lt => ord.is_lt(),
+        BinOp::Le => ord.is_le(),
+        BinOp::Gt => ord.is_gt(),
+        BinOp::Ge => ord.is_ge(),
+        _ => unreachable!("{op:?} is not a comparison"),
+    })
 }
 
 /// Mirrors `eval::eval_agg_expr`: aggregates accumulate over the group,
@@ -1732,7 +1894,7 @@ fn p_agg_expr(
                 p_eval_scalar(ctx, other, &scope)
             }
             None => match other {
-                PExpr::Column { .. } => Ok(Value::Null),
+                PExpr::Column(_) => Ok(Value::Null),
                 _ => {
                     let empty_layout = Layout::new();
                     let empty_row: Vec<Value> = Vec::new();
@@ -1779,72 +1941,11 @@ fn exec_source_rows(
         let rows = match &item.source {
             PlanSource::Scan(name) => {
                 let table = ctx.db.table(name)?;
-                let mut out = Vec::new();
-                // Index access path: fetch candidates by key, recheck
-                // through the (still-present) pushdown equality. Falls
-                // back to the scan when the runtime table lacks the index
-                // the catalog promised (e.g. a stale plan).
-                let mut via_index = false;
-                if ctx.options.use_indexes {
-                    if let Access::IndexEq { column, key } = &item.access {
-                        if let Some(idx) = table.index_for(*column) {
-                            via_index = true;
-                            ctx.bump(|s| s.index_lookups += 1);
-                            if !table.is_empty() {
-                                // The key is a literal or slot — it needs
-                                // no row in scope (parent stays reachable
-                                // for correlated layouts' sake only).
-                                let empty_layout = Layout::new();
-                                let empty_row: Vec<Value> = Vec::new();
-                                let scope = Scope {
-                                    layout: &empty_layout,
-                                    row: &empty_row,
-                                    parent,
-                                    probe: None,
-                                };
-                                let kv = p_eval_scalar(ctx, key, &scope)?;
-                                let rids = idx.lookup(&kv);
-                                ctx.bump(|s| s.rows_scanned += rids.len() as u64);
-                                'rid: for &rid in rids {
-                                    let row = &table.rows()[rid];
-                                    for p in &item.pushdown {
-                                        let scope = Scope {
-                                            layout: &item.layout,
-                                            row,
-                                            parent,
-                                            probe: None,
-                                        };
-                                        if !p_eval_scalar(ctx, p, &scope)?.is_truthy() {
-                                            continue 'rid;
-                                        }
-                                    }
-                                    out.push(row.clone());
-                                }
-                            }
-                        }
-                    }
-                }
-                if !via_index {
-                    ctx.bump(|s| s.rows_scanned += table.len() as u64);
-                    // Fused scan + pushdown: evaluate the pushed-down
-                    // conjuncts on the stored rows in place, copying
-                    // survivors only.
-                    'row: for row in table.rows() {
-                        for p in &item.pushdown {
-                            let scope = Scope {
-                                layout: &item.layout,
-                                row,
-                                parent,
-                                probe: None,
-                            };
-                            if !p_eval_scalar(ctx, p, &scope)?.is_truthy() {
-                                continue 'row;
-                            }
-                        }
-                        out.push(row.clone());
-                    }
-                }
-                out
+                let stored = table.rows();
+                scan_positions(ctx, table, item, parent)?
+                    .into_iter()
+                    .map(|i| stored[i].clone())
+                    .collect()
             }
             PlanSource::Derived(child) => {
                 let rel = exec_block(ctx, child, parent)?;
@@ -1875,7 +1976,14 @@ fn exec_source_rows(
     let mut rows = work.unwrap_or_else(|| vec![Vec::new()]);
 
     for pred in &block.residuals {
-        p_apply_residual(ctx, &mut rows, &block.layout, pred, parent)?;
+        let keep = p_residual(
+            ctx,
+            rows.iter().map(Vec::as_slice),
+            &block.layout,
+            pred,
+            parent,
+        )?;
+        retain_flagged(&mut rows, &keep);
     }
 
     // Left-outer padding for preserved derived tables.
@@ -1894,6 +2002,69 @@ fn exec_source_rows(
         }
     }
     Ok(rows)
+}
+
+/// The one base-table scan: the storage positions of the rows of `table`
+/// that pass `item`'s fused pushdown, read through its access path, in the
+/// order the scan visits them. `SELECT` copies the rows at these positions;
+/// `DELETE` removes them ([`PreparedPlan::matched_positions`]).
+fn scan_positions(
+    ctx: &ExecCtx<'_>,
+    table: &Table,
+    item: &PlanFrom,
+    parent: Option<&Scope<'_>>,
+) -> Result<Vec<usize>> {
+    let stored = table.rows();
+    let passes = |row: &[Value]| -> Result<bool> {
+        let scope = Scope {
+            layout: &item.layout,
+            row,
+            parent,
+            probe: None,
+        };
+        for p in &item.pushdown {
+            if !p_test(ctx, p, &scope)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    };
+    let mut out = Vec::new();
+    // Index access path: fetch candidates by key, recheck through the
+    // (still-present) pushdown equality. Falls back to the scan when the
+    // runtime table lacks the index the catalog promised (e.g. a stale
+    // plan).
+    if let (true, Access::IndexEq { column, key }) = (ctx.options.use_indexes, &item.access) {
+        if let Some(idx) = table.index_for(*column) {
+            ctx.bump(|s| s.index_lookups += 1);
+            if table.is_empty() {
+                return Ok(out);
+            }
+            // The key is a literal or slot — it needs no row in scope.
+            let empty_layout = Layout::new();
+            let scope = Scope {
+                layout: &empty_layout,
+                row: &[],
+                parent,
+                probe: None,
+            };
+            let rids = idx.lookup(&*p_operand(ctx, key, &scope)?);
+            ctx.bump(|s| s.rows_scanned += rids.len() as u64);
+            for &rid in rids {
+                if passes(&stored[rid])? {
+                    out.push(rid);
+                }
+            }
+            return Ok(out);
+        }
+    }
+    ctx.bump(|s| s.rows_scanned += table.len() as u64);
+    for (rid, row) in stored.iter().enumerate() {
+        if passes(row)? {
+            out.push(rid);
+        }
+    }
+    Ok(out)
 }
 
 /// Projection (plain or grouped), HAVING and DISTINCT over the joined and
@@ -1933,7 +2104,7 @@ fn p_filter_rows(
             parent,
             probe: None,
         };
-        if p_eval_scalar(ctx, pred, &scope)?.is_truthy() {
+        if p_test(ctx, pred, &scope)? {
             kept.push(row);
         }
     }
@@ -1941,21 +2112,22 @@ fn p_filter_rows(
     Ok(())
 }
 
-/// Mirrors `eval::apply_residual_filter`: a probe cell detects whether the
-/// first row's evaluation ever read the row scope; if not, the predicate is
-/// row-independent and its result is reused (counted as cache hits).
-fn p_apply_residual(
+/// Mirrors `eval::apply_residual_filter`, answering per row whether it
+/// passes: a probe cell detects whether the first row's evaluation ever
+/// read the row scope; if not, the predicate is row-independent and its
+/// result is reused (counted as cache hits).
+fn p_residual<'r>(
     ctx: &ExecCtx<'_>,
-    rows: &mut Vec<Vec<Value>>,
+    rows: impl Iterator<Item = &'r [Value]>,
     layout: &Layout,
     pred: &PExpr,
     parent: Option<&Scope<'_>>,
-) -> Result<()> {
-    let mut kept = Vec::with_capacity(rows.len());
+) -> Result<Vec<bool>> {
+    let mut keep = Vec::new();
     let mut cached: Option<bool> = None;
     let probe = Cell::new(false);
-    for (i, row) in rows.drain(..).enumerate() {
-        let keep = match cached {
+    for (i, row) in rows.enumerate() {
+        keep.push(match cached {
             Some(b) => {
                 ctx.bump(|s| s.exists_cache_hits += 1);
                 b
@@ -1963,23 +2135,25 @@ fn p_apply_residual(
             None => {
                 let scope = Scope {
                     layout,
-                    row: &row,
+                    row,
                     parent,
                     probe: Some(&probe),
                 };
-                let b = p_eval_scalar(ctx, pred, &scope)?.is_truthy();
+                let b = p_test(ctx, pred, &scope)?;
                 if i == 0 && !probe.get() && ctx.options.cache_uncorrelated_exists {
                     cached = Some(b);
                 }
                 b
             }
-        };
-        if keep {
-            kept.push(row);
-        }
+        });
     }
-    *rows = kept;
-    Ok(())
+    Ok(keep)
+}
+
+/// Keeps the items whose flag in `keep` (one per item) is set.
+fn retain_flagged<T>(items: &mut Vec<T>, keep: &[bool]) {
+    let mut flags = keep.iter();
+    items.retain(|_| flags.next() == Some(&true));
 }
 
 fn p_join(
@@ -2028,7 +2202,7 @@ fn p_join(
                     parent,
                     probe: None,
                 };
-                let v = p_eval_scalar(ctx, nexpr, &scope)?;
+                let v = p_operand(ctx, nexpr, &scope)?;
                 if v.is_null() {
                     next_keys.push(None); // NULL never equi-joins
                     continue 'keys;
@@ -2047,7 +2221,7 @@ fn p_join(
                     parent,
                     probe: None,
                 };
-                let v = p_eval_scalar(ctx, pexpr, &scope)?;
+                let v = p_operand(ctx, pexpr, &scope)?;
                 if v.is_null() {
                     continue 'fprobe;
                 }
@@ -2075,7 +2249,7 @@ fn p_join(
                 parent,
                 probe: None,
             };
-            let v = p_eval_scalar(ctx, nexpr, &scope)?;
+            let v = p_operand(ctx, nexpr, &scope)?;
             if v.is_null() {
                 continue 'build; // NULL never equi-joins
             }
@@ -2095,7 +2269,7 @@ fn p_join(
                 parent,
                 probe: None,
             };
-            let v = p_eval_scalar(ctx, pexpr, &scope)?;
+            let v = p_operand(ctx, pexpr, &scope)?;
             if v.is_null() {
                 continue 'probe;
             }
@@ -2170,7 +2344,7 @@ fn p_project_grouped<R: AsRef<[Value]>>(
             };
             let mut key = Vec::with_capacity(block.group_by.len());
             for g in &block.group_by {
-                key.push(key_of(&p_eval_scalar(ctx, g, &scope)?));
+                key.push(key_of(&*p_operand(ctx, g, &scope)?));
             }
             if !groups.contains_key(&key) {
                 group_order.push(key.clone());

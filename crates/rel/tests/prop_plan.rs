@@ -181,6 +181,102 @@ fn assert_parity(db: &Database, q: &SelectQuery, env: &ParamEnv, options: EvalOp
     }
 }
 
+// ---------------------------------------------------------------------------
+// Generators for the shapes column binding could get wrong: typed values
+// (NULL, FLOAT with both zeros, TEXT), names an inner table shadows, the
+// empty-group scope, and derived tables that repeat a column name. Tables
+// v(i INT, f FLOAT, s TEXT) and w(j INT, g FLOAT, s TEXT) share the name
+// `s`; u(k INT) has none of theirs.
+// ---------------------------------------------------------------------------
+
+fn typed_db_strategy() -> impl Strategy<Value = Database> {
+    let int = || {
+        (0usize..4)
+            .prop_map(|i| [Value::Null, Value::Int(0), Value::Int(1), Value::Int(2)][i].clone())
+    };
+    let float = || {
+        (0usize..5).prop_map(|i| {
+            [
+                Value::Null,
+                Value::Float(0.0),
+                Value::Float(-0.0),
+                Value::Float(1.5),
+                Value::Float(2.0),
+            ][i]
+                .clone()
+        })
+    };
+    let text = || {
+        (0usize..4).prop_map(|i| {
+            [
+                Value::Null,
+                Value::Str(String::new()),
+                Value::Str("a".into()),
+                Value::Str("b".into()),
+            ][i]
+                .clone()
+        })
+    };
+    (
+        prop::collection::vec((int(), float(), text()), 0..6),
+        prop::collection::vec((int(), float(), text()), 0..6),
+        prop::collection::vec(int(), 0..4),
+    )
+        .prop_map(|(vs, ws, us)| {
+            let mut db = xvc_rel::database_from_ddl(
+                "CREATE TABLE v (i INT, f FLOAT, s TEXT); \
+                 CREATE TABLE w (j INT, g FLOAT, s TEXT); \
+                 CREATE TABLE u (k INT)",
+            )
+            .unwrap();
+            for (i, f, s) in vs {
+                db.insert("v", vec![i, f, s]).unwrap();
+            }
+            for (j, g, s) in ws {
+                db.insert("w", vec![j, g, s]).unwrap();
+            }
+            for k in us {
+                db.insert("u", vec![k]).unwrap();
+            }
+            db
+        })
+}
+
+/// A filter over `columns`: comparisons with literals of every type
+/// (NULL included) and between columns, `IS [NOT] NULL`, `NOT`, `AND`, `OR`.
+fn typed_pred(columns: &'static [&'static str]) -> impl Strategy<Value = String> {
+    const LITERALS: [&str; 9] = ["NULL", "0", "1", "2", "1.5", "0.0", "-0.0", "'a'", "''"];
+    const OPS: [&str; 6] = ["=", "<>", "<", "<=", ">", ">="];
+    let atom = move || {
+        (
+            0usize..8,
+            0..columns.len(),
+            0usize..6,
+            0usize..9,
+            0..columns.len(),
+        )
+            .prop_map(move |(kind, c, o, l, d)| match kind {
+                0..=3 => format!("{} {} {}", columns[c], OPS[o], LITERALS[l]),
+                4 => format!("{} {} {}", columns[c], OPS[o], columns[d]),
+                5 => format!("{} IS NULL", columns[c]),
+                6 => format!("{} IS NOT NULL", columns[c]),
+                _ => format!("NOT ({} {} {})", columns[c], OPS[o], LITERALS[l]),
+            })
+    };
+    (atom(), atom(), atom(), 0usize..5).prop_map(|(p, q, r, shape)| match shape {
+        0 => p,
+        1 => format!("{p} AND {q}"),
+        2 => format!("{p} OR {q}"),
+        3 => format!("({p} OR {q}) AND NOT ({r})"),
+        _ => format!("{p} AND ({q} OR {r})"),
+    })
+}
+
+fn assert_sql_parity(db: &Database, sql: &str) {
+    let q = parse_query(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    assert_parity(db, &q, &ParamEnv::new(), EvalOptions::default());
+}
+
 proptest! {
     #![proptest_config(cases(256))]
 
@@ -259,5 +355,94 @@ proptest! {
         );
         let q = parse_query(&sql).unwrap();
         assert_parity(&db, &q, &env, EvalOptions::default());
+    }
+
+    /// Typed values through pushdowns, join keys and prefix filters: NULL
+    /// comparisons are unknown, `NOT` keeps NULL, and `-0.0 = 0.0`.
+    #[test]
+    fn typed_filter_parity(
+        db in typed_db_strategy(),
+        pv in typed_pred(&["i", "f", "v.s"]),
+        pw in typed_pred(&["j", "g", "w.s"]),
+    ) {
+        assert_sql_parity(&db, &format!("SELECT * FROM v WHERE {pv}"));
+        assert_sql_parity(&db, &format!("SELECT i, w.s FROM v, w WHERE v.s = w.s AND {pw}"));
+        assert_sql_parity(&db, &format!("SELECT i, j FROM v, w WHERE ({pv}) OR ({pw})"));
+        assert_sql_parity(&db, &format!("SELECT DISTINCT v.s FROM v, w WHERE i = j AND {pv}"));
+    }
+
+    /// `EXISTS` subqueries whose inner table shadows an outer column name
+    /// (`s`), that read the outer row through its qualified alias, or
+    /// through an unqualified name only the outer row holds — one and two
+    /// levels up.
+    #[test]
+    fn exists_scoping_parity(db in typed_db_strategy(), pw in typed_pred(&["j", "g", "s"])) {
+        for sql in [
+            format!("SELECT i, s FROM v WHERE EXISTS (SELECT * FROM w WHERE s = v.s AND {pw})"),
+            format!("SELECT i FROM v WHERE NOT EXISTS (SELECT * FROM w WHERE j = i AND {pw})"),
+            format!(
+                "SELECT i, f FROM v WHERE EXISTS (SELECT * FROM w WHERE {pw} AND \
+                 EXISTS (SELECT * FROM v AS x WHERE x.i = j AND s = v.s))"
+            ),
+            format!(
+                "SELECT w.s FROM v, w WHERE v.i = w.j AND \
+                 EXISTS (SELECT * FROM v AS x WHERE x.s = w.s AND i > 0 AND {pw})"
+            ),
+            format!("SELECT j FROM w WHERE {pw} AND EXISTS (SELECT * FROM u WHERE k = j OR s IS NULL)"),
+            // A derived table inside an EXISTS sees the EXISTS's outer row,
+            // not the FROM items beside it.
+            format!(
+                "SELECT i FROM v WHERE EXISTS (SELECT * FROM w, \
+                 (SELECT k FROM u WHERE k = i OR f > 1.0) AS d WHERE d.k = j AND {pw})"
+            ),
+        ] {
+            assert_sql_parity(&db, &sql);
+        }
+    }
+
+    /// An aggregating block over a possibly empty input whose select list
+    /// or HAVING mixes aggregates with a non-aggregate expression and an
+    /// `EXISTS`: an empty group evaluates them under a stand-in scope with
+    /// no row, so `s` below resolves in the enclosing row (or nowhere).
+    #[test]
+    fn empty_group_scope_parity(db in typed_db_strategy(), lo in 0i64..3) {
+        for sql in [
+            format!(
+                "SELECT COUNT(*), SUM(f), i + 1, EXISTS (SELECT * FROM u WHERE k = 1) \
+                 FROM v WHERE i > {lo}"
+            ),
+            format!("SELECT COUNT(*), EXISTS (SELECT * FROM u WHERE s = 'a') FROM v WHERE i > {lo}"),
+            format!(
+                "SELECT j, s FROM w WHERE EXISTS (SELECT COUNT(*) FROM v WHERE i > {lo} \
+                 HAVING EXISTS (SELECT * FROM u WHERE k >= 0 AND s = 'a'))"
+            ),
+            format!(
+                "SELECT j FROM w WHERE EXISTS (SELECT MAX(f), g + 1 FROM v WHERE i > {lo} \
+                 HAVING COUNT(*) = 0 OR EXISTS (SELECT * FROM u WHERE k = j))"
+            ),
+        ] {
+            assert_sql_parity(&db, &sql);
+        }
+    }
+
+    /// Derived tables whose select list repeats a column name: a qualified
+    /// reference takes the first, an unqualified one is ambiguous where it
+    /// is evaluated.
+    #[test]
+    fn repeated_column_parity(db in typed_db_strategy(), lo in 0i64..3) {
+        for sql in [
+            format!("SELECT * FROM (SELECT i, i, s FROM v) AS d WHERE d.i > {lo}"),
+            format!("SELECT d.i FROM (SELECT i, f AS i FROM v) AS d WHERE d.i >= {lo}"),
+            format!("SELECT * FROM (SELECT i, s AS i FROM v) AS d WHERE i > {lo}"),
+            "SELECT d.s, w.j FROM (SELECT s, i AS s FROM v) AS d, w WHERE d.s = w.s".to_owned(),
+            format!(
+                "SELECT * FROM (SELECT i, i FROM v WHERE i >= {lo}) AS d \
+                 WHERE EXISTS (SELECT * FROM w WHERE j = d.i)"
+            ),
+            "SELECT * FROM (SELECT i, i FROM v) AS d WHERE EXISTS (SELECT * FROM w WHERE j = i)"
+                .to_owned(),
+        ] {
+            assert_sql_parity(&db, &sql);
+        }
     }
 }
