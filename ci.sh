@@ -32,6 +32,9 @@ echo "== perfbench builds against this tree"
 # benchmark run. --locked keeps perfbench/Cargo.lock as committed.
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml --target-dir target
 
+echo "== perfbench's own tests (its generated DDL and CSVs load through the CLI loaders)"
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml --target-dir target
+
 echo "== xvc check --json (machine-readable gate, exits 1 on error-level codes)"
 ./target/release/xvc check --json \
     examples/files/guide.view examples/files/guide.xsl examples/files/schema.sql

@@ -1,44 +1,32 @@
-//! A minimal DDL dialect: `CREATE TABLE` statements for catalog/database
-//! bootstrap (used by the `xvc` CLI and file-based workflows).
+//! DDL: the one rule set for declaring `CREATE TABLE` / `CREATE INDEX`
+//! scripts on a catalog, and their application to a [`Database`]. The
+//! statements' grammar — type names, column constraints, the `CREATE
+//! INDEX [name] ON table (column) [USING HASH|BTREE]` form — is
+//! [`crate::parse`]'s.
 //!
 //! ```text
 //! CREATE TABLE hotel (
-//!     hotelid   INT,
+//!     hotelid   INT PRIMARY KEY,
 //!     hotelname TEXT,
 //!     starrating INT
 //! );
+//! CREATE INDEX ON hotel (starrating) USING BTREE;
 //! ```
 //!
-//! Accepted type names: `INT`/`INTEGER`/`BIGINT` → [`ColumnType::Int`],
-//! `FLOAT`/`REAL`/`DOUBLE` → [`ColumnType::Float`], `TEXT`/`STRING`/
-//! `VARCHAR`/`CHAR`/`DATE` → [`ColumnType::Str`] (dates are ISO strings in
-//! this engine). The column annotations `PRIMARY KEY` and `NOT NULL` are
-//! retained on [`ColumnDef`] — they seed the predicate-dataflow fact base
-//! and `check_row` enforces NOT NULL on insert. Other trailing tokens up
-//! to `,`/`)` (e.g. `DEFAULT 0`, `UNIQUE`) still parse through unrecorded.
-//!
-//! `CREATE INDEX [name] ON table (column)` declares a secondary index
-//! ([`IndexDef`]) on a previously created table — hash-shaped by default,
-//! `USING BTREE` for the ordered shape. Prepared plans select index access
-//! paths from these declarations.
+//! The column annotations `PRIMARY KEY` and `NOT NULL` are retained on
+//! [`crate::ColumnDef`]: they seed the predicate-dataflow fact base, and
+//! `check_row` enforces NOT NULL on insert. A declared index
+//! ([`crate::IndexDef`]) is hash-shaped unless `USING BTREE`; prepared plans
+//! select index access paths from these declarations.
 //!
 //! [`parse_ddl`], [`database_from_ddl`] and [`Database::execute_ddl`]
 //! accept and reject the same scripts: a table is created once, a column
 //! is indexed at most once, and an index names a declared table and column.
 
 use crate::error::{Error, Result};
-use crate::schema::{Catalog, ColumnDef, ColumnType, IndexDef, IndexKind, TableSchema};
+use crate::parse::{parse_ddl_statements, DdlStatement};
+use crate::schema::Catalog;
 use crate::table::Database;
-
-/// One parsed DDL statement.
-enum DdlStatement {
-    CreateTable(TableSchema),
-    /// `CREATE INDEX ... ON table (column) [USING BTREE]`.
-    CreateIndex {
-        table: String,
-        def: IndexDef,
-    },
-}
 
 /// Parses a script of `CREATE TABLE` / `CREATE INDEX` statements into a
 /// [`Catalog`] (index declarations attach to their table's schema). The
@@ -46,7 +34,7 @@ enum DdlStatement {
 /// entry point shares (see [`Database::execute_ddl`]).
 pub fn parse_ddl(input: &str) -> Result<Catalog> {
     let mut catalog = Catalog::new();
-    declare(&mut catalog, &parse_statements(input)?)?;
+    declare(&mut catalog, &parse_ddl_statements(input)?)?;
     Ok(catalog)
 }
 
@@ -72,7 +60,7 @@ impl Database {
     /// before any statement is applied, so a rejected batch leaves the
     /// database unchanged.
     pub fn execute_ddl(&mut self, sql: &str) -> Result<usize> {
-        let statements = parse_statements(sql)?;
+        let statements = parse_ddl_statements(sql)?;
         declare(&mut self.catalog(), &statements)?;
         let applied = statements.len();
         for stmt in statements {
@@ -114,211 +102,16 @@ fn declare(catalog: &mut Catalog, statements: &[DdlStatement]) -> Result<()> {
     Ok(())
 }
 
-fn parse_statements(input: &str) -> Result<Vec<DdlStatement>> {
-    let mut out = Vec::new();
-    // Strip `--` line comments.
-    let cleaned: String = input
-        .lines()
-        .map(|l| l.split("--").next().unwrap_or(""))
-        .collect::<Vec<_>>()
-        .join("\n");
-    for stmt in cleaned.split(';') {
-        let stmt = stmt.trim();
-        if stmt.is_empty() {
-            continue;
-        }
-        if strip_keywords(stmt, &["CREATE", "INDEX"]).is_some() {
-            out.push(parse_create_index(stmt)?);
-        } else {
-            out.push(DdlStatement::CreateTable(parse_create_table(stmt)?));
-        }
-    }
-    Ok(out)
-}
-
-/// Parses one `CREATE INDEX [name] ON table (column) [USING BTREE]`
-/// statement. The index name is accepted and discarded (indexes are
-/// identified by table + column); the shape defaults to hash.
-fn parse_create_index(stmt: &str) -> Result<DdlStatement> {
-    let rest = strip_keywords(stmt.trim(), &["CREATE", "INDEX"]).ok_or_else(|| {
-        Error::UnexpectedToken {
-            found: format!("'{}'", head(stmt)),
-            expected: "CREATE INDEX",
-        }
-    })?;
-    // Optional index name before ON (token-wise, so a name like `online`
-    // is not mistaken for the keyword).
-    let mut parts = rest.splitn(2, char::is_whitespace);
-    let first = parts.next().unwrap_or("");
-    let rest = if first.eq_ignore_ascii_case("ON") {
-        parts.next().unwrap_or("").trim_start()
-    } else {
-        strip_keywords(parts.next().unwrap_or(""), &["ON"]).ok_or(Error::UnexpectedEnd {
-            expected: "ON after index name",
-        })?
-    };
-    let open = rest.find('(').ok_or(Error::UnexpectedEnd {
-        expected: "'(' after table name",
-    })?;
-    let table = rest[..open].trim();
-    if table.is_empty() || !table.chars().all(|c| c.is_alphanumeric() || c == '_') {
-        return Err(Error::UnexpectedToken {
-            found: format!("'{table}'"),
-            expected: "a table name",
-        });
-    }
-    let close = rest.rfind(')').ok_or(Error::UnexpectedEnd {
-        expected: "')' closing the column list",
-    })?;
-    let column = rest[open + 1..close].trim();
-    if column.is_empty() || column.contains(',') {
-        return Err(Error::UnexpectedToken {
-            found: format!("'{column}'"),
-            expected: "exactly one indexed column",
-        });
-    }
-    let trailing: Vec<String> = rest[close + 1..]
-        .split_whitespace()
-        .map(str::to_ascii_uppercase)
-        .collect();
-    let kind = match trailing.as_slice() {
-        [] => IndexKind::Hash,
-        [using, shape] if using == "USING" => match shape.as_str() {
-            "BTREE" => IndexKind::BTree,
-            "HASH" => IndexKind::Hash,
-            other => {
-                return Err(Error::UnexpectedToken {
-                    found: format!("'{other}'"),
-                    expected: "USING HASH or USING BTREE",
-                })
-            }
-        },
-        other => {
-            return Err(Error::UnexpectedToken {
-                found: format!("'{}'", other.join(" ")),
-                expected: "USING HASH, USING BTREE, or end of statement",
-            })
-        }
-    };
-    Ok(DdlStatement::CreateIndex {
-        table: table.to_owned(),
-        def: IndexDef {
-            column: column.to_owned(),
-            kind,
-        },
-    })
-}
-
-/// Parses one `CREATE TABLE name (col type, ...)` statement.
-pub fn parse_create_table(stmt: &str) -> Result<TableSchema> {
-    let rest = strip_keywords(stmt.trim(), &["CREATE", "TABLE"]).ok_or_else(|| {
-        Error::UnexpectedToken {
-            found: format!("'{}'", head(stmt)),
-            expected: "CREATE TABLE",
-        }
-    })?;
-    let open = rest.find('(').ok_or(Error::UnexpectedEnd {
-        expected: "'(' after table name",
-    })?;
-    let name = rest[..open].trim();
-    if name.is_empty() || !name.chars().all(|c| c.is_alphanumeric() || c == '_') {
-        return Err(Error::UnexpectedToken {
-            found: format!("'{name}'"),
-            expected: "a table name",
-        });
-    }
-    let close = rest.rfind(')').ok_or(Error::UnexpectedEnd {
-        expected: "')' closing the column list",
-    })?;
-    let body = &rest[open + 1..close];
-    let mut columns = Vec::new();
-    for col in split_top_level_commas(body) {
-        let col = col.trim();
-        if col.is_empty() {
-            continue;
-        }
-        let mut parts = col.split_whitespace();
-        let col_name = parts.next().ok_or(Error::UnexpectedEnd {
-            expected: "a column name",
-        })?;
-        let ty_name = parts.next().ok_or(Error::UnexpectedEnd {
-            expected: "a column type",
-        })?;
-        let ty = column_type(ty_name).ok_or_else(|| Error::UnexpectedToken {
-            found: format!("'{ty_name}'"),
-            expected: "INT/FLOAT/TEXT-family type",
-        })?;
-        let mut def = ColumnDef::new(col_name, ty);
-        // Constraint annotations after the type: `PRIMARY KEY`, `NOT NULL`.
-        let trailing: Vec<String> = parts.map(str::to_ascii_uppercase).collect();
-        for pair in trailing.windows(2) {
-            match (pair[0].as_str(), pair[1].as_str()) {
-                ("PRIMARY", "KEY") => def = def.primary_key(),
-                ("NOT", "NULL") => def = def.not_null(),
-                _ => {}
-            }
-        }
-        columns.push(def);
-    }
-    TableSchema::new(name, columns)
-}
-
-fn head(s: &str) -> &str {
-    s.split_whitespace().next().unwrap_or("")
-}
-
-fn strip_keywords<'a>(s: &'a str, kws: &[&str]) -> Option<&'a str> {
-    let mut rest = s;
-    for kw in kws {
-        rest = rest.trim_start();
-        if rest.len() < kw.len() || !rest[..kw.len()].eq_ignore_ascii_case(kw) {
-            return None;
-        }
-        rest = &rest[kw.len()..];
-    }
-    Some(rest.trim_start())
-}
-
-/// Splits on commas outside parentheses (types like `DECIMAL(10,2)` parse
-/// through — the precision is ignored).
-fn split_top_level_commas(s: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0;
-    for (i, c) in s.char_indices() {
-        match c {
-            '(' => depth += 1,
-            ')' => depth = depth.saturating_sub(1),
-            ',' if depth == 0 => {
-                out.push(&s[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    out.push(&s[start..]);
-    out
-}
-
-fn column_type(name: &str) -> Option<ColumnType> {
-    let base = name.split('(').next().unwrap_or(name);
-    match base.to_ascii_uppercase().as_str() {
-        "INT" | "INTEGER" | "BIGINT" | "SMALLINT" => Some(ColumnType::Int),
-        "FLOAT" | "REAL" | "DOUBLE" | "DECIMAL" | "NUMERIC" => Some(ColumnType::Float),
-        "TEXT" | "STRING" | "VARCHAR" | "CHAR" | "DATE" | "TIMESTAMP" => Some(ColumnType::Str),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::{ColumnType, IndexKind};
 
     #[test]
     fn parses_single_table() {
-        let s =
-            parse_create_table("CREATE TABLE hotel (hotelid INT, hotelname TEXT, starrating INT)")
-                .unwrap();
+        let catalog =
+            parse_ddl("CREATE TABLE hotel (hotelid INT, hotelname TEXT, starrating INT)").unwrap();
+        let s = catalog.get("hotel").unwrap();
         assert_eq!(s.name, "hotel");
         assert_eq!(s.columns.len(), 3);
         assert_eq!(s.columns[1].ty, ColumnType::Str);
@@ -366,10 +159,10 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        assert!(parse_create_table("DROP TABLE x").is_err());
-        assert!(parse_create_table("CREATE TABLE (a INT)").is_err());
-        assert!(parse_create_table("CREATE TABLE t (a BLOB)").is_err());
-        assert!(parse_create_table("CREATE TABLE t a INT").is_err());
+        assert!(parse_ddl("DROP TABLE x").is_err());
+        assert!(parse_ddl("CREATE TABLE (a INT)").is_err());
+        assert!(parse_ddl("CREATE TABLE t (a BLOB)").is_err());
+        assert!(parse_ddl("CREATE TABLE t a INT").is_err());
     }
 
     #[test]

@@ -5,18 +5,17 @@
 //! publishing function `v(I)`; this module is the first write path, built
 //! so [`Delta`]s can be propagated through the static dependency map
 //! (`xvc_core::deps`) into an incremental republish instead of a full one.
-//! Deliberately tiny surface:
+//! The statements' grammar is [`crate::parse`]'s; this module executes
+//! them:
 //!
-//! * `INSERT INTO t VALUES (lit, ...), (lit, ...)` — literal rows only
-//!   (integers, floats, single-quoted strings with `''` escaping, `NULL`,
-//!   `TRUE`/`FALSE`), validated against the table schema on insert;
+//! * `INSERT INTO t VALUES (lit, ...), (lit, ...)` — literal rows only,
+//!   validated against the table schema before any row is stored;
 //! * `DELETE FROM t [WHERE pred]` — the predicate is the same scalar
-//!   fragment tag queries use; it is parsed by wrapping it in
-//!   `SELECT * FROM t WHERE pred` and reusing [`crate::parse_query`]
-//!   (`GROUP BY` or `HAVING` after it is rejected), then run as a
-//!   prepared plan ([`crate::prepare`]), so DELETE semantics are exactly
-//!   "rows the SELECT would return". The plan's scan hands over the
-//!   positions of those rows, and the table removes them in place.
+//!   fragment tag queries use, and it becomes the `WHERE` clause of a
+//!   `SELECT * FROM t` built as a query tree and run as a prepared plan
+//!   ([`crate::prepare`]), so DELETE semantics are exactly "rows the
+//!   SELECT would return". The plan's scan hands over the positions of
+//!   those rows, and the table removes them in place.
 //!
 //! Data mutations never change the catalog fingerprint (schemas are
 //! untouched), so the publisher's prepared-plan cache stays warm across a
@@ -24,8 +23,9 @@
 
 use std::collections::BTreeMap;
 
-use crate::error::{Error, Result};
-use crate::parse::parse_query;
+use crate::ast::{ScalarExpr, SelectItem, SelectQuery, TableRef};
+use crate::error::Result;
+use crate::parse::{parse_dml, DmlStatement};
 use crate::plan::prepare;
 use crate::table::Database;
 use crate::value::Value;
@@ -114,37 +114,22 @@ impl Database {
     /// against the schema ([`crate::TableSchema::check_row`]) before any is
     /// stored, so a statement that fails leaves the table as it was.
     pub fn execute_dml(&mut self, sql: &str) -> Result<Delta> {
-        let mut p = DmlParser::new(sql);
-        p.skip_ws();
-        let delta = if p.eat_keyword("INSERT") {
-            p.expect_keyword("INTO")?;
-            let table = p.ident()?;
-            p.expect_keyword("VALUES")?;
-            let rows = p.values_list()?;
-            p.finish()?;
-            // All or nothing: a statement with one bad row stores none.
-            let schema = &self.table(&table)?.schema;
-            for row in &rows {
-                schema.check_row(row)?;
+        match parse_dml(sql)? {
+            DmlStatement::Insert { table, rows } => {
+                // All or nothing: a statement with one bad row stores none.
+                let schema = &self.table(&table)?.schema;
+                for row in &rows {
+                    schema.check_row(row)?;
+                }
+                let mut delta = Delta::new();
+                for row in &rows {
+                    self.insert(&table, row.clone())?;
+                }
+                delta.record_inserts(&table, &rows);
+                Ok(delta)
             }
-            let mut delta = Delta::new();
-            for row in &rows {
-                self.insert(&table, row.clone())?;
-            }
-            delta.record_inserts(&table, &rows);
-            delta
-        } else if p.eat_keyword("DELETE") {
-            p.expect_keyword("FROM")?;
-            let table = p.ident()?;
-            let predicate = p.rest_after_optional_where()?;
-            self.delete_from(&table, predicate.as_deref())?
-        } else {
-            return Err(Error::UnexpectedToken {
-                found: p.next_word_for_error(),
-                expected: "INSERT or DELETE",
-            });
-        };
-        Ok(delta)
+            DmlStatement::Delete { table, predicate } => self.delete_from(&table, predicate),
+        }
     }
 
     /// Deletes every row of `table` matching `predicate` (all rows when
@@ -154,23 +139,12 @@ impl Database {
     /// whose scan yields the storage positions of the rows passing its
     /// filters ([`crate::PreparedPlan`]'s `matched_positions`), and the
     /// table drops the rows at those positions in place, keeping the
-    /// survivors' order. The predicate must end the statement: text the
-    /// `SELECT` grammar would read as `GROUP BY` or `HAVING` is rejected
-    /// with [`Error::TrailingTokens`] before any row changes.
-    pub fn delete_from(&mut self, table: &str, predicate: Option<&str>) -> Result<Delta> {
+    /// survivors' order.
+    pub fn delete_from(&mut self, table: &str, predicate: Option<ScalarExpr>) -> Result<Delta> {
         let mut doomed = vec![predicate.is_none(); self.table(table)?.len()];
         if let Some(pred) = predicate {
-            let q = parse_query(&format!("SELECT * FROM {table} WHERE {pred}"))?;
-            if !q.group_by.is_empty() || q.having.is_some() {
-                let clause = if q.group_by.is_empty() {
-                    "HAVING"
-                } else {
-                    "GROUP BY"
-                };
-                return Err(Error::TrailingTokens {
-                    found: clause.to_owned(),
-                });
-            }
+            let mut q = SelectQuery::new(vec![SelectItem::Star], vec![TableRef::table(table)]);
+            q.where_clause = Some(pred);
             for rid in prepare(&q, &self.catalog())?.matched_positions(self)? {
                 doomed[rid] = true;
             }
@@ -186,254 +160,12 @@ impl Database {
     }
 }
 
-/// Character-level scanner for the DML fragment. The SELECT parser in
-/// [`crate::parse`] is token-based; DML needs so little syntax that a
-/// dedicated scanner is smaller than threading new statement kinds
-/// through it.
-struct DmlParser<'a> {
-    src: &'a str,
-    pos: usize,
-}
-
-impl<'a> DmlParser<'a> {
-    fn new(src: &'a str) -> Self {
-        DmlParser { src, pos: 0 }
-    }
-
-    fn rest(&self) -> &'a str {
-        &self.src[self.pos..]
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(c) = self.rest().chars().next() {
-            if c.is_whitespace() {
-                self.pos += c.len_utf8();
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn next_word_for_error(&self) -> String {
-        let w: String = self
-            .rest()
-            .chars()
-            .take_while(|c| !c.is_whitespace())
-            .take(16)
-            .collect();
-        if w.is_empty() {
-            "<end of input>".to_owned()
-        } else {
-            w
-        }
-    }
-
-    /// Consumes `kw` case-insensitively if it is the next word.
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        self.skip_ws();
-        let rest = self.rest();
-        if rest.len() >= kw.len() && rest[..kw.len()].eq_ignore_ascii_case(kw) {
-            let boundary = rest[kw.len()..]
-                .chars()
-                .next()
-                .is_none_or(|c| !c.is_alphanumeric() && c != '_');
-            if boundary {
-                self.pos += kw.len();
-                return true;
-            }
-        }
-        false
-    }
-
-    fn expect_keyword(&mut self, kw: &'static str) -> Result<()> {
-        if self.eat_keyword(kw) {
-            Ok(())
-        } else {
-            Err(Error::UnexpectedToken {
-                found: self.next_word_for_error(),
-                expected: kw,
-            })
-        }
-    }
-
-    fn ident(&mut self) -> Result<String> {
-        self.skip_ws();
-        let word: String = self
-            .rest()
-            .chars()
-            .take_while(|c| c.is_alphanumeric() || *c == '_')
-            .collect();
-        if word.is_empty() || word.chars().next().is_some_and(char::is_numeric) {
-            return Err(Error::UnexpectedToken {
-                found: self.next_word_for_error(),
-                expected: "identifier",
-            });
-        }
-        self.pos += word.len();
-        Ok(word)
-    }
-
-    fn eat_char(&mut self, ch: char) -> bool {
-        self.skip_ws();
-        if self.rest().starts_with(ch) {
-            self.pos += ch.len_utf8();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_char(&mut self, ch: char, expected: &'static str) -> Result<()> {
-        if self.eat_char(ch) {
-            Ok(())
-        } else {
-            Err(Error::UnexpectedToken {
-                found: self.next_word_for_error(),
-                expected,
-            })
-        }
-    }
-
-    /// `(lit, ...), (lit, ...)` — at least one row.
-    fn values_list(&mut self) -> Result<Vec<Vec<Value>>> {
-        let mut rows = Vec::new();
-        loop {
-            self.expect_char('(', "'(' starting a VALUES row")?;
-            let mut row = Vec::new();
-            loop {
-                row.push(self.literal()?);
-                if !self.eat_char(',') {
-                    break;
-                }
-            }
-            self.expect_char(')', "')' ending a VALUES row")?;
-            rows.push(row);
-            if !self.eat_char(',') {
-                break;
-            }
-        }
-        Ok(rows)
-    }
-
-    fn literal(&mut self) -> Result<Value> {
-        self.skip_ws();
-        if self.eat_keyword("NULL") {
-            return Ok(Value::Null);
-        }
-        if self.eat_keyword("TRUE") {
-            return Ok(Value::Bool(true));
-        }
-        if self.eat_keyword("FALSE") {
-            return Ok(Value::Bool(false));
-        }
-        let rest = self.rest();
-        let mut chars = rest.chars();
-        match chars.next() {
-            Some('\'') => {
-                // Single-quoted string; '' escapes a quote.
-                let mut s = String::new();
-                let mut i = 1;
-                let bytes = rest.as_bytes();
-                loop {
-                    match bytes.get(i) {
-                        None => {
-                            return Err(Error::UnexpectedEnd {
-                                expected: "closing ' in string literal",
-                            })
-                        }
-                        Some(b'\'') if bytes.get(i + 1) == Some(&b'\'') => {
-                            s.push('\'');
-                            i += 2;
-                        }
-                        Some(b'\'') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(_) => {
-                            let c = rest[i..].chars().next().expect("in-bounds char");
-                            s.push(c);
-                            i += c.len_utf8();
-                        }
-                    }
-                }
-                self.pos += i;
-                Ok(Value::Str(s))
-            }
-            Some(c) if c.is_ascii_digit() || c == '-' || c == '+' => {
-                let mut len = c.len_utf8();
-                let mut is_float = false;
-                for c in chars {
-                    if c.is_ascii_digit() {
-                        len += 1;
-                    } else if c == '.' && !is_float {
-                        is_float = true;
-                        len += 1;
-                    } else {
-                        break;
-                    }
-                }
-                let text = &rest[..len];
-                self.pos += len;
-                if is_float {
-                    text.parse::<f64>()
-                        .map(Value::Float)
-                        .map_err(|_| Error::UnexpectedToken {
-                            found: text.to_owned(),
-                            expected: "numeric literal",
-                        })
-                } else {
-                    text.parse::<i64>()
-                        .map(Value::Int)
-                        .map_err(|_| Error::UnexpectedToken {
-                            found: text.to_owned(),
-                            expected: "integer literal",
-                        })
-                }
-            }
-            _ => Err(Error::UnexpectedToken {
-                found: self.next_word_for_error(),
-                expected: "literal (number, 'string', NULL, TRUE, FALSE)",
-            }),
-        }
-    }
-
-    /// After `DELETE FROM t`: either end-of-statement (returns `None`) or
-    /// `WHERE <predicate text>` (returns the raw predicate, semicolon
-    /// stripped).
-    fn rest_after_optional_where(&mut self) -> Result<Option<String>> {
-        if self.eat_keyword("WHERE") {
-            let pred = self.rest().trim().trim_end_matches(';').trim();
-            if pred.is_empty() {
-                return Err(Error::UnexpectedEnd {
-                    expected: "predicate after WHERE",
-                });
-            }
-            self.pos = self.src.len();
-            Ok(Some(pred.to_owned()))
-        } else {
-            self.finish()?;
-            Ok(None)
-        }
-    }
-
-    /// Accepts an optional trailing `;` then end of input.
-    fn finish(&mut self) -> Result<()> {
-        self.eat_char(';');
-        self.skip_ws();
-        if self.rest().is_empty() {
-            Ok(())
-        } else {
-            Err(Error::TrailingTokens {
-                found: self.next_word_for_error(),
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
     use crate::eval::{eval_query, ParamEnv};
+    use crate::parse::parse_query;
     use crate::schema::{ColumnDef, ColumnType, TableSchema};
     use crate::table::Table;
 
@@ -549,8 +281,8 @@ mod tests {
         let rows = db.table("t").unwrap().rows().to_vec();
         let fingerprint = db.catalog_fingerprint();
         for (sql, clause) in [
-            ("DELETE FROM t WHERE a = 1 GROUP BY a", "GROUP BY"),
-            ("DELETE FROM t WHERE a = 1 HAVING COUNT(*) > 5", "HAVING"),
+            ("DELETE FROM t WHERE a = 1 GROUP BY a", "'GROUP'"),
+            ("DELETE FROM t WHERE a = 1 HAVING COUNT(*) > 5", "'HAVING'"),
         ] {
             assert_eq!(
                 db.execute_dml(sql),

@@ -70,8 +70,10 @@ impl Relation {
     }
 }
 
-/// Evaluation tuning knobs (for ablation studies; the defaults are what
-/// `eval_query` uses).
+/// The interpreter's reference settings. The defaults are what
+/// `eval_query` runs and what prepared plans ([`crate::prepare`]) always
+/// do; each off setting is a simpler evaluation strategy that property
+/// tests use as a reference for the default one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalOptions {
     /// Use hash equi-joins when the WHERE clause provides a key; when
@@ -81,14 +83,6 @@ pub struct EvalOptions {
     /// Evaluate row-independent EXISTS subqueries once per query instead
     /// of once per row (the tripwire-scope optimization).
     pub cache_uncorrelated_exists: bool,
-    /// Let prepared plans serve an equality pushdown from a declared
-    /// secondary index (fetching only candidate rows) instead of scanning
-    /// the table. Rows and row order are unchanged — indexes preserve
-    /// insertion order and the equality is still rechecked exactly. The
-    /// one observable difference: pushdown predicates are never evaluated
-    /// on non-candidate rows, so a predicate that would only *type-error*
-    /// on rows the index skips no longer surfaces that error.
-    pub use_indexes: bool,
 }
 
 impl Default for EvalOptions {
@@ -96,7 +90,6 @@ impl Default for EvalOptions {
         EvalOptions {
             hash_joins: true,
             cache_uncorrelated_exists: true,
-            use_indexes: true,
         }
     }
 }
@@ -284,20 +277,16 @@ impl<'a> Scope<'a> {
     /// Positional form of [`Scope::resolve`] for a reference the plan
     /// compiler bound against this chain's layouts: the value at `index`
     /// of the row `depth` levels up, by reference, tripping that level's
-    /// probe. `None` when that level has no columns: the plan executor's
-    /// empty-group stand-in, which replaces a block's row scope.
-    pub(crate) fn at(&self, depth: usize, index: usize) -> Option<&Value> {
+    /// probe.
+    pub(crate) fn at(&self, depth: usize, index: usize) -> &Value {
         let mut level = self;
         for _ in 0..depth {
             level = level.parent.expect("a bound column's scope level exists");
         }
-        if level.layout.is_empty() {
-            return None;
-        }
         if let Some(p) = level.probe {
             p.set(true);
         }
-        Some(&level.row[index])
+        &level.row[index]
     }
 }
 
@@ -393,19 +382,19 @@ pub(crate) fn eval_binop(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
         return Ok(Value::Null);
     }
     match (l, r) {
-        (Value::Int(a), Value::Int(b)) => Ok(match op {
-            BinOp::Add => Value::Int(a + b),
-            BinOp::Sub => Value::Int(a - b),
-            BinOp::Mul => Value::Int(a * b),
-            BinOp::Div => {
-                if *b == 0 {
-                    Value::Null
-                } else {
-                    Value::Int(a / b)
-                }
-            }
-            _ => unreachable!("non-arithmetic op"),
-        }),
+        (Value::Int(a), Value::Int(b)) => {
+            let v = match op {
+                BinOp::Add => a.checked_add(*b),
+                BinOp::Sub => a.checked_sub(*b),
+                BinOp::Mul => a.checked_mul(*b),
+                BinOp::Div if *b == 0 => return Ok(Value::Null),
+                BinOp::Div => a.checked_div(*b),
+                _ => unreachable!("non-arithmetic op"),
+            };
+            v.map(Value::Int).ok_or_else(|| Error::Type {
+                reason: format!("integer overflow in {l} {} {r}", op.symbol()),
+            })
+        }
         _ => {
             let (Some(a), Some(b)) = (l.as_f64(), r.as_f64()) else {
                 return Err(Error::Type {
@@ -437,7 +426,9 @@ pub(crate) fn eval_binop(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
 /// Non-aggregate subexpressions are evaluated on the group's first row (the
 /// composed queries always GROUP BY every projected column, so all rows of a
 /// group agree on them). An empty group (implicit aggregation over an empty
-/// input) uses NULLs for bare column references.
+/// input) evaluates them on one all-NULL row of the block's layout, so the
+/// block's columns read NULL there — inside an `EXISTS` too — instead of
+/// resolving past the block.
 fn eval_agg_expr(
     ctx: &EvalCtx<'_>,
     e: &ScalarExpr,
@@ -484,33 +475,23 @@ fn eval_agg_expr(
             let v = eval_agg_expr(ctx, inner, layout, group, parent)?;
             Ok(Value::Bool(v.is_null()))
         }
-        other => match group.first() {
-            Some(row) => {
-                let scope = Scope {
-                    layout,
-                    row,
-                    parent,
-                    probe: None,
-                };
-                eval_scalar(ctx, other, &scope)
-            }
-            None => match other {
-                // Empty implicit group: columns are NULL, constants are
-                // themselves.
-                ScalarExpr::Column { .. } => Ok(Value::Null),
-                _ => {
-                    let empty_layout = Layout::new();
-                    let empty_row: Vec<Value> = Vec::new();
-                    let scope = Scope {
-                        layout: &empty_layout,
-                        row: &empty_row,
-                        parent,
-                        probe: None,
-                    };
-                    eval_scalar(ctx, other, &scope)
+        other => {
+            let nulls;
+            let row = match group.first() {
+                Some(row) => row.as_slice(),
+                None => {
+                    nulls = vec![Value::Null; layout.len()];
+                    &nulls
                 }
-            },
-        },
+            };
+            let scope = Scope {
+                layout,
+                row,
+                parent,
+                probe: None,
+            };
+            eval_scalar(ctx, other, &scope)
+        }
     }
 }
 
@@ -1683,6 +1664,13 @@ mod tests {
         );
         assert_eq!(r.columns, vec!["double"]);
         assert_eq!(r.rows[0][0], Value::Int(600));
+        // Integer overflow is a typed error in both executors, never a
+        // panic or a wrapped value.
+        let q = parse_query("SELECT capacity * 9223372036854775807 FROM confroom").unwrap();
+        let env = ParamEnv::new();
+        assert!(matches!(eval_query(&db, &q, &env), Err(Error::Type { .. })));
+        let plan = crate::plan::prepare(&q, &db.catalog()).unwrap();
+        assert!(matches!(plan.execute(&db, &env), Err(Error::Type { .. })));
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //! * [`ast`] — the SQL fragment the algorithm emits: select lists with
 //!   aggregates and qualified stars, derived tables, parameters
 //!   (`$bv.column`), `GROUP BY`/`HAVING`, `EXISTS` subqueries;
-//! * [`parse`] — an SQL parser for that fragment, so the paper's queries can
-//!   be written as text in tests and round-tripped;
+//! * [`parse`] — the one SQL front end: a lexer and parser for that
+//!   fragment (so the paper's queries can be written as text and
+//!   round-tripped), for `INSERT`/`DELETE` and for `CREATE TABLE`/`CREATE
+//!   INDEX` scripts;
 //! * [`mod@print`] — a deterministic pretty-printer (golden tests compare SQL);
 //! * [`eval`] — the interpreter: eager single-table filters, hash
 //!   equi-joins, grouping, aggregate & `HAVING` evaluation, correlated
@@ -30,8 +32,11 @@
 //! * [`rewrite`] — the query-surgery helpers `UNBIND`/`NEST` rely on;
 //! * [`mod@optimize`] — the Kim-style unnesting pass the paper points at
 //!   (§4.2.1), applied opt-in after composition;
-//! * [`dml`] — the write path: `INSERT INTO` / `DELETE FROM` statements
-//!   returning per-table [`Delta`]s for incremental republishing;
+//! * [`dml`] — the write path: executes `INSERT INTO` / `DELETE FROM`
+//!   statements, returning per-table [`Delta`]s for incremental
+//!   republishing;
+//! * [`ddl`] — the one rule set for declaring `CREATE TABLE` / `CREATE
+//!   INDEX` scripts on a catalog or a live database;
 //! * [`domain`] / [`facts`] — the predicate-dataflow engine: a per-column
 //!   equality/interval/nullability abstract domain seeded from retained
 //!   DDL constraints, with conjunct-level satisfiability, entailment and
@@ -72,7 +77,7 @@ pub mod value;
 
 pub use ast::{AggFunc, BinOp, ScalarExpr, SelectItem, SelectQuery, TableRef};
 pub use csv::load_csv;
-pub use ddl::{database_from_ddl, parse_create_table, parse_ddl};
+pub use ddl::{database_from_ddl, parse_ddl};
 pub use dml::{Delta, TableDelta};
 pub use domain::{Assumption, Card, CardBound, ColumnDomain};
 pub use error::{Error, Result};
@@ -87,9 +92,7 @@ pub use facts::{
 pub use index::SecondaryIndex;
 pub use optimize::optimize;
 pub use parse::parse_query;
-pub use plan::{
-    prepare, prepare_with, BatchResult, Bindings, JoinKey, PreparedPlan, RowKey, SharedScan,
-};
+pub use plan::{prepare, BatchResult, Bindings, JoinKey, PreparedPlan, RowKey, SharedScan};
 pub use schema::{Catalog, ColumnDef, ColumnType, IndexDef, IndexKind, TableSchema};
 pub use table::{Database, Table};
 pub use value::Value;

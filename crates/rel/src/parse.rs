@@ -1,22 +1,52 @@
-//! SQL parser for the fragment used by tag queries and the composition
-//! algorithm. Keywords are case-insensitive; identifiers are kept verbatim.
+//! The SQL front end: one lexer and one recursive-descent parser for every
+//! statement `xvc-rel` reads — tag queries and the SQL that composition
+//! rewrites and prints, the `INSERT`/`DELETE` writes that
+//! [`Database::execute_dml`](crate::Database::execute_dml) applies, and
+//! the `CREATE TABLE`/`CREATE INDEX` scripts [`crate::ddl`] declares.
+//! Keywords are case-insensitive, identifiers are kept verbatim, and `--`
+//! outside a string literal starts a comment that runs to the end of the
+//! line.
 //!
-//! Supported grammar (informally):
+//! Grammar (informally):
 //!
 //! ```text
 //! query    := SELECT [DISTINCT] item (',' item)*
 //!             FROM fromitem (',' fromitem)*
 //!             [WHERE expr] [GROUP BY expr (',' expr)*] [HAVING expr]
 //! item     := '*' | ident '.' '*' | expr [AS ident]
-//! fromitem := ident [AS ident] | '(' query ')' AS ident
+//! fromitem := ident [[AS] ident] | [OUTER] '(' query ')' AS ident
 //! expr     := or-expr with AND/OR/NOT, comparisons (= <> != < <= > >=),
 //!             + - * /, EXISTS '(' query ')', expr IS [NOT] NULL,
 //!             aggregates SUM/COUNT/AVG/MIN/MAX, params $var.column,
-//!             numbers, 'strings', NULL, parenthesized expressions
+//!             literals, parenthesized expressions
+//! literal  := integer | decimal | 'string' | NULL | TRUE | FALSE
+//!
+//! insert   := INSERT INTO ident VALUES row (',' row)* [';']
+//! row      := '(' value (',' value)* ')'
+//! value    := ['+' | '-'] (integer | decimal) | 'string' | NULL | TRUE | FALSE
+//! delete   := DELETE FROM ident [WHERE expr] [';']
+//!
+//! script   := [ddl] (';' [ddl])*
+//! ddl      := CREATE TABLE ident '(' column (',' column)* ')'
+//!           | CREATE INDEX [ident] ON ident '(' ident ')' [USING (HASH | BTREE)]
+//! column   := ident type ['(' integer [',' integer] ')'] constraint*
 //! ```
+//!
+//! An integer literal is exact and must fit `i64` — in a `VALUES` row
+//! after its sign, so `-9223372036854775808` is `i64::MIN` there; a
+//! literal with a decimal point is a float. In an expression, unary minus
+//! is `0 - x`. A column's `PRIMARY KEY` and `NOT NULL` are recorded; any
+//! other constraint token (`DEFAULT 'x,y'`, `UNIQUE`, `CHECK (…)`) is
+//! skipped up to the next `,` or `)` outside parentheses. Type names map
+//! as `INT`/`INTEGER`/`BIGINT`/`SMALLINT` → [`ColumnType::Int`],
+//! `FLOAT`/`REAL`/`DOUBLE`/`DECIMAL`/`NUMERIC` → [`ColumnType::Float`], and
+//! `TEXT`/`STRING`/`VARCHAR`/`CHAR`/`DATE`/`TIMESTAMP` → [`ColumnType::Str`]
+//! (dates are ISO strings in this engine); a type's precision and scale
+//! are read and ignored.
 
 use crate::ast::{AggFunc, BinOp, ScalarExpr, SelectItem, SelectQuery, TableRef};
 use crate::error::{Error, Result};
+use crate::schema::{ColumnDef, ColumnType, IndexDef, IndexKind, TableSchema};
 use crate::value::Value;
 
 /// Parses a single SELECT query from SQL text.
@@ -28,14 +58,62 @@ use crate::value::Value;
 /// assert_eq!(q.select.len(), 2);
 /// ```
 pub fn parse_query(input: &str) -> Result<SelectQuery> {
-    let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(input)?;
     let q = p.query()?;
-    match p.peek() {
-        None => Ok(q),
-        Some(t) => Err(Error::TrailingTokens {
-            found: t.to_string(),
-        }),
+    p.end()?;
+    Ok(q)
+}
+
+/// A parsed `INSERT` or `DELETE` statement.
+pub(crate) enum DmlStatement {
+    /// `INSERT INTO table VALUES (…), (…)`: literal rows.
+    Insert {
+        table: String,
+        rows: Vec<Vec<Value>>,
+    },
+    /// `DELETE FROM table [WHERE predicate]`.
+    Delete {
+        table: String,
+        predicate: Option<ScalarExpr>,
+    },
+}
+
+/// A parsed `CREATE TABLE` or `CREATE INDEX` statement.
+pub(crate) enum DdlStatement {
+    CreateTable(TableSchema),
+    /// `CREATE INDEX [name] ON table (column) [USING HASH|BTREE]`. The
+    /// name is discarded: an index is known by its table and column.
+    CreateIndex {
+        table: String,
+        def: IndexDef,
+    },
+}
+
+/// Parses one `INSERT` or `DELETE` statement, optionally `;`-terminated.
+pub(crate) fn parse_dml(input: &str) -> Result<DmlStatement> {
+    let mut p = Parser::new(input)?;
+    let stmt = p.dml()?;
+    p.eat(&Token::Semi);
+    p.end()?;
+    Ok(stmt)
+}
+
+/// Parses a script of `;`-separated `CREATE TABLE` / `CREATE INDEX`
+/// statements (empty statements are skipped).
+pub(crate) fn parse_ddl_statements(input: &str) -> Result<Vec<DdlStatement>> {
+    let mut p = Parser::new(input)?;
+    let mut out = Vec::new();
+    loop {
+        match p.peek() {
+            None => return Ok(out),
+            Some(Token::Semi) => p.pos += 1,
+            Some(_) => {
+                out.push(p.ddl()?);
+                if !matches!(p.peek(), None | Some(Token::Semi)) {
+                    p.end()?;
+                }
+            }
+        }
     }
 }
 
@@ -44,9 +122,11 @@ enum Token {
     /// Keyword or identifier (original case preserved in `String`, keyword
     /// matching is case-insensitive).
     Word(String),
-    /// A numeric literal; the flag records whether the source had a
-    /// decimal point (so `3.0` stays a float and `3` an integer).
-    Number(f64, bool),
+    /// An integer literal's digits, kept exact: [`int_literal`] reads them
+    /// with the sign the grammar gives them.
+    Int(String),
+    /// A numeric literal with a decimal point.
+    Float(f64),
     Str(String),
     Comma,
     Dot,
@@ -54,6 +134,7 @@ enum Token {
     LParen,
     RParen,
     Dollar,
+    Semi,
     Eq,
     Ne,
     Lt,
@@ -69,7 +150,8 @@ impl std::fmt::Display for Token {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Token::Word(w) => write!(f, "'{w}'"),
-            Token::Number(n, _) => write!(f, "number {n}"),
+            Token::Int(n) => write!(f, "number {n}"),
+            Token::Float(n) => write!(f, "number {n}"),
             Token::Str(s) => write!(f, "string '{s}'"),
             Token::Comma => write!(f, "','"),
             Token::Dot => write!(f, "'.'"),
@@ -77,6 +159,7 @@ impl std::fmt::Display for Token {
             Token::LParen => write!(f, "'('"),
             Token::RParen => write!(f, "')'"),
             Token::Dollar => write!(f, "'$'"),
+            Token::Semi => write!(f, "';'"),
             Token::Eq => write!(f, "'='"),
             Token::Ne => write!(f, "'<>'"),
             Token::Lt => write!(f, "'<'"),
@@ -122,6 +205,10 @@ fn tokenize(input: &str) -> Result<Vec<Token>> {
                 chars.next();
                 out.push(Token::Dollar);
             }
+            ';' => {
+                chars.next();
+                out.push(Token::Semi);
+            }
             '=' => {
                 chars.next();
                 out.push(Token::Eq);
@@ -132,7 +219,12 @@ fn tokenize(input: &str) -> Result<Vec<Token>> {
             }
             '-' => {
                 chars.next();
-                out.push(Token::Minus);
+                if chars.peek().map(|&(_, c)| c) == Some('-') {
+                    // A `--` comment runs to the end of the line.
+                    while chars.next_if(|&(_, c)| c != '\n').is_some() {}
+                } else {
+                    out.push(Token::Minus);
+                }
             }
             '/' => {
                 chars.next();
@@ -196,13 +288,21 @@ fn tokenize(input: &str) -> Result<Vec<Token>> {
             }
             c if c.is_ascii_digit() => {
                 let mut text = String::new();
-                while matches!(chars.peek(), Some(&(_, d)) if d.is_ascii_digit() || d == '.') {
-                    text.push(chars.next().unwrap().1);
+                while let Some((_, d)) = chars.next_if(|&(_, d)| d.is_ascii_digit()) {
+                    text.push(d);
                 }
-                let n = text
-                    .parse::<f64>()
-                    .map_err(|_| Error::Lex { found: c, offset })?;
-                out.push(Token::Number(n, text.contains('.')));
+                if chars.next_if(|&(_, d)| d == '.').is_some() {
+                    text.push('.');
+                    while let Some((_, d)) = chars.next_if(|&(_, d)| d.is_ascii_digit()) {
+                        text.push(d);
+                    }
+                    let n = text
+                        .parse::<f64>()
+                        .map_err(|_| Error::Lex { found: c, offset })?;
+                    out.push(Token::Float(n));
+                } else {
+                    out.push(Token::Int(text));
+                }
             }
             c if c.is_alphabetic() || c == '_' => {
                 let mut w = String::new();
@@ -217,12 +317,48 @@ fn tokenize(input: &str) -> Result<Vec<Token>> {
     Ok(out)
 }
 
+/// The `i64` an integer literal's digits spell, negated when `negative`.
+/// Exact; digits outside the `i64` range are an error in every statement.
+fn int_literal(digits: &str, negative: bool) -> Result<i64> {
+    digits
+        .parse::<u64>()
+        .ok()
+        .and_then(|n| {
+            if negative {
+                0i64.checked_sub_unsigned(n)
+            } else {
+                i64::try_from(n).ok()
+            }
+        })
+        .ok_or_else(|| Error::UnexpectedToken {
+            found: format!("{}{digits}", if negative { "-" } else { "" }),
+            expected: "an integer in the 64-bit range",
+        })
+}
+
+/// `NULL`, `TRUE` and `FALSE`, the literals spelled as words.
+fn keyword_literal(w: &str) -> Option<Value> {
+    match w.to_ascii_uppercase().as_str() {
+        "NULL" => Some(Value::Null),
+        "TRUE" => Some(Value::Bool(true)),
+        "FALSE" => Some(Value::Bool(false)),
+        _ => None,
+    }
+}
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
 }
 
 impl Parser {
+    fn new(input: &str) -> Result<Parser> {
+        Ok(Parser {
+            tokens: tokenize(input)?,
+            pos: 0,
+        })
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
@@ -244,8 +380,33 @@ impl Parser {
         }
     }
 
+    /// The error for finding the next token where `expected` belongs.
+    fn unexpected(&self, expected: &'static str) -> Error {
+        match self.peek() {
+            Some(t) => Error::UnexpectedToken {
+                found: t.to_string(),
+                expected,
+            },
+            None => Error::UnexpectedEnd { expected },
+        }
+    }
+
+    /// Fails unless every token has been read.
+    fn end(&self) -> Result<()> {
+        match self.peek() {
+            None => Ok(()),
+            Some(t) => Err(Error::TrailingTokens {
+                found: t.to_string(),
+            }),
+        }
+    }
+
     fn at_keyword(&self, kw: &str) -> bool {
-        matches!(self.peek(), Some(Token::Word(w)) if w.eq_ignore_ascii_case(kw))
+        self.keyword_at(self.pos, kw)
+    }
+
+    fn keyword_at(&self, pos: usize, kw: &str) -> bool {
+        matches!(self.tokens.get(pos), Some(Token::Word(w)) if w.eq_ignore_ascii_case(kw))
     }
 
     fn eat_keyword(&mut self, kw: &str) -> bool {
@@ -257,28 +418,32 @@ impl Parser {
         }
     }
 
+    /// Consumes the two-word keyword `first second` if it comes next.
+    fn eat_keywords(&mut self, first: &str, second: &str) -> bool {
+        if self.at_keyword(first) && self.keyword_at(self.pos + 1, second) {
+            self.pos += 2;
+            true
+        } else {
+            false
+        }
+    }
+
     fn expect_keyword(&mut self, kw: &'static str) -> Result<()> {
         if self.eat_keyword(kw) {
             Ok(())
         } else {
-            match self.peek() {
-                Some(t) => Err(Error::UnexpectedToken {
-                    found: t.to_string(),
-                    expected: kw,
-                }),
-                None => Err(Error::UnexpectedEnd { expected: kw }),
-            }
+            Err(self.unexpected(kw))
         }
     }
 
     fn ident(&mut self, expected: &'static str) -> Result<String> {
-        match self.bump() {
-            Some(Token::Word(w)) => Ok(w),
-            Some(t) => Err(Error::UnexpectedToken {
-                found: t.to_string(),
-                expected,
-            }),
-            None => Err(Error::UnexpectedEnd { expected }),
+        match self.peek() {
+            Some(Token::Word(w)) => {
+                let w = w.clone();
+                self.pos += 1;
+                Ok(w)
+            }
+            _ => Err(self.unexpected(expected)),
         }
     }
 
@@ -286,14 +451,179 @@ impl Parser {
         if self.eat(t) {
             Ok(())
         } else {
-            match self.peek() {
-                Some(found) => Err(Error::UnexpectedToken {
-                    found: found.to_string(),
-                    expected,
-                }),
-                None => Err(Error::UnexpectedEnd { expected }),
-            }
+            Err(self.unexpected(expected))
         }
+    }
+
+    fn dml(&mut self) -> Result<DmlStatement> {
+        if self.eat_keyword("INSERT") {
+            self.expect_keyword("INTO")?;
+            let table = self.ident("a table name")?;
+            self.expect_keyword("VALUES")?;
+            let mut rows = vec![self.values_row()?];
+            while self.eat(&Token::Comma) {
+                rows.push(self.values_row()?);
+            }
+            Ok(DmlStatement::Insert { table, rows })
+        } else if self.eat_keyword("DELETE") {
+            self.expect_keyword("FROM")?;
+            let table = self.ident("a table name")?;
+            let predicate = if self.eat_keyword("WHERE") {
+                Some(self.expr()?)
+            } else {
+                None
+            };
+            Ok(DmlStatement::Delete { table, predicate })
+        } else {
+            Err(self.unexpected("INSERT or DELETE"))
+        }
+    }
+
+    fn values_row(&mut self) -> Result<Vec<Value>> {
+        self.expect(&Token::LParen, "'(' starting a VALUES row")?;
+        let mut row = vec![self.value()?];
+        while self.eat(&Token::Comma) {
+            row.push(self.value()?);
+        }
+        self.expect(&Token::RParen, "')' ending a VALUES row")?;
+        Ok(row)
+    }
+
+    /// A `VALUES` entry: an optionally signed number, a string, `NULL`,
+    /// `TRUE` or `FALSE`.
+    fn value(&mut self) -> Result<Value> {
+        let negative = self.eat(&Token::Minus);
+        if negative || self.eat(&Token::Plus) {
+            let v = match self.peek() {
+                Some(Token::Int(digits)) => Value::Int(int_literal(digits, negative)?),
+                Some(Token::Float(f)) => Value::Float(if negative { -f } else { *f }),
+                _ => return Err(self.unexpected("a number after its sign")),
+            };
+            self.pos += 1;
+            return Ok(v);
+        }
+        self.literal()?
+            .ok_or_else(|| self.unexpected("literal (number, 'string', NULL, TRUE, FALSE)"))
+    }
+
+    /// The literal at the cursor, consumed: an unsigned number, a string,
+    /// `NULL`, `TRUE` or `FALSE`. `None`, consuming nothing, otherwise.
+    fn literal(&mut self) -> Result<Option<Value>> {
+        let v = match self.peek() {
+            Some(Token::Int(digits)) => Value::Int(int_literal(digits, false)?),
+            Some(Token::Float(f)) => Value::Float(*f),
+            Some(Token::Str(s)) => Value::Str(s.clone()),
+            Some(Token::Word(w)) => match keyword_literal(w) {
+                Some(v) => v,
+                None => return Ok(None),
+            },
+            _ => return Ok(None),
+        };
+        self.pos += 1;
+        Ok(Some(v))
+    }
+
+    fn ddl(&mut self) -> Result<DdlStatement> {
+        if !self.eat_keyword("CREATE") {
+            return Err(self.unexpected("CREATE TABLE or CREATE INDEX"));
+        }
+        if self.eat_keyword("TABLE") {
+            self.create_table().map(DdlStatement::CreateTable)
+        } else if self.eat_keyword("INDEX") {
+            self.create_index()
+        } else {
+            Err(self.unexpected("TABLE or INDEX after CREATE"))
+        }
+    }
+
+    fn create_table(&mut self) -> Result<TableSchema> {
+        let name = self.ident("a table name")?;
+        self.expect(&Token::LParen, "'(' after the table name")?;
+        let mut columns = vec![self.column_def()?];
+        while self.eat(&Token::Comma) {
+            columns.push(self.column_def()?);
+        }
+        self.expect(&Token::RParen, "')' closing the column list")?;
+        TableSchema::new(name, columns)
+    }
+
+    fn column_def(&mut self) -> Result<ColumnDef> {
+        let name = self.ident("a column name")?;
+        let ty = match self.peek() {
+            Some(Token::Word(w)) => column_type(w).ok_or_else(|| Error::UnexpectedToken {
+                found: format!("'{w}'"),
+                expected: "INT/FLOAT/TEXT-family type",
+            })?,
+            _ => return Err(self.unexpected("a column type")),
+        };
+        self.pos += 1;
+        // Precision and scale, as in `VARCHAR(64)` or `DECIMAL(10,2)`.
+        if self.eat(&Token::LParen) {
+            self.type_arg()?;
+            if self.eat(&Token::Comma) {
+                self.type_arg()?;
+            }
+            self.expect(&Token::RParen, "')' closing the type's precision")?;
+        }
+        // Constraints: `PRIMARY KEY` and `NOT NULL` are recorded, any other
+        // token is skipped up to the next `,` or `)` outside parentheses.
+        let mut def = ColumnDef::new(name, ty);
+        let mut depth = 0usize;
+        loop {
+            if depth == 0 {
+                if self.eat_keywords("PRIMARY", "KEY") {
+                    def = def.primary_key();
+                    continue;
+                }
+                if self.eat_keywords("NOT", "NULL") {
+                    def = def.not_null();
+                    continue;
+                }
+            }
+            match self.peek() {
+                None | Some(Token::Semi) => return Ok(def),
+                Some(Token::Comma | Token::RParen) if depth == 0 => return Ok(def),
+                Some(Token::LParen) => depth += 1,
+                Some(Token::RParen) => depth -= 1,
+                Some(_) => {}
+            }
+            self.pos += 1;
+        }
+    }
+
+    /// A type's precision or scale: an integer, read and ignored.
+    fn type_arg(&mut self) -> Result<()> {
+        match self.peek() {
+            Some(Token::Int(digits)) => {
+                int_literal(digits, false)?;
+                self.pos += 1;
+                Ok(())
+            }
+            _ => Err(self.unexpected("an integer precision")),
+        }
+    }
+
+    fn create_index(&mut self) -> Result<DdlStatement> {
+        if !self.at_keyword("ON") {
+            self.ident("an index name or ON")?;
+        }
+        self.expect_keyword("ON")?;
+        let table = self.ident("a table name")?;
+        self.expect(&Token::LParen, "'(' after the table name")?;
+        let column = self.ident("the indexed column")?;
+        self.expect(&Token::RParen, "')' after exactly one indexed column")?;
+        let kind = if self.eat_keyword("USING") && !self.eat_keyword("HASH") {
+            if !self.eat_keyword("BTREE") {
+                return Err(self.unexpected("USING HASH or USING BTREE"));
+            }
+            IndexKind::BTree
+        } else {
+            IndexKind::Hash
+        };
+        Ok(DdlStatement::CreateIndex {
+            table,
+            def: IndexDef { column, kind },
+        })
     }
 
     fn query(&mut self) -> Result<SelectQuery> {
@@ -474,19 +804,10 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<ScalarExpr> {
+        if let Some(v) = self.literal()? {
+            return Ok(ScalarExpr::Literal(v));
+        }
         match self.peek().cloned() {
-            Some(Token::Number(n, is_float)) => {
-                self.bump();
-                if !is_float && n.fract() == 0.0 && n.abs() < 1e15 {
-                    Ok(ScalarExpr::Literal(Value::Int(n as i64)))
-                } else {
-                    Ok(ScalarExpr::Literal(Value::Float(n)))
-                }
-            }
-            Some(Token::Str(s)) => {
-                self.bump();
-                Ok(ScalarExpr::Literal(Value::Str(s)))
-            }
             Some(Token::Minus) => {
                 self.bump();
                 let inner = self.primary()?;
@@ -506,10 +827,6 @@ impl Parser {
                 Ok(e)
             }
             Some(Token::Word(w)) => {
-                if w.eq_ignore_ascii_case("NULL") {
-                    self.bump();
-                    return Ok(ScalarExpr::Literal(Value::Null));
-                }
                 if w.eq_ignore_ascii_case("EXISTS") {
                     self.bump();
                     self.expect(&Token::LParen, "'(' after EXISTS")?;
@@ -545,13 +862,7 @@ impl Parser {
                     })
                 }
             }
-            Some(t) => Err(Error::UnexpectedToken {
-                found: t.to_string(),
-                expected: "an expression",
-            }),
-            None => Err(Error::UnexpectedEnd {
-                expected: "an expression",
-            }),
+            _ => Err(self.unexpected("an expression")),
         }
     }
 }
@@ -563,6 +874,15 @@ fn agg_func(w: &str) -> Option<AggFunc> {
         "AVG" => Some(AggFunc::Avg),
         "MIN" => Some(AggFunc::Min),
         "MAX" => Some(AggFunc::Max),
+        _ => None,
+    }
+}
+
+fn column_type(name: &str) -> Option<ColumnType> {
+    match name.to_ascii_uppercase().as_str() {
+        "INT" | "INTEGER" | "BIGINT" | "SMALLINT" => Some(ColumnType::Int),
+        "FLOAT" | "REAL" | "DOUBLE" | "DECIMAL" | "NUMERIC" => Some(ColumnType::Float),
+        "TEXT" | "STRING" | "VARCHAR" | "CHAR" | "DATE" | "TIMESTAMP" => Some(ColumnType::Str),
         _ => None,
     }
 }
@@ -662,6 +982,122 @@ mod tests {
             let q1 = parse_query(src).unwrap();
             let q2 = parse_query(&q1.to_sql()).unwrap();
             assert_eq!(q1, q2, "{src}");
+        }
+        // Every literal the printer emits lexes back to the same value.
+        for (lit, want) in [
+            ("TRUE", Value::Bool(true)),
+            ("FALSE", Value::Bool(false)),
+            ("9007199254740993", Value::Int(9_007_199_254_740_993)),
+            ("9223372036854775807", Value::Int(i64::MAX)),
+            ("1000000000000000.0", Value::Float(1e15)),
+            ("100000000000000000000.0", Value::Float(1e20)),
+            ("'o''hare'", Value::Str("o'hare".into())),
+        ] {
+            let src = format!("SELECT * FROM t WHERE a = {lit}");
+            let q1 = parse_query(&src).unwrap();
+            let Some(ScalarExpr::Binary { rhs, .. }) = &q1.where_clause else {
+                panic!("{src}")
+            };
+            assert_eq!(**rhs, ScalarExpr::Literal(want), "{src}");
+            let q2 = parse_query(&q1.to_sql()).unwrap();
+            assert_eq!(q1, q2, "{src}");
+        }
+    }
+
+    /// One grammar for every statement kind: exact integers, `TRUE` and
+    /// `FALSE`, string literals in DDL constraints, trailing text, names
+    /// that are no identifiers, and integers beyond `i64`. Each case gives
+    /// the rows left in `t` after the script and the statements, or the
+    /// first error.
+    #[test]
+    fn one_grammar_reads_every_statement() {
+        type Rows = Vec<Vec<Value>>;
+        fn outcome(ddl: &str, statements: &[&str]) -> Result<Rows> {
+            let mut db = crate::ddl::database_from_ddl(ddl)?;
+            for sql in statements {
+                if sql.starts_with("SELECT") {
+                    parse_query(sql)?;
+                } else {
+                    db.execute_dml(sql)?;
+                }
+            }
+            Ok(db.table("t")?.rows().to_vec())
+        }
+        let int = |i: i64| vec![Value::Int(i)];
+        let too_big = Err(Error::UnexpectedToken {
+            found: "9223372036854775808".into(),
+            expected: "an integer in the 64-bit range",
+        });
+        let cases: Vec<(&str, Vec<&str>, Result<Rows>)> = vec![
+            // Integers are exact: 2^53 + 1 is not 2^53.
+            (
+                "CREATE TABLE t (a INT)",
+                vec![
+                    "INSERT INTO t VALUES (9007199254740992), (9007199254740993)",
+                    "DELETE FROM t WHERE a = 9007199254740993",
+                ],
+                Ok(vec![int(9_007_199_254_740_992)]),
+            ),
+            // TRUE and FALSE are literals in a predicate, as in VALUES.
+            (
+                "CREATE TABLE t (a INT)",
+                vec![
+                    "INSERT INTO t VALUES (1), (2), (NULL)",
+                    "DELETE FROM t WHERE (a > 1) = TRUE",
+                ],
+                Ok(vec![int(1), vec![Value::Null]]),
+            ),
+            (
+                "CREATE TABLE t (a INT)",
+                vec![
+                    "INSERT INTO t VALUES (1), (2), (NULL)",
+                    "DELETE FROM t WHERE (a > 1) = FALSE;",
+                ],
+                Ok(vec![int(2), vec![Value::Null]]),
+            ),
+            // A constraint's string literal may hold ',' or '--'.
+            (
+                "CREATE TABLE t (a TEXT DEFAULT 'x,y', b TEXT DEFAULT '--' NOT NULL) -- note",
+                vec!["INSERT INTO t VALUES ('p', 'q')"],
+                Ok(vec![vec![Value::Str("p".into()), Value::Str("q".into())]]),
+            ),
+            // Text after the column list, and a column name that is no
+            // identifier, are parse errors.
+            (
+                "CREATE TABLE t (a INT) WITH GARBAGE",
+                vec![],
+                Err(Error::TrailingTokens {
+                    found: "'WITH'".into(),
+                }),
+            ),
+            (
+                "CREATE TABLE t (a-b INT)",
+                vec![],
+                Err(Error::UnexpectedToken {
+                    found: "'-'".into(),
+                    expected: "a column type",
+                }),
+            ),
+            // An integer beyond i64 is rejected in SELECT as in INSERT, and
+            // a signed VALUES entry reaches i64::MIN.
+            (
+                "CREATE TABLE t (a INT)",
+                vec!["SELECT a FROM t WHERE a = 9223372036854775808"],
+                too_big.clone(),
+            ),
+            (
+                "CREATE TABLE t (a INT)",
+                vec!["INSERT INTO t VALUES (9223372036854775808)"],
+                too_big,
+            ),
+            (
+                "CREATE TABLE t (a INT)",
+                vec!["INSERT INTO t VALUES (-9223372036854775808), (+7)"],
+                Ok(vec![int(i64::MIN), int(7)]),
+            ),
+        ];
+        for (ddl, statements, want) in cases {
+            assert_eq!(outcome(ddl, &statements), want, "{ddl}; {statements:?}");
         }
     }
 

@@ -49,8 +49,8 @@ use crate::domain::{Card, CardBound};
 use crate::error::{Error, Result};
 use crate::eval::{
     ambiguity_from_sets, cols_set, contains_exists, equi_pair_layouts, eval_binop, item_names,
-    key_of, output_columns, resolvable_within, split_and, AggAcc, EvalOptions, EvalStats, Key,
-    Layout, ParamEnv, Relation, Scope,
+    key_of, output_columns, resolvable_within, split_and, AggAcc, EvalStats, Key, Layout, ParamEnv,
+    Relation, Scope,
 };
 use crate::facts::{query_cardinality, FactSet};
 use crate::schema::{Catalog, TableSchema};
@@ -124,11 +124,10 @@ impl PColumn {
     }
 
     /// The bound value, borrowed from the row in scope: `None` when the
-    /// reference is bound to no single column, or when its level is
-    /// `p_agg_expr`'s empty-group stand-in, which has no row.
+    /// reference is bound to no single column.
     fn get<'r>(&self, scope: &'r Scope<'r>) -> Option<&'r Value> {
         let (depth, index) = self.at?;
-        scope.at(depth, index)
+        Some(scope.at(depth, index))
     }
 }
 
@@ -148,7 +147,10 @@ enum Access {
     /// Probe the declared secondary index on `column` with the value of
     /// `key` (a literal or parameter slot), fetching candidate rows only.
     /// The originating equality stays in the pushdown list as the exact
-    /// recheck, so NULL/NaN/zero-sign semantics match the scan path.
+    /// recheck, so NULL/NaN/zero-sign semantics match the scan path, and
+    /// rows and row order equal the scan's. The one observable difference:
+    /// the pushdown never runs on rows the index skips, so a predicate that
+    /// would only type-error on such a row raises no error.
     IndexEq { column: usize, key: Box<PExpr> },
 }
 
@@ -216,7 +218,6 @@ pub struct PreparedPlan {
     root: PlanBlock,
     /// Interned `$var.column` parameter slots in first-reference order.
     slots: Vec<(String, String)>,
-    options: EvalOptions,
     /// Set-oriented strategy for [`PreparedPlan::execute_batch`],
     /// precomputed when every slot reference is a separable top-level
     /// equality (`None` falls back to per-distinct-binding execution).
@@ -359,23 +360,11 @@ enum Pipeline {
 // Compilation
 // ---------------------------------------------------------------------------
 
-/// Compiles `q` against `catalog` under default [`EvalOptions`].
+/// Compiles `q` against `catalog`. Executing the plan behaves like the
+/// interpreter (`eval_query`) on the same query.
 pub fn prepare(q: &SelectQuery, catalog: &Catalog) -> Result<PreparedPlan> {
-    prepare_with(q, catalog, EvalOptions::default())
-}
-
-/// [`prepare`] with explicit [`EvalOptions`]. The options are baked into
-/// the plan (e.g. with `hash_joins` off no equi-keys are selected), so
-/// executing it always behaves like `eval_query_with` under the same
-/// options.
-pub fn prepare_with(
-    q: &SelectQuery,
-    catalog: &Catalog,
-    options: EvalOptions,
-) -> Result<PreparedPlan> {
     let mut compiler = Compiler {
         catalog,
-        options,
         slots: Vec::new(),
     };
     let mut root = compiler.compile_block(q, &[])?;
@@ -387,7 +376,7 @@ pub fn prepare_with(
     let card = query_cardinality(q, catalog, &FactSet::new());
     let mut prefix = Card::AtMostOne;
     for (i, item) in root.from.iter_mut().enumerate() {
-        if i > 0 && options.hash_joins && prefix.at_most_one() && !item.join_keys.is_empty() {
+        if i > 0 && prefix.at_most_one() && !item.join_keys.is_empty() {
             item.filter_probe = true;
         }
         prefix = prefix.times(
@@ -408,7 +397,6 @@ pub fn prepare_with(
     Ok(PreparedPlan {
         root,
         slots: compiler.slots,
-        options,
         batch,
         index_loop,
         bound: card.total,
@@ -418,7 +406,6 @@ pub fn prepare_with(
 
 struct Compiler<'a> {
     catalog: &'a Catalog,
-    options: EvalOptions,
     slots: Vec<(String, String)>,
 }
 
@@ -530,15 +517,15 @@ impl Compiler<'_> {
             // Access-path selection: a pushed-down `col = literal/slot`
             // equality on an indexed column turns the scan into an index
             // lookup. The equality stays in `pushdown` as the recheck.
-            let mut access = Access::FullScan;
-            if self.options.use_indexes {
-                if let TableRef::Named { name, .. } = t {
-                    access = select_index_access(self.catalog.get(name)?, &pushdown);
+            let access = match t {
+                TableRef::Named { name, .. } => {
+                    select_index_access(self.catalog.get(name)?, &pushdown)
                 }
-            }
+                TableRef::Derived { .. } => Access::FullScan,
+            };
 
             let mut join_keys = Vec::new();
-            if idx > 0 && self.options.hash_joins {
+            if idx > 0 {
                 for (i, c) in conjuncts.iter().enumerate() {
                     if applied[i] {
                         continue;
@@ -1002,11 +989,6 @@ impl PreparedPlan {
         &self.slots
     }
 
-    /// The [`EvalOptions`] the plan was compiled under.
-    pub fn options(&self) -> EvalOptions {
-        self.options
-    }
-
     /// Static bound on the rows one execution can produce (per parameter
     /// valuation), with the fact chain that justifies it. Derived at
     /// prepare time; an over-approximation, never an undercount.
@@ -1040,8 +1022,8 @@ impl PreparedPlan {
         count_table_scans(&self.root, table) > 0
     }
 
-    /// Executes the plan, producing the same [`Relation`] as
-    /// `eval_query_with` on the source query under the plan's options.
+    /// Executes the plan, producing the same [`Relation`] as `eval_query`
+    /// on the source query.
     pub fn execute(&self, db: &Database, env: &ParamEnv) -> Result<Relation> {
         let stats = Cell::new(EvalStats::default());
         self.run(db, env, &stats)
@@ -1384,8 +1366,7 @@ impl PreparedPlan {
             let _ = writeln!(out, "  slots: {}", rendered.join(", "));
         }
         let _ = writeln!(out, "  cardinality: {}", self.bound);
-        let cache_exists = self.options.cache_uncorrelated_exists;
-        describe_block(&self.root, &self.slots, cache_exists, 1, &mut out);
+        describe_block(&self.root, &self.slots, 1, &mut out);
         match &self.batch {
             Some(bp) => {
                 let keys: Vec<String> = bp
@@ -1560,16 +1541,10 @@ fn exists_blocks<'p>(e: &'p PExpr, out: &mut Vec<&'p PlanBlock>) {
 
 /// Renders one compiled block, two spaces of indent per `depth`. A
 /// residual's `EXISTS` subplans follow its line, under the rule
-/// `p_apply_residual` runs them by: the first row evaluates the residual,
-/// and later rows reuse that result when the evaluation read no column of
-/// the row (with `cache_exists`, i.e. `cache_uncorrelated_exists`).
-fn describe_block(
-    block: &PlanBlock,
-    slots: &[(String, String)],
-    cache_exists: bool,
-    depth: usize,
-    out: &mut String,
-) {
+/// `p_residual` runs them by: the first row evaluates the residual, and
+/// later rows reuse that result when the evaluation read no column of the
+/// row.
+fn describe_block(block: &PlanBlock, slots: &[(String, String)], depth: usize, out: &mut String) {
     use std::fmt::Write;
     let pad = "  ".repeat(depth);
     for (i, item) in block.from.iter().enumerate() {
@@ -1625,7 +1600,7 @@ fn describe_block(
             let _ = writeln!(out, "{pad}  prefix filter: {}", ps.join(" AND "));
         }
         if let PlanSource::Derived(child) = &item.source {
-            describe_block(child, slots, cache_exists, depth + 1, out);
+            describe_block(child, slots, depth + 1, out);
         }
     }
     if !block.residuals.is_empty() {
@@ -1639,15 +1614,13 @@ fn describe_block(
         for r in &block.residuals {
             exists_blocks(r, &mut subplans);
         }
-        let rule = if cache_exists {
-            "runs for the first row; later rows reuse its result unless that \
-             run read a column of the row"
-        } else {
-            "runs per row"
-        };
         for sub in subplans {
-            let _ = writeln!(out, "{pad}  exists subplan — {rule}:");
-            describe_block(sub, slots, cache_exists, depth + 2, out);
+            let _ = writeln!(
+                out,
+                "{pad}  exists subplan — runs for the first row; later rows reuse \
+                 its result unless that run read a column of the row:"
+            );
+            describe_block(sub, slots, depth + 2, out);
         }
     }
     let mut proj = format!("{pad}project: {}", block.columns.join(", "));
@@ -1678,7 +1651,6 @@ struct ExecCtx<'a> {
     /// (short-circuits, empty inputs) is never resolved — matching the
     /// interpreter's unbound-parameter error behaviour.
     cache: Vec<OnceCell<Result<&'a Value>>>,
-    options: EvalOptions,
     stats: &'a Cell<EvalStats>,
 }
 
@@ -1694,7 +1666,6 @@ impl<'a> ExecCtx<'a> {
             env,
             slots: &plan.slots,
             cache: plan.slots.iter().map(|_| OnceCell::new()).collect(),
-            options: plan.options,
             stats,
         }
     }
@@ -1740,9 +1711,7 @@ fn p_operand<'r>(
     match e {
         PExpr::Slot(i) => ctx.slot(*i).map(Cow::Borrowed),
         // The executor's only name walk: a reference bound to no single
-        // column raises the walk's `AmbiguousColumn`/`UnknownColumn`, as
-        // before, and a read landing on the empty-group stand-in passes on
-        // to the enclosing scopes, as the interpreter's does.
+        // column raises the walk's `AmbiguousColumn`/`UnknownColumn`.
         PExpr::Column(c) => scope
             .resolve(c.qualifier.as_deref(), &c.name)
             .map(Cow::Owned),
@@ -1836,7 +1805,8 @@ fn compare(op: BinOp, l: &Value, r: &Value) -> Option<bool> {
 
 /// Mirrors `eval::eval_agg_expr`: aggregates accumulate over the group,
 /// boolean connectives do *not* short-circuit, other subexpressions
-/// evaluate on the group's first row (NULL columns for an empty group).
+/// evaluate on the group's first row (an all-NULL row of the block's
+/// layout for an empty group).
 fn p_agg_expr(
     ctx: &ExecCtx<'_>,
     e: &PExpr,
@@ -1883,31 +1853,23 @@ fn p_agg_expr(
             let v = p_agg_expr(ctx, inner, layout, group, parent)?;
             Ok(Value::Bool(v.is_null()))
         }
-        other => match group.first() {
-            Some(row) => {
-                let scope = Scope {
-                    layout,
-                    row,
-                    parent,
-                    probe: None,
-                };
-                p_eval_scalar(ctx, other, &scope)
-            }
-            None => match other {
-                PExpr::Column(_) => Ok(Value::Null),
-                _ => {
-                    let empty_layout = Layout::new();
-                    let empty_row: Vec<Value> = Vec::new();
-                    let scope = Scope {
-                        layout: &empty_layout,
-                        row: &empty_row,
-                        parent,
-                        probe: None,
-                    };
-                    p_eval_scalar(ctx, other, &scope)
+        other => {
+            let nulls;
+            let row = match group.first() {
+                Some(row) => *row,
+                None => {
+                    nulls = vec![Value::Null; layout.len()];
+                    &nulls
                 }
-            },
-        },
+            };
+            let scope = Scope {
+                layout,
+                row,
+                parent,
+                probe: None,
+            };
+            p_eval_scalar(ctx, other, &scope)
+        }
     }
 }
 
@@ -2034,7 +1996,7 @@ fn scan_positions(
     // (still-present) pushdown equality. Falls back to the scan when the
     // runtime table lacks the index the catalog promised (e.g. a stale
     // plan).
-    if let (true, Access::IndexEq { column, key }) = (ctx.options.use_indexes, &item.access) {
+    if let Access::IndexEq { column, key } = &item.access {
         if let Some(idx) = table.index_for(*column) {
             ctx.bump(|s| s.index_lookups += 1);
             if table.is_empty() {
@@ -2140,7 +2102,7 @@ fn p_residual<'r>(
                     probe: Some(&probe),
                 };
                 let b = p_test(ctx, pred, &scope)?;
-                if i == 0 && !probe.get() && ctx.options.cache_uncorrelated_exists {
+                if i == 0 && !probe.get() {
                     cached = Some(b);
                 }
                 b
@@ -2392,7 +2354,7 @@ fn p_project_grouped<R: AsRef<[Value]>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{eval_query, eval_query_stats, NamedTuple};
+    use crate::eval::{eval_query, eval_query_stats, EvalOptions, NamedTuple};
     use crate::parse::parse_query;
     use crate::schema::{ColumnDef, ColumnType, TableSchema};
 
@@ -2963,14 +2925,8 @@ mod tests {
 
     #[test]
     fn describe_states_every_plan_decision() {
-        // (catalog, options, query, rendered facts, absent phrases)
-        type Case<'a> = (
-            &'a Catalog,
-            EvalOptions,
-            &'a str,
-            &'a [&'a str],
-            &'a [&'a str],
-        );
+        // (catalog, query, rendered facts, absent phrases)
+        type Case<'a> = (&'a Catalog, &'a str, &'a [&'a str], &'a [&'a str]);
         let plain = hotel_db().catalog();
         let indexed = indexed_hotel_db().catalog();
         let mut keyed = pk_db();
@@ -2980,24 +2936,10 @@ mod tests {
                 .unwrap();
         }
         let keyed = keyed.catalog();
-        let default = EvalOptions::default();
-        let no_index = EvalOptions {
-            use_indexes: false,
-            ..default
-        };
-        let no_hash = EvalOptions {
-            hash_joins: false,
-            ..default
-        };
-        let no_cache = EvalOptions {
-            cache_uncorrelated_exists: false,
-            ..default
-        };
         let cases: &[Case<'_>] = &[
             // Pushdown into the scan.
             (
                 &plain,
-                default,
                 "SELECT hotelname FROM hotel WHERE starrating > 4",
                 &[
                     "from[0]: scan hotel",
@@ -3009,23 +2951,13 @@ mod tests {
             // An indexed slot equality is an index lookup...
             (
                 &indexed,
-                default,
                 "SELECT hotelname FROM hotel WHERE metro_id = $m.metroid",
                 &["from[0]: index lookup hotel on metro_id = $m.metroid"],
                 &["from[0]: scan hotel"],
             ),
-            // ...but not with indexes off...
-            (
-                &indexed,
-                no_index,
-                "SELECT hotelname FROM hotel WHERE metro_id = $m.metroid",
-                &["from[0]: scan hotel", "fused pushdown: metro_id = $m.metroid"],
-                &["index lookup"],
-            ),
-            // ...nor without an index.
+            // ...but not without an index.
             (
                 &plain,
-                default,
                 "SELECT hotelname FROM hotel WHERE metro_id = 3",
                 &["fused pushdown: metro_id = 3"],
                 &["index lookup"],
@@ -3033,7 +2965,6 @@ mod tests {
             // A primary-key equality wins over an earlier indexed one.
             (
                 &keyed,
-                default,
                 "SELECT hotelname FROM hotel WHERE starrating = 5 AND hotelid = 12",
                 &["index lookup hotel on hotelid = 12"],
                 &["index lookup hotel on starrating"],
@@ -3041,7 +2972,6 @@ mod tests {
             // Hash-join keys.
             (
                 &plain,
-                default,
                 "SELECT hotelname, metroname FROM hotel, metroarea WHERE metro_id = metroid",
                 &["from[1]: scan metroarea | hash join on (metro_id = metroid)"],
                 &["nested-loop"],
@@ -3049,26 +2979,13 @@ mod tests {
             // No equality key: a cross product.
             (
                 &plain,
-                default,
                 "SELECT hotelname, metroname FROM hotel, metroarea",
                 &["from[1]: scan metroarea | nested-loop (cross) join"],
-                &["hash join"],
-            ),
-            // Hash joins off: a nested loop, the key becomes a filter.
-            (
-                &plain,
-                no_hash,
-                "SELECT hotelname, metroname FROM hotel, metroarea WHERE metro_id = metroid",
-                &[
-                    "from[1]: scan metroarea | nested-loop (cross) join",
-                    "prefix filter: metro_id = metroid",
-                ],
                 &["hash join"],
             ),
             // A derived table with its own pushdown, joined and grouped.
             (
                 &plain,
-                default,
                 "SELECT SUM(capacity), TEMP.hotelid \
                  FROM confroom, (SELECT * FROM hotel WHERE starrating > 4) AS TEMP \
                  WHERE chotel_id = TEMP.hotelid GROUP BY TEMP.hotelid",
@@ -3082,7 +2999,6 @@ mod tests {
             // A preserved (left-outer) derived table.
             (
                 &plain,
-                default,
                 "SELECT COUNT(c_id), TEMP.hotelid \
                  FROM confroom, OUTER (SELECT * FROM hotel) AS TEMP \
                  WHERE chotel_id = TEMP.hotelid GROUP BY TEMP.hotelid",
@@ -3093,7 +3009,6 @@ mod tests {
             // runs under; the correlated reference stays a residual there.
             (
                 &plain,
-                default,
                 "SELECT hotelname FROM hotel \
                  WHERE EXISTS (SELECT * FROM confroom WHERE chotel_id = hotelid)",
                 &[
@@ -3101,22 +3016,11 @@ mod tests {
                      later rows reuse its result unless that run read a column of the row:\n",
                     "\n      from[0]: scan confroom\n      residual: chotel_id = hotelid\n",
                 ],
-                &["runs per row"],
-            ),
-            (
-                &plain,
-                no_cache,
-                "SELECT hotelname FROM hotel WHERE EXISTS (SELECT * FROM metroarea WHERE metroid = 1)",
-                &[
-                    "exists subplan — runs per row:",
-                    "      from[0]: scan metroarea\n        fused pushdown: metroid = 1",
-                ],
-                &["reuse"],
+                &[],
             ),
             // Group-by keys, HAVING and DISTINCT.
             (
                 &plain,
-                default,
                 "SELECT DISTINCT chotel_id FROM confroom \
                  GROUP BY chotel_id HAVING SUM(capacity) > 400",
                 &["project: chotel_id | group by 1 (chotel_id) | having SUM(capacity) > 400 | distinct"],
@@ -3124,15 +3028,14 @@ mod tests {
             ),
             (
                 &plain,
-                default,
                 "SELECT COUNT(*) FROM confroom",
                 &["| group by 0 (one implicit group)"],
                 &["having"],
             ),
         ];
-        for (catalog, options, sql, present, absent) in cases {
+        for (catalog, sql, present, absent) in cases {
             let q = parse_query(sql).unwrap();
-            let text = prepare_with(&q, catalog, *options).unwrap().describe();
+            let text = prepare(&q, catalog).unwrap().describe();
             for p in *present {
                 assert!(text.contains(p), "{sql}: missing {p:?} in\n{text}");
             }
@@ -3186,28 +3089,9 @@ mod tests {
     }
 
     #[test]
-    fn index_lookup_respects_use_indexes_and_missing_runtime_index() {
+    fn index_lookup_survives_a_missing_runtime_index() {
         let indexed = indexed_hotel_db();
         let q = parse_query("SELECT hotelname FROM hotel WHERE metro_id = 1").unwrap();
-        let off = prepare_with(
-            &q,
-            &indexed.catalog(),
-            EvalOptions {
-                use_indexes: false,
-                ..EvalOptions::default()
-            },
-        )
-        .unwrap();
-        let mut stats = EvalStats::default();
-        off.execute_stats(&indexed, &ParamEnv::new(), &mut stats)
-            .unwrap();
-        assert_eq!(stats.index_lookups, 0);
-        assert!(
-            !off.describe().contains("index lookup"),
-            "{}",
-            off.describe()
-        );
-
         // Plan compiled against the indexed catalog, executed against a
         // database without the runtime index: falls back to the scan.
         let plan = prepare(&q, &indexed.catalog()).unwrap();
@@ -3252,29 +3136,6 @@ mod tests {
         assert_eq!(stats.hash_join_builds, 0);
         // Only matching rows were fetched.
         assert_eq!(stats.rows_scanned, batch.total_rows() as u64 - 2); // dup binding shares its rows
-    }
-
-    #[test]
-    fn hash_joins_disabled_matches_interpreter() {
-        let db = hotel_db();
-        let q = parse_query(
-            "SELECT hotelname, metroname FROM hotel, metroarea WHERE metro_id = metroid",
-        )
-        .unwrap();
-        let opts = EvalOptions {
-            hash_joins: false,
-            ..EvalOptions::default()
-        };
-        let mut interp_stats = EvalStats::default();
-        let interp = eval_query_stats(&db, &q, &ParamEnv::new(), opts, &mut interp_stats).unwrap();
-        let plan = prepare_with(&q, &db.catalog(), opts).unwrap();
-        let mut plan_stats = EvalStats::default();
-        let prepared = plan
-            .execute_stats(&db, &ParamEnv::new(), &mut plan_stats)
-            .unwrap();
-        assert_eq!(prepared, interp);
-        assert_eq!(plan_stats, interp_stats);
-        assert!(plan_stats.nested_loop_joins > 0);
     }
 
     /// `hotel_db` data under a catalog with PRIMARY KEYs, so the
@@ -3529,5 +3390,39 @@ mod tests {
         assert_eq!(k(Value::Float(-0.0)), k(Value::Float(0.0)));
         assert_ne!(k(Value::Int(3)), k(Value::Str("3".into())));
         assert_eq!(k(Value::Null), None);
+    }
+
+    /// An empty implicit group reads its block's columns as NULL, in the
+    /// select list and in HAVING, inside an `EXISTS` too: `s` below is
+    /// `v.s`, never `u`'s (it has none) nor the enclosing `w.s`.
+    #[test]
+    fn empty_implicit_group_reads_its_block_as_nulls() {
+        let mut db = crate::ddl::database_from_ddl(
+            "CREATE TABLE v (i INT, f FLOAT, s TEXT); \
+             CREATE TABLE w (j INT, g FLOAT, s TEXT); \
+             CREATE TABLE u (k INT)",
+        )
+        .unwrap();
+        for sql in [
+            "INSERT INTO v VALUES (1, 1.5, 'a')",
+            "INSERT INTO w VALUES (1, 1.5, 'a')",
+            "INSERT INTO u VALUES (1)",
+        ] {
+            db.execute_dml(sql).unwrap();
+        }
+        let env = ParamEnv::new();
+        let rel = check(
+            &db,
+            "SELECT COUNT(*), EXISTS (SELECT * FROM u WHERE s = 'a') FROM v WHERE i > 2",
+            &env,
+        );
+        assert_eq!(rel.rows, vec![vec![Value::Int(0), Value::Bool(false)]]);
+        let rel = check(
+            &db,
+            "SELECT j, s FROM w WHERE EXISTS (SELECT COUNT(*) FROM v WHERE i > 2 \
+             HAVING EXISTS (SELECT * FROM u WHERE s = 'a'))",
+            &env,
+        );
+        assert!(rel.rows.is_empty(), "{:?}", rel.rows);
     }
 }

@@ -149,9 +149,11 @@ impl fmt::Display for Value {
             Value::Null => write!(f, "NULL"),
             Value::Int(i) => write!(f, "{i}"),
             Value::Float(v) => {
-                // Keep the decimal point so the literal reparses as a
-                // float (`3.0`, not `3`).
-                if v.fract() == 0.0 && v.abs() < 1e15 {
+                // Keep the decimal point on every finite integral float
+                // (`fract()` is NaN for the infinities), so the literal
+                // reparses as a float: `3.0` and `1000000000000000.0`, not
+                // the integers `3` and `1000000000000000`.
+                if v.fract() == 0.0 {
                     write!(f, "{v:.1}")
                 } else {
                     write!(f, "{v}")

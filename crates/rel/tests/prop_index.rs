@@ -6,9 +6,9 @@
 
 use proptest::prelude::*;
 use xvc_rel::{
-    eval_query_stats, parse_query, prepare_with, BinOp, ColumnDef, ColumnType, Database,
-    EvalOptions, EvalStats, IndexKind, NamedTuple, ParamEnv, ScalarExpr, SelectItem, SelectQuery,
-    TableRef, Value,
+    eval_query_stats, parse_query, prepare, BinOp, ColumnDef, ColumnType, Database, EvalOptions,
+    EvalStats, IndexKind, NamedTuple, ParamEnv, ScalarExpr, SelectItem, SelectQuery, TableRef,
+    Value,
 };
 
 /// Case count: the in-tree default, overridable via `PROPTEST_CASES` for
@@ -139,27 +139,36 @@ fn env_strategy() -> impl Strategy<Value = ParamEnv> {
     })
 }
 
-/// Runs `q` through the prepared plan with and without index selection and
-/// through the interpreter; rows (and order) must agree three ways, and the
-/// scan-path counters must equal the interpreter's exactly.
+/// `db`'s tables and rows, without its secondary indexes.
+fn without_indexes(db: &Database) -> Database {
+    let mut plain = Database::new();
+    for schema in db.catalog().iter() {
+        let mut schema = schema.clone();
+        schema.indexes.clear();
+        let name = schema.name.clone();
+        plain.create_table(schema).unwrap();
+        for row in db.table(&name).unwrap().rows() {
+            plain.insert(&name, row.clone()).unwrap();
+        }
+    }
+    plain
+}
+
+/// Runs `q` through the prepared plan over `db` and over its copy without
+/// indexes, and through the interpreter; rows (and order) must agree three
+/// ways, and the scan-path counters must equal the interpreter's exactly.
 fn assert_access_path_parity(db: &Database, q: &SelectQuery, env: &ParamEnv) {
-    let catalog = db.catalog();
-    let indexed = prepare_with(q, &catalog, EvalOptions::default()).and_then(|plan| {
-        let mut stats = EvalStats::default();
-        let rel = plan.execute_stats(db, env, &mut stats)?;
-        Ok((rel, stats))
-    });
-    let scan_opts = EvalOptions {
-        use_indexes: false,
-        ..EvalOptions::default()
+    let run = |db: &Database| {
+        prepare(q, &db.catalog()).and_then(|plan| {
+            let mut stats = EvalStats::default();
+            let rel = plan.execute_stats(db, env, &mut stats)?;
+            Ok((rel, stats))
+        })
     };
-    let scanned = prepare_with(q, &catalog, scan_opts).and_then(|plan| {
-        let mut stats = EvalStats::default();
-        let rel = plan.execute_stats(db, env, &mut stats)?;
-        Ok((rel, stats))
-    });
+    let indexed = run(db);
+    let scanned = run(&without_indexes(db));
     let mut interp_stats = EvalStats::default();
-    let interp = eval_query_stats(db, q, env, scan_opts, &mut interp_stats);
+    let interp = eval_query_stats(db, q, env, EvalOptions::default(), &mut interp_stats);
     match (indexed, scanned, interp) {
         (Ok((irel, istats)), Ok((srel, sstats)), Ok(rel)) => {
             assert_eq!(irel, srel, "index vs scan rows for {}", q.to_sql());
@@ -224,7 +233,7 @@ proptest! {
         vs in prop::collection::vec(0i64..5, 1..6),
     ) {
         let q = parse_query("SELECT a, b FROM r WHERE k = $p.v").unwrap();
-        let plan = prepare_with(&q, &db.catalog(), EvalOptions::default()).unwrap();
+        let plan = prepare(&q, &db.catalog()).unwrap();
         let envs: Vec<ParamEnv> = vs
             .iter()
             .map(|&v| {

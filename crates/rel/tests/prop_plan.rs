@@ -6,9 +6,9 @@
 
 use proptest::prelude::*;
 use xvc_rel::{
-    eval_query_stats, parse_query, prepare, prepare_with, AggFunc, BinOp, ColumnDef, ColumnType,
-    Database, EvalOptions, EvalStats, NamedTuple, ParamEnv, ScalarExpr, SelectItem, SelectQuery,
-    TableRef, Value,
+    eval_query_stats, parse_query, prepare, AggFunc, BinOp, ColumnDef, ColumnType, Database,
+    EvalOptions, EvalStats, NamedTuple, ParamEnv, ScalarExpr, SelectItem, SelectQuery, TableRef,
+    Value,
 };
 
 /// Case count: the in-tree default, overridable via `PROPTEST_CASES` for
@@ -162,10 +162,10 @@ fn env_strategy() -> impl Strategy<Value = ParamEnv> {
 /// Both paths on the same inputs; rows and stats must agree exactly
 /// (including row order — the plan mirrors the interpreter's pipeline, so
 /// even ordering is deterministic). Both-sides-error is agreement too.
-fn assert_parity(db: &Database, q: &SelectQuery, env: &ParamEnv, options: EvalOptions) {
+fn assert_parity(db: &Database, q: &SelectQuery, env: &ParamEnv) {
     let mut interp_stats = EvalStats::default();
-    let interp = eval_query_stats(db, q, env, options, &mut interp_stats);
-    let prepared = prepare_with(q, &db.catalog(), options).and_then(|plan| {
+    let interp = eval_query_stats(db, q, env, EvalOptions::default(), &mut interp_stats);
+    let prepared = prepare(q, &db.catalog()).and_then(|plan| {
         let mut plan_stats = EvalStats::default();
         let rel = plan.execute_stats(db, env, &mut plan_stats)?;
         Ok((rel, plan_stats))
@@ -274,7 +274,7 @@ fn typed_pred(columns: &'static [&'static str]) -> impl Strategy<Value = String>
 
 fn assert_sql_parity(db: &Database, sql: &str) {
     let q = parse_query(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
-    assert_parity(db, &q, &ParamEnv::new(), EvalOptions::default());
+    assert_parity(db, &q, &ParamEnv::new());
 }
 
 proptest! {
@@ -288,24 +288,7 @@ proptest! {
         q in query_strategy(),
         env in env_strategy(),
     ) {
-        assert_parity(&db, &q, &env, EvalOptions::default());
-    }
-
-    /// The equivalence holds under non-default options too: the plan bakes
-    /// the options in at compile time, the interpreter applies them per
-    /// call — both must land in the same place.
-    #[test]
-    fn prepared_equals_interpreted_without_hash_joins(
-        db in db_strategy(),
-        q in query_strategy(),
-        env in env_strategy(),
-    ) {
-        assert_parity(
-            &db,
-            &q,
-            &env,
-            EvalOptions { hash_joins: false, ..EvalOptions::default() },
-        );
+        assert_parity(&db, &q, &env);
     }
 
     /// EXISTS subqueries (correlated and not) through the plan compiler,
@@ -318,7 +301,7 @@ proptest! {
             format!("SELECT a FROM r WHERE EXISTS (SELECT * FROM s WHERE c > {threshold})")
         };
         let q = parse_query(&sql).unwrap();
-        assert_parity(&db, &q, &ParamEnv::new(), EvalOptions::default());
+        assert_parity(&db, &q, &ParamEnv::new());
     }
 
     /// One plan, many environments: compiling once and re-executing with
@@ -354,7 +337,7 @@ proptest! {
              WHERE k2 = t.k"
         );
         let q = parse_query(&sql).unwrap();
-        assert_parity(&db, &q, &env, EvalOptions::default());
+        assert_parity(&db, &q, &env);
     }
 
     /// Typed values through pushdowns, join keys and prefix filters: NULL
@@ -402,8 +385,8 @@ proptest! {
 
     /// An aggregating block over a possibly empty input whose select list
     /// or HAVING mixes aggregates with a non-aggregate expression and an
-    /// `EXISTS`: an empty group evaluates them under a stand-in scope with
-    /// no row, so `s` below resolves in the enclosing row (or nowhere).
+    /// `EXISTS`: an empty group evaluates them over an all-NULL row of the
+    /// block, so `s` below reads the block's NULL `v.s`.
     #[test]
     fn empty_group_scope_parity(db in typed_db_strategy(), lo in 0i64..3) {
         for sql in [
