@@ -1,16 +1,16 @@
-//! Pass 6: cardinality analysis over the TVQ (the `XVC5xx` codes) plus
-//! the `XVC120` index-usability advisory.
+//! Pass 6: cardinality analysis (the `XVC5xx` codes) plus the `XVC120`
+//! index-usability advisory.
 //!
-//! Layers the [`xvc_rel::facts::query_cardinality`] abstract domain
+//! Reports the [`xvc_rel::facts::query_cardinality`] abstract domain
 //! (`0 / <=1 / <=k / unbounded` row bounds from `PRIMARY KEY`
-//! constraints and equality pushdowns) over the same top-down TVQ walk
-//! the predicate-dataflow pass uses, via
-//! [`xvc_core::prune::analyze_tvq`]'s per-node fan-out and cumulative
-//! bounds:
+//! constraints and equality pushdowns). Whole-document bounds come from
+//! the one walk that lifts them over a tree,
+//! [`xvc_view::analyze_view_bounds`], run over the composed view that is
+//! actually published:
 //!
 //! * **XVC501** — a tag query bounded to 0 rows (co-reported with
-//!   XVC401: the zero bound *is* the dead-subtree proof, restated in
-//!   cardinality terms);
+//!   XVC401: the dead-subtree proof of the shared TVQ analysis, restated
+//!   in cardinality terms);
 //! * **XVC502** — a FROM item with no equality link to the rest of the
 //!   query: the cross product makes the per-parent fan-out unbounded;
 //! * **XVC503** — on recursive (cyclic-CTG) workloads, a view node on
@@ -19,18 +19,16 @@
 //! * **XVC504** — a rebind guard whose `EXISTS` probe is not provably
 //!   single-row (the guard re-checks per instance; a key-pinned probe
 //!   would be a point lookup);
-//! * **XVC505** — when the whole-document bound is *finite*, a report
-//!   stating it, with the per-node fan-out/cumulative bounds as the
-//!   justification chain.
+//! * **XVC505** — when the composed view's document bound is *finite*, a
+//!   report stating it, with one fan-out line per composed view node as
+//!   the justification chain.
 //!
 //! Every finding carries its justifying fact chain
-//! ([`crate::diag::Diagnostic::justification`]), mirroring what
-//! `plan::prepare`'s bound-driven decisions print in `xvc explain`.
+//! ([`crate::diag::Diagnostic::justification`]). The bounds are a report:
+//! no plan reads them, and `xvc explain` prints the same ones.
 
 use std::collections::BTreeSet;
 
-use xvc_core::prune::analyze_tvq;
-use xvc_core::tvq::build_tvq;
 use xvc_core::unbind::UnboundQuery;
 use xvc_rel::facts::{bound_query, query_cardinality, FactSet};
 use xvc_rel::{Card, Catalog, ScalarExpr, SelectQuery, TableRef};
@@ -39,33 +37,25 @@ use xvc_xslt::Stylesheet;
 
 use crate::dataflow::{fact_chain, node_label};
 use crate::diag::{Code, Diagnostic, Stage};
+use crate::ComposedWorkload;
 
-/// Runs the cardinality pass over the (acyclic) composed workload. The
-/// stylesheet must already be lowered, mirroring pass 5; CTG/TVQ build
-/// failures yield no diagnostics here — pass 4 reports those.
+/// Runs the cardinality pass over `composed`, the composition of `view`
+/// with the (lowered) stylesheet.
 pub fn check_cardinality(
     view: &SchemaTree,
-    stylesheet: &Stylesheet,
+    composed: &ComposedWorkload,
     catalog: &Catalog,
-    tvq_limit: usize,
 ) -> Vec<Diagnostic> {
-    let Ok(ctg) = xvc_core::build_ctg(view, stylesheet) else {
-        return Vec::new();
-    };
-    let Ok(tvq) = build_tvq(view, stylesheet, &ctg, catalog, tvq_limit) else {
-        return Vec::new();
-    };
-
+    let tvq = &composed.tvq;
     let mut out = Vec::new();
-    let analysis = analyze_tvq(&tvq, catalog);
-    for (idx, verdict) in analysis.verdicts.iter().enumerate() {
+    for (idx, verdict) in composed.analysis.verdicts.iter().enumerate() {
         let node = &tvq.nodes[idx];
-        let label = node_label(view, &tvq, idx);
+        let label = node_label(view, tvq, idx);
 
         // XVC501: a 0-row bound. Only dead subtree *roots* carry it
         // (descendants keep the default verdict), so one diagnostic per
         // pruned region, matching XVC401.
-        if verdict.dead && verdict.fan_out.card == Card::Zero {
+        if verdict.dead {
             out.push(
                 Diagnostic::new(
                     Code::Xvc501,
@@ -75,31 +65,33 @@ pub fn check_cardinality(
                          no instance of this node can ever be published"
                     ),
                 )
-                .with_help(fact_chain(&verdict.fan_out.chain))
-                .with_justification(verdict.fan_out.chain.clone()),
+                .with_help(fact_chain(&verdict.chain))
+                .with_justification(verdict.chain.clone()),
             );
             continue;
         }
 
         match &node.binding {
-            // XVC502: unbounded fan-out explained by a cross product.
-            // `cross_joins` is structural (equality links between FROM
-            // items come from the query's own conjuncts, never from
-            // inherited parameter facts), so the empty environment is
-            // exact here.
-            UnboundQuery::Query(q) if verdict.fan_out.card == Card::Unbounded => {
+            // XVC502: unbounded fan-out explained by a cross product. The
+            // pins and links come from the query's own conjuncts, never
+            // from inherited parameter facts, so the empty environment
+            // is exact here.
+            UnboundQuery::Query(q) => {
                 let qc = query_cardinality(q, catalog, &FactSet::new());
-                if !qc.cross_joins.is_empty() {
+                if qc.total.card == Card::Unbounded && !qc.cross_joins.is_empty() {
                     // The unbounded bound carries no fact chain (it is
                     // the lattice top); justify with the structural
                     // witnesses instead.
-                    let mut just = verdict.fan_out.chain.clone();
-                    just.extend(qc.cross_joins.iter().map(|n| {
-                        format!(
-                            "FROM item `{n}` is pinned by no predicate and \
-                             equality-linked to no other FROM item"
-                        )
-                    }));
+                    let just = qc
+                        .cross_joins
+                        .iter()
+                        .map(|n| {
+                            format!(
+                                "FROM item `{n}` is pinned by no predicate and \
+                                 equality-linked to no other FROM item"
+                            )
+                        })
+                        .collect();
                     out.push(
                         Diagnostic::new(
                             Code::Xvc502,
@@ -112,8 +104,9 @@ pub fn check_cardinality(
                             ),
                         )
                         .with_help(
-                            "add a join predicate so the planner can bound the join and \
-                             pick an indexed or filter-probe strategy",
+                            "link the item to the rest of the query by an equality, or pin \
+                             its full PRIMARY KEY, so its rows stop pairing with every row \
+                             of the other FROM items",
                         )
                         .with_justification(just),
                     );
@@ -152,20 +145,21 @@ pub fn check_cardinality(
         }
     }
 
-    // XVC505: the whole-document growth bound, reported only when finite
-    // (an unbounded bound is the common case and would be pure noise).
-    if let Some(limit) = analysis.document.as_limit() {
-        let just: Vec<String> = analysis
-            .verdicts
-            .iter()
-            .enumerate()
-            .map(|(idx, v)| {
-                format!(
-                    "{}: fan-out {}, cumulative {}",
-                    node_label(view, &tvq, idx),
-                    v.fan_out.card,
-                    v.cumulative
-                )
+    // XVC505: the whole-document growth bound of the composed view,
+    // reported only when finite (an unbounded bound is the common case
+    // and would be pure noise).
+    let bounds = analyze_view_bounds(&composed.view, catalog);
+    if let Some(limit) = bounds.document.as_limit() {
+        let just: Vec<String> = composed
+            .view
+            .node_ids()
+            .into_iter()
+            .filter_map(|vid| {
+                let (vn, nb) = (composed.view.node(vid)?, bounds.node(vid)?);
+                Some(format!(
+                    "view node {} <{}>: fan-out {}, per-document {}",
+                    vn.id, vn.tag, nb.fan_out, nb.global
+                ))
             })
             .collect();
         out.push(
@@ -175,12 +169,13 @@ pub fn check_cardinality(
                 format!(
                     "cardinality report: the published document is statically bounded to \
                      at most {limit} element(s); largest set-oriented batch bound: {}",
-                    analysis.max_batch
+                    bounds.max_batch
                 ),
             )
             .with_help(
                 "bounds are sound over-approximations from PRIMARY KEY constraints and \
-                 equality pushdowns (see `xvc explain` for the plan decisions they drive)",
+                 equality pushdowns, lifted over the composed view; they are a report that \
+                 no plan reads (`xvc explain` prints each node's `bounds:` line)",
             )
             .with_justification(just),
         );
@@ -403,11 +398,17 @@ mod tests {
     use xvc_xslt::parse::FIGURE4_XSLT;
     use xvc_xslt::parse_stylesheet;
 
+    fn check(v: &SchemaTree, x: &Stylesheet) -> Vec<Diagnostic> {
+        let cat = figure2_catalog();
+        let c = ComposedWorkload::new(v, x, None, &cat, DEFAULT_TVQ_LIMIT).unwrap();
+        check_cardinality(v, &c, &cat)
+    }
+
     #[test]
     fn clean_workload_reports_nothing() {
         let v = figure1_view();
         let x = parse_stylesheet(FIGURE4_XSLT).unwrap();
-        let ds = check_cardinality(&v, &x, &figure2_catalog(), DEFAULT_TVQ_LIMIT);
+        let ds = check(&v, &x);
         assert!(ds.is_empty(), "{ds:?}");
     }
 
@@ -424,7 +425,7 @@ mod tests {
                </xsl:stylesheet>"#,
         )
         .unwrap();
-        let ds = check_cardinality(&v, &x, &figure2_catalog(), DEFAULT_TVQ_LIMIT);
+        let ds = check(&v, &x);
         let d = ds.iter().find(|d| d.code == Code::Xvc502).unwrap();
         assert!(d.message.contains("`h`"), "{}", d.message);
         assert!(!d.justification.is_empty(), "{d:?}");
@@ -443,7 +444,7 @@ mod tests {
                </xsl:stylesheet>"#,
         )
         .unwrap();
-        let ds = check_cardinality(&v, &x, &figure2_catalog(), DEFAULT_TVQ_LIMIT);
+        let ds = check(&v, &x);
         let d = ds.iter().find(|d| d.code == Code::Xvc501).unwrap();
         assert!(d.message.contains("0 rows"), "{}", d.message);
         assert!(!d.justification.is_empty(), "{d:?}");
@@ -464,7 +465,7 @@ mod tests {
                </xsl:stylesheet>"#,
         )
         .unwrap();
-        let ds = check_cardinality(&v, &x, &figure2_catalog(), DEFAULT_TVQ_LIMIT);
+        let ds = check(&v, &x);
         let d = ds.iter().find(|d| d.code == Code::Xvc505).unwrap();
         assert!(d.message.contains("at most"), "{}", d.message);
         assert!(

@@ -1,46 +1,33 @@
 //! Pass 5: predicate dataflow over the TVQ (the `XVC4xx` codes).
 //!
-//! Re-runs the [`xvc_core::prune`] abstract-interpretation pass that
-//! `ComposeOptions::prune` uses and converts its verdicts into
-//! diagnostics: dead TVQ subtrees (XVC401), contradictions that survive
-//! as empty aggregate rows (XVC402), redundant conjuncts (XVC403),
-//! tautological `EXISTS` conditions (XVC404), comparisons that can never
-//! bind because of NULL (XVC405), key-implied duplicate joins (XVC406)
-//! and the overall prune-size report (XVC407). Every finding carries the
+//! Reads the verdicts of the [`xvc_core::prune`] abstract-interpretation
+//! pass that `ComposeOptions::prune` uses, computed once per check
+//! ([`crate::ComposedWorkload`]), and converts them into diagnostics:
+//! dead TVQ subtrees (XVC401), contradictions that survive as empty
+//! aggregate rows (XVC402), redundant conjuncts (XVC403), tautological
+//! `EXISTS` conditions (XVC404), comparisons that can never bind because
+//! of NULL (XVC405), key-implied duplicate joins (XVC406) and the
+//! overall prune-size report (XVC407). Every finding carries the
 //! fact chain that justifies it, so the report doubles as an explanation
 //! of what `--prune` would do.
 
-use xvc_core::prune::{analyze_tvq, prune_tvq};
-use xvc_core::tvq::{build_tvq, Tvq};
+use xvc_core::prune::apply_prune;
+use xvc_core::tvq::Tvq;
 use xvc_core::unbind::UnboundQuery;
-use xvc_rel::Catalog;
 use xvc_view::SchemaTree;
-use xvc_xslt::Stylesheet;
 
 use crate::diag::{Code, Diagnostic, Stage};
+use crate::ComposedWorkload;
 
-/// Runs the dataflow pass. The stylesheet must already be lowered (the
-/// caller mirrors pass 4's `lower_to_basic` decision). CTG/TVQ build
-/// failures yield no diagnostics here — pass 4 reports those.
-pub fn check_dataflow(
-    view: &SchemaTree,
-    stylesheet: &Stylesheet,
-    catalog: &Catalog,
-    tvq_limit: usize,
-) -> Vec<Diagnostic> {
-    let Ok(ctg) = xvc_core::build_ctg(view, stylesheet) else {
-        return Vec::new();
-    };
-    let Ok(tvq) = build_tvq(view, stylesheet, &ctg, catalog, tvq_limit) else {
-        return Vec::new();
-    };
-
+/// Runs the dataflow pass over the verdicts of `composed`, the
+/// composition of `view` with the (lowered) stylesheet.
+pub fn check_dataflow(view: &SchemaTree, composed: &ComposedWorkload) -> Vec<Diagnostic> {
+    let (tvq, analysis) = (&composed.tvq, &composed.analysis);
     let mut out = Vec::new();
-    let analysis = analyze_tvq(&tvq, catalog);
     for (idx, verdict) in analysis.verdicts.iter().enumerate() {
-        let label = node_label(view, &tvq, idx);
+        let label = node_label(view, tvq, idx);
         if verdict.dead {
-            let n = subtree_size(&tvq, idx);
+            let n = subtree_size(tvq, idx);
             let what = if n == 1 {
                 "the node is dead".to_owned()
             } else {
@@ -123,7 +110,7 @@ pub fn check_dataflow(
     // The prune-size report: what `--prune` would actually do.
     let total = tvq.nodes.len();
     let mut pruned = tvq.clone();
-    let stats = prune_tvq(&mut pruned, catalog);
+    let stats = apply_prune(&mut pruned, analysis);
     if stats.nodes_removed > 0 || stats.conjuncts_eliminated > 0 {
         out.push(
             Diagnostic::new(
@@ -181,13 +168,18 @@ mod tests {
     use xvc_core::paper_fixtures::{figure1_view, figure2_catalog};
     use xvc_core::tvq::DEFAULT_TVQ_LIMIT;
     use xvc_xslt::parse::FIGURE4_XSLT;
-    use xvc_xslt::parse_stylesheet;
+    use xvc_xslt::{parse_stylesheet, Stylesheet};
+
+    fn check(v: &SchemaTree, x: &Stylesheet) -> Vec<Diagnostic> {
+        let c = ComposedWorkload::new(v, x, None, &figure2_catalog(), DEFAULT_TVQ_LIMIT).unwrap();
+        check_dataflow(v, &c)
+    }
 
     #[test]
     fn clean_workload_reports_nothing() {
         let v = figure1_view();
         let x = parse_stylesheet(FIGURE4_XSLT).unwrap();
-        let ds = check_dataflow(&v, &x, &figure2_catalog(), DEFAULT_TVQ_LIMIT);
+        let ds = check(&v, &x);
         assert!(ds.is_empty(), "{ds:?}");
     }
 
@@ -206,7 +198,7 @@ mod tests {
                </xsl:stylesheet>"#,
         )
         .unwrap();
-        let ds = check_dataflow(&v, &x, &figure2_catalog(), DEFAULT_TVQ_LIMIT);
+        let ds = check(&v, &x);
         let codes: Vec<_> = ds.iter().map(|d| d.code).collect();
         assert!(codes.contains(&Code::Xvc401), "{ds:?}");
         assert!(codes.contains(&Code::Xvc407), "{ds:?}");

@@ -24,33 +24,24 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use xvc_core::deps::{DepRole, DependencyMap, UpdateSafety};
-use xvc_core::tvq::build_tvq;
 use xvc_rel::Catalog;
 use xvc_view::SchemaTree;
-use xvc_xslt::Stylesheet;
 
 use crate::diag::{Code, Diagnostic, Stage};
+use crate::ComposedWorkload;
 
 /// Distinct TVQ nodes a single base column may feed before XVC601 calls
 /// the column write-amplifying.
 pub const WRITE_AMPLIFICATION_THRESHOLD: usize = 3;
 
 /// Runs the dependency pass on an acyclic workload: the map is built over
-/// the TVQ (same walk as passes 5 and 6). CTG/TVQ build failures yield no
-/// diagnostics here — pass 4 reports those.
+/// the TVQ of `composed`, the composition of `view` that passes 4–6 read.
 pub fn check_deps(
     view: &SchemaTree,
-    stylesheet: &Stylesheet,
+    composed: &ComposedWorkload,
     catalog: &Catalog,
-    tvq_limit: usize,
 ) -> Vec<Diagnostic> {
-    let Ok(ctg) = xvc_core::build_ctg(view, stylesheet) else {
-        return Vec::new();
-    };
-    let Ok(tvq) = build_tvq(view, stylesheet, &ctg, catalog, tvq_limit) else {
-        return Vec::new();
-    };
-    let map = DependencyMap::of_tvq(&tvq, view, catalog);
+    let map = DependencyMap::of_tvq(&composed.tvq, view, catalog);
     map_diagnostics(&map, catalog)
 }
 
@@ -201,7 +192,9 @@ mod tests {
     fn figure4_reports_dead_tables_and_impact() {
         let v = figure1_view();
         let x = parse_stylesheet(FIGURE4_XSLT).unwrap();
-        let ds = check_deps(&v, &x, &figure2_catalog(), DEFAULT_TVQ_LIMIT);
+        let cat = figure2_catalog();
+        let c = ComposedWorkload::new(&v, &x, None, &cat, DEFAULT_TVQ_LIMIT).unwrap();
+        let ds = check_deps(&v, &c, &cat);
         let codes: Vec<_> = ds.iter().map(|d| d.code).collect();
         assert!(codes.contains(&Code::Xvc603), "{ds:?}");
         assert!(codes.contains(&Code::Xvc604), "{ds:?}");

@@ -23,17 +23,20 @@
 //!    duplicate joins, and what `ComposeOptions::prune` would remove;
 //! 6. **Cardinality analysis** ([`cardinality`]) — static row bounds
 //!    (`0 / <=1 / <=k / unbounded`) from `PRIMARY KEY` constraints and
-//!    equality pushdowns, flowed down the TVQ's binding paths: provably
-//!    empty tag queries, cross-product fan-out, unbounded recursive
-//!    growth, non-single-row rebind guards, and a whole-document bound
-//!    report when one is finite (`XVC5xx`); pass 2 additionally warns
-//!    about declared indexes no tag query can use (`XVC120`);
+//!    equality pushdowns: provably empty tag queries, cross-product
+//!    fan-out, unbounded recursive growth, non-single-row rebind guards,
+//!    and a whole-document bound report, lifted over the composed view,
+//!    when one is finite (`XVC5xx`); pass 2 additionally warns about
+//!    declared indexes no tag query can use (`XVC120`);
 //! 7. **Dependency lineage** ([`deps_check`]) — the static
-//!    [`xvc_core::deps::DependencyMap`] over the same TVQ walk (or the
-//!    raw view when the CTG is cyclic): write-amplifying columns, forced
+//!    [`xvc_core::deps::DependencyMap`] over the same TVQ (or the raw
+//!    view when the CTG is cyclic): write-amplifying columns, forced
 //!    recomputation through recursion cycles, dead catalog tables, and
-//!    the per-table impact report backing `Session::republish_delta`
-//!    (`XVC6xx`).
+//!    the per-table impact report (`XVC6xx`).
+//!
+//! Passes 4–7 read one [`ComposedWorkload`]: the CTG, the TVQ and the
+//! composed stylesheet view are built once per check, and the TVQ's
+//! predicate dataflow is analyzed once.
 //!
 //! The analyzer never executes queries and needs no database instance —
 //! only the catalog.
@@ -63,11 +66,13 @@ pub mod dialect;
 pub mod render;
 pub mod view_check;
 
+use xvc_core::prune::{analyze_tvq, TvqAnalysis};
+use xvc_core::stylesheet_view::build_stylesheet_view;
+use xvc_core::tvq::{build_tvq, Tvq, DEFAULT_TVQ_LIMIT};
+use xvc_core::Ctg;
 use xvc_rel::Catalog;
 use xvc_view::SchemaTree;
 use xvc_xslt::Stylesheet;
-
-use xvc_core::tvq::DEFAULT_TVQ_LIMIT;
 
 pub use cardinality::{check_cardinality, check_index_usage, check_recursion_growth};
 pub use composed_check::check_composed;
@@ -136,6 +141,46 @@ impl Report {
     }
 }
 
+/// One composition of a workload, built once and read by passes 4–7.
+#[derive(Debug, Clone)]
+pub struct ComposedWorkload {
+    /// The traverse view query, which passes 5–7 walk.
+    pub tvq: Tvq,
+    /// The predicate-dataflow verdicts over `tvq`, which passes 5 and 6
+    /// read.
+    pub analysis: TvqAnalysis,
+    /// The composed stylesheet view `v′`, which passes 4 and 6 read.
+    pub view: SchemaTree,
+}
+
+impl ComposedWorkload {
+    /// Chains the three stages [`xvc_core::Composer::run`] chains under
+    /// default options — CTG, TVQ, stylesheet view — and analyzes the TVQ
+    /// once. `ctg` is `stylesheet`'s CTG when the caller has built it
+    /// already (pass 3 has, unless the stylesheet was lowered since).
+    pub fn new(
+        view: &SchemaTree,
+        stylesheet: &Stylesheet,
+        ctg: Option<Ctg>,
+        catalog: &Catalog,
+        tvq_limit: usize,
+    ) -> xvc_core::Result<ComposedWorkload> {
+        view.validate()?;
+        let ctg = match ctg {
+            Some(ctg) => ctg,
+            None => xvc_core::build_ctg(view, stylesheet)?,
+        };
+        let tvq = build_tvq(view, stylesheet, &ctg, catalog, tvq_limit)?;
+        let composed = build_stylesheet_view(view, stylesheet, &tvq, catalog)?;
+        let analysis = analyze_tvq(&tvq, catalog);
+        Ok(ComposedWorkload {
+            tvq,
+            analysis,
+            view: composed,
+        })
+    }
+}
+
 /// Checks already-parsed artifacts. Any of the three inputs may be absent;
 /// passes needing a missing input are skipped.
 pub fn check_workload(
@@ -163,13 +208,15 @@ pub fn check_workload(
 
     // Pass 3: CTG-level analysis.
     let mut cyclic = false;
+    let mut ctg = None;
     if let (Some(v), Some(x)) = (view, stylesheet) {
         match xvc_core::build_ctg(v, x) {
-            Ok(ctg) => {
-                let (ds, prediction) = ctg_check::check_ctg(v, x, &ctg, opts);
+            Ok(c) => {
+                let (ds, prediction) = ctg_check::check_ctg(v, x, &c, opts);
                 cyclic = prediction.cyclic;
                 report.diagnostics.extend(ds);
                 report.prediction = Some(prediction);
+                ctg = Some(c);
             }
             Err(e) => {
                 // "No root rule" is already XVC008; anything else is a
@@ -185,10 +232,11 @@ pub fn check_workload(
         }
     }
 
-    // Passes 4 & 5: compose and validate the output, then run the
-    // predicate-dataflow pass over the TVQ. Only when the workload is
-    // error-free so far (errors mean composition is known to fail) and
-    // acyclic (recursion takes the §5.3 path instead).
+    // Passes 4–7 read one composition of the workload: the CTG, the TVQ
+    // and the stylesheet view, built once, plus one predicate-dataflow
+    // analysis of the TVQ. Only when the workload is error-free so far
+    // (errors mean composition is known to fail) and acyclic (recursion
+    // takes the §5.3 path instead).
     if let (Some(v), Some(x), Some(cat)) = (view, stylesheet, catalog) {
         if !report.has_errors() && !cyclic {
             let needs_lowering = report.diagnostics.iter().any(|d| {
@@ -197,10 +245,6 @@ pub fn check_workload(
                     Code::Xvc001 | Code::Xvc002 | Code::Xvc003 | Code::Xvc006
                 )
             });
-            let options = xvc_core::ComposeOptions {
-                tvq_limit: opts.tvq_limit,
-                ..xvc_core::ComposeOptions::default()
-            };
             // §5.1 predicates compose directly; §5.2 deviations lower first.
             let lowered;
             let target: Option<&Stylesheet> = if needs_lowering {
@@ -228,36 +272,24 @@ pub fn check_workload(
                 Some(x)
             };
             if let Some(xs) = target {
-                match xvc_core::Composer::new(v, xs, cat)
-                    .with_options(options)
-                    .run()
-                    .map(|c| c.view)
-                {
+                // Lowering changes the CTG; otherwise pass 3's is the one.
+                let ctg = ctg.filter(|_| !needs_lowering);
+                match ComposedWorkload::new(v, xs, ctg, cat, opts.tvq_limit) {
                     Ok(c) => {
+                        // Pass 4: the composed view's SQL.
                         report
                             .diagnostics
-                            .extend(composed_check::check_composed(&c, cat));
+                            .extend(composed_check::check_composed(&c.view, cat));
                         // Pass 5: XVC4xx over the same (lowered) workload.
-                        report.diagnostics.extend(dataflow::check_dataflow(
-                            v,
-                            xs,
-                            cat,
-                            opts.tvq_limit,
-                        ));
-                        // Pass 6: XVC5xx cardinality analysis, same walk.
-                        report.diagnostics.extend(cardinality::check_cardinality(
-                            v,
-                            xs,
-                            cat,
-                            opts.tvq_limit,
-                        ));
-                        // Pass 7: XVC6xx dependency lineage, same walk.
-                        report.diagnostics.extend(deps_check::check_deps(
-                            v,
-                            xs,
-                            cat,
-                            opts.tvq_limit,
-                        ));
+                        report.diagnostics.extend(dataflow::check_dataflow(v, &c));
+                        // Pass 6: XVC5xx cardinality analysis.
+                        report
+                            .diagnostics
+                            .extend(cardinality::check_cardinality(v, &c, cat));
+                        // Pass 7: XVC6xx dependency lineage over the TVQ.
+                        report
+                            .diagnostics
+                            .extend(deps_check::check_deps(v, &c, cat));
                     }
                     Err(xvc_core::Error::TvqTooLarge { limit }) => {
                         if !report.diagnostics.iter().any(|d| d.code == Code::Xvc204) {

@@ -373,13 +373,14 @@ fn main() {
 
     if fuzz {
         println!("\n==== fuzz: differential generator gate (v'(I) = x(v(I))) ====\n");
-        // 48 seeds per preset; the function itself aborts on divergence
-        // or on a measured batch exceeding its static cardinality bound.
+        // 48 seeds per preset; the function itself aborts on divergence,
+        // or on a measured batch or element count exceeding its static
+        // cardinality bound.
         let s = differential_fuzz(48);
         println!(
-            "{} workloads checked ({} with a finite static batch bound); \
-             largest measured batch {}",
-            s.workloads, s.finite_batch_bounds, s.max_batch_seen,
+            "{} workloads checked ({} with a finite static batch bound, {} with a \
+             finite static document bound); largest measured batch {}",
+            s.workloads, s.finite_batch_bounds, s.finite_document_bounds, s.max_batch_seen,
         );
         assert!(
             s.max_batch_seen > 1,

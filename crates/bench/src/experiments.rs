@@ -1067,15 +1067,18 @@ pub struct FuzzSummary {
     /// Workloads whose static per-wave batch bound was finite (and was
     /// therefore checked against the measured maximum).
     pub finite_batch_bounds: usize,
+    /// Workloads whose static document bound was finite (and was
+    /// therefore checked against the published element count).
+    pub finite_document_bounds: usize,
     /// Largest measured binding batch across all workloads.
     pub max_batch_seen: usize,
 }
 
 /// The CI differential gate over the recursion-heavy and wide-fanout
 /// generators: for every seed and preset, `v'(I)` must equal `x(v(I))`,
-/// and the measured per-wave batch sizes must stay within the statically
-/// predicted cardinality bound. Any violation panics with the offending
-/// stylesheet.
+/// and the measured per-wave batch sizes and published element count must
+/// stay within the statically predicted cardinality bounds. Any violation
+/// panics with the offending stylesheet.
 pub fn differential_fuzz(seeds_per_config: u64) -> FuzzSummary {
     use crate::random_stylesheet::{random_stylesheet, StylesheetConfig};
     use xvc_view::analyze_view_bounds;
@@ -1091,6 +1094,7 @@ pub fn differential_fuzz(seeds_per_config: u64) -> FuzzSummary {
     let mut summary = FuzzSummary {
         workloads: 0,
         finite_batch_bounds: 0,
+        finite_document_bounds: 0,
         max_batch_seen: 0,
     };
     for (name, cfg) in [
@@ -1126,6 +1130,15 @@ pub fn differential_fuzz(seeds_per_config: u64) -> FuzzSummary {
                     published.stats.bindings_per_batch_max as u64 <= limit,
                     "{name} seed {seed}: measured batch {} exceeds static bound {limit}\n{}",
                     published.stats.bindings_per_batch_max,
+                    stylesheet.to_xslt()
+                );
+            }
+            if let Some(limit) = bounds.document.as_limit() {
+                summary.finite_document_bounds += 1;
+                assert!(
+                    published.stats.elements as u64 <= limit,
+                    "{name} seed {seed}: {} elements exceed static document bound {limit}\n{}",
+                    published.stats.elements,
                     stylesheet.to_xslt()
                 );
             }

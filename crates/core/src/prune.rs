@@ -11,19 +11,23 @@
 //!
 //! Every decision is justified by a recorded fact chain
 //! ([`NodeVerdict::chain`]), which `xvc check` surfaces as `XVC4xx`
-//! diagnostics and which the equivalence property tests keep honest:
-//! pruning must preserve `v'(I) = x(v(I))`.
+//! diagnostics (and `XVC501` restates in cardinality terms) and which the
+//! equivalence property tests keep honest: pruning must preserve
+//! `v'(I) = x(v(I))`.
+//!
+//! The walk keeps only what pruning reads: liveness, its fact chain and
+//! each query's conjunct analysis. It lifts no row-count bound; that is
+//! `xvc_view::analyze_view_bounds`' job, over the composed view that is
+//! actually published.
 
-use xvc_rel::facts::{
-    analyze_query, drop_redundant_conjuncts, param_key, query_cardinality, QueryAnalysis,
-};
-use xvc_rel::{Card, CardBound, Catalog, FactSet, ScalarExpr, SelectItem, SelectQuery};
+use xvc_rel::facts::{analyze_query, drop_redundant_conjuncts, param_key, QueryAnalysis};
+use xvc_rel::{Catalog, FactSet, ScalarExpr, SelectItem, SelectQuery};
 
 use crate::tvq::Tvq;
 use crate::unbind::UnboundQuery;
 
 /// The dataflow verdict for one TVQ node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NodeVerdict {
     /// The node's tag query (or rebind guard) is provably empty: no
     /// instance of this node — or its subtree — can ever be produced.
@@ -34,52 +38,16 @@ pub struct NodeVerdict {
     /// rebind guard, wrapped in a probe query). `None` for literal
     /// bindings and guardless rebinds.
     pub analysis: Option<QueryAnalysis>,
-    /// Cardinality bound on element instances per parent instance: the
-    /// tag query's row bound under the inherited facts; exactly one for
-    /// literal bindings and rebinds (a rebind re-emits the bound tuple,
-    /// and its guard can only suppress it).
-    pub fan_out: CardBound,
-    /// Bound on this node's instances across the whole document (the
-    /// running product of fan-outs down the binding path). `Zero` for
-    /// nodes inside dead subtrees.
-    pub cumulative: Card,
-}
-
-impl Default for NodeVerdict {
-    fn default() -> Self {
-        NodeVerdict {
-            dead: false,
-            chain: Vec::new(),
-            analysis: None,
-            fan_out: CardBound::unbounded(),
-            // Unvisited nodes are exactly the descendants of dead
-            // subtree roots: provably never instantiated.
-            cumulative: Card::Zero,
-        }
-    }
 }
 
 /// Result of [`analyze_tvq`]: one verdict per TVQ node, same indexing.
-#[derive(Debug, Clone)]
+/// Descendants of a dead node keep the default (live, unanalyzed)
+/// verdict: the walk never reaches them, and pruning removes them with
+/// their dead ancestor.
+#[derive(Debug, Clone, Default)]
 pub struct TvqAnalysis {
     /// Per-node verdicts, indexed like [`Tvq::nodes`].
     pub verdicts: Vec<NodeVerdict>,
-    /// Bound on total element instances the TVQ can produce (sum of
-    /// per-node cumulative bounds) — the document-growth bound.
-    pub document: Card,
-    /// Bound on the largest set-oriented batch any node's tag query can
-    /// carry: the cumulative instance bound of its parent.
-    pub max_batch: Card,
-}
-
-impl Default for TvqAnalysis {
-    fn default() -> Self {
-        TvqAnalysis {
-            verdicts: Vec::new(),
-            document: Card::Zero,
-            max_batch: Card::Zero,
-        }
-    }
 }
 
 impl TvqAnalysis {
@@ -114,70 +82,17 @@ fn guard_probe(guard: &ScalarExpr) -> SelectQuery {
 
 /// Runs the predicate-dataflow pass over the TVQ without mutating it.
 pub fn analyze_tvq(tvq: &Tvq, catalog: &Catalog) -> TvqAnalysis {
-    let mut analysis = TvqAnalysis {
-        verdicts: vec![NodeVerdict::default(); tvq.nodes.len()],
-        ..TvqAnalysis::default()
-    };
+    let mut verdicts = vec![NodeVerdict::default(); tvq.nodes.len()];
     let env = FactSet::new();
     for &r in &tvq.roots {
-        visit(
-            tvq,
-            catalog,
-            r,
-            &env,
-            Card::AtMostOne,
-            &mut analysis.verdicts,
-        );
+        visit(tvq, catalog, r, &env, &mut verdicts);
     }
-    for v in &analysis.verdicts {
-        analysis.document = analysis.document.plus(v.cumulative);
-    }
-    // A node's batch is bounded by its parent's document-wide instance
-    // count; roots bind under the (single) document root.
-    let mut max_batch = Card::Zero;
-    let mut is_root = vec![false; tvq.nodes.len()];
-    for &r in &tvq.roots {
-        is_root[r] = true;
-    }
-    for (idx, v) in analysis.verdicts.iter().enumerate() {
-        if is_root[idx] {
-            max_batch = card_max(max_batch, Card::AtMostOne);
-        }
-        for &(c, _) in &tvq.nodes[idx].children {
-            if !analysis.verdicts[c].dead {
-                max_batch = card_max(max_batch, v.cumulative);
-            }
-        }
-    }
-    analysis.max_batch = max_batch;
-    analysis
+    TvqAnalysis { verdicts }
 }
 
-/// The larger of two bounds (join of the `Card` lattice).
-fn card_max(a: Card, b: Card) -> Card {
-    match (a.as_limit(), b.as_limit()) {
-        (Some(x), Some(y)) => {
-            if x >= y {
-                a
-            } else {
-                b
-            }
-        }
-        _ => Card::Unbounded,
-    }
-}
-
-fn visit(
-    tvq: &Tvq,
-    catalog: &Catalog,
-    idx: usize,
-    env: &FactSet,
-    parent_cum: Card,
-    verdicts: &mut Vec<NodeVerdict>,
-) {
+fn visit(tvq: &Tvq, catalog: &Catalog, idx: usize, env: &FactSet, verdicts: &mut [NodeVerdict]) {
     let node = &tvq.nodes[idx];
     let mut child_env: Option<FactSet> = None;
-    let fan_out;
     match &node.binding {
         UnboundQuery::Query(q) => {
             let a = analyze_query(q, catalog, env);
@@ -185,13 +100,10 @@ fn visit(
                 verdicts[idx] = NodeVerdict {
                     dead: true,
                     chain: a.empty_chain.clone(),
-                    fan_out: CardBound::new(Card::Zero, a.empty_chain.clone()),
-                    cumulative: Card::Zero,
                     analysis: Some(a),
                 };
                 return; // the whole subtree is dead; no need to descend
             }
-            fan_out = query_cardinality(q, catalog, env).total;
             // Conjuncts of a non-aggregating (or grouped) query constrain
             // every tuple bound below this node, so the narrowed parameter
             // facts — and this query's own output columns under `$bv` —
@@ -212,20 +124,13 @@ fn visit(
         }
         UnboundQuery::Rebind { guard, .. } => {
             // The node reuses the tuple bound to `source` (== `node.bv`),
-            // whose facts are already in `env` under `$source.*`; it is
-            // re-emitted at most once per parent instance, guard or not.
-            fan_out = CardBound::new(
-                Card::AtMostOne,
-                vec!["rebind: re-emits the bound tuple at most once".to_owned()],
-            );
+            // whose facts are already in `env` under `$source.*`.
             if let Some(g) = guard {
                 let a = analyze_query(&guard_probe(g), catalog, env);
                 if a.empty {
                     verdicts[idx] = NodeVerdict {
                         dead: true,
                         chain: a.empty_chain.clone(),
-                        fan_out: CardBound::new(Card::Zero, a.empty_chain.clone()),
-                        cumulative: Card::Zero,
                         analysis: Some(a),
                     };
                     return;
@@ -238,19 +143,11 @@ fn visit(
                 verdicts[idx].analysis = Some(a);
             }
         }
-        UnboundQuery::Literal => {
-            fan_out = CardBound::new(
-                Card::AtMostOne,
-                vec!["literal binding: one instance per parent".to_owned()],
-            );
-        }
+        UnboundQuery::Literal => {}
     }
-    let cumulative = parent_cum.times(fan_out.card);
-    verdicts[idx].fan_out = fan_out;
-    verdicts[idx].cumulative = cumulative;
     let env_ref = child_env.as_ref().unwrap_or(env);
     for &(c, _) in &tvq.nodes[idx].children {
-        visit(tvq, catalog, c, env_ref, cumulative, verdicts);
+        visit(tvq, catalog, c, env_ref, verdicts);
     }
 }
 
@@ -358,65 +255,6 @@ mod tests {
         let catalog = figure2_catalog();
         let tvq = build_tvq(&v, &x, &ctg, &catalog, DEFAULT_TVQ_LIMIT).unwrap();
         (tvq, catalog)
-    }
-
-    #[test]
-    fn cardinality_annotations_flow_down_binding_paths() {
-        let (tvq, catalog) = figure4_tvq();
-        let analysis = analyze_tvq(&tvq, &catalog);
-        // Figure 2's catalog has no key that pins the metro/hotel scans,
-        // so the document-growth bound is unbounded — but every node still
-        // gets a per-parent fan-out verdict, and implicit aggregates are
-        // provably single-row.
-        assert_eq!(analysis.verdicts.len(), tvq.nodes.len());
-        assert_eq!(analysis.document, Card::Unbounded);
-        let mut saw_single = false;
-        for (node, v) in tvq.nodes.iter().zip(&analysis.verdicts) {
-            match &node.binding {
-                UnboundQuery::Query(q) if q.is_aggregating() && q.group_by.is_empty() => {
-                    assert!(v.fan_out.card.at_most_one(), "{:?}", v.fan_out);
-                    saw_single = true;
-                }
-                UnboundQuery::Rebind { .. } | UnboundQuery::Literal => {
-                    assert!(v.fan_out.card.at_most_one(), "{:?}", v.fan_out);
-                    saw_single = true;
-                }
-                _ => {}
-            }
-            // cumulative = product along the path, never below fan-out
-            // alone when the parent has at least one instance.
-            if !v.dead {
-                assert_ne!(v.cumulative, Card::Zero, "live node bound to zero");
-            }
-        }
-        assert!(
-            saw_single,
-            "figure 4 TVQ has at least one single-instance binding"
-        );
-    }
-
-    #[test]
-    fn dead_subtree_descendants_bound_to_zero() {
-        let (mut tvq, catalog) = figure4_tvq();
-        let hotel_idx = tvq
-            .nodes
-            .iter()
-            .position(|n| {
-                matches!(&n.binding, UnboundQuery::Query(q)
-                    if q.to_sql_inline().contains("starrating"))
-            })
-            .expect("figure 4 TVQ binds the hotel query");
-        let bv = tvq.nodes[hotel_idx].bv.clone();
-        let child = TvqNodeBuilder::leaf(&tvq, hotel_idx, &bv, 3);
-        let child_idx = tvq.nodes.len();
-        tvq.nodes.push(child);
-        tvq.nodes[hotel_idx].children.push((child_idx, 0));
-        let analysis = analyze_tvq(&tvq, &catalog);
-        let v = &analysis.verdicts[child_idx];
-        assert!(v.dead);
-        assert_eq!(v.fan_out.card, Card::Zero);
-        assert_eq!(v.cumulative, Card::Zero);
-        assert_eq!(v.fan_out.chain, v.chain);
     }
 
     #[test]

@@ -452,7 +452,7 @@ fn eval_agg_expr(
                 };
                 acc.feed(&v)?;
             }
-            Ok(acc.finish())
+            acc.finish()
         }
         ScalarExpr::Binary { op, lhs, rhs } => {
             let l = eval_agg_expr(ctx, lhs, layout, group, parent)?;
@@ -498,7 +498,9 @@ fn eval_agg_expr(
 pub(crate) struct AggAcc {
     func: AggFunc,
     count: i64,
-    sum_i: i64,
+    /// The exact integer total: an `i128` cannot overflow on fewer than
+    /// 2^64 `i64` addends, so only `finish` checks the range.
+    sum_i: i128,
     sum_f: f64,
     saw_float: bool,
     best: Option<Value>,
@@ -525,7 +527,7 @@ impl AggAcc {
             AggFunc::Count => {}
             AggFunc::Sum | AggFunc::Avg => match v {
                 Value::Int(i) => {
-                    self.sum_i += i;
+                    self.sum_i += i128::from(*i);
                     self.sum_f += *i as f64;
                 }
                 Value::Float(f) => {
@@ -558,8 +560,11 @@ impl AggAcc {
         Ok(())
     }
 
-    pub(crate) fn finish(self) -> Value {
-        match self.func {
+    /// The aggregate's value. An integer `SUM` whose exact total leaves
+    /// the `i64` range is a type error, like integer arithmetic overflow;
+    /// a total in range is returned even when a running prefix was not.
+    pub(crate) fn finish(self) -> Result<Value> {
+        Ok(match self.func {
             AggFunc::Count => Value::Int(self.count),
             AggFunc::Sum => {
                 if self.count == 0 {
@@ -567,7 +572,9 @@ impl AggAcc {
                 } else if self.saw_float {
                     Value::Float(self.sum_f)
                 } else {
-                    Value::Int(self.sum_i)
+                    Value::Int(i64::try_from(self.sum_i).map_err(|_| Error::Type {
+                        reason: format!("integer overflow in SUM (exact total {})", self.sum_i),
+                    })?)
                 }
             }
             AggFunc::Avg => {
@@ -578,7 +585,7 @@ impl AggAcc {
                 }
             }
             AggFunc::Min | AggFunc::Max => self.best.unwrap_or(Value::Null),
-        }
+        })
     }
 }
 

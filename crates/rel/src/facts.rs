@@ -25,6 +25,12 @@
 //! SQL text for aggregate expressions (so `HAVING SUM(x) > 100 AND
 //! SUM(x) < 50` is recognized as contradictory). EXISTS subqueries get a
 //! fresh scope seeded with the parameter facts only.
+//!
+//! [`query_cardinality`] layers row-count bounds on the same walk. They
+//! are reports, and nothing executes from them: `xvc explain --sql`
+//! prints one query's bound, `xvc_view::analyze_view_bounds` lifts them
+//! over a whole schema tree, and `xvc check` reads both. The planner
+//! (`plan.rs`) never consults them.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -925,12 +931,6 @@ pub struct QueryCardinality {
     /// contribute for *fixed* rows of every other item. The product of
     /// these (times the aggregate rule) is `total`.
     pub per_item: Vec<Card>,
-    /// Like `per_item`, but counting only pins from literals, parameters
-    /// and *earlier* FROM items — so the running product of a prefix of
-    /// this vector bounds that join prefix as a standalone relation
-    /// (which `per_item`, whose pins may come from later items, does
-    /// not). Used for join-strategy selection.
-    pub per_item_prefix: Vec<Card>,
     /// FROM bindings at index > 0 with no equality link to any other item
     /// and no pinning predicate: cross-product candidates.
     pub cross_joins: Vec<String>,
@@ -973,16 +973,7 @@ pub fn query_cardinality(
     // Equality conjuncts, classified once: for every item, the set of its
     // columns equated to a value fixed per-row-of-the-other-items, and
     // whether the item has any equality link to another item at all.
-    // `pinned_prefix` keeps only the pins usable when the item's join
-    // prefix executes standalone: literals, parameters and earlier items.
-    let index_of: BTreeMap<String, usize> = q
-        .from
-        .iter()
-        .enumerate()
-        .map(|(i, t)| (t.binding_name().to_owned(), i))
-        .collect();
     let mut pinned: BTreeMap<String, BTreeMap<String, String>> = BTreeMap::new();
-    let mut pinned_prefix: BTreeMap<String, BTreeMap<String, String>> = BTreeMap::new();
     let mut linked: BTreeSet<String> = BTreeSet::new();
     for c in q.where_clause.iter().flat_map(|w| conjuncts(w)) {
         let ScalarExpr::Binary {
@@ -1013,17 +1004,6 @@ pub fn query_cardinality(
                         .or_default()
                         .entry(col.clone())
                         .or_insert_with(|| display.clone());
-                    let earlier = match other_binding {
-                        None => true, // literal or parameter
-                        Some(ob) => index_of.get(ob) < index_of.get(b),
-                    };
-                    if earlier {
-                        pinned_prefix
-                            .entry(b.clone())
-                            .or_default()
-                            .entry(col.clone())
-                            .or_insert_with(|| display.clone());
-                    }
                 }
                 if let Some(ob) = other_binding {
                     if ob != b {
@@ -1039,39 +1019,26 @@ pub fn query_cardinality(
 
     // Per-item bounds.
     let mut per_item = Vec::with_capacity(q.from.len());
-    let mut per_item_prefix = Vec::with_capacity(q.from.len());
     let mut chain = Vec::new();
     let mut cross_joins = Vec::new();
     for (idx, t) in q.from.iter().enumerate() {
         let binding = t.binding_name().to_owned();
-        let (card, prefix_card) = match t {
+        let card = match t {
             TableRef::Named { name, .. } => {
                 let pk: Vec<String> = catalog
                     .get(name)
                     .map(|s| s.primary_key().iter().map(|c| (*c).to_owned()).collect())
                     .unwrap_or_default();
-                let covered_by = |pins: Option<&BTreeMap<String, String>>| {
-                    !pk.is_empty() && pk.iter().all(|c| pins.is_some_and(|p| p.contains_key(c)))
-                };
-                let pins = pinned.get(&binding);
-                let card = if covered_by(pins) {
-                    for c in &pk {
-                        chain.push(format!("DDL: {name}.{c} PRIMARY KEY"));
-                        chain.push(format!(
-                            "conjunct `{}` pins {binding}.{c}",
-                            pins.unwrap()[c]
-                        ));
+                match pinned.get(&binding) {
+                    Some(pins) if !pk.is_empty() && pk.iter().all(|c| pins.contains_key(c)) => {
+                        for c in &pk {
+                            chain.push(format!("DDL: {name}.{c} PRIMARY KEY"));
+                            chain.push(format!("conjunct `{}` pins {binding}.{c}", pins[c]));
+                        }
+                        Card::AtMostOne
                     }
-                    Card::AtMostOne
-                } else {
-                    Card::Unbounded
-                };
-                let prefix_card = if covered_by(pinned_prefix.get(&binding)) {
-                    Card::AtMostOne
-                } else {
-                    Card::Unbounded
-                };
-                (card, prefix_card)
+                    _ => Card::Unbounded,
+                }
             }
             TableRef::Derived { query, .. } => {
                 let sub = query_cardinality(query, catalog, &inherited.params_only());
@@ -1082,16 +1049,13 @@ pub fn query_cardinality(
                     ));
                     chain.extend(sub.total.chain);
                 }
-                // A derived table's bound is self-contained, so it holds
-                // for the standalone prefix too.
-                (sub.total.card, sub.total.card)
+                sub.total.card
             }
         };
         if idx > 0 && !linked.contains(&binding) && !card.at_most_one() {
             cross_joins.push(binding);
         }
         per_item.push(card);
-        per_item_prefix.push(prefix_card);
     }
 
     // Whole-query bound: emptiness and the implicit-aggregate rule beat
@@ -1119,7 +1083,6 @@ pub fn query_cardinality(
     QueryCardinality {
         total,
         per_item,
-        per_item_prefix,
         cross_joins,
     }
 }

@@ -5,7 +5,8 @@
 //! the `CREATE TABLE`/`CREATE INDEX` scripts [`crate::ddl`] declares.
 //! Keywords are case-insensitive, identifiers are kept verbatim, and `--`
 //! outside a string literal starts a comment that runs to the end of the
-//! line.
+//! line. [`statement_end`] finds, by the same lexer, the `;` that ends a
+//! statement embedded in a larger text.
 //!
 //! Grammar (informally):
 //!
@@ -175,66 +176,92 @@ impl std::fmt::Display for Token {
 
 fn tokenize(input: &str) -> Result<Vec<Token>> {
     let mut out = Vec::new();
+    lex(input, |token, _| {
+        out.push(token);
+        true
+    })?;
+    Ok(out)
+}
+
+/// The byte offset in `input` of its first `;` token, or `None` when the
+/// text ends first. A `;` inside a string literal or a `--` comment is no
+/// token, and lexing stops at the first one that is, so the text after
+/// it may be anything: a `.view` file ends each tag query this way.
+pub fn statement_end(input: &str) -> Result<Option<usize>> {
+    let mut end = None;
+    lex(input, |token, offset| {
+        if token == Token::Semi {
+            end = Some(offset);
+        }
+        end.is_none()
+    })?;
+    Ok(end)
+}
+
+/// Lexes `input`, handing each token and its byte offset to `emit` until
+/// `emit` returns false or the text ends.
+fn lex(input: &str, mut emit: impl FnMut(Token, usize) -> bool) -> Result<()> {
     let mut chars = input.char_indices().peekable();
     while let Some(&(offset, c)) = chars.peek() {
-        match c {
+        let token = match c {
             c if c.is_whitespace() => {
                 chars.next();
+                continue;
             }
             ',' => {
                 chars.next();
-                out.push(Token::Comma);
+                Token::Comma
             }
             '.' => {
                 chars.next();
-                out.push(Token::Dot);
+                Token::Dot
             }
             '*' => {
                 chars.next();
-                out.push(Token::Star);
+                Token::Star
             }
             '(' => {
                 chars.next();
-                out.push(Token::LParen);
+                Token::LParen
             }
             ')' => {
                 chars.next();
-                out.push(Token::RParen);
+                Token::RParen
             }
             '$' => {
                 chars.next();
-                out.push(Token::Dollar);
+                Token::Dollar
             }
             ';' => {
                 chars.next();
-                out.push(Token::Semi);
+                Token::Semi
             }
             '=' => {
                 chars.next();
-                out.push(Token::Eq);
+                Token::Eq
             }
             '+' => {
                 chars.next();
-                out.push(Token::Plus);
+                Token::Plus
             }
             '-' => {
                 chars.next();
                 if chars.peek().map(|&(_, c)| c) == Some('-') {
                     // A `--` comment runs to the end of the line.
                     while chars.next_if(|&(_, c)| c != '\n').is_some() {}
-                } else {
-                    out.push(Token::Minus);
+                    continue;
                 }
+                Token::Minus
             }
             '/' => {
                 chars.next();
-                out.push(Token::Slash);
+                Token::Slash
             }
             '!' => {
                 chars.next();
                 if chars.peek().map(|&(_, c)| c) == Some('=') {
                     chars.next();
-                    out.push(Token::Ne);
+                    Token::Ne
                 } else {
                     return Err(Error::Lex { found: '!', offset });
                 }
@@ -244,22 +271,22 @@ fn tokenize(input: &str) -> Result<Vec<Token>> {
                 match chars.peek().map(|&(_, c)| c) {
                     Some('=') => {
                         chars.next();
-                        out.push(Token::Le);
+                        Token::Le
                     }
                     Some('>') => {
                         chars.next();
-                        out.push(Token::Ne);
+                        Token::Ne
                     }
-                    _ => out.push(Token::Lt),
+                    _ => Token::Lt,
                 }
             }
             '>' => {
                 chars.next();
                 if chars.peek().map(|&(_, c)| c) == Some('=') {
                     chars.next();
-                    out.push(Token::Ge);
+                    Token::Ge
                 } else {
-                    out.push(Token::Gt);
+                    Token::Gt
                 }
             }
             '\'' => {
@@ -284,7 +311,7 @@ fn tokenize(input: &str) -> Result<Vec<Token>> {
                         }
                     }
                 }
-                out.push(Token::Str(s));
+                Token::Str(s)
             }
             c if c.is_ascii_digit() => {
                 let mut text = String::new();
@@ -299,9 +326,9 @@ fn tokenize(input: &str) -> Result<Vec<Token>> {
                     let n = text
                         .parse::<f64>()
                         .map_err(|_| Error::Lex { found: c, offset })?;
-                    out.push(Token::Float(n));
+                    Token::Float(n)
                 } else {
-                    out.push(Token::Int(text));
+                    Token::Int(text)
                 }
             }
             c if c.is_alphabetic() || c == '_' => {
@@ -309,12 +336,15 @@ fn tokenize(input: &str) -> Result<Vec<Token>> {
                 while matches!(chars.peek(), Some(&(_, d)) if d.is_alphanumeric() || d == '_') {
                     w.push(chars.next().unwrap().1);
                 }
-                out.push(Token::Word(w));
+                Token::Word(w)
             }
             _ => return Err(Error::Lex { found: c, offset }),
+        };
+        if !emit(token, offset) {
+            break;
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// The `i64` an integer literal's digits spell, negated when `negative`.

@@ -14,7 +14,12 @@
 //!   [`PreparedPlan::describe`] — the one plan printer `xvc explain`
 //!   uses — renders the plan that runs;
 //! * **join order and strategy** — fixed at compile time from
-//!   catalog-derived layouts (which always equal the runtime layouts);
+//!   catalog-derived layouts (which always equal the runtime layouts):
+//!   FROM order, a hash join for an item with equi-join keys and a nested
+//!   loop for one without. No cardinality bound steers the plan: a
+//!   declared `PRIMARY KEY` only ranks a key equality first among the
+//!   index access paths, and the bounds [`crate::facts`] derives are
+//!   reports (`xvc explain`, `xvc check`) that nothing executes from;
 //! * **parameter slots** — every `$var.column` becomes a numbered slot,
 //!   resolved lazily against the environment ([`Bindings`], such as a
 //!   [`ParamEnv`]) at most once per execution (the interpreter does a hash
@@ -45,14 +50,12 @@ use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 
 use crate::ast::{AggFunc, BinOp, ScalarExpr, SelectItem, SelectQuery, TableRef};
-use crate::domain::{Card, CardBound};
 use crate::error::{Error, Result};
 use crate::eval::{
     ambiguity_from_sets, cols_set, contains_exists, equi_pair_layouts, eval_binop, item_names,
     key_of, output_columns, resolvable_within, split_and, AggAcc, EvalStats, Key, Layout, ParamEnv,
     Relation, Scope,
 };
-use crate::facts::{query_cardinality, FactSet};
 use crate::schema::{Catalog, TableSchema};
 use crate::table::{Database, Table};
 use crate::value::{Identity, Value};
@@ -177,12 +180,6 @@ struct PlanFrom {
     prefix_filters: Vec<PExpr>,
     /// Preserved-side derived table (left-outer padding semantics).
     preserved: bool,
-    /// Cardinality-driven join strategy: the joined prefix is statically
-    /// bounded to at most one row, so the hash build over this item is
-    /// skipped and the (at most one) prefix row filters this item's rows
-    /// directly. Same rows, same order, same counters as the hash path —
-    /// but no hash table is materialized.
-    filter_probe: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -228,10 +225,6 @@ pub struct PreparedPlan {
     /// full scan + binding hash-join, since per-binding lookups touch only
     /// matching rows while the shared pipeline reads the whole table.
     index_loop: bool,
-    /// Static row-count bound for one parameter valuation, derived at
-    /// prepare time from `PRIMARY KEY` constraints and equality pushdowns
-    /// ([`query_cardinality`]), with its justifying fact chain.
-    bound: CardBound,
     /// Per base table the plan can narrow a delta by: see
     /// [`PreparedPlan::row_key`].
     row_keys: Vec<(String, RowKey)>,
@@ -367,26 +360,7 @@ pub fn prepare(q: &SelectQuery, catalog: &Catalog) -> Result<PreparedPlan> {
         catalog,
         slots: Vec::new(),
     };
-    let mut root = compiler.compile_block(q, &[])?;
-
-    // Cardinality pass: per-item bounds drive the join strategy (a
-    // provably <= 1 row joined prefix probes by filtering instead of
-    // building a hash table), the total bound is kept on the plan for
-    // `describe()`/`xvc explain` and the publisher's batch sizing.
-    let card = query_cardinality(q, catalog, &FactSet::new());
-    let mut prefix = Card::AtMostOne;
-    for (i, item) in root.from.iter_mut().enumerate() {
-        if i > 0 && prefix.at_most_one() && !item.join_keys.is_empty() {
-            item.filter_probe = true;
-        }
-        prefix = prefix.times(
-            card.per_item_prefix
-                .get(i)
-                .copied()
-                .unwrap_or(Card::Unbounded),
-        );
-    }
-
+    let root = compiler.compile_block(q, &[])?;
     let batch = analyze_batch(&root, compiler.slots.len());
     let index_loop = batch.is_some()
         && root
@@ -399,7 +373,6 @@ pub fn prepare(q: &SelectQuery, catalog: &Catalog) -> Result<PreparedPlan> {
         slots: compiler.slots,
         batch,
         index_loop,
-        bound: card.total,
         row_keys,
     })
 }
@@ -572,7 +545,6 @@ impl Compiler<'_> {
                         ..
                     }
                 ),
-                filter_probe: false,
             });
         }
 
@@ -636,11 +608,11 @@ fn under<'l>(layout: &'l Layout, outer: &[&'l Layout]) -> Vec<&'l Layout> {
 /// Picks an index access path from the compiled pushdowns: a
 /// `col = literal` / `col = $slot` equality (either operand order) whose
 /// column carries a declared index. Among candidates, an equality on a
-/// single-column `PRIMARY KEY` wins (the cardinality domain proves such a
-/// lookup fetches at most one row); otherwise the first candidate in
-/// pushdown order is kept. Table column names are unique, so the column
-/// resolves uniquely within the item; richer key expressions are skipped
-/// because the key must evaluate without a row in scope.
+/// single-column `PRIMARY KEY` wins (a key lookup fetches at most one
+/// row); otherwise the first candidate in pushdown order is kept. Table
+/// column names are unique, so the column resolves uniquely within the
+/// item; richer key expressions are skipped because the key must evaluate
+/// without a row in scope.
 fn select_index_access(schema: &TableSchema, pushdown: &[PExpr]) -> Access {
     let pk = schema.primary_key();
     let single_pk = (pk.len() == 1).then(|| pk[0].to_owned());
@@ -796,10 +768,6 @@ fn analyze_batch(root: &PlanBlock, n_slots: usize) -> Option<BatchPlan> {
         if matches!(&item.access, Access::IndexEq { key, .. } if count_slots_expr(key) > 0) {
             item.access = Access::FullScan;
         }
-        // The <= 1 row prefix bound was justified by the (now removed)
-        // slot pins; the shared pipeline's prefix carries every binding's
-        // rows, so it joins by hash like any unbounded prefix.
-        item.filter_probe = false;
     }
     Some(BatchPlan { stripped, keys })
 }
@@ -987,13 +955,6 @@ impl PreparedPlan {
     /// duplicate bindings once.
     pub fn slots(&self) -> &[(String, String)] {
         &self.slots
-    }
-
-    /// Static bound on the rows one execution can produce (per parameter
-    /// valuation), with the fact chain that justifies it. Derived at
-    /// prepare time; an over-approximation, never an undercount.
-    pub fn bound(&self) -> &CardBound {
-        &self.bound
     }
 
     /// Every `(table, key)` pair [`PreparedPlan::row_key`] answers, in
@@ -1365,7 +1326,6 @@ impl PreparedPlan {
                 .collect();
             let _ = writeln!(out, "  slots: {}", rendered.join(", "));
         }
-        let _ = writeln!(out, "  cardinality: {}", self.bound);
         describe_block(&self.root, &self.slots, 1, &mut out);
         match &self.batch {
             Some(bp) => {
@@ -1571,15 +1531,7 @@ fn describe_block(block: &PlanBlock, slots: &[(String, String)], depth: usize, o
                 .iter()
                 .map(|(l, r)| format!("{} = {}", fmt_pexpr(l, slots), fmt_pexpr(r, slots)))
                 .collect();
-            if item.filter_probe {
-                format!(
-                    " | filter-probe join on ({}) — joined prefix bounded \
-                     to <= 1 row, hash build skipped",
-                    ks.join(", ")
-                )
-            } else {
-                format!(" | hash join on ({})", ks.join(", "))
-            }
+            format!(" | hash join on ({})", ks.join(", "))
         };
         let preserved = if item.preserved {
             " | preserved (left-outer)"
@@ -1830,7 +1782,7 @@ fn p_agg_expr(
                 };
                 acc.feed(&v)?;
             }
-            Ok(acc.finish())
+            acc.finish()
         }
         PExpr::Binary { op, lhs, rhs } => {
             let l = p_agg_expr(ctx, lhs, layout, group, parent)?;
@@ -2148,58 +2100,6 @@ fn p_join(
         s.hash_join_probe_rows += prev_rows.len() as u64;
     });
 
-    // Cardinality-driven strategy: the joined prefix is statically <= 1
-    // row, so instead of materializing a hash table over the next side,
-    // its (precomputed, once per row — same evaluation counts as the
-    // build) keys filter directly against the probe key. Same rows, same
-    // order, same counters; no HashMap allocation.
-    if item.filter_probe {
-        let mut next_keys: Vec<Option<Vec<Key>>> = Vec::with_capacity(next_rows.len());
-        'keys: for row in next_rows {
-            let mut key = Vec::with_capacity(item.join_keys.len());
-            for (_, nexpr) in &item.join_keys {
-                let scope = Scope {
-                    layout: &item.layout,
-                    row,
-                    parent,
-                    probe: None,
-                };
-                let v = p_operand(ctx, nexpr, &scope)?;
-                if v.is_null() {
-                    next_keys.push(None); // NULL never equi-joins
-                    continue 'keys;
-                }
-                key.push(key_of(&v));
-            }
-            next_keys.push(Some(key));
-        }
-        let mut rows = Vec::new();
-        'fprobe: for a in prev_rows {
-            let mut key = Vec::with_capacity(item.join_keys.len());
-            for (pexpr, _) in &item.join_keys {
-                let scope = Scope {
-                    layout: &item.prev_layout,
-                    row: a,
-                    parent,
-                    probe: None,
-                };
-                let v = p_operand(ctx, pexpr, &scope)?;
-                if v.is_null() {
-                    continue 'fprobe;
-                }
-                key.push(key_of(&v));
-            }
-            for (i, nk) in next_keys.iter().enumerate() {
-                if nk.as_ref() == Some(&key) {
-                    let mut row = a.clone();
-                    row.extend(next_rows[i].iter().cloned());
-                    rows.push(row);
-                }
-            }
-        }
-        return Ok(rows);
-    }
-
     // Build on the next side.
     let mut index: HashMap<Vec<Key>, Vec<usize>> = HashMap::new();
     'build: for (i, row) in next_rows.iter().enumerate() {
@@ -2426,18 +2326,23 @@ mod tests {
         db
     }
 
-    /// Asserts rows AND stats parity with the interpreter on `sql`.
-    fn check(db: &Database, sql: &str, env: &ParamEnv) -> Relation {
+    /// Runs `sql` through the interpreter and the prepared plan, asserting
+    /// the same outcome (relation or error) and the same counters.
+    fn outcome(db: &Database, sql: &str, env: &ParamEnv) -> Result<Relation> {
         let q = parse_query(sql).unwrap();
         let mut interp_stats = EvalStats::default();
-        let interp =
-            eval_query_stats(db, &q, env, EvalOptions::default(), &mut interp_stats).unwrap();
+        let interp = eval_query_stats(db, &q, env, EvalOptions::default(), &mut interp_stats);
         let plan = prepare(&q, &db.catalog()).unwrap();
         let mut plan_stats = EvalStats::default();
-        let prepared = plan.execute_stats(db, env, &mut plan_stats).unwrap();
-        assert_eq!(prepared, interp, "relation mismatch for {sql}");
+        let prepared = plan.execute_stats(db, env, &mut plan_stats);
+        assert_eq!(prepared, interp, "outcome mismatch for {sql}");
         assert_eq!(plan_stats, interp_stats, "stats mismatch for {sql}");
         prepared
+    }
+
+    /// Asserts rows AND stats parity with the interpreter on `sql`.
+    fn check(db: &Database, sql: &str, env: &ParamEnv) -> Relation {
+        outcome(db, sql, env).unwrap()
     }
 
     fn metro_param(id: i64, name: &str) -> ParamEnv {
@@ -2479,6 +2384,37 @@ mod tests {
             "SELECT MIN(capacity), MAX(capacity), AVG(capacity) FROM confroom",
         ] {
             check(&db, sql, &ParamEnv::new());
+        }
+    }
+
+    /// An integer SUM is exact: a total in range is returned even when a
+    /// running prefix leaves `i64`, and a total out of range is a type
+    /// error in both executors, never a panic or a wrapped value.
+    #[test]
+    fn integer_sum_is_exact_or_a_type_error() {
+        let mut db = crate::ddl::database_from_ddl("CREATE TABLE n (g INT, v INT)").unwrap();
+        db.execute_dml(
+            "INSERT INTO n VALUES (1, 9223372036854775807), (1, 1), (1, -1), \
+             (2, 9223372036854775807), (2, 1), \
+             (3, -9223372036854775808), (3, -1)",
+        )
+        .unwrap();
+        let env = ParamEnv::new();
+        let r = check(&db, "SELECT SUM(v) FROM n WHERE g = 1", &env);
+        assert_eq!(r.rows, vec![vec![Value::Int(i64::MAX)]]);
+        // AVG averages through f64, so no group overflows it.
+        let r = check(&db, "SELECT g, AVG(v) FROM n GROUP BY g", &env);
+        assert_eq!(r.len(), 3);
+        for sql in [
+            "SELECT SUM(v) FROM n WHERE g = 2",
+            "SELECT SUM(v) FROM n WHERE g = 3",
+            "SELECT g, SUM(v) FROM n GROUP BY g",
+            "SELECT g FROM n GROUP BY g HAVING SUM(v) > 0",
+        ] {
+            assert!(
+                matches!(outcome(&db, sql, &env), Err(Error::Type { .. })),
+                "{sql}"
+            );
         }
     }
 
@@ -3138,8 +3074,8 @@ mod tests {
         assert_eq!(stats.rows_scanned, batch.total_rows() as u64 - 2); // dup binding shares its rows
     }
 
-    /// `hotel_db` data under a catalog with PRIMARY KEYs, so the
-    /// cardinality pass has constraints to work with.
+    /// `hotel_db`'s metroarea and hotel rows under a catalog that declares
+    /// their PRIMARY KEYs.
     fn pk_db() -> Database {
         let mut db = Database::new();
         db.create_table(
@@ -3189,64 +3125,35 @@ mod tests {
         db
     }
 
+    /// Declared keys change no plan: a join whose prefix `metroarea`'s key
+    /// pins to one row compiles, runs and counts exactly like the same
+    /// join over a catalog that declares no key.
     #[test]
-    fn bound_computed_and_rendered() {
-        let db = pk_db();
-        let pinned = prepare(
-            &parse_query("SELECT metroname FROM metroarea WHERE metroid = $m.metroid").unwrap(),
-            &db.catalog(),
-        )
-        .unwrap();
-        assert!(pinned.bound().card.at_most_one(), "{:?}", pinned.bound());
-        assert!(
-            pinned.describe().contains("cardinality: <= 1 row"),
-            "{}",
-            pinned.describe()
-        );
-
-        let open = prepare(
-            &parse_query("SELECT hotelname FROM hotel WHERE starrating > 3").unwrap(),
-            &db.catalog(),
-        )
-        .unwrap();
-        assert_eq!(open.bound().card, Card::Unbounded);
-        assert!(
-            open.describe().contains("cardinality: unbounded"),
-            "{}",
-            open.describe()
-        );
-    }
-
-    #[test]
-    fn filter_probe_join_fires_on_bounded_prefix_with_parity() {
-        let db = pk_db();
-        // metroarea's full PK is pinned by the parameter, so the joined
-        // prefix entering the hotel join is statically <= 1 row.
+    fn declared_keys_change_no_plan() {
         let sql = "SELECT hotelname, metroname FROM metroarea, hotel \
                    WHERE metroid = $m.metroid AND metro_id = metroid";
-        let plan = prepare(&parse_query(sql).unwrap(), &db.catalog()).unwrap();
-        let text = plan.describe();
-        assert!(text.contains("filter-probe join on"), "{text}");
-        assert!(!text.contains("hash join on"), "{text}");
-        // Rows, order AND stats agree with the interpreter (the strategy
-        // bumps the hash-join counters it replaces).
-        let r = check(&db, sql, &metro_param(1, "chicago"));
-        assert_eq!(r.len(), 2);
-
-        // Without the pin the prefix is unbounded: ordinary hash join.
-        let unpinned = prepare(
-            &parse_query(
-                "SELECT hotelname, metroname FROM metroarea, hotel WHERE metro_id = metroid",
-            )
-            .unwrap(),
-            &db.catalog(),
-        )
-        .unwrap();
-        assert!(
-            unpinned.describe().contains("hash join on"),
-            "{}",
-            unpinned.describe()
-        );
+        let q = parse_query(sql).unwrap();
+        let env = metro_param(1, "chicago");
+        let (keyed, plain) = (pk_db(), hotel_db());
+        let keyed_plan = prepare(&q, &keyed.catalog()).unwrap();
+        let plain_plan = prepare(&q, &plain.catalog()).unwrap();
+        let text = keyed_plan.describe();
+        assert_eq!(text, plain_plan.describe());
+        assert!(text.contains("hash join on (metroid = metro_id)"), "{text}");
+        let (mut keyed_stats, mut plain_stats) = (EvalStats::default(), EvalStats::default());
+        let keyed_rows = keyed_plan
+            .execute_stats(&keyed, &env, &mut keyed_stats)
+            .unwrap();
+        let plain_rows = plain_plan
+            .execute_stats(&plain, &env, &mut plain_stats)
+            .unwrap();
+        assert_eq!(keyed_rows, plain_rows);
+        assert_eq!(keyed_rows.len(), 2);
+        assert_eq!(keyed_stats, plain_stats);
+        assert_eq!(keyed_stats.hash_join_builds, 1);
+        // Both agree with the interpreter, rows and counters.
+        check(&keyed, sql, &env);
+        check(&plain, sql, &env);
     }
 
     #[test]

@@ -15,11 +15,15 @@
 //!
 //! From these fall out the two whole-run bounds the publisher's batched
 //! path is checked against: the largest batch any (view node, frontier
-//! wave) can carry, and the total element count. `xvc explain` prints
-//! them, and the analyzer's cardinality diagnostics and the soundness
-//! tests read them. The publisher itself consults no static bound: each
-//! batch picks its strategy from the bindings it actually holds
-//! ([`xvc_rel::PreparedPlan::execute_batch_shared`]).
+//! wave) can carry, and the total element count.
+//!
+//! This is the one walk that lifts row bounds over a tree. Over a
+//! composed stylesheet view it bounds what is actually published, so its
+//! readers are all reports: `xvc explain`, the analyzer's cardinality
+//! diagnostics (XVC503, XVC505), `tests/prop_bounds.rs` and the
+//! `figures -- fuzz` gate. Nothing executes from it: `prepare` computes
+//! no bound, and each batch picks its strategy from the bindings it
+//! actually holds ([`xvc_rel::PreparedPlan::execute_batch_shared`]).
 
 use xvc_rel::facts::{analyze_query, param_key, query_cardinality, FactSet};
 use xvc_rel::{Card, CardBound, Catalog};

@@ -15,39 +15,24 @@
 //! }
 //! ```
 //!
-//! Grammar: `node TAG $BV { query: SQL ; child-nodes... }`, `#` line
-//! comments. Paper-level ids are assigned in definition order (1-based).
+//! Grammar: `node TAG $BV { query: SQL ; child-nodes... }`, with `#`
+//! line comments outside tag queries. A tag query is SQL up to the SQL
+//! lexer's first `;` token ([`xvc_rel::parse::statement_end`]), so a `;`
+//! or `#` inside a string literal or a `--` comment stays part of the
+//! query, and a `#` anywhere else in it is a SQL lex error. Paper-level
+//! ids are assigned in definition order (1-based).
 
+use xvc_rel::parse::statement_end;
 use xvc_rel::parse_query;
 use xvc_xml::{Span, SpanInfo};
 
 use crate::error::{Error, Result};
 use crate::schema_tree::{SchemaTree, ViewNode, ViewNodeId};
 
-/// Replaces `#` comments with spaces, byte for byte, so parser positions
-/// remain valid byte offsets into the original source text.
-fn blank_comments(input: &str) -> String {
-    let mut out = String::with_capacity(input.len());
-    for line in input.split_inclusive('\n') {
-        match line.find('#') {
-            Some(hash) => {
-                let (keep, comment) = line.split_at(hash);
-                out.push_str(keep);
-                for c in comment.chars() {
-                    out.push(if c == '\n' { '\n' } else { ' ' });
-                }
-            }
-            None => out.push_str(line),
-        }
-    }
-    out
-}
-
 /// Parses a view definition (see module docs).
 pub fn parse_view(input: &str) -> Result<SchemaTree> {
-    let cleaned = blank_comments(input);
     let mut p = Parser {
-        src: &cleaned,
+        src: input,
         pos: 0,
         tree: SchemaTree::new(),
         next_id: 1,
@@ -84,9 +69,17 @@ impl Parser<'_> {
         &self.src[self.pos..]
     }
 
+    /// Skips whitespace and `#` comments.
     fn skip_ws(&mut self) {
-        let trimmed = self.rest().trim_start();
-        self.pos = self.src.len() - trimmed.len();
+        let src = self.src;
+        loop {
+            let trimmed = src[self.pos..].trim_start();
+            self.pos = src.len() - trimmed.len();
+            if !trimmed.starts_with('#') {
+                return;
+            }
+            self.pos += trimmed.find('\n').unwrap_or(trimmed.len());
+        }
     }
 
     /// Span covering the next `n` characters (for error reporting).
@@ -140,13 +133,32 @@ impl Parser<'_> {
         self.expect_word("{")?;
         self.expect_word("query")?;
         self.expect_word(":")?;
-        // SQL runs until the terminating `;`.
+        // SQL runs until the SQL lexer's first `;` token.
         self.skip_ws();
         let sql_start = self.pos;
-        let sql_end = self.rest().find(';').ok_or_else(|| Error::ViewSyntax {
-            reason: format!("missing `;` after the query of <{tag}>"),
-            span: Some(Span::new(sql_start, self.src.len())),
-        })?;
+        let missing = |lexed: String, span| Error::ViewSyntax {
+            reason: format!("missing `;` after the query of <{tag}>{lexed}"),
+            span: Some(span),
+        };
+        let sql_end = match statement_end(self.rest()) {
+            Ok(Some(end)) => end,
+            Ok(None) => return Err(missing(String::new(), Span::new(sql_start, self.src.len()))),
+            // The lexer stopped on a character no SQL token starts with,
+            // before any `;`: report it where it stands in the view text.
+            Err(xvc_rel::Error::Lex { found, offset }) => {
+                let at = sql_start + offset;
+                return Err(missing(
+                    format!(": unexpected character {found:?} at byte {at}"),
+                    Span::new(at, at + found.len_utf8()),
+                ));
+            }
+            Err(e) => {
+                return Err(missing(
+                    format!(": {e}"),
+                    Span::new(sql_start, self.src.len()),
+                ))
+            }
+        };
         let raw = &self.rest()[..sql_end];
         let trimmed_start = sql_start + (raw.len() - raw.trim_start().len());
         let trimmed_end = sql_start + raw.trim_end().len();
@@ -293,6 +305,42 @@ mod tests {
         let e = parse_view(bad).unwrap_err();
         let span = e.span().expect("syntax errors carry spans");
         assert_eq!(&bad[span.start..span.start + 1], "{");
+    }
+
+    #[test]
+    fn query_ends_at_the_sql_lexers_first_semicolon() {
+        // A `;` or `#` inside a string literal, and a `;` inside a `--`
+        // comment, belong to the query; `#` comments around it are the
+        // view's, and a multi-byte character in one shifts no span.
+        for (query, sql) in [
+            (
+                "SELECT metroname FROM metroarea WHERE metroname <> 'a;b';",
+                "SELECT metroname FROM metroarea WHERE metroname <> 'a;b'",
+            ),
+            (
+                "SELECT metroname FROM metroarea WHERE metroname <> 'a#b';",
+                "SELECT metroname FROM metroarea WHERE metroname <> 'a#b'",
+            ),
+            (
+                "SELECT metroname -- all; of them\n           FROM metroarea;",
+                "SELECT metroname FROM metroarea",
+            ),
+        ] {
+            let src =
+                format!("# view §1\nnode metro $m {{ # the metros\n    query: {query} # done\n}}");
+            let v = parse_view(&src).unwrap_or_else(|e| panic!("{query}: {e}"));
+            let metro = v.find_by_paper_id(1).unwrap();
+            let node = v.node(metro).unwrap();
+            assert_eq!(node.query, Some(parse_query(sql).unwrap()), "{query}");
+            let span = node.query_span.get().unwrap();
+            assert_eq!(Some(&src[span.start..span.end]), query.strip_suffix(';'));
+        }
+        // Anywhere else in a query, `#` is no SQL token.
+        let src = "node m $m { query: SELECT metroid # id\n FROM metroarea; }";
+        let e = parse_view(src).unwrap_err();
+        assert!(e.to_string().contains("unexpected character '#'"), "{e}");
+        let span = e.span().unwrap();
+        assert_eq!(&src[span.start..span.end], "#");
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //!   disagreement is reported as a localized divergence diff;
 //! * `explain` prints the prepared plan that executes (join order and
 //!   strategy, fused pushdowns, residual `EXISTS` subplans, grouping, the
-//!   set-oriented batch operator) — for one `--sql` query, or for every
-//!   composed tag query after its cardinality bounds;
+//!   set-oriented batch operator) — for one `--sql` query after its
+//!   cardinality bound, or for every composed tag query after its view
+//!   node's bounds (each justified by its fact chain);
 //! * `stats` prints per-stage composition counters (CTG/TVQ sizes, §4.5
 //!   duplication factor, unbind depth) and, with `--data`, the relational
 //!   engine's work executing the composed view;
@@ -45,7 +46,7 @@ use std::process::ExitCode;
 
 use xvc::core::Error as XvcError;
 use xvc::prelude::*;
-use xvc::rel::Card;
+use xvc::rel::{bound_query, Card, FactSet};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -421,10 +422,15 @@ fn cmd_run(opts: &Opts) -> Result<(), CliError> {
 
 fn cmd_explain(opts: &Opts) -> Result<(), CliError> {
     let catalog = load_catalog(require(&opts.ddl, "--ddl FILE")?)?;
-    // One ad-hoc query…
+    // One ad-hoc query: its static row bound, then the plan that runs…
     if let Some(sql) = &opts.sql {
         let q = parse_query(sql)?;
-        print!("{}", prepare(&q, &catalog)?.describe());
+        let plan = prepare(&q, &catalog)?;
+        println!(
+            "cardinality: {}",
+            bound_query(&q, &catalog, &FactSet::new())
+        );
+        print!("{}", plan.describe());
         return Ok(());
     }
     // …or every tag query of the composed stylesheet view, after the
@@ -450,9 +456,10 @@ fn cmd_explain(opts: &Opts) -> Result<(), CliError> {
             } else {
                 format!("; binding bound: {batch} per batch")
             };
+            // The fan-out prints with the fact chain that bounds it.
             println!(
                 "  bounds: fan-out {}, per-document {}{binding}",
-                nb.fan_out.card, nb.global
+                nb.fan_out, nb.global
             );
         }
         for line in prepare(q, &catalog)?.describe().lines() {

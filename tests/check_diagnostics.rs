@@ -675,6 +675,46 @@ fn xvc505_finite_document_bound_report() {
     assert!(!r.has_errors());
 }
 
+#[test]
+fn xvc505_bound_covers_every_published_element() {
+    // The report lifts the bounds over the composed view, so it counts
+    // the elements the template emits, not the TVQ nodes that bind them:
+    // `<r>` plus one metro's `<m><n/><o/></m>` is four elements.
+    let view = "node metro $m { query: SELECT metroid, metroname FROM metroarea \
+                WHERE metroid = 1; }";
+    let xslt = r#"<xsl:stylesheet>
+      <xsl:template match="/"><r><xsl:apply-templates select="metro"/></r></xsl:template>
+      <xsl:template match="metro"><m><n/><o/></m></xsl:template>
+    </xsl:stylesheet>"#;
+    let r = check(Some(view), Some(xslt));
+    let d = the(&r, Code::Xvc505);
+    let bound: u64 = d
+        .message
+        .split("at most ")
+        .nth(1)
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no bound in {d}"));
+    let v = xvc::view::parse_view(view).unwrap();
+    let x = parse_stylesheet(xslt).unwrap();
+    let composed = Composer::new(&v, &x, &figure2_catalog())
+        .run()
+        .unwrap()
+        .view;
+    let published = Engine::new(&composed)
+        .session()
+        .publish(&xvc::core::paper_fixtures::sample_database())
+        .unwrap();
+    assert_eq!(published.stats.elements, 4);
+    assert!(bound >= 4, "{d}");
+    // One fan-out line per composed view node.
+    assert_eq!(d.justification.len(), composed.len(), "{d:?}");
+    assert!(
+        d.justification.iter().all(|j| j.contains("fan-out")),
+        "{d:?}"
+    );
+}
+
 // ------------------------------------------------- dependency lineage (6xx)
 
 /// Five sibling nodes all joining on the same parent key: `metroarea.metroid`

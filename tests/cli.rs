@@ -496,8 +496,10 @@ fn explain_composed_prints_tag_query_plans() {
 #[test]
 fn explain_sql_justifies_join_strategy_by_cardinality_bound() {
     let f = Fixture::new("explain_bound");
-    // With a declared key, pinning it by equality bounds the join prefix
-    // to one row and the planner skips the hash build for a filter probe.
+    // With declared keys, pinning sight's key and joining city on its key
+    // bounds the query to one row, and the `cardinality:` line names the
+    // keys that prove it. The bound is a report: the join builds a hash
+    // table either way, and the plan is the one printed without keys.
     std::fs::write(
         f.dir.join("keyed.sql"),
         "\
@@ -506,31 +508,22 @@ CREATE TABLE sight (sid INT PRIMARY KEY, city_id INT, sname TEXT, fee INT);
 ",
     )
     .unwrap();
-    let (ok, stdout, stderr) = f.run(&[
-        "explain",
-        "--sql",
-        "SELECT s.sname FROM city c, sight s WHERE c.id = 1 AND s.city_id = c.id",
-        "--ddl",
-        "keyed.sql",
-    ]);
+    let sql = "SELECT c.name, s.sname FROM sight s, city c WHERE s.sid = 10 AND c.id = s.city_id";
+    let (ok, keyed, stderr) = f.run(&["explain", "--sql", sql, "--ddl", "keyed.sql"]);
     assert!(ok, "{stderr}");
-    assert!(stdout.contains("filter-probe join"), "{stdout}");
-    assert!(
-        stdout.contains("joined prefix bounded to <= 1 row, hash build skipped"),
-        "{stdout}"
-    );
+    assert!(keyed.starts_with("cardinality: <= 1 row ["), "{keyed}");
+    assert!(keyed.contains("DDL: sight.sid PRIMARY KEY"), "{keyed}");
+    assert!(keyed.contains("DDL: city.id PRIMARY KEY"), "{keyed}");
+    assert!(keyed.contains("hash join"), "{keyed}");
 
-    // Without the key declaration the same query keeps the hash join.
-    let (ok, stdout, stderr) = f.run(&[
-        "explain",
-        "--sql",
-        "SELECT s.sname FROM city c, sight s WHERE c.id = 1 AND s.city_id = c.id",
-        "--ddl",
-        "schema.sql",
-    ]);
+    // Without the key declarations the query is unbounded, and the plan
+    // is the same.
+    let (ok, plain, stderr) = f.run(&["explain", "--sql", sql, "--ddl", "schema.sql"]);
     assert!(ok, "{stderr}");
-    assert!(stdout.contains("hash join"), "{stdout}");
-    assert!(!stdout.contains("filter-probe join"), "{stdout}");
+    assert!(plain.starts_with("cardinality: unbounded\n"), "{plain}");
+    assert!(plain.contains("hash join"), "{plain}");
+    let plan = |out: &str| out.split_once('\n').map(|(_, plan)| plan.to_owned());
+    assert_eq!(plan(&keyed), plan(&plain));
 }
 
 #[test]
@@ -553,6 +546,32 @@ fn explain_composed_reports_cardinality_bounds() {
     assert!(stdout.contains("per-document"), "{stdout}");
     assert!(
         stdout.contains("binding bound: <= 1 row per batch"),
+        "{stdout}"
+    );
+
+    // A fan-out bounded by a key carries the fact chain that bounds it.
+    std::fs::write(
+        f.dir.join("keyed.sql"),
+        DDL.replace("(id INT,", "(id INT PRIMARY KEY,"),
+    )
+    .unwrap();
+    std::fs::write(
+        f.dir.join("one.view"),
+        VIEW.replace("FROM city;", "FROM city WHERE id = 1;"),
+    )
+    .unwrap();
+    let (ok, stdout, stderr) = f.run(&[
+        "explain",
+        "--view",
+        "one.view",
+        "--xslt",
+        "guide.xsl",
+        "--ddl",
+        "keyed.sql",
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(
+        stdout.contains("bounds: fan-out <= 1 row [DDL: city.id PRIMARY KEY; conjunct `"),
         "{stdout}"
     );
 }
