@@ -62,8 +62,8 @@ echo "== figures -- fuzz (recursion-heavy / wide-fanout differential gate)"
 # Runs the two stress generator presets differentially: v'(I) must equal
 # x(v(I)), measured batch sizes and published element counts must stay
 # within the static cardinality bounds (batch and document), and the
-# corpus must exercise a multi-binding batch. The binary aborts on any
-# divergence.
+# corpora must exercise a multi-binding batch and a finite document
+# bound. The binary aborts on any divergence.
 cargo run --release --quiet -p xvc-bench --bin figures -- fuzz
 
 echo "== figures -- scale smoke (access-path gates, reduced sizes)"

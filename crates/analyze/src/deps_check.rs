@@ -15,7 +15,9 @@
 //!   this workload;
 //! * **XVC604** — the per-table impact report: for each table with at
 //!   least one recompute-required edge, how many view nodes an update
-//!   can restructure (what `Session::republish_delta` will re-execute).
+//!   can restructure. It is a report: `Session::republish_delta` asks
+//!   each cached plan what it reads (`PreparedPlan::reads`) and how to
+//!   narrow a change (`PreparedPlan::row_key`), not this map.
 //!
 //! Like the `XVC4xx`/`XVC5xx` passes, every finding carries the fact
 //! chain that justifies it. The full inverted map is available from

@@ -43,7 +43,8 @@
 //!
 //! `incr` runs the I1 incremental-maintenance study: a single-row insert
 //! through the `xvc_rel` write path, absorbed by a full republish and by
-//! `Session::republish_delta` over the static dependency map. The delta
+//! `Session::republish_delta`, which asks the cached plans what they read
+//! and how to narrow the change. The delta
 //! document must be byte-identical, the re-executed batch count must not
 //! grow with instance size, and at the largest size the delta path must
 //! re-run under 20% of the full batch count — any failure aborts.
@@ -357,7 +358,7 @@ fn main() {
         assert!(
             last.batches_delta <= first.batches_delta,
             "delta re-execution grew with document size ({} -> {} batches) — \
-             the dependency map stopped bounding the re-publish",
+             the plans' row keys stopped narrowing the re-publish",
             first.batches_delta,
             last.batches_delta
         );
@@ -386,6 +387,11 @@ fn main() {
             s.max_batch_seen > 1,
             "fuzz corpus never exercised a multi-binding batch — \
              the wide-fanout preset has regressed"
+        );
+        assert!(
+            s.finite_document_bounds > 0,
+            "no fuzz workload had a finite static document bound — \
+             the document-bound gate checked nothing"
         );
     }
 

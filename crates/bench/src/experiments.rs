@@ -519,7 +519,8 @@ pub fn batch_bench(depth: usize, fanout: usize, reps: usize) -> PruneBenchRow {
 
 /// One data point of the I1 incremental-maintenance study: the same
 /// single-row insert absorbed by a full republish and by
-/// [`xvc_view::Session::republish_delta`] through the static dependency map —
+/// [`xvc_view::Session::republish_delta`], which re-runs the view nodes
+/// whose cached plans read the changed table, narrowed by their row keys —
 /// documents verified byte-identical before any timing.
 #[derive(Debug, Clone)]
 pub struct IncrBenchRow {
@@ -1062,7 +1063,7 @@ pub fn render_cost_table(title: &str, param_name: &str, rows: &[ComposeCostRow])
 /// Outcome of one [`differential_fuzz`] run.
 #[derive(Debug, Clone, Copy)]
 pub struct FuzzSummary {
-    /// Random workloads checked (seeds × generator presets).
+    /// Random workloads checked (corpora × seeds × generator presets).
     pub workloads: usize,
     /// Workloads whose static per-wave batch bound was finite (and was
     /// therefore checked against the measured maximum).
@@ -1075,72 +1076,80 @@ pub struct FuzzSummary {
 }
 
 /// The CI differential gate over the recursion-heavy and wide-fanout
-/// generators: for every seed and preset, `v'(I)` must equal `x(v(I))`,
-/// and the measured per-wave batch sizes and published element count must
-/// stay within the statically predicted cardinality bounds. Any violation
-/// panics with the offending stylesheet.
+/// generators, on two corpora: Figure 1's view, and a view every key
+/// reaches ([`crate::workload::keyed_hotel_view`]), whose document bound
+/// is finite. For every corpus, seed and preset, `v'(I)` must equal
+/// `x(v(I))`, and the measured per-wave batch sizes and published element
+/// count must stay within the statically predicted cardinality bounds.
+/// Any violation panics with the offending stylesheet.
 pub fn differential_fuzz(seeds_per_config: u64) -> FuzzSummary {
     use crate::random_stylesheet::{random_stylesheet, StylesheetConfig};
+    use crate::workload::keyed_hotel_view;
     use xvc_view::analyze_view_bounds;
 
-    let view = figure1_view();
     let db = generate(&WorkloadConfig::scale(1));
     let catalog = db.catalog();
-    let full = Engine::new(&view)
-        .session()
-        .publish(&db)
-        .expect("publish v")
-        .document;
     let mut summary = FuzzSummary {
         workloads: 0,
         finite_batch_bounds: 0,
         finite_document_bounds: 0,
         max_batch_seen: 0,
     };
-    for (name, cfg) in [
-        ("recursion_heavy", StylesheetConfig::recursion_heavy()),
-        ("wide_fanout", StylesheetConfig::wide_fanout()),
+    for (corpus, view) in [
+        ("figure1", figure1_view()),
+        ("keyed_hotel", keyed_hotel_view()),
     ] {
-        for seed in 0..seeds_per_config {
-            let stylesheet = random_stylesheet(&view, &catalog, seed, cfg);
-            let composed = Composer::new(&view, &stylesheet, &catalog)
-                .run()
-                .unwrap_or_else(|e| {
-                    panic!("{name} seed {seed}: compose: {e}\n{}", stylesheet.to_xslt())
-                })
-                .view;
-            let expected = process(&stylesheet, &full).expect("engine");
-            let published = Engine::new(&composed)
-                .session()
-                .publish(&db)
-                .expect("publish v'");
-            assert!(
-                documents_equal_unordered(&expected, &published.document),
-                "{name} seed {seed}: v'(I) != x(v(I))\n{}",
-                stylesheet.to_xslt()
-            );
-            let bounds = analyze_view_bounds(&composed, &catalog);
-            summary.workloads += 1;
-            summary.max_batch_seen = summary
-                .max_batch_seen
-                .max(published.stats.bindings_per_batch_max);
-            if let Some(limit) = bounds.max_batch.as_limit() {
-                summary.finite_batch_bounds += 1;
+        let full = Engine::new(&view)
+            .session()
+            .publish(&db)
+            .expect("publish v")
+            .document;
+        for (preset, cfg) in [
+            ("recursion_heavy", StylesheetConfig::recursion_heavy()),
+            ("wide_fanout", StylesheetConfig::wide_fanout()),
+        ] {
+            let name = format!("{corpus} {preset}");
+            for seed in 0..seeds_per_config {
+                let stylesheet = random_stylesheet(&view, &catalog, seed, cfg);
+                let composed = Composer::new(&view, &stylesheet, &catalog)
+                    .run()
+                    .unwrap_or_else(|e| {
+                        panic!("{name} seed {seed}: compose: {e}\n{}", stylesheet.to_xslt())
+                    })
+                    .view;
+                let expected = process(&stylesheet, &full).expect("engine");
+                let published = Engine::new(&composed)
+                    .session()
+                    .publish(&db)
+                    .expect("publish v'");
                 assert!(
-                    published.stats.bindings_per_batch_max as u64 <= limit,
-                    "{name} seed {seed}: measured batch {} exceeds static bound {limit}\n{}",
-                    published.stats.bindings_per_batch_max,
+                    documents_equal_unordered(&expected, &published.document),
+                    "{name} seed {seed}: v'(I) != x(v(I))\n{}",
                     stylesheet.to_xslt()
                 );
-            }
-            if let Some(limit) = bounds.document.as_limit() {
-                summary.finite_document_bounds += 1;
-                assert!(
-                    published.stats.elements as u64 <= limit,
-                    "{name} seed {seed}: {} elements exceed static document bound {limit}\n{}",
-                    published.stats.elements,
-                    stylesheet.to_xslt()
-                );
+                let bounds = analyze_view_bounds(&composed, &catalog);
+                summary.workloads += 1;
+                summary.max_batch_seen = summary
+                    .max_batch_seen
+                    .max(published.stats.bindings_per_batch_max);
+                if let Some(limit) = bounds.max_batch.as_limit() {
+                    summary.finite_batch_bounds += 1;
+                    assert!(
+                        published.stats.bindings_per_batch_max as u64 <= limit,
+                        "{name} seed {seed}: measured batch {} exceeds static bound {limit}\n{}",
+                        published.stats.bindings_per_batch_max,
+                        stylesheet.to_xslt()
+                    );
+                }
+                if let Some(limit) = bounds.document.as_limit() {
+                    summary.finite_document_bounds += 1;
+                    assert!(
+                        published.stats.elements as u64 <= limit,
+                        "{name} seed {seed}: {} elements exceed static document bound {limit}\n{}",
+                        published.stats.elements,
+                        stylesheet.to_xslt()
+                    );
+                }
             }
         }
     }

@@ -7,7 +7,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xvc_core::paper_fixtures::figure2_database;
-use xvc_rel::{Database, Value};
+use xvc_rel::{parse_query, Database, Value};
+use xvc_view::{SchemaTree, ViewNode};
 
 /// Knobs for one generated instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,6 +61,46 @@ impl WorkloadConfig {
             + hotels * (1 + self.rooms_per_hotel + self.conf_rooms_per_hotel)
             + hotels * self.rooms_per_hotel * self.avail_per_room
     }
+}
+
+/// A view over the generated schema that every key reaches: hotel 1
+/// (`hotelid` is its `PRIMARY KEY`), with its metro area and its chain,
+/// each fetched by primary key through the hotel's foreign key. The static
+/// analysis bounds its document (at most three elements), and so every
+/// stylesheet composed over it, which gives the document-bound gates a
+/// finite bound to check.
+pub fn keyed_hotel_view() -> SchemaTree {
+    let q = |sql: &str| parse_query(sql).expect("static SQL is well-formed");
+    let mut v = SchemaTree::new();
+    let hotel = v
+        .add_root_node(ViewNode::new(
+            1,
+            "hotel",
+            "h",
+            q("SELECT * FROM hotel WHERE hotelid = 1"),
+        ))
+        .expect("valid tag");
+    v.add_child(
+        hotel,
+        ViewNode::new(
+            2,
+            "metro",
+            "m",
+            q("SELECT * FROM metroarea WHERE metroid = $h.metro_id"),
+        ),
+    )
+    .expect("valid tag");
+    v.add_child(
+        hotel,
+        ViewNode::new(
+            3,
+            "chain",
+            "c",
+            q("SELECT * FROM hotelchain WHERE chainid = $h.chain_id"),
+        ),
+    )
+    .expect("valid tag");
+    v
 }
 
 /// Generates a database instance for the given config.

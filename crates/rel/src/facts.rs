@@ -934,6 +934,9 @@ pub struct QueryCardinality {
     /// FROM bindings at index > 0 with no equality link to any other item
     /// and no pinning predicate: cross-product candidates.
     pub cross_joins: Vec<String>,
+    /// The [`analyze_query`] result the bounds were derived from, so a
+    /// caller that also needs the query's facts analyzes it once.
+    pub analysis: QueryAnalysis,
 }
 
 /// Convenience wrapper: just the whole-query bound.
@@ -1061,7 +1064,7 @@ pub fn query_cardinality(
     // Whole-query bound: emptiness and the implicit-aggregate rule beat
     // the pipeline product.
     let total = if a.empty {
-        CardBound::new(Card::Zero, a.empty_chain)
+        CardBound::new(Card::Zero, a.empty_chain.clone())
     } else if q.is_aggregating() && q.group_by.is_empty() {
         CardBound::new(
             Card::AtMostOne,
@@ -1084,6 +1087,7 @@ pub fn query_cardinality(
         total,
         per_item,
         cross_joins,
+        analysis: a,
     }
 }
 

@@ -92,7 +92,9 @@ pub use facts::{
 pub use index::SecondaryIndex;
 pub use optimize::optimize;
 pub use parse::parse_query;
-pub use plan::{prepare, BatchResult, Bindings, JoinKey, PreparedPlan, RowKey, SharedScan};
+pub use plan::{
+    prepare, BatchResult, BatchRows, Bindings, JoinKey, PreparedPlan, RowKey, SharedScan,
+};
 pub use schema::{Catalog, ColumnDef, ColumnType, IndexDef, IndexKind, TableSchema};
 pub use table::{Database, Table};
 pub use value::Value;

@@ -31,9 +31,12 @@
 //! * **fused scan + pushdown** — base-table rows are filtered while
 //!   scanning, by reference (comparisons, `AND`/`OR`/`NOT` and `IS NULL`
 //!   read the stored values and build no [`Value`]), and the scan yields
-//!   the positions of the rows that pass: a `SELECT` copies those rows
-//!   (the interpreter copies the whole table first, then filters), and
-//!   `DELETE` removes them (`PreparedPlan::matched_positions`).
+//!   the positions of the rows that pass. A block over one base table
+//!   keeps those positions through its residuals, and every consumer reads
+//!   the stored rows through them: projection copies a row's values once,
+//!   into its output (the interpreter copies the whole table first, then
+//!   filters), a batch probes them, and `DELETE` removes them
+//!   (`PreparedPlan::matched_positions`).
 //!
 //! [`PreparedPlan::execute`] produces the same [`Relation`] — and
 //! [`PreparedPlan::execute_stats`] the same [`EvalStats`] counters — as
@@ -47,7 +50,9 @@
 use std::borrow::Cow;
 use std::cell::{Cell, OnceCell};
 use std::collections::{HashMap, HashSet};
-use std::sync::OnceLock;
+use std::fmt;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 use crate::ast::{AggFunc, BinOp, ScalarExpr, SelectItem, SelectQuery, TableRef};
 use crate::error::{Error, Result};
@@ -202,8 +207,9 @@ struct PlanBlock {
     aggregating: bool,
     /// Full joined FROM layout (projection scope).
     layout: Layout,
-    /// Output column names, precomputed.
-    columns: Vec<String>,
+    /// Output column names, precomputed; the root block's are shared by
+    /// every [`BatchResult`] the plan produces.
+    columns: Arc<[String]>,
 }
 
 /// A query compiled once against a [`Catalog`], executable any number of
@@ -325,24 +331,28 @@ impl<B: Bindings + ?Sized> Bindings for &B {
 /// error, the slot remembers that, and every batch runs per binding, like
 /// an unshared batch whose pipeline failed.
 ///
-/// A slot caches rows, so it is valid for one plan over one unchanged
-/// [`Database`]: the caller creates it for a single pass (a publish) and
-/// drops it afterwards. It never belongs in a plan cache, since DML changes
-/// rows without changing the catalog the plans were compiled against.
+/// A slot reads the rows of the [`Database`] `'db` it was built over, so it
+/// is valid for one plan over that one unchanged database: the caller
+/// creates it for a single pass (a publish) and drops it afterwards. It
+/// never belongs in a plan cache, since DML changes rows without changing
+/// the catalog the plans were compiled against.
 #[derive(Debug, Default)]
-pub struct SharedScan {
-    pipeline: OnceLock<Pipeline>,
+pub struct SharedScan<'db> {
+    pipeline: OnceLock<Pipeline<'db>>,
 }
 
 /// What running a plan's binding-free pipeline produced.
 #[derive(Debug)]
-enum Pipeline {
-    /// The stripped pipeline's rows, indexed by their deferred key values.
-    /// Rows with a NULL key are left out of the index, since NULL never
-    /// equi-joins.
+enum Pipeline<'db> {
+    /// The stripped pipeline's rows, indexed by their deferred key values:
+    /// `by_key` holds row numbers grouped by key, in scan order within a
+    /// key, and `index` maps each key to its `(start, len)` range of
+    /// `by_key`. Rows with a NULL key are left out of the index, since
+    /// NULL never equi-joins.
     Built {
-        rows: Vec<Vec<Value>>,
-        index: HashMap<BatchKey, Vec<usize>>,
+        rows: Rows<'db>,
+        by_key: Vec<usize>,
+        index: HashMap<BatchKey, (usize, usize)>,
     },
     /// The pipeline raised an error on rows the per-binding filters would
     /// have dropped first, so batches execute per binding instead.
@@ -592,7 +602,7 @@ impl Compiler<'_> {
             distinct: q.distinct,
             aggregating: q.is_aggregating(),
             layout: full,
-            columns,
+            columns: columns.into(),
         })
     }
 }
@@ -1013,39 +1023,38 @@ impl PreparedPlan {
         exec_block(&ExecCtx::new(db, env, self, stats), &self.root, None)
     }
 
+    /// One execution under `env`, its output rows appended to `out`
+    /// ([`finish_block`]); returns how many rows it appended.
+    fn run_into(
+        &self,
+        db: &Database,
+        env: &dyn Bindings,
+        stats: &Cell<EvalStats>,
+        out: &mut Vec<Value>,
+    ) -> Result<usize> {
+        let ctx = ExecCtx::new(db, env, self, stats);
+        let rows = exec_source_rows(&ctx, &self.root, None)?;
+        finish_block(&ctx, &self.root, rows.iter(), None, out)
+    }
+
     /// The storage positions of the rows of base table `t` that a plan of
     /// `SELECT * FROM t WHERE pred` returns, in the order
     /// [`PreparedPlan::execute`] returns them — `DELETE`'s matched rows.
-    /// They come from the scan `execute` runs, and the block's residuals
-    /// then filter the stored rows at those positions exactly as they
-    /// filter `execute`'s copies: same order, same reuse of an
-    /// uncorrelated `EXISTS` result, same first error.
+    /// They are the rows `execute` projects: the one FROM and WHERE
+    /// evaluation (`exec_source_rows`) that serves every execution, so the
+    /// order, the reuse of an uncorrelated `EXISTS` result and the first
+    /// error are `execute`'s.
     ///
     /// # Panics
     ///
     /// If the plan's FROM list is not one base table.
     pub(crate) fn matched_positions(&self, db: &Database) -> Result<Vec<usize>> {
-        let [item @ PlanFrom {
-            source: PlanSource::Scan(name),
-            ..
-        }] = &self.root.from[..]
-        else {
-            panic!("matched_positions needs a plan over one base table");
-        };
-        // One FROM item: whatever its prefix could filter, the pushdown
-        // already did.
-        debug_assert!(item.prefix_filters.is_empty());
         let (env, stats) = (ParamEnv::new(), Cell::new(EvalStats::default()));
         let ctx = ExecCtx::new(db, &env, self, &stats);
-        let table = db.table(name)?;
-        let stored = table.rows();
-        let mut positions = scan_positions(&ctx, table, item, None)?;
-        for pred in &self.root.residuals {
-            let rows = positions.iter().map(|&i| stored[i].as_slice());
-            let keep = p_residual(&ctx, rows, &self.root.layout, pred, None)?;
-            retain_flagged(&mut positions, &keep);
+        match exec_source_rows(&ctx, &self.root, None)? {
+            Rows::Stored { positions, .. } => Ok(positions),
+            Rows::Owned(_) => panic!("matched_positions needs a plan over one base table"),
         }
-        Ok(positions)
     }
 
     /// Whether [`PreparedPlan::execute_batch`] can use the shared-pipeline
@@ -1125,11 +1134,11 @@ impl PreparedPlan {
     /// pipeline even when it holds a single binding, because the one scan
     /// serves every batch that shares the slot. Index-nested-loop plans
     /// ignore the slot: they probe the index per binding either way.
-    pub fn execute_batch_shared<B: Bindings>(
+    pub fn execute_batch_shared<'db, B: Bindings>(
         &self,
-        db: &Database,
+        db: &'db Database,
         envs: &[B],
-        scan: Option<&SharedScan>,
+        scan: Option<&SharedScan<'db>>,
         stats: &mut EvalStats,
     ) -> Result<BatchResult> {
         /// One distinct binding: the first environment carrying it and its
@@ -1211,11 +1220,15 @@ impl PreparedPlan {
                     }
                 };
                 match pipeline {
-                    Pipeline::Built { rows, index } => {
+                    Pipeline::Built {
+                        rows,
+                        by_key,
+                        index,
+                    } => {
                         let mut s = cell.get();
                         s.hash_join_probe_rows += distinct as u64;
                         cell.set(s);
-                        Some((bp, rows, index))
+                        Some((bp, rows, by_key, index))
                     }
                     // The stripped pipeline evaluated predicates on rows
                     // the per-binding filters would have dropped first;
@@ -1228,20 +1241,24 @@ impl PreparedPlan {
         };
 
         // 3. Per distinct binding, in first-occurrence order (which makes
-        // the first failing group the scalar loop's first failing env).
-        // The stripped plan binds no slot, so one context serves every
-        // group's projection.
+        // the first failing group the scalar loop's first failing env),
+        // every group's rows appended to one buffer. The stripped plan
+        // binds no slot, so one context serves every group's projection.
         let empty = ParamEnv::new();
         let probe_ctx = ExecCtx::new(db, &empty, self, &cell);
+        let mut out = Vec::new();
         let mut groups = Vec::with_capacity(order.len());
+        let mut matched: Vec<usize> = Vec::new();
+        let mut at = 0;
         for group in &order {
-            let rows = match (fast, group.values) {
-                (Some((bp, rows, index)), Some(values)) => {
+            let n = match (fast, group.values) {
+                (Some((bp, rows, by_key, index)), Some(values)) => {
+                    matched.clear();
                     let hits = BatchKey::of(bp.keys.iter().map(|k| values[k.slot]))
-                        .and_then(|key| index.get(&key));
-                    let mut matched: Vec<&Vec<Value>> = Vec::new();
-                    'cand: for &ri in hits.into_iter().flatten() {
-                        let row = &rows[ri];
+                        .and_then(|key| index.get(&key))
+                        .map_or(&[][..], |&(start, len)| &by_key[start..start + len]);
+                    'cand: for &ri in hits {
+                        let row = rows.row(ri);
                         for k in &bp.keys {
                             let (rv, sv) = (k.row.value(row), values[k.slot]);
                             let (l, r) = if k.slot_first { (sv, rv) } else { (rv, sv) };
@@ -1249,18 +1266,19 @@ impl PreparedPlan {
                                 continue 'cand;
                             }
                         }
-                        matched.push(row);
+                        matched.push(ri);
                     }
-                    let rows = finish_block(&probe_ctx, &bp.stripped, &matched, None)?;
+                    let matched = matched.iter().map(|&ri| rows.row(ri));
+                    let n = finish_block(&probe_ctx, &bp.stripped, matched, None, &mut out)?;
                     let mut s = cell.get();
                     s.param_queries += 1; // slots resolved ⇒ env non-empty
                     cell.set(s);
-                    rows
+                    n
                 }
                 _ => {
                     let env = &envs[group.first];
                     let attempt = Cell::new(EvalStats::default());
-                    let rel = self.run(db, env, &attempt)?;
+                    let n = self.run_into(db, env, &attempt, &mut out)?;
                     let mut s = attempt.get();
                     if !env.is_empty() {
                         s.param_queries += 1;
@@ -1268,34 +1286,70 @@ impl PreparedPlan {
                     let mut c = cell.get();
                     c.absorb(&s);
                     cell.set(c);
-                    rel.rows
+                    n
                 }
             };
-            groups.push(rows);
+            groups.push((at, n));
+            at += n;
         }
 
         stats.absorb(&cell.get());
         Ok(BatchResult {
-            columns: self.root.columns.clone(),
+            columns: Arc::clone(&self.root.columns),
+            values: out,
             groups,
             group_of,
         })
     }
 
     /// Runs `bp`'s stripped pipeline once, binding-free, and indexes its
-    /// rows by the deferred key columns. On success the run and the hash
-    /// build are counted into `stats`; a failed run counts nothing.
-    fn build_pipeline(&self, db: &Database, bp: &BatchPlan, stats: &Cell<EvalStats>) -> Pipeline {
+    /// rows by the deferred key columns: a counting pass sizes each key's
+    /// range of one row-number vector, and a second pass fills it in scan
+    /// order. On success the run and the hash build are counted into
+    /// `stats`; a failed run counts nothing.
+    fn build_pipeline<'db>(
+        &self,
+        db: &'db Database,
+        bp: &BatchPlan,
+        stats: &Cell<EvalStats>,
+    ) -> Pipeline<'db> {
         let attempt = Cell::new(EvalStats::default());
         let empty = ParamEnv::new();
         let ctx = ExecCtx::new(db, &empty, self, &attempt);
         let Ok(rows) = exec_source_rows(&ctx, &bp.stripped, None) else {
             return Pipeline::Failed;
         };
-        let mut index: HashMap<BatchKey, Vec<usize>> = HashMap::new();
-        for (ri, row) in rows.iter().enumerate() {
-            if let Some(key) = BatchKey::of(bp.keys.iter().map(|k| k.row.value(row))) {
-                index.entry(key).or_default().push(ri);
+        // Pass 1: each row's key group (`None` for a NULL key) and the
+        // group sizes; `index` maps a key to its group number for now.
+        let mut index: HashMap<BatchKey, (usize, usize)> = HashMap::new();
+        let mut counts: Vec<usize> = Vec::new();
+        let groups: Vec<Option<usize>> = rows
+            .iter()
+            .map(|row| {
+                let key = BatchKey::of(bp.keys.iter().map(|k| k.row.value(row)))?;
+                let group = index.entry(key).or_insert((counts.len(), 0)).0;
+                if group == counts.len() {
+                    counts.push(0);
+                }
+                counts[group] += 1;
+                Some(group)
+            })
+            .collect();
+        // Pass 2: each group's start, then the row numbers in scan order.
+        let mut next = Vec::with_capacity(counts.len());
+        let mut total = 0;
+        for c in &counts {
+            next.push(total);
+            total += c;
+        }
+        for range in index.values_mut() {
+            *range = (next[range.0], counts[range.0]);
+        }
+        let mut by_key = vec![0; total];
+        for (ri, group) in groups.iter().enumerate() {
+            if let &Some(g) = group {
+                by_key[next[g]] = ri;
+                next[g] += 1;
             }
         }
         let mut s = stats.get();
@@ -1303,7 +1357,11 @@ impl PreparedPlan {
         s.hash_join_builds += 1;
         s.hash_join_build_rows += rows.len() as u64;
         stats.set(s);
-        Pipeline::Built { rows, index }
+        Pipeline::Built {
+            rows,
+            by_key,
+            index,
+        }
     }
 
     /// Renders the compiled pipeline — slot table, per-item scan fusion
@@ -1378,13 +1436,18 @@ impl PreparedPlan {
 /// Rows for a whole batch of parameter environments, tagged by the index
 /// of the binding that produced them. Produced by
 /// [`PreparedPlan::execute_batch`]. Bindings with equal slot values share
-/// one group of rows, stored once.
+/// one group of rows, stored once; every group's rows live in one buffer
+/// the batch owns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchResult {
-    columns: Vec<String>,
-    /// Each distinct binding's rows in the scalar path's row order, the
-    /// bindings in first-occurrence order.
-    groups: Vec<Vec<Vec<Value>>>,
+    columns: Arc<[String]>,
+    /// Every group's rows, `columns.len()` values per row, group after
+    /// group.
+    values: Vec<Value>,
+    /// `(first row, rows)` of each distinct binding's group in `values`,
+    /// in the scalar path's row order, the bindings in first-occurrence
+    /// order.
+    groups: Vec<(usize, usize)>,
     /// `group_of[i]` is the group binding `i` reads its rows from.
     group_of: Vec<usize>,
 }
@@ -1406,32 +1469,92 @@ impl BatchResult {
     }
 
     /// The rows binding `binding` produced, in scalar row order.
-    pub fn rows_for(&self, binding: usize) -> &[Vec<Value>] {
-        &self.groups[self.group_of[binding]]
+    pub fn rows_for(&self, binding: usize) -> BatchRows<'_> {
+        BatchRows {
+            batch: self,
+            rows: self.row_range(binding),
+        }
+    }
+
+    /// The numbers of the rows binding `binding` produced, in scalar row
+    /// order: [`BatchResult::row`] reads each.
+    pub fn row_range(&self, binding: usize) -> Range<usize> {
+        let (start, len) = self.groups[self.group_of[binding]];
+        start..start + len
+    }
+
+    /// Row number `row` of the batch's buffer (see
+    /// [`BatchResult::row_range`]).
+    pub fn row(&self, row: usize) -> &[Value] {
+        let width = self.columns.len();
+        &self.values[row * width..(row + 1) * width]
     }
 
     /// Total rows across all bindings (a duplicate binding counts its
     /// shared rows again).
     pub fn total_rows(&self) -> usize {
-        self.group_of.iter().map(|&g| self.groups[g].len()).sum()
+        self.group_of.iter().map(|&g| self.groups[g].1).sum()
     }
 
     /// All rows as `(binding index, row)` pairs, grouped by binding.
-    pub fn tagged_rows(&self) -> impl Iterator<Item = (usize, &Vec<Value>)> + '_ {
+    pub fn tagged_rows(&self) -> impl Iterator<Item = (usize, &[Value])> + '_ {
         (0..self.bindings()).flat_map(move |i| self.rows_for(i).iter().map(move |r| (i, r)))
     }
 
     /// One binding's rows as a standalone [`Relation`] (clones).
     pub fn relation_for(&self, binding: usize) -> Relation {
         Relation {
-            columns: self.columns.clone(),
-            rows: self.rows_for(binding).to_vec(),
+            columns: self.columns.to_vec(),
+            rows: self
+                .rows_for(binding)
+                .iter()
+                .map(<[Value]>::to_vec)
+                .collect(),
         }
     }
 
     /// Consumes the batch into one [`Relation`] per binding.
     pub fn into_relations(self) -> Vec<Relation> {
         (0..self.bindings()).map(|i| self.relation_for(i)).collect()
+    }
+}
+
+/// One binding's rows in a [`BatchResult`], borrowed from its buffer
+/// ([`BatchResult::rows_for`]). It compares equal to the same rows as a
+/// slice of vectors, such as a [`Relation`]'s.
+#[derive(Clone)]
+pub struct BatchRows<'a> {
+    batch: &'a BatchResult,
+    rows: Range<usize>,
+}
+
+impl<'a> BatchRows<'a> {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True when the binding produced no row.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The rows, in scalar row order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a [Value]> + 'a {
+        let batch = self.batch;
+        self.rows.clone().map(move |r| batch.row(r))
+    }
+}
+
+impl fmt::Debug for BatchRows<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq<&[Vec<Value>]> for BatchRows<'_> {
+    fn eq(&self, other: &&[Vec<Value>]) -> bool {
+        self.len() == other.len() && self.iter().zip(other.iter()).all(|(a, b)| a == &b[..])
     }
 }
 
@@ -1594,8 +1717,11 @@ fn describe_block(block: &PlanBlock, slots: &[(String, String)], depth: usize, o
     let _ = writeln!(out, "{proj}");
 }
 
-struct ExecCtx<'a> {
-    db: &'a Database,
+/// One execution's context: the database `'db` whose stored rows its
+/// scans hand over, and the bindings, slot memo and counters of this
+/// execution.
+struct ExecCtx<'db, 'a> {
+    db: &'db Database,
     env: &'a dyn Bindings,
     slots: &'a [(String, String)],
     /// Per-execution slot memo, holding each value by reference into the
@@ -1606,9 +1732,9 @@ struct ExecCtx<'a> {
     stats: &'a Cell<EvalStats>,
 }
 
-impl<'a> ExecCtx<'a> {
+impl<'db, 'a> ExecCtx<'db, 'a> {
     fn new(
-        db: &'a Database,
+        db: &'db Database,
         env: &'a dyn Bindings,
         plan: &'a PreparedPlan,
         stats: &'a Cell<EvalStats>,
@@ -1641,7 +1767,7 @@ impl<'a> ExecCtx<'a> {
 
 /// `e`'s value by reference when reading it takes no evaluation: a
 /// literal, a resolved slot, or a column bound to a row in scope.
-fn p_stored<'r>(ctx: &'r ExecCtx<'_>, e: &'r PExpr, scope: &'r Scope<'r>) -> Option<&'r Value> {
+fn p_stored<'r>(ctx: &'r ExecCtx<'_, '_>, e: &'r PExpr, scope: &'r Scope<'r>) -> Option<&'r Value> {
     match e {
         PExpr::Literal(v) => Some(v),
         PExpr::Slot(i) => ctx.slot(*i).ok(),
@@ -1653,7 +1779,7 @@ fn p_stored<'r>(ctx: &'r ExecCtx<'_>, e: &'r PExpr, scope: &'r Scope<'r>) -> Opt
 /// `e`'s value, borrowed where [`p_stored`] reads it — so nothing is
 /// cloned — and computed otherwise.
 fn p_operand<'r>(
-    ctx: &'r ExecCtx<'_>,
+    ctx: &'r ExecCtx<'_, '_>,
     e: &'r PExpr,
     scope: &'r Scope<'r>,
 ) -> Result<Cow<'r, Value>> {
@@ -1671,7 +1797,7 @@ fn p_operand<'r>(
     }
 }
 
-fn p_eval_scalar(ctx: &ExecCtx<'_>, e: &PExpr, scope: &Scope<'_>) -> Result<Value> {
+fn p_eval_scalar(ctx: &ExecCtx<'_, '_>, e: &PExpr, scope: &Scope<'_>) -> Result<Value> {
     match e {
         PExpr::Column(_) | PExpr::Slot(_) | PExpr::Literal(_) => {
             p_operand(ctx, e, scope).map(Cow::into_owned)
@@ -1690,8 +1816,9 @@ fn p_eval_scalar(ctx: &ExecCtx<'_>, e: &PExpr, scope: &Scope<'_>) -> Result<Valu
         }
         PExpr::Exists(block) => {
             ctx.bump(|s| s.exists_evals += 1);
-            let rel = exec_block(ctx, block, Some(scope))?;
-            Ok(Value::Bool(!rel.is_empty()))
+            let rows = exec_source_rows(ctx, block, Some(scope))?;
+            let n = finish_block(ctx, block, rows.iter(), Some(scope), &mut Vec::new())?;
+            Ok(Value::Bool(n > 0))
         }
         PExpr::Aggregate { .. } => Err(Error::MisplacedAggregate),
     }
@@ -1702,7 +1829,7 @@ fn p_eval_scalar(ctx: &ExecCtx<'_>, e: &PExpr, scope: &Scope<'_>) -> Result<Valu
 /// operands by reference; `AND` and `OR` short-circuit on truthiness and
 /// are never NULL; `NOT` keeps NULL; `IS NULL` inspects its operand in
 /// place. Any other form is computed by [`p_eval_scalar`].
-fn p_truth(ctx: &ExecCtx<'_>, e: &PExpr, scope: &Scope<'_>) -> Result<Option<bool>> {
+fn p_truth(ctx: &ExecCtx<'_, '_>, e: &PExpr, scope: &Scope<'_>) -> Result<Option<bool>> {
     Ok(match e {
         PExpr::Binary {
             op: BinOp::And,
@@ -1734,7 +1861,7 @@ fn p_truth(ctx: &ExecCtx<'_>, e: &PExpr, scope: &Scope<'_>) -> Result<Option<boo
 
 /// Whether `e` holds, as a filter reads it: `p_eval_scalar(e).is_truthy()`,
 /// with NULL filtering out. Every filter of the executor asks this.
-fn p_test(ctx: &ExecCtx<'_>, e: &PExpr, scope: &Scope<'_>) -> Result<bool> {
+fn p_test(ctx: &ExecCtx<'_, '_>, e: &PExpr, scope: &Scope<'_>) -> Result<bool> {
     Ok(p_truth(ctx, e, scope)? == Some(true))
 }
 
@@ -1760,7 +1887,7 @@ fn compare(op: BinOp, l: &Value, r: &Value) -> Option<bool> {
 /// evaluate on the group's first row (an all-NULL row of the block's
 /// layout for an empty group).
 fn p_agg_expr(
-    ctx: &ExecCtx<'_>,
+    ctx: &ExecCtx<'_, '_>,
     e: &PExpr,
     layout: &Layout,
     group: &[&[Value]],
@@ -1826,28 +1953,79 @@ fn p_agg_expr(
 }
 
 fn exec_block(
-    ctx: &ExecCtx<'_>,
+    ctx: &ExecCtx<'_, '_>,
     block: &PlanBlock,
     parent: Option<&Scope<'_>>,
 ) -> Result<Relation> {
     let rows = exec_source_rows(ctx, block, parent)?;
+    let mut values = Vec::new();
+    let n = finish_block(ctx, block, rows.iter(), parent, &mut values)?;
+    let width = block.columns.len();
+    let mut values = values.into_iter();
     Ok(Relation {
-        columns: block.columns.clone(),
-        rows: finish_block(ctx, block, &rows, parent)?,
+        columns: block.columns.to_vec(),
+        rows: (0..n)
+            .map(|_| values.by_ref().take(width).collect())
+            .collect(),
     })
+}
+
+/// The rows a block's FROM list and WHERE clause keep, before projection.
+/// A FROM list of one base table keeps the storage positions its scan and
+/// residuals pass, and every consumer reads the stored rows through them;
+/// a join, a derived table and an empty FROM list build owned rows.
+/// [`Rows::row`] reads either.
+#[derive(Debug)]
+enum Rows<'db> {
+    /// The kept rows of one base table, by position in its storage.
+    Stored {
+        table: &'db [Vec<Value>],
+        positions: Vec<usize>,
+    },
+    /// Rows a join, a derived table or an empty FROM list built.
+    Owned(Vec<Vec<Value>>),
+}
+
+impl Rows<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Rows::Stored { positions, .. } => positions.len(),
+            Rows::Owned(rows) => rows.len(),
+        }
+    }
+
+    /// The `i`th kept row.
+    fn row(&self, i: usize) -> &[Value] {
+        match self {
+            Rows::Stored { table, positions } => &table[positions[i]],
+            Rows::Owned(rows) => &rows[i],
+        }
+    }
+
+    fn iter(&self) -> impl ExactSizeIterator<Item = &[Value]> + '_ {
+        (0..self.len()).map(|i| self.row(i))
+    }
+
+    /// Keeps the rows whose flag in `keep` (one per row) is set.
+    fn retain_flagged(&mut self, keep: &[bool]) {
+        match self {
+            Rows::Stored { positions, .. } => retain_flagged(positions, keep),
+            Rows::Owned(rows) => retain_flagged(rows, keep),
+        }
+    }
 }
 
 /// FROM + WHERE: scans (with fused pushdown), joins, prefix filters,
 /// residuals and preserved-side padding — everything up to (but excluding)
 /// projection. The batch executor runs this once and projects per binding.
-fn exec_source_rows(
-    ctx: &ExecCtx<'_>,
+fn exec_source_rows<'db>(
+    ctx: &ExecCtx<'db, '_>,
     block: &PlanBlock,
     parent: Option<&Scope<'_>>,
-) -> Result<Vec<Vec<Value>>> {
+) -> Result<Rows<'db>> {
     ctx.bump(|s| s.queries += 1);
 
-    let mut work: Option<Vec<Vec<Value>>> = None;
+    let mut work: Option<Rows<'db>> = None;
     // Preserved-side baselines: (offset, width, rows after pushdown).
     let mut baselines: Vec<(usize, usize, Vec<Vec<Value>>)> = Vec::new();
 
@@ -1855,15 +2033,13 @@ fn exec_source_rows(
         let rows = match &item.source {
             PlanSource::Scan(name) => {
                 let table = ctx.db.table(name)?;
-                let stored = table.rows();
-                scan_positions(ctx, table, item, parent)?
-                    .into_iter()
-                    .map(|i| stored[i].clone())
-                    .collect()
+                Rows::Stored {
+                    table: table.rows(),
+                    positions: scan_positions(ctx, table, item, parent)?,
+                }
             }
             PlanSource::Derived(child) => {
-                let rel = exec_block(ctx, child, parent)?;
-                let mut rows = rel.rows;
+                let mut rows = Rows::Owned(exec_block(ctx, child, parent)?.rows);
                 for p in &item.pushdown {
                     p_filter_rows(ctx, &mut rows, &item.layout, p, parent)?;
                 }
@@ -1872,12 +2048,13 @@ fn exec_source_rows(
         };
 
         if item.preserved {
-            baselines.push((item.prev_layout.len(), item.layout.len(), rows.clone()));
+            let baseline = rows.iter().map(<[Value]>::to_vec).collect();
+            baselines.push((item.prev_layout.len(), item.layout.len(), baseline));
         }
 
         let mut joined = match work.take() {
             None => rows,
-            Some(prev) => p_join(ctx, &prev, &rows, item, parent)?,
+            Some(prev) => Rows::Owned(p_join(ctx, &prev, &rows, item, parent)?),
         };
         for p in &item.prefix_filters {
             p_filter_rows(ctx, &mut joined, &item.joined_layout, p, parent)?;
@@ -1887,31 +2064,30 @@ fn exec_source_rows(
 
     // An empty FROM list yields one empty row (the rebind-guard probe
     // shape), exactly like the interpreter.
-    let mut rows = work.unwrap_or_else(|| vec![Vec::new()]);
+    let mut rows = work.unwrap_or_else(|| Rows::Owned(vec![Vec::new()]));
 
     for pred in &block.residuals {
-        let keep = p_residual(
-            ctx,
-            rows.iter().map(Vec::as_slice),
-            &block.layout,
-            pred,
-            parent,
-        )?;
-        retain_flagged(&mut rows, &keep);
+        let keep = p_residual(ctx, rows.iter(), &block.layout, pred, parent)?;
+        rows.retain_flagged(&keep);
     }
 
     // Left-outer padding for preserved derived tables.
-    for (offset, width, baseline) in &baselines {
-        let present: HashSet<Vec<Key>> = rows
-            .iter()
-            .map(|r| r[*offset..offset + width].iter().map(key_of).collect())
-            .collect();
-        for b in baseline {
-            let key: Vec<Key> = b.iter().map(key_of).collect();
-            if !present.contains(&key) {
-                let mut row = vec![Value::Null; block.layout.len()];
-                row[*offset..offset + width].clone_from_slice(b);
-                rows.push(row);
+    if !baselines.is_empty() {
+        let Rows::Owned(rows) = &mut rows else {
+            unreachable!("a preserved item is a derived table, so the block's rows are owned");
+        };
+        for (offset, width, baseline) in &baselines {
+            let present: HashSet<Vec<Key>> = rows
+                .iter()
+                .map(|r| r[*offset..offset + width].iter().map(key_of).collect())
+                .collect();
+            for b in baseline {
+                let key: Vec<Key> = b.iter().map(key_of).collect();
+                if !present.contains(&key) {
+                    let mut row = vec![Value::Null; block.layout.len()];
+                    row[*offset..offset + width].clone_from_slice(b);
+                    rows.push(row);
+                }
             }
         }
     }
@@ -1920,10 +2096,9 @@ fn exec_source_rows(
 
 /// The one base-table scan: the storage positions of the rows of `table`
 /// that pass `item`'s fused pushdown, read through its access path, in the
-/// order the scan visits them. `SELECT` copies the rows at these positions;
-/// `DELETE` removes them ([`PreparedPlan::matched_positions`]).
+/// order the scan visits them.
 fn scan_positions(
-    ctx: &ExecCtx<'_>,
+    ctx: &ExecCtx<'_, '_>,
     table: &Table,
     item: &PlanFrom,
     parent: Option<&Scope<'_>>,
@@ -1982,47 +2157,63 @@ fn scan_positions(
 }
 
 /// Projection (plain or grouped), HAVING and DISTINCT over the joined and
-/// filtered source rows, owned or borrowed; returns the output rows (the
-/// columns are `block.columns`).
-fn finish_block<R: AsRef<[Value]>>(
-    ctx: &ExecCtx<'_>,
+/// filtered source rows: appends the block's output rows to `out`,
+/// `block.columns.len()` values each, and returns how many rows it
+/// appended. Projection is where a stored value is copied, once.
+fn finish_block<'r>(
+    ctx: &ExecCtx<'_, '_>,
     block: &PlanBlock,
-    rows: &[R],
+    rows: impl ExactSizeIterator<Item = &'r [Value]>,
     parent: Option<&Scope<'_>>,
-) -> Result<Vec<Vec<Value>>> {
-    let mut out = if block.aggregating {
-        p_project_grouped(ctx, block, rows, parent)?
+    out: &mut Vec<Value>,
+) -> Result<usize> {
+    let start = out.len();
+    let n = if block.aggregating {
+        p_project_grouped(ctx, block, rows, parent, out)?
     } else {
-        p_project_plain(ctx, block, rows, parent)?
+        p_project_plain(ctx, block, rows, parent, out)?
     };
-
-    if block.distinct {
-        let mut seen = HashSet::new();
-        out.retain(|row| seen.insert(row.iter().map(key_of).collect::<Vec<Key>>()));
+    if !block.distinct {
+        return Ok(n);
     }
-    Ok(out)
+    // Keep each row's first occurrence, moved up over the dropped ones.
+    let width = block.columns.len();
+    let mut seen = HashSet::new();
+    let mut kept = 0;
+    for i in 0..n {
+        let row = start + i * width..start + (i + 1) * width;
+        if seen.insert(out[row.clone()].iter().map(key_of).collect::<Vec<Key>>()) {
+            if kept < i {
+                for j in 0..width {
+                    out.swap(start + kept * width + j, row.start + j);
+                }
+            }
+            kept += 1;
+        }
+    }
+    out.truncate(start + kept * width);
+    Ok(kept)
 }
 
+/// Keeps the rows that pass `pred`.
 fn p_filter_rows(
-    ctx: &ExecCtx<'_>,
-    rows: &mut Vec<Vec<Value>>,
+    ctx: &ExecCtx<'_, '_>,
+    rows: &mut Rows<'_>,
     layout: &Layout,
     pred: &PExpr,
     parent: Option<&Scope<'_>>,
 ) -> Result<()> {
-    let mut kept = Vec::with_capacity(rows.len());
-    for row in rows.drain(..) {
+    let mut keep = Vec::with_capacity(rows.len());
+    for row in rows.iter() {
         let scope = Scope {
             layout,
-            row: &row,
+            row,
             parent,
             probe: None,
         };
-        if p_test(ctx, pred, &scope)? {
-            kept.push(row);
-        }
+        keep.push(p_test(ctx, pred, &scope)?);
     }
-    *rows = kept;
+    rows.retain_flagged(&keep);
     Ok(())
 }
 
@@ -2031,7 +2222,7 @@ fn p_filter_rows(
 /// read the row scope; if not, the predicate is row-independent and its
 /// result is reused (counted as cache hits).
 fn p_residual<'r>(
-    ctx: &ExecCtx<'_>,
+    ctx: &ExecCtx<'_, '_>,
     rows: impl Iterator<Item = &'r [Value]>,
     layout: &Layout,
     pred: &PExpr,
@@ -2070,21 +2261,27 @@ fn retain_flagged<T>(items: &mut Vec<T>, keep: &[bool]) {
     items.retain(|_| flags.next() == Some(&true));
 }
 
+/// The joined prefix `prev` joined with `item`'s rows `next`: each output
+/// row is a copy of one row of each side.
 fn p_join(
-    ctx: &ExecCtx<'_>,
-    prev_rows: &[Vec<Value>],
-    next_rows: &[Vec<Value>],
+    ctx: &ExecCtx<'_, '_>,
+    prev: &Rows<'_>,
+    next: &Rows<'_>,
     item: &PlanFrom,
     parent: Option<&Scope<'_>>,
 ) -> Result<Vec<Vec<Value>>> {
+    let concat = |a: &[Value], b: &[Value]| {
+        let mut row = Vec::with_capacity(a.len() + b.len());
+        row.extend_from_slice(a);
+        row.extend_from_slice(b);
+        row
+    };
     if item.join_keys.is_empty() {
         // Cross product.
-        let mut rows = Vec::with_capacity(prev_rows.len() * next_rows.len());
-        for a in prev_rows {
-            for b in next_rows {
-                let mut row = a.clone();
-                row.extend(b.iter().cloned());
-                rows.push(row);
+        let mut rows = Vec::with_capacity(prev.len() * next.len());
+        for a in prev.iter() {
+            for b in next.iter() {
+                rows.push(concat(a, b));
             }
         }
         ctx.bump(|s| {
@@ -2096,13 +2293,13 @@ fn p_join(
 
     ctx.bump(|s| {
         s.hash_join_builds += 1;
-        s.hash_join_build_rows += next_rows.len() as u64;
-        s.hash_join_probe_rows += prev_rows.len() as u64;
+        s.hash_join_build_rows += next.len() as u64;
+        s.hash_join_probe_rows += prev.len() as u64;
     });
 
     // Build on the next side.
     let mut index: HashMap<Vec<Key>, Vec<usize>> = HashMap::new();
-    'build: for (i, row) in next_rows.iter().enumerate() {
+    'build: for (i, row) in next.iter().enumerate() {
         let mut key = Vec::with_capacity(item.join_keys.len());
         for (_, nexpr) in &item.join_keys {
             let scope = Scope {
@@ -2122,7 +2319,7 @@ fn p_join(
 
     // Probe with the prev side.
     let mut rows = Vec::new();
-    'probe: for a in prev_rows {
+    'probe: for a in prev.iter() {
         let mut key = Vec::with_capacity(item.join_keys.len());
         for (pexpr, _) in &item.join_keys {
             let scope = Scope {
@@ -2139,34 +2336,32 @@ fn p_join(
         }
         if let Some(matches) = index.get(&key) {
             for &i in matches {
-                let mut row = a.clone();
-                row.extend(next_rows[i].iter().cloned());
-                rows.push(row);
+                rows.push(concat(a, next.row(i)));
             }
         }
     }
     Ok(rows)
 }
 
-fn p_project_plain<R: AsRef<[Value]>>(
-    ctx: &ExecCtx<'_>,
+fn p_project_plain<'r>(
+    ctx: &ExecCtx<'_, '_>,
     block: &PlanBlock,
-    rows: &[R],
+    rows: impl ExactSizeIterator<Item = &'r [Value]>,
     parent: Option<&Scope<'_>>,
-) -> Result<Vec<Vec<Value>>> {
-    let mut out_rows = Vec::with_capacity(rows.len());
+    out: &mut Vec<Value>,
+) -> Result<usize> {
+    let n = rows.len();
+    out.reserve(n * block.columns.len());
     for row in rows {
-        let row = row.as_ref();
         let scope = Scope {
             layout: &block.layout,
             row,
             parent,
             probe: None,
         };
-        let mut out = Vec::with_capacity(block.columns.len());
         for item in &block.select {
             match item {
-                PlanItem::Star => out.extend(row.iter().cloned()),
+                PlanItem::Star => out.extend_from_slice(row),
                 PlanItem::QualifiedStar(qal) => {
                     for (i, (cq, _)) in block.layout.iter().enumerate() {
                         if cq == qal {
@@ -2177,27 +2372,26 @@ fn p_project_plain<R: AsRef<[Value]>>(
                 PlanItem::Expr(e) => out.push(p_eval_scalar(ctx, e, &scope)?),
             }
         }
-        out_rows.push(out);
     }
-    Ok(out_rows)
+    Ok(n)
 }
 
-fn p_project_grouped<R: AsRef<[Value]>>(
-    ctx: &ExecCtx<'_>,
+fn p_project_grouped<'r>(
+    ctx: &ExecCtx<'_, '_>,
     block: &PlanBlock,
-    rows: &[R],
+    rows: impl Iterator<Item = &'r [Value]>,
     parent: Option<&Scope<'_>>,
-) -> Result<Vec<Vec<Value>>> {
+    out: &mut Vec<Value>,
+) -> Result<usize> {
     // Build groups in first-occurrence order.
     let mut group_order: Vec<Vec<Key>> = Vec::new();
     let mut groups: HashMap<Vec<Key>, Vec<&[Value]>> = HashMap::new();
     if block.group_by.is_empty() {
         // Implicit single group, present even over empty input.
-        groups.insert(Vec::new(), rows.iter().map(AsRef::as_ref).collect());
+        groups.insert(Vec::new(), rows.collect());
         group_order.push(Vec::new());
     } else {
         for row in rows {
-            let row = row.as_ref();
             let scope = Scope {
                 layout: &block.layout,
                 row,
@@ -2217,7 +2411,7 @@ fn p_project_grouped<R: AsRef<[Value]>>(
 
     ctx.bump(|s| s.group_buckets += groups.len() as u64);
 
-    let mut out_rows = Vec::with_capacity(groups.len());
+    let mut n = 0;
     for key in &group_order {
         let group = &groups[key];
         if let Some(h) = &block.having {
@@ -2226,11 +2420,10 @@ fn p_project_grouped<R: AsRef<[Value]>>(
                 continue;
             }
         }
-        let mut out = Vec::with_capacity(block.columns.len());
         for item in &block.select {
             match item {
                 PlanItem::Star => match group.first() {
-                    Some(r) => out.extend(r.iter().cloned()),
+                    Some(r) => out.extend_from_slice(r),
                     None => out.extend(block.layout.iter().map(|_| Value::Null)),
                 },
                 PlanItem::QualifiedStar(qal) => {
@@ -2246,9 +2439,9 @@ fn p_project_grouped<R: AsRef<[Value]>>(
                 PlanItem::Expr(e) => out.push(p_agg_expr(ctx, e, &block.layout, group, parent)?),
             }
         }
-        out_rows.push(out);
+        n += 1;
     }
-    Ok(out_rows)
+    Ok(n)
 }
 
 #[cfg(test)]

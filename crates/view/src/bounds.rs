@@ -151,7 +151,7 @@ fn visit(
         .filter(|_| node.context_tuple_of.is_none())
     {
         let card = query_cardinality(q, catalog, env);
-        let a = analyze_query(q, catalog, env);
+        let a = &card.analysis;
         // Conjuncts of a non-aggregating query constrain every tuple bound
         // below; an *implicitly* aggregating query yields its single row
         // even when its WHERE holds for no tuple, so only the row-count

@@ -26,12 +26,12 @@ use std::sync::{Arc, Mutex};
 
 use xvc_rel::{
     BatchResult, Bindings, Database, Delta, EvalStats, JoinKey, NamedTuple, ParamEnv, PreparedPlan,
-    Relation, ScalarExpr, SelectItem, SelectQuery, SharedScan, Value,
+    ScalarExpr, SelectItem, SelectQuery, SharedScan, Value,
 };
 use xvc_xml::{Document, TreeBuilder, XmlSink, XmlWriter};
 
 use crate::error::Result;
-use crate::schema_tree::{AttrProjection, SchemaTree, ViewNodeId};
+use crate::schema_tree::{AttrProjection, SchemaTree, ViewNode, ViewNodeId};
 
 /// Materialization statistics for one publish run.
 ///
@@ -177,7 +177,9 @@ pub struct SpliceTask {
 }
 
 impl SpliceTask {
-    fn new(view: ViewNodeId, skel: Skeleton, slots: &[NarrowSlot]) -> SpliceTask {
+    fn new(view: ViewNodeId, mut skel: Skeleton, slots: &[NarrowSlot]) -> SpliceTask {
+        // Served state keeps the elements, not the walk's name cache.
+        skel.node_names = Vec::new();
         let mut keys = HashSet::new();
         for id in skel.elements() {
             let Some(env) = skel.child_env(id) else {
@@ -343,7 +345,7 @@ impl Run<'_> {
     /// queries' counters and engine work, and the tasks in document order.
     fn root_pass(
         &self,
-        shared: &Shared<'_>,
+        shared: &Shared<'_, '_>,
         keep: impl Fn(ViewNodeId) -> bool,
     ) -> Result<(PublishStats, EvalStats, Vec<Task>)> {
         let mut stats = PublishStats::default();
@@ -359,6 +361,7 @@ impl Run<'_> {
                 stats.queries_run += 1;
                 if shared
                     .run_root_query(child, Role::Guard, &mut eval)?
+                    .rows_for(0)
                     .is_empty()
                 {
                     continue;
@@ -371,15 +374,14 @@ impl Run<'_> {
             };
             match &node.query {
                 Some(_) if node.context_tuple_of.is_none() => {
-                    let rel = shared.run_root_query(child, Role::Tag, &mut eval)?;
+                    let rows = Arc::new(shared.run_root_query(child, Role::Tag, &mut eval)?);
                     stats.queries_run += 1;
-                    stats.tuples_fetched += rel.len();
-                    let columns: Arc<[String]> = rel.columns.into();
-                    for row in rel.rows {
+                    stats.tuples_fetched += rows.total_rows();
+                    for row in rows.row_range(0) {
                         tasks.push(Task {
                             vid: child,
                             index: seed(),
-                            tuple: Some((Arc::clone(&columns), row)),
+                            tuple: Some((Arc::clone(&rows), row)),
                         });
                     }
                 }
@@ -404,7 +406,7 @@ impl Run<'_> {
     /// per-task path, where a batch of one distinct binding runs scalar.
     /// The decomposition, and so every counter, stays independent of the
     /// thread count.
-    fn shared_scans(&self, tasks: &[Task]) -> HashMap<PlanKey, SharedScan> {
+    fn shared_scans<'db>(&self, tasks: &[Task]) -> HashMap<PlanKey, SharedScan<'db>> {
         let tree = self.tree;
         let mut tasks_per_root: HashMap<ViewNodeId, usize> = HashMap::new();
         for task in tasks {
@@ -957,21 +959,25 @@ pub(crate) fn guard_probe(guard: &ScalarExpr) -> SelectQuery {
     probe
 }
 
-/// Read-only state shared by every subtree task.
-struct Shared<'a> {
+/// Read-only state shared by every subtree task, over the database `'db`.
+struct Shared<'a, 'db> {
     tree: &'a SchemaTree,
-    db: &'a Database,
+    db: &'db Database,
     plans: &'a HashMap<PlanKey, PlanEntry>,
     /// This publish's shared-scan slots ([`Run::shared_scans`]); `None` for
     /// the root pass and for delta republishes.
-    scans: Option<&'a HashMap<PlanKey, SharedScan>>,
+    scans: Option<&'a HashMap<PlanKey, SharedScan<'db>>>,
     /// Every view node's binding variable, by arena index, shared by the
     /// frames that bind it.
     vars: Vec<Arc<str>>,
 }
 
-impl<'a> Shared<'a> {
-    fn new(tree: &'a SchemaTree, db: &'a Database, plans: &'a HashMap<PlanKey, PlanEntry>) -> Self {
+impl<'a, 'db> Shared<'a, 'db> {
+    fn new(
+        tree: &'a SchemaTree,
+        db: &'db Database,
+        plans: &'a HashMap<PlanKey, PlanEntry>,
+    ) -> Self {
         let vars = (0..=tree.len() as u32)
             .map(|i| {
                 tree.node(ViewNodeId(i))
@@ -996,16 +1002,17 @@ impl<'a> Shared<'a> {
         entry.as_deref().map_err(|e| e.clone().into())
     }
 
-    /// Runs one root-level tag query or guard probe. Root-level queries
-    /// run once each under no bindings, so they execute scalar.
+    /// Runs one root-level tag query or guard probe: a batch of one
+    /// binding, the empty environment. Root-level queries run once each
+    /// under no bindings, so they execute scalar.
     fn run_root_query(
         &self,
         vid: ViewNodeId,
         role: Role,
         eval: &mut EvalStats,
-    ) -> Result<Relation> {
+    ) -> Result<BatchResult> {
         let plan = self.plan(vid, role)?;
-        Ok(plan.execute_stats(self.db, &ParamEnv::new(), eval)?)
+        Ok(plan.execute_batch_shared(self.db, &[Env::default()], None, eval)?)
     }
 }
 
@@ -1016,9 +1023,9 @@ struct Task {
     /// 0-based occurrence index of the node's tag among root-level
     /// siblings, for indexed trace paths.
     index: usize,
-    /// The root query's columns and the row this element binds; `None`
-    /// for a literal / context-copy element.
-    tuple: Option<(Arc<[String]>, Vec<Value>)>,
+    /// The root query's output and the number of the row this element
+    /// binds; `None` for a literal / context-copy element.
+    tuple: Option<(Arc<BatchResult>, usize)>,
 }
 
 /// A binding environment: an `Arc`-linked chain of frames, innermost
@@ -1030,23 +1037,35 @@ struct Task {
 #[derive(Debug, Clone, Default)]
 struct Env(Option<Arc<Frame>>);
 
-/// One binding of an [`Env`]: `$var` bound to one row of a batch.
+/// One binding of an [`Env`]: `$var` bound to one row of a batch, read
+/// in place: the frame shares the batch's output with every other frame
+/// that binds one of its rows.
 #[derive(Debug)]
 struct Frame {
     var: Arc<str>,
-    /// The batch's column list, shared by every frame it binds.
-    columns: Arc<[String]>,
-    row: Vec<Value>,
+    batch: Arc<BatchResult>,
+    /// The bound row's number in `batch` ([`BatchResult::row`]).
+    row: usize,
     outer: Env,
 }
 
+impl Frame {
+    fn columns(&self) -> &[String] {
+        self.batch.columns()
+    }
+
+    fn values(&self) -> &[Value] {
+        self.batch.row(self.row)
+    }
+}
+
 impl Env {
-    /// This environment with `var` bound to `row` on top.
-    fn bind(&self, var: &Arc<str>, columns: &Arc<[String]>, row: &[Value]) -> Env {
+    /// This environment with `var` bound to row `row` of `batch` on top.
+    fn bind(&self, var: &Arc<str>, batch: &Arc<BatchResult>, row: usize) -> Env {
         Env(Some(Arc::new(Frame {
             var: Arc::clone(var),
-            columns: Arc::clone(columns),
-            row: row.to_vec(),
+            batch: Arc::clone(batch),
+            row,
             outer: self.clone(),
         })))
     }
@@ -1066,8 +1085,8 @@ impl Env {
         let mut env = ParamEnv::new();
         for f in self.frames() {
             env.entry(f.var.to_string()).or_insert_with(|| NamedTuple {
-                columns: f.columns.to_vec(),
-                values: f.row.clone(),
+                columns: f.columns().to_vec(),
+                values: f.values().to_vec(),
             });
         }
         env
@@ -1076,7 +1095,7 @@ impl Env {
 
 impl Bindings for Env {
     fn tuple(&self, var: &str) -> Option<(&[String], &[Value])> {
-        self.frame(var).map(|f| (&f.columns[..], &f.row[..]))
+        self.frame(var).map(|f| (f.columns(), f.values()))
     }
 
     fn is_empty(&self) -> bool {
@@ -1096,8 +1115,8 @@ struct Pending {
 /// Per-task state of the breadth-first walk: the skeleton the task grows
 /// in and its counters (task-scoped, so statistics cannot depend on how
 /// tasks are spread over threads).
-struct BatchWorker<'a> {
-    shared: &'a Shared<'a>,
+struct BatchWorker<'a, 'db> {
+    shared: &'a Shared<'a, 'db>,
     skel: Skeleton,
     stats: PublishStats,
     eval: EvalStats,
@@ -1106,8 +1125,8 @@ struct BatchWorker<'a> {
     touched: BTreeSet<usize>,
 }
 
-impl<'a> BatchWorker<'a> {
-    fn new(shared: &'a Shared<'a>) -> Self {
+impl<'a, 'db> BatchWorker<'a, 'db> {
+    fn new(shared: &'a Shared<'a, 'db>) -> Self {
         BatchWorker {
             shared,
             skel: Skeleton::default(),
@@ -1122,10 +1141,7 @@ impl<'a> BatchWorker<'a> {
         self.skel.begin_task();
         let mut frontier = Vec::new();
         let root = self.skel.root();
-        let tuple = task
-            .tuple
-            .as_ref()
-            .map(|(columns, row)| (columns, &row[..]));
+        let tuple = task.tuple.as_ref().map(|(batch, row)| (batch, *row));
         self.emit_node_instance(root, task.vid, &Env::default(), tuple, &mut frontier);
         self.expand(frontier)
     }
@@ -1184,11 +1200,10 @@ impl<'a> BatchWorker<'a> {
                     continue;
                 }
                 let envs: Vec<&Env> = live.iter().map(|&i| &frontier[i].env).collect();
-                let rows = self.run_batch(vid, Role::Tag, &envs)?;
-                let columns: Arc<[String]> = rows.columns().into();
+                let rows = Arc::new(self.run_batch(vid, Role::Tag, &envs)?);
                 for (b, &i) in live.iter().enumerate() {
                     let p = &frontier[i];
-                    let group = rows.rows_for(b);
+                    let group = rows.row_range(b);
                     self.stats.queries_run += 1;
                     self.stats.tuples_fetched += group.len();
                     for row in group {
@@ -1196,7 +1211,7 @@ impl<'a> BatchWorker<'a> {
                             p.parent,
                             vid,
                             &p.env,
-                            Some((&columns, row)),
+                            Some((&rows, row)),
                             &mut next,
                         );
                     }
@@ -1211,59 +1226,39 @@ impl<'a> BatchWorker<'a> {
     /// projected tuple attributes, counters, provenance — and queues a
     /// frontier slot per child view node in `next`. The children run under
     /// the element's child environment: `env` plus a frame for the
-    /// element's own binding (the query row `tuple`, or the copied context
-    /// tuple).
+    /// element's own binding (the query row `tuple` of a batch, or the
+    /// copied context tuple).
     fn emit_node_instance(
         &mut self,
         parent: SkelId,
         vid: ViewNodeId,
         env: &Env,
-        tuple: Option<(&Arc<[String]>, &[Value])>,
+        tuple: Option<(&Arc<BatchResult>, usize)>,
         next: &mut Vec<Pending>,
     ) {
         let tree = self.shared.tree;
         let node = tree.node(vid).expect("non-root id");
         let children = tree.children(vid);
-        // The tuple the element projects attributes from, and whether its
-        // binding variable binds that tuple for the children.
+        // The row the element projects attributes from, and whether its
+        // binding variable binds that row for the children.
         let (bound, binds) = match &node.context_tuple_of {
             Some(var) => (
-                env.frame(var).map(|f| (&f.columns, &f.row[..])),
+                env.frame(var).map(|f| (&f.batch, f.row)),
                 !node.bv.is_empty(),
             ),
             None => (tuple, true),
         };
         let child_env = (!children.is_empty()).then(|| match bound {
-            Some((columns, row)) if binds => env.bind(&self.shared.vars[vid.index()], columns, row),
+            Some((batch, row)) if binds => env.bind(&self.shared.vars[vid.index()], batch, row),
             _ => env.clone(),
         });
-        let el = self.skel.create_element(&node.tag, vid, child_env.clone());
+        let tuple = bound.map(|(batch, row)| (batch.columns(), batch.row(row)));
+        let (el, attributes) = self
+            .skel
+            .create_instance(vid, node, child_env.clone(), tuple);
         self.skel.append_child(parent, el);
         self.stats.elements += 1;
-        for (k, v) in &node.static_attrs {
-            self.skel.set_attr(el, k, |text| text.push_str(v));
-            self.stats.attributes += 1;
-        }
-        if let Some((columns, row)) = bound {
-            for (i, (c, v)) in columns.iter().zip(row).enumerate() {
-                let wanted = match &node.attrs {
-                    AttrProjection::All => true,
-                    AttrProjection::None => false,
-                    AttrProjection::Columns(cols) => cols.iter().any(|x| x == c),
-                };
-                // NULLs are omitted; the first of duplicate columns wins.
-                let shadowed = || {
-                    columns[..i]
-                        .iter()
-                        .zip(row)
-                        .any(|(d, w)| d == c && !w.is_null())
-                };
-                if wanted && !v.is_null() && !shadowed() {
-                    self.skel.set_attr(el, c, |text| v.render_into(text));
-                    self.stats.attributes += 1;
-                }
-            }
-        }
+        self.stats.attributes += attributes;
         if let Some(env) = child_env {
             next.extend(children.iter().map(|&c| Pending {
                 parent: el,
@@ -1363,8 +1358,58 @@ impl Graft<'_> {
     }
 }
 
-/// Sentinel for "no node / no view / no environment" in skeleton links.
+/// Sentinel for "no node / no view / no environment / no name" in
+/// skeleton links.
 const SKEL_NONE: u32 = u32::MAX;
+
+/// One view node's element names as a skeleton's name ids: resolved once
+/// per node, so emitting an element hashes no name.
+#[derive(Debug)]
+struct NodeNames {
+    tag: u32,
+    /// The static attributes' names, in `static_attrs` order.
+    statics: Vec<u32>,
+    /// The address of the column list `attrs` was resolved for: a plan's
+    /// batches share one column list.
+    columns: usize,
+    /// Per projected column, what its attribute takes.
+    attrs: Vec<AttrName>,
+}
+
+/// How a projected column becomes an attribute.
+#[derive(Debug, Clone, Copy)]
+struct AttrName {
+    /// The attribute name's id, `SKEL_NONE` until the column is first set
+    /// (so a column that never becomes an attribute interns no name).
+    name: u32,
+    /// The node's projection keeps the column.
+    wanted: bool,
+    /// An earlier column has the same name, and wins when not NULL.
+    duplicate: bool,
+}
+
+impl NodeNames {
+    /// The attribute of each of `columns`, resolved for `node` when the
+    /// node's tuple has a column list other than the last one's.
+    fn attrs_for(&mut self, node: &ViewNode, columns: &[String]) -> &mut [AttrName] {
+        let at = columns.as_ptr() as usize;
+        if self.columns != at || self.attrs.len() != columns.len() {
+            self.columns = at;
+            self.attrs = (columns.iter().enumerate())
+                .map(|(i, c)| AttrName {
+                    name: SKEL_NONE,
+                    wanted: match &node.attrs {
+                        AttrProjection::All => true,
+                        AttrProjection::None => false,
+                        AttrProjection::Columns(cols) => cols.contains(c),
+                    },
+                    duplicate: columns[..i].contains(c),
+                })
+                .collect();
+        }
+        &mut self.attrs
+    }
+}
 
 /// Element handle inside a [`Skeleton`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -1418,6 +1463,10 @@ struct Skeleton {
     /// Interned tag / attribute names (kept across tasks).
     names: Vec<String>,
     name_ids: HashMap<String, u32>,
+    /// Each view node's names as ids into `names`, by arena index,
+    /// resolved on the node's first element ([`Skeleton::create_instance`])
+    /// and kept across tasks.
+    node_names: Vec<Option<NodeNames>>,
     nodes: Vec<SkelNode>,
     attrs: Vec<SkelAttr>,
     /// Attribute values, concatenated. Replaced values leak their old
@@ -1485,6 +1534,68 @@ impl Skeleton {
         self.push(tag, view.index() as u32, child_env)
     }
 
+    /// Creates a detached instance of view node `view` (`node`) with child
+    /// environment `child_env`: its tag, its static attributes, and the
+    /// attributes it projects from `tuple` (column names and values).
+    /// NULLs are omitted, and the first of duplicate columns wins. Names
+    /// are read as the ids [`NodeNames`] resolved for the node. Returns the
+    /// element and the number of attributes set.
+    fn create_instance(
+        &mut self,
+        view: ViewNodeId,
+        node: &ViewNode,
+        child_env: Option<Env>,
+        tuple: Option<(&[String], &[Value])>,
+    ) -> (SkelId, usize) {
+        let at = view.index();
+        if self.node_names.len() <= at {
+            self.node_names.resize_with(at + 1, || None);
+        }
+        let mut names = match self.node_names[at].take() {
+            Some(names) => names,
+            None => NodeNames {
+                tag: self.intern(&node.tag),
+                statics: node
+                    .static_attrs
+                    .iter()
+                    .map(|(k, _)| self.intern(k))
+                    .collect(),
+                columns: 0,
+                attrs: Vec::new(),
+            },
+        };
+        let el = self.push(names.tag, at as u32, child_env);
+        for (&name, (_, v)) in names.statics.iter().zip(&node.static_attrs) {
+            self.set_attr_id(el, name, |text| text.push_str(v));
+        }
+        let mut set = node.static_attrs.len();
+        if let Some((columns, row)) = tuple {
+            for (i, ((c, v), attr)) in columns
+                .iter()
+                .zip(row)
+                .zip(names.attrs_for(node, columns))
+                .enumerate()
+            {
+                let shadowed = || {
+                    columns[..i]
+                        .iter()
+                        .zip(row)
+                        .any(|(d, w)| d == c && !w.is_null())
+                };
+                if !attr.wanted || v.is_null() || (attr.duplicate && shadowed()) {
+                    continue;
+                }
+                if attr.name == SKEL_NONE {
+                    attr.name = self.intern(c);
+                }
+                self.set_attr_id(el, attr.name, |text| v.render_into(text));
+                set += 1;
+            }
+        }
+        self.node_names[at] = Some(names);
+        (el, set)
+    }
+
     /// A nameless attach point under the root for one delta re-run; never
     /// emitted (only its children are grafted elsewhere).
     fn holder(&mut self) -> SkelId {
@@ -1510,6 +1621,11 @@ impl Skeleton {
     /// contract, load-bearing for byte parity with [`Document`]).
     fn set_attr(&mut self, el: SkelId, name: &str, value: impl FnOnce(&mut String)) {
         let name = self.intern(name);
+        self.set_attr_id(el, name, value);
+    }
+
+    /// [`Skeleton::set_attr`] for an interned name.
+    fn set_attr_id(&mut self, el: SkelId, name: u32, value: impl FnOnce(&mut String)) {
         let text_len = self.text.len();
         value(&mut self.text);
         let val_start = u32::try_from(text_len).expect("values fit u32");
@@ -2497,12 +2613,18 @@ mod tests {
     fn inner_frame_shadows_outer_binding() {
         // A view that binds one variable at two depths: the inner frame
         // wins, as `HashMap::insert` had it, for plans and for traces.
-        let columns: Arc<[String]> = vec!["a".to_owned(), "b".to_owned()].into();
+        let mut db = xvc_rel::database_from_ddl("CREATE TABLE t (a INT, b INT)").unwrap();
+        db.execute_dml("INSERT INTO t VALUES (1, 10), (5, NULL), (2, 20)")
+            .unwrap();
+        let plan = xvc_rel::prepare(&parse_query("SELECT a, b FROM t").unwrap(), &db.catalog());
+        let rows = Arc::new(
+            plan.unwrap()
+                .execute_batch(&db, &[ParamEnv::new()])
+                .unwrap(),
+        );
         let (x, y): (Arc<str>, Arc<str>) = ("x".into(), "y".into());
-        let outer = Env::default()
-            .bind(&x, &columns, &[Value::Int(1), Value::Int(10)])
-            .bind(&y, &columns, &[Value::Int(5), Value::Null]);
-        let env = outer.bind(&x, &columns, &[Value::Int(2), Value::Int(20)]);
+        let outer = Env::default().bind(&x, &rows, 0).bind(&y, &rows, 1);
+        let env = outer.bind(&x, &rows, 2);
         assert_eq!(env.value("x", "b"), Ok(&Value::Int(20)));
         assert_eq!(env.value("y", "a"), Ok(&Value::Int(5)));
         assert_eq!(outer.value("x", "b"), Ok(&Value::Int(10)));

@@ -32,7 +32,7 @@
 //!   ([`xvc::core::deps`]): every base `(table, column)` the TVQ reads,
 //!   partitioned by role (scan/join-key/predicate/guard/output) and
 //!   classified for update-safety, each edge justified by a fact chain —
-//!   the map that drives `Session::republish_delta`;
+//!   a report (the delta republish asks the cached plans what they read);
 //! * `check` runs the static analyzer (dialect conformance, tag-query
 //!   scoping/typing, CTG blowup prediction) and prints rustc-style
 //!   diagnostics; positional files are classified by extension

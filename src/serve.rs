@@ -58,7 +58,7 @@
     clippy::uninlined_format_args
 )]
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -450,7 +450,9 @@ fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
-fn write_response(out: &mut TcpStream, response: &Response, keep_alive: bool) -> io::Result<()> {
+/// Writes `response` with its head and body in one vectored write; the
+/// rest goes out through `write_all` when the writer takes only part.
+fn write_response(out: &mut impl Write, response: &Response, keep_alive: bool) -> io::Result<()> {
     let reason = match response.status {
         200 => "OK",
         400 => "Bad Request",
@@ -467,28 +469,44 @@ fn write_response(out: &mut TcpStream, response: &Response, keep_alive: bool) ->
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
     );
-    out.write_all(head.as_bytes())?;
-    out.write_all(body)?;
+    let head = head.as_bytes();
+    let sent = match out.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
+        Ok(n) => n,
+        Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
+        Err(e) => return Err(e),
+    };
+    if sent < head.len() {
+        out.write_all(&head[sent..])?;
+        out.write_all(body)?;
+    } else {
+        out.write_all(&body[sent - head.len()..])?;
+    }
     out.flush()
 }
 
-/// Chunked-transfer writer over the socket for streamed responses. Bytes
-/// buffer up to [`CHUNK_BUF`] and leave as one `len\r\n…\r\n` chunk; the
-/// response head itself is deferred until the first chunk (or `finish`),
-/// so a producer that fails before yielding any output leaves the wire
-/// untouched and the caller can still send a clean error response.
-struct ChunkedWriter<'a> {
-    out: &'a mut TcpStream,
+/// Chunked-transfer writer for streamed responses. Bytes buffer up to
+/// [`CHUNK_BUF`] and leave as one `len\r\n…\r\n` chunk, framed into a
+/// single write; the response head itself is deferred until the first
+/// chunk (or `finish`), and joins that chunk's write, so a producer that
+/// fails before yielding any output leaves the wire untouched and the
+/// caller can still send a clean error response. The terminal
+/// `0\r\n\r\n` joins the last chunk's write.
+struct ChunkedWriter<'a, W: Write> {
+    out: &'a mut W,
     buf: Vec<u8>,
+    /// The bytes of the next write: the head (first time), the framed
+    /// chunk and, on `finish`, the terminal chunk.
+    wire: Vec<u8>,
     /// Deferred response head; `None` once on the wire.
     head: Option<String>,
 }
 
-impl<'a> ChunkedWriter<'a> {
-    fn new(out: &'a mut TcpStream, head: String) -> ChunkedWriter<'a> {
+impl<'a, W: Write> ChunkedWriter<'a, W> {
+    fn new(out: &'a mut W, head: String) -> ChunkedWriter<'a, W> {
         ChunkedWriter {
             out,
             buf: Vec::with_capacity(CHUNK_BUF),
+            wire: Vec::new(),
             head: Some(head),
         }
     }
@@ -498,38 +516,46 @@ impl<'a> ChunkedWriter<'a> {
         self.head.is_some()
     }
 
-    fn flush_chunk(&mut self) -> io::Result<()> {
+    /// Sends the deferred head, the buffered chunk and, when `last`, the
+    /// terminal chunk, in one write.
+    fn flush_chunk(&mut self, last: bool) -> io::Result<()> {
+        self.wire.clear();
         if let Some(head) = self.head.take() {
-            self.out.write_all(head.as_bytes())?;
+            self.wire.extend_from_slice(head.as_bytes());
         }
         if !self.buf.is_empty() {
-            write!(self.out, "{:x}\r\n", self.buf.len())?;
-            self.out.write_all(&self.buf)?;
-            self.out.write_all(b"\r\n")?;
+            write!(self.wire, "{:x}\r\n", self.buf.len())?;
+            self.wire.extend_from_slice(&self.buf);
+            self.wire.extend_from_slice(b"\r\n");
             self.buf.clear();
         }
-        Ok(())
+        if last {
+            self.wire.extend_from_slice(b"0\r\n\r\n");
+        }
+        if self.wire.is_empty() {
+            return Ok(());
+        }
+        self.out.write_all(&self.wire)
     }
 
-    /// Flushes the tail chunk and writes the terminal `0\r\n\r\n`.
+    /// Flushes the tail chunk with the terminal `0\r\n\r\n`.
     fn finish(mut self) -> io::Result<()> {
-        self.flush_chunk()?;
-        self.out.write_all(b"0\r\n\r\n")?;
+        self.flush_chunk(true)?;
         self.out.flush()
     }
 }
 
-impl io::Write for ChunkedWriter<'_> {
+impl<W: Write> io::Write for ChunkedWriter<'_, W> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         self.buf.extend_from_slice(buf);
         if self.buf.len() >= CHUNK_BUF {
-            self.flush_chunk()?;
+            self.flush_chunk(false)?;
         }
         Ok(buf.len())
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        self.flush_chunk()?;
+        self.flush_chunk(false)?;
         self.out.flush()
     }
 }
@@ -721,4 +747,111 @@ fn query_flag(query: &str, name: &str) -> bool {
         let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
         key == name && matches!(value, "" | "1" | "true")
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A writer that records every write call's bytes; with `whole`, a
+    /// vectored write takes every buffer at once, as a socket does.
+    #[derive(Default)]
+    struct Recorder {
+        writes: Vec<Vec<u8>>,
+        whole: bool,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            if !self.whole {
+                let first = bufs.iter().find(|b| !b.is_empty());
+                return self.write(first.map_or(&[][..], |b| &b[..]));
+            }
+            let all: Vec<u8> = bufs.iter().flat_map(|b| b.iter().copied()).collect();
+            self.writes.push(all);
+            Ok(self.writes.last().map_or(0, Vec::len))
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Decodes a chunked body, checking each chunk's framing.
+    fn dechunk(mut wire: &[u8]) -> Vec<u8> {
+        let mut body = Vec::new();
+        loop {
+            let eol = wire
+                .windows(2)
+                .position(|w| w == b"\r\n")
+                .expect("size line");
+            let size = std::str::from_utf8(&wire[..eol]).expect("ascii size");
+            let size = usize::from_str_radix(size, 16).expect("hex size");
+            wire = &wire[eol + 2..];
+            if size == 0 {
+                assert_eq!(wire, b"\r\n", "terminal chunk");
+                return body;
+            }
+            body.extend_from_slice(&wire[..size]);
+            assert_eq!(&wire[size..size + 2], b"\r\n", "chunk end");
+            wire = &wire[size + 2..];
+        }
+    }
+
+    #[test]
+    fn one_write_per_chunk_head_and_terminal_included() {
+        let data: Vec<u8> = (0..20_000u32).map(|i| b'a' + (i % 26) as u8).collect();
+        let mut out = Recorder::default();
+        let mut w = ChunkedWriter::new(&mut out, "HEAD\r\n\r\n".to_owned());
+        for piece in data.chunks(1_000) {
+            w.write_all(piece).unwrap();
+        }
+        assert!(!w.untouched());
+        w.finish().unwrap();
+        // Chunks leave at 9,000 and 18,000 bytes; the 2,000-byte tail
+        // leaves with the terminal chunk.
+        assert_eq!(out.writes.len(), 3);
+        assert!(out.writes[0].starts_with(b"HEAD\r\n\r\n2328\r\n"));
+        assert!(out.writes[2].starts_with(b"7d0\r\n"));
+        assert!(out.writes[2].ends_with(b"\r\n0\r\n\r\n"));
+        let wire = out.writes.concat();
+        assert_eq!(dechunk(&wire[b"HEAD\r\n\r\n".len()..]), data);
+    }
+
+    #[test]
+    fn a_short_or_empty_stream_is_one_write() {
+        for data in [&b""[..], b"<a/>"] {
+            let mut out = Recorder::default();
+            let mut w = ChunkedWriter::new(&mut out, "H\r\n\r\n".to_owned());
+            w.write_all(data).unwrap();
+            assert!(w.untouched(), "nothing leaves before a chunk fills");
+            w.finish().unwrap();
+            assert_eq!(out.writes.len(), 1);
+            assert_eq!(dechunk(&out.writes[0][b"H\r\n\r\n".len()..]), data);
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_vectored_write_or_falls_back() {
+        let response = Response::ok("text/plain; charset=utf-8", "hello\n".to_owned());
+        for whole in [true, false] {
+            let mut out = Recorder {
+                whole,
+                ..Recorder::default()
+            };
+            write_response(&mut out, &response, true).unwrap();
+            assert_eq!(out.writes.len(), if whole { 1 } else { 2 });
+            let wire = String::from_utf8(out.writes.concat()).unwrap();
+            assert!(wire.starts_with("HTTP/1.1 200 OK\r\n"), "{wire}");
+            assert!(
+                wire.ends_with("Content-Length: 6\r\nConnection: keep-alive\r\n\r\nhello\n"),
+                "{wire}"
+            );
+        }
+    }
 }

@@ -9,7 +9,7 @@ use xvc::core::paper_fixtures::figure1_view;
 use xvc::prelude::*;
 use xvc::rel::IndexKind;
 use xvc_bench::random_stylesheet::{random_stylesheet, StylesheetConfig};
-use xvc_bench::workload::{generate, WorkloadConfig};
+use xvc_bench::workload::{generate, keyed_hotel_view, WorkloadConfig};
 
 /// Case count: the in-tree default, overridable via `PROPTEST_CASES` for
 /// heavier offline fuzzing runs.
@@ -133,31 +133,39 @@ proptest! {
         }
     }
 
-    /// The static document bound, when finite, is genuinely attained on a
-    /// workload built to pin every level: a single-metro instance where
-    /// the analysis proves per-level uniqueness must never undercount.
+    /// The static document bound is finite on a view every key reaches,
+    /// and on every stylesheet composed over it, and it never undercounts
+    /// the published elements.
     #[test]
-    fn finite_document_bounds_never_undercount(seed in any::<u64>()) {
-        let cfg = WorkloadConfig {
-            metros: 1,
-            hotels_per_metro: 3,
-            luxury_fraction: 1.0,
-            rooms_per_hotel: 2,
-            conf_rooms_per_hotel: 1,
-            dates: 1,
-            avail_per_room: 1,
-            seed,
-        };
+    fn finite_document_bounds_never_undercount(
+        cfg in config_strategy(),
+        sheet_seed in 0u64..10_000,
+    ) {
         let db = generate(&cfg);
-        let view = figure1_view();
+        let view = keyed_hotel_view();
         let catalog = db.catalog();
-        let bounds = analyze_view_bounds(&view, &catalog);
-        let published = Engine::new(&view).session().publish(&db).expect("publish");
-        if let Some(limit) = bounds.document.as_limit() {
-            prop_assert!(published.stats.elements as u64 <= limit);
+        let mut views = vec![("the keyed view".to_owned(), view.clone())];
+        for (p, preset) in presets().iter().enumerate() {
+            let stylesheet = random_stylesheet(&view, &catalog, sheet_seed, *preset);
+            let composed = Composer::new(&view, &stylesheet, &catalog)
+                .run()
+                .expect("generated stylesheets compose")
+                .view;
+            views.push((format!("preset {p} seed {sheet_seed}"), composed));
         }
-        if let Some(limit) = bounds.max_batch.as_limit() {
-            prop_assert!(published.stats.bindings_per_batch_max as u64 <= limit);
+        for (context, view) in &views {
+            let bounds = analyze_view_bounds(view, &catalog);
+            let limit = bounds.document.as_limit();
+            prop_assert!(limit.is_some(), "{}: document bound not finite", context);
+            let published = Engine::new(view).session().publish(&db).expect("publish");
+            prop_assert!(
+                published.stats.elements as u64 <= limit.unwrap_or(0),
+                "{}: {} elements exceed static document bound {:?} (cfg {:?})",
+                context,
+                published.stats.elements,
+                limit,
+                cfg
+            );
         }
     }
 }
