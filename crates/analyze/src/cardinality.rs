@@ -262,9 +262,9 @@ pub fn check_index_usage(view: &SchemaTree, catalog: &Catalog) -> Vec<Diagnostic
                         Code::Xvc120,
                         Stage::View,
                         format!(
-                            "index on {}.{} ({:?}) is never usable: no tag query applies \
-                             an equality to that column",
-                            table.name, idx.column, idx.kind
+                            "index on {}.{} is never usable: no tag query applies an \
+                             equality to that column",
+                            table.name, idx.column
                         ),
                     )
                     .with_help(
@@ -496,11 +496,9 @@ mod tests {
         let mut hotel = cat.get("hotel").unwrap().clone();
         hotel.indexes.push(xvc_rel::IndexDef {
             column: "metro_id".to_owned(),
-            kind: xvc_rel::IndexKind::Hash,
         });
         hotel.indexes.push(xvc_rel::IndexDef {
             column: "starrating".to_owned(),
-            kind: xvc_rel::IndexKind::BTree,
         });
         cat.add(hotel);
         // figure1_view's hotel tag query pushes `metro_id = $m.metroid`;

@@ -320,17 +320,13 @@ pub fn all_regions_view() -> SchemaTree {
     v
 }
 
-/// A copy of `db` carrying the scale study's secondary indexes: a btree on
-/// the region-name needle and hash indexes on both foreign keys (both
-/// index kinds on the hot path).
+/// A copy of `db` carrying the scale study's secondary indexes: on the
+/// region-name needle and on both foreign keys.
 pub fn needle_indexed(db: &Database) -> Database {
     let mut out = db.clone();
-    out.create_index("region", "name", xvc_rel::IndexKind::BTree)
-        .unwrap();
-    out.create_index("customer", "region_id", xvc_rel::IndexKind::Hash)
-        .unwrap();
-    out.create_index("orders", "customer_id", xvc_rel::IndexKind::Hash)
-        .unwrap();
+    out.create_index("region", "name").unwrap();
+    out.create_index("customer", "region_id").unwrap();
+    out.create_index("orders", "customer_id").unwrap();
     out
 }
 

@@ -15,9 +15,11 @@
 //!
 //! The column annotations `PRIMARY KEY` and `NOT NULL` are retained on
 //! [`crate::ColumnDef`]: they seed the predicate-dataflow fact base, and
-//! `check_row` enforces NOT NULL on insert. A declared index
-//! ([`crate::IndexDef`]) is hash-shaped unless `USING BTREE`; prepared plans
-//! select index access paths from these declarations.
+//! `check_row` enforces NOT NULL on insert. Every declared index
+//! ([`crate::IndexDef`]) is the one equality index
+//! ([`crate::SecondaryIndex`]), whether the script says `USING HASH`,
+//! `USING BTREE` or neither; prepared plans select index access paths from
+//! these declarations.
 //!
 //! [`parse_ddl`], [`database_from_ddl`] and [`Database::execute_ddl`]
 //! accept and reject the same scripts: a table is created once, a column
@@ -67,7 +69,7 @@ impl Database {
             match stmt {
                 DdlStatement::CreateTable(schema) => self.create_table(schema)?,
                 DdlStatement::CreateIndex { table, def } => {
-                    self.create_index(&table, &def.column, def.kind)?;
+                    self.create_index(&table, &def.column)?;
                 }
             }
         }
@@ -105,7 +107,7 @@ fn declare(catalog: &mut Catalog, statements: &[DdlStatement]) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{ColumnType, IndexKind};
+    use crate::schema::ColumnType;
 
     #[test]
     fn parses_single_table() {
@@ -173,8 +175,7 @@ mod tests {
         let catalog = parse_ddl(ddl).unwrap();
         let hotel = catalog.get("hotel").unwrap();
         assert_eq!(hotel.indexes.len(), 2);
-        assert_eq!(hotel.index_on("metroid").unwrap().kind, IndexKind::Hash);
-        assert_eq!(hotel.index_on("hotelid").unwrap().kind, IndexKind::BTree);
+        assert!(hotel.index_on("metroid").is_some() && hotel.index_on("hotelid").is_some());
 
         let db = database_from_ddl(ddl).unwrap();
         let t = db.table("hotel").unwrap();

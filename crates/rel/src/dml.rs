@@ -3,8 +3,10 @@
 //!
 //! The composition paper treats the database as read-only input `I` to the
 //! publishing function `v(I)`; this module is the first write path, built
-//! so [`Delta`]s can be propagated through the static dependency map
-//! (`xvc_core::deps`) into an incremental republish instead of a full one.
+//! so a [`Delta`] can drive an incremental republish instead of a full
+//! one: the publisher asks each view node's cached plans whether they read
+//! a changed table ([`crate::PreparedPlan::reads`]) and which parents a
+//! changed row keys into ([`crate::PreparedPlan::row_key`]).
 //! The statements' grammar is [`crate::parse`]'s; this module executes
 //! them:
 //!
@@ -47,8 +49,10 @@ impl TableDelta {
 }
 
 /// The net effect of one or more DML statements: per-table inserted and
-/// deleted rows. This is what `Session::republish_delta` maps through
-/// the static dependency analysis to find the view nodes it must re-run.
+/// deleted rows. `Session::republish_segments` and
+/// `Session::republish_delta` find the view nodes to re-run by asking
+/// their cached plans ([`crate::PreparedPlan::reads`],
+/// [`crate::PreparedPlan::row_key`]) about the changed tables and rows.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Delta {
     /// Per-table deltas, keyed by table name (sorted for determinism).
@@ -210,7 +214,6 @@ mod tests {
 
     #[test]
     fn failed_multi_row_insert_leaves_the_table_unchanged() {
-        use crate::schema::IndexKind;
         let mut db = Database::new();
         db.create_table(
             TableSchema::new(
@@ -223,7 +226,7 @@ mod tests {
             .unwrap(),
         )
         .unwrap();
-        db.create_index("city", "cityid", IndexKind::Hash).unwrap();
+        db.create_index("city", "cityid").unwrap();
         db.execute_dml("INSERT INTO city VALUES (1, 'a')").unwrap();
         // The third row violates NOT NULL.
         let rows = "(2, 'b'), (3, 'c'), (NULL, 'd')";
@@ -273,9 +276,8 @@ mod tests {
 
     #[test]
     fn delete_rejects_clauses_after_its_predicate() {
-        use crate::schema::IndexKind;
         let mut db = crate::ddl::database_from_ddl("CREATE TABLE t (a INT, b INT)").unwrap();
-        db.create_index("t", "a", IndexKind::Hash).unwrap();
+        db.create_index("t", "a").unwrap();
         db.execute_dml("INSERT INTO t VALUES (1, 1), (1, 2), (2, 3)")
             .unwrap();
         let rows = db.table("t").unwrap().rows().to_vec();
@@ -313,8 +315,7 @@ mod tests {
     #[test]
     fn delete_preserves_indexes_and_fingerprint() {
         let mut db = db();
-        db.create_index("city", "cityid", crate::schema::IndexKind::Hash)
-            .unwrap();
+        db.create_index("city", "cityid").unwrap();
         let before = db.catalog_fingerprint();
         db.execute_dml("INSERT INTO city VALUES (1, 'a'), (2, 'b')")
             .unwrap();
@@ -347,7 +348,6 @@ mod tests {
 
     #[test]
     fn in_place_delete_matches_rebuild() {
-        use crate::schema::IndexKind;
         for pred in [
             "cityid = 2",
             "cityname = 'b'",
@@ -356,9 +356,8 @@ mod tests {
             "cityid > 99",
         ] {
             let mut db = db();
-            db.create_index("city", "cityid", IndexKind::Hash).unwrap();
-            db.create_index("city", "cityname", IndexKind::BTree)
-                .unwrap();
+            db.create_index("city", "cityid").unwrap();
+            db.create_index("city", "cityname").unwrap();
             // Duplicate rows, and equal keys spread over the table.
             db.execute_dml(
                 "INSERT INTO city VALUES (1, 'a'), (2, 'b'), (2, 'b'), (3, 'c'), \

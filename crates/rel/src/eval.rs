@@ -593,8 +593,16 @@ impl AggAcc {
 // Grouping keys
 // ---------------------------------------------------------------------------
 
-/// Owned, hashable key for grouping and hash joins. NULLs group together in
-/// GROUP BY; join code filters NULL keys out beforehand.
+/// Owned, hashable key of a value under SQL equality: the one key of
+/// `GROUP BY`, `DISTINCT`, the preserved-side padding check, both
+/// executors' hash joins and the secondary indexes. NULLs group together
+/// in GROUP BY; join code filters NULL keys out beforehand.
+///
+/// SQL-equal values always have equal keys: numbers key through their
+/// `f64` image, with `-0.0` folded onto `0.0` (`Int(2)` and `Float(2.0)`
+/// share a key). Equal keys may still be unequal values (every NaN has
+/// one key but NaN equals nothing; integers past 2^53 share `f64`
+/// images), so a hash join confirms each match with `=`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum Key {
     Null,
@@ -604,10 +612,19 @@ pub(crate) enum Key {
 }
 
 pub(crate) fn key_of(v: &Value) -> Key {
+    let num = |f: f64| {
+        Key::Num(if f == 0.0 {
+            0
+        } else if f.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            f.to_bits()
+        })
+    };
     match v {
         Value::Null => Key::Null,
-        Value::Int(i) => Key::Num((*i as f64).to_bits()),
-        Value::Float(f) => Key::Num(f.to_bits()),
+        Value::Int(i) => num(*i as f64),
+        Value::Float(f) => num(*f),
         Value::Str(s) => Key::Str(s.clone()),
         Value::Bool(b) => Key::Bool(*b),
     }
@@ -1094,10 +1111,11 @@ fn hash_join(
         s.hash_join_probe_rows += prev.rows.len() as u64;
     });
 
-    // Build hash table on the next side.
-    let mut index: HashMap<Vec<Key>, Vec<usize>> = HashMap::new();
+    // Build hash table on the next side: each row's key values, under
+    // their keys.
+    let mut index: HashMap<Vec<Key>, Vec<(usize, Vec<Value>)>> = HashMap::new();
     'build: for (i, row) in next.rows.iter().enumerate() {
-        let mut key = Vec::with_capacity(pairs.len());
+        let mut values = Vec::with_capacity(pairs.len());
         for (_, nexpr) in pairs {
             let scope = Scope {
                 layout: &next.layout,
@@ -1109,15 +1127,16 @@ fn hash_join(
             if v.is_null() {
                 continue 'build; // NULL never equi-joins
             }
-            key.push(key_of(&v));
+            values.push(v);
         }
-        index.entry(key).or_default().push(i);
+        let key = values.iter().map(key_of).collect();
+        index.entry(key).or_default().push((i, values));
     }
 
-    // Probe with the prev side.
+    // Probe with the prev side; `=` confirms each hashed match.
     let mut rows = Vec::new();
     'probe: for a in &prev.rows {
-        let mut key = Vec::with_capacity(pairs.len());
+        let mut values = Vec::with_capacity(pairs.len());
         for (pexpr, _) in pairs {
             let scope = Scope {
                 layout: &prev.layout,
@@ -1129,12 +1148,17 @@ fn hash_join(
             if v.is_null() {
                 continue 'probe;
             }
-            key.push(key_of(&v));
+            values.push(v);
         }
-        if let Some(matches) = index.get(&key) {
-            for &i in matches {
+        let key: Vec<Key> = values.iter().map(key_of).collect();
+        for (i, next_values) in index.get(&key).into_iter().flatten() {
+            if values
+                .iter()
+                .zip(next_values)
+                .all(|(p, n)| p.sql_eq(n) == Some(true))
+            {
                 let mut row = a.clone();
-                row.extend(next.rows[i].iter().cloned());
+                row.extend(next.rows[*i].iter().cloned());
                 rows.push(row);
             }
         }
@@ -1484,6 +1508,17 @@ mod tests {
             "SELECT hotelname, metroname FROM hotel, metroarea WHERE metro_id = metroid",
         );
         assert_eq!(r.len(), 3);
+    }
+
+    #[test]
+    fn keys_group_what_sql_equality_groups() {
+        let k = |v: Value| key_of(&v);
+        assert_eq!(k(Value::Int(2)), k(Value::Float(2.0)));
+        assert_eq!(k(Value::Int(0)), k(Value::Float(-0.0)));
+        assert_eq!(k(Value::Float(f64::NAN)), k(Value::Float(-f64::NAN)));
+        assert_eq!(k(Value::Null), k(Value::Null));
+        assert_ne!(k(Value::Int(1)), k(Value::Int(2)));
+        assert_ne!(k(Value::Int(2)), k(Value::Str("2".into())));
     }
 
     #[test]

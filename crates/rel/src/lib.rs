@@ -12,7 +12,7 @@
 //! * [`value`] — dynamically typed SQL values with NULL semantics;
 //! * [`schema`] / [`table`] — catalogs, table schemas and in-memory row
 //!   storage ([`Database`]);
-//! * [`index`] — hash and B-tree secondary indexes over table columns,
+//! * [`index`] — equality (hash) secondary indexes over table columns,
 //!   order-preserving so index access paths publish identical documents;
 //! * [`ast`] — the SQL fragment the algorithm emits: select lists with
 //!   aggregates and qualified stars, derived tables, parameters
@@ -95,6 +95,6 @@ pub use parse::parse_query;
 pub use plan::{
     prepare, BatchResult, BatchRows, Bindings, JoinKey, PreparedPlan, RowKey, SharedScan,
 };
-pub use schema::{Catalog, ColumnDef, ColumnType, IndexDef, IndexKind, TableSchema};
+pub use schema::{Catalog, ColumnDef, ColumnType, IndexDef, TableSchema};
 pub use table::{Database, Table};
 pub use value::Value;

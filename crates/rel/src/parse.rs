@@ -43,11 +43,13 @@
 //! `FLOAT`/`REAL`/`DOUBLE`/`DECIMAL`/`NUMERIC` → [`ColumnType::Float`], and
 //! `TEXT`/`STRING`/`VARCHAR`/`CHAR`/`DATE`/`TIMESTAMP` → [`ColumnType::Str`]
 //! (dates are ISO strings in this engine); a type's precision and scale
-//! are read and ignored.
+//! are read and ignored. An index's `USING HASH` or `USING BTREE` is read
+//! and ignored too: every index is the one equality index, and any other
+//! method is rejected.
 
 use crate::ast::{AggFunc, BinOp, ScalarExpr, SelectItem, SelectQuery, TableRef};
 use crate::error::{Error, Result};
-use crate::schema::{ColumnDef, ColumnType, IndexDef, IndexKind, TableSchema};
+use crate::schema::{ColumnDef, ColumnType, IndexDef, TableSchema};
 use crate::value::Value;
 
 /// Parses a single SELECT query from SQL text.
@@ -83,7 +85,8 @@ pub(crate) enum DmlStatement {
 pub(crate) enum DdlStatement {
     CreateTable(TableSchema),
     /// `CREATE INDEX [name] ON table (column) [USING HASH|BTREE]`. The
-    /// name is discarded: an index is known by its table and column.
+    /// name and the method are discarded: an index is known by its table
+    /// and column.
     CreateIndex {
         table: String,
         def: IndexDef,
@@ -642,17 +645,12 @@ impl Parser {
         self.expect(&Token::LParen, "'(' after the table name")?;
         let column = self.ident("the indexed column")?;
         self.expect(&Token::RParen, "')' after exactly one indexed column")?;
-        let kind = if self.eat_keyword("USING") && !self.eat_keyword("HASH") {
-            if !self.eat_keyword("BTREE") {
-                return Err(self.unexpected("USING HASH or USING BTREE"));
-            }
-            IndexKind::BTree
-        } else {
-            IndexKind::Hash
-        };
+        if self.eat_keyword("USING") && !self.eat_keyword("HASH") && !self.eat_keyword("BTREE") {
+            return Err(self.unexpected("USING HASH or USING BTREE"));
+        }
         Ok(DdlStatement::CreateIndex {
             table,
-            def: IndexDef { column, kind },
+            def: IndexDef { column },
         })
     }
 

@@ -47,9 +47,10 @@
 //! instead, which is the point: a cached plan fails at publish *setup*,
 //! not on the thousandth tuple.
 
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use std::cell::{Cell, OnceCell};
 use std::collections::{HashMap, HashSet};
+use std::convert::Infallible;
 use std::fmt;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -251,17 +252,17 @@ pub struct RowKey {
     pub param: (String, String),
 }
 
-/// A non-NULL value under the batch hash join's key normalisation. Values
-/// that are SQL-equal always have equal keys, so matching keys may
-/// over-approximate `=` (NaN, integers past 2^53) but never misses an
-/// equal pair. NULL has no key: it equals nothing.
+/// A non-NULL value under the hash joins' key normalisation. Values that
+/// are SQL-equal always have equal keys, so matching keys may
+/// over-approximate `=` (NaN, integers past 2^53) but never miss an equal
+/// pair. NULL has no key: it equals nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct JoinKey(Key);
 
 impl JoinKey {
     /// The key of `v`, or `None` for NULL.
     pub fn of(v: &Value) -> Option<JoinKey> {
-        (!v.is_null()).then(|| JoinKey(batch_key_of(v)))
+        (!v.is_null()).then(|| JoinKey(key_of(v)))
     }
 }
 
@@ -344,16 +345,8 @@ pub struct SharedScan<'db> {
 /// What running a plan's binding-free pipeline produced.
 #[derive(Debug)]
 enum Pipeline<'db> {
-    /// The stripped pipeline's rows, indexed by their deferred key values:
-    /// `by_key` holds row numbers grouped by key, in scan order within a
-    /// key, and `index` maps each key to its `(start, len)` range of
-    /// `by_key`. Rows with a NULL key are left out of the index, since
-    /// NULL never equi-joins.
-    Built {
-        rows: Rows<'db>,
-        by_key: Vec<usize>,
-        index: HashMap<BatchKey, (usize, usize)>,
-    },
+    /// The stripped pipeline's rows, indexed by their deferred key values.
+    Built { rows: Rows<'db>, index: KeyIndex },
     /// The pipeline raised an error on rows the per-binding filters would
     /// have dropped first, so batches execute per binding instead.
     Failed,
@@ -684,8 +677,8 @@ impl BatchSide {
     }
 }
 
-/// The deferred key values of a pipeline row or of a binding, normalized
-/// by `batch_key_of`. One key column, the common case, needs no vector.
+/// The equi-join key values of a row (or of a binding), normalized by
+/// `key_of`. One key column, the common case, needs no vector.
 #[derive(Debug, PartialEq, Eq, Hash)]
 enum BatchKey {
     One(Key),
@@ -693,14 +686,93 @@ enum BatchKey {
 }
 
 impl BatchKey {
-    /// The key of `values`, or `None` if one is NULL (NULL never
-    /// equi-joins).
-    fn of<'v>(mut values: impl ExactSizeIterator<Item = &'v Value>) -> Option<BatchKey> {
-        let key = |v: &Value| (!v.is_null()).then(|| batch_key_of(v));
+    /// The key of `values`, read in order, or `None` at the first NULL
+    /// (NULL never equi-joins), leaving the values after it unread. The
+    /// first error reading a value is returned.
+    fn try_of<V: Borrow<Value>, E>(
+        mut values: impl ExactSizeIterator<Item = std::result::Result<V, E>>,
+    ) -> std::result::Result<Option<BatchKey>, E> {
+        let key = |v: V| (!v.borrow().is_null()).then(|| key_of(v.borrow()));
         if values.len() == 1 {
-            return values.next().and_then(key).map(BatchKey::One);
+            return Ok(values.next().transpose()?.and_then(key).map(BatchKey::One));
         }
-        values.map(key).collect::<Option<_>>().map(BatchKey::Many)
+        let mut keys = Vec::with_capacity(values.len());
+        for v in values {
+            let Some(k) = key(v?) else {
+                return Ok(None);
+            };
+            keys.push(k);
+        }
+        Ok(Some(BatchKey::Many(keys)))
+    }
+
+    /// [`BatchKey::try_of`] over values at hand.
+    fn of<'v>(values: impl ExactSizeIterator<Item = &'v Value>) -> Option<BatchKey> {
+        let Ok(key) = Self::try_of(values.map(Ok::<_, Infallible>));
+        key
+    }
+}
+
+/// Row numbers grouped by equi-join key: the one hash index both the
+/// shared batch pipeline and `p_join` build. `by_key` holds the numbers of
+/// the rows that have a key, grouped by key and in row order within a key,
+/// and `ranges` maps each key to its `(start, len)` range of `by_key`. A
+/// row with a NULL key value is left out, since NULL never equi-joins.
+#[derive(Debug)]
+struct KeyIndex {
+    by_key: Vec<usize>,
+    ranges: HashMap<BatchKey, (usize, usize)>,
+}
+
+impl KeyIndex {
+    /// Indexes rows `0..n` by `key(row)` (`None` leaves the row out): a
+    /// counting pass sizes each key's range of one row-number vector, and
+    /// a second pass fills it in row order. The first error `key` returns
+    /// ends the build.
+    fn build<E>(
+        n: usize,
+        mut key: impl FnMut(usize) -> std::result::Result<Option<BatchKey>, E>,
+    ) -> std::result::Result<KeyIndex, E> {
+        // Pass 1: each row's key group (`None` for no key) and the group
+        // sizes; `ranges` maps a key to its group number for now.
+        let mut ranges: HashMap<BatchKey, (usize, usize)> = HashMap::new();
+        let mut counts: Vec<usize> = Vec::new();
+        let mut groups: Vec<Option<usize>> = Vec::with_capacity(n);
+        for row in 0..n {
+            groups.push(key(row)?.map(|key| {
+                let group = ranges.entry(key).or_insert((counts.len(), 0)).0;
+                if group == counts.len() {
+                    counts.push(0);
+                }
+                counts[group] += 1;
+                group
+            }));
+        }
+        // Pass 2: each group's start, then the row numbers in row order.
+        let mut next = Vec::with_capacity(counts.len());
+        let mut total = 0;
+        for c in &counts {
+            next.push(total);
+            total += c;
+        }
+        for range in ranges.values_mut() {
+            *range = (next[range.0], counts[range.0]);
+        }
+        let mut by_key = vec![0; total];
+        for (row, group) in groups.iter().enumerate() {
+            if let &Some(g) = group {
+                by_key[next[g]] = row;
+                next[g] += 1;
+            }
+        }
+        Ok(KeyIndex { by_key, ranges })
+    }
+
+    /// The rows whose key is `key`, in row order.
+    fn get(&self, key: &BatchKey) -> &[usize] {
+        self.ranges
+            .get(key)
+            .map_or(&[], |&(start, len)| &self.by_key[start..start + len])
     }
 }
 
@@ -936,16 +1008,6 @@ fn expr_table_scans(e: &PExpr, table: &str) -> usize {
         }
         PExpr::Not(i) | PExpr::IsNull(i) => expr_table_scans(i, table),
         PExpr::Aggregate { arg, .. } => arg.as_ref().map_or(0, |a| expr_table_scans(a, table)),
-    }
-}
-
-/// `key_of` with negative zero folded onto positive zero: `sql_cmp` treats
-/// `-0.0` and `0.0` as equal, so the binding hash-join must too. (`Int`
-/// and `Float` already unify — both hash through `f64` bits.)
-fn batch_key_of(v: &Value) -> Key {
-    match v {
-        Value::Float(f) if *f == 0.0 => Key::Num(0f64.to_bits()),
-        _ => key_of(v),
     }
 }
 
@@ -1220,15 +1282,11 @@ impl PreparedPlan {
                     }
                 };
                 match pipeline {
-                    Pipeline::Built {
-                        rows,
-                        by_key,
-                        index,
-                    } => {
+                    Pipeline::Built { rows, index } => {
                         let mut s = cell.get();
                         s.hash_join_probe_rows += distinct as u64;
                         cell.set(s);
-                        Some((bp, rows, by_key, index))
+                        Some((bp, rows, index))
                     }
                     // The stripped pipeline evaluated predicates on rows
                     // the per-binding filters would have dropped first;
@@ -1252,11 +1310,10 @@ impl PreparedPlan {
         let mut at = 0;
         for group in &order {
             let n = match (fast, group.values) {
-                (Some((bp, rows, by_key, index)), Some(values)) => {
+                (Some((bp, rows, index)), Some(values)) => {
                     matched.clear();
                     let hits = BatchKey::of(bp.keys.iter().map(|k| values[k.slot]))
-                        .and_then(|key| index.get(&key))
-                        .map_or(&[][..], |&(start, len)| &by_key[start..start + len]);
+                        .map_or(&[][..], |key| index.get(&key));
                     'cand: for &ri in hits {
                         let row = rows.row(ri);
                         for k in &bp.keys {
@@ -1303,10 +1360,9 @@ impl PreparedPlan {
     }
 
     /// Runs `bp`'s stripped pipeline once, binding-free, and indexes its
-    /// rows by the deferred key columns: a counting pass sizes each key's
-    /// range of one row-number vector, and a second pass fills it in scan
-    /// order. On success the run and the hash build are counted into
-    /// `stats`; a failed run counts nothing.
+    /// rows by the deferred key columns ([`KeyIndex`]). On success the run
+    /// and the hash build are counted into `stats`; a failed run counts
+    /// nothing.
     fn build_pipeline<'db>(
         &self,
         db: &'db Database,
@@ -1319,49 +1375,16 @@ impl PreparedPlan {
         let Ok(rows) = exec_source_rows(&ctx, &bp.stripped, None) else {
             return Pipeline::Failed;
         };
-        // Pass 1: each row's key group (`None` for a NULL key) and the
-        // group sizes; `index` maps a key to its group number for now.
-        let mut index: HashMap<BatchKey, (usize, usize)> = HashMap::new();
-        let mut counts: Vec<usize> = Vec::new();
-        let groups: Vec<Option<usize>> = rows
-            .iter()
-            .map(|row| {
-                let key = BatchKey::of(bp.keys.iter().map(|k| k.row.value(row)))?;
-                let group = index.entry(key).or_insert((counts.len(), 0)).0;
-                if group == counts.len() {
-                    counts.push(0);
-                }
-                counts[group] += 1;
-                Some(group)
-            })
-            .collect();
-        // Pass 2: each group's start, then the row numbers in scan order.
-        let mut next = Vec::with_capacity(counts.len());
-        let mut total = 0;
-        for c in &counts {
-            next.push(total);
-            total += c;
-        }
-        for range in index.values_mut() {
-            *range = (next[range.0], counts[range.0]);
-        }
-        let mut by_key = vec![0; total];
-        for (ri, group) in groups.iter().enumerate() {
-            if let &Some(g) = group {
-                by_key[next[g]] = ri;
-                next[g] += 1;
-            }
-        }
+        let Ok(index) = KeyIndex::build(rows.len(), |ri| {
+            let row = rows.row(ri);
+            Ok::<_, Infallible>(BatchKey::of(bp.keys.iter().map(|k| k.row.value(row))))
+        });
         let mut s = stats.get();
         s.absorb(&attempt.get());
         s.hash_join_builds += 1;
         s.hash_join_build_rows += rows.len() as u64;
         stats.set(s);
-        Pipeline::Built {
-            rows,
-            by_key,
-            index,
-        }
+        Pipeline::Built { rows, index }
     }
 
     /// Renders the compiled pipeline — slot table, per-item scan fusion
@@ -2297,47 +2320,43 @@ fn p_join(
         s.hash_join_probe_rows += prev.len() as u64;
     });
 
-    // Build on the next side.
-    let mut index: HashMap<Vec<Key>, Vec<usize>> = HashMap::new();
-    'build: for (i, row) in next.iter().enumerate() {
-        let mut key = Vec::with_capacity(item.join_keys.len());
-        for (_, nexpr) in &item.join_keys {
-            let scope = Scope {
-                layout: &item.layout,
-                row,
-                parent,
-                probe: None,
-            };
-            let v = p_operand(ctx, nexpr, &scope)?;
-            if v.is_null() {
-                continue 'build; // NULL never equi-joins
-            }
-            key.push(key_of(&v));
-        }
-        index.entry(key).or_default().push(i);
-    }
-
-    // Probe with the prev side.
+    // Build on the next side, then probe with the prev side; `=` confirms
+    // each hashed match, since equal keys may be unequal values.
+    let scope_of = |layout, row| Scope {
+        layout,
+        row,
+        parent,
+        probe: None,
+    };
+    let index = KeyIndex::build(next.len(), |i| {
+        let scope = scope_of(&item.layout, next.row(i));
+        let values = item
+            .join_keys
+            .iter()
+            .map(|(_, e)| p_operand(ctx, e, &scope));
+        BatchKey::try_of(values)
+    })?;
     let mut rows = Vec::new();
-    'probe: for a in prev.iter() {
-        let mut key = Vec::with_capacity(item.join_keys.len());
-        for (pexpr, _) in &item.join_keys {
-            let scope = Scope {
-                layout: &item.prev_layout,
-                row: a,
-                parent,
-                probe: None,
-            };
-            let v = p_operand(ctx, pexpr, &scope)?;
-            if v.is_null() {
-                continue 'probe;
+    for a in prev.iter() {
+        let scope = scope_of(&item.prev_layout, a);
+        let values = item
+            .join_keys
+            .iter()
+            .map(|(e, _)| p_operand(ctx, e, &scope));
+        let Some(key) = BatchKey::try_of(values)? else {
+            continue;
+        };
+        'cand: for &i in index.get(&key) {
+            let b = next.row(i);
+            let next_scope = scope_of(&item.layout, b);
+            for (pexpr, nexpr) in &item.join_keys {
+                let l = p_operand(ctx, pexpr, &scope)?;
+                let r = p_operand(ctx, nexpr, &next_scope)?;
+                if compare(BinOp::Eq, &l, &r) != Some(true) {
+                    continue 'cand;
+                }
             }
-            key.push(key_of(&v));
-        }
-        if let Some(matches) = index.get(&key) {
-            for &i in matches {
-                rows.push(concat(a, next.row(i)));
-            }
+            rows.push(concat(a, b));
         }
     }
     Ok(rows)
@@ -3060,9 +3079,7 @@ mod tests {
         let indexed = indexed_hotel_db().catalog();
         let mut keyed = pk_db();
         for column in ["starrating", "hotelid"] {
-            keyed
-                .create_index("hotel", column, crate::schema::IndexKind::Hash)
-                .unwrap();
+            keyed.create_index("hotel", column).unwrap();
         }
         let keyed = keyed.catalog();
         let cases: &[Case<'_>] = &[
@@ -3177,8 +3194,7 @@ mod tests {
     /// `hotel_db` with a hash index on `hotel.metro_id`.
     fn indexed_hotel_db() -> Database {
         let mut db = hotel_db();
-        db.create_index("hotel", "metro_id", crate::schema::IndexKind::Hash)
-            .unwrap();
+        db.create_index("hotel", "metro_id").unwrap();
         db
     }
 
@@ -3375,10 +3391,8 @@ mod tests {
         let mut db = pk_db();
         // Indexes on both a non-key and the key column; the key equality
         // wins regardless of conjunct order.
-        db.create_index("hotel", "starrating", crate::schema::IndexKind::Hash)
-            .unwrap();
-        db.create_index("hotel", "hotelid", crate::schema::IndexKind::Hash)
-            .unwrap();
+        db.create_index("hotel", "starrating").unwrap();
+        db.create_index("hotel", "hotelid").unwrap();
         let q = parse_query("SELECT hotelname FROM hotel WHERE starrating = 5 AND hotelid = 12")
             .unwrap();
         let plan = prepare(&q, &db.catalog()).unwrap();

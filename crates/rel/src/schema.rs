@@ -1,4 +1,7 @@
-//! Table schemas and the catalog.
+//! Table schemas and the catalog: the columns of each table and the
+//! secondary indexes declared on it. An index declaration ([`IndexDef`])
+//! names one column; every declared index is the one equality index shape
+//! ([`crate::SecondaryIndex`]) that the planner uses.
 
 use std::collections::BTreeMap;
 
@@ -75,15 +78,6 @@ impl ColumnDef {
     }
 }
 
-/// Shape of a secondary index ([`crate::index::SecondaryIndex`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IndexKind {
-    /// Hash map from key to row ids — O(1) equality lookups.
-    Hash,
-    /// Ordered map — equality today, range access paths later.
-    BTree,
-}
-
 /// Declares a secondary index over one column. Carried on the
 /// [`TableSchema`] so the catalog (and therefore `plan::prepare`'s
 /// access-path selection and the database fingerprint) sees it.
@@ -91,8 +85,6 @@ pub enum IndexKind {
 pub struct IndexDef {
     /// The indexed column's name.
     pub column: String,
-    /// The index shape.
-    pub kind: IndexKind,
 }
 
 /// Schema of one table.

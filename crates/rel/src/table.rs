@@ -10,7 +10,7 @@ use std::hash::{Hash, Hasher};
 
 use crate::error::{Error, Result};
 use crate::index::SecondaryIndex;
-use crate::schema::{Catalog, IndexDef, IndexKind, TableSchema};
+use crate::schema::{Catalog, IndexDef, TableSchema};
 use crate::value::Value;
 
 /// A table: schema, rows, and secondary indexes.
@@ -34,7 +34,7 @@ impl Table {
             indexes: Vec::new(),
         };
         for def in defs {
-            table.create_index(&def.column, def.kind)?;
+            table.create_index(&def.column)?;
         }
         Ok(table)
     }
@@ -53,12 +53,11 @@ impl Table {
     /// Declares a secondary index over `column` in the schema and builds
     /// it. A column the schema lacks is [`Error::UnknownColumn`], an
     /// already indexed one [`Error::DuplicateIndex`].
-    pub fn create_index(&mut self, column: &str, kind: IndexKind) -> Result<()> {
+    pub fn create_index(&mut self, column: &str) -> Result<()> {
         let pos = self.schema.declare_index(IndexDef {
             column: column.to_owned(),
-            kind,
         })?;
-        let mut idx = SecondaryIndex::new(pos, kind);
+        let mut idx = SecondaryIndex::new(pos);
         for (rid, row) in self.rows.iter().enumerate() {
             idx.insert(row, rid);
         }
@@ -177,14 +176,14 @@ impl Database {
     /// Declares and builds a secondary index on `table.column`, recording
     /// it in the table's schema (and therefore in the catalog and the
     /// database fingerprint).
-    pub fn create_index(&mut self, table: &str, column: &str, kind: IndexKind) -> Result<()> {
+    pub fn create_index(&mut self, table: &str, column: &str) -> Result<()> {
         let t = self
             .tables
             .get_mut(table)
             .ok_or_else(|| Error::UnknownTable {
                 name: table.to_owned(),
             })?;
-        t.create_index(column, kind)?;
+        t.create_index(column)?;
         self.refresh_fingerprint();
         Ok(())
     }
@@ -332,8 +331,7 @@ mod tests {
             )
             .unwrap();
         }
-        db.create_index("metroarea", "metroid", IndexKind::Hash)
-            .unwrap();
+        db.create_index("metroarea", "metroid").unwrap();
         // Maintained on later inserts too.
         db.insert("metroarea", vec![Value::Int(1), Value::Str("late".into())])
             .unwrap();
@@ -341,13 +339,9 @@ mod tests {
         let idx = t.index_for(0).unwrap();
         assert_eq!(idx.lookup(&Value::Int(1)), &[1, 4, 7, 10]);
         assert!(t.schema.index_on("metroid").is_some());
-        assert!(db
-            .create_index("metroarea", "metroid", IndexKind::Hash)
-            .is_err());
-        assert!(db
-            .create_index("metroarea", "nope", IndexKind::Hash)
-            .is_err());
-        assert!(db.create_index("nope", "metroid", IndexKind::Hash).is_err());
+        assert!(db.create_index("metroarea", "metroid").is_err());
+        assert!(db.create_index("metroarea", "nope").is_err());
+        assert!(db.create_index("nope", "metroid").is_err());
     }
 
     #[test]
@@ -359,7 +353,6 @@ mod tests {
             for column in indexed {
                 s.indexes.push(IndexDef {
                     column: (*column).to_owned(),
-                    kind: IndexKind::Hash,
                 });
             }
             s
@@ -422,8 +415,7 @@ mod tests {
             fp0,
             "data does not change the catalog"
         );
-        db.create_index("metroarea", "metroid", IndexKind::Hash)
-            .unwrap();
+        db.create_index("metroarea", "metroid").unwrap();
         let fp1 = db.catalog_fingerprint();
         assert_ne!(fp0, fp1, "index declarations are part of the catalog");
         db.create_table(
@@ -444,8 +436,7 @@ mod tests {
             .unwrap(),
         )
         .unwrap();
-        twin.create_index("metroarea", "metroid", IndexKind::Hash)
-            .unwrap();
+        twin.create_index("metroarea", "metroid").unwrap();
         twin.create_table(
             TableSchema::new("extra", vec![ColumnDef::new("x", ColumnType::Int)]).unwrap(),
         )

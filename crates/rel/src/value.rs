@@ -67,23 +67,12 @@ impl Value {
         self.sql_cmp(other).map(|o| o == Ordering::Equal)
     }
 
-    /// Grouping/ordering key: unlike [`Value::sql_cmp`], NULLs group
-    /// together (SQL GROUP BY treats NULLs as equal).
-    pub fn group_key(&self) -> GroupKey<'_> {
-        match self {
-            Value::Null => GroupKey::Null,
-            Value::Int(i) => GroupKey::Num((*i as f64).to_bits()),
-            Value::Float(f) => GroupKey::Num(f.to_bits()),
-            Value::Str(s) => GroupKey::Str(s),
-            Value::Bool(b) => GroupKey::Bool(*b),
-        }
-    }
-
-    /// Strict identity key: unlike [`Value::group_key`], `Int(2)`,
-    /// `Float(2.0)` and `Str("2")` are three keys, and so are `0.0` and
-    /// `-0.0` (floats compare by bits; every NaN is one key). Values with
-    /// equal identity behave identically everywhere, which is what lets a
-    /// batch serve duplicate bindings with one execution.
+    /// Strict identity key: unlike the equality key of `GROUP BY` and the
+    /// hash joins, `Int(2)`, `Float(2.0)` and `Str("2")` are three keys,
+    /// and so are `0.0` and `-0.0` (floats compare by bits; every NaN is
+    /// one key). Values with equal identity behave identically everywhere,
+    /// which is what lets a batch serve duplicate bindings with one
+    /// execution.
     pub(crate) fn identity(&self) -> Identity<'_> {
         match self {
             Value::Null => Identity::Null,
@@ -126,20 +115,6 @@ pub(crate) enum Identity<'a> {
     /// Bit pattern of the float, NaNs canonicalized.
     Float(u64),
     Str(&'a str),
-    Bool(bool),
-}
-
-/// Hashable grouping key for a value (see [`Value::group_key`]).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum GroupKey<'a> {
-    /// NULL group.
-    Null,
-    /// Numeric group (bit pattern of the f64; Int(2) and Float(2.0) group
-    /// together because both normalize through f64).
-    Num(u64),
-    /// String group.
-    Str(&'a str),
-    /// Boolean group.
     Bool(bool),
 }
 
@@ -229,13 +204,6 @@ mod tests {
     #[test]
     fn incomparable_types() {
         assert_eq!(Value::Str("a".into()).sql_cmp(&Value::Int(1)), None);
-    }
-
-    #[test]
-    fn group_keys_normalize_numerics() {
-        assert_eq!(Value::Int(2).group_key(), Value::Float(2.0).group_key());
-        assert_eq!(Value::Null.group_key(), Value::Null.group_key());
-        assert_ne!(Value::Int(1).group_key(), Value::Int(2).group_key());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! nothing.
 
 use proptest::prelude::*;
-use xvc_rel::{database_from_ddl, eval_query, parse_query, Database, IndexKind, ParamEnv, Value};
+use xvc_rel::{database_from_ddl, eval_query, parse_query, Database, ParamEnv, Value};
 
 /// Case count: the in-tree default, overridable via `PROPTEST_CASES` for
 /// heavier offline fuzzing runs.
@@ -58,12 +58,12 @@ fn text() -> impl Strategy<Value = Value> {
     })
 }
 
-/// The indexed column of `t` (if any) and the index kind.
-fn index_choice() -> impl Strategy<Value = Option<(&'static str, IndexKind)>> {
+/// The indexed column of `t` (if any).
+fn index_choice() -> impl Strategy<Value = Option<&'static str>> {
     (0usize..7).prop_map(|i| match i {
         0 => None,
-        1..=3 => Some((COLUMNS[i - 1], IndexKind::Hash)),
-        _ => Some((COLUMNS[i - 4], IndexKind::BTree)),
+        1..=3 => Some(COLUMNS[i - 1]),
+        _ => Some(COLUMNS[i - 4]),
     })
 }
 
@@ -83,8 +83,8 @@ fn db_strategy() -> impl Strategy<Value = Database> {
                 }
             }
             let mut db = database_from_ddl(DDL).unwrap();
-            if let Some((column, kind)) = index {
-                db.create_index("t", column, kind).unwrap();
+            if let Some(column) = index {
+                db.create_index("t", column).unwrap();
             }
             for (a, x, s) in rows {
                 db.insert("t", vec![a, x, s]).unwrap();

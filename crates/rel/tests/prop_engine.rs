@@ -1,14 +1,18 @@
 //! Property tests for the relational engine:
 //!
 //! * the SQL printer and parser are mutually inverse on generated ASTs;
-//! * hash-join and nested-loop execution agree on every generated query;
+//! * hash-join and nested-loop execution agree on every generated query,
+//!   also on equi-joins over values whose hash keys collide or differ
+//!   while SQL `=` says otherwise (`0.0`/`-0.0`, NaN, integers past 2^53);
 //! * EXISTS caching never changes results;
 //! * WHERE-conjunct order never changes results.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use xvc_rel::{
-    eval_query_with, parse_query, AggFunc, BinOp, ColumnDef, ColumnType, Database, EvalOptions,
-    ParamEnv, ScalarExpr, SelectItem, SelectQuery, TableRef, TableSchema, Value,
+    database_from_ddl, eval_query, eval_query_with, load_csv, parse_query, prepare, AggFunc, BinOp,
+    ColumnDef, ColumnType, Database, EvalOptions, ParamEnv, ScalarExpr, SelectItem, SelectQuery,
+    TableRef, TableSchema, Value,
 };
 
 /// Case count: the in-tree default, overridable via `PROPTEST_CASES` for
@@ -138,6 +142,83 @@ fn join_query_strategy() -> impl Strategy<Value = SelectQuery> {
     })
 }
 
+/// The FLOAT join values: `0.0` and `-0.0` are SQL-equal with different
+/// bits, and NaN equals nothing, itself included.
+const EDGE_FLOATS: [Option<f64>; 5] = [None, Some(0.0), Some(-0.0), Some(f64::NAN), Some(2.0)];
+
+/// The INT join values: 2^53 and 2^53 + 1 are unequal integers with one
+/// `f64` image.
+const EDGE_INTS: [i64; 3] = [5, 9_007_199_254_740_992, 9_007_199_254_740_993];
+
+/// Two tables `f(id, x FLOAT, i INT)` and `g(id, y FLOAT, j INT)` whose
+/// join columns are drawn from [`EDGE_FLOATS`] and [`EDGE_INTS`].
+fn edge_db_strategy() -> impl Strategy<Value = Database> {
+    let row = (0usize..EDGE_FLOATS.len(), 0usize..EDGE_INTS.len());
+    (
+        prop::collection::vec(row.clone(), 0..6),
+        prop::collection::vec(row, 0..6),
+    )
+        .prop_map(|(fs, gs)| {
+            let mut db = database_from_ddl(
+                "CREATE TABLE f (id INT, x FLOAT, i INT);
+                 CREATE TABLE g (id INT, y FLOAT, j INT);",
+            )
+            .unwrap();
+            for (table, rows) in [("f", fs), ("g", gs)] {
+                for (id, (x, i)) in rows.into_iter().enumerate() {
+                    let x = EDGE_FLOATS[x].map_or(Value::Null, Value::Float);
+                    db.insert(
+                        table,
+                        vec![Value::Int(id as i64), x, Value::Int(EDGE_INTS[i])],
+                    )
+                    .unwrap();
+                }
+            }
+            db
+        })
+}
+
+/// An equi-join of `f` and `g` on the FLOAT columns, the INT columns or
+/// both, either side written first, projecting every column (optionally
+/// DISTINCT) or counting per `f.x`.
+fn edge_join_query_strategy() -> impl Strategy<Value = SelectQuery> {
+    let keys = prop_oneof![
+        Just("x = y"),
+        Just("y = x"),
+        Just("i = j"),
+        Just("x = y AND j = i"),
+    ];
+    (keys, 0usize..3).prop_map(|(keys, shape)| {
+        let sql = match shape {
+            0 => format!("SELECT * FROM f, g WHERE {keys}"),
+            1 => format!("SELECT DISTINCT x, y FROM f, g WHERE {keys}"),
+            _ => format!("SELECT x, COUNT(*) FROM f, g WHERE {keys} GROUP BY x"),
+        };
+        parse_query(&sql).unwrap()
+    })
+}
+
+/// Hash joins and nested loops return the same multiset of rows.
+fn assert_hash_join_equals_nested_loop(
+    db: &Database,
+    q: &SelectQuery,
+) -> Result<(), TestCaseError> {
+    let hash = eval_query_with(db, q, &ParamEnv::new(), EvalOptions::default()).unwrap();
+    let nested = eval_query_with(
+        db,
+        q,
+        &ParamEnv::new(),
+        EvalOptions {
+            hash_joins: false,
+            ..EvalOptions::default()
+        },
+    )
+    .unwrap();
+    prop_assert_eq!(hash.columns.clone(), nested.columns.clone());
+    prop_assert_eq!(canonical(&hash), canonical(&nested), "{}", q.to_sql());
+    Ok(())
+}
+
 /// Sorts rows for order-insensitive comparison.
 fn canonical(rel: &xvc_rel::Relation) -> Vec<String> {
     let mut rows: Vec<String> = rel
@@ -170,16 +251,17 @@ proptest! {
     /// Hash joins and nested loops agree (same multiset of rows).
     #[test]
     fn hash_join_equals_nested_loop(db in db_strategy(), q in join_query_strategy()) {
-        let hash = eval_query_with(&db, &q, &ParamEnv::new(), EvalOptions::default()).unwrap();
-        let nested = eval_query_with(
-            &db,
-            &q,
-            &ParamEnv::new(),
-            EvalOptions { hash_joins: false, ..EvalOptions::default() },
-        )
-        .unwrap();
-        prop_assert_eq!(hash.columns.clone(), nested.columns.clone());
-        prop_assert_eq!(canonical(&hash), canonical(&nested), "{}", q.to_sql());
+        assert_hash_join_equals_nested_loop(&db, &q)?;
+    }
+
+    /// They agree on equi-joins over the values where a hash key alone
+    /// would decide `=` wrongly.
+    #[test]
+    fn hash_join_equals_nested_loop_on_edge_values(
+        db in edge_db_strategy(),
+        q in edge_join_query_strategy(),
+    ) {
+        assert_hash_join_equals_nested_loop(&db, &q)?;
     }
 
     /// EXISTS caching never changes results.
@@ -247,5 +329,62 @@ proptest! {
         let mut unique = canonical(&distinct);
         unique.dedup();
         prop_assert_eq!(unique.len(), distinct.len());
+    }
+}
+
+/// The plan, the interpreter's hash join and its nested loop all decide
+/// the join, the grouping, by SQL `=`: `0.0` joins `-0.0`, NaN joins
+/// nothing, 2^53 does not join 2^53 + 1, and `0.0` and `-0.0` are one
+/// group.
+#[test]
+fn equality_is_sql_equality_in_every_executor() {
+    let mut db = database_from_ddl(
+        "CREATE TABLE a (id INT, x FLOAT, n INT);
+         CREATE TABLE b (id INT, y FLOAT, m INT);
+         CREATE TABLE z (y FLOAT);",
+    )
+    .unwrap();
+    load_csv(
+        &mut db,
+        "a",
+        "id,x,n\n1,0.0,9007199254740992\n2,NaN,5\n3,2.0,7\n",
+    )
+    .unwrap();
+    load_csv(
+        &mut db,
+        "b",
+        "id,y,m\n10,-0.0,9007199254740993\n20,NaN,5\n30,2,8\n",
+    )
+    .unwrap();
+    load_csv(&mut db, "z", "y\n-0.0\n0.0\n").unwrap();
+    let env = ParamEnv::new();
+    let nested = EvalOptions {
+        hash_joins: false,
+        ..EvalOptions::default()
+    };
+    let run = |sql: &str| {
+        let q = parse_query(sql).unwrap();
+        let plan = prepare(&q, &db.catalog())
+            .unwrap()
+            .execute(&db, &env)
+            .unwrap();
+        let hash = eval_query(&db, &q, &env).unwrap();
+        let loops = eval_query_with(&db, &q, &env, nested).unwrap();
+        [plan.rows, hash.rows, loops.rows]
+    };
+    let pairs = |ids: &[(i64, i64)]| -> Vec<Vec<Value>> {
+        ids.iter()
+            .map(|&(l, r)| vec![Value::Int(l), Value::Int(r)])
+            .collect()
+    };
+    for rows in run("SELECT a.id, b.id FROM a, b WHERE a.x = b.y") {
+        assert_eq!(rows, pairs(&[(1, 10), (3, 30)]));
+    }
+    for rows in run("SELECT a.id, b.id FROM a, b WHERE a.n = b.m") {
+        assert_eq!(rows, pairs(&[(2, 20)]));
+    }
+    for rows in run("SELECT y, COUNT(*) FROM z GROUP BY y") {
+        assert_eq!(rows.len(), 1, "{rows:?}");
+        assert_eq!(rows[0][1], Value::Int(2));
     }
 }

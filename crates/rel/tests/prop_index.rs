@@ -7,8 +7,7 @@
 use proptest::prelude::*;
 use xvc_rel::{
     eval_query_stats, parse_query, prepare, BinOp, ColumnDef, ColumnType, Database, EvalOptions,
-    EvalStats, IndexKind, NamedTuple, ParamEnv, ScalarExpr, SelectItem, SelectQuery, TableRef,
-    Value,
+    EvalStats, NamedTuple, ParamEnv, ScalarExpr, SelectItem, SelectQuery, TableRef, Value,
 };
 
 /// Case count: the in-tree default, overridable via `PROPTEST_CASES` for
@@ -22,8 +21,8 @@ fn cases(default: u32) -> proptest::test_runner::Config {
 }
 
 // ---------------------------------------------------------------------------
-// Generators: r(a, b, k) with a hash index on k and a btree index on b,
-// joined against s(c, k2) with a hash index on k2.
+// Generators: r(a, b, k) with indexes on k and b, joined against s(c, k2)
+// with an index on k2.
 // ---------------------------------------------------------------------------
 
 fn db_strategy() -> impl Strategy<Value = Database> {
@@ -58,9 +57,9 @@ fn db_strategy() -> impl Strategy<Value = Database> {
                 .unwrap(),
             )
             .unwrap();
-            db.create_index("r", "k", IndexKind::Hash).unwrap();
-            db.create_index("r", "b", IndexKind::BTree).unwrap();
-            db.create_index("s", "k2", IndexKind::Hash).unwrap();
+            db.create_index("r", "k").unwrap();
+            db.create_index("r", "b").unwrap();
+            db.create_index("s", "k2").unwrap();
             for (a, b, k) in rs {
                 db.insert("r", vec![Value::Int(a), Value::Int(b), Value::Int(k)])
                     .unwrap();

@@ -1302,6 +1302,11 @@ struct Graft<'g> {
     patches: &'g Patches,
     fresh: &'g Skeleton,
     new: Skeleton,
+    /// `old`'s and `fresh`'s name ids mapped to `new`'s, `SKEL_NONE` until
+    /// a name is first copied: each distinct name is interned once per
+    /// graft, not once per element.
+    old_names: Vec<u32>,
+    fresh_names: Vec<u32>,
     respliced: usize,
 }
 
@@ -1313,6 +1318,8 @@ impl Graft<'_> {
             patches,
             fresh,
             new: Skeleton::default(),
+            old_names: vec![SKEL_NONE; old.names.len()],
+            fresh_names: vec![SKEL_NONE; fresh.names.len()],
             respliced: 0,
         };
         graft.new.begin_task();
@@ -1339,7 +1346,7 @@ impl Graft<'_> {
             if patch.iter().any(|(vid, _)| vid.index() == cv) {
                 continue;
             }
-            let nc = self.new.copy_node(old, c, new_parent);
+            let nc = self.new.copy_node(old, &mut self.old_names, c, new_parent);
             self.copy_children(c, nc);
         }
         for &(_, holder) in &patch[pi..] {
@@ -1353,7 +1360,8 @@ impl Graft<'_> {
         let fresh = self.fresh;
         for c in fresh.children(holder) {
             self.respliced += 1;
-            self.new.copy_subtree(fresh, c, new_parent);
+            self.new
+                .copy_subtree(fresh, &mut self.fresh_names, c, new_parent);
         }
     }
 }
@@ -1527,13 +1535,6 @@ impl Skeleton {
         SkelId(id)
     }
 
-    /// Creates a detached element named `tag`, emitted by view node `view`
-    /// with child environment `child_env`.
-    fn create_element(&mut self, tag: &str, view: ViewNodeId, child_env: Option<Env>) -> SkelId {
-        let tag = self.intern(tag);
-        self.push(tag, view.index() as u32, child_env)
-    }
-
     /// Creates a detached instance of view node `view` (`node`) with child
     /// environment `child_env`: its tag, its static attributes, and the
     /// attributes it projects from `tuple` (column names and values).
@@ -1616,15 +1617,10 @@ impl Skeleton {
         self.nodes[p].last_child = child.0;
     }
 
-    /// Sets an attribute to the text `value` appends to the value buffer;
-    /// a duplicate name replaces the existing value in place (the arena's
-    /// contract, load-bearing for byte parity with [`Document`]).
-    fn set_attr(&mut self, el: SkelId, name: &str, value: impl FnOnce(&mut String)) {
-        let name = self.intern(name);
-        self.set_attr_id(el, name, value);
-    }
-
-    /// [`Skeleton::set_attr`] for an interned name.
+    /// Sets the attribute with interned name `name` to the text `value`
+    /// appends to the value buffer; a duplicate name replaces the existing
+    /// value in place (the arena's contract, load-bearing for byte parity
+    /// with [`Document`]).
     fn set_attr_id(&mut self, el: SkelId, name: u32, value: impl FnOnce(&mut String)) {
         let text_len = self.text.len();
         value(&mut self.text);
@@ -1784,29 +1780,43 @@ impl Skeleton {
         }
     }
 
+    /// This skeleton's id for `src`'s name `id`, through `names` (`src`'s
+    /// ids mapped so far, `SKEL_NONE` where not yet): interned on the
+    /// name's first copy only.
+    fn copied_name(&mut self, src: &Skeleton, names: &mut [u32], id: u32) -> u32 {
+        let mapped = &mut names[id as usize];
+        if *mapped == SKEL_NONE {
+            *mapped = self.intern(&src.names[id as usize]);
+        }
+        *mapped
+    }
+
     /// Appends a copy of `src`'s element `id` — tag, attributes and
-    /// provenance, no children — under `parent`.
-    fn copy_node(&mut self, src: &Skeleton, id: SkelId, parent: SkelId) -> SkelId {
+    /// provenance, no children — under `parent`, its names mapped through
+    /// `names`.
+    fn copy_node(
+        &mut self,
+        src: &Skeleton,
+        names: &mut [u32],
+        id: SkelId,
+        parent: SkelId,
+    ) -> SkelId {
         let n = src.node(id);
-        let el = self.create_element(
-            &src.names[n.tag as usize],
-            src.view(id),
-            src.child_env(id).cloned(),
-        );
+        let tag = self.copied_name(src, names, n.tag);
+        let el = self.push(tag, n.view, src.child_env(id).cloned());
         self.append_child(parent, el);
         for a in src.attrs_of(n) {
-            self.set_attr(el, &src.names[a.name as usize], |text| {
-                text.push_str(src.value(a));
-            });
+            let name = self.copied_name(src, names, a.name);
+            self.set_attr_id(el, name, |text| text.push_str(src.value(a)));
         }
         el
     }
 
     /// Appends a deep copy of `src`'s subtree at `id` under `parent`.
-    fn copy_subtree(&mut self, src: &Skeleton, id: SkelId, parent: SkelId) {
-        let el = self.copy_node(src, id, parent);
+    fn copy_subtree(&mut self, src: &Skeleton, names: &mut [u32], id: SkelId, parent: SkelId) {
+        let el = self.copy_node(src, names, id, parent);
         for c in src.children(id) {
-            self.copy_subtree(src, c, el);
+            self.copy_subtree(src, names, c, el);
         }
     }
 }
@@ -2179,7 +2189,6 @@ mod tests {
 
     #[test]
     fn index_creation_invalidates_plan_cache() {
-        use xvc_rel::IndexKind;
         let t = view();
         let mut db = db();
         let engine = Engine::new(&t);
@@ -2189,8 +2198,7 @@ mod tests {
         // An index changes the catalog fingerprint even though no table
         // was added: plans recompile (and may now pick an index access
         // path) while the document stays identical.
-        db.create_index("hotel", "metro_id", IndexKind::Hash)
-            .unwrap();
+        db.create_index("hotel", "metro_id").unwrap();
         let after = engine.session().publish(&db).unwrap();
         assert_eq!(after.stats.plans_prepared, 2);
         assert_eq!(after.stats.plan_cache_hits, 0);

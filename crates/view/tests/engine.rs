@@ -9,8 +9,8 @@
 use std::sync::RwLock;
 
 use xvc_rel::{
-    parse_query, BinOp, ColumnDef, ColumnType, Database, IndexKind, NamedTuple, ParamEnv,
-    ScalarExpr, TableSchema, Value,
+    parse_query, BinOp, ColumnDef, ColumnType, Database, NamedTuple, ParamEnv, ScalarExpr,
+    TableSchema, Value,
 };
 use xvc_view::{AttrProjection, Engine, PublishStats, SchemaTree, ViewNode};
 use xvc_xml::documents_equal_unordered;
@@ -420,8 +420,7 @@ fn mid_flight_ddl_and_dml_invalidate_without_stale_documents() {
         .unwrap()
         .document
         .to_xml();
-    post.create_index("hotel", "metro_id", IndexKind::Hash)
-        .unwrap();
+    post.create_index("hotel", "metro_id").unwrap();
     post.execute_dml("INSERT INTO hotel VALUES (15, 'ritz', 5, 2)")
         .unwrap();
     let after_xml = Engine::new(&v)
@@ -449,9 +448,7 @@ fn mid_flight_ddl_and_dml_invalidate_without_stale_documents() {
         // Mid-flight writer: CREATE INDEX changes the catalog fingerprint
         // (plans recompile), the INSERT changes data only (plans reused).
         let mut guard = db.write().unwrap();
-        guard
-            .create_index("hotel", "metro_id", IndexKind::Hash)
-            .unwrap();
+        guard.create_index("hotel", "metro_id").unwrap();
         guard
             .execute_dml("INSERT INTO hotel VALUES (15, 'ritz', 5, 2)")
             .unwrap();

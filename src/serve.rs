@@ -635,8 +635,8 @@ fn stream_publish(
     }
 }
 
-/// `POST /dml`: executes the SQL, maps the delta through the dependency
-/// map and rebuilds only the root tasks it reaches
+/// `POST /dml`: executes the SQL, asks the cached plans which view nodes
+/// the delta reaches, and rebuilds only the root tasks holding them
 /// ([`Session::republish_segments`](crate::view::Session::republish_segments)).
 /// Lock order is served → db.write (mutation) → db.read (republish) →
 /// doc.write (the swap); every write takes the same order, so writes

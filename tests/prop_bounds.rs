@@ -7,7 +7,6 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use xvc::core::paper_fixtures::figure1_view;
 use xvc::prelude::*;
-use xvc::rel::IndexKind;
 use xvc_bench::random_stylesheet::{random_stylesheet, StylesheetConfig};
 use xvc_bench::workload::{generate, keyed_hotel_view, WorkloadConfig};
 
@@ -106,8 +105,8 @@ proptest! {
         // An indexed copy: hash the hot foreign keys the Figure 1 view
         // joins through, so the index access path actually fires.
         let mut indexed = mem.clone();
-        indexed.create_index("hotel", "metro_id", IndexKind::Hash).expect("index");
-        indexed.create_index("confroom", "chotel_id", IndexKind::Hash).expect("index");
+        indexed.create_index("hotel", "metro_id").expect("index");
+        indexed.create_index("confroom", "chotel_id").expect("index");
         let indexed_catalog = indexed.catalog();
 
         for (p, preset) in presets().iter().enumerate() {

@@ -1,6 +1,8 @@
 //! The publisher's work counters, pinned. A warm streamed publish of the
 //! breadth and needle views over `needle_database(30, 20, 5)`, with and
-//! without the needle indexes, and one `orders` insert absorbed through
+//! without the needle indexes, and of the paper's workload (Figure 1
+//! composed with Figure 4 over `xvc_bench::workload` at scales 1, 4 and
+//! 16), and one `orders` and one `confroom` insert absorbed through
 //! `republish_segments`, must report exactly these `PublishStats`,
 //! `EvalStats`, `bytes_written` and `peak_emit_bytes`. A change to how the
 //! publisher executes may change its speed, never these numbers; a change
@@ -8,8 +10,11 @@
 
 use std::io;
 
+use xvc::core::paper_fixtures::figure1_view;
 use xvc::prelude::*;
+use xvc::xslt::parse::FIGURE4_XSLT;
 use xvc_bench::synthetic::{all_regions_view, needle_database, needle_indexed, needle_view};
+use xvc_bench::workload::{generate, WorkloadConfig};
 
 /// The database the counters are pinned on, plain or with the needle
 /// indexes.
@@ -157,4 +162,125 @@ fn one_order_insert_counters() {
         let full = engine.session().publish(&db).expect("full publish");
         assert_eq!(after.splice.xml(), full.document.to_xml());
     }
+}
+
+/// Figure 1's view composed with Figure 4's stylesheet, default options.
+fn paper_view(db: &Database) -> SchemaTree {
+    let stylesheet = parse_stylesheet(FIGURE4_XSLT).expect("fixture");
+    Composer::new(&figure1_view(), &stylesheet, &db.catalog())
+        .run()
+        .expect("Figure 4 composes")
+        .view
+}
+
+/// A warm publish of the paper's workload: one root task, `metroarea`
+/// scanned once, and per distinct binding one `result_confstat` and one
+/// `confroom` execution, each joining its derived tables by hash.
+fn paper_warm(
+    [elements, attributes, queries_run, tuples_fetched, bindings_per_batch_max]: [usize; 5],
+    [queries, param_queries, rows_scanned, hash_join_builds, hash_join_build_rows, hash_join_probe_rows, exists_evals, group_buckets]: [u64; 8],
+    bytes_written: u64,
+    peak_emit_bytes: usize,
+) -> Warm {
+    Warm {
+        stats: PublishStats {
+            elements,
+            attributes,
+            queries_run,
+            tuples_fetched,
+            plan_cache_hits: 3,
+            batches_executed: 3,
+            bindings_per_batch_max,
+            rows_regrouped: tuples_fetched,
+            ..PublishStats::default()
+        },
+        eval: EvalStats {
+            queries,
+            param_queries,
+            rows_scanned,
+            hash_join_builds,
+            hash_join_build_rows,
+            hash_join_probe_rows,
+            exists_evals,
+            exists_cache_hits: exists_evals,
+            group_buckets,
+            ..EvalStats::default()
+        },
+        bytes_written,
+        peak_emit_bytes,
+    }
+}
+
+#[test]
+fn paper_publish_counters() {
+    for (scale, want) in [
+        (
+            1,
+            paper_warm(
+                [39, 80, 11, 26, 8],
+                [21, 10, 2_914, 10, 48, 1_984, 8, 47],
+                1_708,
+                4_057,
+            ),
+        ),
+        (
+            4,
+            paper_warm(
+                [147, 320, 41, 104, 32],
+                [81, 40, 46_600, 40, 192, 31_744, 32, 190],
+                6_807,
+                15_961,
+            ),
+        ),
+        (
+            16,
+            paper_warm(
+                [579, 1_280, 161, 416, 128],
+                [321, 160, 745_504, 160, 768, 507_904, 128, 746],
+                27_500,
+                63_577,
+            ),
+        ),
+    ] {
+        let db = generate(&WorkloadConfig::scale(scale));
+        let warm = warm_publish(&paper_view(&db), &db);
+        assert_eq!(warm, want, "scale {scale}");
+    }
+}
+
+#[test]
+fn one_confroom_insert_counters() {
+    // The document is one root task (Figure 4 wraps it in literal
+    // elements), so the insert into hotel 1's conference rooms rebuilds
+    // the whole task: both batches re-run.
+    let mut db = generate(&WorkloadConfig::scale(4));
+    let engine = Engine::new(&paper_view(&db)).parallel(1).incremental(true);
+    let prev = engine.session().publish_segments(&db).expect("publish");
+    let delta = db
+        .execute_dml("INSERT INTO confroom VALUES (100000, 1, 3, 100, 500)")
+        .expect("insert");
+    let after = engine
+        .session()
+        .republish_segments(&db, &prev.splice, &delta)
+        .expect("republish");
+    let got = (
+        after.stats.nodes_respliced,
+        after.stats.batches_reexecuted,
+        after.eval,
+    );
+    let eval = EvalStats {
+        queries: 80,
+        param_queries: 40,
+        rows_scanned: 46_632,
+        hash_join_builds: 40,
+        hash_join_build_rows: 192,
+        hash_join_probe_rows: 31_752,
+        exists_evals: 32,
+        exists_cache_hits: 33,
+        group_buckets: 190,
+        ..EvalStats::default()
+    };
+    assert_eq!(got, (32, 2, eval));
+    let full = engine.session().publish(&db).expect("full publish");
+    assert_eq!(after.splice.xml(), full.document.to_xml());
 }
