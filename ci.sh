@@ -26,6 +26,14 @@ cargo build --release --quiet --bin xvc
     examples/files/paper/figure1.view examples/files/paper/figure4.xsl \
     examples/files/paper/figure2.sql
 
+echo "== examples run (each asserts its own results, v'(I) = x(v(I)) included)"
+# cargo test only compiles examples/*.rs; running them executes their
+# asserts. A non-zero exit fails the script.
+for example in quickstart conference_planning html_report order_invoices recursive_pushdown; do
+    echo "-- example $example"
+    cargo run --release --quiet --example "$example" > /dev/null
+done
+
 echo "== perfbench builds against this tree"
 # The benchmark is a standalone package that links the library crates by
 # path; a library API change that breaks it fails here rather than in the

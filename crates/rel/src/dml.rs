@@ -93,12 +93,12 @@ impl Delta {
         }
     }
 
-    fn record_inserts(&mut self, table: &str, rows: &[Vec<Value>]) {
+    fn record_inserts(&mut self, table: &str, rows: Vec<Vec<Value>>) {
         self.tables
             .entry(table.to_owned())
             .or_default()
             .inserted
-            .extend(rows.iter().cloned());
+            .extend(rows);
     }
 
     fn record_deletes(&mut self, table: &str, rows: Vec<Vec<Value>>) {
@@ -129,7 +129,7 @@ impl Database {
                 for row in &rows {
                     self.insert(&table, row.clone())?;
                 }
-                delta.record_inserts(&table, &rows);
+                delta.record_inserts(&table, rows);
                 Ok(delta)
             }
             DmlStatement::Delete { table, predicate } => self.delete_from(&table, predicate),

@@ -2,19 +2,25 @@
 //! tree whose compiled state outlives any single publish.
 //!
 //! [`Engine`] is the long-lived half of the publishing API: it owns the
-//! [`SchemaTree`], the prepared-plan cache (shared behind an `RwLock`,
-//! invalidated by [`xvc_rel::Database::catalog_fingerprint`] changes), and
-//! aggregate counters across every publish it has served. Cloning an
-//! `Engine` is cheap (`Arc` internally) and every clone shares the same
-//! cache and totals, so a server can hand one engine to N worker threads.
+//! [`SchemaTree`], its compilation for the last catalog a publish saw, and
+//! aggregate counters across every publish it has served. The compilation
+//! is built once per [`xvc_rel::Database::catalog_fingerprint`]: the tree
+//! is validated, every tag query and guard probe is prepared, and every
+//! per-node fact a publish reads (binding variable, root-level ancestor,
+//! element names, the delta's narrowing slots) is resolved. It is then
+//! immutable and shared through an `Arc`: a publish holds the `Arc`, not a
+//! lock, so a catalog change installs a new compilation while in-flight
+//! publishes finish on the old one. Cloning an `Engine` is cheap (`Arc`
+//! internally) and every clone shares the same compilation and totals, so
+//! a server can hand one engine to N worker threads.
 //!
 //! [`Session`] is the short-lived half: a cheap per-request handle created
 //! by [`Engine::session`] that carries per-publish trace state and a
 //! private statistics accumulator. Concurrent sessions publish through the
-//! same warm plan cache without re-compiling — and without double-counting
-//! `plans_prepared` vs `plan_cache_hits`: a plan is compiled (and counted
-//! as prepared) by exactly one session; every other session observes a
-//! complete cache and counts pure hits, so the aggregate
+//! same compilation without re-compiling — and without double-counting
+//! `plans_prepared` vs `plan_cache_hits`: a compilation is built (its
+//! plans counted as prepared) by exactly one session; every other session
+//! counts one hit per plan, so the aggregate
 //! [`PublishStats::plan_cache_hit_rate`] of warm traffic is exactly 1.0
 //! at any thread count.
 //!
@@ -24,22 +30,21 @@
 //! # fn demo(tree: &SchemaTree, db: &Database) -> xvc_view::Result<()> {
 //! let engine = Engine::new(tree).parallel(4);
 //! let mut session = engine.session();
-//! let first = session.publish(db)?; // compiles and caches the plans
-//! let again = engine.session().publish(db)?; // every plan cache-served
+//! let first = session.publish(db)?; // compiles the view for db's catalog
+//! let again = engine.session().publish(db)?; // every plan from that compilation
 //! assert!(again.stats.plan_cache_hit_rate() > 0.99);
 //! # Ok(()) }
 //! ```
 
 use std::io;
-use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
-use xvc_rel::{prepare, Catalog, Database, Delta, EvalStats};
+use xvc_rel::{Database, Delta, EvalStats};
 use xvc_xml::{PrettyXmlWriter, XmlWriter};
 
 use crate::error::Result;
 use crate::publish::{
-    guard_probe, PlanCache, PlanKey, PublishConfig, PublishStats, Published, Role, Run, Segmented,
-    SpliceIndex,
+    Compiled, PublishConfig, PublishStats, Published, Run, Segmented, SpliceIndex,
 };
 use crate::schema_tree::SchemaTree;
 
@@ -72,16 +77,18 @@ pub struct EngineTotals {
 struct EngineShared {
     tree: SchemaTree,
     cfg: PublishConfig,
-    cache: RwLock<PlanCache>,
+    /// The tree's compilation for the last catalog fingerprint a publish
+    /// saw; `None` until the first publish compiles it.
+    compiled: RwLock<Option<Arc<Compiled>>>,
     totals: Mutex<EngineTotals>,
 }
 
-/// An owned, `Send + Sync` publishing engine: schema tree + shared
-/// prepared-plan cache + aggregate statistics. See the module docs.
+/// An owned, `Send + Sync` publishing engine: schema tree + its shared
+/// compilation + aggregate statistics. See the module docs.
 ///
 /// Configure with the builder methods immediately after [`Engine::new`]
 /// (each returns `Self`); then create per-request [`Session`]s with
-/// [`Engine::session`]. Clones share the cache and totals.
+/// [`Engine::session`]. Clones share the compilation and totals.
 #[derive(Debug)]
 pub struct Engine {
     shared: Arc<EngineShared>,
@@ -114,7 +121,7 @@ impl Engine {
             shared: Arc::new(EngineShared {
                 tree,
                 cfg,
-                cache: RwLock::new(PlanCache::default()),
+                compiled: RwLock::new(None),
                 totals: Mutex::new(EngineTotals::default()),
             }),
         }
@@ -122,9 +129,9 @@ impl Engine {
 
     /// Rebuilds the engine with `f` applied to its configuration. On an
     /// unshared engine (the builder chain right after [`Engine::new`])
-    /// this is a move; on a shared one it builds a new engine, with an
-    /// empty plan cache and zero totals, and leaves the clones that share
-    /// the old one as they were.
+    /// this is a move; on a shared one it builds a new engine, with no
+    /// compilation and zero totals, and leaves the clones that share the
+    /// old one as they were.
     fn reconfig(self, f: impl FnOnce(&mut PublishConfig)) -> Self {
         match Arc::try_unwrap(self.shared) {
             Ok(shared) => {
@@ -184,102 +191,52 @@ impl Engine {
             .clone()
     }
 
-    /// Validates the tree, ensures the plan cache is current for `db`'s
-    /// catalog, and hands `f` a [`Run`] over the cached plans, with the
-    /// plan-cache counters the lookup accumulated. `f` runs under the
-    /// cache's read lock.
+    /// Hands `f` a [`Run`] over the tree's compilation for `db`'s
+    /// catalog, with the plan-cache counters the lookup counted. `f` holds
+    /// the compilation's `Arc` and no lock.
     fn with_run<T>(
         &self,
         db: &Database,
         f: impl FnOnce(&Run<'_>, PublishStats) -> Result<T>,
     ) -> Result<T> {
-        let shared = &self.shared;
-        shared.tree.validate()?;
         let mut stats = PublishStats::default();
-        let cache = self.ensure_plans(db, &mut stats);
+        let compiled = self.compiled(db, &mut stats)?;
         let run = Run {
-            tree: &shared.tree,
-            plans: &cache.plans,
-            cfg: &shared.cfg,
+            tree: &self.shared.tree,
+            compiled: &compiled,
+            cfg: &self.shared.cfg,
         };
         f(&run, stats)
     }
 
-    /// Validates the shared cache against `db`'s catalog fingerprint,
-    /// compiles anything missing, and returns a read guard the publish
-    /// runs under (writers — i.e. invalidations — wait until in-flight
-    /// publishes finish).
+    /// The tree's compilation for `db`'s catalog fingerprint, built on a
+    /// miss ([`Compiled::build`]); an invalid tree fails the build, which
+    /// is not kept, so every publish raises the validation error.
     ///
-    /// Counting discipline: a session that finds the cache complete for
-    /// this fingerprint counts one `plan_cache_hits` per needed plan and
-    /// compiles nothing. A session that finds it incomplete takes the
-    /// write lock and compiles what is missing (counting `plans_prepared`
-    /// / `plan_prepare_failures`, or hits for entries another session got
-    /// to first); losers of the write race re-observe a complete cache and
-    /// count pure hits. No path counts the same lookup twice.
-    fn ensure_plans(
-        &self,
-        db: &Database,
-        stats: &mut PublishStats,
-    ) -> RwLockReadGuard<'_, PlanCache> {
-        let shared = &self.shared;
+    /// Counting discipline: a lookup that finds the compilation counts
+    /// one `plan_cache_hits` per plan it holds. A miss takes the write
+    /// lock and looks again; the one session that still misses builds the
+    /// compilation (counting `plans_prepared` / `plan_prepare_failures`)
+    /// and installs it, and a session that lost the write race counts
+    /// hits. No path counts the same lookup twice.
+    fn compiled(&self, db: &Database, stats: &mut PublishStats) -> Result<Arc<Compiled>> {
+        let slot = &self.shared.compiled;
         let fingerprint = db.catalog_fingerprint();
-        // One plan per tag query plus one per emission-guard probe.
-        let needed: usize = shared
-            .tree
-            .node_ids()
-            .iter()
-            .filter_map(|&vid| shared.tree.node(vid))
-            .map(|n| usize::from(n.query.is_some()) + usize::from(n.guard.is_some()))
-            .sum();
-        let mut counted = false;
-        loop {
-            {
-                let cache = shared.cache.read().unwrap_or_else(PoisonError::into_inner);
-                if cache.fingerprint == Some(fingerprint) && cache.complete {
-                    if !counted {
-                        stats.plan_cache_hits += needed;
-                    }
-                    return cache;
-                }
-            }
-            let mut cache = shared.cache.write().unwrap_or_else(PoisonError::into_inner);
-            if !(cache.fingerprint == Some(fingerprint) && cache.complete) {
-                if cache.fingerprint != Some(fingerprint) {
-                    cache.plans.clear();
-                    cache.complete = false;
-                    cache.fingerprint = Some(fingerprint);
-                }
-                // Built lazily, only if some node actually needs
-                // compiling; on a cache filled by a racing session the
-                // catalog is not materialized at all.
-                let mut catalog: Option<Catalog> = None;
-                for vid in shared.tree.node_ids() {
-                    let node = shared.tree.node(vid).expect("non-root id");
-                    let key = |role| (vid.index() as u32, role);
-                    if let Some(q) = &node.query {
-                        ensure_plan(&mut cache, key(Role::Tag), q, db, &mut catalog, stats);
-                    }
-                    if let Some(g) = &node.guard {
-                        let probe = guard_probe(g);
-                        ensure_plan(
-                            &mut cache,
-                            key(Role::Guard),
-                            &probe,
-                            db,
-                            &mut catalog,
-                            stats,
-                        );
-                    }
-                }
-                cache.complete = true;
-                counted = true;
-            }
-            // Downgrade: drop the write lock and re-enter through the read
-            // path (re-counting is suppressed once this session has
-            // accounted for its lookups).
-            drop(cache);
+        let current = |c: &Option<Arc<Compiled>>, stats: &mut PublishStats| {
+            let c = c.as_ref().filter(|c| c.fingerprint == fingerprint)?;
+            stats.plan_cache_hits += c.plans;
+            Some(Arc::clone(c))
+        };
+        if let Some(c) = current(&slot.read().unwrap_or_else(PoisonError::into_inner), stats) {
+            return Ok(c);
         }
+        let mut slot = slot.write().unwrap_or_else(PoisonError::into_inner);
+        if let Some(c) = current(&slot, stats) {
+            return Ok(c);
+        }
+        let c = Arc::new(Compiled::build(&self.shared.tree, db, fingerprint, stats)?);
+        *slot = Some(Arc::clone(&c));
+        Ok(c)
     }
 }
 
@@ -322,7 +279,7 @@ impl<W: io::Write> io::Write for CountingWriter<W> {
     }
 }
 
-/// A per-request publishing handle: shares its [`Engine`]'s plan cache and
+/// A per-request publishing handle: shares its [`Engine`]'s compilation and
 /// rolls every publish into both its own accumulator and the engine
 /// totals. Create with [`Engine::session`].
 #[derive(Debug)]
@@ -357,8 +314,8 @@ impl Session {
     /// Evaluates the engine's schema tree against `db`, producing `v(I)`
     /// plus statistics (and a trace when the engine is `traced`).
     ///
-    /// Plans cached by any earlier publish through the same engine are
-    /// reused when the database's catalog fingerprint is unchanged — an
+    /// The compilation an earlier publish through the same engine built
+    /// is reused when the database's catalog fingerprint is unchanged — an
     /// `O(1)` check instead of rebuilding and comparing the whole
     /// catalog. No query result is cached across calls, so database
     /// mutations between calls are always observed.
@@ -380,7 +337,7 @@ impl Session {
     /// (the trace is not part of the output).
     ///
     /// A sink failure surfaces as [`crate::Error::Io`] after a truncated
-    /// write; engine state (plan cache, totals) is unaffected and the
+    /// write; engine state (compilation, totals) is unaffected and the
     /// session remains usable.
     pub fn publish_to<W: io::Write>(&mut self, db: &Database, out: W) -> Result<Streamed> {
         self.stream_publish(db, out, false)
@@ -443,7 +400,7 @@ impl Session {
 
     /// Absorbs `delta` into the per-root-task state `prev` (from
     /// [`Session::publish_segments`] or an earlier call): asks each view
-    /// node's cached tag and guard plans whether they read a changed table
+    /// node's compiled tag and guard plans whether they read a changed table
     /// ([`xvc_rel::PreparedPlan::reads`]) and re-executes only the
     /// *top-most* affected view nodes — under just the parent instances a
     /// changed row keys into when the node's tag plan ties the changed
@@ -458,6 +415,11 @@ impl Session {
     /// are byte-identical to a full republish against `db` (asserted
     /// across random workloads by the delta-publish property tests), and
     /// deltas chain.
+    ///
+    /// `prev` holds name ids and narrowing slots of the compilation it was
+    /// built under. When `db`'s catalog has changed since (another
+    /// compilation), the call republishes every segment in full and
+    /// reports `batches_reexecuted == batches_executed`.
     pub fn republish_segments(
         &mut self,
         db: &Database,
@@ -528,35 +490,6 @@ impl Session {
             totals.delta_publishes += 1;
         } else {
             totals.publishes += 1;
-        }
-    }
-}
-
-/// Compiles `q` into the cache under `key` unless already present.
-/// The catalog is built on the first vacant entry of a cache fill. A
-/// compilation failure is not fatal: the entry keeps the error, which the
-/// node raises if it ever runs (a node under no parent instance publishes
-/// nothing and never does). The failure is cached too — otherwise every
-/// publish would retry the doomed compilation and report the retry as a
-/// cache miss, deflating [`PublishStats::plan_cache_hit_rate`].
-fn ensure_plan(
-    cache: &mut PlanCache,
-    key: PlanKey,
-    q: &xvc_rel::SelectQuery,
-    db: &Database,
-    catalog: &mut Option<Catalog>,
-    stats: &mut PublishStats,
-) {
-    match cache.plans.entry(key) {
-        std::collections::hash_map::Entry::Occupied(_) => stats.plan_cache_hits += 1,
-        std::collections::hash_map::Entry::Vacant(e) => {
-            let catalog = catalog.get_or_insert_with(|| db.catalog());
-            let entry = e.insert(prepare(q, catalog).map(Box::new));
-            if entry.is_ok() {
-                stats.plans_prepared += 1;
-            } else {
-                stats.plan_prepare_failures += 1;
-            }
         }
     }
 }

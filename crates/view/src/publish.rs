@@ -2,14 +2,19 @@
 //!
 //! The public entry point is [`crate::Engine`] / [`crate::Session`] (see
 //! the `engine` module); this module holds the execution machinery those
-//! drive: the **plan-cache** types (each node's tag query compiled once
-//! into an [`xvc_rel::PreparedPlan`]) and the one publish walk — a
+//! drive: the **compilation** (`Compiled`, built once per catalog: every
+//! node's tag query and guard probe prepared into an
+//! [`xvc_rel::PreparedPlan`], its binding variable, root-level ancestor
+//! and element names as ids into one name table, and the delta's
+//! narrowing slots) and the one publish walk, which reads all of that
+//! through an `Arc` and recomputes none of it — a
 //! breadth-first frontier walk running one
 //! [`xvc_rel::PreparedPlan::execute_batch_shared`] per (view node,
 //! frontier) instead of one execution per parent tuple, with each plan's
 //! binding-free scan shared by all root tasks of a publish. Every root
-//! task grows in a `Skeleton`, the one element store, which also records
-//! each element's view node and child environment; the entry points differ
+//! task grows in a `Skeleton`, the one element store, which holds name ids
+//! into the compilation's table and records each element's view node and
+//! child environment; the entry points differ
 //! only in what they do with a finished skeleton: stream it into a writer,
 //! emit it into a [`TreeBuilder`] for the document, keep it for delta
 //! splicing, or read a trace off it. Parent tuples with equal relevant
@@ -49,16 +54,17 @@ pub struct PublishStats {
     /// Tuples fetched across all tag-query executions.
     pub tuples_fetched: usize,
     /// Tag queries / guard probes compiled into a [`PreparedPlan`] during
-    /// this publish (plan-cache misses).
+    /// this publish, which built the view's compilation for its catalog
+    /// (plan-cache misses).
     pub plans_prepared: usize,
-    /// Nodes whose plan was already in the publisher's cache from an
-    /// earlier publish against the same catalog (plan-cache hits).
-    /// Negatively cached compilation failures count here too: the cache
+    /// Plans served by a compilation an earlier publish built for the same
+    /// catalog (plan-cache hits), one per tag query and guard probe.
+    /// Compilation failures the compilation keeps count here too: it
     /// answered ("this query does not prepare") without recompiling.
     pub plan_cache_hits: usize,
     /// Tag queries / guard probes that failed to compile this publish.
-    /// The failure is cached, so a given node fails at most once per
-    /// catalog; the node raises the compile error if it ever runs.
+    /// The compilation keeps the failure, so a given node fails at most
+    /// once per catalog; the node raises the compile error if it ever runs.
     pub plan_prepare_failures: usize,
     /// Set-oriented executions: one per (view node, frontier) with at
     /// least one binding.
@@ -177,9 +183,8 @@ pub struct SpliceTask {
 }
 
 impl SpliceTask {
-    fn new(view: ViewNodeId, mut skel: Skeleton, slots: &[NarrowSlot]) -> SpliceTask {
-        // Served state keeps the elements, not the walk's name cache.
-        skel.node_names = Vec::new();
+    fn new(view: ViewNodeId, skel: Skeleton, compiled: &Compiled) -> SpliceTask {
+        let slots = &compiled.slots;
         let mut keys = HashSet::new();
         for id in skel.elements() {
             let Some(env) = skel.child_env(id) else {
@@ -193,7 +198,7 @@ impl SpliceTask {
                 }
             }
         }
-        let xml = skel.to_xml();
+        let xml = skel.to_xml(&compiled.names);
         SpliceTask {
             view,
             skel,
@@ -212,8 +217,9 @@ impl SpliceTask {
 #[derive(Debug, Clone, Default)]
 pub struct SpliceIndex {
     tasks: Vec<Arc<SpliceTask>>,
-    /// The narrowing slots task keys are recorded for, sorted.
-    slots: Arc<[NarrowSlot]>,
+    /// The compilation the tasks were built under: their skeletons' name
+    /// ids and their keys' slot positions point into it.
+    compiled: Arc<Compiled>,
 }
 
 impl SpliceIndex {
@@ -237,7 +243,7 @@ impl SpliceIndex {
         let mut builder = TreeBuilder::new();
         for t in &self.tasks {
             t.skel
-                .emit(&mut builder)
+                .emit(&self.compiled.names, &mut builder)
                 .expect("building a document cannot fail");
         }
         builder.finish()
@@ -282,38 +288,199 @@ pub struct Published {
     pub reexecuted: Vec<ViewNodeId>,
 }
 
-/// Distinguishes a node's tag query from its emission-guard probe in the
-/// plan cache.
+/// Distinguishes a node's tag query from its emission-guard probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum Role {
+enum Role {
     Tag,
     Guard,
 }
 
-pub(crate) type PlanKey = (u32, Role);
-
-/// Outcome of one compilation attempt, cached either way: a usable plan,
+/// Outcome of one compilation attempt, kept either way: a usable plan,
 /// or the error `prepare` returned, so the publisher never retries
 /// compiling a query the catalog cannot satisfy. The node raises that
 /// error whenever it runs; a node that never runs publishes nothing and
 /// reads nothing.
-pub(crate) type PlanEntry = std::result::Result<Box<PreparedPlan>, xvc_rel::Error>;
+type PlanEntry = std::result::Result<PreparedPlan, xvc_rel::Error>;
 
-/// Compiled plans for one schema tree, valid for one catalog. Owned by
-/// [`crate::Engine`] behind an `RwLock` and shared by every session.
+/// Everything a publish derives from the schema tree and one catalog,
+/// built once per catalog fingerprint ([`Compiled::build`]) and then only
+/// read, through an `Arc`, by every publish, segment index and delta
+/// under that catalog. Name ids and slot positions mean something only
+/// within the compilation that made them.
 #[derive(Debug, Default)]
-pub(crate) struct PlanCache {
-    /// Fingerprint of the catalog the cached plans were compiled against
-    /// ([`Database::catalog_fingerprint`]); a different fingerprint
-    /// invalidates every plan without ever materializing an
-    /// [`xvc_rel::Catalog`].
-    pub(crate) fingerprint: Option<u64>,
-    /// Whether every plan the tree needs is present for `fingerprint` —
-    /// the flag concurrent sessions key their hit accounting on (a
-    /// partially-filled cache is only ever observed under the write
-    /// lock).
-    pub(crate) complete: bool,
-    pub(crate) plans: HashMap<PlanKey, PlanEntry>,
+pub(crate) struct Compiled {
+    /// The catalog fingerprint ([`Database::catalog_fingerprint`]) the
+    /// plans were prepared against.
+    pub(crate) fingerprint: u64,
+    /// Plans one lookup of this compilation hits: one per tag query and
+    /// one per guard probe, failed ones included.
+    pub(crate) plans: usize,
+    /// Per view node, by arena index (the implied root's entry is empty).
+    nodes: Vec<CompiledNode>,
+    /// Every tag and attribute name the tree can emit; skeletons hold ids
+    /// into it.
+    names: Vec<String>,
+    /// The narrowing slots: for every prepared tag plan of a node below
+    /// the root level, its parent view node and the binding side of each
+    /// of its [`xvc_rel::RowKey`]s, deduplicated and sorted.
+    slots: Vec<NarrowSlot>,
+}
+
+/// One view node's compiled facts.
+#[derive(Debug)]
+struct CompiledNode {
+    /// The tag plan and the guard plan, indexed by [`Role`].
+    plans: [Option<PlanEntry>; 2],
+    /// The binding variable, shared by every frame that binds it.
+    var: Arc<str>,
+    /// The root-level ancestor (the node itself at the root level).
+    root: ViewNodeId,
+    /// The tag's name id.
+    tag: u32,
+    /// The static attributes' name ids, in `static_attrs` order.
+    statics: Vec<u32>,
+    /// Per column of the rows the node's elements project, what its
+    /// attribute takes.
+    attrs: Vec<AttrName>,
+}
+
+/// How a projected column becomes an attribute.
+#[derive(Debug, Clone, Copy)]
+struct AttrName {
+    /// The attribute name's id.
+    name: u32,
+    /// The node's projection keeps the column.
+    wanted: bool,
+    /// An earlier column has the same name, and wins when not NULL.
+    duplicate: bool,
+}
+
+impl Compiled {
+    /// Validates `tree` (an invalid tree fails here, so nothing is built
+    /// for it), prepares every tag query and guard probe against `db`'s
+    /// catalog, counting `plans_prepared` and `plan_prepare_failures`
+    /// into `stats`, and resolves every per-node fact a publish reads.
+    pub(crate) fn build(
+        tree: &SchemaTree,
+        db: &Database,
+        fingerprint: u64,
+        stats: &mut PublishStats,
+    ) -> Result<Compiled> {
+        tree.validate()?;
+        let catalog = db.catalog();
+        let mut prepare = |q: &SelectQuery| {
+            let entry = xvc_rel::prepare(q, &catalog);
+            if entry.is_ok() {
+                stats.plans_prepared += 1;
+            } else {
+                stats.plan_prepare_failures += 1;
+            }
+            entry
+        };
+        let ids = (0..=tree.len() as u32).map(ViewNodeId);
+        let mut nodes: Vec<CompiledNode> = ids
+            .clone()
+            .map(|vid| {
+                let node = tree.node(vid);
+                CompiledNode {
+                    plans: [
+                        node.and_then(|n| n.query.as_ref()).map(&mut prepare),
+                        node.and_then(|n| n.guard.as_ref())
+                            .map(|g| prepare(&guard_probe(g))),
+                    ],
+                    var: node.map_or("", |n| n.bv.as_str()).into(),
+                    root: ancestors(tree, vid).last().unwrap_or(vid),
+                    tag: SKEL_NONE,
+                    statics: Vec::new(),
+                    attrs: Vec::new(),
+                }
+            })
+            .collect();
+
+        let mut names: Vec<String> = Vec::new();
+        let mut name_ids: HashMap<String, u32> = HashMap::new();
+        let mut intern = |name: &str| match name_ids.get(name) {
+            Some(&id) => id,
+            None => {
+                let id = u32::try_from(names.len()).expect("name table fits u32");
+                names.push(name.to_owned());
+                name_ids.insert(name.to_owned(), id);
+                id
+            }
+        };
+        let mut slots = BTreeSet::new();
+        for vid in ids {
+            let Some(node) = tree.node(vid) else {
+                continue;
+            };
+            let tag = intern(&node.tag);
+            let statics: Vec<u32> = node.static_attrs.iter().map(|(k, _)| intern(k)).collect();
+            let tag_plan = |v: ViewNodeId| match &nodes[v.index()].plans[Role::Tag as usize] {
+                Some(Ok(plan)) => Some(plan),
+                _ => None,
+            };
+            let columns = rows_of(tree, vid)
+                .and_then(tag_plan)
+                .map_or(&[][..], |p| p.columns());
+            let attrs: Vec<AttrName> = (columns.iter().enumerate())
+                .map(|(i, c)| AttrName {
+                    name: intern(c),
+                    wanted: match &node.attrs {
+                        AttrProjection::All => true,
+                        AttrProjection::None => false,
+                        AttrProjection::Columns(cols) => cols.contains(c),
+                    },
+                    duplicate: columns[..i].contains(c),
+                })
+                .collect();
+            let parent = tree.parent(vid).filter(|&p| !tree.is_root(p));
+            if let (Some(plan), Some(parent)) = (tag_plan(vid), parent) {
+                slots.extend(
+                    plan.row_keys()
+                        .iter()
+                        .map(|(_, k)| (parent, k.param.clone())),
+                );
+            }
+            let n = &mut nodes[vid.index()];
+            (n.tag, n.statics, n.attrs) = (tag, statics, attrs);
+        }
+        let plans = nodes.iter().flat_map(|n| &n.plans).flatten().count();
+        Ok(Compiled {
+            fingerprint,
+            plans,
+            nodes,
+            names,
+            slots: slots.into_iter().collect(),
+        })
+    }
+
+    fn node(&self, vid: ViewNodeId) -> &CompiledNode {
+        &self.nodes[vid.index()]
+    }
+
+    /// `vid`'s `role` plan; `None` when the node has no such query.
+    fn plan(&self, vid: ViewNodeId, role: Role) -> Option<&PlanEntry> {
+        self.node(vid).plans[role as usize].as_ref()
+    }
+}
+
+/// The query node whose tag plan produced the row an element of `vid`
+/// projects: `vid` itself for a query node, nothing for a literal, and
+/// for a context copy of `$var` the source of the nearest ancestor whose
+/// element binds `var` — resolved exactly as the walk's
+/// `Env::frame(var)` finds that frame (a query node binds its row; a
+/// context copy with a binding variable rebinds the row it copied, when
+/// it found one).
+fn rows_of(tree: &SchemaTree, vid: ViewNodeId) -> Option<ViewNodeId> {
+    let node = tree.node(vid)?;
+    let Some(var) = &node.context_tuple_of else {
+        return node.query.is_some().then_some(vid);
+    };
+    ancestors(tree, vid).find_map(|a| {
+        let n = tree.node(a)?;
+        let binds = n.bv == *var && (n.context_tuple_of.is_none() || !n.bv.is_empty());
+        binds.then(|| rows_of(tree, a)).flatten()
+    })
 }
 
 /// Publish-path toggles, fixed per [`crate::Engine`] (see the builder
@@ -325,14 +492,14 @@ pub(crate) struct PublishConfig {
     pub(crate) incremental: bool,
 }
 
-/// One publish execution: a validated schema tree plus the plan set the
-/// engine ensured for the target catalog. [`crate::Session`] builds one
-/// per call; each entry point's caller has already validated `tree` and
-/// ensured `plans` is current for the database's catalog, and passes in
-/// the plan-cache counters it accumulated doing so.
+/// One publish execution: a schema tree plus its compilation for the
+/// target catalog. [`crate::Session`] builds one per call; each entry
+/// point's caller has already looked the compilation up for the
+/// database's catalog, and passes in the plan-cache counters the lookup
+/// counted.
 pub(crate) struct Run<'a> {
     pub(crate) tree: &'a SchemaTree,
-    pub(crate) plans: &'a HashMap<PlanKey, PlanEntry>,
+    pub(crate) compiled: &'a Arc<Compiled>,
     pub(crate) cfg: &'a PublishConfig,
 }
 
@@ -406,25 +573,20 @@ impl Run<'_> {
     /// per-task path, where a batch of one distinct binding runs scalar.
     /// The decomposition, and so every counter, stays independent of the
     /// thread count.
-    fn shared_scans<'db>(&self, tasks: &[Task]) -> HashMap<PlanKey, SharedScan<'db>> {
-        let tree = self.tree;
+    fn shared_scans<'db>(&self, tasks: &[Task]) -> HashMap<ScanKey, SharedScan<'db>> {
         let mut tasks_per_root: HashMap<ViewNodeId, usize> = HashMap::new();
         for task in tasks {
             *tasks_per_root.entry(task.vid).or_default() += 1;
         }
         let mut scans = HashMap::new();
-        for vid in tree.node_ids() {
-            let mut top = vid;
-            while let Some(parent) = tree.parent(top).filter(|&p| !tree.is_root(p)) {
-                top = parent;
-            }
-            if top == vid || tasks_per_root.get(&top).copied().unwrap_or(0) < 2 {
+        for vid in self.tree.node_ids() {
+            let root = self.compiled.node(vid).root;
+            if root == vid || tasks_per_root.get(&root).copied().unwrap_or(0) < 2 {
                 continue;
             }
             for role in [Role::Tag, Role::Guard] {
-                let key = (vid.index() as u32, role);
-                if let Some(Ok(_)) = self.plans.get(&key) {
-                    scans.insert(key, SharedScan::default());
+                if let Some(Ok(_)) = self.compiled.plan(vid, role) {
+                    scans.insert((vid, role), SharedScan::default());
                 }
             }
         }
@@ -448,7 +610,7 @@ impl Run<'_> {
         stats: &mut PublishStats,
         mut each: impl FnMut(&Task, &mut Skeleton) -> Result<()>,
     ) -> Result<(EvalStats, BTreeSet<usize>)> {
-        let shared = Shared::new(self.tree, db, self.plans);
+        let shared = Shared::new(self.tree, self.compiled, db);
         let (root_stats, mut eval, tasks) = self.root_pass(&shared, keep)?;
         stats.absorb(&root_stats);
         let scans = self.shared_scans(&tasks);
@@ -516,34 +678,12 @@ impl Run<'_> {
         Ok((eval, touched))
     }
 
-    /// The narrowing slots of this tree: for every prepared tag plan of a
-    /// node below the root level, its parent view node and the binding
-    /// side of each of its [`xvc_rel::RowKey`]s, deduplicated and sorted.
-    fn narrow_slots(&self) -> Arc<[NarrowSlot]> {
-        let mut slots = BTreeSet::new();
-        for (&(vid, role), entry) in self.plans {
-            let parent = self
-                .tree
-                .parent(ViewNodeId(vid))
-                .filter(|&p| !self.tree.is_root(p));
-            if let (Role::Tag, Ok(plan), Some(parent)) = (role, entry, parent) {
-                slots.extend(
-                    plan.row_keys()
-                        .iter()
-                        .map(|(_, k)| (parent, k.param.clone())),
-                );
-            }
-        }
-        slots.into_iter().collect()
-    }
-
     /// Evaluates the schema tree against `db`, producing `v(I)` plus
     /// statistics: every task skeleton is emitted into one
     /// [`TreeBuilder`], read for the trace when tracing, and kept as a
     /// [`SpliceIndex`] entry when incremental.
     pub(crate) fn full(&self, db: &Database, mut stats: PublishStats) -> Result<Published> {
-        let cfg = self.cfg;
-        let slots = self.narrow_slots();
+        let (cfg, compiled) = (self.cfg, self.compiled);
         let mut builder = TreeBuilder::new();
         let mut trace = Vec::new();
         let mut spliced = Vec::new();
@@ -553,13 +693,13 @@ impl Run<'_> {
             cfg.parallel,
             &mut stats,
             |task, skel| {
-                skel.emit(&mut builder)?;
+                skel.emit(&compiled.names, &mut builder)?;
                 if cfg.tracing {
-                    skel.trace(task, &mut trace);
+                    skel.trace(&compiled.names, task, &mut trace);
                 }
                 if cfg.incremental {
                     let skel = std::mem::take(skel);
-                    spliced.push(Arc::new(SpliceTask::new(task.vid, skel, &slots)));
+                    spliced.push(Arc::new(SpliceTask::new(task.vid, skel, compiled)));
                 }
                 Ok(())
             },
@@ -569,9 +709,9 @@ impl Run<'_> {
             stats,
             eval,
             trace: cfg.tracing.then_some(PublishTrace { entries: trace }),
-            splice: cfg.incremental.then_some(SpliceIndex {
+            splice: cfg.incremental.then(|| SpliceIndex {
                 tasks: spliced,
-                slots,
+                compiled: Arc::clone(compiled),
             }),
             reexecuted: Vec::new(),
         })
@@ -580,7 +720,7 @@ impl Run<'_> {
     /// Every task skeleton kept as its own [`SpliceIndex`] entry and
     /// serialized segment, with no merged document or trace.
     pub(crate) fn segments(&self, db: &Database, mut stats: PublishStats) -> Result<Segmented> {
-        let slots = self.narrow_slots();
+        let compiled = self.compiled;
         let mut tasks = Vec::new();
         let (eval, _) = self.drive(
             db,
@@ -589,12 +729,15 @@ impl Run<'_> {
             &mut stats,
             |task, skel| {
                 let skel = std::mem::take(skel);
-                tasks.push(Arc::new(SpliceTask::new(task.vid, skel, &slots)));
+                tasks.push(Arc::new(SpliceTask::new(task.vid, skel, compiled)));
                 Ok(())
             },
         )?;
         Ok(Segmented {
-            splice: SpliceIndex { tasks, slots },
+            splice: SpliceIndex {
+                tasks,
+                compiled: Arc::clone(compiled),
+            },
             stats,
             eval,
             reexecuted: Vec::new(),
@@ -624,14 +767,14 @@ impl Run<'_> {
             &mut stats,
             |_, skel| {
                 peak = peak.max(skel.heap_bytes());
-                Ok(skel.emit(&mut *sink)?)
+                Ok(skel.emit(&self.compiled.names, &mut *sink)?)
             },
         )?;
         Ok((stats, eval, peak))
     }
 
     /// Incrementally republishes after a base-table mutation: a view node
-    /// is affected when its cached tag or guard plan reads a changed table
+    /// is affected when its compiled tag or guard plan reads a changed table
     /// ([`Run::reads`]), and only the *top-most* affected view nodes
     /// re-execute, each under just the parent instances a changed row keys
     /// into ([`Run::narrowing`]), or under every instance when it cannot be
@@ -639,7 +782,10 @@ impl Run<'_> {
     /// (view node, wave) — and each root task holding a re-run parent is
     /// rebuilt from its own skeleton and re-serialized; every other task
     /// entry is shared with `prev`. An affected root-level node replaces
-    /// only its own run of root tasks. See
+    /// only its own run of root tasks. `prev` built under another
+    /// compilation (the catalog changed since) is republished in full,
+    /// reporting `batches_reexecuted == batches_executed`: its name ids
+    /// and slot positions belong to that compilation. See
     /// [`crate::Session::republish_delta`] for the full contract.
     pub(crate) fn delta(
         &self,
@@ -650,6 +796,12 @@ impl Run<'_> {
     ) -> Result<Segmented> {
         stats.delta_rows_in = delta.row_count();
         let tree = self.tree;
+        if !Arc::ptr_eq(&prev.compiled, self.compiled) {
+            let mut full = self.segments(db, stats)?;
+            full.stats.batches_reexecuted = full.stats.batches_executed;
+            full.reexecuted = tree.node_ids();
+            return Ok(full);
+        }
         let changed = delta.tables_changed();
         let affected: BTreeSet<usize> = tree
             .node_ids()
@@ -699,7 +851,7 @@ impl Run<'_> {
         // row; without, every task of the parent's root-level ancestor.
         let mut walk: BTreeSet<usize> = BTreeSet::new();
         for (&parent, tops) in &tops_by_parent {
-            let root = ancestors(tree, parent).last().unwrap_or(parent);
+            let root = self.compiled.node(parent).root;
             for (i, task) in prev.tasks.iter().enumerate() {
                 if task.view == root && tops.iter().any(|t| t.may_hold(parent, prev, task)) {
                     walk.insert(i);
@@ -711,7 +863,7 @@ impl Run<'_> {
         // shared frontier: each pair grows under its own holder node, and
         // the wave loop batches per (view node, wave) across all holders
         // at once.
-        let shared = Shared::new(tree, db, self.plans);
+        let shared = Shared::new(tree, self.compiled, db);
         let mut w = BatchWorker::new(&shared);
         w.skel.begin_task();
         let mut patches: HashMap<usize, Patches> = HashMap::new();
@@ -758,7 +910,7 @@ impl Run<'_> {
                     fresh
                         .entry(task.vid)
                         .or_default()
-                        .push(Arc::new(SpliceTask::new(task.vid, skel, &prev.slots)));
+                        .push(Arc::new(SpliceTask::new(task.vid, skel, self.compiled)));
                     Ok(())
                 },
             )?;
@@ -793,7 +945,7 @@ impl Run<'_> {
                 }
                 let (skel, n) = Graft::run(&old.skel, patch, &w.skel);
                 respliced += n;
-                tasks.push(Arc::new(SpliceTask::new(old.view, skel, &prev.slots)));
+                tasks.push(Arc::new(SpliceTask::new(old.view, skel, self.compiled)));
             }
         }
 
@@ -803,7 +955,7 @@ impl Run<'_> {
         Ok(Segmented {
             splice: SpliceIndex {
                 tasks,
-                slots: Arc::clone(&prev.slots),
+                compiled: Arc::clone(self.compiled),
             },
             stats,
             eval,
@@ -835,7 +987,7 @@ impl Run<'_> {
         affected: &BTreeSet<usize>,
         delta: &Delta,
     ) -> Option<NarrowKeys> {
-        let Some(Ok(plan)) = self.plans.get(&(vid.index() as u32, Role::Tag)) else {
+        let Some(Ok(plan)) = self.compiled.plan(vid, Role::Tag) else {
             return None;
         };
         if descendants(self.tree, vid).any(|d| affected.contains(&d.index())) {
@@ -868,14 +1020,14 @@ impl Run<'_> {
         Some(keys)
     }
 
-    /// Whether `vid`'s cached `role` plan reads base table `table`
+    /// Whether `vid`'s compiled `role` plan reads base table `table`
     /// ([`PreparedPlan::reads`]). A node without that plan reads nothing
     /// through it, and so does one whose plan failed to prepare: running
     /// it would have raised the error, so it never ran in the previous
     /// publish, and it runs again only under a re-run ancestor.
     fn reads(&self, vid: ViewNodeId, role: Role, table: &str) -> bool {
         matches!(
-            self.plans.get(&(vid.index() as u32, role)),
+            self.compiled.plan(vid, role),
             Some(Ok(plan)) if plan.reads(table)
         )
     }
@@ -885,6 +1037,9 @@ impl Run<'_> {
 /// can be narrowed by: the binding side of a [`xvc_rel::RowKey`] of one
 /// of their tag plans.
 type NarrowSlot = (ViewNodeId, (String, String));
+
+/// A shared-scan slot's plan: a view node and the role of its plan.
+type ScanKey = (ViewNodeId, Role);
 
 /// Per narrowing binding attribute `(var, attr)`, the [`JoinKey`]s of the
 /// changed rows' keyed column.
@@ -925,6 +1080,7 @@ impl Top {
         };
         narrow.iter().any(|(param, keys)| {
             match index
+                .compiled
                 .slots
                 .iter()
                 .position(|(p, s)| *p == parent && s == param)
@@ -962,44 +1118,29 @@ pub(crate) fn guard_probe(guard: &ScalarExpr) -> SelectQuery {
 /// Read-only state shared by every subtree task, over the database `'db`.
 struct Shared<'a, 'db> {
     tree: &'a SchemaTree,
+    compiled: &'a Compiled,
     db: &'db Database,
-    plans: &'a HashMap<PlanKey, PlanEntry>,
     /// This publish's shared-scan slots ([`Run::shared_scans`]); `None` for
     /// the root pass and for delta republishes.
-    scans: Option<&'a HashMap<PlanKey, SharedScan<'db>>>,
-    /// Every view node's binding variable, by arena index, shared by the
-    /// frames that bind it.
-    vars: Vec<Arc<str>>,
+    scans: Option<&'a HashMap<ScanKey, SharedScan<'db>>>,
 }
 
 impl<'a, 'db> Shared<'a, 'db> {
-    fn new(
-        tree: &'a SchemaTree,
-        db: &'db Database,
-        plans: &'a HashMap<PlanKey, PlanEntry>,
-    ) -> Self {
-        let vars = (0..=tree.len() as u32)
-            .map(|i| {
-                tree.node(ViewNodeId(i))
-                    .map_or("", |n| n.bv.as_str())
-                    .into()
-            })
-            .collect();
+    fn new(tree: &'a SchemaTree, compiled: &'a Compiled, db: &'db Database) -> Self {
         Shared {
             tree,
+            compiled,
             db,
-            plans,
             scans: None,
-            vars,
         }
     }
 
-    /// The cached `role` plan of `vid`, or the error it failed to prepare
-    /// with.
+    /// The compiled `role` plan of `vid`, or the error it failed to
+    /// prepare with.
     fn plan(&self, vid: ViewNodeId, role: Role) -> Result<&'a PreparedPlan> {
-        let entry = self.plans.get(&(vid.index() as u32, role));
-        let entry = entry.expect("the engine caches a plan for every tag query and guard");
-        entry.as_deref().map_err(|e| e.clone().into())
+        let entry = self.compiled.plan(vid, role);
+        let entry = entry.expect("the compilation holds a plan for every tag query and guard");
+        entry.as_ref().map_err(|e| e.clone().into())
     }
 
     /// Runs one root-level tag query or guard probe: a batch of one
@@ -1238,6 +1379,7 @@ impl<'a, 'db> BatchWorker<'a, 'db> {
     ) {
         let tree = self.shared.tree;
         let node = tree.node(vid).expect("non-root id");
+        let compiled = self.shared.compiled.node(vid);
         let children = tree.children(vid);
         // The row the element projects attributes from, and whether its
         // binding variable binds that row for the children.
@@ -1249,13 +1391,13 @@ impl<'a, 'db> BatchWorker<'a, 'db> {
             None => (tuple, true),
         };
         let child_env = (!children.is_empty()).then(|| match bound {
-            Some((batch, row)) if binds => env.bind(&self.shared.vars[vid.index()], batch, row),
+            Some((batch, row)) if binds => env.bind(&compiled.var, batch, row),
             _ => env.clone(),
         });
-        let tuple = bound.map(|(batch, row)| (batch.columns(), batch.row(row)));
-        let (el, attributes) = self
-            .skel
-            .create_instance(vid, node, child_env.clone(), tuple);
+        let row = bound.map(|(batch, row)| batch.row(row));
+        let (el, attributes) =
+            self.skel
+                .create_instance(vid, node, compiled, child_env.clone(), row);
         self.skel.append_child(parent, el);
         self.stats.elements += 1;
         self.stats.attributes += attributes;
@@ -1276,11 +1418,10 @@ impl<'a, 'db> BatchWorker<'a, 'db> {
     /// by reference. A node whose plan failed to prepare raises that error.
     fn run_batch(&mut self, vid: ViewNodeId, role: Role, envs: &[&Env]) -> Result<BatchResult> {
         let plan = self.shared.plan(vid, role)?;
-        let key = (vid.index() as u32, role);
         let batch = plan.execute_batch_shared(
             self.shared.db,
             envs,
-            self.shared.scans.and_then(|s| s.get(&key)),
+            self.shared.scans.and_then(|s| s.get(&(vid, role))),
             &mut self.eval,
         )?;
         self.stats.batches_executed += 1;
@@ -1294,7 +1435,9 @@ impl<'a, 'db> BatchWorker<'a, 'db> {
 /// positional merge that copies the old skeleton in document order and,
 /// at each patched parent, replaces every stale child group (all
 /// instances of one view node) with the matching holder's children from
-/// the delta walk's skeleton, at the stale group's sibling position.
+/// the delta walk's skeleton, at the stale group's sibling position. Both
+/// skeletons were built under one compilation, so elements are copied
+/// with their name ids as they are.
 struct Graft<'g> {
     old: &'g Skeleton,
     /// Old parent → `(child view node, holder)` replacements, sorted by
@@ -1302,11 +1445,6 @@ struct Graft<'g> {
     patches: &'g Patches,
     fresh: &'g Skeleton,
     new: Skeleton,
-    /// `old`'s and `fresh`'s name ids mapped to `new`'s, `SKEL_NONE` until
-    /// a name is first copied: each distinct name is interned once per
-    /// graft, not once per element.
-    old_names: Vec<u32>,
-    fresh_names: Vec<u32>,
     respliced: usize,
 }
 
@@ -1318,8 +1456,6 @@ impl Graft<'_> {
             patches,
             fresh,
             new: Skeleton::default(),
-            old_names: vec![SKEL_NONE; old.names.len()],
-            fresh_names: vec![SKEL_NONE; fresh.names.len()],
             respliced: 0,
         };
         graft.new.begin_task();
@@ -1346,7 +1482,7 @@ impl Graft<'_> {
             if patch.iter().any(|(vid, _)| vid.index() == cv) {
                 continue;
             }
-            let nc = self.new.copy_node(old, &mut self.old_names, c, new_parent);
+            let nc = self.new.copy_node(old, c, new_parent);
             self.copy_children(c, nc);
         }
         for &(_, holder) in &patch[pi..] {
@@ -1360,8 +1496,7 @@ impl Graft<'_> {
         let fresh = self.fresh;
         for c in fresh.children(holder) {
             self.respliced += 1;
-            self.new
-                .copy_subtree(fresh, &mut self.fresh_names, c, new_parent);
+            self.new.copy_subtree(fresh, c, new_parent);
         }
     }
 }
@@ -1370,62 +1505,13 @@ impl Graft<'_> {
 /// skeleton links.
 const SKEL_NONE: u32 = u32::MAX;
 
-/// One view node's element names as a skeleton's name ids: resolved once
-/// per node, so emitting an element hashes no name.
-#[derive(Debug)]
-struct NodeNames {
-    tag: u32,
-    /// The static attributes' names, in `static_attrs` order.
-    statics: Vec<u32>,
-    /// The address of the column list `attrs` was resolved for: a plan's
-    /// batches share one column list.
-    columns: usize,
-    /// Per projected column, what its attribute takes.
-    attrs: Vec<AttrName>,
-}
-
-/// How a projected column becomes an attribute.
-#[derive(Debug, Clone, Copy)]
-struct AttrName {
-    /// The attribute name's id, `SKEL_NONE` until the column is first set
-    /// (so a column that never becomes an attribute interns no name).
-    name: u32,
-    /// The node's projection keeps the column.
-    wanted: bool,
-    /// An earlier column has the same name, and wins when not NULL.
-    duplicate: bool,
-}
-
-impl NodeNames {
-    /// The attribute of each of `columns`, resolved for `node` when the
-    /// node's tuple has a column list other than the last one's.
-    fn attrs_for(&mut self, node: &ViewNode, columns: &[String]) -> &mut [AttrName] {
-        let at = columns.as_ptr() as usize;
-        if self.columns != at || self.attrs.len() != columns.len() {
-            self.columns = at;
-            self.attrs = (columns.iter().enumerate())
-                .map(|(i, c)| AttrName {
-                    name: SKEL_NONE,
-                    wanted: match &node.attrs {
-                        AttrProjection::All => true,
-                        AttrProjection::None => false,
-                        AttrProjection::Columns(cols) => cols.contains(c),
-                    },
-                    duplicate: columns[..i].contains(c),
-                })
-                .collect();
-        }
-        &mut self.attrs
-    }
-}
-
 /// Element handle inside a [`Skeleton`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct SkelId(u32);
 
 #[derive(Debug, Clone, Copy)]
 struct SkelNode {
-    /// Interned tag name.
+    /// The tag's name id.
     tag: u32,
     /// Index of the view node that emitted the element.
     view: u32,
@@ -1445,7 +1531,7 @@ struct SkelNode {
 
 #[derive(Debug, Clone, Copy)]
 struct SkelAttr {
-    /// Interned attribute name.
+    /// The attribute's name id.
     name: u32,
     /// Value bytes are `text[val_start..val_start + val_len]`.
     val_start: u32,
@@ -1454,27 +1540,19 @@ struct SkelAttr {
 
 /// The publish walk's element store: one root-level subtree, grown
 /// breadth-first and read back in document order. Tag and attribute names
-/// are interned (a schema tree has a handful of distinct names, reused
-/// across every task); attribute values share one text buffer; child lists
-/// are intrusive `u32` links. Each element also records the view node
-/// that emitted it and its child environment, a pointer-sized handle on a
-/// frame chain ([`Env`]) shared with the element's frontier slots — the
-/// splice provenance a delta re-runs children under, and the trace
-/// provenance (an element's query ran under its parent's child
-/// environment).
-/// [`Skeleton::begin_task`] drains everything but keeps the capacity and
-/// the name table, so steady-state streaming allocates almost nothing and
-/// peak emission memory is bounded by the largest single task, not the
-/// document.
+/// are ids into the compilation's name table ([`Compiled`]), which the
+/// readers (`emit`, `to_xml`, `trace`) are handed; attribute values share
+/// one text buffer; child lists are intrusive `u32` links. Each element
+/// also records the view node that emitted it and its child environment,
+/// a pointer-sized handle on a frame chain ([`Env`]) shared with the
+/// element's frontier slots — the splice provenance a delta re-runs
+/// children under, and the trace provenance (an element's query ran under
+/// its parent's child environment).
+/// [`Skeleton::begin_task`] drains everything but keeps the capacity, so
+/// steady-state streaming allocates almost nothing and peak emission
+/// memory is bounded by the largest single task, not the document.
 #[derive(Debug, Default)]
 struct Skeleton {
-    /// Interned tag / attribute names (kept across tasks).
-    names: Vec<String>,
-    name_ids: HashMap<String, u32>,
-    /// Each view node's names as ids into `names`, by arena index,
-    /// resolved on the node's first element ([`Skeleton::create_instance`])
-    /// and kept across tasks.
-    node_names: Vec<Option<NodeNames>>,
     nodes: Vec<SkelNode>,
     attrs: Vec<SkelAttr>,
     /// Attribute values, concatenated. Replaced values leak their old
@@ -1486,8 +1564,8 @@ struct Skeleton {
 }
 
 impl Skeleton {
-    /// Clears per-task state (keeping buffer capacity and interned names)
-    /// and re-creates the synthetic task root.
+    /// Clears per-task state (keeping buffer capacity) and re-creates the
+    /// synthetic task root.
     fn begin_task(&mut self) {
         self.nodes.clear();
         self.attrs.clear();
@@ -1500,16 +1578,6 @@ impl Skeleton {
     fn root(&self) -> SkelId {
         debug_assert!(!self.nodes.is_empty(), "begin_task before use");
         SkelId(0)
-    }
-
-    fn intern(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.name_ids.get(name) {
-            return id;
-        }
-        let id = u32::try_from(self.names.len()).expect("name table fits u32");
-        self.names.push(name.to_owned());
-        self.name_ids.insert(name.to_owned(), id);
-        id
     }
 
     /// Appends a detached node.
@@ -1537,63 +1605,37 @@ impl Skeleton {
 
     /// Creates a detached instance of view node `view` (`node`) with child
     /// environment `child_env`: its tag, its static attributes, and the
-    /// attributes it projects from `tuple` (column names and values).
-    /// NULLs are omitted, and the first of duplicate columns wins. Names
-    /// are read as the ids [`NodeNames`] resolved for the node. Returns the
-    /// element and the number of attributes set.
+    /// attributes it projects from `row`. NULLs are omitted, and the first
+    /// of duplicate columns wins. Names are the ids `compiled` resolved
+    /// for the node, one per column of `row`. Returns the element and the
+    /// number of attributes set.
     fn create_instance(
         &mut self,
         view: ViewNodeId,
         node: &ViewNode,
+        compiled: &CompiledNode,
         child_env: Option<Env>,
-        tuple: Option<(&[String], &[Value])>,
+        row: Option<&[Value]>,
     ) -> (SkelId, usize) {
-        let at = view.index();
-        if self.node_names.len() <= at {
-            self.node_names.resize_with(at + 1, || None);
-        }
-        let mut names = match self.node_names[at].take() {
-            Some(names) => names,
-            None => NodeNames {
-                tag: self.intern(&node.tag),
-                statics: node
-                    .static_attrs
-                    .iter()
-                    .map(|(k, _)| self.intern(k))
-                    .collect(),
-                columns: 0,
-                attrs: Vec::new(),
-            },
-        };
-        let el = self.push(names.tag, at as u32, child_env);
-        for (&name, (_, v)) in names.statics.iter().zip(&node.static_attrs) {
+        let el = self.push(compiled.tag, view.0, child_env);
+        for (&name, (_, v)) in compiled.statics.iter().zip(&node.static_attrs) {
             self.set_attr_id(el, name, |text| text.push_str(v));
         }
         let mut set = node.static_attrs.len();
-        if let Some((columns, row)) = tuple {
-            for (i, ((c, v), attr)) in columns
-                .iter()
-                .zip(row)
-                .zip(names.attrs_for(node, columns))
-                .enumerate()
-            {
+        if let Some(row) = row {
+            let attrs = &compiled.attrs;
+            debug_assert_eq!(row.len(), attrs.len(), "one name per projected column");
+            for (i, (v, attr)) in row.iter().zip(attrs).enumerate() {
                 let shadowed = || {
-                    columns[..i]
-                        .iter()
-                        .zip(row)
-                        .any(|(d, w)| d == c && !w.is_null())
+                    (attrs[..i].iter().zip(row)).any(|(d, w)| d.name == attr.name && !w.is_null())
                 };
                 if !attr.wanted || v.is_null() || (attr.duplicate && shadowed()) {
                     continue;
-                }
-                if attr.name == SKEL_NONE {
-                    attr.name = self.intern(c);
                 }
                 self.set_attr_id(el, attr.name, |text| v.render_into(text));
                 set += 1;
             }
         }
-        self.node_names[at] = Some(names);
         (el, set)
     }
 
@@ -1617,7 +1659,7 @@ impl Skeleton {
         self.nodes[p].last_child = child.0;
     }
 
-    /// Sets the attribute with interned name `name` to the text `value`
+    /// Sets the attribute with name id `name` to the text `value`
     /// appends to the value buffer; a duplicate name replaces the existing
     /// value in place (the arena's contract, load-bearing for byte parity
     /// with [`Document`]).
@@ -1707,21 +1749,21 @@ impl Skeleton {
             + self.attrs.capacity() * std::mem::size_of::<SkelAttr>()
             + self.text.capacity()
             + self.envs.capacity() * std::mem::size_of::<Env>()
-            + self.names.iter().map(String::capacity).sum::<usize>()
     }
 
-    /// Serializes the task subtree into `sink` in document order (an
-    /// iterative DFS over the intrusive child links; no recursion, so
-    /// recursion-heavy views cannot overflow the stack here).
-    fn emit(&self, sink: &mut dyn XmlSink) -> io::Result<()> {
+    /// Serializes the task subtree into `sink` in document order, its name
+    /// ids read from `names` (an iterative DFS over the intrusive child
+    /// links; no recursion, so recursion-heavy views cannot overflow the
+    /// stack here).
+    fn emit(&self, names: &[String], sink: &mut dyn XmlSink) -> io::Result<()> {
         let mut stack: Vec<u32> = Vec::new();
         let mut cur = self.nodes[0].first_child;
         loop {
             while cur != SKEL_NONE {
                 let n = self.nodes[cur as usize];
-                sink.start_element(&self.names[n.tag as usize])?;
+                sink.start_element(&names[n.tag as usize])?;
                 for a in self.attrs_of(n) {
-                    sink.attr(&self.names[a.name as usize], self.value(a))?;
+                    sink.attr(&names[a.name as usize], self.value(a))?;
                 }
                 stack.push(cur);
                 cur = n.first_child;
@@ -1731,7 +1773,7 @@ impl Skeleton {
                     return Ok(());
                 };
                 let n = self.nodes[top as usize];
-                sink.end_element(&self.names[n.tag as usize])?;
+                sink.end_element(&names[n.tag as usize])?;
                 if n.next_sibling != SKEL_NONE {
                     cur = n.next_sibling;
                     break;
@@ -1740,26 +1782,35 @@ impl Skeleton {
         }
     }
 
-    /// The task subtree, serialized compactly.
-    fn to_xml(&self) -> String {
+    /// The task subtree, serialized compactly, its name ids read from
+    /// `names`.
+    fn to_xml(&self, names: &[String]) -> String {
         let mut w = XmlWriter::new(Vec::new());
-        self.emit(&mut w).expect("Vec<u8> writes cannot fail");
+        self.emit(names, &mut w)
+            .expect("Vec<u8> writes cannot fail");
         String::from_utf8(w.into_inner()).expect("serialization preserves UTF-8")
     }
 
     /// Appends `task`'s trace entries in document order: each element's
     /// indexed path (same-tag sibling counts per level; the task element
-    /// counts among the root-level siblings), its view node, and the
-    /// environment its query ran under — its parent's child environment,
-    /// or no bindings for the task element.
-    fn trace(&self, task: &Task, out: &mut Vec<TraceEntry>) {
+    /// counts among the root-level siblings; tags read from `names`), its
+    /// view node, and the environment its query ran under — its parent's
+    /// child environment, or no bindings for the task element.
+    fn trace(&self, names: &[String], task: &Task, out: &mut Vec<TraceEntry>) {
         let top = self.nodes[0].first_child;
-        let tag = &self.names[self.nodes[top as usize].tag as usize];
+        let tag = &names[self.nodes[top as usize].tag as usize];
         let path = format!("/{tag}[{}]", task.index + 1);
-        self.trace_from(SkelId(top), path, ParamEnv::new(), out);
+        self.trace_from(names, SkelId(top), path, ParamEnv::new(), out);
     }
 
-    fn trace_from(&self, id: SkelId, path: String, env: ParamEnv, out: &mut Vec<TraceEntry>) {
+    fn trace_from(
+        &self,
+        names: &[String],
+        id: SkelId,
+        path: String,
+        env: ParamEnv,
+        out: &mut Vec<TraceEntry>,
+    ) {
         let at = out.len();
         out.push(TraceEntry {
             path,
@@ -1772,51 +1823,31 @@ impl Skeleton {
             let tag = self.node(c).tag;
             let n = counts.entry(tag).or_insert(0);
             *n += 1;
-            let path = format!("{}/{}[{n}]", out[at].path, self.names[tag as usize]);
+            let path = format!("{}/{}[{n}]", out[at].path, names[tag as usize]);
             let child_env = child_env
                 .clone()
                 .expect("an element with children has a child environment");
-            self.trace_from(c, path, child_env, out);
+            self.trace_from(names, c, path, child_env, out);
         }
-    }
-
-    /// This skeleton's id for `src`'s name `id`, through `names` (`src`'s
-    /// ids mapped so far, `SKEL_NONE` where not yet): interned on the
-    /// name's first copy only.
-    fn copied_name(&mut self, src: &Skeleton, names: &mut [u32], id: u32) -> u32 {
-        let mapped = &mut names[id as usize];
-        if *mapped == SKEL_NONE {
-            *mapped = self.intern(&src.names[id as usize]);
-        }
-        *mapped
     }
 
     /// Appends a copy of `src`'s element `id` — tag, attributes and
-    /// provenance, no children — under `parent`, its names mapped through
-    /// `names`.
-    fn copy_node(
-        &mut self,
-        src: &Skeleton,
-        names: &mut [u32],
-        id: SkelId,
-        parent: SkelId,
-    ) -> SkelId {
+    /// provenance, no children — under `parent`.
+    fn copy_node(&mut self, src: &Skeleton, id: SkelId, parent: SkelId) -> SkelId {
         let n = src.node(id);
-        let tag = self.copied_name(src, names, n.tag);
-        let el = self.push(tag, n.view, src.child_env(id).cloned());
+        let el = self.push(n.tag, n.view, src.child_env(id).cloned());
         self.append_child(parent, el);
         for a in src.attrs_of(n) {
-            let name = self.copied_name(src, names, a.name);
-            self.set_attr_id(el, name, |text| text.push_str(src.value(a)));
+            self.set_attr_id(el, a.name, |text| text.push_str(src.value(a)));
         }
         el
     }
 
     /// Appends a deep copy of `src`'s subtree at `id` under `parent`.
-    fn copy_subtree(&mut self, src: &Skeleton, names: &mut [u32], id: SkelId, parent: SkelId) {
-        let el = self.copy_node(src, names, id, parent);
+    fn copy_subtree(&mut self, src: &Skeleton, id: SkelId, parent: SkelId) {
+        let el = self.copy_node(src, id, parent);
         for c in src.children(id) {
-            self.copy_subtree(src, names, c, el);
+            self.copy_subtree(src, c, el);
         }
     }
 }
@@ -2045,6 +2076,39 @@ mod tests {
         );
         // One query (metroarea) — the copies run none.
         assert_eq!(p.stats.queries_run, 1);
+    }
+
+    #[test]
+    fn context_copy_names_resolve_through_a_rebinding_copy() {
+        // metro ($m) -> wrap -> again (copies $m, rebinds it as $m2,
+        // projects nothing) -> metro_copy (copies $m2): metro_copy's
+        // column names come from metro's tag plan, through again.
+        let mut t = SchemaTree::new();
+        let metro = t
+            .add_root_node(ViewNode::new(
+                1,
+                "metro",
+                "m",
+                parse_query("SELECT metroid, metroname FROM metroarea").unwrap(),
+            ))
+            .unwrap();
+        let wrapper = t.add_child(metro, ViewNode::literal(2, "wrap")).unwrap();
+        let mut again = ViewNode::literal(3, "again");
+        again.context_tuple_of = Some("m".into());
+        again.bv = "m2".into();
+        let again = t.add_child(wrapper, again).unwrap();
+        let mut copy = ViewNode::literal(4, "metro_copy");
+        copy.context_tuple_of = Some("m2".into());
+        copy.attrs = crate::AttrProjection::Columns(vec!["metroname".into()]);
+        t.add_child(again, copy).unwrap();
+        let xml = publish_one(&t, &db()).unwrap().document.to_xml();
+        assert!(
+            xml.starts_with(
+                "<metro metroid=\"1\" metroname=\"chicago\">\
+                 <wrap><again><metro_copy metroname=\"chicago\"/></again></wrap></metro>"
+            ),
+            "{xml}"
+        );
     }
 
     #[test]
@@ -2603,7 +2667,7 @@ mod tests {
         for task in &splice.tasks {
             assert_eq!(task.view, metro);
             let skel = &task.skel;
-            assert_eq!(task.xml, skel.to_xml());
+            assert_eq!(task.xml, skel.to_xml(&splice.compiled.names));
             // The task's root element carries its own binding in its child
             // environment; leaves (hotels) carry no environment at all.
             for id in skel.elements() {

@@ -27,7 +27,7 @@
 //! write locks that state (writes serialize on it), mutates the database
 //! under its write lock, republishes under its read lock — rebuilding and
 //! re-serializing only the root tasks the delta reaches — and then swaps
-//! in the new bytes. `/doc` locks only to clone the current `Arc<str>`, so
+//! in the new bytes. `/doc` locks only to clone the current `Arc<String>`, so
 //! a reader never waits on a write and never observes a half-applied
 //! mutation. Unknown paths get 404, malformed SQL 400.
 //!
@@ -40,7 +40,7 @@
 //! wire the connection is closed mid-body, which a chunked client detects
 //! as truncation (no terminal chunk). Every other response carries
 //! `Content-Length`, so clients can pipeline over one connection; `/doc`
-//! serves a shared `Arc<str>` snapshot of the last published document
+//! serves a shared `Arc<String>` snapshot of the last published document
 //! without copying it per request. The server never builds a merged
 //! output document: `/doc` bytes are the concatenated task segments.
 
@@ -91,10 +91,12 @@ struct State {
     /// `/dml` republishes from the previous state. Writes serialize on
     /// this mutex; readers never take it.
     served: Mutex<SpliceIndex>,
-    /// The served document's bytes, an `Arc<str>` so `/doc` hands the
-    /// response body out by reference count. A write swaps it once its
-    /// republish has finished; `/doc` holds the lock only to clone it.
-    doc: RwLock<Arc<str>>,
+    /// The served document's bytes, an `Arc<String>` so `/doc` hands the
+    /// response body out by reference count; a write wraps the
+    /// concatenated segments without copying them again. A write swaps it
+    /// once its republish has finished; `/doc` holds the lock only to
+    /// clone it.
+    doc: RwLock<Arc<String>>,
     running: AtomicBool,
     addr: SocketAddr,
     threads: usize,
@@ -124,7 +126,7 @@ impl Server {
             .publish_segments(&db)
             .map_err(|e| io::Error::other(e.to_string()))?
             .splice;
-        let xml = Arc::<str>::from(served.xml());
+        let xml = Arc::new(served.xml());
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let threads = threads.max(1);
@@ -222,7 +224,7 @@ struct Request {
 /// by reference count.
 enum Body {
     Text(String),
-    Shared(Arc<str>),
+    Shared(Arc<String>),
 }
 
 impl Body {
@@ -677,7 +679,7 @@ fn handle_dml(state: &Arc<State>, body: &[u8]) -> Response {
 
 /// Installs `next` as the served state and swaps its bytes in for `/doc`.
 fn swap_served(state: &State, served: &mut SpliceIndex, next: SpliceIndex) {
-    let xml = Arc::<str>::from(next.xml());
+    let xml = Arc::new(next.xml());
     *state.doc.write().unwrap_or_else(PoisonError::into_inner) = xml;
     *served = next;
 }

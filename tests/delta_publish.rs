@@ -264,3 +264,54 @@ fn chain_single_row_insert_reexecutes_under_a_fifth_of_batches() {
         deep.reexecution_fraction() * 100.0
     );
 }
+
+/// A delta whose previous state was published under another catalog
+/// equals a full publish. At the first publish `t2` is empty and `extra`
+/// does not exist, so `x`'s plan fails and never runs; the catalog change
+/// then compiles `x`, whose column names the old state never had.
+#[test]
+fn a_delta_across_a_catalog_change_equals_a_full_publish() {
+    let view = xvc::view::parse_view(
+        "node a $a {
+            query: SELECT id FROM t;
+            node b $b {
+                query: SELECT k FROM t2 WHERE k = $a.id;
+                node x $x {
+                    query: SELECT xv FROM extra WHERE xk = $b.k;
+                }
+            }
+            node y $y {
+                query: SELECT yv FROM t3 WHERE yk = $a.id;
+            }
+        }",
+    )
+    .expect("view parses");
+    let mut db = xvc::rel::database_from_ddl(
+        "CREATE TABLE t (id INT); CREATE TABLE t2 (k INT); CREATE TABLE t3 (yk INT, yv INT);",
+    )
+    .expect("catalog");
+    db.execute_dml("INSERT INTO t VALUES (1), (2)").expect("t");
+    db.execute_dml("INSERT INTO t3 VALUES (1, 10), (2, 20)")
+        .expect("t3");
+    let engine = Engine::new(&view);
+    let prev = engine.session().publish_segments(&db).expect("publish");
+    assert_eq!(prev.stats.plan_prepare_failures, 1, "{:?}", prev.stats);
+
+    db.execute_ddl("CREATE TABLE extra (xk INT, xv INT)")
+        .expect("ddl");
+    let mut delta = db
+        .execute_dml("INSERT INTO extra VALUES (1, 100)")
+        .expect("extra");
+    delta.absorb(db.execute_dml("INSERT INTO t2 VALUES (1)").expect("t2"));
+    let after = engine
+        .session()
+        .republish_segments(&db, &prev.splice, &delta)
+        .expect("republish");
+    let full = engine.session().publish(&db).expect("full publish");
+    assert_eq!(after.splice.xml(), full.document.to_xml());
+    assert!(after.splice.xml().contains("<x xv=\"100\"/>"));
+    // The change of compilation republishes in full.
+    assert_eq!(after.stats.batches_reexecuted, full.stats.batches_executed);
+    assert_eq!(after.stats.nodes_respliced, 0);
+    assert_eq!(after.reexecuted, view.node_ids());
+}

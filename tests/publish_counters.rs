@@ -105,7 +105,7 @@ fn breadth_publish_counters() {
             stats,
             eval,
             bytes_written: 119_580,
-            peak_emit_bytes: 8_478,
+            peak_emit_bytes: 8_448,
         };
         assert_eq!(warm, want, "indexed: {indexed}");
     }
@@ -126,7 +126,7 @@ fn needle_publish_counters() {
             stats,
             eval,
             bytes_written: 3_925,
-            peak_emit_bytes: 8_478,
+            peak_emit_bytes: 8_448,
         };
         assert_eq!(warm, want, "indexed: {indexed}");
     }
@@ -220,7 +220,7 @@ fn paper_publish_counters() {
                 [39, 80, 11, 26, 8],
                 [21, 10, 2_914, 10, 48, 1_984, 8, 47],
                 1_708,
-                4_057,
+                3_968,
             ),
         ),
         (
@@ -229,7 +229,7 @@ fn paper_publish_counters() {
                 [147, 320, 41, 104, 32],
                 [81, 40, 46_600, 40, 192, 31_744, 32, 190],
                 6_807,
-                15_961,
+                15_872,
             ),
         ),
         (
@@ -238,7 +238,7 @@ fn paper_publish_counters() {
                 [579, 1_280, 161, 416, 128],
                 [321, 160, 745_504, 160, 768, 507_904, 128, 746],
                 27_500,
-                63_577,
+                63_488,
             ),
         ),
     ] {

@@ -198,6 +198,12 @@ fn concurrent_clients_get_byte_identical_documents() {
 fn dml_and_ddl_keep_the_served_document_current() {
     let db = guide_database();
     let composed = guide_composed(&db);
+    let expected_before = Engine::new(&composed)
+        .session()
+        .publish(&db)
+        .expect("reference publish")
+        .document
+        .to_xml();
 
     // Reference: the same mutations applied to a private database copy.
     let mut post_db = guide_database();
@@ -215,15 +221,15 @@ fn dml_and_ddl_keep_the_served_document_current() {
         Server::start(Engine::new(&composed), db, "127.0.0.1:0", 2).expect("server starts");
     let mut client = Client::connect(server.addr());
 
-    let (status, body) = client.request(
+    let (status, inserted) = client.request(
         "POST",
         "/dml",
         "INSERT INTO sight VALUES (99, 1, 'Navy Pier', 0)",
     );
-    assert_eq!(status, 200, "dml failed: {body}");
+    assert_eq!(status, 200, "dml failed: {inserted}");
     assert!(
-        body.contains("\"delta_rows\":1"),
-        "unexpected dml reply: {body}"
+        inserted.contains("\"delta_rows\":1"),
+        "unexpected dml reply: {inserted}"
     );
 
     let (status, doc) = client.request("GET", "/doc", "");
@@ -249,6 +255,23 @@ fn dml_and_ddl_keep_the_served_document_current() {
     assert_eq!(status, 200);
     assert_eq!(doc, expected_after, "an index changed the document");
 
+    // A write after the DDL is still a delta, under the new catalog's
+    // compilation: deleting the row re-executes what inserting it did and
+    // restores the original document.
+    let (status, deleted) = client.request("POST", "/dml", "DELETE FROM sight WHERE sid = 99");
+    assert_eq!(status, 200, "dml failed: {deleted}");
+    assert_eq!(
+        counter(&deleted, "batches_reexecuted"),
+        counter(&inserted, "batches_reexecuted"),
+        "the delete after the DDL was not a delta: {deleted} vs {inserted}"
+    );
+    let (status, doc) = client.request("GET", "/doc", "");
+    assert_eq!(status, 200);
+    assert_eq!(doc, expected_before, "/doc trails the DELETE");
+    let (status, fresh) = client.request("GET", "/publish", "");
+    assert_eq!(status, 200);
+    assert_eq!(fresh, expected_before, "/publish trails the DELETE");
+
     // Error paths stay on the connection: bad SQL is a 400, unknown
     // endpoints 404, and the connection keeps serving afterwards.
     let (status, _) = client.request("POST", "/dml", "UPDATE sight SET fee = 1");
@@ -260,7 +283,7 @@ fn dml_and_ddl_keep_the_served_document_current() {
     let (status, stats) = client.request("GET", "/stats", "");
     assert_eq!(status, 200);
     assert_eq!(counter(&stats, "errors"), 3);
-    assert_eq!(counter(&stats, "delta_publishes"), 1);
+    assert_eq!(counter(&stats, "delta_publishes"), 2);
 
     server.shutdown();
     server.join();
