@@ -34,6 +34,14 @@ for example in quickstart conference_planning html_report order_invoices recursi
     cargo run --release --quiet --example "$example" > /dev/null
 done
 
+echo "== figures -- figures (the paper's figures, byte for byte)"
+# Regenerates the composed SQL and documents of the paper's figures
+# (7(a), 7(c), 16, 20, 26, ...) and fails on any difference from the
+# committed artifact, so a change to UNBIND/NEST, the query rewrites or
+# the SQL printer that moves a figure fails here.
+cargo run --release --quiet -p xvc-bench --bin figures -- figures |
+    diff -u artifacts/paper_figures.txt -
+
 echo "== perfbench builds against this tree"
 # The benchmark is a standalone package that links the library crates by
 # path; a library API change that breaks it fails here rather than in the

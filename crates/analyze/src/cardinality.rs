@@ -116,9 +116,7 @@ pub fn check_cardinality(
                 // XVC504: every EXISTS probe inside the guard should be a
                 // point lookup; re-checking an unbounded probe per
                 // instance is the guard-side analogue of a table scan.
-                let mut probes = Vec::new();
-                collect_exists(g, &mut probes);
-                for sub in probes {
+                for sub in g.subqueries() {
                     let b = bound_query(sub, catalog, &FactSet::new());
                     if !b.card.at_most_one() {
                         out.push(
@@ -287,20 +285,6 @@ fn name_list(names: &[String]) -> String {
         .join(", ")
 }
 
-/// Collects `EXISTS` subqueries anywhere inside an expression.
-fn collect_exists<'a>(e: &'a ScalarExpr, out: &mut Vec<&'a SelectQuery>) {
-    match e {
-        ScalarExpr::Exists(q) => out.push(q),
-        ScalarExpr::Binary { lhs, rhs, .. } => {
-            collect_exists(lhs, out);
-            collect_exists(rhs, out);
-        }
-        ScalarExpr::Not(i) | ScalarExpr::IsNull(i) => collect_exists(i, out),
-        ScalarExpr::Aggregate { arg: Some(a), .. } => collect_exists(a, out),
-        _ => {}
-    }
-}
-
 /// True when CTG node `start` can reach itself through at least one edge.
 fn reaches_self(succ: &[Vec<usize>], start: usize) -> bool {
     let mut stack: Vec<usize> = succ[start].clone();
@@ -358,35 +342,22 @@ fn collect_equality_columns(
             }
         }
     };
-    let mut walk = |e: &ScalarExpr| {
-        let mut stack = vec![e];
-        while let Some(e) = stack.pop() {
-            match e {
-                ScalarExpr::Binary { op, lhs, rhs } => {
-                    if *op == xvc_rel::BinOp::Eq {
-                        for side in [lhs.as_ref(), rhs.as_ref()] {
-                            if let ScalarExpr::Column { qualifier, name } = side {
-                                mark(qualifier, name, used);
-                            }
-                        }
+    for e in q.where_clause.iter().chain(&q.having) {
+        e.walk(&mut |node| match node {
+            ScalarExpr::Binary {
+                op: xvc_rel::BinOp::Eq,
+                lhs,
+                rhs,
+            } => {
+                for side in [lhs, rhs] {
+                    if let ScalarExpr::Column { qualifier, name } = &**side {
+                        mark(qualifier, name, used);
                     }
-                    stack.push(lhs);
-                    stack.push(rhs);
                 }
-                ScalarExpr::Not(i) | ScalarExpr::IsNull(i) => stack.push(i),
-                ScalarExpr::Aggregate { arg: Some(a), .. } => stack.push(a),
-                ScalarExpr::Exists(sub) => {
-                    collect_equality_columns(sub, &scope, catalog, used);
-                }
-                _ => {}
             }
-        }
-    };
-    if let Some(w) = &q.where_clause {
-        walk(w);
-    }
-    if let Some(h) = &q.having {
-        walk(h);
+            ScalarExpr::Exists(sub) => collect_equality_columns(sub, &scope, catalog, used),
+            _ => {}
+        });
     }
 }
 

@@ -465,85 +465,24 @@ fn resolve_output(q: &SelectQuery, catalog: &Catalog, wanted: &str) -> Vec<(Stri
 /// descent — subqueries have their own scopes and are analyzed there).
 fn columns_in_expr(e: &ScalarExpr) -> Vec<(Option<String>, String)> {
     let mut out = Vec::new();
-    collect_columns(e, &mut out);
-    out
-}
-
-fn collect_columns(e: &ScalarExpr, out: &mut Vec<(Option<String>, String)>) {
-    match e {
-        ScalarExpr::Column { qualifier, name } => {
+    e.walk(&mut |node| {
+        if let ScalarExpr::Column { qualifier, name } = node {
             out.push((qualifier.clone(), name.clone()));
         }
-        ScalarExpr::Binary { lhs, rhs, .. } => {
-            collect_columns(lhs, out);
-            collect_columns(rhs, out);
-        }
-        ScalarExpr::Not(inner) | ScalarExpr::IsNull(inner) => collect_columns(inner, out),
-        ScalarExpr::Aggregate { arg, .. } => {
-            if let Some(a) = arg {
-                collect_columns(a, out);
-            }
-        }
-        ScalarExpr::Exists(_) | ScalarExpr::Param { .. } | ScalarExpr::Literal(_) => {}
-    }
+    });
+    out
 }
 
 /// All `$var.column` parameters directly in an expression (no `EXISTS`
 /// descent).
 fn params_in_expr(e: &ScalarExpr) -> Vec<(String, String)> {
-    fn walk(e: &ScalarExpr, out: &mut Vec<(String, String)>) {
-        match e {
-            ScalarExpr::Param { var, column } => out.push((var.clone(), column.clone())),
-            ScalarExpr::Binary { lhs, rhs, .. } => {
-                walk(lhs, out);
-                walk(rhs, out);
-            }
-            ScalarExpr::Not(inner) | ScalarExpr::IsNull(inner) => walk(inner, out),
-            ScalarExpr::Aggregate { arg, .. } => {
-                if let Some(a) = arg {
-                    walk(a, out);
-                }
-            }
-            ScalarExpr::Exists(_) | ScalarExpr::Column { .. } | ScalarExpr::Literal(_) => {}
-        }
-    }
     let mut out = Vec::new();
-    walk(e, &mut out);
+    e.walk(&mut |node| {
+        if let ScalarExpr::Param { var, column } = node {
+            out.push((var.clone(), column.clone()));
+        }
+    });
     out
-}
-
-/// Splits a WHERE/HAVING clause into top-level conjuncts.
-fn conjuncts(e: &ScalarExpr) -> Vec<&ScalarExpr> {
-    match e {
-        ScalarExpr::Binary {
-            op: xvc_rel::BinOp::And,
-            lhs,
-            rhs,
-        } => {
-            let mut out = conjuncts(lhs);
-            out.extend(conjuncts(rhs));
-            out
-        }
-        _ => vec![e],
-    }
-}
-
-/// Collects `EXISTS` subqueries anywhere in an expression.
-fn exists_in_expr<'e>(e: &'e ScalarExpr, out: &mut Vec<&'e SelectQuery>) {
-    match e {
-        ScalarExpr::Exists(q) => out.push(q),
-        ScalarExpr::Binary { lhs, rhs, .. } => {
-            exists_in_expr(lhs, out);
-            exists_in_expr(rhs, out);
-        }
-        ScalarExpr::Not(inner) | ScalarExpr::IsNull(inner) => exists_in_expr(inner, out),
-        ScalarExpr::Aggregate { arg, .. } => {
-            if let Some(a) = arg {
-                exists_in_expr(a, out);
-            }
-        }
-        ScalarExpr::Column { .. } | ScalarExpr::Param { .. } | ScalarExpr::Literal(_) => {}
-    }
 }
 
 /// Context threaded through one analysis unit's extraction.
@@ -693,7 +632,7 @@ fn collect_query(
 
     // WHERE conjuncts: join keys vs. pushdown predicates.
     if let Some(w) = &q.where_clause {
-        for c in conjuncts(w) {
+        for c in w.conjuncts() {
             collect_condition(map, cx, q, c, condition_role);
         }
     }
@@ -717,7 +656,7 @@ fn collect_query(
         }
     }
     if let Some(h) = &q.having {
-        for c in conjuncts(h) {
+        for c in h.conjuncts() {
             for (qual, name) in columns_in_expr(c) {
                 for (t, col) in resolve_col(q, cx.catalog, qual.as_deref(), &name) {
                     cx.push(
@@ -733,9 +672,7 @@ fn collect_query(
                     );
                 }
             }
-            let mut subs = Vec::new();
-            exists_in_expr(c, &mut subs);
-            for sq in subs {
+            for sq in c.subqueries() {
                 collect_query(map, cx, sq, DepRole::Predicate, false);
             }
         }
@@ -862,7 +799,7 @@ fn collect_condition(
     c: &ScalarExpr,
     role: DepRole,
 ) {
-    let rendered = render_condition(c);
+    let rendered = c.to_sql_inline();
     if let ScalarExpr::Binary {
         op: xvc_rel::BinOp::Eq,
         lhs,
@@ -938,9 +875,7 @@ fn collect_condition(
             cx.push(map, t, col, role, UpdateSafety::RecomputeRequired, chain);
         }
     }
-    let mut subs = Vec::new();
-    exists_in_expr(c, &mut subs);
-    for sq in subs {
+    for sq in c.subqueries() {
         collect_query(map, cx, sq, DepRole::Predicate, false);
     }
 }
@@ -948,8 +883,8 @@ fn collect_condition(
 /// Guard expressions have no FROM scope of their own: parameters resolve
 /// through ancestors, `EXISTS` subqueries carry their own scopes.
 fn collect_guard_expr(map: &mut DependencyMap, cx: &UnitCx<'_>, g: &ScalarExpr) {
-    for c in conjuncts(g) {
-        let rendered = render_condition(c);
+    for c in g.conjuncts() {
+        let rendered = c.to_sql_inline();
         for (var, column) in params_in_expr(c) {
             for (t, col) in (cx.resolver)(&var, &column) {
                 let chain = vec![
@@ -967,9 +902,7 @@ fn collect_guard_expr(map: &mut DependencyMap, cx: &UnitCx<'_>, g: &ScalarExpr) 
                 );
             }
         }
-        let mut subs = Vec::new();
-        exists_in_expr(c, &mut subs);
-        for sq in subs {
+        for sq in c.subqueries() {
             collect_guard_subquery(map, cx, sq);
         }
     }
@@ -997,19 +930,10 @@ fn collect_guard_subquery(map: &mut DependencyMap, cx: &UnitCx<'_>, q: &SelectQu
         }
     }
     if let Some(w) = &q.where_clause {
-        for c in conjuncts(w) {
+        for c in w.conjuncts() {
             collect_condition(map, cx, q, c, DepRole::Guard);
         }
     }
-}
-
-/// Compact, stable rendering of a conjunct for fact chains.
-fn render_condition(c: &ScalarExpr) -> String {
-    let mut probe = SelectQuery::new(vec![SelectItem::expr(ScalarExpr::int(1))], vec![]);
-    probe.where_clause = Some(c.clone());
-    let sql = probe.to_sql_inline();
-    sql.split_once("WHERE ")
-        .map_or_else(|| sql.clone(), |(_, p)| p.to_owned())
 }
 
 #[cfg(test)]

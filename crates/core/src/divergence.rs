@@ -412,43 +412,24 @@ mod tests {
         }
         if let Some(w) = q.where_clause.take() {
             let mut kept = Vec::new();
-            touched += rewrite_leaves(w, f, &mut kept);
-            q.where_clause = kept.into_iter().reduce(|a, b| ScalarExpr::Binary {
-                op: BinOp::And,
-                lhs: Box::new(a),
-                rhs: Box::new(b),
-            });
+            for mut leaf in w.into_conjuncts() {
+                match f(&leaf) {
+                    Some(Some(replacement)) => {
+                        kept.push(replacement);
+                        touched += 1;
+                    }
+                    Some(None) => touched += 1,
+                    None => {
+                        if let ScalarExpr::Exists(sub) = &mut leaf {
+                            touched += rewrite_conjuncts(sub, f);
+                        }
+                        kept.push(leaf);
+                    }
+                }
+            }
+            q.where_clause = ScalarExpr::conjoin(kept);
         }
         touched
-    }
-
-    fn rewrite_leaves(
-        e: ScalarExpr,
-        f: &impl Fn(&ScalarExpr) -> Option<Option<ScalarExpr>>,
-        kept: &mut Vec<ScalarExpr>,
-    ) -> usize {
-        match e {
-            ScalarExpr::Binary {
-                op: BinOp::And,
-                lhs,
-                rhs,
-            } => rewrite_leaves(*lhs, f, kept) + rewrite_leaves(*rhs, f, kept),
-            mut leaf => match f(&leaf) {
-                Some(Some(replacement)) => {
-                    kept.push(replacement);
-                    1
-                }
-                Some(None) => 1,
-                None => {
-                    let mut touched = 0;
-                    if let ScalarExpr::Exists(ref mut sub) = leaf {
-                        touched = rewrite_conjuncts(sub, f);
-                    }
-                    kept.push(leaf);
-                    touched
-                }
-            },
-        }
     }
 
     /// Matches the conjunct `starrating > <n>` wherever UNBIND left it

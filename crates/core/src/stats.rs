@@ -134,31 +134,21 @@ impl std::fmt::Display for ComposeStats {
 /// Maximum derived-table nesting depth of a query: 0 for base tables only;
 /// each derived-table level (in FROM, or inside EXISTS subqueries) adds 1.
 pub fn query_nesting_depth(q: &SelectQuery) -> usize {
-    let mut depth = 0;
-    for t in &q.from {
-        if let TableRef::Derived { query, .. } = t {
-            depth = depth.max(1 + query_nesting_depth(query));
-        }
-    }
-    for e in q
+    let derived = q.from.iter().filter_map(|t| match t {
+        TableRef::Derived { query, .. } => Some(&**query),
+        TableRef::Named { .. } => None,
+    });
+    let exists = q
         .where_clause
         .iter()
-        .chain(q.having.iter())
-        .chain(q.group_by.iter())
-    {
-        depth = depth.max(expr_nesting_depth(e));
-    }
-    depth
-}
-
-fn expr_nesting_depth(e: &ScalarExpr) -> usize {
-    match e {
-        ScalarExpr::Exists(q) => 1 + query_nesting_depth(q),
-        ScalarExpr::Binary { lhs, rhs, .. } => expr_nesting_depth(lhs).max(expr_nesting_depth(rhs)),
-        ScalarExpr::Not(i) | ScalarExpr::IsNull(i) => expr_nesting_depth(i),
-        ScalarExpr::Aggregate { arg: Some(a), .. } => expr_nesting_depth(a),
-        _ => 0,
-    }
+        .chain(&q.having)
+        .chain(&q.group_by)
+        .flat_map(ScalarExpr::subqueries);
+    derived
+        .chain(exists)
+        .map(|sub| 1 + query_nesting_depth(sub))
+        .max()
+        .unwrap_or(0)
 }
 
 #[cfg(test)]

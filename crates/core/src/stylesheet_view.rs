@@ -34,7 +34,7 @@ use xvc_xslt::{OutputNode, Stylesheet};
 
 use crate::error::{Error, Result};
 use crate::tvq::Tvq;
-use crate::unbind::UnboundQuery;
+use crate::unbind::{rename_guard_params, UnboundQuery};
 
 /// Builds the stylesheet view from the TVQ.
 pub fn build_stylesheet_view(
@@ -144,7 +144,10 @@ impl Emitter<'_> {
                                 .get(source)
                                 .cloned()
                                 .unwrap_or_else(|| source.clone()),
-                            guard: guard.clone().map(|g| rename_scalar(g, renames)),
+                            guard: guard.clone().map(|mut g| {
+                                rename_guard_params(&mut g, renames);
+                                g
+                            }),
                         },
                         // Literal transition target: once per parent, no tuple.
                         UnboundQuery::Literal => Carrier::None,
@@ -611,19 +614,6 @@ impl Emitter<'_> {
 /// expression and land in HAVING, everything else in WHERE. EXISTS
 /// subqueries inside the guard correlate through unqualified columns.
 fn fold_guard_into_query(q: &mut SelectQuery, guard: &ScalarExpr, source: &str) -> Result<()> {
-    fn conjuncts<'a>(e: &'a ScalarExpr, out: &mut Vec<&'a ScalarExpr>) {
-        match e {
-            ScalarExpr::Binary {
-                op: xvc_rel::BinOp::And,
-                lhs,
-                rhs,
-            } => {
-                conjuncts(lhs, out);
-                conjuncts(rhs, out);
-            }
-            other => out.push(other),
-        }
-    }
     fn translate(
         e: &ScalarExpr,
         source: &str,
@@ -645,7 +635,7 @@ fn fold_guard_into_query(q: &mut SelectQuery, guard: &ScalarExpr, source: &str) 
             }
             ScalarExpr::Exists(sub) => {
                 let mut sub = sub.clone();
-                xvc_rel::rewrite::visit_exprs(&mut sub, &mut |e| {
+                sub.walk_mut(&mut |e| {
                     if let ScalarExpr::Param { var, column } = e {
                         if var == source {
                             *e = ScalarExpr::Column {
@@ -660,9 +650,7 @@ fn fold_guard_into_query(q: &mut SelectQuery, guard: &ScalarExpr, source: &str) 
             other => other.clone(),
         })
     }
-    let mut parts = Vec::new();
-    conjuncts(guard, &mut parts);
-    for part in parts {
+    for part in guard.conjuncts() {
         let mut has_agg = false;
         let translated = translate(part, source, q, &mut has_agg)?;
         if has_agg {
@@ -746,11 +734,4 @@ fn classify_value_select(select: &Expr) -> ValueSelect {
         (Axis::Attribute, NodeTest::Name(a)) => ValueSelect::Attribute(a.clone()),
         _ => ValueSelect::Other,
     }
-}
-
-fn rename_scalar(g: ScalarExpr, renames: &HashMap<String, String>) -> ScalarExpr {
-    let mut probe = SelectQuery::new(vec![SelectItem::expr(ScalarExpr::int(1))], vec![]);
-    probe.where_clause = Some(g);
-    rename_params(&mut probe, renames);
-    probe.where_clause.take().expect("just set")
 }

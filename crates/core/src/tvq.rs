@@ -92,18 +92,7 @@ impl Tvq {
             UnboundQuery::Rebind { source, guard } => {
                 out.push_str(&format!("  [rebind ${source}"));
                 if let Some(g) = guard {
-                    // Render through a throwaway query for a stable form.
-                    let mut probe = xvc_rel::SelectQuery::new(
-                        vec![xvc_rel::SelectItem::expr(xvc_rel::ScalarExpr::int(1))],
-                        vec![],
-                    );
-                    probe.where_clause = Some(g.clone());
-                    let sql = probe.to_sql_inline();
-                    out.push_str(&format!(
-                        ", guard {}",
-                        sql.trim_start_matches("SELECT 1 FROM WHERE ")
-                            .trim_start_matches("SELECT 1 FROM  WHERE ")
-                    ));
+                    out.push_str(&format!(", guard {}", g.to_sql_inline()));
                 }
                 out.push_str("]\n");
             }

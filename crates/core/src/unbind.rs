@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use xvc_rel::eval::output_columns;
 use xvc_rel::rewrite::{
     binds_alias, fresh_alias, fresh_alias_among, preserve_aggregation, qualify_level_columns,
-    refresh_group_by_all, rename_params, unbind_param_nested, visit_exprs,
+    refresh_group_by_all, rename_params, unbind_param_nested,
 };
 use xvc_rel::{Catalog, ScalarExpr, SelectItem, SelectQuery, TableRef};
 use xvc_view::SchemaTree;
@@ -226,18 +226,21 @@ fn chain_query(
         .collect();
 
     // Scope classification of the prefix references: the query's own
-    // level (select/where/group/having, including EXISTS subqueries, which
-    // can correlate to an outer FROM alias) vs. inside FROM derived tables
-    // (which cannot see sibling aliases — those embed their own copy of
-    // the prefix, the paper's Figure 16 nesting). A variable referenced at
-    // both scopes would need two copies joined on tuple identity, which is
-    // out of scope.
-    let mut top_refs = false;
-    visit_scope_params(&q, &mut |var, _| {
-        if prefix_bvs.iter().any(|b| b == var) {
-            top_refs = true;
-        }
-    });
+    // level (select/where/group/having, including whole EXISTS
+    // subqueries, which can correlate to an outer FROM alias) vs. inside
+    // FROM derived tables (which cannot see sibling aliases — those embed
+    // their own copy of the prefix, the paper's Figure 16 nesting). A
+    // variable referenced at both scopes would need two copies joined on
+    // tuple identity, which is out of scope.
+    let mut scope_vars: Vec<String> = Vec::new();
+    for e in q.exprs() {
+        e.walk(&mut |node| match node {
+            ScalarExpr::Param { var, .. } => scope_vars.push(var.clone()),
+            ScalarExpr::Exists(sub) => scope_vars.extend(sub.parameters()),
+            _ => {}
+        });
+    }
+    let top_refs = prefix_bvs.iter().any(|b| scope_vars.contains(b));
     let mut derived_refs: Vec<String> = Vec::new();
     for t in &q.from {
         if let TableRef::Derived { query, .. } = t {
@@ -248,23 +251,13 @@ fn chain_query(
             }
         }
     }
-    if top_refs {
-        for var in &derived_refs {
-            let mut also_top = false;
-            visit_scope_params(&q, &mut |v, _| {
-                if v == var {
-                    also_top = true;
-                }
-            });
-            if also_top {
-                return Err(Error::NotComposable {
-                    reason: format!(
-                        "${var} is referenced both at the query level and inside \
-                         a derived table (mixed-scope re-composition)"
-                    ),
-                });
-            }
-        }
+    if let Some(var) = derived_refs.iter().find(|var| scope_vars.contains(var)) {
+        return Err(Error::NotComposable {
+            reason: format!(
+                "${var} is referenced both at the query level and inside \
+                 a derived table (mixed-scope re-composition)"
+            ),
+        });
     }
 
     if !derived_refs.is_empty() {
@@ -294,7 +287,21 @@ fn chain_query(
         // product), preserving the per-prefix-tuple multiplicity of the
         // original traversal.
         let alias = fresh_alias(&q);
-        replace_scope_params(&mut q, &prefix_bvs, &alias);
+        let to_alias = |node: &mut ScalarExpr| {
+            if let ScalarExpr::Param { var, column } = node {
+                if prefix_bvs.contains(var) {
+                    *node = ScalarExpr::qcol(&alias, column.clone());
+                }
+            }
+        };
+        for e in q.exprs_mut() {
+            e.walk_mut(&mut |node| {
+                to_alias(node);
+                if let ScalarExpr::Exists(sub) = node {
+                    sub.walk_mut(&mut |inner| to_alias(inner));
+                }
+            });
+        }
         q.from.push(TableRef::Derived {
             query: Box::new(prefix_query),
             alias: alias.clone(),
@@ -305,75 +312,6 @@ fn chain_query(
         preserve_aggregation(&mut q, &alias, catalog)?;
     }
     Ok(q)
-}
-
-/// Visits `$var.col` references at the query's own scope: its level plus
-/// EXISTS subqueries (recursively), but *not* FROM derived tables.
-fn visit_scope_params(q: &SelectQuery, f: &mut impl FnMut(&str, &str)) {
-    fn walk(e: &ScalarExpr, f: &mut impl FnMut(&str, &str)) {
-        match e {
-            ScalarExpr::Param { var, column } => f(var, column),
-            ScalarExpr::Binary { lhs, rhs, .. } => {
-                walk(lhs, f);
-                walk(rhs, f);
-            }
-            ScalarExpr::Not(i) | ScalarExpr::IsNull(i) => walk(i, f),
-            ScalarExpr::Aggregate { arg: Some(a), .. } => walk(a, f),
-            ScalarExpr::Exists(sub) => visit_scope_params(sub, f),
-            _ => {}
-        }
-    }
-    for item in &q.select {
-        if let SelectItem::Expr { expr, .. } = item {
-            walk(expr, f);
-        }
-    }
-    if let Some(w) = &q.where_clause {
-        walk(w, f);
-    }
-    for g in &q.group_by {
-        walk(g, f);
-    }
-    if let Some(h) = &q.having {
-        walk(h, f);
-    }
-}
-
-/// Rewrites `$var.col` (for any var in `vars`) into `alias.col` at the
-/// query's own scope (level + EXISTS), leaving FROM derived tables alone.
-fn replace_scope_params(q: &mut SelectQuery, vars: &[String], alias: &str) {
-    fn walk(e: &mut ScalarExpr, vars: &[String], alias: &str) {
-        match e {
-            ScalarExpr::Param { var, column } if vars.iter().any(|v| v == var) => {
-                *e = ScalarExpr::Column {
-                    qualifier: Some(alias.to_owned()),
-                    name: column.clone(),
-                };
-            }
-            ScalarExpr::Binary { lhs, rhs, .. } => {
-                walk(lhs, vars, alias);
-                walk(rhs, vars, alias);
-            }
-            ScalarExpr::Not(i) | ScalarExpr::IsNull(i) => walk(i, vars, alias),
-            ScalarExpr::Aggregate { arg: Some(a), .. } => walk(a, vars, alias),
-            ScalarExpr::Exists(sub) => replace_scope_params(sub, vars, alias),
-            _ => {}
-        }
-    }
-    for item in &mut q.select {
-        if let SelectItem::Expr { expr, .. } = item {
-            walk(expr, vars, alias);
-        }
-    }
-    if let Some(w) = &mut q.where_clause {
-        walk(w, vars, alias);
-    }
-    for g in &mut q.group_by {
-        walk(g, vars, alias);
-    }
-    if let Some(h) = &mut q.having {
-        walk(h, vars, alias);
-    }
 }
 
 /// A chain node's tag query with its own predicates pushed in and its
@@ -490,7 +428,7 @@ fn correlate_exists(
 ) -> Result<()> {
     // Columns of the enclosing tuple referenced by the subquery.
     let mut cols: Vec<String> = Vec::new();
-    visit_exprs(sub, &mut |e| {
+    sub.walk(&mut |e| {
         if let ScalarExpr::Param { var, column } = e {
             if var == bv && !cols.contains(column) {
                 cols.push(column.clone());
@@ -515,7 +453,7 @@ fn correlate_exists(
         };
         mapping.insert(col.clone(), (qualifier, name));
     }
-    visit_exprs(sub, &mut |e| {
+    sub.walk_mut(&mut |e| {
         if let ScalarExpr::Param { var, column } = e {
             if var == bv {
                 let (qual, name) = &mapping[column];
@@ -608,44 +546,40 @@ fn rename_from_item(q: &mut SelectQuery, idx: usize, new_alias: &str) {
 }
 
 fn rename_qualifier_shadow_aware(q: &mut SelectQuery, old: &str, new: &str, top: bool) {
-    fn walk(e: &mut ScalarExpr, old: &str, new: &str) {
-        match e {
-            ScalarExpr::Column { qualifier, .. } if qualifier.as_deref() == Some(old) => {
-                *qualifier = Some(new.to_owned());
-            }
-            ScalarExpr::Binary { lhs, rhs, .. } => {
-                walk(lhs, old, new);
-                walk(rhs, old, new);
-            }
-            ScalarExpr::Not(i) | ScalarExpr::IsNull(i) => walk(i, old, new),
-            ScalarExpr::Aggregate { arg: Some(a), .. } => walk(a, old, new),
-            ScalarExpr::Exists(sub) => rename_qualifier_shadow_aware(sub, old, new, false),
-            _ => {}
-        }
-    }
     if !top && q.from.iter().any(|t| t.binding_name() == old) {
         return; // shadowed: inner references stay
     }
     for item in &mut q.select {
-        match item {
-            SelectItem::Expr { expr, .. } => walk(expr, old, new),
-            SelectItem::QualifiedStar(qs) => {
-                if qs == old {
-                    *qs = new.to_owned();
-                }
+        if let SelectItem::QualifiedStar(qs) = item {
+            if qs == old {
+                *qs = new.to_owned();
             }
-            SelectItem::Star => {}
         }
     }
-    if let Some(w) = &mut q.where_clause {
-        walk(w, old, new);
+    for e in q.exprs_mut() {
+        e.walk_mut(&mut |node| match node {
+            ScalarExpr::Column { qualifier, .. } if qualifier.as_deref() == Some(old) => {
+                *qualifier = Some(new.to_owned());
+            }
+            ScalarExpr::Exists(sub) => rename_qualifier_shadow_aware(sub, old, new, false),
+            _ => {}
+        });
     }
-    for g in &mut q.group_by {
-        walk(g, old, new);
-    }
-    if let Some(h) = &mut q.having {
-        walk(h, old, new);
-    }
+}
+
+/// Renames binding-variable references in a guard, inside its `EXISTS`
+/// subqueries too: `$old.col` → `$new.col` for every `(old, new)` entry
+/// of `map`.
+pub(crate) fn rename_guard_params(guard: &mut ScalarExpr, map: &HashMap<String, String>) {
+    guard.walk_mut(&mut |node| match node {
+        ScalarExpr::Param { var, .. } => {
+            if let Some(new) = map.get(var) {
+                *var = new.clone();
+            }
+        }
+        ScalarExpr::Exists(sub) => rename_params(sub, map),
+        _ => {}
+    });
 }
 
 /// Ancestor-or-self transition: no chain, reuse an existing binding.
@@ -705,10 +639,7 @@ fn rebind(
         // Deeper branch nodes are folded in by `nest` above.
     }
     if let Some(g) = &mut guard {
-        let mut wrapper = SelectQuery::new(vec![SelectItem::expr(ScalarExpr::int(1))], vec![]);
-        wrapper.where_clause = Some(g.clone());
-        rename_params(&mut wrapper, &bvmap);
-        *g = wrapper.where_clause.take().expect("just set");
+        rename_guard_params(g, &bvmap);
     }
     Ok(UnbindResult {
         query: UnboundQuery::Rebind { source, guard },
@@ -882,10 +813,10 @@ mod tests {
             panic!("expected rebind, got {:?}", r.query);
         };
         assert_eq!(source, "h_new");
-        let g = guard.unwrap();
-        let mut probe = SelectQuery::new(vec![SelectItem::expr(ScalarExpr::int(1))], vec![]);
-        probe.where_clause = Some(g);
-        assert!(probe.to_sql().contains("$h_new.pool = 'yes'"));
+        assert!(guard
+            .unwrap()
+            .to_sql_inline()
+            .contains("$h_new.pool = 'yes'"));
     }
 
     #[test]

@@ -201,30 +201,123 @@ impl ScalarExpr {
     /// True if this expression (not descending into subqueries) contains an
     /// aggregate call.
     pub fn contains_aggregate(&self) -> bool {
-        match self {
-            ScalarExpr::Aggregate { .. } => true,
-            ScalarExpr::Binary { lhs, rhs, .. } => {
-                lhs.contains_aggregate() || rhs.contains_aggregate()
-            }
-            ScalarExpr::Not(e) | ScalarExpr::IsNull(e) => e.contains_aggregate(),
-            _ => false,
+        self.any(|e| matches!(e, ScalarExpr::Aggregate { .. }))
+    }
+
+    /// The direct operands: both sides of a binary operation, the operand
+    /// of `NOT` / `IS NULL`, and an aggregate's argument. An `EXISTS`
+    /// subquery is a query, not an operand.
+    fn operands(&self) -> impl Iterator<Item = &ScalarExpr> {
+        let (first, second) = match self {
+            ScalarExpr::Binary { lhs, rhs, .. } => (Some(&**lhs), Some(&**rhs)),
+            ScalarExpr::Not(e)
+            | ScalarExpr::IsNull(e)
+            | ScalarExpr::Aggregate { arg: Some(e), .. } => (Some(&**e), None),
+            _ => (None, None),
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// [`ScalarExpr::operands`], mutably.
+    fn operands_mut(&mut self) -> impl Iterator<Item = &mut ScalarExpr> {
+        let (first, second) = match self {
+            ScalarExpr::Binary { lhs, rhs, .. } => (Some(&mut **lhs), Some(&mut **rhs)),
+            ScalarExpr::Not(e)
+            | ScalarExpr::IsNull(e)
+            | ScalarExpr::Aggregate { arg: Some(e), .. } => (Some(&mut **e), None),
+            _ => (None, None),
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// Calls `f` on this node, then walks its operands, depth first and
+    /// left to right. `EXISTS` subqueries are not entered: they are query
+    /// levels of their own ([`SelectQuery::walk`] enters them).
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a ScalarExpr)) {
+        f(self);
+        for operand in self.operands() {
+            operand.walk(f);
         }
     }
 
-    /// Collects the binding variables referenced by `$var.column` params,
-    /// descending into subqueries.
-    pub fn collect_params(&self, out: &mut Vec<String>) {
-        match self {
-            ScalarExpr::Param { var, .. } if !out.contains(var) => out.push(var.clone()),
-            ScalarExpr::Binary { lhs, rhs, .. } => {
-                lhs.collect_params(out);
-                rhs.collect_params(out);
-            }
-            ScalarExpr::Not(e) | ScalarExpr::IsNull(e) => e.collect_params(out),
-            ScalarExpr::Exists(q) => q.collect_params_into(out),
-            ScalarExpr::Aggregate { arg: Some(a), .. } => a.collect_params(out),
-            _ => {}
+    /// [`ScalarExpr::walk`] over mutable nodes. `f` sees a node before its
+    /// operands, so it can replace the node; the replacement's operands are
+    /// walked next.
+    pub fn walk_mut(&mut self, f: &mut impl FnMut(&mut ScalarExpr)) {
+        f(self);
+        for operand in self.operands_mut() {
+            operand.walk_mut(f);
         }
+    }
+
+    /// True if `pred` holds for some node [`ScalarExpr::walk`] visits.
+    pub(crate) fn any(&self, pred: impl Fn(&ScalarExpr) -> bool) -> bool {
+        fn go(e: &ScalarExpr, pred: &impl Fn(&ScalarExpr) -> bool) -> bool {
+            pred(e) || e.operands().any(|o| go(o, pred))
+        }
+        go(self, &pred)
+    }
+
+    /// The `EXISTS` subqueries [`ScalarExpr::walk`] meets, in its order
+    /// (not the ones nested inside them).
+    pub fn subqueries(&self) -> Vec<&SelectQuery> {
+        let mut out = Vec::new();
+        self.walk(&mut |e| {
+            if let ScalarExpr::Exists(q) = e {
+                out.push(&**q);
+            }
+        });
+        out
+    }
+
+    /// The top-level `AND` parts, left to right: `a AND (b AND c)` gives
+    /// `[a, b, c]`, and an expression that is no `AND` is its own part.
+    pub fn conjuncts(&self) -> Vec<&ScalarExpr> {
+        let mut out = Vec::new();
+        let mut stack = vec![self];
+        while let Some(e) = stack.pop() {
+            match e {
+                ScalarExpr::Binary {
+                    op: BinOp::And,
+                    lhs,
+                    rhs,
+                } => {
+                    stack.push(rhs);
+                    stack.push(lhs);
+                }
+                part => out.push(part),
+            }
+        }
+        out
+    }
+
+    /// [`ScalarExpr::conjuncts`], taking the parts.
+    pub fn into_conjuncts(self) -> Vec<ScalarExpr> {
+        let mut out = Vec::new();
+        let mut stack = vec![self];
+        while let Some(e) = stack.pop() {
+            match e {
+                ScalarExpr::Binary {
+                    op: BinOp::And,
+                    lhs,
+                    rhs,
+                } => {
+                    stack.push(*rhs);
+                    stack.push(*lhs);
+                }
+                part => out.push(part),
+            }
+        }
+        out
+    }
+
+    /// The left fold of `parts` under `AND`, `None` when there are none:
+    /// it rebuilds the left-deep chain [`ScalarExpr::into_conjuncts`] took
+    /// apart.
+    pub fn conjoin(parts: impl IntoIterator<Item = ScalarExpr>) -> Option<ScalarExpr> {
+        parts
+            .into_iter()
+            .reduce(|acc, part| ScalarExpr::binary(BinOp::And, acc, part))
     }
 }
 
@@ -379,30 +472,106 @@ impl SelectQuery {
     /// The binding variables referenced by this query (its *parameters* in
     /// the sense of Definition 1), in first-occurrence order.
     pub fn parameters(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_params_into(&mut out);
+        let mut out: Vec<String> = Vec::new();
+        self.walk(&mut |e| {
+            if let ScalarExpr::Param { var, .. } = e {
+                if !out.contains(var) {
+                    out.push(var.clone());
+                }
+            }
+        });
         out
     }
 
-    pub(crate) fn collect_params_into(&self, out: &mut Vec<String>) {
+    /// This level's expressions: the select items', then `WHERE`, the
+    /// `GROUP BY` keys and `HAVING`. Derived tables and `EXISTS`
+    /// subqueries are levels of their own.
+    pub fn exprs(&self) -> impl Iterator<Item = &ScalarExpr> {
+        self.select
+            .iter()
+            .filter_map(|item| match item {
+                SelectItem::Expr { expr, .. } => Some(expr),
+                _ => None,
+            })
+            .chain(&self.where_clause)
+            .chain(&self.group_by)
+            .chain(&self.having)
+    }
+
+    /// [`SelectQuery::exprs`], mutably.
+    pub fn exprs_mut(&mut self) -> impl Iterator<Item = &mut ScalarExpr> {
+        self.select
+            .iter_mut()
+            .filter_map(|item| match item {
+                SelectItem::Expr { expr, .. } => Some(expr),
+                _ => None,
+            })
+            .chain(&mut self.where_clause)
+            .chain(&mut self.group_by)
+            .chain(&mut self.having)
+    }
+
+    /// Calls `f` on every expression node at every level, in the order
+    /// [`SelectQuery::parameters`] reports: the select items, then the
+    /// derived tables, then `WHERE`, `GROUP BY` and `HAVING`, each
+    /// `EXISTS` subquery walked where it occurs (after its own node).
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a ScalarExpr)) {
+        fn deep<'a>(e: &'a ScalarExpr, f: &mut impl FnMut(&'a ScalarExpr)) {
+            e.walk(&mut |node| {
+                f(node);
+                if let ScalarExpr::Exists(sub) = node {
+                    sub.walk(f);
+                }
+            });
+        }
         for item in &self.select {
             if let SelectItem::Expr { expr, .. } = item {
-                expr.collect_params(out);
+                deep(expr, f);
             }
         }
         for t in &self.from {
             if let TableRef::Derived { query, .. } = t {
-                query.collect_params_into(out);
+                query.walk(f);
             }
         }
-        if let Some(w) = &self.where_clause {
-            w.collect_params(out);
+        for e in self
+            .where_clause
+            .iter()
+            .chain(&self.group_by)
+            .chain(&self.having)
+        {
+            deep(e, f);
         }
-        for g in &self.group_by {
-            g.collect_params(out);
+    }
+
+    /// [`SelectQuery::walk`] over mutable nodes; like
+    /// [`ScalarExpr::walk_mut`], `f` sees a node before what it holds.
+    pub fn walk_mut(&mut self, f: &mut impl FnMut(&mut ScalarExpr)) {
+        fn deep(e: &mut ScalarExpr, f: &mut impl FnMut(&mut ScalarExpr)) {
+            e.walk_mut(&mut |node| {
+                f(node);
+                if let ScalarExpr::Exists(sub) = node {
+                    sub.walk_mut(f);
+                }
+            });
         }
-        if let Some(h) = &self.having {
-            h.collect_params(out);
+        for item in &mut self.select {
+            if let SelectItem::Expr { expr, .. } = item {
+                deep(expr, f);
+            }
+        }
+        for t in &mut self.from {
+            if let TableRef::Derived { query, .. } = t {
+                query.walk_mut(f);
+            }
+        }
+        for e in self
+            .where_clause
+            .iter_mut()
+            .chain(&mut self.group_by)
+            .chain(&mut self.having)
+        {
+            deep(e, f);
         }
     }
 }
@@ -457,6 +626,67 @@ mod tests {
             ScalarExpr::param("h", "hotelid"),
         ));
         assert_eq!(q.parameters(), vec!["m".to_owned(), "h".to_owned()]);
+
+        // One parameter in each place, reported in walk order.
+        let q = crate::parse::parse_query(
+            "SELECT $a.x, EXISTS (SELECT 1 FROM u WHERE u.k = $b.k) \
+             FROM (SELECT * FROM t WHERE t.k = $c.k) AS D \
+             WHERE D.z = $d.z GROUP BY $e.g HAVING COUNT(*) > $f.n",
+        )
+        .unwrap();
+        assert_eq!(q.parameters(), ["a", "b", "c", "d", "e", "f"]);
+    }
+
+    #[test]
+    fn walk_enters_aggregate_arguments_not_exists() {
+        let e = crate::parse::parse_query(
+            "SELECT 1 FROM t WHERE SUM(a + 1) > 2 OR EXISTS (SELECT b FROM u WHERE c = 3)",
+        )
+        .unwrap()
+        .where_clause
+        .unwrap();
+        let mut seen = Vec::new();
+        e.walk(&mut |node| seen.push(node.to_sql_inline()));
+        assert_eq!(
+            seen,
+            [
+                "SUM(a + 1) > 2 OR EXISTS ( SELECT b FROM u WHERE c = 3)",
+                "SUM(a + 1) > 2",
+                "SUM(a + 1)",
+                "a + 1",
+                "a",
+                "1",
+                "2",
+                "EXISTS ( SELECT b FROM u WHERE c = 3)",
+            ]
+        );
+        assert_eq!(e.subqueries().len(), 1);
+        assert!(e.any(|node| matches!(node, ScalarExpr::Column { name, .. } if name == "a")));
+        assert!(!e.any(|node| matches!(node, ScalarExpr::Column { name, .. } if name == "c")));
+    }
+
+    #[test]
+    fn conjuncts_and_conjoin_round_trip() {
+        let (a, b, c) = (
+            ScalarExpr::col("a"),
+            ScalarExpr::col("b"),
+            ScalarExpr::col("c"),
+        );
+        let and = |l, r| ScalarExpr::binary(BinOp::And, l, r);
+        let right_deep = and(a.clone(), and(b.clone(), c.clone()));
+        assert_eq!(right_deep.conjuncts(), [&a, &b, &c]);
+        assert_eq!(
+            right_deep.into_conjuncts(),
+            [a.clone(), b.clone(), c.clone()]
+        );
+
+        let left_deep = and(and(a.clone(), b.clone()), c.clone());
+        let parts = left_deep.clone().into_conjuncts();
+        assert_eq!(parts, [a.clone(), b, c]);
+        assert_eq!(ScalarExpr::conjoin(parts), Some(left_deep));
+        assert_eq!(ScalarExpr::conjoin([a.clone()]), Some(a.clone()));
+        assert_eq!(ScalarExpr::conjoin([]), None);
+        assert_eq!(a.conjuncts(), [&a]);
     }
 
     #[test]

@@ -680,10 +680,11 @@ fn eval_scoped_opt(
     check_level_ambiguity(db, q, params, parent)?;
 
     // Split the WHERE clause into conjuncts.
-    let mut conjuncts: Vec<&ScalarExpr> = Vec::new();
-    if let Some(w) = &q.where_clause {
-        split_and(w, &mut conjuncts);
-    }
+    let conjuncts: Vec<&ScalarExpr> = q
+        .where_clause
+        .iter()
+        .flat_map(ScalarExpr::conjuncts)
+        .collect();
     let mut applied = vec![false; conjuncts.len()];
 
     // Join FROM items left to right.
@@ -712,7 +713,7 @@ fn eval_scoped_opt(
         // Eagerly apply conjuncts that reference only this FROM item
         // (plus params/literals) — classic predicate pushdown.
         for (i, c) in conjuncts.iter().enumerate() {
-            if applied[i] || contains_exists(c) || c.contains_aggregate() {
+            if applied[i] || c.any(not_pushable) {
                 continue;
             }
             if resolvable_within(c, std::slice::from_ref(&alias), &cols_set(&new_rel.layout)) {
@@ -759,7 +760,7 @@ fn eval_scoped_opt(
         // Apply conjuncts that became resolvable over the joined prefix.
         if let Some(w) = work.as_mut() {
             for (i, c) in conjuncts.iter().enumerate() {
-                if applied[i] || contains_exists(c) || c.contains_aggregate() {
+                if applied[i] || c.any(not_pushable) {
                     continue;
                 }
                 if resolvable_within(c, &seen_aliases, &seen_columns) {
@@ -869,36 +870,19 @@ fn check_level_ambiguity(
 /// own level). Shared between the interpreter's per-evaluation check and
 /// the prepared-plan compiler so both reject exactly the same queries.
 pub(crate) fn unqualified_names(q: &SelectQuery) -> Vec<String> {
-    fn walk(e: &ScalarExpr, names: &mut Vec<String>) {
-        match e {
-            ScalarExpr::Column {
+    let mut names: Vec<String> = Vec::new();
+    for e in q.exprs() {
+        e.walk(&mut |node| {
+            if let ScalarExpr::Column {
                 qualifier: None,
                 name,
-            } if !names.contains(name) => names.push(name.clone()),
-            ScalarExpr::Binary { lhs, rhs, .. } => {
-                walk(lhs, names);
-                walk(rhs, names);
+            } = node
+            {
+                if !names.contains(name) {
+                    names.push(name.clone());
+                }
             }
-            ScalarExpr::Not(i) | ScalarExpr::IsNull(i) => walk(i, names),
-            ScalarExpr::Aggregate { arg: Some(a), .. } => walk(a, names),
-            _ => {}
-        }
-    }
-
-    let mut names: Vec<String> = Vec::new();
-    for item in &q.select {
-        if let SelectItem::Expr { expr, .. } = item {
-            walk(expr, &mut names);
-        }
-    }
-    if let Some(w) = &q.where_clause {
-        walk(w, &mut names);
-    }
-    for g in &q.group_by {
-        walk(g, &mut names);
-    }
-    if let Some(h) = &q.having {
-        walk(h, &mut names);
+        });
     }
     names
 }
@@ -920,27 +904,10 @@ pub(crate) fn cols_set(layout: &Layout) -> std::collections::HashSet<String> {
     layout.iter().map(|(_, n)| n.clone()).collect()
 }
 
-pub(crate) fn split_and<'a>(e: &'a ScalarExpr, out: &mut Vec<&'a ScalarExpr>) {
-    match e {
-        ScalarExpr::Binary {
-            op: BinOp::And,
-            lhs,
-            rhs,
-        } => {
-            split_and(lhs, out);
-            split_and(rhs, out);
-        }
-        other => out.push(other),
-    }
-}
-
-pub(crate) fn contains_exists(e: &ScalarExpr) -> bool {
-    match e {
-        ScalarExpr::Exists(_) => true,
-        ScalarExpr::Binary { lhs, rhs, .. } => contains_exists(lhs) || contains_exists(rhs),
-        ScalarExpr::Not(i) | ScalarExpr::IsNull(i) => contains_exists(i),
-        _ => false,
-    }
+/// A node that keeps its conjunct from being pushed down: an `EXISTS`
+/// (a residual) or an aggregate (an error in `WHERE`).
+pub(crate) fn not_pushable(e: &ScalarExpr) -> bool {
+    matches!(e, ScalarExpr::Exists(_) | ScalarExpr::Aggregate { .. })
 }
 
 /// True if every column reference in `e` resolves within the given aliases /
@@ -950,18 +917,17 @@ pub(crate) fn resolvable_within(
     aliases: &[String],
     columns: &std::collections::HashSet<String>,
 ) -> bool {
-    match e {
-        ScalarExpr::Column { qualifier, name } => match qualifier {
-            Some(q) => aliases.iter().any(|a| a == q),
-            None => columns.contains(name),
-        },
-        ScalarExpr::Param { .. } | ScalarExpr::Literal(_) => true,
-        ScalarExpr::Binary { lhs, rhs, .. } => {
-            resolvable_within(lhs, aliases, columns) && resolvable_within(rhs, aliases, columns)
-        }
-        ScalarExpr::Not(i) | ScalarExpr::IsNull(i) => resolvable_within(i, aliases, columns),
-        ScalarExpr::Exists(_) | ScalarExpr::Aggregate { .. } => false,
-    }
+    !e.any(|node| match node {
+        ScalarExpr::Column {
+            qualifier: Some(q), ..
+        } => !aliases.contains(q),
+        ScalarExpr::Column {
+            qualifier: None,
+            name,
+        } => !columns.contains(name),
+        ScalarExpr::Exists(_) | ScalarExpr::Aggregate { .. } => true,
+        _ => false,
+    })
 }
 
 /// If `c` is `lhs = rhs` with one side resolvable only in `prev` and the

@@ -37,7 +37,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::ast::{BinOp, ScalarExpr, SelectItem, SelectQuery, TableRef};
 use crate::domain::{Assumption, Card, CardBound, ColumnDomain};
 use crate::eval::output_columns;
-use crate::print::expr_to_sql_inline;
 use crate::schema::Catalog;
 use crate::value::Value;
 
@@ -181,7 +180,7 @@ pub struct Redundancy {
     /// The clause the conjunct sits in.
     pub clause: ClauseKind,
     /// Index in the flattened conjunct list of that clause (see
-    /// [`conjuncts`]); used by [`drop_redundant_conjuncts`].
+    /// [`ScalarExpr::conjuncts`]); used by [`drop_redundant_conjuncts`].
     pub index: usize,
     /// Rendered conjunct.
     pub conjunct: String,
@@ -221,53 +220,6 @@ pub struct QueryAnalysis {
     /// for implicitly aggregating queries, which yield a row even when
     /// their WHERE is false for every underlying tuple.
     pub param_facts: FactSet,
-}
-
-/// Flattens a predicate into its top-level AND conjuncts, left to right.
-pub fn conjuncts(pred: &ScalarExpr) -> Vec<&ScalarExpr> {
-    fn walk<'a>(e: &'a ScalarExpr, out: &mut Vec<&'a ScalarExpr>) {
-        match e {
-            ScalarExpr::Binary {
-                op: BinOp::And,
-                lhs,
-                rhs,
-            } => {
-                walk(lhs, out);
-                walk(rhs, out);
-            }
-            _ => out.push(e),
-        }
-    }
-
-    let mut out = Vec::new();
-    walk(pred, &mut out);
-    out
-}
-
-fn conjuncts_owned(pred: ScalarExpr) -> Vec<ScalarExpr> {
-    fn walk(e: ScalarExpr, out: &mut Vec<ScalarExpr>) {
-        match e {
-            ScalarExpr::Binary {
-                op: BinOp::And,
-                lhs,
-                rhs,
-            } => {
-                walk(*lhs, out);
-                walk(*rhs, out);
-            }
-            other => out.push(other),
-        }
-    }
-
-    let mut out = Vec::new();
-    walk(pred, &mut out);
-    out
-}
-
-fn refold(parts: Vec<ScalarExpr>) -> Option<ScalarExpr> {
-    parts
-        .into_iter()
-        .reduce(|acc, p| ScalarExpr::binary(BinOp::And, acc, p))
 }
 
 /// Name-resolution scope of one query: which FROM item provides each
@@ -349,13 +301,11 @@ fn side_of<'a>(e: &'a ScalarExpr, scope: &Scope) -> Side<'a> {
     match e {
         ScalarExpr::Column { qualifier, name } => {
             let key = scope.key_of(qualifier.as_deref(), name);
-            Side::Ref(key, expr_to_sql_inline(e))
+            Side::Ref(key, e.to_sql_inline())
         }
-        ScalarExpr::Param { var, column } => {
-            Side::Ref(param_key(var, column), expr_to_sql_inline(e))
-        }
+        ScalarExpr::Param { var, column } => Side::Ref(param_key(var, column), e.to_sql_inline()),
         ScalarExpr::Aggregate { .. } => {
-            let text = expr_to_sql_inline(e);
+            let text = e.to_sql_inline();
             Side::Ref(text.clone(), text)
         }
         ScalarExpr::Literal(v) => Side::Lit(v),
@@ -467,10 +417,11 @@ pub fn analyze_query(q: &SelectQuery, catalog: &Catalog, inherited: &FactSet) ->
         if let Some(h) = &q.having {
             if !q.group_by.is_empty() {
                 facts.insert(
-                    expr_to_sql_inline(&ScalarExpr::Aggregate {
+                    ScalarExpr::Aggregate {
                         func: crate::ast::AggFunc::Count,
                         arg: None,
-                    }),
+                    }
+                    .to_sql_inline(),
                     FactEntry {
                         domain: ColumnDomain {
                             lo: Some((Value::Int(1), true)),
@@ -588,11 +539,11 @@ fn analyze_clause(
     facts: &mut FactSet,
     a: &mut QueryAnalysis,
 ) {
-    for (index, conjunct) in conjuncts(pred).into_iter().enumerate() {
+    for (index, conjunct) in pred.conjuncts().into_iter().enumerate() {
         if a.contradiction.is_some() {
             return; // facts after a contradiction are meaningless
         }
-        let display = expr_to_sql_inline(conjunct);
+        let display = conjunct.to_sql_inline();
         let source = format!("conjunct `{display}`");
         let mut contradiction = |chain: Vec<String>, a: &mut QueryAnalysis| {
             a.contradiction = Some(Contradiction {
@@ -914,7 +865,7 @@ fn is_tautological(sub: &SelectQuery, sub_a: &QueryAnalysis) -> bool {
     if sub.from.is_empty() && !sub.is_aggregating() {
         return match &sub.where_clause {
             None => true,
-            Some(w) => sub_a.redundant.len() == conjuncts(w).len(),
+            Some(w) => sub_a.redundant.len() == w.conjuncts().len(),
         };
     }
     false
@@ -978,7 +929,7 @@ pub fn query_cardinality(
     // whether the item has any equality link to another item at all.
     let mut pinned: BTreeMap<String, BTreeMap<String, String>> = BTreeMap::new();
     let mut linked: BTreeSet<String> = BTreeSet::new();
-    for c in q.where_clause.iter().flat_map(|w| conjuncts(w)) {
+    for c in q.where_clause.iter().flat_map(ScalarExpr::conjuncts) {
         let ScalarExpr::Binary {
             op: BinOp::Eq,
             lhs,
@@ -987,7 +938,7 @@ pub fn query_cardinality(
         else {
             continue;
         };
-        let display = expr_to_sql_inline(c);
+        let display = c.to_sql_inline();
         let sides = (side_of(lhs, &scope), side_of(rhs, &scope));
         let (l, r) = match &sides {
             (Side::Ref(l, _), Side::Ref(r, _)) => (Some(l.as_str()), Some(r.as_str())),
@@ -1114,7 +1065,7 @@ pub fn drop_redundant_conjuncts(q: &mut SelectQuery, analysis: &QueryAnalysis) -
             ClauseKind::Having => &mut q.having,
         };
         let Some(pred) = slot.take() else { continue };
-        let parts = conjuncts_owned(pred);
+        let parts = pred.into_conjuncts();
         let total = parts.len();
         let kept: Vec<ScalarExpr> = parts
             .into_iter()
@@ -1123,7 +1074,7 @@ pub fn drop_redundant_conjuncts(q: &mut SelectQuery, analysis: &QueryAnalysis) -
             .map(|(_, e)| e)
             .collect();
         eliminated += total - kept.len();
-        *slot = refold(kept);
+        *slot = ScalarExpr::conjoin(kept);
     }
     eliminated
 }
@@ -1206,7 +1157,7 @@ mod tests {
         assert_eq!(a.redundant[0].index, 2);
         assert_eq!(drop_redundant_conjuncts(&mut q, &a), 1);
         let w = q.where_clause.as_ref().unwrap();
-        assert_eq!(conjuncts(w).len(), 2);
+        assert_eq!(w.conjuncts().len(), 2);
         // Second pass: nothing left to drop.
         let a2 = analyze_query(&q, &catalog(), &FactSet::new());
         assert!(a2.redundant.is_empty());

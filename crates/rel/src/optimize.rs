@@ -20,9 +20,8 @@
 //! opt-in flag (`ComposeOptions::optimize`) covered by the equivalence
 //! suite.
 
-use crate::ast::{BinOp, ScalarExpr, SelectItem, SelectQuery, TableRef};
+use crate::ast::{ScalarExpr, SelectItem, SelectQuery, TableRef};
 use crate::error::Result;
-use crate::rewrite::qualify_level_columns;
 use crate::schema::Catalog;
 
 /// Applies all simplifications bottom-up until nothing changes.
@@ -43,7 +42,22 @@ fn optimize_once(q: &mut SelectQuery, catalog: &Catalog, changed: &mut bool) -> 
             optimize_once(query, catalog, changed)?;
         }
     }
-    visit_exists_mut(q, &mut |sub| optimize_once(sub, catalog, changed))?;
+    // EXISTS subqueries of the select list, WHERE and HAVING.
+    let mut result = Ok(());
+    let items = q.select.iter_mut().filter_map(|item| match item {
+        SelectItem::Expr { expr, .. } => Some(expr),
+        _ => None,
+    });
+    for e in items.chain(&mut q.where_clause).chain(&mut q.having) {
+        e.walk_mut(&mut |node| {
+            if let ScalarExpr::Exists(sub) = node {
+                if result.is_ok() {
+                    result = optimize_once(sub, catalog, changed);
+                }
+            }
+        });
+    }
+    result?;
 
     if merge_trivial_derived(q, catalog)? {
         *changed = true;
@@ -81,7 +95,7 @@ pub fn merge_trivial_derived(q: &mut SelectQuery, catalog: &Catalog) -> Result<b
             && inner
                 .where_clause
                 .as_ref()
-                .map(|w| !contains_exists(w))
+                .map(|w| !w.any(|e| matches!(e, ScalarExpr::Exists(_))))
                 .unwrap_or(true);
         if !mergeable {
             i += 1;
@@ -97,22 +111,20 @@ pub fn merge_trivial_derived(q: &mut SelectQuery, catalog: &Catalog) -> Result<b
         };
         // Qualify the filter's own columns with the alias so they keep
         // resolving to this table after the merge.
-        if inner.where_clause.is_some() {
+        if let Some(mut w) = inner.where_clause.take() {
             let cols = catalog.get(&name)?.column_names();
-            // Reuse the level qualifier: build a throwaway query holding
-            // just the filter over the aliased table.
-            let mut probe = SelectQuery::new(
-                vec![SelectItem::Star],
-                vec![TableRef::Named {
-                    name: name.clone(),
-                    alias: Some(alias.clone()),
-                }],
-            );
-            probe.where_clause = inner.where_clause.take();
-            qualify_level_columns(&mut probe, catalog, &cols)?;
-            if let Some(w) = probe.where_clause.take() {
-                q.and_where(w);
-            }
+            w.walk_mut(&mut |node| {
+                if let ScalarExpr::Column {
+                    qualifier: qualifier @ None,
+                    name: column,
+                } = node
+                {
+                    if cols.contains(column) {
+                        *qualifier = Some(alias.clone());
+                    }
+                }
+            });
+            q.and_where(w);
         }
         q.from.insert(
             i,
@@ -133,8 +145,7 @@ pub fn dedupe_conjuncts(q: &mut SelectQuery) -> bool {
     let mut changed = false;
     for clause in [&mut q.where_clause, &mut q.having] {
         let Some(pred) = clause.take() else { continue };
-        let mut parts: Vec<ScalarExpr> = Vec::new();
-        flatten(pred, &mut parts);
+        let parts = pred.into_conjuncts();
         let before = parts.len();
         let mut seen: Vec<ScalarExpr> = Vec::new();
         for p in parts {
@@ -145,67 +156,9 @@ pub fn dedupe_conjuncts(q: &mut SelectQuery) -> bool {
         if seen.len() != before {
             changed = true;
         }
-        let mut it = seen.into_iter();
-        let first = it.next();
-        *clause = first.map(|f| it.fold(f, |acc, c| ScalarExpr::binary(BinOp::And, acc, c)));
+        *clause = ScalarExpr::conjoin(seen);
     }
     changed
-}
-
-fn flatten(e: ScalarExpr, out: &mut Vec<ScalarExpr>) {
-    match e {
-        ScalarExpr::Binary {
-            op: BinOp::And,
-            lhs,
-            rhs,
-        } => {
-            flatten(*lhs, out);
-            flatten(*rhs, out);
-        }
-        other => out.push(other),
-    }
-}
-
-fn contains_exists(e: &ScalarExpr) -> bool {
-    match e {
-        ScalarExpr::Exists(_) => true,
-        ScalarExpr::Binary { lhs, rhs, .. } => contains_exists(lhs) || contains_exists(rhs),
-        ScalarExpr::Not(i) | ScalarExpr::IsNull(i) => contains_exists(i),
-        _ => false,
-    }
-}
-
-/// Applies `f` to every EXISTS subquery at this level (WHERE/HAVING/select
-/// items), without descending into FROM derived tables (the caller handles
-/// those).
-fn visit_exists_mut(
-    q: &mut SelectQuery,
-    f: &mut impl FnMut(&mut SelectQuery) -> Result<()>,
-) -> Result<()> {
-    fn walk(e: &mut ScalarExpr, f: &mut impl FnMut(&mut SelectQuery) -> Result<()>) -> Result<()> {
-        match e {
-            ScalarExpr::Exists(sub) => f(sub),
-            ScalarExpr::Binary { lhs, rhs, .. } => {
-                walk(lhs, f)?;
-                walk(rhs, f)
-            }
-            ScalarExpr::Not(i) | ScalarExpr::IsNull(i) => walk(i, f),
-            ScalarExpr::Aggregate { arg: Some(a), .. } => walk(a, f),
-            _ => Ok(()),
-        }
-    }
-    for item in &mut q.select {
-        if let SelectItem::Expr { expr, .. } = item {
-            walk(expr, f)?;
-        }
-    }
-    if let Some(w) = &mut q.where_clause {
-        walk(w, f)?;
-    }
-    if let Some(h) = &mut q.having {
-        walk(h, f)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

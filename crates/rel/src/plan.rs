@@ -6,11 +6,12 @@
 //! every call — an N+1 planning pattern. [`prepare`] hoists all of that
 //! to compile time:
 //!
-//! * **predicate classification** — WHERE conjuncts are split and assigned
-//!   to scans (pushdown), hash-join keys, joined-prefix filters or
-//!   residuals using the *same* `pub(crate)` helpers the interpreter
-//!   uses (`split_and`, `resolvable_within`, `equi_pair_layouts`), so the
-//!   plan and interpreted execution can never disagree, and
+//! * **predicate classification** — WHERE conjuncts
+//!   ([`ScalarExpr::conjuncts`]) are assigned to scans (pushdown),
+//!   hash-join keys, joined-prefix filters or residuals using the *same*
+//!   `pub(crate)` helpers the interpreter uses (`resolvable_within`,
+//!   `equi_pair_layouts`), so the plan and interpreted execution can never
+//!   disagree, and
 //!   [`PreparedPlan::describe`] — the one plan printer `xvc explain`
 //!   uses — renders the plan that runs;
 //! * **join order and strategy** — fixed at compile time from
@@ -58,9 +59,8 @@ use std::sync::{Arc, OnceLock};
 use crate::ast::{AggFunc, BinOp, ScalarExpr, SelectItem, SelectQuery, TableRef};
 use crate::error::{Error, Result};
 use crate::eval::{
-    ambiguity_from_sets, cols_set, contains_exists, equi_pair_layouts, eval_binop, item_names,
-    key_of, output_columns, resolvable_within, split_and, AggAcc, EvalStats, Key, Layout, ParamEnv,
-    Relation, Scope,
+    ambiguity_from_sets, cols_set, equi_pair_layouts, eval_binop, item_names, key_of, not_pushable,
+    output_columns, resolvable_within, AggAcc, EvalStats, Key, Layout, ParamEnv, Relation, Scope,
 };
 use crate::schema::{Catalog, TableSchema};
 use crate::table::{Database, Table};
@@ -91,6 +91,30 @@ enum PExpr {
         func: AggFunc,
         arg: Option<Box<PExpr>>,
     },
+}
+
+impl PExpr {
+    /// The direct operands, as `ScalarExpr::operands` has them: an
+    /// `EXISTS` block is not an operand.
+    fn operands(&self) -> impl Iterator<Item = &PExpr> {
+        let (first, second) = match self {
+            PExpr::Binary { lhs, rhs, .. } => (Some(&**lhs), Some(&**rhs)),
+            PExpr::Not(e) | PExpr::IsNull(e) | PExpr::Aggregate { arg: Some(e), .. } => {
+                (Some(&**e), None)
+            }
+            _ => (None, None),
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// Calls `f` on this node, then walks its operands, depth first and
+    /// left to right, without entering `EXISTS` blocks.
+    fn walk<'a>(&'a self, f: &mut impl FnMut(&'a PExpr)) {
+        f(self);
+        for operand in self.operands() {
+            operand.walk(f);
+        }
+    }
 }
 
 /// A column reference as written, bound at prepare time against the
@@ -211,6 +235,47 @@ struct PlanBlock {
     /// Output column names, precomputed; the root block's are shared by
     /// every [`BatchResult`] the plan produces.
     columns: Arc<[String]>,
+}
+
+impl PlanBlock {
+    /// This block's expressions: per FROM item its pushdowns, join keys
+    /// and prefix filters, then the residuals, the select list, the
+    /// grouping keys and `HAVING`. Nested blocks are not entered.
+    fn exprs(&self) -> impl Iterator<Item = &PExpr> {
+        self.from
+            .iter()
+            .flat_map(|item| {
+                item.pushdown
+                    .iter()
+                    .chain(item.join_keys.iter().flat_map(|(l, r)| [l, r]))
+                    .chain(&item.prefix_filters)
+            })
+            .chain(&self.residuals)
+            .chain(self.select.iter().filter_map(|item| match item {
+                PlanItem::Expr(e) => Some(e),
+                PlanItem::Star | PlanItem::QualifiedStar(_) => None,
+            }))
+            .chain(&self.group_by)
+            .chain(&self.having)
+    }
+
+    /// Calls `f` on this block and on every block nested in it, at any
+    /// depth: derived tables and the `EXISTS` subplans of every expression.
+    fn visit_blocks<'a>(&'a self, f: &mut impl FnMut(&'a PlanBlock)) {
+        f(self);
+        for item in &self.from {
+            if let PlanSource::Derived(child) = &item.source {
+                child.visit_blocks(f);
+            }
+        }
+        for e in self.exprs() {
+            e.walk(&mut |node| {
+                if let PExpr::Exists(sub) = node {
+                    sub.visit_blocks(f);
+                }
+            });
+        }
+    }
 }
 
 /// A query compiled once against a [`Catalog`], executable any number of
@@ -366,10 +431,9 @@ pub fn prepare(q: &SelectQuery, catalog: &Catalog) -> Result<PreparedPlan> {
     let root = compiler.compile_block(q, &[])?;
     let batch = analyze_batch(&root, compiler.slots.len());
     let index_loop = batch.is_some()
-        && root
-            .from
-            .iter()
-            .any(|f| matches!(&f.access, Access::IndexEq { key, .. } if count_slots_expr(key) > 0));
+        && root.from.iter().any(
+            |f| matches!(&f.access, Access::IndexEq { key, .. } if matches!(**key, PExpr::Slot(_))),
+        );
     let row_keys = row_keys(&root, &compiler.slots);
     Ok(PreparedPlan {
         root,
@@ -458,10 +522,11 @@ impl Compiler<'_> {
         }
         ambiguity_from_sets(q, &sets)?;
 
-        let mut conjuncts: Vec<&ScalarExpr> = Vec::new();
-        if let Some(w) = &q.where_clause {
-            split_and(w, &mut conjuncts);
-        }
+        let conjuncts: Vec<&ScalarExpr> = q
+            .where_clause
+            .iter()
+            .flat_map(ScalarExpr::conjuncts)
+            .collect();
         let mut applied = vec![false; conjuncts.len()];
 
         let mut from = Vec::new();
@@ -481,7 +546,7 @@ impl Compiler<'_> {
 
             let mut pushdown = Vec::new();
             for (i, c) in conjuncts.iter().enumerate() {
-                if applied[i] || contains_exists(c) || c.contains_aggregate() {
+                if applied[i] || c.any(not_pushable) {
                     continue;
                 }
                 if resolvable_within(c, std::slice::from_ref(&alias), &this_cols) {
@@ -523,7 +588,7 @@ impl Compiler<'_> {
 
             let mut prefix_filters = Vec::new();
             for (i, c) in conjuncts.iter().enumerate() {
-                if applied[i] || contains_exists(c) || c.contains_aggregate() {
+                if applied[i] || c.any(not_pushable) {
                     continue;
                 }
                 if resolvable_within(c, &seen_aliases, &full_cols) {
@@ -828,7 +893,13 @@ fn analyze_batch(root: &PlanBlock, n_slots: usize) -> Option<BatchPlan> {
     // (each carries exactly one): a slot surviving anywhere else —
     // residuals, nested blocks, projections — still needs per-binding
     // evaluation.
-    if keys.is_empty() || count_slots_block(root) != keys.len() {
+    let mut slot_refs = 0;
+    root.visit_blocks(&mut |block| {
+        for e in block.exprs() {
+            e.walk(&mut |node| slot_refs += usize::from(matches!(node, PExpr::Slot(_))));
+        }
+    });
+    if keys.is_empty() || slot_refs != keys.len() {
         return None;
     }
     let mut stripped = root.clone();
@@ -847,7 +918,7 @@ fn analyze_batch(root: &PlanBlock, n_slots: usize) -> Option<BatchPlan> {
         });
         // The stripped pipeline runs binding-free; an access path keyed on
         // a slot would hit UnboundParameter, so it reverts to a full scan.
-        if matches!(&item.access, Access::IndexEq { key, .. } if count_slots_expr(key) > 0) {
+        if matches!(&item.access, Access::IndexEq { key, .. } if matches!(**key, PExpr::Slot(_))) {
             item.access = Access::FullScan;
         }
     }
@@ -894,50 +965,6 @@ fn row_side(e: &PExpr, offset: usize) -> Option<BatchSide> {
     }
 }
 
-fn count_slots_block(b: &PlanBlock) -> usize {
-    let mut n = 0;
-    for item in &b.from {
-        if let PlanSource::Derived(child) = &item.source {
-            n += count_slots_block(child);
-        }
-        for e in &item.pushdown {
-            n += count_slots_expr(e);
-        }
-        for (l, r) in &item.join_keys {
-            n += count_slots_expr(l) + count_slots_expr(r);
-        }
-        for e in &item.prefix_filters {
-            n += count_slots_expr(e);
-        }
-    }
-    for e in &b.residuals {
-        n += count_slots_expr(e);
-    }
-    for item in &b.select {
-        if let PlanItem::Expr(e) = item {
-            n += count_slots_expr(e);
-        }
-    }
-    for e in &b.group_by {
-        n += count_slots_expr(e);
-    }
-    if let Some(h) = &b.having {
-        n += count_slots_expr(h);
-    }
-    n
-}
-
-fn count_slots_expr(e: &PExpr) -> usize {
-    match e {
-        PExpr::Slot(_) => 1,
-        PExpr::Column(_) | PExpr::Literal(_) => 0,
-        PExpr::Binary { lhs, rhs, .. } => count_slots_expr(lhs) + count_slots_expr(rhs),
-        PExpr::Not(i) | PExpr::IsNull(i) => count_slots_expr(i),
-        PExpr::Exists(b) => count_slots_block(b),
-        PExpr::Aggregate { arg, .. } => arg.as_ref().map_or(0, |a| count_slots_expr(a)),
-    }
-}
-
 /// The [`RowKey`] of every base table the root block scans exactly once in
 /// the whole plan (no second scan in a self-join, derived table or
 /// `EXISTS`), taken from the first `col = $slot` pushdown on that scan.
@@ -974,41 +1001,15 @@ fn row_keys(root: &PlanBlock, slots: &[(String, String)]) -> Vec<(String, RowKey
 /// Scans of base table `table` anywhere in `b`: FROM items, derived
 /// tables and `EXISTS` subqueries in every clause.
 fn count_table_scans(b: &PlanBlock, table: &str) -> usize {
-    let in_expr = |e: &PExpr| expr_table_scans(e, table);
     let mut n = 0;
-    for item in &b.from {
-        n += match &item.source {
-            PlanSource::Scan(t) => usize::from(t == table),
-            PlanSource::Derived(child) => count_table_scans(child, table),
-        };
-        n += item.pushdown.iter().map(in_expr).sum::<usize>();
-        n += item.prefix_filters.iter().map(in_expr).sum::<usize>();
-        n += item
-            .join_keys
+    b.visit_blocks(&mut |block| {
+        n += block
+            .from
             .iter()
-            .map(|(l, r)| in_expr(l) + in_expr(r))
-            .sum::<usize>();
-    }
-    n += b.residuals.iter().map(in_expr).sum::<usize>();
-    for item in &b.select {
-        if let PlanItem::Expr(e) = item {
-            n += in_expr(e);
-        }
-    }
-    n += b.group_by.iter().map(in_expr).sum::<usize>();
-    n + b.having.as_ref().map_or(0, in_expr)
-}
-
-fn expr_table_scans(e: &PExpr, table: &str) -> usize {
-    match e {
-        PExpr::Exists(b) => count_table_scans(b, table),
-        PExpr::Column(_) | PExpr::Slot(_) | PExpr::Literal(_) => 0,
-        PExpr::Binary { lhs, rhs, .. } => {
-            expr_table_scans(lhs, table) + expr_table_scans(rhs, table)
-        }
-        PExpr::Not(i) | PExpr::IsNull(i) => expr_table_scans(i, table),
-        PExpr::Aggregate { arg, .. } => arg.as_ref().map_or(0, |a| expr_table_scans(a, table)),
-    }
+            .filter(|item| matches!(&item.source, PlanSource::Scan(t) if t == table))
+            .count();
+    });
+    n
 }
 
 // ---------------------------------------------------------------------------
@@ -1628,23 +1629,6 @@ fn fmt_pexpr(e: &PExpr, slots: &[(String, String)]) -> String {
     }
 }
 
-/// The `EXISTS` subplans inside `e`, in rendering order.
-fn exists_blocks<'p>(e: &'p PExpr, out: &mut Vec<&'p PlanBlock>) {
-    match e {
-        PExpr::Exists(b) => out.push(b),
-        PExpr::Binary { lhs, rhs, .. } => {
-            exists_blocks(lhs, out);
-            exists_blocks(rhs, out);
-        }
-        PExpr::Not(i) | PExpr::IsNull(i) => exists_blocks(i, out),
-        PExpr::Aggregate { arg: Some(a), .. } => exists_blocks(a, out),
-        PExpr::Aggregate { arg: None, .. }
-        | PExpr::Column(_)
-        | PExpr::Slot(_)
-        | PExpr::Literal(_) => {}
-    }
-}
-
 /// Renders one compiled block, two spaces of indent per `depth`. A
 /// residual's `EXISTS` subplans follow its line, under the rule
 /// `p_residual` runs them by: the first row evaluates the residual, and
@@ -1710,7 +1694,11 @@ fn describe_block(block: &PlanBlock, slots: &[(String, String)], depth: usize, o
         let _ = writeln!(out, "{pad}residual: {}", ps.join(" AND "));
         let mut subplans = Vec::new();
         for r in &block.residuals {
-            exists_blocks(r, &mut subplans);
+            r.walk(&mut |node| {
+                if let PExpr::Exists(sub) = node {
+                    subplans.push(sub);
+                }
+            });
         }
         for sub in subplans {
             let _ = writeln!(
@@ -3178,6 +3166,23 @@ mod tests {
                 &["| group by 0 (one implicit group)"],
                 &["having"],
             ),
+            // A separable root slot equality batches set-oriented...
+            (
+                &plain,
+                "SELECT * FROM hotel AS h WHERE h.metro_id = $m.metroid",
+                &["batch: set-oriented"],
+                &["per-distinct-binding"],
+            ),
+            // ...unless a second slot sits in an EXISTS inside a derived table.
+            (
+                &plain,
+                "SELECT * FROM hotel AS h, \
+                 (SELECT * FROM confroom WHERE EXISTS \
+                 (SELECT 1 FROM metroarea WHERE metroid = $x.id)) AS c \
+                 WHERE h.metro_id = $m.metroid",
+                &["batch: per-distinct-binding"],
+                &["set-oriented"],
+            ),
         ];
         for (catalog, sql, present, absent) in cases {
             let q = parse_query(sql).unwrap();
@@ -3486,6 +3491,8 @@ mod tests {
             ("SELECT * FROM hotel WHERE EXISTS (SELECT * FROM confroom)", "confroom"),
             ("SELECT EXISTS (SELECT * FROM confroom) FROM hotel", "confroom"),
             ("SELECT starrating FROM hotel GROUP BY starrating HAVING EXISTS (SELECT * FROM confroom)", "confroom"),
+            ("SELECT d.hotelid FROM (SELECT * FROM hotel WHERE EXISTS (SELECT * FROM confroom)) AS d", "confroom"),
+            ("SELECT COUNT(*) FROM hotel GROUP BY EXISTS (SELECT * FROM confroom)", "confroom"),
         ]
         .map(|(sql, table)| (parse_query(sql).unwrap(), table))
         .into_iter()

@@ -4,7 +4,8 @@
 //! * [`SelectQuery::to_sql`] — multi-line, paper-figure style: one clause
 //!   per line, `AND` conjuncts stacked, derived tables indented. Golden
 //!   tests compare this form.
-//! * [`SelectQuery::to_sql_inline`] — single-line (diagnostics, labels).
+//! * [`SelectQuery::to_sql_inline`] — single-line (diagnostics, labels);
+//!   [`ScalarExpr::to_sql_inline`] renders one expression the same way.
 
 use std::fmt;
 
@@ -33,13 +34,14 @@ impl fmt::Display for SelectQuery {
     }
 }
 
-/// Single-line rendering of a scalar expression (fact-chain displays,
-/// labels).
-pub(crate) fn expr_to_sql_inline(e: &ScalarExpr) -> String {
-    render_expr(e, 0)
-        .split_whitespace()
-        .collect::<Vec<_>>()
-        .join(" ")
+impl ScalarExpr {
+    /// Single-line rendering (fact-chain displays, labels).
+    pub fn to_sql_inline(&self) -> String {
+        render_expr(self, 0)
+            .split_whitespace()
+            .collect::<Vec<_>>()
+            .join(" ")
+    }
 }
 
 fn pad(indent: usize) -> String {
@@ -107,8 +109,7 @@ fn write_query(q: &SelectQuery, indent: usize, out: &mut String) {
 
 /// Writes `WHERE c1\n  AND c2\n  AND c3` by flattening top-level ANDs.
 fn write_predicate(pred: &ScalarExpr, keyword: &str, indent: usize, out: &mut String) {
-    let mut conjuncts = Vec::new();
-    flatten_and(pred, &mut conjuncts);
+    let conjuncts = pred.conjuncts();
     let p = pad(indent);
     // When several conjuncts are stacked, each is rendered as an AND
     // operand, so lower-precedence operators (OR) need parentheses.
@@ -128,20 +129,6 @@ fn write_predicate(pred: &ScalarExpr, keyword: &str, indent: usize, out: &mut St
             out.push_str("  AND ");
         }
         out.push_str(&render_expr_indented(c, operand_prec, indent));
-    }
-}
-
-fn flatten_and<'a>(e: &'a ScalarExpr, out: &mut Vec<&'a ScalarExpr>) {
-    match e {
-        ScalarExpr::Binary {
-            op: BinOp::And,
-            lhs,
-            rhs,
-        } => {
-            flatten_and(lhs, out);
-            flatten_and(rhs, out);
-        }
-        other => out.push(other),
     }
 }
 

@@ -14,7 +14,7 @@
 //!   not collide with any alias already in the query (the renaming `NEST`
 //!   "must take care of", §4.2.1).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::ast::{ScalarExpr, SelectItem, SelectQuery, TableRef};
 use crate::error::Result;
@@ -32,7 +32,7 @@ pub fn unbind_param(
     binding_query: SelectQuery,
 ) -> bool {
     let mut replaced = false;
-    visit_exprs(q, &mut |e| {
+    q.walk_mut(&mut |e| {
         if let ScalarExpr::Param { var: v, column } = e {
             if v == var {
                 *e = ScalarExpr::Column {
@@ -106,59 +106,35 @@ pub fn qualify_level_columns(
         sets.push((t.binding_name().to_owned(), cols));
     }
     let mut result: Result<()> = Ok(());
-    visit_level_columns(q, &mut |qualifier, name| {
-        if qualifier.is_some() || !colliding.iter().any(|c| c == name) {
-            return;
-        }
-        let providers: Vec<&String> = sets
-            .iter()
-            .filter(|(_, cols)| cols.iter().any(|c| c == name))
-            .map(|(a, _)| a)
-            .collect();
-        match providers.as_slice() {
-            [] => {}
-            [one] => *qualifier = Some((*one).clone()),
-            _ => {
-                if result.is_ok() {
-                    result = Err(Error::AmbiguousColumn {
-                        name: name.to_owned(),
-                    });
+    for e in q.exprs_mut() {
+        e.walk_mut(&mut |node| {
+            let ScalarExpr::Column {
+                qualifier: qualifier @ None,
+                name,
+            } = node
+            else {
+                return;
+            };
+            if !colliding.contains(name) {
+                return;
+            }
+            let providers: Vec<&String> = sets
+                .iter()
+                .filter(|(_, cols)| cols.contains(name))
+                .map(|(a, _)| a)
+                .collect();
+            match providers.as_slice() {
+                [] => {}
+                [one] => *qualifier = Some((*one).clone()),
+                _ => {
+                    if result.is_ok() {
+                        result = Err(Error::AmbiguousColumn { name: name.clone() });
+                    }
                 }
             }
-        }
-    });
+        });
+    }
     result
-}
-
-/// Visits `(qualifier, name)` of every column reference at this query level
-/// (not descending into derived tables or EXISTS subqueries).
-fn visit_level_columns(q: &mut SelectQuery, f: &mut impl FnMut(&mut Option<String>, &str)) {
-    fn walk(e: &mut ScalarExpr, f: &mut impl FnMut(&mut Option<String>, &str)) {
-        match e {
-            ScalarExpr::Column { qualifier, name } => f(qualifier, name),
-            ScalarExpr::Binary { lhs, rhs, .. } => {
-                walk(lhs, f);
-                walk(rhs, f);
-            }
-            ScalarExpr::Not(i) | ScalarExpr::IsNull(i) => walk(i, f),
-            ScalarExpr::Aggregate { arg: Some(a), .. } => walk(a, f),
-            _ => {}
-        }
-    }
-    for item in &mut q.select {
-        if let SelectItem::Expr { expr, .. } = item {
-            walk(expr, f);
-        }
-    }
-    if let Some(w) = &mut q.where_clause {
-        walk(w, f);
-    }
-    for g in &mut q.group_by {
-        walk(g, f);
-    }
-    if let Some(h) = &mut q.having {
-        walk(h, f);
-    }
 }
 
 /// Nested-aware unbinding: replaces `$var.col` references with columns of
@@ -177,32 +153,6 @@ pub fn unbind_param_nested(
     binding_query: &SelectQuery,
     catalog: &Catalog,
 ) -> Result<bool> {
-    fn walk_exists(
-        e: &mut ScalarExpr,
-        var: &str,
-        binding_query: &SelectQuery,
-        catalog: &Catalog,
-        any: &mut bool,
-    ) -> Result<()> {
-        match e {
-            ScalarExpr::Exists(sub) => {
-                *any |= unbind_param_nested(sub, var, binding_query, catalog)?;
-            }
-            ScalarExpr::Binary { lhs, rhs, .. } => {
-                walk_exists(lhs, var, binding_query, catalog, any)?;
-                walk_exists(rhs, var, binding_query, catalog, any)?;
-            }
-            ScalarExpr::Not(i) | ScalarExpr::IsNull(i) => {
-                walk_exists(i, var, binding_query, catalog, any)?;
-            }
-            ScalarExpr::Aggregate { arg: Some(a), .. } => {
-                walk_exists(a, var, binding_query, catalog, any)?;
-            }
-            _ => {}
-        }
-        Ok(())
-    }
-
     let mut any = false;
     let mut widened_aliases: Vec<String> = Vec::new();
 
@@ -216,26 +166,35 @@ pub fn unbind_param_nested(
         }
     }
     // 2. Recurse into EXISTS subqueries (WHERE and HAVING).
-    if let Some(w) = &mut q.where_clause {
-        walk_exists(w, var, binding_query, catalog, &mut any)?;
+    let mut result = Ok(());
+    for e in q.where_clause.iter_mut().chain(&mut q.having) {
+        e.walk_mut(&mut |node| {
+            if let ScalarExpr::Exists(sub) = node {
+                if result.is_ok() {
+                    result =
+                        unbind_param_nested(sub, var, binding_query, catalog).map(|hit| any |= hit);
+                }
+            }
+        });
     }
-    if let Some(h) = &mut q.having {
-        walk_exists(h, var, binding_query, catalog, &mut any)?;
-    }
+    result?;
 
     // 3. Direct references at this level (not inside subqueries).
-    let mut direct = false;
-    visit_level_params(q, &mut |v, _| {
-        if v == var {
-            direct = true;
-        }
-    });
-    if direct {
+    let is_var = |e: &ScalarExpr| matches!(e, ScalarExpr::Param { var: v, .. } if v == var);
+    if q.exprs().any(|e| e.any(is_var)) {
         // Qualify existing references that the new FROM item would shadow.
         let new_cols = output_columns(binding_query, catalog)?;
         qualify_level_columns(q, catalog, &new_cols)?;
         let alias = fresh_alias(q);
-        replace_level_params(q, var, &alias);
+        for e in q.exprs_mut() {
+            e.walk_mut(&mut |node| {
+                if let ScalarExpr::Param { var: v, column } = node {
+                    if v == var {
+                        *node = ScalarExpr::qcol(&alias, column.clone());
+                    }
+                }
+            });
+        }
         q.from.push(TableRef::Derived {
             query: Box::new(binding_query.clone()),
             alias: alias.clone(),
@@ -280,74 +239,10 @@ pub fn refresh_group_by_all(q: &mut SelectQuery, alias: &str, catalog: &Catalog)
     Ok(())
 }
 
-/// Visits `$var.col` params at this query level only (no subqueries).
-fn visit_level_params(q: &mut SelectQuery, f: &mut impl FnMut(&str, &str)) {
-    fn walk(e: &mut ScalarExpr, f: &mut impl FnMut(&str, &str)) {
-        match e {
-            ScalarExpr::Param { var, column } => f(var, column),
-            ScalarExpr::Binary { lhs, rhs, .. } => {
-                walk(lhs, f);
-                walk(rhs, f);
-            }
-            ScalarExpr::Not(i) | ScalarExpr::IsNull(i) => walk(i, f),
-            ScalarExpr::Aggregate { arg: Some(a), .. } => walk(a, f),
-            _ => {}
-        }
-    }
-    for item in &mut q.select {
-        if let SelectItem::Expr { expr, .. } = item {
-            walk(expr, f);
-        }
-    }
-    if let Some(w) = &mut q.where_clause {
-        walk(w, f);
-    }
-    for g in &mut q.group_by {
-        walk(g, f);
-    }
-    if let Some(h) = &mut q.having {
-        walk(h, f);
-    }
-}
-
-fn replace_level_params(q: &mut SelectQuery, var: &str, alias: &str) {
-    fn walk(e: &mut ScalarExpr, var: &str, alias: &str) {
-        match e {
-            ScalarExpr::Param { var: v, column } if v == var => {
-                *e = ScalarExpr::Column {
-                    qualifier: Some(alias.to_owned()),
-                    name: column.clone(),
-                };
-            }
-            ScalarExpr::Binary { lhs, rhs, .. } => {
-                walk(lhs, var, alias);
-                walk(rhs, var, alias);
-            }
-            ScalarExpr::Not(i) | ScalarExpr::IsNull(i) => walk(i, var, alias),
-            ScalarExpr::Aggregate { arg: Some(a), .. } => walk(a, var, alias),
-            _ => {}
-        }
-    }
-    for item in &mut q.select {
-        if let SelectItem::Expr { expr, .. } = item {
-            walk(expr, var, alias);
-        }
-    }
-    if let Some(w) = &mut q.where_clause {
-        walk(w, var, alias);
-    }
-    for g in &mut q.group_by {
-        walk(g, var, alias);
-    }
-    if let Some(h) = &mut q.having {
-        walk(h, var, alias);
-    }
-}
-
 /// Renames binding-variable references throughout the query:
 /// `$old.col` → `$new.col` for every `(old, new)` entry of `map`.
 pub fn rename_params(q: &mut SelectQuery, map: &HashMap<String, String>) {
-    visit_exprs(q, &mut |e| {
+    q.walk_mut(&mut |e| {
         if let ScalarExpr::Param { var, .. } = e {
             if let Some(new) = map.get(var) {
                 *var = new.clone();
@@ -366,7 +261,7 @@ pub fn fresh_alias(q: &SelectQuery) -> String {
 /// across several queries at once (used when correlating EXISTS
 /// subqueries, where the alias must be unique in both scopes).
 pub fn fresh_alias_among(queries: &[&SelectQuery], prefix: &str) -> String {
-    let mut used = std::collections::HashSet::new();
+    let mut used = HashSet::new();
     for q in queries {
         collect_aliases(q, &mut used);
     }
@@ -385,83 +280,20 @@ pub fn fresh_alias_among(queries: &[&SelectQuery], prefix: &str) -> String {
 
 /// True if `name` is bound as a FROM alias anywhere inside `q`.
 pub fn binds_alias(q: &SelectQuery, name: &str) -> bool {
-    let mut used = std::collections::HashSet::new();
+    let mut used = HashSet::new();
     collect_aliases(q, &mut used);
     used.contains(name)
 }
 
-fn collect_aliases(q: &SelectQuery, out: &mut std::collections::HashSet<String>) {
+fn collect_aliases<'q>(q: &'q SelectQuery, out: &mut HashSet<&'q str>) {
     for t in &q.from {
-        out.insert(t.binding_name().to_owned());
+        out.insert(t.binding_name());
         if let TableRef::Derived { query, .. } = t {
             collect_aliases(query, out);
         }
     }
-    let mut visit = |e: &ScalarExpr| {
-        if let ScalarExpr::Exists(sub) = e {
-            collect_aliases(sub, out);
-        }
-    };
-    for item in &q.select {
-        if let SelectItem::Expr { expr, .. } = item {
-            walk(expr, &mut visit);
-        }
-    }
-    if let Some(w) = &q.where_clause {
-        walk(w, &mut visit);
-    }
-    if let Some(h) = &q.having {
-        walk(h, &mut visit);
-    }
-}
-
-fn walk(e: &ScalarExpr, f: &mut impl FnMut(&ScalarExpr)) {
-    f(e);
-    match e {
-        ScalarExpr::Binary { lhs, rhs, .. } => {
-            walk(lhs, f);
-            walk(rhs, f);
-        }
-        ScalarExpr::Not(i) | ScalarExpr::IsNull(i) => walk(i, f),
-        ScalarExpr::Aggregate { arg: Some(a), .. } => walk(a, f),
-        _ => {}
-    }
-}
-
-/// Applies `f` to every scalar expression in the query, recursing into
-/// derived tables and EXISTS subqueries.
-pub fn visit_exprs(q: &mut SelectQuery, f: &mut impl FnMut(&mut ScalarExpr)) {
-    fn walk_mut(e: &mut ScalarExpr, f: &mut impl FnMut(&mut ScalarExpr)) {
-        f(e);
-        match e {
-            ScalarExpr::Binary { lhs, rhs, .. } => {
-                walk_mut(lhs, f);
-                walk_mut(rhs, f);
-            }
-            ScalarExpr::Not(i) | ScalarExpr::IsNull(i) => walk_mut(i, f),
-            ScalarExpr::Aggregate { arg: Some(a), .. } => walk_mut(a, f),
-            ScalarExpr::Exists(sub) => visit_exprs(sub, f),
-            _ => {}
-        }
-    }
-    for item in &mut q.select {
-        if let SelectItem::Expr { expr, .. } = item {
-            walk_mut(expr, f);
-        }
-    }
-    for t in &mut q.from {
-        if let TableRef::Derived { query, .. } = t {
-            visit_exprs(query, f);
-        }
-    }
-    if let Some(w) = &mut q.where_clause {
-        walk_mut(w, f);
-    }
-    for g in &mut q.group_by {
-        walk_mut(g, f);
-    }
-    if let Some(h) = &mut q.having {
-        walk_mut(h, f);
+    for sub in q.exprs().flat_map(ScalarExpr::subqueries) {
+        collect_aliases(sub, out);
     }
 }
 
@@ -573,6 +405,19 @@ mod tests {
         )
         .unwrap();
         assert_eq!(fresh_alias(&q), "TEMP2");
+    }
+
+    #[test]
+    fn fresh_alias_sees_exists_in_group_by() {
+        // `unbind_param_nested` replaces `$m.id` inside this EXISTS too, so
+        // a fresh `TEMP` would capture it as the inner `u AS TEMP`.
+        let q = parse_query(
+            "SELECT COUNT(*) FROM t GROUP BY \
+             EXISTS (SELECT 1 FROM u AS TEMP WHERE TEMP.x = $m.id)",
+        )
+        .unwrap();
+        assert!(binds_alias(&q, "TEMP"));
+        assert_eq!(fresh_alias(&q), "TEMP1");
     }
 
     #[test]

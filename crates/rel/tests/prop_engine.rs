@@ -293,26 +293,10 @@ proptest! {
     /// join-key extraction must be order-insensitive in effect).
     #[test]
     fn conjunct_order_is_irrelevant(db in db_strategy(), q in join_query_strategy()) {
-        fn flatten(e: &ScalarExpr, out: &mut Vec<ScalarExpr>) {
-            match e {
-                ScalarExpr::Binary { op: BinOp::And, lhs, rhs } => {
-                    flatten(lhs, out);
-                    flatten(rhs, out);
-                }
-                other => out.push(other.clone()),
-            }
-        }
-        let mut conjuncts = Vec::new();
-        flatten(q.where_clause.as_ref().unwrap(), &mut conjuncts);
-        let mut reversed = conjuncts.clone();
+        let mut reversed = q.where_clause.clone().unwrap().into_conjuncts();
         reversed.reverse();
-        let rebuild = |cs: &[ScalarExpr]| {
-            let mut it = cs.iter().cloned();
-            let first = it.next().unwrap();
-            it.fold(first, |acc, c| ScalarExpr::binary(BinOp::And, acc, c))
-        };
         let mut q2 = q.clone();
-        q2.where_clause = Some(rebuild(&reversed));
+        q2.where_clause = ScalarExpr::conjoin(reversed);
         let a = eval_query_with(&db, &q, &ParamEnv::new(), EvalOptions::default()).unwrap();
         let b = eval_query_with(&db, &q2, &ParamEnv::new(), EvalOptions::default()).unwrap();
         prop_assert_eq!(canonical(&a), canonical(&b), "{}", q.to_sql());

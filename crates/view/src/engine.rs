@@ -155,6 +155,13 @@ impl Engine {
     /// Evaluate up to `n` root-level sibling subtrees concurrently within
     /// one publish. `0` and `1` both mean sequential. Document order and
     /// all statistics are independent of `n`.
+    ///
+    /// The pool serves [`Session::publish`], [`Session::publish_segments`]
+    /// (the server's start-up and `/ddl`) and the root-level re-runs of a
+    /// delta ([`Session::republish_segments`]). The streamed
+    /// [`Session::publish_to`] and [`Session::publish_pretty_to`], and so
+    /// every `GET /publish`, write in document order and run their tasks
+    /// one at a time whatever `n` is.
     pub fn parallel(self, n: usize) -> Self {
         self.reconfig(|c| c.parallel = n.max(1))
     }

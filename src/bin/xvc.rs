@@ -268,7 +268,10 @@ fn usage() -> String {
      `serve` loads everything once, composes when --xslt is given, and answers\n\
      GET /doc, GET /publish, POST /dml, POST /ddl, GET /stats, GET /healthz and\n\
      POST /shutdown over HTTP from a pool of --threads workers (default 4)\n\
-     sharing one plan cache.\n\
+     sharing one plan cache. --parallel N (default 1) evaluates up to N\n\
+     root-level subtrees at once when the server builds its document (at\n\
+     start-up and on /ddl) and when a /dml re-runs root-level nodes;\n\
+     GET /publish streams them one at a time whatever N is.\n\
      `check` classifies positional files by extension: .view (publishing view),\n\
      .xsl/.xslt (stylesheet), .sql/.ddl (catalog). It exits 0 when only\n\
      warnings were emitted, 1 on error-level diagnostics, 2 on usage errors.\n\

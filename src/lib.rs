@@ -59,10 +59,12 @@
 //! let composition = Composer::new(&view, &xslt, &db.catalog()).run().unwrap();
 //!
 //! // Publish through an Engine: tag queries are compiled to prepared
-//! // plans once and cached across publishes (and across concurrent
-//! // sessions); `.parallel(n)` evaluates independent root subtrees on n
-//! // threads. Each request-scoped Session publishes through the shared
-//! // warm cache.
+//! // plans once per catalog and shared across publishes (and across
+//! // concurrent sessions); `.parallel(n)` evaluates independent root
+//! // subtrees of `publish` and `publish_segments` (and a delta's
+//! // root-level re-runs) on n threads, while the streamed `publish_to`
+//! // runs them one at a time. Each request-scoped Session publishes
+//! // through the shared compilation.
 //! let engine = Engine::new(&composition.view);
 //! let direct = engine.session().publish(&db).unwrap().document;
 //!
