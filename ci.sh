@@ -42,6 +42,38 @@ echo "== figures -- figures (the paper's figures, byte for byte)"
 cargo run --release --quiet -p xvc-bench --bin figures -- figures |
     diff -u artifacts/paper_figures.txt -
 
+echo "== xvc tool reports (compose, explain, stats, deps, check, run), byte for byte"
+# Regenerates the CLI's reports on the guide and on Figure 1 x Figure 4
+# and fails on any difference from the committed artifact, so a change
+# that moves a composed query, a plan, a bound, a lineage edge or a
+# diagnostic fails here. Relative paths: `check` prints them as given.
+tool_reports() {
+    guide="--view examples/files/guide.view --xslt examples/files/guide.xsl --ddl examples/files/schema.sql"
+    paper="--view examples/files/paper/figure1.view --xslt examples/files/paper/figure4.xsl --ddl examples/files/paper/figure2.sql"
+    for files in "$guide" "$paper"; do
+        for command in "compose" "compose --optimize --prune" "compose --rewrites" \
+            "explain" "explain --prune --optimize" "stats" "deps" "deps --json"; do
+            echo "== xvc $command $files"
+            # shellcheck disable=SC2086
+            ./target/release/xvc $command $files 2>&1
+        done
+    done
+    for files in "examples/files/guide.view examples/files/guide.xsl examples/files/schema.sql" \
+        "examples/files/paper/figure1.view examples/files/paper/figure4.xsl examples/files/paper/figure2.sql"; do
+        for command in "check" "check --json"; do
+            echo "== xvc $command $files"
+            # shellcheck disable=SC2086
+            ./target/release/xvc $command $files 2>&1
+        done
+    done
+    for command in "run" "stats"; do
+        echo "== xvc $command $guide --data examples/files/data"
+        # shellcheck disable=SC2086
+        ./target/release/xvc $command $guide --data examples/files/data 2>&1
+    done
+}
+tool_reports | diff -u artifacts/tool_reports.txt -
+
 echo "== perfbench builds against this tree"
 # The benchmark is a standalone package that links the library crates by
 # path; a library API change that breaks it fails here rather than in the

@@ -6,13 +6,17 @@
 //! not mix strings with numbers, `$n.col` parameters must resolve to
 //! columns actually produced by a proper ancestor's tag query
 //! (Definition 1), and aggregate queries must not project non-grouped
-//! columns. Column resolution mirrors the layout logic of
-//! `xvc_rel::output_columns`, extended with types and with layout
-//! chaining into correlated `EXISTS` subqueries.
+//! columns. A FROM item's columns and the names a query publishes are
+//! `xvc_rel`'s own ([`TableRef::columns`], [`SelectQuery::output_columns`]),
+//! typed here best-effort, with layout chaining into correlated `EXISTS`
+//! subqueries.
 
 use std::collections::HashMap;
 
-use xvc_rel::{AggFunc, Catalog, ColumnType, ScalarExpr, SelectItem, SelectQuery, TableRef, Value};
+use xvc_rel::{
+    AggFunc, Catalog, ColumnType, Result, ScalarExpr, SelectItem, SelectQuery, TableRef,
+    TableSchema, Value,
+};
 use xvc_view::{SchemaTree, ViewNode};
 use xvc_xml::Span;
 
@@ -33,6 +37,14 @@ pub enum TreeKind {
 /// One resolved column: `(alias, name, type)`. Type is `None` for columns
 /// of derived tables whose expression type is not statically known.
 type LayoutCol = (String, String, Option<ColumnType>);
+
+/// What an unknown table provides: no columns. Its XVC101 is reported
+/// where its query is checked, and the rest of the layout stays usable.
+static NO_COLUMNS: TableSchema = TableSchema {
+    name: String::new(),
+    columns: Vec::new(),
+    indexes: Vec::new(),
+};
 
 /// Checks every tag query of the tree. See module docs.
 pub fn check_view(view: &SchemaTree, catalog: &Catalog, kind: TreeKind) -> Vec<Diagnostic> {
@@ -110,35 +122,26 @@ impl Checker<'_> {
         // FROM layout (XVC101 for unknown base tables).
         let mut layout: Vec<LayoutCol> = Vec::new();
         for t in &q.from {
-            let alias = t.binding_name().to_owned();
             match t {
-                TableRef::Named { name, .. } => match self.catalog.get(name) {
-                    Ok(schema) => {
-                        for c in &schema.columns {
-                            layout.push((alias.clone(), c.name.clone(), Some(c.ty)));
-                        }
-                    }
-                    Err(_) => self.push(
-                        Code::Xvc101,
-                        format!("unknown table `{name}`{}", cx.context()),
-                        cx.span,
-                        Some(format!(
-                            "the catalog defines: {}",
-                            self.catalog
-                                .iter()
-                                .map(|s| s.name.clone())
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        )),
-                    ),
-                },
+                TableRef::Named { name, .. } if !self.catalog.contains(name) => self.push(
+                    Code::Xvc101,
+                    format!("unknown table `{name}`{}", cx.context()),
+                    cx.span,
+                    Some(format!(
+                        "the catalog defines: {}",
+                        self.catalog
+                            .iter()
+                            .map(|s| s.name.clone())
+                            .collect::<Vec<_>>()
+                            .join(", ")
+                    )),
+                ),
+                TableRef::Named { .. } => {}
                 TableRef::Derived { query, .. } => {
                     self.check_query(query, cx, &chain(&layout, outer));
-                    for (name, ty) in self.typed_output_columns(query, cx.scopes) {
-                        layout.push((alias.clone(), name, ty));
-                    }
                 }
             }
+            layout.extend(self.item_columns(t, cx.scopes));
         }
 
         // Expressions (XVC102/103/104/105).
@@ -314,65 +317,64 @@ impl Checker<'_> {
         }
     }
 
-    /// Output column names and (best-effort) types, mirroring
-    /// `xvc_rel::output_columns` / `item_names` / `derived_name`.
+    /// A base table's schema, [`NO_COLUMNS`] for an unknown one.
+    fn schema(&self, table: &str) -> Result<&TableSchema> {
+        Ok(self.catalog.get(table).unwrap_or(&NO_COLUMNS))
+    }
+
+    /// The columns FROM item `t` provides, with its binding and
+    /// best-effort types: a base table's declared types, a derived
+    /// table's [`Checker::typed_output_columns`].
+    fn item_columns(
+        &self,
+        t: &TableRef,
+        scopes: &HashMap<String, Vec<(String, Option<ColumnType>)>>,
+    ) -> Vec<LayoutCol> {
+        let alias = t.binding_name();
+        let typed = match t {
+            TableRef::Named { name, .. } => {
+                let schema = self.catalog.get(name).unwrap_or(&NO_COLUMNS);
+                let cols = t.columns(&|n| self.schema(n)).unwrap_or_default();
+                cols.into_iter()
+                    .map(|c| {
+                        let ty = schema.column_index(&c).map(|i| schema.columns[i].ty);
+                        (c, ty)
+                    })
+                    .collect()
+            }
+            TableRef::Derived { query, .. } => self.typed_output_columns(query, scopes),
+        };
+        typed
+            .into_iter()
+            .map(|(name, ty)| (alias.to_owned(), name, ty))
+            .collect()
+    }
+
+    /// The names `q` publishes its columns under, each with the
+    /// (best-effort) type of what computes it.
     fn typed_output_columns(
         &self,
         q: &SelectQuery,
         scopes: &HashMap<String, Vec<(String, Option<ColumnType>)>>,
     ) -> Vec<(String, Option<ColumnType>)> {
-        let mut layout: Vec<LayoutCol> = Vec::new();
-        for t in &q.from {
-            let alias = t.binding_name().to_owned();
-            match t {
-                TableRef::Named { name, .. } => {
-                    if let Ok(schema) = self.catalog.get(name) {
-                        for c in &schema.columns {
-                            layout.push((alias.clone(), c.name.clone(), Some(c.ty)));
-                        }
-                    }
-                }
-                TableRef::Derived { query, .. } => {
-                    for (name, ty) in self.typed_output_columns(query, scopes) {
-                        layout.push((alias.clone(), name, ty));
-                    }
-                }
-            }
-        }
+        let layout: Vec<LayoutCol> = q
+            .from
+            .iter()
+            .flat_map(|t| self.item_columns(t, scopes))
+            .collect();
         let cx = QueryCx {
             node: &ViewNode::literal(0, "synthetic"),
             span: None,
             scopes,
         };
-        let mut out = Vec::new();
-        for (idx, item) in q.select.iter().enumerate() {
-            match item {
-                SelectItem::Star => {
-                    out.extend(layout.iter().map(|(_, n, ty)| (n.clone(), *ty)));
-                }
-                SelectItem::QualifiedStar(qal) => out.extend(
-                    layout
-                        .iter()
-                        .filter(|(a, _, _)| a == qal)
-                        .map(|(_, n, ty)| (n.clone(), *ty)),
-                ),
-                SelectItem::Expr { expr, alias } => {
-                    let name = match alias {
-                        Some(a) => a.clone(),
-                        None => match expr {
-                            ScalarExpr::Column { name, .. } => name.clone(),
-                            ScalarExpr::Param { column, .. } => column.clone(),
-                            ScalarExpr::Aggregate { func, .. } => {
-                                func.default_column_name().to_owned()
-                            }
-                            _ => format!("col{idx}"),
-                        },
-                    };
-                    out.push((name, self.type_of(expr, &layout, &[], &cx)));
-                }
-            }
-        }
-        out
+        q.output_columns(&|n| self.schema(n))
+            .unwrap_or_default()
+            .into_iter()
+            .map(|name| {
+                let ty = self.type_of(&q.published(&name), &layout, &[], &cx);
+                (name, ty)
+            })
+            .collect()
     }
 
     fn push(

@@ -14,7 +14,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use xvc_rel::eval::output_columns;
 use xvc_rel::{Catalog, ColumnType, ScalarExpr, SelectItem, TableRef};
 use xvc_view::{SchemaTree, ViewNodeId};
 use xvc_xpath::{Axis, Expr, NodeTest, PathExpr, Step};
@@ -213,7 +212,7 @@ impl Gen<'_> {
     fn random_column(&mut self, target: ViewNodeId) -> Option<String> {
         let node = self.view.node(target)?;
         let q = node.query.as_ref()?;
-        let cols = output_columns(q, self.catalog).ok()?;
+        let cols = q.output_columns(&|n| self.catalog.get(n)).ok()?;
         if cols.is_empty() {
             return None;
         }

@@ -180,7 +180,7 @@ mod tests {
     use crate::paper_fixtures::{
         figure1_view, figure2_catalog, sample_database, FIGURE15_XSLT, FIGURE17_XSLT,
     };
-    use xvc_rel::Database;
+    use xvc_rel::{Database, Value};
     use xvc_view::Engine;
     use xvc_xml::{documents_equal_unordered, Document};
     use xvc_xslt::parse::FIGURE4_XSLT;
@@ -271,6 +271,54 @@ mod tests {
     #[test]
     fn figure17_predicates_match_engine() {
         assert_equivalent(FIGURE17_XSLT);
+    }
+
+    #[test]
+    fn computed_column_predicate_matches_engine() {
+        // `population / 1000` publishes as `col2`, so `@col2` must resolve
+        // to that expression in the composed query, as it does in x(v(I)).
+        let mut db = xvc_rel::database_from_ddl(
+            "CREATE TABLE city (id INT PRIMARY KEY, name TEXT, population INT);",
+        )
+        .unwrap();
+        for (id, name, population) in [
+            (1, "chicago", 2_700_000),
+            (2, "galena", 3200),
+            (3, "nyc", 8_300_000),
+        ] {
+            db.insert(
+                "city",
+                vec![
+                    Value::Int(id),
+                    Value::Str(name.into()),
+                    Value::Int(population),
+                ],
+            )
+            .unwrap();
+        }
+        let v = xvc_view::parse_view(
+            "node city $c { query: SELECT id, name, population / 1000 FROM city; }",
+        )
+        .unwrap();
+        let x = parse_stylesheet(
+            r#"<xsl:stylesheet>
+                 <xsl:template match="/"><guide><xsl:apply-templates select="city[@col2 &gt; 1000]"/></guide></xsl:template>
+                 <xsl:template match="city"><big><xsl:value-of select="@name"/></big></xsl:template>
+               </xsl:stylesheet>"#,
+        )
+        .unwrap();
+        let composed = compose(&v, &x, &db.catalog()).unwrap();
+        assert!(
+            composed.render().contains("WHERE population / 1000 > 1000"),
+            "{}",
+            composed.render()
+        );
+        let expected = process(&x, &publish_doc(&v, &db)).unwrap();
+        assert_eq!(
+            expected.to_xml(),
+            r#"<guide><big name="chicago"/><big name="nyc"/></guide>"#
+        );
+        assert_eq!(publish_doc(&composed, &db).to_xml(), expected.to_xml());
     }
 
     #[test]

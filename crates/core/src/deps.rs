@@ -21,6 +21,11 @@
 //! aggregation, or a recursion cycle). Every edge carries a fact chain in
 //! the XVC4xx/5xx justification style.
 //!
+//! A `$bv.column` parameter resolves through the name the binding
+//! ancestor's query publishes `column` under ([`SelectItem::name`], the
+//! naming the publisher and the composer use), so an aggregate's `sum`
+//! traces to the column it sums.
+//!
 //! Downstream consumers: the XVC601–604 diagnostics of `xvc check`, the
 //! `xvc deps` CLI, and the delta-republish experiments. This is the one
 //! walk of a raw view's table references. The publisher's own delta path
@@ -384,25 +389,6 @@ fn resolve_view_param(
 /// the ancestor-chain walk differs between TVQ and raw-view analyses.
 type Resolver<'r> = dyn Fn(&str, &str) -> Vec<(String, String)> + 'r;
 
-/// One FROM-scope item: an alias bound to a base table or a derived query.
-enum ScopeItem<'a> {
-    Base(&'a str),
-    Derived(&'a SelectQuery),
-}
-
-fn scope_of(q: &SelectQuery) -> Vec<(String, ScopeItem<'_>)> {
-    q.from
-        .iter()
-        .map(|item| match item {
-            TableRef::Named { name, alias } => (
-                alias.clone().unwrap_or_else(|| name.clone()),
-                ScopeItem::Base(name.as_str()),
-            ),
-            TableRef::Derived { query, alias, .. } => (alias.clone(), ScopeItem::Derived(query)),
-        })
-        .collect()
-}
-
 /// Resolves a column reference to base `(table, column)` pairs. Ambiguous
 /// unqualified references resolve to *every* in-scope match — the analysis
 /// over-approximates rather than dropping an edge.
@@ -413,39 +399,33 @@ fn resolve_col(
     name: &str,
 ) -> Vec<(String, String)> {
     let mut out = Vec::new();
-    for (alias, item) in scope_of(q) {
-        if qualifier.is_some_and(|w| w != alias) {
+    for t in &q.from {
+        if qualifier.is_some_and(|w| w != t.binding_name()) {
             continue;
         }
-        match item {
-            ScopeItem::Base(table) => {
-                let has = catalog
-                    .get(table)
-                    .map(|s| s.column_index(name).is_some())
-                    .unwrap_or(false);
+        match t {
+            TableRef::Named { name: table, .. } => {
+                let has = t
+                    .columns(&|n| catalog.get(n))
+                    .is_ok_and(|cols| cols.iter().any(|c| c == name));
                 if has || qualifier.is_some() {
-                    out.push((table.to_owned(), name.to_owned()));
+                    out.push((table.clone(), name.to_owned()));
                 }
             }
-            ScopeItem::Derived(dq) => out.extend(resolve_output(dq, catalog, name)),
+            TableRef::Derived { query, .. } => out.extend(resolve_output(query, catalog, name)),
         }
     }
     out
 }
 
-/// Resolves an *output* column of `q` (by its visible name) to the base
-/// columns it projects.
+/// Resolves an *output* column of `q` (by the name it publishes,
+/// [`SelectItem::name`]) to the base columns it projects.
 fn resolve_output(q: &SelectQuery, catalog: &Catalog, wanted: &str) -> Vec<(String, String)> {
     let mut out = Vec::new();
-    for item in &q.select {
+    for (idx, item) in q.select.iter().enumerate() {
         match item {
-            SelectItem::Expr { expr, alias } => {
-                let visible = alias.as_deref().or(match expr {
-                    ScalarExpr::Column { name, .. } => Some(name.as_str()),
-                    ScalarExpr::Param { column, .. } => Some(column.as_str()),
-                    _ => None,
-                });
-                if visible != Some(wanted) {
+            SelectItem::Expr { expr, .. } => {
+                if item.name(idx).as_deref() != Some(wanted) {
                     continue;
                 }
                 for (qual, name) in columns_in_expr(expr) {
@@ -681,16 +661,10 @@ fn collect_query(
     // Projected output (top level only: derived outputs surface through
     // the consumer that references them).
     if top {
-        for item in &q.select {
-            match item {
-                SelectItem::Expr { expr, alias } => {
-                    let visible = alias
-                        .clone()
-                        .or(match expr {
-                            ScalarExpr::Column { name, .. } => Some(name.clone()),
-                            _ => None,
-                        })
-                        .unwrap_or_else(|| "?".to_owned());
+        for (idx, item) in q.select.iter().enumerate() {
+            let covered: Vec<&TableRef> = match item {
+                SelectItem::Expr { expr, .. } => {
+                    let visible = item.name(idx).expect("an expression item is named");
                     for (qual, name) in columns_in_expr(expr) {
                         for (t, col) in resolve_col(q, cx.catalog, qual.as_deref(), &name) {
                             cx.push(
@@ -713,54 +687,49 @@ fn collect_query(
                             );
                         }
                     }
+                    continue;
                 }
-                SelectItem::Star => {
-                    for (alias, item) in scope_of(q) {
-                        expand_star_output(map, cx, &alias, &item);
-                    }
-                }
-                SelectItem::QualifiedStar(alias) => {
-                    for (a, item) in scope_of(q) {
-                        if a == *alias {
-                            expand_star_output(map, cx, &a, &item);
-                        }
-                    }
-                }
+                SelectItem::Star => q.from.iter().collect(),
+                SelectItem::QualifiedStar(alias) => q
+                    .from
+                    .iter()
+                    .filter(|t| t.binding_name() == alias)
+                    .collect(),
+            };
+            for t in covered {
+                expand_star_output(map, cx, t);
             }
         }
     }
 }
 
-/// Expands a `*` / `alias.*` select item into per-column output edges.
-fn expand_star_output(map: &mut DependencyMap, cx: &UnitCx<'_>, alias: &str, item: &ScopeItem<'_>) {
-    match item {
-        ScopeItem::Base(table) => {
-            if let Ok(schema) = cx.catalog.get(table) {
-                for col in schema.column_names() {
-                    cx.push(
-                        map,
-                        (*table).to_owned(),
-                        col.clone(),
-                        DepRole::Output,
-                        cx.output_safety(),
-                        vec![
-                            format!("{} projects {alias}.* including {col}", cx.unit),
-                            "star projections publish every column as an attribute".to_owned(),
-                        ],
-                    );
-                }
+/// Expands a `*` / `alias.*` select item over FROM item `t` into
+/// per-column output edges.
+fn expand_star_output(map: &mut DependencyMap, cx: &UnitCx<'_>, t: &TableRef) {
+    let alias = t.binding_name();
+    match t {
+        TableRef::Named { name: table, .. } => {
+            for col in t.columns(&|n| cx.catalog.get(n)).unwrap_or_default() {
+                cx.push(
+                    map,
+                    table.clone(),
+                    col.clone(),
+                    DepRole::Output,
+                    cx.output_safety(),
+                    vec![
+                        format!("{} projects {alias}.* including {col}", cx.unit),
+                        "star projections publish every column as an attribute".to_owned(),
+                    ],
+                );
             }
         }
-        ScopeItem::Derived(dq) => {
+        TableRef::Derived { query: dq, .. } => {
             // A derived star re-exports the derived query's output names;
             // resolve each through the derived query.
-            for out_item in &dq.select {
-                if let SelectItem::Expr { expr, alias: a } = out_item {
-                    let visible = a.clone().or(match expr {
-                        ScalarExpr::Column { name, .. } => Some(name.clone()),
-                        _ => None,
-                    });
-                    if let Some(v) = visible {
+            for (idx, out_item) in dq.select.iter().enumerate() {
+                match out_item {
+                    SelectItem::Expr { .. } => {
+                        let v = out_item.name(idx).expect("an expression item is named");
                         for (t, col) in resolve_output(dq, cx.catalog, &v) {
                             cx.push(
                                 map,
@@ -779,10 +748,12 @@ fn expand_star_output(map: &mut DependencyMap, cx: &UnitCx<'_>, alias: &str, ite
                             );
                         }
                     }
-                } else if let SelectItem::Star = out_item {
-                    for (a2, inner) in scope_of(dq) {
-                        expand_star_output(map, cx, &a2, &inner);
+                    SelectItem::Star => {
+                        for inner in &dq.from {
+                            expand_star_output(map, cx, inner);
+                        }
                     }
+                    SelectItem::QualifiedStar(_) => {}
                 }
             }
         }
@@ -940,14 +911,18 @@ fn collect_guard_subquery(map: &mut DependencyMap, cx: &UnitCx<'_>, q: &SelectQu
 mod tests {
     use super::*;
     use crate::ctg::build_ctg;
-    use crate::paper_fixtures::{figure1_view, figure2_catalog};
+    use crate::paper_fixtures::{figure1_view, figure2_catalog, FIGURE17_XSLT};
     use crate::tvq::{build_tvq, DEFAULT_TVQ_LIMIT};
     use xvc_xslt::parse::FIGURE4_XSLT;
     use xvc_xslt::parse_stylesheet;
 
     fn figure4_map() -> (SchemaTree, DependencyMap) {
+        tvq_map(FIGURE4_XSLT)
+    }
+
+    fn tvq_map(xslt: &str) -> (SchemaTree, DependencyMap) {
         let v = figure1_view();
-        let x = parse_stylesheet(FIGURE4_XSLT).unwrap();
+        let x = parse_stylesheet(xslt).unwrap();
         let cat = figure2_catalog();
         let ctg = build_ctg(&v, &x).unwrap();
         let tvq = build_tvq(&v, &x, &ctg, &cat, DEFAULT_TVQ_LIMIT).unwrap();
@@ -989,6 +964,27 @@ mod tests {
             .edges
             .iter()
             .any(|e| e.safety == UpdateSafety::InsertMonotone));
+    }
+
+    #[test]
+    fn aggregate_outputs_resolve_by_their_published_name() {
+        // Figure 17: <confstat> publishes SUM(capacity) as `sum`, and the
+        // <confroom> query filters on `$s_new.sum < 200`.
+        let (_, map) = tvq_map(FIGURE17_XSLT);
+        let capacity = &map.columns()[&("confroom".to_owned(), "capacity".to_owned())];
+        assert!(
+            capacity.iter().any(|e| e.role == DepRole::Predicate
+                && e.unit.starts_with("TVQ node <confroom>")
+                && e.chain.iter().any(|f| f.contains("$s_new.sum"))),
+            "{capacity:#?}"
+        );
+        assert!(
+            capacity.iter().any(|e| e.role == DepRole::Output
+                && e.unit.starts_with("TVQ node <confstat>")
+                && e.chain[0].ends_with("projects capacity as attribute sum")),
+            "{capacity:#?}"
+        );
+        assert!(!map.render().contains("attribute ?"), "{}", map.render());
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! tag query's result columns. Two placements occur:
 //!
 //! * **own-query conditions** ([`push_into_query`]) — the predicate sits on
-//!   the node whose query is being generated: `@attr` resolves to that
-//!   query's output column. If the column is produced by an *aggregate*
+//!   the node whose query is being generated: `@attr` resolves to what
+//!   that query publishes it from ([`SelectQuery::published`]). If the
+//!   column is produced by an *aggregate*
 //!   select item (e.g. `@sum` over `SELECT SUM(capacity)`), the condition
 //!   must go to `HAVING` with the aggregate expression substituted —
 //!   Figure 20's `HAVING SUM(capacity) > 100`;
@@ -16,7 +17,7 @@
 //!   `$s_new.sum < 200`-style conditions; the paper prints
 //!   `$s_new.SUM_capacity`, we use the aggregate's output column name).
 
-use xvc_rel::{AggFunc, BinOp as SqlOp, ScalarExpr, SelectItem, SelectQuery, Value};
+use xvc_rel::{BinOp as SqlOp, ScalarExpr, SelectQuery, Value};
 use xvc_xpath::{Axis, BinOp as XpOp, Expr, NodeTest, PathExpr};
 
 use crate::error::{Error, Result};
@@ -127,39 +128,13 @@ fn attr_ref(p: &PathExpr, mode: &AttrMode<'_>) -> Result<(ScalarExpr, bool)> {
     match mode {
         AttrMode::Param(var) => Ok((ScalarExpr::param(*var, attr), false)),
         AttrMode::OwnQuery(q) => {
-            // Aggregate-aware lookup over the select list.
-            for item in &q.select {
-                if let SelectItem::Expr { expr, alias } = item {
-                    let name = match alias {
-                        Some(a) => a.clone(),
-                        None => default_item_name(expr),
-                    };
-                    if name == attr {
-                        if expr.contains_aggregate() {
-                            return Ok((expr.clone(), true));
-                        }
-                        return Ok((expr.clone(), false));
-                    }
-                }
-            }
-            // Star/qualified-star items or late-bound columns: plain
-            // column reference resolved at evaluation time.
-            Ok((ScalarExpr::col(attr), false))
+            // What the query publishes `@attr` from: an aggregate goes to
+            // HAVING.
+            let e = q.published(&attr);
+            let agg = e.contains_aggregate();
+            Ok((e, agg))
         }
     }
-}
-
-fn default_item_name(expr: &ScalarExpr) -> String {
-    match expr {
-        ScalarExpr::Column { name, .. } => name.clone(),
-        ScalarExpr::Param { column, .. } => column.clone(),
-        ScalarExpr::Aggregate { func, .. } => agg_name(*func).to_owned(),
-        _ => String::new(),
-    }
-}
-
-fn agg_name(f: AggFunc) -> &'static str {
-    f.default_column_name()
 }
 
 fn map_op(op: XpOp) -> Result<SqlOp> {

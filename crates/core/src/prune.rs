@@ -21,7 +21,7 @@
 //! actually published.
 
 use xvc_rel::facts::{analyze_query, drop_redundant_conjuncts, param_key, QueryAnalysis};
-use xvc_rel::{Catalog, FactSet, ScalarExpr, SelectItem, SelectQuery};
+use xvc_rel::{Catalog, FactSet, SelectQuery};
 
 use crate::tvq::Tvq;
 use crate::unbind::UnboundQuery;
@@ -71,15 +71,6 @@ pub struct PruneStats {
     pub conjuncts_eliminated: usize,
 }
 
-/// Wraps a rebind guard in an empty-`FROM` `SELECT 1` probe so the fact
-/// engine can analyze its conjuncts (guards only reference `$bv.column`
-/// parameters, which is exactly what the inherited fact set carries).
-fn guard_probe(guard: &ScalarExpr) -> SelectQuery {
-    let mut probe = SelectQuery::new(vec![SelectItem::expr(ScalarExpr::int(1))], vec![]);
-    probe.where_clause = Some(guard.clone());
-    probe
-}
-
 /// Runs the predicate-dataflow pass over the TVQ without mutating it.
 pub fn analyze_tvq(tvq: &Tvq, catalog: &Catalog) -> TvqAnalysis {
     let mut verdicts = vec![NodeVerdict::default(); tvq.nodes.len()];
@@ -126,7 +117,7 @@ fn visit(tvq: &Tvq, catalog: &Catalog, idx: usize, env: &FactSet, verdicts: &mut
             // The node reuses the tuple bound to `source` (== `node.bv`),
             // whose facts are already in `env` under `$source.*`.
             if let Some(g) = guard {
-                let a = analyze_query(&guard_probe(g), catalog, env);
+                let a = analyze_query(&SelectQuery::guard_probe(g), catalog, env);
                 if a.empty {
                     verdicts[idx] = NodeVerdict {
                         dead: true,
@@ -245,6 +236,7 @@ mod tests {
     use crate::ctg::build_ctg;
     use crate::paper_fixtures::{figure1_view, figure2_catalog};
     use crate::tvq::{build_tvq, DEFAULT_TVQ_LIMIT};
+    use xvc_rel::{ScalarExpr, SelectItem};
     use xvc_xslt::parse::FIGURE4_XSLT;
     use xvc_xslt::parse_stylesheet;
 

@@ -25,7 +25,6 @@
 //! rewrite preserves the recursion structure rather than being a verified
 //! general-purpose equivalence (the paper argues it "by inspection").
 
-use xvc_rel::eval::output_columns;
 use xvc_rel::Catalog;
 use xvc_view::{AttrProjection, SchemaTree, ViewNode, ViewNodeId};
 use xvc_xpath::{Axis, Expr, NodeTest, PathExpr, Step};
@@ -103,7 +102,7 @@ pub fn compose_recursive(
     // exposed (e.g. `@count`).
     let target_node = view.node(shape.target).expect("non-root");
     let target_query = target_node.query.as_ref().expect("query node");
-    let b_cols = output_columns(target_query, catalog)?;
+    let b_cols = target_query.output_columns(&|n| catalog.get(n))?;
 
     let down_tag = format!("{}_down", target_node.tag);
     let up_tag = format!("{}_up", target_node.tag);

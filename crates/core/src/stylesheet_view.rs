@@ -25,7 +25,6 @@
 
 use std::collections::HashMap;
 
-use xvc_rel::eval::output_columns;
 use xvc_rel::rewrite::{rename_params, unbind_param_nested};
 use xvc_rel::{Catalog, ScalarExpr, SelectItem, SelectQuery};
 use xvc_view::{AttrProjection, SchemaTree, ViewNode, ViewNodeId};
@@ -444,7 +443,7 @@ impl Emitter<'_> {
         // columns ride along through `TEMP.*`); publish exactly the
         // original node's columns so the copy matches the XSLT output.
         let orig_cols = match &view_node.query {
-            Some(q) => AttrProjection::Columns(output_columns(q, self.catalog)?),
+            Some(q) => AttrProjection::Columns(q.output_columns(&|n| self.catalog.get(n))?),
             None => AttrProjection::All,
         };
         let id = self.fresh_id();
@@ -609,9 +608,9 @@ impl Emitter<'_> {
 }
 
 /// Folds a rebind guard (conditions over `$source.col`) into the query
-/// that computes `source`'s tuples: `$source.col` resolves against the
-/// query's own select list — aggregate outputs substitute their aggregate
-/// expression and land in HAVING, everything else in WHERE. EXISTS
+/// that computes `source`'s tuples: `$source.col` becomes what the query
+/// publishes `col` from ([`SelectQuery::published`]) — aggregate outputs
+/// land in HAVING, everything else in WHERE. EXISTS
 /// subqueries inside the guard correlate through unqualified columns.
 fn fold_guard_into_query(q: &mut SelectQuery, guard: &ScalarExpr, source: &str) -> Result<()> {
     fn translate(
@@ -622,7 +621,9 @@ fn fold_guard_into_query(q: &mut SelectQuery, guard: &ScalarExpr, source: &str) 
     ) -> Result<ScalarExpr> {
         Ok(match e {
             ScalarExpr::Param { var, column } if var == source => {
-                resolve_output_ref(q, column, has_agg)?
+                let e = q.published(column);
+                *has_agg |= e.contains_aggregate();
+                e
             }
             ScalarExpr::Binary { op, lhs, rhs } => ScalarExpr::Binary {
                 op: *op,
@@ -660,33 +661,6 @@ fn fold_guard_into_query(q: &mut SelectQuery, guard: &ScalarExpr, source: &str) 
         }
     }
     Ok(())
-}
-
-/// Resolves `$source.col` against the query's select list: aggregate items
-/// substitute their expression (setting the HAVING flag); everything else
-/// becomes a column reference.
-fn resolve_output_ref(q: &SelectQuery, column: &str, has_agg: &mut bool) -> Result<ScalarExpr> {
-    for item in &q.select {
-        if let SelectItem::Expr { expr, alias } = item {
-            let name = match alias {
-                Some(a) => a.clone(),
-                None => match expr {
-                    ScalarExpr::Column { name, .. } => name.clone(),
-                    ScalarExpr::Param { column, .. } => column.clone(),
-                    ScalarExpr::Aggregate { func, .. } => func.default_column_name().to_owned(),
-                    _ => continue,
-                },
-            };
-            if name == column {
-                if expr.contains_aggregate() {
-                    *has_agg = true;
-                }
-                return Ok(expr.clone());
-            }
-        }
-    }
-    // Covered by a `*` item: plain column.
-    Ok(ScalarExpr::col(column))
 }
 
 fn projection(attr_cols: &[String]) -> AttrProjection {

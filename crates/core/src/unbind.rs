@@ -30,7 +30,6 @@
 
 use std::collections::HashMap;
 
-use xvc_rel::eval::output_columns;
 use xvc_rel::rewrite::{
     binds_alias, fresh_alias, fresh_alias_among, preserve_aggregation, qualify_level_columns,
     refresh_group_by_all, rename_params, unbind_param_nested,
@@ -218,7 +217,7 @@ fn chain_query(
     // Qualify the level's existing column references that the derived
     // table would collide with (the paper's own Figure 26 leaves exactly
     // this `startdate` ambiguity in print).
-    let prefix_cols = output_columns(&prefix_query, catalog)?;
+    let prefix_cols = prefix_query.output_columns(&|n| catalog.get(n))?;
     qualify_level_columns(&mut q, catalog, &prefix_cols)?;
     let prefix_bvs: Vec<String> = prefix
         .iter()
@@ -467,44 +466,25 @@ fn correlate_exists(
     Ok(())
 }
 
-/// Resolves an output column of `outer` to its underlying FROM column:
-/// `(preferred qualifier, column name)`. Aggregated outputs cannot be
-/// correlated on.
+/// Resolves an output column of `outer` ([`SelectQuery::published`]) to
+/// its underlying FROM column: `(preferred qualifier, column name)`.
+/// Aggregated and computed outputs cannot be correlated on.
 fn resolve_output_column(outer: &SelectQuery, col: &str) -> Result<(Option<String>, String)> {
-    for item in &outer.select {
-        if let SelectItem::Expr { expr, alias } = item {
-            let name = match alias {
-                Some(a) => a.clone(),
-                None => match expr {
-                    ScalarExpr::Column { name, .. } => name.clone(),
-                    ScalarExpr::Param { column, .. } => column.clone(),
-                    ScalarExpr::Aggregate { func, .. } => func.default_column_name().to_owned(),
-                    _ => continue,
-                },
-            };
-            if name == col {
-                return match expr {
-                    ScalarExpr::Column { qualifier, name } => {
-                        Ok((qualifier.clone(), name.clone()))
-                    }
-                    ScalarExpr::Aggregate { .. } => Err(Error::NotComposable {
-                        reason: format!(
-                            "EXISTS correlation on aggregated column `{col}`                              (SQL cannot correlate on an outer aggregate)"
-                        ),
-                    }),
-                    _ => Err(Error::NotComposable {
-                        reason: format!("EXISTS correlation on computed column `{col}`"),
-                    }),
-                };
-            }
-        }
+    match outer.published(col) {
+        ScalarExpr::Column { qualifier, name } => Ok((qualifier, name)),
+        ScalarExpr::Aggregate { .. } => Err(Error::NotComposable {
+            reason: format!(
+                "EXISTS correlation on aggregated column `{col}`                              (SQL cannot correlate on an outer aggregate)"
+            ),
+        }),
+        _ => Err(Error::NotComposable {
+            reason: format!("EXISTS correlation on computed column `{col}`"),
+        }),
     }
-    // Covered by a `*` / `alias.*` item: a plain column of some FROM item.
-    Ok((None, col.to_owned()))
 }
 
-/// Finds the FROM item of `outer` providing `name` (qualified when
-/// `qualifier` is given).
+/// Finds the first FROM item of `outer` providing `name` (the one bound
+/// to `qualifier` when it is given).
 fn find_from_item(
     outer: &SelectQuery,
     qualifier: Option<&str>,
@@ -512,17 +492,11 @@ fn find_from_item(
     catalog: &Catalog,
 ) -> Result<usize> {
     for (i, t) in outer.from.iter().enumerate() {
-        if let Some(q) = qualifier {
-            if t.binding_name() == q {
-                return Ok(i);
-            }
-            continue;
-        }
-        let cols = match t {
-            TableRef::Named { name: tn, .. } => catalog.get(tn)?.column_names(),
-            TableRef::Derived { query, .. } => output_columns(query, catalog)?,
+        let hit = match qualifier {
+            Some(q) => t.binding_name() == q,
+            None => t.columns(&|n| catalog.get(n))?.iter().any(|c| c == name),
         };
-        if cols.iter().any(|c| c == name) {
+        if hit {
             return Ok(i);
         }
     }

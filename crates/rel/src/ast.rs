@@ -5,6 +5,8 @@
 //! (`(SELECT ...) AS TEMP`), parameters on binding variables
 //! (`$m.metroid`), `GROUP BY` / `HAVING`, and `EXISTS` subqueries.
 
+use crate::error::{Error, Result};
+use crate::schema::TableSchema;
 use crate::value::Value;
 
 /// Aggregate functions.
@@ -356,6 +358,26 @@ impl SelectItem {
             alias: Some(alias.into()),
         }
     }
+
+    /// The name an expression item publishes its value under — the XML
+    /// attribute name (§2.2.2) that predicates, `$bv.col` parameters and
+    /// the lineage report refer to: its alias; else a column's name, a
+    /// parameter's column or an aggregate's default name (`sum`); else
+    /// `col{idx}`, by its position in the select list. `None` for `*` and
+    /// `alias.*`, which publish their FROM items' columns
+    /// ([`SelectQuery::output_names`]).
+    pub fn name(&self, idx: usize) -> Option<String> {
+        let SelectItem::Expr { expr, alias } = self else {
+            return None;
+        };
+        Some(match (alias, expr) {
+            (Some(a), _) => a.clone(),
+            (None, ScalarExpr::Column { name, .. }) => name.clone(),
+            (None, ScalarExpr::Param { column, .. }) => column.clone(),
+            (None, ScalarExpr::Aggregate { func, .. }) => func.default_column_name().to_owned(),
+            (None, _) => format!("col{idx}"),
+        })
+    }
 }
 
 /// One FROM item.
@@ -412,6 +434,20 @@ impl TableRef {
             TableRef::Derived { alias, .. } => alias,
         }
     }
+
+    /// The columns this FROM item provides, in order: a base table's
+    /// schema columns, a derived table's output names
+    /// ([`SelectQuery::output_columns`]). `schema` looks a base table up,
+    /// in a `Catalog` or a `Database`; an unknown table is its error.
+    pub fn columns<'s>(
+        &self,
+        schema: &dyn Fn(&str) -> Result<&'s TableSchema>,
+    ) -> Result<Vec<String>> {
+        match self {
+            TableRef::Named { name, .. } => Ok(schema(name)?.column_names()),
+            TableRef::Derived { query, .. } => query.output_columns(schema),
+        }
+    }
 }
 
 /// A SELECT query.
@@ -458,6 +494,78 @@ impl SelectQuery {
             None => pred,
             Some(h) => ScalarExpr::binary(BinOp::And, h, pred),
         });
+    }
+
+    /// The `SELECT 1 WHERE guard` probe over an empty FROM: the query the
+    /// publisher evaluates for an emission guard, and the one the fact
+    /// engine analyzes for it, so both see the same conjuncts.
+    pub fn guard_probe(guard: &ScalarExpr) -> SelectQuery {
+        let mut probe = SelectQuery::new(vec![SelectItem::expr(ScalarExpr::int(1))], vec![]);
+        probe.where_clause = Some(guard.clone());
+        probe
+    }
+
+    /// The names this query publishes its columns under, in order, over
+    /// `layout`: the `(binding, column)` pairs its FROM items provide
+    /// ([`TableRef::columns`]). An expression item publishes
+    /// [`SelectItem::name`], `*` every layout column and `alias.*` the
+    /// columns bound to `alias` — an [`Error::UnknownTable`] when no FROM
+    /// item is.
+    pub fn output_names(&self, layout: &[(String, String)]) -> Result<Vec<String>> {
+        let mut out = Vec::new();
+        for (idx, item) in self.select.iter().enumerate() {
+            match item {
+                SelectItem::Expr { .. } => out.extend(item.name(idx)),
+                SelectItem::Star => out.extend(layout.iter().map(|(_, c)| c.clone())),
+                SelectItem::QualifiedStar(q) => {
+                    if !self.from.iter().any(|t| t.binding_name() == q) {
+                        return Err(Error::UnknownTable { name: q.clone() });
+                    }
+                    out.extend(
+                        layout
+                            .iter()
+                            .filter(|(b, _)| b == q)
+                            .map(|(_, c)| c.clone()),
+                    );
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// The query's output column names, without evaluating it: its
+    /// [`SelectQuery::output_names`] over the columns its FROM items
+    /// provide. `schema` looks a base table up.
+    pub fn output_columns<'s>(
+        &self,
+        schema: &dyn Fn(&str) -> Result<&'s TableSchema>,
+    ) -> Result<Vec<String>> {
+        let mut layout = Vec::new();
+        for t in &self.from {
+            let binding = t.binding_name();
+            layout.extend(
+                t.columns(schema)?
+                    .into_iter()
+                    .map(|c| (binding.to_owned(), c)),
+            );
+        }
+        self.output_names(&layout)
+    }
+
+    /// What computes the column this query publishes as `name`: the
+    /// expression of the first expression item so named, else the plain
+    /// column `name`, which only a `*` or `alias.*` can cover.
+    pub fn published(&self, name: &str) -> ScalarExpr {
+        self.select
+            .iter()
+            .enumerate()
+            .find_map(|(idx, item)| match item {
+                SelectItem::Expr { expr, .. } if item.name(idx).as_deref() == Some(name) => {
+                    Some(expr.clone())
+                }
+                _ => None,
+            })
+            .unwrap_or_else(|| ScalarExpr::col(name))
     }
 
     /// True if the query computes aggregates (grouped or implicit group).

@@ -23,7 +23,6 @@ use std::collections::HashMap;
 use crate::ast::{AggFunc, BinOp, ScalarExpr, SelectItem, SelectQuery, TableRef};
 use crate::error::{Error, Result};
 use crate::plan::Bindings;
-use crate::schema::Catalog;
 use crate::table::Database;
 use crate::value::Value;
 
@@ -697,10 +696,9 @@ fn eval_scoped_opt(
         let alias = t.binding_name().to_owned();
         let (cols, rows) = match t {
             TableRef::Named { name, .. } => {
-                let table = db.table(name)?;
-                let rows = table.rows().to_vec();
+                let rows = db.table(name)?.rows().to_vec();
                 ctx.bump(|s| s.rows_scanned += rows.len() as u64);
-                (table.schema.column_names(), rows)
+                (t.columns(&|n| Ok(&db.table(n)?.schema))?, rows)
             }
             TableRef::Derived { query, .. } => {
                 let rel = eval_scoped_opt(db, query, params, parent, options, stats)?;
@@ -828,28 +826,6 @@ fn eval_scoped_opt(
     Ok(rel)
 }
 
-/// Column names a FROM item provides, without evaluating derived tables.
-fn from_item_columns(db: &Database, t: &TableRef) -> Result<Vec<String>> {
-    match t {
-        TableRef::Named { name, .. } => Ok(db.table(name)?.schema.column_names()),
-        TableRef::Derived { query, .. } => {
-            // Static layout of the derived table.
-            let mut layout: Vec<(String, String)> = Vec::new();
-            for sub in &query.from {
-                let alias = sub.binding_name().to_owned();
-                for c in from_item_columns(db, sub)? {
-                    layout.push((alias.clone(), c));
-                }
-            }
-            let mut out = Vec::new();
-            for (i, item) in query.select.iter().enumerate() {
-                out.extend(item_names(item, &layout, i)?);
-            }
-            Ok(out)
-        }
-    }
-}
-
 /// Errors when an unqualified column referenced at this query level is
 /// provided by more than one FROM item.
 fn check_level_ambiguity(
@@ -860,7 +836,11 @@ fn check_level_ambiguity(
 ) -> Result<()> {
     let mut sets: Vec<std::collections::HashSet<String>> = Vec::new();
     for t in &q.from {
-        sets.push(from_item_columns(db, t)?.into_iter().collect());
+        sets.push(
+            t.columns(&|n| Ok(&db.table(n)?.schema))?
+                .into_iter()
+                .collect(),
+        );
     }
     ambiguity_from_sets(q, &sets)
 }
@@ -1136,47 +1116,13 @@ fn hash_join(
 // Projection
 // ---------------------------------------------------------------------------
 
-/// Output column name for one select item (see [`output_columns`]).
-pub(crate) fn item_names(item: &SelectItem, layout: &Layout, idx: usize) -> Result<Vec<String>> {
-    Ok(match item {
-        SelectItem::Star => layout.iter().map(|(_, n)| n.clone()).collect(),
-        SelectItem::QualifiedStar(q) => {
-            let names: Vec<String> = layout
-                .iter()
-                .filter(|(cq, _)| cq == q)
-                .map(|(_, n)| n.clone())
-                .collect();
-            if names.is_empty() {
-                return Err(Error::UnknownTable { name: q.clone() });
-            }
-            names
-        }
-        SelectItem::Expr { expr, alias } => vec![match alias {
-            Some(a) => a.clone(),
-            None => derived_name(expr, idx),
-        }],
-    })
-}
-
-fn derived_name(expr: &ScalarExpr, idx: usize) -> String {
-    match expr {
-        ScalarExpr::Column { name, .. } => name.clone(),
-        ScalarExpr::Param { column, .. } => column.clone(),
-        ScalarExpr::Aggregate { func, .. } => func.default_column_name().to_owned(),
-        _ => format!("col{idx}"),
-    }
-}
-
 fn project_plain(
     ctx: &EvalCtx<'_>,
     q: &SelectQuery,
     work: &WorkRel,
     parent: Option<&Scope<'_>>,
 ) -> Result<Relation> {
-    let mut columns = Vec::new();
-    for (i, item) in q.select.iter().enumerate() {
-        columns.extend(item_names(item, &work.layout, i)?);
-    }
+    let columns = q.output_names(&work.layout)?;
     let mut rows = Vec::with_capacity(work.rows.len());
     for row in &work.rows {
         let scope = Scope {
@@ -1210,10 +1156,7 @@ fn project_grouped(
     work: &WorkRel,
     parent: Option<&Scope<'_>>,
 ) -> Result<Relation> {
-    let mut columns = Vec::new();
-    for (i, item) in q.select.iter().enumerate() {
-        columns.extend(item_names(item, &work.layout, i)?);
-    }
+    let columns = q.output_names(&work.layout)?;
 
     // Build groups.
     let mut group_order: Vec<Vec<Key>> = Vec::new();
@@ -1281,39 +1224,6 @@ fn project_grouped(
         rows.push(out);
     }
     Ok(Relation { columns, rows })
-}
-
-// ---------------------------------------------------------------------------
-// Static output-column computation
-// ---------------------------------------------------------------------------
-
-/// Computes a query's output column names without evaluating it. Needed by
-/// the composition algorithm (to expand `GROUP BY TEMP.*` over a derived
-/// table's columns) and by schema-tree validation.
-pub fn output_columns(q: &SelectQuery, catalog: &Catalog) -> Result<Vec<String>> {
-    // Layout of the FROM clause.
-    let mut layout: Vec<(String, String)> = Vec::new();
-    for t in &q.from {
-        let alias = t.binding_name().to_owned();
-        match t {
-            TableRef::Named { name, .. } => {
-                let schema = catalog.get(name)?;
-                for c in &schema.columns {
-                    layout.push((alias.clone(), c.name.clone()));
-                }
-            }
-            TableRef::Derived { query, .. } => {
-                for c in output_columns(query, catalog)? {
-                    layout.push((alias.clone(), c));
-                }
-            }
-        }
-    }
-    let mut out = Vec::new();
-    for (i, item) in q.select.iter().enumerate() {
-        out.extend(item_names(item, &layout, i)?);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -1723,17 +1633,52 @@ mod tests {
     fn output_columns_static() {
         let db = hotel_db();
         let cat = db.catalog();
-        let q = parse_query(
-            "SELECT SUM(capacity), TEMP.* FROM confroom, \
-             (SELECT * FROM hotel) AS TEMP WHERE chotel_id = TEMP.hotelid",
-        )
-        .unwrap();
+        let names = |sql: &str| parse_query(sql).unwrap().output_columns(&|n| cat.get(n));
         assert_eq!(
-            output_columns(&q, &cat).unwrap(),
+            names(
+                "SELECT SUM(capacity), TEMP.* FROM confroom, \
+                 (SELECT * FROM hotel) AS TEMP WHERE chotel_id = TEMP.hotelid"
+            )
+            .unwrap(),
             vec!["sum", "hotelid", "hotelname", "starrating", "metro_id"]
         );
-        let q = parse_query("SELECT COUNT(a_id), startdate FROM availability").unwrap();
-        assert!(output_columns(&q, &cat).is_err()); // unknown table
+        assert!(names("SELECT COUNT(a_id), startdate FROM availability").is_err()); // unknown table
+
+        // One name per select item.
+        for (sql, want) in [
+            ("SELECT * FROM metroarea", &["metroid", "metroname"][..]),
+            (
+                "SELECT m.* FROM metroarea AS m, confroom",
+                &["metroid", "metroname"],
+            ),
+            ("SELECT metroid AS id FROM metroarea", &["id"]),
+            ("SELECT metroname FROM metroarea", &["metroname"]),
+            ("SELECT m.metroname FROM metroarea AS m", &["metroname"]),
+            ("SELECT $v.c FROM metroarea", &["c"]),
+            (
+                "SELECT COUNT(*), SUM(metroid), AVG(metroid), MIN(metroid), MAX(metroid) \
+                 FROM metroarea",
+                &["count", "sum", "avg", "min", "max"],
+            ),
+            (
+                "SELECT metroid, metroid + 1, 2 FROM metroarea",
+                &["metroid", "col1", "col2"],
+            ),
+        ] {
+            assert_eq!(names(sql).unwrap(), want, "{sql}");
+        }
+        assert!(matches!(
+            names("SELECT x.* FROM metroarea"),
+            Err(Error::UnknownTable { name }) if name == "x"
+        ));
+
+        // Which item publishes a name: the first expression item so named,
+        // else a plain column only a `*` covers.
+        let q =
+            parse_query("SELECT *, metroid + 1, SUM(metroid) AS metroid FROM metroarea").unwrap();
+        assert_eq!(q.published("col1").to_sql_inline(), "metroid + 1");
+        assert_eq!(q.published("metroid").to_sql_inline(), "SUM(metroid)");
+        assert_eq!(q.published("metroname"), ScalarExpr::col("metroname"));
     }
 
     #[test]

@@ -36,7 +36,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ast::{BinOp, ScalarExpr, SelectItem, SelectQuery, TableRef};
 use crate::domain::{Assumption, Card, CardBound, ColumnDomain};
-use crate::eval::output_columns;
 use crate::schema::Catalog;
 use crate::value::Value;
 
@@ -238,18 +237,10 @@ impl Scope {
         let mut tables = BTreeMap::new();
         for t in from {
             let binding = t.binding_name().to_owned();
-            let cols: Vec<String> = match t {
-                TableRef::Named { name, .. } => {
-                    tables.insert(binding.clone(), name.clone());
-                    catalog
-                        .get(name)
-                        .map(super::schema::TableSchema::column_names)
-                        .unwrap_or_default()
-                }
-                TableRef::Derived { query, .. } => {
-                    output_columns(query, catalog).unwrap_or_default()
-                }
-            };
+            if let TableRef::Named { name, .. } = t {
+                tables.insert(binding.clone(), name.clone());
+            }
+            let cols = t.columns(&|n| catalog.get(n)).unwrap_or_default();
             for c in &cols {
                 providers
                     .entry(c.clone())
@@ -482,48 +473,41 @@ fn collect_out_facts(
             out.entry(name.to_owned()).or_insert(entry);
         }
     };
-    for item in &q.select {
-        match item {
-            SelectItem::Expr { expr, alias } => match expr {
-                ScalarExpr::Column { qualifier, name } => {
-                    let key = scope.key_of(qualifier.as_deref(), name);
-                    if let Some(e) = facts.get(&key) {
-                        push(alias.as_deref().unwrap_or(name), e.clone());
-                    }
+    for (idx, item) in q.select.iter().enumerate() {
+        let covered: Vec<&(String, Vec<String>)> = match item {
+            SelectItem::Expr { expr, alias } => {
+                // A column carries its facts; a literal only when aliased.
+                let entry = match expr {
+                    ScalarExpr::Column { qualifier, name } => facts
+                        .get(&scope.key_of(qualifier.as_deref(), name))
+                        .cloned(),
+                    ScalarExpr::Literal(v) if !v.is_null() && alias.is_some() => Some(FactEntry {
+                        domain: ColumnDomain {
+                            eq: Some(v.clone()),
+                            non_null: true,
+                            ..ColumnDomain::default()
+                        },
+                        sources: vec![format!("selected literal {}", v.render())],
+                    }),
+                    _ => None,
+                };
+                if let (Some(e), Some(name)) = (entry, item.name(idx)) {
+                    push(&name, e);
                 }
-                ScalarExpr::Literal(v) if !v.is_null() => {
-                    if let Some(name) = alias {
-                        push(
-                            name,
-                            FactEntry {
-                                domain: ColumnDomain {
-                                    eq: Some(v.clone()),
-                                    non_null: true,
-                                    ..ColumnDomain::default()
-                                },
-                                sources: vec![format!("selected literal {}", v.render())],
-                            },
-                        );
-                    }
-                }
-                _ => {}
-            },
-            SelectItem::Star => {
-                for (binding, cols) in &scope.layout {
-                    for col in cols {
-                        if let Some(e) = facts.get(&format!("{binding}.{col}")) {
-                            push(col, e.clone());
-                        }
-                    }
-                }
+                continue;
             }
-            SelectItem::QualifiedStar(binding) => {
-                if let Some((_, cols)) = scope.layout.iter().find(|(b, _)| b == binding) {
-                    for col in cols {
-                        if let Some(e) = facts.get(&format!("{binding}.{col}")) {
-                            push(col, e.clone());
-                        }
-                    }
+            SelectItem::Star => scope.layout.iter().collect(),
+            SelectItem::QualifiedStar(binding) => scope
+                .layout
+                .iter()
+                .find(|(b, _)| b == binding)
+                .into_iter()
+                .collect(),
+        };
+        for (binding, cols) in covered {
+            for col in cols {
+                if let Some(e) = facts.get(&format!("{binding}.{col}")) {
+                    push(col, e.clone());
                 }
             }
         }

@@ -82,8 +82,8 @@ pub use dml::{Delta, TableDelta};
 pub use domain::{Assumption, Card, CardBound, ColumnDomain};
 pub use error::{Error, Result};
 pub use eval::{
-    eval_query, eval_query_stats, eval_query_with, output_columns, EvalOptions, EvalStats,
-    NamedTuple, ParamEnv, Relation,
+    eval_query, eval_query_stats, eval_query_with, EvalOptions, EvalStats, NamedTuple, ParamEnv,
+    Relation,
 };
 pub use facts::{
     analyze_query, bound_query, drop_redundant_conjuncts, param_key, query_cardinality, ClauseKind,

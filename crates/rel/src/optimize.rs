@@ -106,13 +106,11 @@ pub fn merge_trivial_derived(q: &mut SelectQuery, catalog: &Catalog) -> Result<b
             unreachable!("matched above");
         };
         let mut inner = *inner;
-        let TableRef::Named { name, .. } = inner.from.remove(0) else {
-            unreachable!("matched above");
-        };
+        let table = inner.from.remove(0);
         // Qualify the filter's own columns with the alias so they keep
         // resolving to this table after the merge.
         if let Some(mut w) = inner.where_clause.take() {
-            let cols = catalog.get(&name)?.column_names();
+            let cols = table.columns(&|n| catalog.get(n))?;
             w.walk_mut(&mut |node| {
                 if let ScalarExpr::Column {
                     qualifier: qualifier @ None,
@@ -126,6 +124,9 @@ pub fn merge_trivial_derived(q: &mut SelectQuery, catalog: &Catalog) -> Result<b
             });
             q.and_where(w);
         }
+        let TableRef::Named { name, .. } = table else {
+            unreachable!("matched above");
+        };
         q.from.insert(
             i,
             TableRef::Named {

@@ -59,8 +59,8 @@ use std::sync::{Arc, OnceLock};
 use crate::ast::{AggFunc, BinOp, ScalarExpr, SelectItem, SelectQuery, TableRef};
 use crate::error::{Error, Result};
 use crate::eval::{
-    ambiguity_from_sets, cols_set, equi_pair_layouts, eval_binop, item_names, key_of, not_pushable,
-    output_columns, resolvable_within, AggAcc, EvalStats, Key, Layout, ParamEnv, Relation, Scope,
+    ambiguity_from_sets, cols_set, equi_pair_layouts, eval_binop, key_of, not_pushable,
+    resolvable_within, AggAcc, EvalStats, Key, Layout, ParamEnv, Relation, Scope,
 };
 use crate::schema::{Catalog, TableSchema};
 use crate::table::{Database, Table};
@@ -508,15 +508,12 @@ impl Compiler<'_> {
 
         // Static per-item column layouts. Unknown tables and malformed
         // derived select lists error here, like the interpreter's
-        // `from_item_columns` pass inside its ambiguity check.
+        // `TableRef::columns` pass inside its ambiguity check.
         let mut item_layouts: Vec<Layout> = Vec::new();
         let mut sets: Vec<HashSet<String>> = Vec::new();
         for t in &q.from {
             let alias = t.binding_name().to_owned();
-            let cols = match t {
-                TableRef::Named { name, .. } => self.catalog.get(name)?.column_names(),
-                TableRef::Derived { query, .. } => output_columns(query, self.catalog)?,
-            };
+            let cols = t.columns(&|n| self.catalog.get(n))?;
             sets.push(cols.iter().cloned().collect());
             item_layouts.push(cols.into_iter().map(|c| (alias.clone(), c)).collect());
         }
@@ -630,10 +627,9 @@ impl Compiler<'_> {
             residuals.push(self.compile_expr(c, &block)?);
         }
 
-        let mut columns = Vec::new();
+        let columns = q.output_names(&full)?;
         let mut select = Vec::new();
-        for (i, item) in q.select.iter().enumerate() {
-            columns.extend(item_names(item, &full, i)?);
+        for item in &q.select {
             select.push(match item {
                 SelectItem::Star => PlanItem::Star,
                 SelectItem::QualifiedStar(qual) => PlanItem::QualifiedStar(qual.clone()),

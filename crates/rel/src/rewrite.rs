@@ -18,7 +18,6 @@ use std::collections::{HashMap, HashSet};
 
 use crate::ast::{ScalarExpr, SelectItem, SelectQuery, TableRef};
 use crate::error::Result;
-use crate::eval::output_columns;
 use crate::schema::Catalog;
 
 /// Replaces every `$var.col` reference in `q` (including inside derived
@@ -67,15 +66,12 @@ pub fn preserve_aggregation(q: &mut SelectQuery, alias: &str, catalog: &Catalog)
         }
         return Ok(());
     }
-    let derived = q
+    let cols = q
         .from
         .iter()
         .find(|t| t.binding_name() == alias)
-        .expect("alias was just added by unbind_param");
-    let cols = match derived {
-        TableRef::Derived { query, .. } => output_columns(query, catalog)?,
-        TableRef::Named { name, .. } => catalog.get(name)?.column_names(),
-    };
+        .expect("alias was just added by unbind_param")
+        .columns(&|n| catalog.get(n))?;
     q.select.push(SelectItem::QualifiedStar(alias.to_owned()));
     for c in cols {
         q.group_by.push(ScalarExpr::qcol(alias, c));
@@ -99,11 +95,7 @@ pub fn qualify_level_columns(
     // Column sets per FROM item.
     let mut sets: Vec<(String, Vec<String>)> = Vec::new();
     for t in &q.from {
-        let cols = match t {
-            TableRef::Named { name, .. } => catalog.get(name)?.column_names(),
-            TableRef::Derived { query, .. } => output_columns(query, catalog)?,
-        };
-        sets.push((t.binding_name().to_owned(), cols));
+        sets.push((t.binding_name().to_owned(), t.columns(&|n| catalog.get(n))?));
     }
     let mut result: Result<()> = Ok(());
     for e in q.exprs_mut() {
@@ -165,9 +157,9 @@ pub fn unbind_param_nested(
             }
         }
     }
-    // 2. Recurse into EXISTS subqueries (WHERE and HAVING).
+    // 2. Recurse into EXISTS subqueries, in every clause of the level.
     let mut result = Ok(());
-    for e in q.where_clause.iter_mut().chain(&mut q.having) {
+    for e in q.exprs_mut() {
         e.walk_mut(&mut |node| {
             if let ScalarExpr::Exists(sub) = node {
                 if result.is_ok() {
@@ -183,7 +175,7 @@ pub fn unbind_param_nested(
     let is_var = |e: &ScalarExpr| matches!(e, ScalarExpr::Param { var: v, .. } if v == var);
     if q.exprs().any(|e| e.any(is_var)) {
         // Qualify existing references that the new FROM item would shadow.
-        let new_cols = output_columns(binding_query, catalog)?;
+        let new_cols = binding_query.output_columns(&|n| catalog.get(n))?;
         qualify_level_columns(q, catalog, &new_cols)?;
         let alias = fresh_alias(q);
         for e in q.exprs_mut() {
@@ -226,11 +218,10 @@ pub fn refresh_group_by_all(q: &mut SelectQuery, alias: &str, catalog: &Catalog)
     if !grouped {
         return Ok(());
     }
-    let cols = match q.from.iter().find(|t| t.binding_name() == alias) {
-        Some(TableRef::Derived { query, .. }) => output_columns(query, catalog)?,
-        Some(TableRef::Named { name, .. }) => catalog.get(name)?.column_names(),
-        None => return Ok(()),
+    let Some(t) = q.from.iter().find(|t| t.binding_name() == alias) else {
+        return Ok(());
     };
+    let cols = t.columns(&|n| catalog.get(n))?;
     q.group_by
         .retain(|g| !matches!(g, ScalarExpr::Column { qualifier: Some(x), .. } if x == alias));
     for c in cols {
@@ -405,6 +396,26 @@ mod tests {
         )
         .unwrap();
         assert_eq!(fresh_alias(&q), "TEMP2");
+    }
+
+    #[test]
+    fn unbind_param_nested_enters_exists_in_every_clause() {
+        let exists = "EXISTS (SELECT 1 FROM confroom WHERE chotel_id = $h.hotelid)";
+        let binding = parse_query("SELECT * FROM hotel").unwrap();
+        for sql in [
+            format!("SELECT hotelid, {exists} FROM hotel"),
+            format!("SELECT hotelid FROM hotel GROUP BY hotelid, {exists}"),
+            format!("SELECT hotelid FROM hotel WHERE {exists}"),
+        ] {
+            let mut q = parse_query(&sql).unwrap();
+            assert!(
+                unbind_param_nested(&mut q, "h", &binding, &catalog()).unwrap(),
+                "{sql}"
+            );
+            assert!(q.parameters().is_empty(), "{sql}");
+            let out = q.to_sql_inline();
+            assert!(out.contains("chotel_id = TEMP.hotelid"), "{out}");
+        }
     }
 
     #[test]

@@ -26,9 +26,8 @@
 //! actually holds ([`xvc_rel::PreparedPlan::execute_batch_shared`]).
 
 use xvc_rel::facts::{analyze_query, param_key, query_cardinality, FactSet};
-use xvc_rel::{Card, CardBound, Catalog};
+use xvc_rel::{Card, CardBound, Catalog, SelectQuery};
 
-use crate::publish::guard_probe;
 use crate::schema_tree::{SchemaTree, ViewNodeId};
 
 /// Cardinality bounds for one view node (see module docs).
@@ -181,7 +180,7 @@ fn visit(
     if let Some(g) = &node.guard {
         // The probe the publisher executes, so the fact engine analyzes
         // the same conjuncts.
-        let a = analyze_query(&guard_probe(g), catalog, env);
+        let a = analyze_query(&SelectQuery::guard_probe(g), catalog, env);
         if a.empty {
             fan_out = CardBound::new(Card::Zero, a.empty_chain.clone());
         } else if a.contradiction.is_none() && child_env.is_none() {

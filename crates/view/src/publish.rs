@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex};
 
 use xvc_rel::{
     BatchResult, Bindings, Database, Delta, EvalStats, JoinKey, NamedTuple, ParamEnv, PreparedPlan,
-    ScalarExpr, SelectItem, SelectQuery, SharedScan, Value,
+    SelectQuery, SharedScan, Value,
 };
 use xvc_xml::{Document, TreeBuilder, XmlSink, XmlWriter};
 
@@ -386,7 +386,7 @@ impl Compiled {
                     plans: [
                         node.and_then(|n| n.query.as_ref()).map(&mut prepare),
                         node.and_then(|n| n.guard.as_ref())
-                            .map(|g| prepare(&guard_probe(g))),
+                            .map(|g| prepare(&SelectQuery::guard_probe(g))),
                     ],
                     var: node.map_or("", |n| n.bv.as_str()).into(),
                     root: ancestors(tree, vid).last().unwrap_or(vid),
@@ -1105,14 +1105,6 @@ fn descendants(tree: &SchemaTree, vid: ViewNodeId) -> impl Iterator<Item = ViewN
         stack.extend(tree.children(next));
         Some(next)
     })
-}
-
-/// The `SELECT 1 WHERE guard` probe the publisher evaluates for emission
-/// guards.
-pub(crate) fn guard_probe(guard: &ScalarExpr) -> SelectQuery {
-    let mut probe = SelectQuery::new(vec![SelectItem::expr(ScalarExpr::int(1))], vec![]);
-    probe.where_clause = Some(guard.clone());
-    probe
 }
 
 /// Read-only state shared by every subtree task, over the database `'db`.
@@ -1857,7 +1849,7 @@ mod tests {
     use super::*;
     use crate::engine::Engine;
     use crate::schema_tree::ViewNode;
-    use xvc_rel::{parse_query, ColumnDef, ColumnType, TableSchema, Value};
+    use xvc_rel::{parse_query, ColumnDef, ColumnType, ScalarExpr, TableSchema, Value};
 
     fn db() -> Database {
         let mut db = Database::new();
