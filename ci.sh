@@ -66,7 +66,10 @@ tool_reports() {
             ./target/release/xvc $command $files 2>&1
         done
     done
-    for command in "run" "stats"; do
+    # `xvc run` checks v'(I) = x(v(I)) itself, so running it under every
+    # composition option executes the pruned, optimized and rewritten
+    # compositions too.
+    for command in "run" "stats" "run --prune --optimize" "run --rewrites"; do
         echo "== xvc $command $guide --data examples/files/data"
         # shellcheck disable=SC2086
         ./target/release/xvc $command $guide --data examples/files/data 2>&1

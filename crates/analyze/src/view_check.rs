@@ -351,7 +351,8 @@ impl Checker<'_> {
     }
 
     /// The names `q` publishes its columns under, each with the
-    /// (best-effort) type of what computes it.
+    /// (best-effort) type of the attribute it names: that of the first
+    /// column so named ([`SelectQuery::published`]).
     fn typed_output_columns(
         &self,
         q: &SelectQuery,
@@ -371,7 +372,8 @@ impl Checker<'_> {
             .unwrap_or_default()
             .into_iter()
             .map(|name| {
-                let ty = self.type_of(&q.published(&name), &layout, &[], &cx);
+                let ty = (q.published(&name, &|n| self.schema(n)).ok())
+                    .and_then(|e| self.type_of(&e, &layout, &[], &cx));
                 (name, ty)
             })
             .collect()

@@ -1,183 +1,42 @@
 //! The paper's running artifacts, reconstructed verbatim:
 //!
-//! * [`figure2_catalog`] — the hotel-reservation relational schema;
-//! * [`figure1_view`] — the conference-planning schema-tree view query;
+//! * [`figure2_catalog`] — the hotel-reservation relational schema, read
+//!   from `examples/files/paper/figure2.sql`;
+//! * [`figure1_view`] — the conference-planning schema-tree view query,
+//!   read from `examples/files/paper/figure1.view`;
 //! * [`FIGURE15_XSLT`], [`FIGURE17_XSLT`], [`FIGURE25_XSLT`] — the example
 //!   stylesheets of §4.4, §5.1 and §5.3 (Figure 4 lives in
-//!   [`xvc_xslt::parse::FIGURE4_XSLT`]);
+//!   [`xvc_xslt::parse::FIGURE4_XSLT`], read from
+//!   `examples/files/paper/figure4.xsl`);
 //! * [`sample_database`] — a small deterministic instance of the hotel
 //!   schema used by unit and golden tests (benchmark-scale data lives in
 //!   `xvc-bench`).
+//!
+//! The files are the one copy: `xvc check`, the walkthroughs and every
+//! test read the same text.
 
-use xvc_rel::{parse_query, Catalog, ColumnDef, ColumnType, Database, TableSchema, Value};
-use xvc_view::{SchemaTree, ViewNode};
+use xvc_rel::{database_from_ddl, parse_ddl, Catalog, Database, Value};
+use xvc_view::{parse_view, SchemaTree};
+
+/// The DDL of Figure 2.
+const FIGURE2_SQL: &str = include_str!("../../../examples/files/paper/figure2.sql");
+
+/// The view definition of Figure 1.
+const FIGURE1_VIEW: &str = include_str!("../../../examples/files/paper/figure1.view");
 
 /// The hotel reservation schema of Figure 2.
 pub fn figure2_catalog() -> Catalog {
-    use ColumnType::{Int, Str};
-    let mut c = Catalog::new();
-    // The first column of every Figure 2 table is its PRIMARY KEY, matching
-    // the annotations in `examples/files/paper/figure2.sql`.
-    let t = |name: &str, cols: &[(&str, ColumnType)]| {
-        TableSchema::new(
-            name,
-            cols.iter()
-                .enumerate()
-                .map(|(i, (n, ty))| {
-                    let def = ColumnDef::new(*n, *ty);
-                    if i == 0 {
-                        def.primary_key()
-                    } else {
-                        def
-                    }
-                })
-                .collect(),
-        )
-        .expect("static schema is well-formed")
-    };
-    c.add(t(
-        "hotelchain",
-        &[("chainid", Int), ("companyname", Str), ("hqstate", Str)],
-    ));
-    c.add(t("metroarea", &[("metroid", Int), ("metroname", Str)]));
-    c.add(t(
-        "hotel",
-        &[
-            ("hotelid", Int),
-            ("hotelname", Str),
-            ("starrating", Int),
-            ("chain_id", Int),
-            ("metro_id", Int),
-            ("state_id", Int),
-            ("city", Str),
-            ("pool", Str),
-            ("gym", Str),
-        ],
-    ));
-    c.add(t(
-        "guestroom",
-        &[
-            ("r_id", Int),
-            ("rhotel_id", Int),
-            ("roomnumber", Int),
-            ("type", Str),
-            ("rackrate", Int),
-        ],
-    ));
-    c.add(t(
-        "confroom",
-        &[
-            ("c_id", Int),
-            ("chotel_id", Int),
-            ("croomnumber", Int),
-            ("capacity", Int),
-            ("rackrate", Int),
-        ],
-    ));
-    c.add(t(
-        "availability",
-        &[
-            ("a_id", Int),
-            ("a_r_id", Int),
-            ("startdate", Str),
-            ("enddate", Str),
-            ("price", Int),
-        ],
-    ));
-    c
+    parse_ddl(FIGURE2_SQL).expect("figure2.sql is well-formed DDL")
 }
 
 /// An empty database over the Figure 2 schema.
 pub fn figure2_database() -> Database {
-    let mut db = Database::new();
-    for schema in figure2_catalog().iter() {
-        db.create_table(schema.clone())
-            .expect("the Figure 2 catalog declares only valid indexes");
-    }
-    db
+    database_from_ddl(FIGURE2_SQL).expect("figure2.sql is well-formed DDL")
 }
 
 /// The schema-tree view query of Figure 1 (conference planning).
 pub fn figure1_view() -> SchemaTree {
-    let mut v = SchemaTree::new();
-    let q = |sql: &str| parse_query(sql).expect("static SQL is well-formed");
-    let metro = v
-        .add_root_node(ViewNode::new(
-            1,
-            "metro",
-            "m",
-            q("SELECT metroid, metroname FROM metroarea"),
-        ))
-        .expect("valid tag");
-    v.add_child(
-        metro,
-        ViewNode::new(
-            2,
-            "confstat",
-            "cs",
-            q("SELECT SUM(capacity) FROM confroom, hotel \
-               WHERE chotel_id = hotelid AND metro_id = $m.metroid"),
-        ),
-    )
-    .expect("valid tag");
-    let hotel = v
-        .add_child(
-            metro,
-            ViewNode::new(
-                3,
-                "hotel",
-                "h",
-                q("SELECT * FROM hotel WHERE metro_id = $m.metroid AND starrating > 4"),
-            ),
-        )
-        .expect("valid tag");
-    v.add_child(
-        hotel,
-        ViewNode::new(
-            4,
-            "confstat",
-            "s",
-            q("SELECT SUM(capacity) FROM confroom WHERE chotel_id = $h.hotelid"),
-        ),
-    )
-    .expect("valid tag");
-    v.add_child(
-        hotel,
-        ViewNode::new(
-            5,
-            "confroom",
-            "c",
-            q("SELECT * FROM confroom WHERE chotel_id = $h.hotelid"),
-        ),
-    )
-    .expect("valid tag");
-    let avail = v
-        .add_child(
-            hotel,
-            ViewNode::new(
-                6,
-                "hotel_available",
-                "a",
-                q(
-                    "SELECT COUNT(a_id), startdate FROM availability, guestroom \
-                   WHERE rhotel_id = $h.hotelid AND a_r_id = r_id GROUP BY startdate",
-                ),
-            ),
-        )
-        .expect("valid tag");
-    v.add_child(
-        avail,
-        ViewNode::new(
-            7,
-            "metro_available",
-            "v",
-            q("SELECT COUNT(a_id) FROM availability, guestroom, hotel \
-               WHERE rhotel_id = hotelid AND a_r_id = r_id \
-               AND metro_id = $m.metroid AND startdate = $a.startdate"),
-        ),
-    )
-    .expect("valid tag");
-    v
+    parse_view(FIGURE1_VIEW).expect("figure1.view is a well-formed view")
 }
 
 /// Figure 15: like Figure 4, but rule R2 has no literal output — the

@@ -6,7 +6,8 @@
 //!
 //! * **own-query conditions** ([`push_into_query`]) — the predicate sits on
 //!   the node whose query is being generated: `@attr` resolves to what
-//!   that query publishes it from ([`SelectQuery::published`]). If the
+//!   that query publishes it from ([`SelectQuery::published`]: its first
+//!   column named `attr`). If the
 //!   column is produced by an *aggregate*
 //!   select item (e.g. `@sum` over `SELECT SUM(capacity)`), the condition
 //!   must go to `HAVING` with the aggregate expression substituted —
@@ -17,23 +18,25 @@
 //!   `$s_new.sum < 200`-style conditions; the paper prints
 //!   `$s_new.SUM_capacity`, we use the aggregate's output column name).
 
-use xvc_rel::{BinOp as SqlOp, ScalarExpr, SelectQuery, Value};
+use xvc_rel::{BinOp as SqlOp, Catalog, ScalarExpr, SelectQuery, Value};
 use xvc_xpath::{Axis, BinOp as XpOp, Expr, NodeTest, PathExpr};
 
 use crate::error::{Error, Result};
 
 /// How `@attr` references resolve during translation.
 enum AttrMode<'a> {
-    /// Into the output columns of this query (aggregate-aware).
-    OwnQuery(&'a SelectQuery),
+    /// Into the output columns of this query (aggregate-aware), whose
+    /// FROM items the catalog describes.
+    OwnQuery(&'a SelectQuery, &'a Catalog),
     /// Into the binding tuple `$var`.
     Param(&'a str),
 }
 
 /// Pushes an attribute-level predicate into the query itself: `WHERE` for
 /// plain columns, `HAVING` when the referenced column is an aggregate.
-pub fn push_into_query(q: &mut SelectQuery, pred: &Expr) -> Result<()> {
-    let (scalar, has_agg) = translate(pred, &AttrMode::OwnQuery(q))?;
+/// `catalog` describes the query's FROM items.
+pub fn push_into_query(q: &mut SelectQuery, pred: &Expr, catalog: &Catalog) -> Result<()> {
+    let (scalar, has_agg) = translate(pred, &AttrMode::OwnQuery(q, catalog))?;
     if has_agg {
         q.and_having(scalar);
     } else {
@@ -127,10 +130,10 @@ fn attr_ref(p: &PathExpr, mode: &AttrMode<'_>) -> Result<(ScalarExpr, bool)> {
     };
     match mode {
         AttrMode::Param(var) => Ok((ScalarExpr::param(*var, attr), false)),
-        AttrMode::OwnQuery(q) => {
+        AttrMode::OwnQuery(q, catalog) => {
             // What the query publishes `@attr` from: an aggregate goes to
             // HAVING.
-            let e = q.published(&attr);
+            let e = q.published(&attr, &|n| catalog.get(n))?;
             let agg = e.contains_aggregate();
             Ok((e, agg))
         }
@@ -160,13 +163,19 @@ fn map_op(op: XpOp) -> Result<SqlOp> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paper_fixtures::figure2_catalog;
     use xvc_rel::parse_query;
     use xvc_xpath::parse_expr;
 
     #[test]
     fn plain_column_predicate_goes_to_where() {
         let mut q = parse_query("SELECT * FROM confroom").unwrap();
-        push_into_query(&mut q, &parse_expr("@capacity > 250").unwrap()).unwrap();
+        push_into_query(
+            &mut q,
+            &parse_expr("@capacity > 250").unwrap(),
+            &figure2_catalog(),
+        )
+        .unwrap();
         assert_eq!(q.to_sql(), "SELECT *\nFROM confroom\nWHERE capacity > 250");
     }
 
@@ -175,7 +184,12 @@ mod tests {
         // Figure 20: the @sum>100 check on a SUM(capacity) query becomes
         // HAVING SUM(capacity) > 100.
         let mut q = parse_query("SELECT SUM(capacity) FROM confroom WHERE chotel_id = 1").unwrap();
-        push_into_query(&mut q, &parse_expr("@sum > 100").unwrap()).unwrap();
+        push_into_query(
+            &mut q,
+            &parse_expr("@sum > 100").unwrap(),
+            &figure2_catalog(),
+        )
+        .unwrap();
         assert!(
             q.to_sql().ends_with("HAVING SUM(capacity) > 100"),
             "{}",
@@ -186,7 +200,12 @@ mod tests {
     #[test]
     fn aliased_aggregate_lookup() {
         let mut q = parse_query("SELECT COUNT(a_id) AS total FROM availability").unwrap();
-        push_into_query(&mut q, &parse_expr("@total >= 3").unwrap()).unwrap();
+        push_into_query(
+            &mut q,
+            &parse_expr("@total >= 3").unwrap(),
+            &figure2_catalog(),
+        )
+        .unwrap();
         assert!(q.to_sql().contains("HAVING COUNT(a_id) >= 3"));
     }
 
@@ -206,7 +225,7 @@ mod tests {
     #[test]
     fn boolean_attribute_existence() {
         let mut q = parse_query("SELECT * FROM hotel").unwrap();
-        push_into_query(&mut q, &parse_expr("@pool").unwrap()).unwrap();
+        push_into_query(&mut q, &parse_expr("@pool").unwrap(), &figure2_catalog()).unwrap();
         assert!(q.to_sql().contains("NOT (pool IS NULL)"));
         let c = to_param_condition("h", &parse_expr("not(@pool)").unwrap()).unwrap();
         assert_eq!(
@@ -223,6 +242,7 @@ mod tests {
         push_into_query(
             &mut q,
             &parse_expr("@starrating > 3 and @city = 'chicago' or @gym = 'yes'").unwrap(),
+            &figure2_catalog(),
         )
         .unwrap();
         let sql = q.to_sql();
@@ -259,7 +279,12 @@ mod tests {
     #[test]
     fn arithmetic_operands() {
         let mut q = parse_query("SELECT * FROM confroom").unwrap();
-        push_into_query(&mut q, &parse_expr("@capacity * 2 > 500").unwrap()).unwrap();
+        push_into_query(
+            &mut q,
+            &parse_expr("@capacity * 2 > 500").unwrap(),
+            &figure2_catalog(),
+        )
+        .unwrap();
         assert!(q.to_sql().contains("capacity * 2 > 500"));
     }
 }

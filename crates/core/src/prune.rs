@@ -20,7 +20,7 @@
 //! `xvc_view::analyze_view_bounds`' job, over the composed view that is
 //! actually published.
 
-use xvc_rel::facts::{analyze_query, drop_redundant_conjuncts, param_key, QueryAnalysis};
+use xvc_rel::facts::{analyze_query, child_facts, drop_redundant_conjuncts, QueryAnalysis};
 use xvc_rel::{Catalog, FactSet, SelectQuery};
 
 use crate::tvq::Tvq;
@@ -95,22 +95,7 @@ fn visit(tvq: &Tvq, catalog: &Catalog, idx: usize, env: &FactSet, verdicts: &mut
                 };
                 return; // the whole subtree is dead; no need to descend
             }
-            // Conjuncts of a non-aggregating (or grouped) query constrain
-            // every tuple bound below this node, so the narrowed parameter
-            // facts — and this query's own output columns under `$bv` —
-            // flow to the descendants. An *implicitly* aggregating query
-            // yields its one row even when its WHERE holds for no tuple,
-            // so nothing may be propagated from it.
-            let implicit_agg = q.is_aggregating() && q.group_by.is_empty();
-            if !implicit_agg && a.contradiction.is_none() {
-                let mut next = a.param_facts.clone();
-                if !node.bv.is_empty() {
-                    for (col, entry) in &a.out_facts {
-                        next.insert(param_key(&node.bv, col), entry.clone());
-                    }
-                }
-                child_env = Some(next);
-            }
+            child_env = child_facts(Some((q, &a)), &node.bv, None);
             verdicts[idx].analysis = Some(a);
         }
         UnboundQuery::Rebind { guard, .. } => {
@@ -128,9 +113,7 @@ fn visit(tvq: &Tvq, catalog: &Catalog, idx: usize, env: &FactSet, verdicts: &mut
                 }
                 // A guard that held narrows the reused tuple's facts for
                 // everything below this node.
-                if a.contradiction.is_none() {
-                    child_env = Some(a.param_facts.clone());
-                }
+                child_env = child_facts(None, &node.bv, Some(&a));
                 verdicts[idx].analysis = Some(a);
             }
         }

@@ -94,7 +94,7 @@ pub fn compose_recursive(
     // (Figure 26's extra HAVING).
     let mut q_up = q_down.clone();
     for pred in &shape.up_value_preds {
-        predicate::push_into_query(&mut q_up, pred)?;
+        predicate::push_into_query(&mut q_up, pred, catalog)?;
     }
 
     // Published attributes: exactly the original target node's columns, so

@@ -588,7 +588,7 @@ impl Emitter<'_> {
                 // aggregate outputs).
                 let mut q2 = parent_query;
                 if let Some(g) = guard {
-                    fold_guard_into_query(&mut q2, g, source)?;
+                    fold_guard_into_query(&mut q2, g, source, self.catalog)?;
                 }
                 self.emit_tvq_node(child_idx, parent_vid, Some(Carrier::Query(q2)), renames)
             }
@@ -609,30 +609,39 @@ impl Emitter<'_> {
 
 /// Folds a rebind guard (conditions over `$source.col`) into the query
 /// that computes `source`'s tuples: `$source.col` becomes what the query
-/// publishes `col` from ([`SelectQuery::published`]) — aggregate outputs
-/// land in HAVING, everything else in WHERE. EXISTS
-/// subqueries inside the guard correlate through unqualified columns.
-fn fold_guard_into_query(q: &mut SelectQuery, guard: &ScalarExpr, source: &str) -> Result<()> {
+/// publishes `col` from ([`SelectQuery::published`], over the FROM items
+/// `catalog` describes) — aggregate outputs land in HAVING, everything
+/// else in WHERE. EXISTS subqueries inside the guard correlate through
+/// unqualified columns.
+fn fold_guard_into_query(
+    q: &mut SelectQuery,
+    guard: &ScalarExpr,
+    source: &str,
+    catalog: &Catalog,
+) -> Result<()> {
     fn translate(
         e: &ScalarExpr,
         source: &str,
         q: &SelectQuery,
+        catalog: &Catalog,
         has_agg: &mut bool,
     ) -> Result<ScalarExpr> {
         Ok(match e {
             ScalarExpr::Param { var, column } if var == source => {
-                let e = q.published(column);
+                let e = q.published(column, &|n| catalog.get(n))?;
                 *has_agg |= e.contains_aggregate();
                 e
             }
             ScalarExpr::Binary { op, lhs, rhs } => ScalarExpr::Binary {
                 op: *op,
-                lhs: Box::new(translate(lhs, source, q, has_agg)?),
-                rhs: Box::new(translate(rhs, source, q, has_agg)?),
+                lhs: Box::new(translate(lhs, source, q, catalog, has_agg)?),
+                rhs: Box::new(translate(rhs, source, q, catalog, has_agg)?),
             },
-            ScalarExpr::Not(i) => ScalarExpr::Not(Box::new(translate(i, source, q, has_agg)?)),
+            ScalarExpr::Not(i) => {
+                ScalarExpr::Not(Box::new(translate(i, source, q, catalog, has_agg)?))
+            }
             ScalarExpr::IsNull(i) => {
-                ScalarExpr::IsNull(Box::new(translate(i, source, q, has_agg)?))
+                ScalarExpr::IsNull(Box::new(translate(i, source, q, catalog, has_agg)?))
             }
             ScalarExpr::Exists(sub) => {
                 let mut sub = sub.clone();
@@ -653,7 +662,7 @@ fn fold_guard_into_query(q: &mut SelectQuery, guard: &ScalarExpr, source: &str) 
     }
     for part in guard.conjuncts() {
         let mut has_agg = false;
-        let translated = translate(part, source, q, &mut has_agg)?;
+        let translated = translate(part, source, q, catalog, &mut has_agg)?;
         if has_agg {
             q.and_having(translated);
         } else {

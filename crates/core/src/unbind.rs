@@ -333,7 +333,7 @@ fn prepared(
     };
     let mut q = query.clone();
     for pred in smt.predicates(p) {
-        predicate::push_into_query(&mut q, pred)?;
+        predicate::push_into_query(&mut q, pred, catalog)?;
     }
     for &c in smt.children(p) {
         if chain.contains(&c) {
@@ -395,7 +395,7 @@ pub fn nest(
     };
     let mut q = query.clone();
     for pred in smt.predicates(c) {
-        predicate::push_into_query(&mut q, pred)?;
+        predicate::push_into_query(&mut q, pred, catalog)?;
     }
     for &cc in smt.children(c) {
         let mut sub = nest(view, smt, cc, catalog)?;
@@ -439,7 +439,7 @@ fn correlate_exists(
     }
     let mut mapping: HashMap<String, (String, String)> = HashMap::new();
     for col in &cols {
-        let (pref_qualifier, name) = resolve_output_column(outer, col)?;
+        let (pref_qualifier, name) = resolve_output_column(outer, col, catalog)?;
         let from_idx = find_from_item(outer, pref_qualifier.as_deref(), &name, catalog)?;
         let binding = outer.from[from_idx].binding_name().to_owned();
         let qualifier = if binds_alias(sub, &binding) {
@@ -469,8 +469,12 @@ fn correlate_exists(
 /// Resolves an output column of `outer` ([`SelectQuery::published`]) to
 /// its underlying FROM column: `(preferred qualifier, column name)`.
 /// Aggregated and computed outputs cannot be correlated on.
-fn resolve_output_column(outer: &SelectQuery, col: &str) -> Result<(Option<String>, String)> {
-    match outer.published(col) {
+fn resolve_output_column(
+    outer: &SelectQuery,
+    col: &str,
+    catalog: &Catalog,
+) -> Result<(Option<String>, String)> {
+    match outer.published(col, &|n| catalog.get(n))? {
         ScalarExpr::Column { qualifier, name } => Ok((qualifier, name)),
         ScalarExpr::Aggregate { .. } => Err(Error::NotComposable {
             reason: format!(

@@ -552,20 +552,40 @@ impl SelectQuery {
         self.output_names(&layout)
     }
 
-    /// What computes the column this query publishes as `name`: the
-    /// expression of the first expression item so named, else the plain
-    /// column `name`, which only a `*` or `alias.*` can cover.
-    pub fn published(&self, name: &str) -> ScalarExpr {
-        self.select
-            .iter()
-            .enumerate()
-            .find_map(|(idx, item)| match item {
+    /// What computes attribute `name` of this query's rows. Attribute `n`
+    /// of a row is the first column named `n` in output order
+    /// ([`SelectQuery::output_names`]), NULL or not: the publisher emits
+    /// it, `$bv.n` reads it ([`crate::Bindings::value`]) and the fact
+    /// engine exports its facts alone. That column is an expression
+    /// item's expression, or the plain column `name` when a `*` or
+    /// `alias.*` covers it first; with no column so named, the plain
+    /// column `name`. `schema` looks a base table up; an unknown table a
+    /// star expands, or an `alias.*` naming no FROM item, is its error.
+    pub fn published<'s>(
+        &self,
+        name: &str,
+        schema: &dyn Fn(&str) -> Result<&'s TableSchema>,
+    ) -> Result<ScalarExpr> {
+        for (idx, item) in self.select.iter().enumerate() {
+            let expanded: Vec<&TableRef> = match item {
                 SelectItem::Expr { expr, .. } if item.name(idx).as_deref() == Some(name) => {
-                    Some(expr.clone())
+                    return Ok(expr.clone())
                 }
-                _ => None,
-            })
-            .unwrap_or_else(|| ScalarExpr::col(name))
+                SelectItem::Expr { .. } => continue,
+                SelectItem::Star => self.from.iter().collect(),
+                SelectItem::QualifiedStar(q) => {
+                    let t = (self.from.iter().find(|t| t.binding_name() == q))
+                        .ok_or_else(|| Error::UnknownTable { name: q.clone() })?;
+                    vec![t]
+                }
+            };
+            for t in expanded {
+                if t.columns(schema)?.iter().any(|c| c == name) {
+                    return Ok(ScalarExpr::col(name));
+                }
+            }
+        }
+        Ok(ScalarExpr::col(name))
     }
 
     /// True if the query computes aggregates (grouped or implicit group).

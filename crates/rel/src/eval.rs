@@ -1672,13 +1672,14 @@ mod tests {
             Err(Error::UnknownTable { name }) if name == "x"
         ));
 
-        // Which item publishes a name: the first expression item so named,
-        // else a plain column only a `*` covers.
+        // Which item publishes a name: the first column so named in output
+        // order, a plain column when a `*` covers it first.
         let q =
             parse_query("SELECT *, metroid + 1, SUM(metroid) AS metroid FROM metroarea").unwrap();
-        assert_eq!(q.published("col1").to_sql_inline(), "metroid + 1");
-        assert_eq!(q.published("metroid").to_sql_inline(), "SUM(metroid)");
-        assert_eq!(q.published("metroname"), ScalarExpr::col("metroname"));
+        let published = |name: &str| q.published(name, &|n| cat.get(n)).unwrap();
+        assert_eq!(published("col1").to_sql_inline(), "metroid + 1");
+        assert_eq!(published("metroid"), ScalarExpr::col("metroid"));
+        assert_eq!(published("metroname"), ScalarExpr::col("metroname"));
     }
 
     #[test]

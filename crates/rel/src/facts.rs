@@ -18,7 +18,8 @@
 //! * **NULL comparisons** that can never bind a row;
 //! * **key-implied duplicate joins** (diagnostic candidates only — never
 //!   used for pruning);
-//! * **output-column facts** for propagation to child TVQ nodes.
+//! * **output-column facts**, each name's from its first column, which
+//!   [`child_facts`] passes to child TVQ and schema-tree nodes.
 //!
 //! Column keys are textual and scoped to one query: `alias.column` for
 //! resolved table columns, `$bv.column` for parameters, and the rendered
@@ -462,15 +463,54 @@ pub fn analyze_query(q: &SelectQuery, catalog: &Catalog, inherited: &FactSet) ->
     a
 }
 
+/// One step of the fact flow down a TVQ or schema tree: the facts a
+/// node's children run under. The node's tag query (`query`, with its
+/// analysis), when it is neither implicitly aggregating nor contradicted,
+/// passes on its narrowed parameter facts plus its output facts as
+/// `$bv.*`; else an emission guard's analysis (`guard`, of its
+/// [`SelectQuery::guard_probe`]), when the guard held, passes on its
+/// narrowed parameter facts. `None` when neither does: the children run
+/// under the node's own facts.
+///
+/// An implicitly aggregating query yields its one row even when its
+/// WHERE holds for no tuple, so nothing it narrowed holds below it.
+pub fn child_facts(
+    query: Option<(&SelectQuery, &QueryAnalysis)>,
+    bv: &str,
+    guard: Option<&QueryAnalysis>,
+) -> Option<FactSet> {
+    if let Some((q, a)) = query {
+        let implicit_agg = q.is_aggregating() && q.group_by.is_empty();
+        if !implicit_agg && a.contradiction.is_none() {
+            let mut next = a.param_facts.clone();
+            if !bv.is_empty() {
+                for (col, entry) in &a.out_facts {
+                    next.insert(param_key(bv, col), entry.clone());
+                }
+            }
+            return Some(next);
+        }
+    }
+    guard
+        .filter(|g| g.contradiction.is_none())
+        .map(|g| g.param_facts.clone())
+}
+
+/// Exports each output name's facts from its first column only, the one
+/// attribute `$bv.name` reads ([`SelectQuery::published`]): a first
+/// column with no facts hides the facts of a later namesake.
 fn collect_out_facts(
     q: &SelectQuery,
     scope: &Scope,
     facts: &FactSet,
     out: &mut BTreeMap<String, FactEntry>,
 ) {
-    let mut push = |name: &str, entry: FactEntry| {
-        if !entry.domain.is_top() {
-            out.entry(name.to_owned()).or_insert(entry);
+    let mut seen = BTreeSet::new();
+    let mut push = |name: &str, entry: Option<FactEntry>| {
+        if seen.insert(name.to_owned()) {
+            if let Some(e) = entry.filter(|e| !e.domain.is_top()) {
+                out.insert(name.to_owned(), e);
+            }
         }
     };
     for (idx, item) in q.select.iter().enumerate() {
@@ -491,8 +531,8 @@ fn collect_out_facts(
                     }),
                     _ => None,
                 };
-                if let (Some(e), Some(name)) = (entry, item.name(idx)) {
-                    push(&name, e);
+                if let Some(name) = item.name(idx) {
+                    push(&name, entry);
                 }
                 continue;
             }
@@ -506,9 +546,7 @@ fn collect_out_facts(
         };
         for (binding, cols) in covered {
             for col in cols {
-                if let Some(e) = facts.get(&format!("{binding}.{col}")) {
-                    push(col, e.clone());
-                }
+                push(col, facts.get(&format!("{binding}.{col}")).cloned());
             }
         }
     }

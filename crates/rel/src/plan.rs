@@ -62,6 +62,7 @@ use crate::eval::{
     ambiguity_from_sets, cols_set, equi_pair_layouts, eval_binop, key_of, not_pushable,
     resolvable_within, AggAcc, EvalStats, Key, Layout, ParamEnv, Relation, Scope,
 };
+use crate::print::{describe_condition, describe_expr};
 use crate::schema::{Catalog, TableSchema};
 use crate::table::{Database, Table};
 use crate::value::{Identity, Value};
@@ -344,7 +345,8 @@ pub trait Bindings {
     fn is_empty(&self) -> bool;
 
     /// The value of `$var.column`: the first column of that name in
-    /// `var`'s tuple.
+    /// `var`'s tuple, NULL or not — attribute `column` of the row `var`
+    /// binds, under the one rule [`crate::SelectQuery::published`] states.
     ///
     /// # Errors
     ///
@@ -1416,7 +1418,7 @@ impl PreparedPlan {
                                 let (q, n) = &self.root.layout[*i];
                                 format!("{q}.{n}")
                             }
-                            BatchSide::Lit(v) => fmt_literal(v),
+                            BatchSide::Lit(v) => v.to_string(),
                         };
                         let (var, col) = &self.slots[k.slot];
                         format!("{row} = ${var}.{col}")
@@ -1578,50 +1580,35 @@ impl PartialEq<&[Vec<Value>]> for BatchRows<'_> {
     }
 }
 
-fn fmt_literal(v: &Value) -> String {
-    match v {
-        Value::Null => "NULL".to_owned(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(f) => f.to_string(),
-        Value::Str(s) => format!("'{s}'"),
-        Value::Bool(b) => b.to_string().to_uppercase(),
-    }
-}
-
-fn fmt_pexpr(e: &PExpr, slots: &[(String, String)]) -> String {
+/// `e` back as the SQL expression it was compiled from: each slot is its
+/// `$var.column` again, and an `EXISTS` block an empty subquery, which
+/// the plan description prints as `EXISTS (...)`.
+fn sql_of(e: &PExpr, slots: &[(String, String)]) -> ScalarExpr {
+    let sql = |e: &PExpr| Box::new(sql_of(e, slots));
     match e {
         PExpr::Column(PColumn {
-            qualifier: Some(q),
-            name,
-            ..
-        }) => format!("{q}.{name}"),
-        PExpr::Column(PColumn {
-            qualifier: None,
-            name,
-            ..
-        }) => name.clone(),
+            qualifier, name, ..
+        }) => ScalarExpr::Column {
+            qualifier: qualifier.clone(),
+            name: name.clone(),
+        },
         PExpr::Slot(i) => {
-            let (v, c) = &slots[*i];
-            format!("${v}.{c}")
+            let (var, column) = &slots[*i];
+            ScalarExpr::param(var, column)
         }
-        PExpr::Literal(v) => fmt_literal(v),
-        PExpr::Binary { op, lhs, rhs } => format!(
-            "{} {} {}",
-            fmt_pexpr(lhs, slots),
-            op.symbol(),
-            fmt_pexpr(rhs, slots)
-        ),
-        PExpr::Not(i) => format!("NOT ({})", fmt_pexpr(i, slots)),
-        PExpr::IsNull(i) => format!("{} IS NULL", fmt_pexpr(i, slots)),
-        PExpr::Exists(_) => "EXISTS (...)".to_owned(),
-        PExpr::Aggregate { func, arg } => {
-            let inner = match arg {
-                Some(a) => fmt_pexpr(a, slots),
-                None => "*".to_owned(),
-            };
-            let name = format!("{func:?}").to_uppercase();
-            format!("{name}({inner})")
-        }
+        PExpr::Literal(v) => ScalarExpr::Literal(v.clone()),
+        PExpr::Binary { op, lhs, rhs } => ScalarExpr::Binary {
+            op: *op,
+            lhs: sql(lhs),
+            rhs: sql(rhs),
+        },
+        PExpr::Not(i) => ScalarExpr::Not(sql(i)),
+        PExpr::IsNull(i) => ScalarExpr::IsNull(sql(i)),
+        PExpr::Exists(_) => ScalarExpr::Exists(Box::new(SelectQuery::new(Vec::new(), Vec::new()))),
+        PExpr::Aggregate { func, arg } => ScalarExpr::Aggregate {
+            func: *func,
+            arg: arg.as_deref().map(sql),
+        },
     }
 }
 
@@ -1633,6 +1620,11 @@ fn fmt_pexpr(e: &PExpr, slots: &[(String, String)]) -> String {
 fn describe_block(block: &PlanBlock, slots: &[(String, String)], depth: usize, out: &mut String) {
     use std::fmt::Write;
     let pad = "  ".repeat(depth);
+    let expr = |e: &PExpr| describe_expr(&sql_of(e, slots));
+    let condition = |conjuncts: &[PExpr]| {
+        let sql: Vec<ScalarExpr> = conjuncts.iter().map(|e| sql_of(e, slots)).collect();
+        describe_condition(&sql)
+    };
     for (i, item) in block.from.iter().enumerate() {
         let source = match (&item.source, &item.access) {
             (PlanSource::Scan(t), Access::FullScan) => format!("scan {t}"),
@@ -1642,7 +1634,7 @@ fn describe_block(block: &PlanBlock, slots: &[(String, String)], depth: usize, o
                 format!(
                     "index lookup {t} on {} = {}",
                     item.layout[*column].1,
-                    fmt_pexpr(key, slots)
+                    expr(key)
                 )
             }
             (PlanSource::Derived(_), _) => "derived subplan".to_owned(),
@@ -1655,7 +1647,7 @@ fn describe_block(block: &PlanBlock, slots: &[(String, String)], depth: usize, o
             let ks: Vec<String> = item
                 .join_keys
                 .iter()
-                .map(|(l, r)| format!("{} = {}", fmt_pexpr(l, slots), fmt_pexpr(r, slots)))
+                .map(|(l, r)| describe_expr(&ScalarExpr::eq(sql_of(l, slots), sql_of(r, slots))))
                 .collect();
             format!(" | hash join on ({})", ks.join(", "))
         };
@@ -1666,28 +1658,21 @@ fn describe_block(block: &PlanBlock, slots: &[(String, String)], depth: usize, o
         };
         let _ = writeln!(out, "{pad}from[{i}]: {source}{join}{preserved}");
         if !item.pushdown.is_empty() {
-            let ps: Vec<String> = item.pushdown.iter().map(|p| fmt_pexpr(p, slots)).collect();
-            let _ = writeln!(out, "{pad}  fused pushdown: {}", ps.join(" AND "));
+            let _ = writeln!(out, "{pad}  fused pushdown: {}", condition(&item.pushdown));
         }
         if !item.prefix_filters.is_empty() {
-            let ps: Vec<String> = item
-                .prefix_filters
-                .iter()
-                .map(|p| fmt_pexpr(p, slots))
-                .collect();
-            let _ = writeln!(out, "{pad}  prefix filter: {}", ps.join(" AND "));
+            let _ = writeln!(
+                out,
+                "{pad}  prefix filter: {}",
+                condition(&item.prefix_filters)
+            );
         }
         if let PlanSource::Derived(child) = &item.source {
             describe_block(child, slots, depth + 1, out);
         }
     }
     if !block.residuals.is_empty() {
-        let ps: Vec<String> = block
-            .residuals
-            .iter()
-            .map(|p| fmt_pexpr(p, slots))
-            .collect();
-        let _ = writeln!(out, "{pad}residual: {}", ps.join(" AND "));
+        let _ = writeln!(out, "{pad}residual: {}", condition(&block.residuals));
         let mut subplans = Vec::new();
         for r in &block.residuals {
             r.walk(&mut |node| {
@@ -1707,7 +1692,7 @@ fn describe_block(block: &PlanBlock, slots: &[(String, String)], depth: usize, o
     }
     let mut proj = format!("{pad}project: {}", block.columns.join(", "));
     if block.aggregating {
-        let keys: Vec<String> = block.group_by.iter().map(|g| fmt_pexpr(g, slots)).collect();
+        let keys: Vec<String> = block.group_by.iter().map(expr).collect();
         proj.push_str(&format!(" | group by {}", keys.len()));
         if keys.is_empty() {
             proj.push_str(" (one implicit group)");
@@ -1716,7 +1701,7 @@ fn describe_block(block: &PlanBlock, slots: &[(String, String)], depth: usize, o
         }
     }
     if let Some(h) = &block.having {
-        proj.push_str(&format!(" | having {}", fmt_pexpr(h, slots)));
+        proj.push_str(&format!(" | having {}", expr(h)));
     }
     if block.distinct {
         proj.push_str(" | distinct");

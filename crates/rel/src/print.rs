@@ -5,7 +5,12 @@
 //!   per line, `AND` conjuncts stacked, derived tables indented. Golden
 //!   tests compare this form.
 //! * [`SelectQuery::to_sql_inline`] — single-line (diagnostics, labels);
-//!   [`ScalarExpr::to_sql_inline`] renders one expression the same way.
+//!   [`ScalarExpr::to_sql_inline`] renders one expression the same way,
+//!   and [`ScalarExpr::to_condition_inline`] one `WHERE` condition.
+//!
+//! A prepared plan's description (`PreparedPlan::describe`) renders its
+//! expressions with the same precedence and literal syntax, each `EXISTS`
+//! subquery elided to `EXISTS (...)`.
 
 use std::fmt;
 
@@ -21,10 +26,7 @@ impl SelectQuery {
 
     /// Single-line rendering.
     pub fn to_sql_inline(&self) -> String {
-        self.to_sql()
-            .split_whitespace()
-            .collect::<Vec<_>>()
-            .join(" ")
+        inline(&self.to_sql())
     }
 }
 
@@ -37,11 +39,57 @@ impl fmt::Display for SelectQuery {
 impl ScalarExpr {
     /// Single-line rendering (fact-chain displays, labels).
     pub fn to_sql_inline(&self) -> String {
-        render_expr(self, 0)
-            .split_whitespace()
-            .collect::<Vec<_>>()
-            .join(" ")
+        inline(&render_expr(self, 0))
     }
+
+    /// Single-line rendering of this expression as a `WHERE` condition:
+    /// its conjuncts ([`ScalarExpr::conjuncts`]) joined by `AND` the way
+    /// [`SelectQuery::to_sql`] stacks them, on one line.
+    pub fn to_condition_inline(&self) -> String {
+        inline(&condition(&self.conjuncts(), Sub::Indent(0)))
+    }
+}
+
+/// `e` as a plan description prints it: one line, `EXISTS` elided.
+pub(crate) fn describe_expr(e: &ScalarExpr) -> String {
+    render(e, 0, Sub::Elide)
+}
+
+/// A conjunct list as a plan description prints it: joined the way a
+/// `WHERE` clause joins its conjuncts, on one line, `EXISTS` elided.
+pub(crate) fn describe_condition(conjuncts: &[ScalarExpr]) -> String {
+    condition(&conjuncts.iter().collect::<Vec<_>>(), Sub::Elide)
+}
+
+/// How an `EXISTS` subquery renders.
+#[derive(Clone, Copy)]
+enum Sub {
+    /// In full, its clauses indented past this many columns.
+    Indent(usize),
+    /// As the placeholder `EXISTS (...)`.
+    Elide,
+}
+
+/// `s` with every run of whitespace collapsed to one space.
+fn inline(s: &str) -> String {
+    s.split_whitespace().collect::<Vec<_>>().join(" ")
+}
+
+/// The precedence each of `n` conjuncts renders at: stacked under `AND`,
+/// a lower-precedence operator (`OR`) needs parentheses.
+fn conjunct_prec(n: usize) -> u8 {
+    if n > 1 {
+        prec(BinOp::And) + 1
+    } else {
+        0
+    }
+}
+
+/// `conjuncts` joined by `AND` on one line.
+fn condition(conjuncts: &[&ScalarExpr], sub: Sub) -> String {
+    let p = conjunct_prec(conjuncts.len());
+    let parts: Vec<String> = conjuncts.iter().map(|c| render(c, p, sub)).collect();
+    parts.join(" AND ")
 }
 
 fn pad(indent: usize) -> String {
@@ -111,13 +159,7 @@ fn write_query(q: &SelectQuery, indent: usize, out: &mut String) {
 fn write_predicate(pred: &ScalarExpr, keyword: &str, indent: usize, out: &mut String) {
     let conjuncts = pred.conjuncts();
     let p = pad(indent);
-    // When several conjuncts are stacked, each is rendered as an AND
-    // operand, so lower-precedence operators (OR) need parentheses.
-    let operand_prec = if conjuncts.len() > 1 {
-        prec(BinOp::And) + 1
-    } else {
-        0
-    };
+    let operand_prec = conjunct_prec(conjuncts.len());
     for (i, c) in conjuncts.iter().enumerate() {
         if i == 0 {
             out.push_str(&p);
@@ -128,7 +170,7 @@ fn write_predicate(pred: &ScalarExpr, keyword: &str, indent: usize, out: &mut St
             out.push_str(&p);
             out.push_str("  AND ");
         }
-        out.push_str(&render_expr_indented(c, operand_prec, indent));
+        out.push_str(&render(c, operand_prec, Sub::Indent(indent)));
     }
 }
 
@@ -155,10 +197,10 @@ fn prec(op: BinOp) -> u8 {
 }
 
 fn render_expr(e: &ScalarExpr, parent_prec: u8) -> String {
-    render_expr_indented(e, parent_prec, 0)
+    render(e, parent_prec, Sub::Indent(0))
 }
 
-fn render_expr_indented(e: &ScalarExpr, parent_prec: u8, indent: usize) -> String {
+fn render(e: &ScalarExpr, parent_prec: u8, sub: Sub) -> String {
     match e {
         ScalarExpr::Column { qualifier, name } => match qualifier {
             Some(q) => format!("{q}.{name}"),
@@ -168,8 +210,8 @@ fn render_expr_indented(e: &ScalarExpr, parent_prec: u8, indent: usize) -> Strin
         ScalarExpr::Literal(v) => v.to_string(),
         ScalarExpr::Binary { op, lhs, rhs } => {
             let my = prec(*op);
-            let l = render_expr_indented(lhs, my, indent);
-            let r = render_expr_indented(rhs, my + 1, indent);
+            let l = render(lhs, my, sub);
+            let r = render(rhs, my + 1, sub);
             let s = format!("{l} {} {r}", op.symbol());
             if my < parent_prec {
                 format!("({s})")
@@ -178,18 +220,21 @@ fn render_expr_indented(e: &ScalarExpr, parent_prec: u8, indent: usize) -> Strin
             }
         }
         ScalarExpr::Not(inner) => {
-            format!("NOT ({})", render_expr_indented(inner, 0, indent))
+            format!("NOT ({})", render(inner, 0, sub))
         }
         ScalarExpr::IsNull(inner) => {
-            format!("{} IS NULL", render_expr_indented(inner, 6, indent))
+            format!("{} IS NULL", render(inner, 6, sub))
         }
-        ScalarExpr::Exists(q) => {
-            let mut sub = String::new();
-            write_query(q, indent + 4, &mut sub);
-            format!("EXISTS (\n{sub})")
-        }
+        ScalarExpr::Exists(q) => match sub {
+            Sub::Indent(indent) => {
+                let mut text = String::new();
+                write_query(q, indent + 4, &mut text);
+                format!("EXISTS (\n{text})")
+            }
+            Sub::Elide => "EXISTS (...)".to_owned(),
+        },
         ScalarExpr::Aggregate { func, arg } => match arg {
-            Some(a) => format!("{}({})", func.keyword(), render_expr_indented(a, 0, indent)),
+            Some(a) => format!("{}({})", func.keyword(), render(a, 0, sub)),
             None => format!("{}(*)", func.keyword()),
         },
     }

@@ -2,8 +2,9 @@
 //!
 //! [`analyze_view_bounds`] runs the relational engine's cardinality
 //! analysis ([`xvc_rel::query_cardinality`]) over every tag query of a
-//! [`SchemaTree`], flowing parameter facts parent-to-child exactly like
-//! predicate-dataflow pruning does. The result bounds, per view node:
+//! [`SchemaTree`], flowing parameter facts parent-to-child by the step
+//! predicate-dataflow pruning takes too
+//! ([`xvc_rel::facts::child_facts`]). The result bounds, per view node:
 //!
 //! * **fan-out** — element instances per parent instance (the tag query's
 //!   row bound; exactly one for literal and context-copy nodes, at most
@@ -25,7 +26,7 @@
 //! no bound, and each batch picks its strategy from the bindings it
 //! actually holds ([`xvc_rel::PreparedPlan::execute_batch_shared`]).
 
-use xvc_rel::facts::{analyze_query, param_key, query_cardinality, FactSet};
+use xvc_rel::facts::{analyze_query, child_facts, query_cardinality, FactSet};
 use xvc_rel::{Card, CardBound, Catalog, SelectQuery};
 
 use crate::schema_tree::{SchemaTree, ViewNodeId};
@@ -141,52 +142,30 @@ fn visit(
 ) {
     let node = tree.node(vid).expect("non-root id");
     bounds.parents[vid.index()] = tree.parent(vid);
-    let mut child_env: Option<FactSet> = None;
 
-    // The node's own fan-out, and the facts its children run under.
-    let mut fan_out = if let Some(q) = node
-        .query
-        .as_ref()
-        .filter(|_| node.context_tuple_of.is_none())
-    {
-        let card = query_cardinality(q, catalog, env);
-        let a = &card.analysis;
-        // Conjuncts of a non-aggregating query constrain every tuple bound
-        // below; an *implicitly* aggregating query yields its single row
-        // even when its WHERE holds for no tuple, so only the row-count
-        // bound (exactly one) survives, not the narrowed facts.
-        let implicit_agg = q.is_aggregating() && q.group_by.is_empty();
-        if !implicit_agg && a.contradiction.is_none() {
-            let mut next = a.param_facts.clone();
-            if !node.bv.is_empty() {
-                for (col, entry) in &a.out_facts {
-                    next.insert(param_key(&node.bv, col), entry.clone());
-                }
-            }
-            child_env = Some(next);
-        }
-        card.total
-    } else {
-        // Literal and context-copy nodes emit exactly once per parent
-        // instance; a context copy re-binds the reused tuple under bv.
-        CardBound::new(
+    // The node's own fan-out. Literal and context-copy nodes emit exactly
+    // once per parent instance; a context copy re-binds the reused tuple
+    // under bv.
+    let query = (node.query.as_ref()).filter(|_| node.context_tuple_of.is_none());
+    let card = query.map(|q| query_cardinality(q, catalog, env));
+    // An emission guard can only suppress the node, never multiply it.
+    // Its probe is the one the publisher executes, so the fact engine
+    // analyzes the same conjuncts.
+    let guard =
+        (node.guard.as_ref()).map(|g| analyze_query(&SelectQuery::guard_probe(g), catalog, env));
+    let fan_out = match (&guard, &card) {
+        (Some(g), _) if g.empty => CardBound::new(Card::Zero, g.empty_chain.clone()),
+        (_, Some(c)) => c.total.clone(),
+        (_, None) => CardBound::new(
             Card::AtMostOne,
             vec!["literal/context node: one instance per parent".to_owned()],
-        )
+        ),
     };
-
-    // An emission guard can only suppress the node, never multiply it —
-    // but it may narrow the facts for everything below.
-    if let Some(g) = &node.guard {
-        // The probe the publisher executes, so the fact engine analyzes
-        // the same conjuncts.
-        let a = analyze_query(&SelectQuery::guard_probe(g), catalog, env);
-        if a.empty {
-            fan_out = CardBound::new(Card::Zero, a.empty_chain.clone());
-        } else if a.contradiction.is_none() && child_env.is_none() {
-            child_env = Some(a.param_facts.clone());
-        }
-    }
+    let child_env = child_facts(
+        query.zip(card.as_ref().map(|c| &c.analysis)),
+        &node.bv,
+        guard.as_ref(),
+    );
 
     let per_task = if is_task_root {
         // The task is cut per root element instance.

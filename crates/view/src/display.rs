@@ -24,21 +24,7 @@ impl SchemaTree {
                 None => "[literal]".to_owned(),
             };
             let guard = match &n.guard {
-                Some(g) => {
-                    let mut probe = xvc_rel::SelectQuery::new(
-                        vec![xvc_rel::SelectItem::expr(xvc_rel::ScalarExpr::int(1))],
-                        vec![],
-                    );
-                    probe.where_clause = Some(g.clone());
-                    let sql = probe.to_sql_inline();
-                    format!(
-                        "  [guard: {}]",
-                        sql.trim_start_matches("SELECT 1 FROM WHERE ")
-                            .trim_start_matches("SELECT 1")
-                            .trim_start_matches(" FROM")
-                            .trim_start_matches(" WHERE ")
-                    )
-                }
+                Some(g) => format!("  [guard: {}]", g.to_condition_inline()),
                 None => String::new(),
             };
             out.push_str(&format!(
@@ -115,5 +101,34 @@ mod tests {
         assert!(r.contains("(3) <hotel> $h  [params: $m]"));
         assert!(r.contains("SELECT metroid, metroname"));
         assert!(r.contains("WHERE metro_id = $m.metroid"));
+    }
+
+    #[test]
+    fn renders_a_guard_as_its_condition() {
+        let mut t = SchemaTree::new();
+        let metro = t
+            .add_root_node(ViewNode::new(
+                1,
+                "metro",
+                "m",
+                parse_query("SELECT metroid, metroname FROM metroarea").unwrap(),
+            ))
+            .unwrap();
+        let mut big = ViewNode::literal(2, "big");
+        big.guard = parse_query(
+            "SELECT 1 FROM metroarea WHERE $m.metroid > 1 AND $m.metroid < 9 \
+             AND ($m.metroname = 'a' OR $m.metroname = 'it''s')",
+        )
+        .unwrap()
+        .where_clause;
+        t.add_child(metro, big).unwrap();
+        let r = t.render();
+        assert!(
+            r.ends_with(
+                "\n    (2) <big>  [literal]  [guard: $m.metroid > 1 AND $m.metroid < 9 \
+                 AND ($m.metroname = 'a' OR $m.metroname = 'it''s')]\n"
+            ),
+            "{r}"
+        );
     }
 }

@@ -349,10 +349,10 @@ struct CompiledNode {
 struct AttrName {
     /// The attribute name's id.
     name: u32,
-    /// The node's projection keeps the column.
+    /// The node's projection keeps the column, and it is the first column
+    /// of its name: attribute `n` is the first column named `n`
+    /// ([`SelectQuery::published`]).
     wanted: bool,
-    /// An earlier column has the same name, and wins when not NULL.
-    duplicate: bool,
 }
 
 impl Compiled {
@@ -425,12 +425,12 @@ impl Compiled {
             let attrs: Vec<AttrName> = (columns.iter().enumerate())
                 .map(|(i, c)| AttrName {
                     name: intern(c),
-                    wanted: match &node.attrs {
-                        AttrProjection::All => true,
-                        AttrProjection::None => false,
-                        AttrProjection::Columns(cols) => cols.contains(c),
-                    },
-                    duplicate: columns[..i].contains(c),
+                    wanted: !columns[..i].contains(c)
+                        && match &node.attrs {
+                            AttrProjection::All => true,
+                            AttrProjection::None => false,
+                            AttrProjection::Columns(cols) => cols.contains(c),
+                        },
                 })
                 .collect();
             let parent = tree.parent(vid).filter(|&p| !tree.is_root(p));
@@ -1597,10 +1597,10 @@ impl Skeleton {
 
     /// Creates a detached instance of view node `view` (`node`) with child
     /// environment `child_env`: its tag, its static attributes, and the
-    /// attributes it projects from `row`. NULLs are omitted, and the first
-    /// of duplicate columns wins. Names are the ids `compiled` resolved
-    /// for the node, one per column of `row`. Returns the element and the
-    /// number of attributes set.
+    /// attributes it projects from `row`. NULLs are omitted. Names are the
+    /// ids `compiled` resolved for the node, one per column of `row`, and
+    /// only the first column of a name is wanted. Returns the element and
+    /// the number of attributes set.
     fn create_instance(
         &mut self,
         view: ViewNodeId,
@@ -1617,11 +1617,8 @@ impl Skeleton {
         if let Some(row) = row {
             let attrs = &compiled.attrs;
             debug_assert_eq!(row.len(), attrs.len(), "one name per projected column");
-            for (i, (v, attr)) in row.iter().zip(attrs).enumerate() {
-                let shadowed = || {
-                    (attrs[..i].iter().zip(row)).any(|(d, w)| d.name == attr.name && !w.is_null())
-                };
-                if !attr.wanted || v.is_null() || (attr.duplicate && shadowed()) {
+            for (v, attr) in row.iter().zip(attrs) {
+                if !attr.wanted || v.is_null() {
                     continue;
                 }
                 self.set_attr_id(el, attr.name, |text| v.render_into(text));

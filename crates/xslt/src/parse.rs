@@ -264,32 +264,9 @@ fn parse_children(doc: &Document, id: NodeId) -> Result<Vec<OutputNode>> {
 }
 
 /// The paper's Figure 4 stylesheet, verbatim (used by tests, examples and
-/// the figure-regeneration harness).
-pub const FIGURE4_XSLT: &str = r#"<xsl:stylesheet>
-  <xsl:template match="/">
-    <HTML>
-      <HEAD></HEAD>
-      <BODY>
-        <xsl:apply-templates select="metro"/>
-      </BODY>
-    </HTML>
-  </xsl:template>
-  <xsl:template match="metro">
-    <result_metro>
-      <A></A>
-      <xsl:apply-templates select="hotel/confstat"/>
-    </result_metro>
-  </xsl:template>
-  <xsl:template match="confstat">
-    <result_confstat>
-      <B></B>
-      <xsl:apply-templates select="../hotel_available/../confroom"/>
-    </result_confstat>
-  </xsl:template>
-  <xsl:template match="metro/hotel/confroom">
-    <xsl:value-of select="."/>
-  </xsl:template>
-</xsl:stylesheet>"#;
+/// the figure-regeneration harness): `examples/files/paper/figure4.xsl`,
+/// the file `xvc check` and the walkthroughs read.
+pub const FIGURE4_XSLT: &str = include_str!("../../../examples/files/paper/figure4.xsl");
 
 #[cfg(test)]
 mod tests {

@@ -1,5 +1,5 @@
 -- Figure 2: the hotel-reservation relational schema (SIGMOD'03 §2.1).
--- Transcribed from xvc_core::paper_fixtures::figure2_catalog.
+-- xvc_core::paper_fixtures reads Figure 2 from this one copy.
 CREATE TABLE hotelchain (
     chainid     INT PRIMARY KEY,
     companyname TEXT,

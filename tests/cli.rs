@@ -662,3 +662,131 @@ fn deps_json_is_one_object_with_edges() {
     );
     assert!(line.contains("\"justification\":\"fact chain:"), "{stdout}");
 }
+
+/// A file of the guide example, `examples/files/<file>`.
+fn guide(file: &str) -> String {
+    format!("{}/examples/files/{file}", env!("CARGO_MANIFEST_DIR"))
+}
+
+impl Fixture {
+    /// Writes `view.view` and `view.xsl` into the fixture, then runs
+    /// `xvc run` on them over the guide's schema and data, with `flags`:
+    /// the document it prints, or its stderr when it fails.
+    fn run_on_guide(&self, view: &str, xslt: &str, flags: &[&str]) -> Result<String, String> {
+        std::fs::write(self.dir.join("view.view"), view).unwrap();
+        std::fs::write(self.dir.join("view.xsl"), xslt).unwrap();
+        let (schema, data) = (guide("schema.sql"), guide("data"));
+        let mut args = vec![
+            "run",
+            "--view",
+            "view.view",
+            "--xslt",
+            "view.xsl",
+            "--ddl",
+            &schema,
+            "--data",
+            &data,
+        ];
+        args.extend(flags);
+        match self.run(&args) {
+            (true, stdout, _) => Ok(stdout.trim().to_owned()),
+            (false, _, stderr) => Err(stderr),
+        }
+    }
+}
+
+#[test]
+fn an_attribute_behind_a_star_is_the_stars_column() {
+    // `*` publishes `population` before the aliased expression does, so
+    // `@population` is the stored column: the composed query filters on
+    // it, as the published document does.
+    let f = Fixture::new("attr_star_first");
+    let view =
+        "node city $c {\n    query: SELECT *, population / 1000 AS population FROM city;\n}\n";
+    let xslt = r#"<xsl:stylesheet>
+  <xsl:template match="/"><guide><xsl:apply-templates select="city[@population &gt; 5000]"/></guide></xsl:template>
+  <xsl:template match="city"><big><xsl:value-of select="@name"/></big></xsl:template>
+</xsl:stylesheet>"#;
+    let want = r#"<guide><big name="chicago"/><big name="nyc"/></guide>"#;
+    assert_eq!(f.run_on_guide(view, xslt, &[]).as_deref(), Ok(want));
+    assert_eq!(
+        f.run_on_guide(view, xslt, &["--naive"]).as_deref(),
+        Ok(want)
+    );
+}
+
+#[test]
+fn an_attribute_whose_first_column_is_null_is_absent() {
+    // `@fee` is the NULL first column on every sight, so no sight is free,
+    // whether the stylesheet runs over the published view or is composed.
+    let f = Fixture::new("attr_null_first");
+    let view = std::fs::read_to_string(guide("guide.view"))
+        .unwrap()
+        .replace(
+            "SELECT sid, sname, fee FROM sight",
+            "SELECT sid, sname, NULL AS fee, fee FROM sight",
+        );
+    let xslt = std::fs::read_to_string(guide("guide.xsl")).unwrap();
+    let want = r#"<guide><entry name="chicago"/><entry name="nyc"/></guide>"#;
+    assert_eq!(f.run_on_guide(&view, &xslt, &[]).as_deref(), Ok(want));
+    assert_eq!(
+        f.run_on_guide(&view, &xslt, &["--naive"]).as_deref(),
+        Ok(want)
+    );
+}
+
+#[test]
+fn a_later_namesake_lends_its_parameter_no_facts() {
+    // `$c.name` reads the first `name` column, the city's; the literal
+    // `'x'` behind it is no fact about `$c.name`, so the sights under
+    // chicago are not provably dead.
+    let f = Fixture::new("attr_facts_first");
+    let view = "node city $c {
+    query: SELECT name, 'x' AS name FROM city;
+    node sight $s {
+        query: SELECT sid, sname FROM sight WHERE $c.name = 'chicago';
+    }
+}
+";
+    let xslt = r#"<xsl:stylesheet>
+  <xsl:template match="/"><guide><xsl:apply-templates select="city"/></guide></xsl:template>
+  <xsl:template match="city"><entry><xsl:apply-templates select="sight"/></entry></xsl:template>
+  <xsl:template match="sight"><free><xsl:value-of select="@sname"/></free></xsl:template>
+</xsl:stylesheet>"#;
+    let want = r#"<guide><entry><free sname="The Bean"/><free sname="Art Institute"/><free sname="Central Park"/><free sname="MoMA, Manhattan"/></entry><entry/><entry/></guide>"#;
+    assert_eq!(f.run_on_guide(view, xslt, &[]).as_deref(), Ok(want));
+    assert_eq!(
+        f.run_on_guide(view, xslt, &["--prune"]).as_deref(),
+        Ok(want)
+    );
+    let (_, stdout, stderr) = f.run(&["check", "view.view", "view.xsl", &guide("schema.sql")]);
+    for code in ["XVC401", "XVC407", "XVC501"] {
+        assert!(!stdout.contains(code), "{code}: {stdout}{stderr}");
+    }
+}
+
+#[test]
+fn explain_prints_the_predicate_that_runs() {
+    // Parentheses where precedence needs them, and literals as the SQL
+    // reads them: the quote doubled, the float with its decimal point.
+    let f = Fixture::new("explain_predicate");
+    let explain = |sql: &str| {
+        let (ok, stdout, stderr) = f.run(&["explain", "--ddl", &guide("schema.sql"), "--sql", sql]);
+        assert!(ok, "{stderr}");
+        stdout
+    };
+    let stdout = explain(
+        "SELECT name FROM city WHERE (population > 1 OR id = 2) AND (id = 3 OR name = 'O''Hare')",
+    );
+    assert!(
+        stdout.contains(
+            "fused pushdown: (population > 1 OR id = 2) AND (id = 3 OR name = 'O''Hare')\n"
+        ),
+        "{stdout}"
+    );
+    let stdout = explain("SELECT name FROM city WHERE population > 3.0");
+    assert!(
+        stdout.contains("fused pushdown: population > 3.0\n"),
+        "{stdout}"
+    );
+}
